@@ -200,6 +200,32 @@ def _segmented_argmax_first(
     return hit_idx[pos]
 
 
+def _edge_spread(
+    vwgt: np.ndarray, e_src: np.ndarray, e_dst: np.ndarray
+) -> np.ndarray:
+    """Per-edge spread (max - min over the constraints) of the combined
+    endpoint weight vector ``vwgt[e_src] + vwgt[e_dst]``, in float64.
+
+    One pair of 1-D gathers per constraint column folded into running
+    ``np.maximum``/``np.minimum`` — the same float64 values as reducing
+    an ``(m, ncon)`` temporary along its short axis, at a fraction of
+    the cost (0.04-0.06 s against 0.22-0.85 s at m = 1.43 M, ncon = 4).
+    """
+
+    def combined(c: int) -> np.ndarray:
+        col = np.ascontiguousarray(vwgt[:, c], dtype=np.float64)
+        return col[e_src] + col[e_dst]
+
+    hi = combined(0)
+    lo = hi.copy()
+    for c in range(1, vwgt.shape[1]):
+        both = combined(c)
+        np.maximum(hi, both, out=hi)
+        np.minimum(lo, both, out=lo)
+    hi -= lo
+    return hi
+
+
 def _matching_fallback(
     g: CSRGraph,
     match: np.ndarray,
@@ -310,14 +336,7 @@ def heavy_edge_matching(
     e_w = g.adjwgt
     if e_w.dtype != np.float64:
         e_w = e_w.astype(np.float64)
-    if multi:
-        vw = g.vwgt
-        if vw.dtype != np.float64:
-            vw = vw.astype(np.float64)
-        combined = vw[e_src] + vw[e_dst]
-        e_spread = combined.max(axis=1) - combined.min(axis=1)
-    else:
-        e_spread = None
+    e_spread = _edge_spread(g.vwgt, e_src, e_dst) if multi else None
 
     # Symmetric per-edge random tie-break key, drawn once: both
     # directions of an undirected edge see the same value, so the
@@ -327,7 +346,7 @@ def heavy_edge_matching(
     e_rand = r[e_src] + r[e_dst]
     # Unweighted graphs (every mesh dual's finest level) skip the
     # heaviest-edge stage entirely: all edges tie.
-    uniform = not multi and e_w.min() == e_w.max()
+    uniform = e_w.min() == e_w.max()
 
     alive = np.ones(n, dtype=bool)
     neg_inf = -np.inf
@@ -349,18 +368,20 @@ def heavy_edge_matching(
         starts = np.flatnonzero(first)
         rows = e_src[starts]
 
-        if uniform:
-            key = e_rand
-        else:
-            # Stage 1: per-row heaviest edge.
-            near = e_w >= _segmented_max(e_w, starts) - 1e-12
-            # Stage 2 (multi-constraint): smallest combined-weight
-            # spread among the near-heaviest edges.
-            if multi:
-                s = np.where(near, e_spread, np.inf)
-                near &= s <= -_segmented_max(-s, starts) + 1e-12
-            # Stage 3: random tie-break among the surviving edges.
-            key = np.where(near, e_rand, neg_inf)
+        # ``near`` masks the edges still in contention for their row;
+        # ``None`` stands for "every live edge".
+        # Stage 1: per-row heaviest edge.
+        near = (
+            None if uniform else e_w >= _segmented_max(e_w, starts) - 1e-12
+        )
+        # Stage 2 (multi-constraint): smallest combined-weight spread
+        # among the near-heaviest edges.
+        if multi:
+            s = e_spread if near is None else np.where(near, e_spread, np.inf)
+            tight = s <= -_segmented_max(-s, starts) + 1e-12
+            near = tight if near is None else near & tight
+        # Stage 3: random tie-break among the surviving edges.
+        key = e_rand if near is None else np.where(near, e_rand, neg_inf)
         argmax = _segmented_argmax_first(key, _segmented_max(key, starts), starts)
         # Per-row proposal; every live row has at least one live edge,
         # so every row proposes.
@@ -385,8 +406,8 @@ def heavy_edge_matching(
         e_rand = e_rand[keep]
         if not uniform:
             e_w = e_w[keep]
-            if multi:
-                e_spread = e_spread[keep]
+        if multi:
+            e_spread = e_spread[keep]
     if len(e_src):
         # Unmatched vertices that still have unmatched neighbours.
         _matching_fallback(
@@ -411,9 +432,13 @@ def contract(
     """
     n = g.num_vertices
     # Assign coarse ids: the smaller endpoint of each pair labels it.
-    leader = np.minimum(np.arange(n), match)
-    uniq, cmap = np.unique(leader, return_inverse=True)
-    nc = len(uniq)
+    # Leaders are exactly the fixed points of ``leader``, so a running
+    # count of them ranks every leader without sorting.
+    ids = np.arange(n)
+    leader = np.minimum(ids, match)
+    rank = np.cumsum(leader == ids)
+    cmap = rank[leader] - 1
+    nc = int(rank[-1]) if n else 0
 
     # Per-constraint bincount beats np.add.at's buffered scatter by a
     # wide margin on the coarsening hot path.

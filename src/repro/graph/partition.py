@@ -173,9 +173,49 @@ def _repair_split(
     return left, right
 
 
+def _split_node(
+    g: CSRGraph,
+    vertices: np.ndarray | None,
+    k: int,
+    rng: np.random.Generator,
+    *,
+    level_tol: float,
+    max_passes: int,
+    init_trials: int,
+    spill: HierarchySpill | None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Bisect one bisection-tree node that must host ``k >= 2`` parts.
+
+    ``vertices`` are the node's vertices in ``g``; ``None`` stands for
+    all of them (the root), which is bisected on ``g`` itself instead
+    of on an identity ``subgraph`` copy.  Returns ``(left, right, k0)``:
+    the two sides as vertex ids of ``g`` and the left side's part
+    count.
+    """
+    k0 = (k + 1) // 2
+    if vertices is None:
+        sub = g
+    else:
+        sub, vertices = g.subgraph(vertices)
+    labels = multilevel_bisect(
+        sub,
+        k0 / k,
+        rng,
+        imbalance_tol=level_tol,
+        max_passes=max_passes,
+        init_trials=init_trials,
+        spill=spill,
+    )
+    if vertices is None:
+        left, right = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    else:
+        left, right = vertices[labels == 0], vertices[labels == 1]
+    return (*_repair_split(left, right, k0, k - k0), k0)
+
+
 def _shared_bisect_node(
     desc: dict,
-    vertices: np.ndarray,
+    vertices: np.ndarray | None,
     first: int,
     k: int,
     node_rng: np.random.Generator,
@@ -202,26 +242,21 @@ def _shared_bisect_node(
     event = (os.getpid(), desc["name"]) if fresh else None
     if k <= 1:
         return [(vertices, first)], [], event, None
-    k0 = (k + 1) // 2
-    k1 = k - k0
-    sub, mapping = g.subgraph(vertices)
     spill = HierarchySpill()
-    labels = multilevel_bisect(
-        sub,
-        k0 / k,
+    left, right, k0 = _split_node(
+        g,
+        vertices,
+        k,
         node_rng,
-        imbalance_tol=level_tol,
+        level_tol=level_tol,
         max_passes=max_passes,
         init_trials=init_trials,
         spill=spill if spill.enabled else None,
     )
-    left = mapping[labels == 0]
-    right = mapping[labels == 1]
-    left, right = _repair_split(left, right, k0, k1)
     r_left, r_right = node_rng.spawn(2)
     return (
         [],
-        [(left, first, k0, r_left), (right, first + k0, k1, r_right)],
+        [(left, first, k0, r_left), (right, first + k0, k - k0, r_right)],
         event,
         spill.stats() if spill.enabled else None,
     )
@@ -276,40 +311,31 @@ def recursive_bisection(
     depth = max(1, int(np.ceil(np.log2(nparts))))
     level_tol = max(1.01, imbalance_tol ** (1.0 / depth))
     n_jobs = _resolve_n_jobs(n_jobs)
+    split = dict(
+        level_tol=level_tol, max_passes=max_passes, init_trials=init_trials
+    )
 
+    # Every tree starts at ``vertices=None``: the root is all of ``g``
+    # and is bisected without copying it (``nparts >= 2`` here, so the
+    # root is never a leaf).
     if n_jobs == 1:
         # Serial path: one shared generator, depth-first stack (the
         # seed behaviour, kept bit-for-bit).
-        stack: list[tuple[np.ndarray, int, int]] = [
-            (np.arange(n, dtype=np.int64), 0, nparts)
-        ]
+        stack: list[tuple[np.ndarray | None, int, int]] = [(None, 0, nparts)]
         while stack:
             vertices, first, k = stack.pop()
             if k <= 1:
                 part[vertices] = first
                 continue
-            k0 = (k + 1) // 2
-            k1 = k - k0
-            frac = k0 / k
-            sub, mapping = g.subgraph(vertices)
-            labels = multilevel_bisect(
-                sub,
-                frac,
-                rng,
-                imbalance_tol=level_tol,
-                max_passes=max_passes,
-                init_trials=init_trials,
-                spill=spill,
+            left, right, k0 = _split_node(
+                g, vertices, k, rng, spill=spill, **split
             )
-            left = mapping[labels == 0]
-            right = mapping[labels == 1]
-            left, right = _repair_split(left, right, k0, k1)
             stack.append((left, first, k0))
-            stack.append((right, first + k0, k1))
+            stack.append((right, first + k0, k - k0))
         return part
 
     def bisect_node(
-        vertices: np.ndarray,
+        vertices: np.ndarray | None,
         first: int,
         k: int,
         node_rng: np.random.Generator,
@@ -318,25 +344,13 @@ def recursive_bisection(
             # Disjoint fancy-index write; safe across workers.
             part[vertices] = first
             return []
-        k0 = (k + 1) // 2
-        k1 = k - k0
-        sub, mapping = g.subgraph(vertices)
-        labels = multilevel_bisect(
-            sub,
-            k0 / k,
-            node_rng,
-            imbalance_tol=level_tol,
-            max_passes=max_passes,
-            init_trials=init_trials,
-            spill=spill,
+        left, right, k0 = _split_node(
+            g, vertices, k, node_rng, spill=spill, **split
         )
-        left = mapping[labels == 0]
-        right = mapping[labels == 1]
-        left, right = _repair_split(left, right, k0, k1)
         r_left, r_right = node_rng.spawn(2)
         return [
             (left, first, k0, r_left),
-            (right, first + k0, k1, r_right),
+            (right, first + k0, k - k0, r_right),
         ]
 
     if _resolve_executor(executor, n) == "process":
@@ -350,7 +364,7 @@ def recursive_bisection(
                     pool.submit(
                         _shared_bisect_node,
                         desc,
-                        np.arange(n, dtype=np.int64),
+                        None,
                         0,
                         nparts,
                         rng,
@@ -388,9 +402,7 @@ def recursive_bisection(
 
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
         pending = {
-            pool.submit(
-                bisect_node, np.arange(n, dtype=np.int64), 0, nparts, rng
-            )
+            pool.submit(bisect_node, None, 0, nparts, rng)
         }
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)

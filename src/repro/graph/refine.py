@@ -11,11 +11,27 @@ admissible if, for every constraint, the destination part stays within
 ``imbalance_tol`` of its target — or if the move strictly improves the
 worst per-constraint imbalance (so infeasible states can be repaired).
 
+Hill-climb allowance.  A pass keeps making non-improving moves until
+``early_stop`` consecutive ones have failed to beat the best prefix,
+then rolls all of them back.  The default allowance follows the
+boundary the refinement starts from,
+``max(100, len(boundary) // 2)``: only boundary vertices can move, so
+the boundary — not ``n`` — is the scale of a useful excursion.  (METIS
+clamps 1 % of ``n`` to [15, 100]; the seed rule here, 1/64 of ``n``
+floored at 100, survives only in :mod:`repro.graph.reference`.)  On a
+357k-vertex mesh dual whose bisection boundary is ~2.6k vertices the
+seed rule made 5,583 consecutive non-improving moves before giving up
+and rolled back 74 % of all moves; the boundary rule makes 38 % of the
+moves.  The price is cut, and it shrinks with the part count: about
++5-8 % on a single 90k-vertex bisection, +2-3 % on 8-part partitions
+at 90k and 357k vertices, nothing at 20k vertices (both rules clamp to
+100 there); a flat 100 or ``len(boundary) // 4`` costs 12-13 %.
+Frontier table in EXPERIMENTS.md.
+
 Implementation note: the per-move admissibility check runs millions of
 times, so the inner loop works on plain Python floats (``ncon ≤`` a
 handful) rather than NumPy arrays — an order-of-magnitude win measured
-by profiling (see the hpc-parallel guide: profile first, then optimize
-the bottleneck).
+by profiling.
 """
 
 from __future__ import annotations
@@ -65,6 +81,38 @@ def _degrees(
     ideg = np.bincount(src[same], weights=w[same], minlength=n)
     edeg = np.bincount(src[~same], weights=w[~same], minlength=n)
     return ideg, edeg
+
+
+def _default_early_stop(boundary: np.ndarray) -> int:
+    """Hill-climb allowance sized by the starting boundary (see the
+    module docstring); shared by the interpreted loop and the kernel
+    tier so both derive the identical default."""
+    return max(100, len(boundary) // 2)
+
+
+def _one_hot_columns(vwgt: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(col, wcol)`` — each vertex's only nonzero constraint and its
+    weight there — or ``None`` when some vertex carries weight on
+    several constraints.  All-zero rows map to column 0, weight 0.
+    ``vwgt`` must have at least one row.
+
+    Works a column at a time: reductions along the short axis of the
+    ``(n, ncon)`` array are an order of magnitude slower.
+    """
+    n, ncon = vwgt.shape
+    nnz = np.zeros(n, dtype=np.int8)
+    col = np.zeros(n, dtype=np.int64)
+    # Adding the zeros of the other columns is exact, so the running
+    # sum *is* the single nonzero entry.
+    wcol = np.zeros(n, dtype=vwgt.dtype)
+    for c in range(ncon):
+        nz = vwgt[:, c] != 0
+        nnz += nz
+        col[nz] = c
+        wcol += vwgt[:, c]
+    if int(nnz.max()) > 1:
+        return None
+    return col, wcol
 
 
 def _inv_denoms(
@@ -127,8 +175,9 @@ def fm_refine(
         improvement.
     early_stop:
         Abandon a pass's hill climb after this many consecutive
-        non-improving moves (METIS-style); defaults to
-        ``max(100, n // 64)``.
+        non-improving moves; defaults to
+        ``max(100, len(boundary) // 2)`` for the boundary the
+        refinement starts from (see the module docstring).
     check_cut:
         Debug flag: assert at the end of every pass that the
         incrementally tracked edge cut agrees with a from-scratch
@@ -170,10 +219,6 @@ def fm_refine(
 
     if max_moves_per_pass is None:
         max_moves_per_pass = n
-    # METIS-style early pass termination: abandon the hill climb after
-    # this many consecutive non-improving moves.
-    if early_stop is None:
-        early_stop = max(100, n // 64)
 
     # Unit edge weights -> integer gains -> FM gain buckets.  The
     # maxdeg guard keeps the per-pass bucket allocation trivial (a
@@ -192,9 +237,10 @@ def fm_refine(
     # constraint — equivalent to the full O(ncon) max (unchanged
     # ratios stay feasible, and the repair clause can never fire from
     # a feasible state).
-    one_hot = int(np.count_nonzero(g.vwgt, axis=1).max()) <= 1 if n else True
+    hot = _one_hot_columns(g.vwgt)
+    one_hot = hot is not None
     if one_hot:
-        col = np.argmax(g.vwgt, axis=1)
+        col, wcol = hot
 
     # Kernel-tier dispatch (see repro.accel): the bucket/one-hot fast
     # path starting from a feasible bisection stays feasible after
@@ -212,8 +258,8 @@ def fm_refine(
             part,
             pw_arr=pw_arr,
             inv_arr=np.array([inv0, inv1], dtype=np.float64),
-            col=col.astype(np.int64, copy=False),
-            wcol=g.vwgt[np.arange(n), col].astype(np.float64, copy=False),
+            col=col,
+            wcol=wcol.astype(np.float64, copy=False),
             maxdeg=maxdeg,
             tol=imbalance_tol,
             max_passes=max_passes,
@@ -228,7 +274,7 @@ def fm_refine(
 
     if one_hot:
         col_l: list = col.tolist()
-        wcol_l: list = g.vwgt[np.arange(n), col].tolist()
+        wcol_l: list = wcol.tolist()
     # Per-constraint flat columns (much cheaper to build than the
     # nested ``vwgt.tolist()``) feed the generic admissibility loop;
     # one-hot graphs only need them if a pass starts infeasible, so
@@ -249,6 +295,8 @@ def fm_refine(
     # passes rebuild it from the vertices actually touched, keeping
     # per-pass overhead proportional to the work done, not to n.
     boundary = np.flatnonzero(edeg_a > 0)
+    if early_stop is None:
+        early_stop = _default_early_stop(boundary)
 
     for _ in range(max_passes):
         if len(boundary) == 0:
@@ -489,7 +537,7 @@ def _fm_refine_fast(
     tol: float,
     max_passes: int,
     max_moves_per_pass: int,
-    early_stop: int,
+    early_stop: int | None,
     rng: np.random.Generator,
     check_cut: bool,
 ) -> np.ndarray:
@@ -511,6 +559,8 @@ def _fm_refine_fast(
     ideg, edeg = _degrees(g, part, compiled=True)
     cur_cut = float(edeg.sum()) / 2.0
     boundary = np.flatnonzero(edeg > 0)
+    if early_stop is None:
+        early_stop = _default_early_stop(boundary)
 
     # Reused per-pass buffers: move log, neighbour-touch log, FIFO
     # bucket heads/tails and the append-only node pool (one slot per

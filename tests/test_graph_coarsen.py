@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import graph_from_edges, validate_csr
-from repro.graph.coarsen import contract, coarsen_once, heavy_edge_matching
+from repro.graph.coarsen import (
+    _edge_spread,
+    contract,
+    coarsen_once,
+    heavy_edge_matching,
+)
+from repro.mesh.dual import mesh_to_dual_graph
 
 
 def _rng(seed=0):
@@ -60,6 +68,46 @@ class TestMatching:
         assert match[2] == 2
         assert match[3] == 3
 
+    @pytest.mark.parametrize("ncon", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_spread_equals_short_axis_formula(self, medium_grid, ncon, dtype):
+        # The column-at-a-time spread must be the (m, ncon) max - min
+        # reduction bit for bit, in float64 whatever the storage width.
+        g = medium_grid
+        vwgt = _rng(ncon).uniform(0.0, 3.0, (g.num_vertices, ncon)).astype(dtype)
+        e_src, e_dst = g.edge_sources(), g.adjncy
+        vw = vwgt.astype(np.float64)
+        combined = vw[e_src] + vw[e_dst]
+        want = combined.max(axis=1) - combined.min(axis=1)
+        got = _edge_spread(vwgt, e_src, e_dst)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+    def test_unit_weight_multiconstraint_matchings_pinned(
+        self, medium_grid, small_cube_mesh, small_cube_tau
+    ):
+        # Unit edge weights with several constraints skip the
+        # heaviest-edge stage (all edges tie); the matchings are pinned
+        # to the ones the three-stage path produced.
+        n = medium_grid.num_vertices
+        rng = _rng(7)
+        dense = medium_grid.with_vwgt(rng.uniform(0.5, 2.0, (n, 3)))
+        narrow = medium_grid.with_vwgt(
+            rng.integers(1, 5, (n, 2)).astype(np.float32)
+        )
+        lev = np.zeros((small_cube_mesh.num_cells, 4))
+        lev[np.arange(small_cube_mesh.num_cells), small_cube_tau] = 1.0
+        one_hot = mesh_to_dual_graph(small_cube_mesh).with_vwgt(lev)
+        pinned = {
+            "151902e309e3308c": dense,
+            "3ae1f87faec85a3e": narrow,
+            "548103018254e7b5": one_hot,
+        }
+        for digest, g in pinned.items():
+            assert g.adjwgt.min() == g.adjwgt.max() == 1.0
+            match = heavy_edge_matching(g, _rng(3)).astype(np.int64)
+            assert hashlib.sha256(match.tobytes()).hexdigest()[:16] == digest
+
 
 class TestContract:
     def test_weights_conserved(self, medium_grid):
@@ -95,6 +143,28 @@ class TestContract:
     def test_shrinks_grid_substantially(self, medium_grid):
         lvl = coarsen_once(medium_grid, _rng())
         assert lvl.graph.num_vertices < 0.7 * medium_grid.num_vertices
+
+    @pytest.mark.parametrize("matched_fraction", [0.0, 0.3, 1.0])
+    def test_coarse_ids_equal_sorted_unique_relabel(
+        self, medium_grid, matched_fraction
+    ):
+        # Coarse ids rank the pair leaders in vertex order — what
+        # np.unique(leader, return_inverse=True) assigns — for random
+        # (not necessarily adjacent) matchings, all-unmatched included.
+        g = medium_grid
+        n = g.num_vertices
+        for seed in range(5):
+            perm = _rng(seed).permutation(n)
+            k = int(matched_fraction * n) // 2
+            match = np.arange(n)
+            match[perm[:k]] = perm[k : 2 * k]
+            match[perm[k : 2 * k]] = perm[:k]
+            uniq, cmap = np.unique(
+                np.minimum(np.arange(n), match), return_inverse=True
+            )
+            lvl = contract(g, match)
+            assert lvl.graph.num_vertices == len(uniq) == n - k
+            np.testing.assert_array_equal(lvl.cmap, cmap)
 
     def test_multi_constraint_weights_summed(self):
         vw = np.eye(4)

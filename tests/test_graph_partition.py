@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graph.partition as partition_mod
 from repro.graph import (
     edge_cut,
     graph_from_edges,
@@ -16,7 +17,9 @@ from repro.graph import (
     partition_graph,
     parts_connected,
 )
+from repro.graph.csr import CSRGraph
 from repro.graph.initial import best_initial_bisection, greedy_graph_growing
+from repro.graph.partition import recursive_bisection
 from repro.graph.refine import fm_refine, rebalance
 
 
@@ -173,6 +176,60 @@ class TestPartitionGraph:
         res = partition_graph(medium_grid, 4, seed=0)
         conn = parts_connected(medium_grid, res.part, 4)
         assert conn.sum() >= 3  # geometric graph: RB keeps parts compact
+
+
+class TestRootBisectedInPlace:
+    """The root of the bisection tree is all of ``g``: it is bisected
+    on ``g`` itself, not on an identity ``subgraph`` copy."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_no_identity_subgraph_and_same_labels(
+        self, medium_grid, monkeypatch, n_jobs
+    ):
+        ids = np.arange(medium_grid.num_vertices)
+        vwgt = np.zeros((len(ids), 3))
+        vwgt[ids, ids % 3] = 1.0
+        g = CSRGraph(
+            medium_grid.xadj,
+            medium_grid.adjncy.astype(np.int32),
+            vwgt=vwgt,
+            adjwgt=medium_grid.adjwgt,
+        )
+        n = g.num_vertices
+        kw = dict(n_jobs=n_jobs, executor="thread")
+
+        sizes, dtypes = [], []
+        real_subgraph = CSRGraph.subgraph
+        real_bisect = partition_mod.multilevel_bisect
+
+        def spy_subgraph(self, vertices):
+            sizes.append(len(vertices))
+            return real_subgraph(self, vertices)
+
+        def spy_bisect(sub, *args, **kwargs):
+            dtypes.append(sub.adjncy.dtype)
+            return real_bisect(sub, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(CSRGraph, "subgraph", spy_subgraph)
+            mp.setattr(partition_mod, "multilevel_bisect", spy_bisect)
+            part = recursive_bisection(g, 5, _rng(3), **kw)
+        assert len(sizes) == 3 and max(sizes) < n  # 4 bisections, root bare
+        assert dtypes == [np.dtype(np.int32)] * 4
+
+        # The copying path: hand the root to the V-cycle as the
+        # identity subgraph instead.
+        def copying_bisect(sub, *args, **kwargs):
+            if sub is g:
+                sub, _ = g.subgraph(np.arange(n, dtype=np.int64))
+            return real_bisect(sub, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(partition_mod, "multilevel_bisect", copying_bisect)
+            want = recursive_bisection(g, 5, _rng(3), **kw)
+        np.testing.assert_array_equal(part, want)
+        assert part.dtype == np.int32
+        assert set(np.unique(part)) == set(range(5))
 
 
 class TestPartitionProperties:

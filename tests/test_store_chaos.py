@@ -252,18 +252,27 @@ class TestStoreChaos:
             (4, "none", 0.0),
             (5, "none", 0.0),
         ]
-        procs = [
-            _spawn_worker(root, events_dir, wid, fault, rate)
-            for wid, fault, rate in plan
-        ]
-        for (wid, fault, _), proc in zip(plan, procs):
-            out, err = proc.communicate(timeout=180)
-            if fault == "kill_claim":
-                assert proc.returncode == 77, err.decode()
-            elif fault == "kill_write":
-                assert proc.returncode == 78, err.decode()
-            else:
-                assert proc.returncode == 0, err.decode()
+        # Start barrier: the crash workers inject on their first *won*
+        # claim, so they run (concurrently with each other) against a
+        # store nobody publishes to and must have died before the
+        # healthy workers start.  Otherwise fast peers can publish every
+        # digest first, the crash worker only ever reads and exits 0 —
+        # a scheduling assumption, not a store property.  The peers then
+        # race each other over the wreckage: a dead holder's claim and
+        # a torn tmp file.
+        expected_exit = {"kill_claim": 77, "kill_write": 78}
+        for crashing in (True, False):
+            wave = [p for p in plan if (p[1] in expected_exit) == crashing]
+            procs = [
+                _spawn_worker(root, events_dir, wid, fault, rate)
+                for wid, fault, rate in wave
+            ]
+            for (wid, fault, _), proc in zip(wave, procs):
+                out, err = proc.communicate(timeout=180)
+                assert proc.returncode == expected_exit.get(fault, 0), (
+                    fault,
+                    err.decode(),
+                )
 
         events = _collect_events(events_dir)
         digests = chaos_digests()
