@@ -488,8 +488,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             watchdog=args.watchdog,
             workers=args.workers,
             drain_grace=args.drain_grace,
-            dag=args.dag,
-            dag_batch=args.dag_batch,
         )
         n = daemon.serve_forever(
             max_jobs=args.max_jobs, idle_timeout=args.idle_timeout
@@ -571,7 +569,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not args.job_id:
         # Spool overview with the aggregate per-stage dedup counts —
         # how much work the daemon actually avoided, split into store
-        # cache hits vs shared-prefix reuse inside merged dag plans.
+        # cache hits vs shared-prefix reuse inside merged batch plans.
         from .pipeline import STAGE_ORDER
 
         states = client.queue.jobs()
@@ -1038,8 +1036,9 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="daemon: concurrent job children (SOFT pressure halves "
-        "this, HARD pauses claiming)",
+        help="daemon: concurrent job children, each running one claimed "
+        "batch as a merged stage plan (SOFT pressure halves this, HARD "
+        "pauses claiming)",
     )
     p.add_argument(
         "--drain-grace",
@@ -1047,20 +1046,6 @@ def main(argv: list[str] | None = None) -> int:
         default=5.0,
         help="daemon: seconds a running job gets to finish after "
         "SIGTERM/SIGINT before it is requeued",
-    )
-    p.add_argument(
-        "--dag",
-        action="store_true",
-        help="daemon: claim compatible pending jobs together and run "
-        "them as one merged stage-DAG (shared prefixes execute once; "
-        "--workers bounds the stage scheduler pool)",
-    )
-    p.add_argument(
-        "--dag-batch",
-        type=int,
-        default=8,
-        help="daemon: max jobs merged into one plan per claim round "
-        "(--dag mode)",
     )
     p.add_argument(
         "--max-pending",

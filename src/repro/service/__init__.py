@@ -12,8 +12,9 @@ Three layers, no hard dependencies beyond the standard library:
   hint), a dead-letter quarantine with forensic bundles, and the
   per-digest circuit breaker
   (:class:`~repro.resilience.errors.CircuitOpenError`);
-* :mod:`repro.service.daemon` — the long-running worker: claims jobs,
-  runs each scenario chain in a child process (so a worker death is a
+* :mod:`repro.service.daemon` — the long-running worker: claims jobs
+  in batches, runs each batch as one merged stage plan in a supervised
+  child process (shared prefixes execute once; a worker death is a
   recoverable event, not a daemon crash), retries with the runtime's
   :class:`~repro.runtime.executor.RetryPolicy` backoff, enforces a
   per-stage progress watchdog, dead-letters poison jobs, drains

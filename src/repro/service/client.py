@@ -101,9 +101,8 @@ class ServiceClient:
         """Submit one scenario under many option sets (a sweep) and
         return the job ids, in order.
 
-        The natural feeder for a ``--dag`` daemon: jobs submitted
-        together land in one claim batch and their shared prefixes
-        collapse into single plan nodes.
+        Jobs submitted together land in one claim batch of the daemon,
+        where their shared prefixes collapse into single plan nodes.
         """
         return [
             self.submit(

@@ -1,32 +1,39 @@
 """The ``repro serve`` daemon: an overload-safe scenario-serving worker.
 
-The daemon polls a :class:`~repro.service.queue.SpoolQueue`, claims
-jobs, and runs each scenario chain **in a child process** — the unit
-of failure is the job, not the daemon.  A worker that dies mid-stage
-(segfault, OOM-kill, a chaos harness's injected kill) is observed as a
-child exit, retried with the runtime's
-:class:`~repro.runtime.executor.RetryPolicy` exponential backoff, and
-only after the budget is exhausted surfaced as a typed terminal record
-— with the per-stage provenance the job managed to stream before
-dying intact.
+The daemon polls a :class:`~repro.service.queue.SpoolQueue` and has
+**one execution path**: a free worker slot claims a batch of pending
+jobs and spawns **one supervised child process** for it.  The child
+compiles the batch into one merged
+:class:`~repro.pipeline.plan.StagePlan` — scenarios sharing a
+mesh/levels prefix execute each shared stage exactly once — and runs
+it serially, streaming per-job progress, result and error files; the
+batch pays spawn + import once.  The unit of failure is the child,
+never the daemon: a worker that dies mid-stage (segfault, OOM-kill, a
+chaos harness's injected kill) is observed as a child exit, its
+unfinished jobs are retried **one per child** with the runtime's
+:class:`~repro.runtime.executor.RetryPolicy` exponential backoff (a
+poison job costs its batch-mates at most one attempt), and only an
+exhausted budget surfaces as a typed terminal record — with the
+per-stage provenance the job streamed before dying intact.
 
 Robustness properties:
 
 * **per-stage watchdog** — the child streams a progress record after
-  every pipeline stage; if no progress lands within ``watchdog``
-  seconds the child is terminated and the attempt counts as a worker
-  death (retryable);
+  every plan node; if no job of the batch makes progress within
+  ``watchdog`` seconds the child is terminated and every unfinished
+  job counts a worker death (retryable);
 * **dead-letter quarantine** — a poison job (retry budget exhausted on
   retryable failures, or a worker deterministically killed at the same
   stage twice) moves to ``deadletter/`` with a forensic bundle instead
   of being forgotten, and its per-digest circuit breaker fast-fails
   resubmissions until an operator closes it;
 * **drain lifecycle** — SIGTERM/SIGINT stops claiming, gives running
-  children ``drain_grace`` seconds to finish, then terminates and
-  *requeues* them (nothing lost), maintains liveness/readiness files
-  under ``<spool>/health/``, and exits cleanly; a second signal
-  force-quits (children killed, jobs requeued immediately — the spool
-  state machine stays consistent either way);
+  children ``drain_grace`` seconds to finish, then terminates them and
+  *requeues* their unfinished jobs (nothing lost; finished batch-mates
+  stay ``done``), maintains liveness/readiness files under
+  ``<spool>/health/``, and exits cleanly; a second signal force-quits
+  (children killed, jobs requeued immediately — the spool state
+  machine stays consistent either way);
 * **graceful degradation** — a :class:`ResourceSentinel` samples RSS,
   free disk on the spool/artifact volumes and queue depth into
   ``OK/SOFT/HARD`` pressure states.  Under ``SOFT`` the daemon shrinks
@@ -46,10 +53,11 @@ Robustness properties:
 
 Chaos hooks: a seeded
 :class:`~repro.resilience.faults.FaultPlan` may be installed; its
-``transient`` decisions kill the job's child process after its first
-completed stage — deterministic worker death for the chaos suite.
-``REPRO_SERVE_STAGE_DELAY`` (seconds) makes children linger after each
-stage, giving the signal/drain tests a deterministic mid-job window.
+``transient`` decisions kill a job's child process after the job's
+first completed stage — deterministic worker death for the chaos
+suite.  ``REPRO_SERVE_STAGE_DELAY`` (seconds) makes children linger
+after each plan node, giving the signal/drain tests a deterministic
+mid-job window.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ import socket
 import threading
 import time
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -77,7 +86,9 @@ from .queue import JobRequest, JobStatus, SpoolQueue, sweep_stale_spool
 
 __all__ = ["ServeDaemon", "read_health"]
 
-#: Child exit codes (picked clear of Python/shell conventions).
+#: Child exit codes (picked clear of Python/shell conventions).  With a
+#: batch the code summarises the child (transient wins over permanent);
+#: the per-job verdict is the job's own ``error.json``.
 _EXIT_TRANSIENT = 75  # EX_TEMPFAIL: retryable typed failure
 _EXIT_PERMANENT = 70  # EX_SOFTWARE: typed permanent failure
 _EXIT_CHAOS = 86  # injected worker death (chaos harness)
@@ -85,125 +96,169 @@ _EXIT_CHAOS = 86  # injected worker death (chaos harness)
 #: Liveness heartbeats older than this many seconds read as dead.
 LIVENESS_TTL = 30.0
 
-
-# The daemon's high-frequency records (heartbeats, progress) use the
-# shared crash-safe writer in its compact default format.
-_atomic_json = atomic_write_json
-_read_json = read_json
+#: Most jobs one child takes on: bounds what a single worker death can
+#: cost and how long a batch-mate waits behind the others.
+_MAX_BATCH = 8
 
 
 def _child_main(
-    request_dict: dict[str, Any],
+    jobs: list[dict[str, Any]],
     store_root: str | None,
-    workdir: str,
-    chaos_kill_after: str | None = None,
-    pressure_path: str | None = None,
-    degrade: dict[str, Any] | None = None,
+    pressure_path: str,
+    force_mmap: bool,
 ) -> None:
-    """Job body, run in a spawned child process.
+    """Batch body, run in a spawned child process.
 
-    Streams a progress record after every completed stage (the
-    parent's watchdog heartbeat *and* the partial provenance a failed
-    job reports), then an atomic result file.  Typed failures exit
-    with a dedicated code and leave an error record; anything that
-    kills the process outright is the parent's problem to observe.
+    ``jobs`` are ``{"request", "workdir", "kill_after"}`` records.  The
+    batch is compiled into one merged plan and executed serially; after
+    every plan node each job riding it gets a fresh ``progress.json``
+    in its own workdir (the parent's watchdog heartbeat *and* the
+    partial provenance a failed job reports), the job whose chain ends
+    there an atomic ``result.json``, and every job through a failed
+    node an ``error.json``.  Anything that kills the process outright
+    is the parent's problem to observe.
 
-    Degradation: ``degrade["force_mmap"]`` pins the shared-CSR backend
-    to mmap before any graph work (a ``SOFT``-pressure decision, bit
-    identical to the shm path); after every stage the child re-reads
-    the daemon's ``pressure_path`` snapshot and, on ``HARD``, sheds
-    the store's in-memory tier.  Both decisions are recorded in the
+    Degradation: ``force_mmap`` pins the shared-CSR backend to mmap
+    before any graph work (a ``SOFT``-pressure decision, bit identical
+    to the shm path); at every node the child re-reads the daemon's
+    ``pressure_path`` snapshot and, while it says ``HARD``, sheds the
+    store's in-memory tier.  Both decisions are recorded in the
     streamed ``degradation`` provenance.
     """
-    degrade = degrade or {}
-    if degrade.get("force_mmap"):
+    if force_mmap:
         os.environ["REPRO_SHARED_BACKEND"] = "mmap"
-    degradation: list[str] = []
     try:
         stage_delay = float(os.environ.get("REPRO_SERVE_STAGE_DELAY", 0) or 0)
     except ValueError:
         stage_delay = 0.0
-    work = Path(workdir)
-    progress_path = work / "progress.json"
-    result_path = work / "result.json"
-    error_path = work / "error.json"
     try:
-        from ..pipeline import ArtifactStore, Pipeline, get_scenario
-        from ..pipeline.stages import STAGE_ORDER
+        from ..pipeline import (
+            ArtifactStore,
+            DagScheduler,
+            NodeResult,
+            Pipeline,
+            compile_plan,
+            get_scenario,
+        )
         from ..resilience.errors import TransientError
 
-        try:
-            request = JobRequest.from_dict(request_dict)
-            scenario = get_scenario(request.scenario, **request.options)
-            store = (
-                ArtifactStore(store_root) if store_root else None
+        pipe = Pipeline(ArtifactStore(store_root) if store_root else None)
+        store = pipe.store
+        degradation: list[str] = []
+        exit_codes = {0}
+
+        def fail(work: Path, exc: BaseException) -> None:
+            transient = isinstance(exc, TransientError)
+            kind = "TransientError" if transient else type(exc).__name__
+            atomic_write_json(
+                work / "error.json", {"kind": kind, "message": str(exc)}
             )
-            pipe = Pipeline(store)
-            stop = STAGE_ORDER.index(request.through)
-            stages: list[dict[str, Any]] = []
-            shed = False
-            rec = None
-            for name in STAGE_ORDER[: stop + 1]:
-                rec = pipe.run(scenario, through=name)
-                sr = rec.provenance[name]
-                stages.append(
+            exit_codes.add(_EXIT_TRANSIENT if transient else _EXIT_PERMANENT)
+
+        planned: list[dict[str, Any]] = []  # index == plan job index
+        scenarios = []
+        for job in jobs:
+            work = Path(job["workdir"])
+            try:
+                request = JobRequest.from_dict(job["request"])
+                scenario = get_scenario(request.scenario, **request.options)
+            except Exception as exc:  # bad request: fails alone
+                fail(work, exc)
+                continue
+            # Same worker-count resolution as ``Pipeline.run``, so the
+            # partition digest matches an in-process run.
+            scenarios.append(pipe._resolved(scenario))
+            planned.append(
+                {
+                    "work": work,
+                    "through": request.through,
+                    "kill_after": job["kill_after"],
+                    "stages": [],
+                }
+            )
+        plan = compile_plan(
+            scenarios, through=[job["through"] for job in planned]
+        )
+
+        def publish(job: dict[str, Any], key: str) -> None:
+            caches = [s["cache"] for s in job["stages"]]
+            result: dict[str, Any] = {
+                "stages": job["stages"],
+                "cache_hits": sum(c is not None for c in caches),
+                "dedup": {
+                    "shared": caches.count("shared"),
+                    "store": caches.count("memory") + caches.count("disk"),
+                    "computed": caches.count(None),
+                },
+            }
+            if job["through"] == "schedule":
+                # ``execute_stage`` has just put the node's object in
+                # the memory tier (shed only after publishing).
+                _, metrics = store.memory_get(key)
+                result["metrics"] = {
+                    "makespan": float(metrics.makespan),
+                    "efficiency": float(metrics.efficiency),
+                }
+            if degradation:
+                result["degradation"] = degradation
+            if store.stats.degraded:
+                result["store_degraded"] = store.stats.degraded
+            atomic_write_json(job["work"] / "result.json", result)
+
+        def on_node(node: NodeResult) -> None:
+            if node.state != "done":
+                for j in node.jobs:
+                    fail(planned[j]["work"], node.error)
+                return
+            now = time.time()
+            snap = read_json(pressure_path)
+            hard = snap is not None and snap.get("state") == "HARD"
+            if hard and not degradation:
+                degradation.append("HARD: shed in-memory store tier in worker")
+            riders = [planned[j] for j in node.jobs]
+            for job in riders:
+                # The first job through a computed node owns it; the
+                # others rode it ("shared": plan-time prefix reuse,
+                # distinct from a store hit).
+                cache = (
+                    node.cache
+                    if node.cache is not None or job is riders[0]
+                    else "shared"
+                )
+                job["stages"].append(
                     {
-                        "stage": name,
-                        "digest": sr.digest,
-                        "cache": sr.cache,
-                        "wall_time": sr.wall_time,
-                        "finished_at": time.time(),
+                        "stage": node.stage,
+                        "digest": node.key,
+                        "cache": cache,
+                        "wall_time": (
+                            0.0 if cache == "shared" else node.wall_time
+                        ),
+                        "finished_at": now,
                     }
                 )
-                if not shed and pressure_path is not None:
-                    snap = _read_json(Path(pressure_path))
-                    if (
-                        snap is not None
-                        and snap.get("state") == "HARD"
-                        and store is not None
-                    ):
-                        store.memory_items = 0
-                        store.clear_memory()
-                        shed = True
-                        degradation.append(
-                            "HARD: shed in-memory store tier in worker"
-                        )
-                _atomic_json(
-                    progress_path,
+                atomic_write_json(
+                    job["work"] / "progress.json",
                     {
-                        "stages": stages,
-                        "heartbeat": time.time(),
+                        "stages": job["stages"],
+                        "heartbeat": now,
                         "degradation": degradation,
                     },
                 )
-                if chaos_kill_after == name:
-                    os._exit(_EXIT_CHAOS)  # injected worker death
-                if stage_delay > 0:
-                    time.sleep(stage_delay)
-            result: dict[str, Any] = {"stages": stages}
-            if rec is not None and rec.metrics is not None:
-                result["metrics"] = {
-                    "makespan": float(rec.metrics.makespan),
-                    "efficiency": float(rec.metrics.efficiency),
-                }
-            result["cache_hits"] = rec.cache_hits if rec is not None else 0
-            if degradation:
-                result["degradation"] = degradation
-            if store is not None and store.stats.degraded:
-                result["store_degraded"] = store.stats.degraded
-            _atomic_json(result_path, result)
-        except TransientError as exc:
-            _atomic_json(
-                error_path,
-                {"kind": "TransientError", "message": str(exc)},
-            )
-            os._exit(_EXIT_TRANSIENT)
-        except Exception as exc:  # typed permanent failure
-            _atomic_json(
-                error_path,
-                {"kind": type(exc).__name__, "message": str(exc)},
-            )
-            os._exit(_EXIT_PERMANENT)
+            # Chaos dies between a stage's progress and its result, so
+            # a killed job always has the stage on record, never done.
+            if any(job["kill_after"] == node.stage for job in riders):
+                os._exit(_EXIT_CHAOS)  # injected worker death
+            for job in riders:
+                if job["through"] == node.stage:
+                    publish(job, node.key)
+            if hard:
+                store.clear_memory()
+            if stage_delay > 0:
+                time.sleep(stage_delay)
+
+        DagScheduler(store, max_workers=1, on_node=on_node).execute(plan)
+        if max(exit_codes):
+            os._exit(max(exit_codes))
     except BaseException:
         # Last resort (import failure, broken workdir): die visibly so
         # the parent counts a worker death instead of hanging.
@@ -221,8 +276,8 @@ def read_health(spool: str | Path) -> dict[str, Any]:
     from ..pipeline.locking import pid_alive
 
     health = Path(spool).expanduser() / "health"
-    liveness = _read_json(health / "live.json")
-    pressure = _read_json(health / "pressure.json")
+    liveness = read_json(health / "live.json")
+    pressure = read_json(health / "pressure.json")
     live = False
     if liveness is not None:
         age = time.time() - float(liveness.get("at") or 0.0)
@@ -240,8 +295,26 @@ def read_health(spool: str | Path) -> dict[str, Any]:
     }
 
 
+@dataclass
+class _Job:
+    """One claimed job under supervision (``status.state`` stays
+    ``"running"`` until the router settles or requeues it)."""
+
+    job_id: str
+    request: JobRequest
+    status: JobStatus
+    seq: int  # claim order, the chaos plan's task index
+    workdir: Path
+    force_mmap: bool  # SOFT-pressure decision taken at claim time
+    attempt: int = 0
+    attempt_started: float = 0.0
+    batch: int = 1  # jobs in the current attempt's child
+    seen: float = 0.0  # mtime of the last progress.json folded in
+
+
 class ServeDaemon:
-    """Claim → run-in-child → retry → publish, forever (or bounded).
+    """Claim a batch → run it in one child → route each job → publish,
+    forever (or bounded).
 
     Parameters
     ----------
@@ -257,40 +330,27 @@ class ServeDaemon:
         failures (``max_retries`` per job, exponential ``backoff``).
         ``None`` uses ``RetryPolicy(max_retries=2)``.
     watchdog:
-        Per-stage progress deadline in seconds; a child that streams
-        no progress for this long is terminated and retried.  ``None``
-        disables it.
+        Per-stage progress deadline in seconds; a child none of whose
+        jobs streams progress for this long is terminated and its
+        unfinished jobs retried.  ``None`` disables it.
     poll:
         Spool poll interval while idle.
     workers:
-        Concurrent job children (each claimed job runs in its own
-        child under its own supervisor thread).  ``SOFT`` pressure
-        halves the effective target; ``HARD`` pauses claiming.
+        Concurrent job children, each under its own supervisor thread.
+        A free slot claims ``min(8, ceil(pending / free slots))`` jobs
+        as one batch, so one slot never starves the others.  ``SOFT``
+        pressure halves the effective target; ``HARD`` pauses claiming.
     sentinel:
         :class:`ResourceSentinel` override (chaos tests inject
         synthetic probes here); ``None`` builds the default watching
         the spool/store volumes and the pending depth.
     drain_grace:
         Seconds a running child gets to finish after a drain signal
-        before it is terminated and its job requeued.
+        before it is terminated and its unfinished jobs requeued.
     health_interval:
         Max age of the ``health/`` liveness/pressure files.
     fault_plan:
         Optional seeded chaos hook (see module docstring).
-    dag:
-        Stage-DAG batch mode: instead of one child process per job,
-        claim up to ``dag_batch`` compatible pending jobs together,
-        compile them into **one merged**
-        :class:`~repro.pipeline.plan.StagePlan` and execute it in-
-        process on a :class:`~repro.pipeline.scheduler.DagScheduler`
-        pool of ``workers`` threads — scenarios sharing a mesh/levels
-        prefix execute each shared stage exactly once.  Stage-level
-        progress streaming, retries with backoff, pressure degradation
-        and dead-letter/circuit-breaker semantics are preserved at job
-        granularity; the per-stage watchdog does not apply (no child
-        process to terminate — the drain path covers stuck batches).
-    dag_batch:
-        Max jobs merged into one plan per claim round in ``dag`` mode.
     """
 
     def __init__(
@@ -306,8 +366,6 @@ class ServeDaemon:
         drain_grace: float = 5.0,
         health_interval: float = 1.0,
         fault_plan: FaultPlan | None = None,
-        dag: bool = False,
-        dag_batch: int = 8,
     ) -> None:
         self.queue = spool if isinstance(spool, SpoolQueue) else SpoolQueue(spool)
         self.store_root = str(store_root) if store_root is not None else None
@@ -332,17 +390,14 @@ class ServeDaemon:
         self.drain_grace = float(drain_grace)
         self.health_interval = float(health_interval)
         self.fault_plan = fault_plan
-        self.dag = bool(dag)
-        if dag_batch < 1:
-            raise ValueError("dag_batch must be >= 1")
-        self.dag_batch = int(dag_batch)
-        self._store: Any = None  # lazy shared store for dag mode
         self._job_seq = 0
-        self._seq_lock = threading.Lock()
+        # Guards the counters the supervisor threads and the claim loop
+        # share: _completed and _inflight move together.
+        self._lock = threading.Lock()
         self._ctx = multiprocessing.get_context("spawn")
         self._stop = threading.Event()
         self._force = threading.Event()
-        self._stop_at: float | None = None
+        self._stop_at = 0.0  # monotonic time of the first drain signal
         self._completed = 0
         self._requeued_on_drain = 0
         self._inflight = 0
@@ -367,11 +422,7 @@ class ServeDaemon:
             self._stop.set()
 
     def _on_signal(self, signum: int, frame: Any) -> None:
-        if self._stop.is_set():
-            self._force.set()
-        else:
-            self._stop_at = time.monotonic()
-            self._stop.set()
+        self.request_drain()
 
     def _install_signals(self) -> dict[int, Any] | None:
         """SIGTERM/SIGINT → drain (second one → force).  Only possible
@@ -388,18 +439,15 @@ class ServeDaemon:
         return prev
 
     # -- health surface ------------------------------------------------
-    def _health_dir(self) -> Path:
-        return self.queue.root / "health"
-
     def _write_health(
         self, sample: PressureSample | None, *, ready: bool
     ) -> None:
         """Refresh ``health/``: liveness heartbeat, pressure snapshot,
         and the readiness marker (present iff the daemon claims)."""
-        health = self._health_dir()
+        health = self.queue.root / "health"
         try:
             health.mkdir(parents=True, exist_ok=True)
-            _atomic_json(
+            atomic_write_json(
                 health / "live.json",
                 {
                     "pid": os.getpid(),
@@ -413,17 +461,14 @@ class ServeDaemon:
                 },
             )
             if sample is not None:
-                _atomic_json(health / "pressure.json", sample.to_dict())
+                atomic_write_json(health / "pressure.json", sample.to_dict())
             ready_path = health / "ready.json"
             if ready:
-                _atomic_json(
+                atomic_write_json(
                     ready_path, {"pid": os.getpid(), "at": time.time()}
                 )
             else:
-                try:
-                    ready_path.unlink()
-                except OSError:
-                    pass
+                ready_path.unlink(missing_ok=True)
         except OSError:  # health is best-effort; never takes jobs down
             pass
 
@@ -497,8 +542,6 @@ class ServeDaemon:
         try:
             while True:
                 threads = [t for t in threads if t.is_alive()]
-                self._inflight = len(threads)
-                done = self._completed - done_base
                 if threads:
                     idle_since = time.monotonic()
                 if self._stop.is_set():
@@ -507,10 +550,10 @@ class ServeDaemon:
                 # published pressure.json at stage boundaries, so the
                 # snapshot must stay fresh even when no claim is due.
                 sample = self._sample_pressure()
-                if (
-                    max_jobs is not None
-                    and done + len(threads) >= max_jobs
-                ):
+                with self._lock:
+                    taken = self._completed - done_base + self._inflight
+                room = None if max_jobs is None else max_jobs - taken
+                if room is not None and room <= 0:
                     if threads:
                         self._stop.wait(min(self.poll, 0.1))
                         continue
@@ -520,24 +563,23 @@ class ServeDaemon:
                     and time.monotonic() - t0 > deadline
                 ):
                     break
-                claimed = None
-                if len(threads) < self._target_workers(sample.state):
-                    if self.dag:
-                        limit = self.dag_batch
-                        if max_jobs is not None:
-                            limit = min(limit, max_jobs - done)
-                        batch = self._claim_batch(max(1, limit))
-                        if batch:
-                            idle_since = time.monotonic()
-                            self._inflight = len(batch)
-                            try:
-                                self._process_batch(batch, sample)
-                            finally:
-                                self._inflight = 0
-                            continue
-                    else:
-                        claimed = self.queue.claim_next()
-                if claimed is None:
+                batch: list[tuple[str, JobRequest, dict[str, Any]]] = []
+                free = self._target_workers(sample.state) - len(threads)
+                if free > 0:
+                    # An even share of the backlog per free slot, from
+                    # the depth the sentinel just sampled.
+                    depth = sample.queue_depth
+                    if depth is None:
+                        depth = self.queue.pending_load()[0]
+                    limit = min(_MAX_BATCH, -(-depth // free))
+                    if room is not None:
+                        limit = min(limit, room)
+                    if self.retry.max_retries < 1:
+                        # A shared child's death costs every job in it
+                        # an attempt; with none to spare, share nothing.
+                        limit = min(limit, 1)
+                    batch = self.queue.claim_batch(limit)
+                if not batch:
                     if (
                         not threads
                         and idle_timeout is not None
@@ -547,11 +589,11 @@ class ServeDaemon:
                     self._stop.wait(self.poll)
                     continue
                 idle_since = time.monotonic()
-                job_id, request, record = claimed
+                jobs = self._adopt(batch, sample)
                 worker = threading.Thread(
                     target=self._supervise,
-                    args=(job_id, request, record, sample),
-                    name=f"repro-serve-{job_id[:8]}",
+                    args=(jobs,),
+                    name=f"repro-serve-{jobs[0].job_id[:8]}",
                     daemon=True,
                 )
                 worker.start()
@@ -559,24 +601,25 @@ class ServeDaemon:
             self._drain(threads)
             return self._completed - done_base
         finally:
-            self._inflight = 0
             self._write_health(
                 self.sentinel.last_sample, ready=False
             )
-            if prev_handlers:
-                for sig, handler in prev_handlers.items():
-                    try:
-                        signal.signal(sig, handler)
-                    except (ValueError, OSError):  # pragma: no cover
-                        continue
+            for sig, handler in (prev_handlers or {}).items():
+                try:
+                    signal.signal(sig, handler)
+                except (ValueError, OSError):  # pragma: no cover
+                    continue
 
     def _drain(self, threads: list[threading.Thread]) -> None:
         """Wait out running supervisors; they finish-or-requeue their
         children on their own (``_run_attempt`` watches the drain
         events)."""
+        # Probes see the drain (and readiness drop) when it starts, not
+        # only once the last child is gone.
+        self._write_health(self.sentinel.last_sample, ready=False)
         if self.draining and threads:
             warnings.warn(
-                f"draining: {len(threads)} running job(s) get "
+                f"draining: {self._inflight} running job(s) get "
                 f"{self.drain_grace:g}s to finish, then requeue",
                 RuntimeWarning,
                 stacklevel=2,
@@ -589,179 +632,77 @@ class ServeDaemon:
                 t.join(timeout=0.1)
                 if not t.is_alive():
                     threads.remove(t)
-            self._inflight = len(threads)
             if (
                 force_deadline is not None
                 and time.monotonic() > force_deadline
             ):  # pragma: no cover - defensive
                 break
 
-    def _supervise(
+    # -- one batch -----------------------------------------------------
+    def _adopt(
         self,
-        job_id: str,
-        request: JobRequest,
-        record: dict[str, Any],
-        sample: PressureSample | None,
-    ) -> None:
-        """Thread body around :meth:`process_job` (one per claimed
-        job)."""
+        batch: list[tuple[str, JobRequest, dict[str, Any]]],
+        sample: PressureSample,
+    ) -> list[_Job]:
+        """Open the running-status records of a freshly claimed batch."""
+        jobs: list[_Job] = []
+        force_mmap = sample.state >= PressureState.SOFT
+        for job_id, request, record in batch:
+            self._job_seq += 1
+            status = JobStatus(
+                job_id=job_id,
+                state="running",
+                request=request.to_dict(),
+                submitted_at=float(record.get("submitted_at") or 0.0),
+                started_at=time.time(),
+                worker={
+                    "daemon_pid": os.getpid(),
+                    "hostname": socket.gethostname(),
+                },
+                pressure=sample.to_dict(),
+            )
+            if force_mmap:
+                status.degradation.append(
+                    f"{sample.state}: forced mmap CSR backend in worker"
+                )
+            jobs.append(
+                _Job(
+                    job_id=job_id,
+                    request=request,
+                    status=status,
+                    seq=self._job_seq,
+                    workdir=self.queue.workdir(job_id),
+                    force_mmap=force_mmap,
+                )
+            )
+        with self._lock:
+            self._inflight += len(jobs)
+        return jobs
+
+    def _supervise(self, jobs: list[_Job]) -> None:
+        """Supervisor thread body: the batch in one child, then every
+        job that child left to retry in a child of its own — a poison
+        job takes its batch-mates down at most once."""
         try:
-            self.process_job(job_id, request, record, pressure=sample)
+            retry = self._run_attempt(jobs)
+            while retry:
+                job = retry.pop(0)
+                if self._stop.wait(self.retry.delay(job.attempt)):
+                    # Draining: don't burn an attempt racing shutdown.
+                    self._requeue(job)
+                    continue
+                retry += self._run_attempt([job])
         except Exception as exc:  # pragma: no cover - supervisor bug
             warnings.warn(
-                f"supervisor for job {job_id} crashed: {exc}; requeueing",
+                f"supervisor for job {jobs[0].job_id} crashed: {exc}; "
+                "requeueing its unfinished jobs",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            self.queue.requeue(job_id)
+            for job in jobs:
+                if job.status.state == "running":
+                    self._requeue(job)
 
-    # ------------------------------------------------------------------
-    def process_job(
-        self,
-        job_id: str,
-        request: JobRequest,
-        record: dict[str, Any] | None = None,
-        *,
-        pressure: PressureSample | None = None,
-    ) -> JobStatus:
-        """Run one claimed job to a terminal state (with retries).
-
-        Terminal routing: success → ``done``; a typed deterministic
-        failure → ``failed``; a poison job — retry budget exhausted on
-        retryable outcomes, or a worker killed at the same stage twice
-        — → ``deadletter`` (breaker opens).  A drain signal mid-job
-        requeues instead (state goes back to ``pending``).
-        """
-        with self._seq_lock:
-            self._job_seq += 1
-            seq = self._job_seq
-        status = JobStatus(
-            job_id=job_id,
-            state="running",
-            request=request.to_dict(),
-            submitted_at=float((record or {}).get("submitted_at") or 0.0),
-            started_at=time.time(),
-            worker={
-                "daemon_pid": os.getpid(),
-                "hostname": socket.gethostname(),
-            },
-            pressure=pressure.to_dict() if pressure is not None else None,
-        )
-        degrade: dict[str, Any] = {}
-        if pressure is not None and pressure.state >= PressureState.SOFT:
-            degrade["force_mmap"] = True
-            status.degradation.append(
-                f"{pressure.state}: forced mmap CSR backend in worker"
-            )
-        workdir = self.queue.workdir(job_id)
-        policy = self.retry
-        attempt = 0
-        while True:
-            status.attempts = attempt + 1
-            self.queue.write_status(status)
-            attempt_started = time.time()
-            outcome, detail = self._run_attempt(
-                job_id, request, workdir, status, seq, attempt, degrade
-            )
-            stage_reached = (
-                status.stages[-1]["stage"] if status.stages else None
-            )
-            status.history.append(
-                {
-                    "attempt": attempt + 1,
-                    "outcome": outcome,
-                    "kind": detail.get("kind"),
-                    "message": detail.get("message"),
-                    "exit_code": detail.get("exit_code"),
-                    "stage_reached": stage_reached,
-                    "started_at": attempt_started,
-                    "finished_at": time.time(),
-                }
-            )
-            if outcome == "done":
-                status.state = "done"
-                status.result = detail
-                status.stages = list(detail.get("stages") or status.stages)
-                for note in detail.get("degradation") or []:
-                    if note not in status.degradation:
-                        status.degradation.append(note)
-                status.finished_at = time.time()
-                self.queue.finish(job_id, status)
-                break
-            if outcome == "drained":
-                self.queue.requeue(job_id)
-                self._requeued_on_drain += 1
-                status.state = "pending"
-                shutil.rmtree(workdir, ignore_errors=True)
-                return status
-            retryable = outcome in ("death", "timeout", "transient")
-            if retryable and self._stop.is_set():
-                # Draining: don't burn a fresh attempt racing shutdown.
-                self.queue.requeue(job_id)
-                self._requeued_on_drain += 1
-                status.state = "pending"
-                shutil.rmtree(workdir, ignore_errors=True)
-                return status
-            same_stage_deaths = sum(
-                1
-                for e in status.history
-                if e["outcome"] == "death"
-                and e["stage_reached"] == stage_reached
-            )
-            poison = outcome == "death" and same_stage_deaths >= 2
-            if retryable and not poison and attempt < policy.max_retries:
-                delay = policy.delay(attempt + 1)
-                warnings.warn(
-                    f"job {job_id} attempt {attempt + 1} failed "
-                    f"({outcome}: {detail.get('message')}); retrying"
-                    + (f" in {delay:.3g}s" if delay > 0 else ""),
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                if delay > 0 and self._stop.wait(delay):
-                    # Drain arrived during backoff: requeue, don't burn
-                    # an attempt racing the shutdown.
-                    self.queue.requeue(job_id)
-                    self._requeued_on_drain += 1
-                    status.state = "pending"
-                    shutil.rmtree(workdir, ignore_errors=True)
-                    return status
-                attempt += 1
-                continue
-            status.error = str(detail.get("message") or outcome)
-            status.error_kind = str(detail.get("kind") or outcome)
-            status.finished_at = time.time()
-            if retryable:
-                # Poison job → dead-letter quarantine + open breaker.
-                reason = (
-                    f"worker died at stage "
-                    f"{stage_reached or '<none>'} twice (deterministic)"
-                    if poison
-                    else f"retry budget exhausted "
-                    f"({policy.max_retries} retries)"
-                )
-                status.error = f"{status.error} [dead-lettered: {reason}]"
-                entry = self.queue.deadletter(
-                    job_id, status, workdir=workdir
-                )
-                warnings.warn(
-                    f"dead-lettered job {job_id} ({reason}); breaker "
-                    f"open, evidence at {entry}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-            # Typed deterministic failure: terminal, with partial
-            # provenance.
-            status.state = "failed"
-            self.queue.finish(job_id, status)
-            break
-        with self._seq_lock:
-            self._completed += 1
-        shutil.rmtree(workdir, ignore_errors=True)
-        return status
-
-    # ------------------------------------------------------------------
     def _chaos_kill_stage(self, seq: int, attempt: int) -> str | None:
         """Seeded worker-death injection (chaos suite only)."""
         if self.fault_plan is None:
@@ -775,517 +716,230 @@ class ServeDaemon:
             return STAGE_ORDER[0]
         return None
 
-    def _chaos_transient(self, seq: int, attempt: int) -> bool:
-        """Seeded transient-fault injection for dag mode (no child to
-        kill; the job is excluded from the plan and the attempt counts
-        as a retryable transient failure)."""
-        if self.fault_plan is None:
-            return False
-        hits = self.fault_plan.decide(seq, attempt)
-        if any(s.kind == "transient" for s in hits):
-            with self.fault_plan._lock:
-                self.fault_plan.injected["transient"] += 1
-            return True
-        return False
+    def _run_attempt(self, group: list[_Job]) -> list[_Job]:
+        """One supervised child over ``group``: spawn, watch, route.
 
-    # -- dag mode ------------------------------------------------------
-    def _claim_batch(self, limit: int) -> list[tuple[str, JobRequest, dict]]:
-        """Claim up to ``limit`` pending jobs for one merged plan."""
-        batch: list[tuple[str, JobRequest, dict]] = []
-        while len(batch) < limit:
-            claimed = self.queue.claim_next()
-            if claimed is None:
-                break
-            batch.append(claimed)
-        return batch
-
-    def _dag_store(self) -> Any:
-        """The daemon-wide artifact store dag batches run against —
-        shared across batches, so a retried attempt (and every later
-        batch) reuses each stage the failed round already published."""
-        if self._store is None:
-            from ..pipeline import ArtifactStore
-
-            self._store = (
-                ArtifactStore(self.store_root)
-                if self.store_root
-                else ArtifactStore()
-            )
-        return self._store
-
-    def _process_batch(
-        self,
-        batch: list[tuple[str, JobRequest, dict]],
-        sample: PressureSample | None,
-    ) -> None:
-        """Run one claimed batch as a merged stage-DAG, to terminal
-        states (with shared retries).
-
-        Per-job semantics match the child-process path: success →
-        ``done`` (result payload gains a ``dedup`` block), typed
-        deterministic failure → ``failed``, transient retry budget
-        exhausted → ``deadletter`` with a forensic bundle and an open
-        breaker, drain mid-plan → not-yet-finished jobs requeue.
-        Failure isolation is per node: a job failing in its unshared
-        suffix never touches jobs whose chains avoid that node.
+        Jobs are routed ``done`` the moment their ``result.json``
+        lands; what is still open when the child exits (or is
+        terminated by the watchdog or the drain) is routed from its
+        ``error.json`` or the child's fate.  Returns the jobs the
+        router wants retried.
         """
-        from ..pipeline import get_scenario
-
-        store = self._dag_store()
-        jobs: list[dict[str, Any]] = []
-        for job_id, request, record in batch:
-            with self._seq_lock:
-                self._job_seq += 1
-                seq = self._job_seq
-            status = JobStatus(
-                job_id=job_id,
-                state="running",
-                request=request.to_dict(),
-                submitted_at=float(
-                    (record or {}).get("submitted_at") or 0.0
-                ),
-                started_at=time.time(),
-                worker={
-                    "daemon_pid": os.getpid(),
-                    "hostname": socket.gethostname(),
-                    "mode": "dag",
-                },
-                pressure=sample.to_dict() if sample is not None else None,
-            )
-            try:
-                scenario = get_scenario(request.scenario, **request.options)
-            except Exception as exc:
-                status.state = "failed"
-                status.error = str(exc)
-                status.error_kind = type(exc).__name__
-                status.finished_at = time.time()
-                self.queue.finish(job_id, status)
-                with self._seq_lock:
-                    self._completed += 1
-                continue
-            jobs.append(
+        specs: list[dict[str, Any]] = []
+        for job in group:
+            shutil.rmtree(job.workdir, ignore_errors=True)
+            job.workdir.mkdir(parents=True, exist_ok=True)
+            job.attempt_started = time.time()
+            job.batch = len(group)
+            job.seen = 0.0
+            job.status.attempts = job.attempt + 1
+            job.status.stages = []
+            self.queue.write_status(job.status)
+            specs.append(
                 {
-                    "job_id": job_id,
-                    "request": request,
-                    "status": status,
-                    "scenario": scenario,
-                    "seq": seq,
-                }
-            )
-
-        attempt = 0
-        while jobs:
-            retrying = self._run_batch_round(jobs, store, attempt)
-            if not retrying:
-                break
-            if self._stop.is_set():
-                self._requeue_entries(retrying)
-                return
-            delay = self.retry.delay(attempt + 1)
-            if delay > 0 and self._stop.wait(delay):
-                self._requeue_entries(retrying)
-                return
-            jobs = retrying
-            attempt += 1
-
-    def _requeue_entries(self, entries: list[dict[str, Any]]) -> None:
-        for entry in entries:
-            self.queue.requeue(entry["job_id"])
-            self._requeued_on_drain += 1
-            entry["status"].state = "pending"
-
-    def _run_batch_round(
-        self,
-        jobs: list[dict[str, Any]],
-        store: Any,
-        attempt: int,
-    ) -> list[dict[str, Any]]:
-        """One merged-plan attempt over the still-active jobs; returns
-        the entries to retry next round."""
-        from ..pipeline.plan import compile_plan
-        from ..pipeline.scheduler import DagScheduler, NodeResult
-        from ..resilience.errors import TransientError
-
-        active: list[dict[str, Any]] = []
-        outcomes: list[tuple[dict[str, Any], str, dict[str, Any]]] = []
-        for entry in jobs:
-            status = entry["status"]
-            status.attempts = attempt + 1
-            status.stages = []
-            self.queue.write_status(status)
-            if self._chaos_transient(entry["seq"], attempt):
-                outcomes.append(
-                    (
-                        entry,
-                        "transient",
-                        {
-                            "kind": "TransientError",
-                            "message": "injected transient fault (chaos)",
-                        },
-                    )
-                )
-            else:
-                active.append(entry)
-
-        if active:
-            plan = compile_plan(
-                [e["scenario"] for e in active],
-                through=[e["request"].through for e in active],
-            )
-            finished_at: dict[str, float] = {}
-            shed = [False]
-
-            def on_node(node: NodeResult) -> None:
-                finished_at[node.key] = time.time()
-                snap = self._sample_pressure()
-                if (
-                    not shed[0]
-                    and snap.state >= PressureState.HARD
-                ):
-                    store.clear_memory()
-                    shed[0] = True
-                    for e in active:
-                        e["status"].degradation.append(
-                            "HARD: shed in-memory store tier in dag batch"
-                        )
-                if node.state != "done":
-                    return
-                first = min(node.jobs, default=0)
-                for j in node.jobs:
-                    e = active[j]
-                    cache = (
-                        node.cache
-                        if node.cache is not None or j == first
-                        else "shared"
-                    )
-                    e["status"].stages.append(
-                        {
-                            "stage": node.stage,
-                            "digest": node.key,
-                            "cache": cache,
-                            "wall_time": (
-                                node.wall_time if cache != "shared" else 0.0
-                            ),
-                            "finished_at": finished_at[node.key],
-                        }
-                    )
-                    e["status"].heartbeat = time.time()
-                    self.queue.write_status(e["status"])
-
-            scheduler = DagScheduler(
-                store,
-                max_workers=max(1, self.workers),
-                on_node=on_node,
-                should_stop=lambda: self._stop.is_set(),
-            )
-            result = scheduler.execute(plan)
-            for j, entry in enumerate(active):
-                state = result.job_state(j)
-                if state == "done":
-                    outcomes.append(
-                        (
-                            entry,
-                            "done",
-                            self._dag_result(
-                                plan, result, j, store, finished_at
-                            ),
-                        )
-                    )
-                elif state == "cancelled":
-                    outcomes.append(
-                        (
-                            entry,
-                            "drained",
-                            {
-                                "kind": "Drained",
-                                "message": "daemon draining; job requeued",
-                            },
-                        )
-                    )
-                else:
-                    error = result.job_error(j)
-                    kind = type(error).__name__ if error else "JobFailed"
-                    detail = {
-                        "kind": kind,
-                        "message": str(error) if error else "stage failed",
-                    }
-                    outcome = (
-                        "transient"
-                        if isinstance(error, TransientError)
-                        else "permanent"
-                    )
-                    outcomes.append((entry, outcome, detail))
-
-        retrying: list[dict[str, Any]] = []
-        for entry, outcome, detail in outcomes:
-            status = entry["status"]
-            job_id = entry["job_id"]
-            stage_reached = (
-                status.stages[-1]["stage"] if status.stages else None
-            )
-            status.history.append(
-                {
-                    "attempt": attempt + 1,
-                    "outcome": outcome,
-                    "kind": detail.get("kind"),
-                    "message": detail.get("message"),
-                    "exit_code": None,
-                    "stage_reached": stage_reached,
-                    "started_at": status.started_at,
-                    "finished_at": time.time(),
-                }
-            )
-            if outcome == "done":
-                status.state = "done"
-                status.result = detail
-                status.stages = list(detail.get("stages") or status.stages)
-                for note in detail.get("degradation") or []:
-                    if note not in status.degradation:
-                        status.degradation.append(note)
-                status.finished_at = time.time()
-                self.queue.finish(job_id, status)
-                with self._seq_lock:
-                    self._completed += 1
-                continue
-            if outcome == "drained":
-                self._requeue_entries([entry])
-                continue
-            if outcome == "transient":
-                if attempt < self.retry.max_retries:
-                    warnings.warn(
-                        f"job {job_id} attempt {attempt + 1} failed "
-                        f"({detail.get('message')}); retrying",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    retrying.append(entry)
-                    continue
-                reason = (
-                    f"retry budget exhausted "
-                    f"({self.retry.max_retries} retries)"
-                )
-                status.error = (
-                    f"{detail.get('message')} [dead-lettered: {reason}]"
-                )
-                status.error_kind = str(detail.get("kind"))
-                status.finished_at = time.time()
-                entry_path = self.queue.deadletter(
-                    job_id, status, workdir=self._dag_forensics(entry)
-                )
-                warnings.warn(
-                    f"dead-lettered job {job_id} ({reason}); breaker "
-                    f"open, evidence at {entry_path}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                with self._seq_lock:
-                    self._completed += 1
-                continue
-            # Typed deterministic failure: terminal, with the partial
-            # provenance the merged plan streamed before the failure.
-            status.state = "failed"
-            status.error = str(detail.get("message"))
-            status.error_kind = str(detail.get("kind"))
-            status.finished_at = time.time()
-            self.queue.finish(job_id, status)
-            with self._seq_lock:
-                self._completed += 1
-        return retrying
-
-    def _dag_forensics(self, entry: dict[str, Any]) -> Path:
-        """Materialize a forensic workdir for a dag-mode dead-letter
-        (the child path leaves these behind naturally)."""
-        status = entry["status"]
-        workdir = self.queue.workdir(entry["job_id"])
-        workdir.mkdir(parents=True, exist_ok=True)
-        _atomic_json(
-            workdir / "progress.json",
-            {
-                "stages": status.stages,
-                "heartbeat": time.time(),
-                "degradation": status.degradation,
-            },
-        )
-        _atomic_json(
-            workdir / "error.json",
-            {"kind": status.error_kind, "message": status.error},
-        )
-        return workdir
-
-    @staticmethod
-    def _dag_result(
-        plan: Any,
-        result: Any,
-        job: int,
-        store: Any,
-        finished_at: dict[str, float],
-    ) -> dict[str, Any]:
-        """The ``result`` payload of one dag-mode job — same shape the
-        child process publishes, plus a ``dedup`` block splitting
-        shared-prefix reuse from store hits."""
-        stages: list[dict[str, Any]] = []
-        dedup = {"shared": 0, "store": 0, "computed": 0}
-        rec_metrics = None
-        for name, key in plan.job_stages[job].items():
-            node = result.nodes[key]
-            cache = result.job_cache(job, key)
-            if cache == "shared":
-                dedup["shared"] += 1
-            elif cache in ("memory", "disk"):
-                dedup["store"] += 1
-            else:
-                dedup["computed"] += 1
-            stages.append(
-                {
-                    "stage": name,
-                    "digest": key,
-                    "cache": cache,
-                    "wall_time": (
-                        0.0 if cache == "shared" else node.wall_time
+                    "request": job.request.to_dict(),
+                    "workdir": str(job.workdir),
+                    "kill_after": self._chaos_kill_stage(
+                        job.seq, job.attempt
                     ),
-                    "finished_at": finished_at.get(key) or time.time(),
                 }
             )
-            if name == "schedule":
-                _, rec_metrics = result.objects[key]
-        payload: dict[str, Any] = {
-            "stages": stages,
-            "cache_hits": sum(
-                1 for s in stages if s["cache"] is not None
-            ),
-            "dedup": dedup,
-        }
-        if rec_metrics is not None:
-            payload["metrics"] = {
-                "makespan": float(rec_metrics.makespan),
-                "efficiency": float(rec_metrics.efficiency),
-            }
-        if store.stats.degraded:
-            payload["store_degraded"] = store.stats.degraded
-        return payload
-
-    def _run_attempt(
-        self,
-        job_id: str,
-        request: JobRequest,
-        workdir: Path,
-        status: JobStatus,
-        seq: int,
-        attempt: int,
-        degrade: dict[str, Any] | None = None,
-    ) -> tuple[str, dict[str, Any]]:
-        """One child-process attempt.
-
-        Returns ``(outcome, detail)`` with outcome one of ``"done"``,
-        ``"death"``, ``"timeout"``, ``"transient"``, ``"permanent"``,
-        ``"drained"``.
-        """
-        shutil.rmtree(workdir, ignore_errors=True)
-        workdir.mkdir(parents=True, exist_ok=True)
-        progress_path = workdir / "progress.json"
-        result_path = workdir / "result.json"
-        error_path = workdir / "error.json"
-
         child = self._ctx.Process(
             target=_child_main,
             args=(
-                request.to_dict(),
+                specs,
                 self.store_root,
-                str(workdir),
-                self._chaos_kill_stage(seq, attempt),
-                str(self._health_dir() / "pressure.json"),
-                dict(degrade or {}),
+                str(self.queue.root / "health" / "pressure.json"),
+                any(job.force_mmap for job in group),
             ),
             daemon=True,
         )
         child.start()
-        status.worker["child_pid"] = child.pid
+        for job in group:
+            job.status.worker["child_pid"] = child.pid
+        open_jobs = list(group)
         last_progress = time.monotonic()
-        last_mtime = 0.0
-        timed_out = False
-        drained = False
+        fate = "death"
         while True:
             child.join(timeout=min(self.poll, 0.1))
+            exited = not child.is_alive()
+            if self._scan(open_jobs):
+                last_progress = time.monotonic()
+            if exited:
+                break
+            if self._force.is_set() or (
+                self._stop.is_set()
+                and time.monotonic() - self._stop_at >= self.drain_grace
+            ):
+                fate = "drained"
+            elif (
+                self.watchdog is not None
+                and time.monotonic() - last_progress > self.watchdog
+            ):
+                fate = "timeout"
+            else:
+                continue
+            self._terminate(child)
+            # A job may have finished in the terminate window — a
+            # complete result still counts as done, nothing wasted.
+            self._scan(open_jobs)
+            break
+        code = child.exitcode
+        child.close()
+        if fate == "drained":
+            kind, message = "Drained", "daemon draining; job requeued"
+        elif fate == "timeout":
+            kind = "StageTimeout"
+            message = f"no stage progress for {self.watchdog:g}s"
+        else:
+            kind = "WorkerDeath"
+            message = (
+                f"worker died with exit code {code}"
+                if code
+                else "child exited cleanly but left no result"
+            )
+        retry: list[_Job] = []
+        for job in open_jobs:
+            detail = read_json(job.workdir / "error.json")
+            if detail is None:
+                outcome, detail = fate, {"kind": kind, "message": message}
+            elif detail.get("kind") == "TransientError":
+                outcome = "transient"
+            else:
+                outcome = "permanent"
+            detail["exit_code"] = code
+            if self._route(job, outcome, detail):
+                retry.append(job)
+        return retry
+
+    def _scan(self, open_jobs: list[_Job]) -> bool:
+        """Fold every open job's streamed progress into its running
+        status and route the ones whose result landed (removing them
+        from ``open_jobs``); whether any job made progress."""
+        progressed = False
+        for job in list(open_jobs):
+            status = job.status
+            progress_path = job.workdir / "progress.json"
             try:
                 mtime = progress_path.stat().st_mtime
             except OSError:
                 mtime = 0.0
-            if mtime > last_mtime:
-                last_mtime = mtime
-                last_progress = time.monotonic()
-                progress = _read_json(progress_path)
-                if progress is not None:
-                    status.stages = list(progress.get("stages") or [])
-                    for note in progress.get("degradation") or []:
-                        if note not in status.degradation:
-                            status.degradation.append(note)
-            status.heartbeat = time.time()
-            self.queue.write_status(status)
-            if not child.is_alive():
-                break
-            grace_over = self._force.is_set() or (
-                self._stop.is_set()
-                and self._stop_at is not None
-                and time.monotonic() - self._stop_at >= self.drain_grace
-            )
-            if grace_over:
-                drained = True
-                self._terminate(child)
-                break
-            if (
-                self.watchdog is not None
-                and time.monotonic() - last_progress > self.watchdog
+            changed = mtime > job.seen
+            if changed:
+                job.seen = mtime
+                progressed = True
+                progress = read_json(progress_path) or {}
+                status.stages = list(progress.get("stages") or [])
+                for note in progress.get("degradation") or []:
+                    if note not in status.degradation:
+                        status.degradation.append(note)
+            result = read_json(job.workdir / "result.json")
+            now = time.time()
+            if result is not None:
+                open_jobs.remove(job)
+                self._route(job, "done", result)
+            elif (
+                changed
+                or now - (status.heartbeat or 0.0) >= self.health_interval
             ):
-                timed_out = True
-                self._terminate(child)
-                break
-        code = child.exitcode
-        child.close()
-        if drained:
-            # The child may have finished in the terminate window —
-            # a complete result still counts as done, nothing wasted.
-            result = _read_json(result_path)
-            if code == 0 and result is not None:
-                return "done", result
-            return "drained", {
-                "kind": "Drained",
-                "message": "daemon draining; job requeued",
-                "exit_code": code,
+                status.heartbeat = now
+                self.queue.write_status(status)
+        return progressed
+
+    def _route(self, job: _Job, outcome: str, detail: dict[str, Any]) -> bool:
+        """The per-job outcome router; ``True`` = retry the job.
+
+        Success → ``done``; a typed deterministic failure → ``failed``;
+        a poison job — retry budget exhausted on retryable outcomes, or
+        a worker killed at the same stage twice — → ``deadletter``
+        (breaker opens); a drain mid-job requeues instead (state goes
+        back to ``pending``).
+        """
+        status = job.status
+        stage_reached = status.stages[-1]["stage"] if status.stages else None
+        status.history.append(
+            {
+                "attempt": job.attempt + 1,
+                "outcome": outcome,
+                "kind": detail.get("kind"),
+                "message": detail.get("message"),
+                "exit_code": detail.get("exit_code"),
+                "stage_reached": stage_reached,
+                "batch": job.batch,
+                "started_at": job.attempt_started,
+                "finished_at": time.time(),
             }
-        if timed_out:
-            return "timeout", {
-                "kind": "StageTimeout",
-                "message": (
-                    f"no stage progress for {self.watchdog:g}s "
-                    f"(attempt {attempt + 1})"
-                ),
-                "exit_code": code,
-            }
-        if code == 0:
-            result = _read_json(result_path)
-            if result is None:
-                return "death", {
-                    "kind": "WorkerDeath",
-                    "message": "child exited cleanly but left no result",
-                    "exit_code": code,
-                }
-            return "done", result
-        error = _read_json(error_path)
-        if code == _EXIT_TRANSIENT:
-            detail = error or {
-                "kind": "TransientError",
-                "message": "transient job failure",
-            }
-            detail["exit_code"] = code
-            return "transient", detail
-        if code == _EXIT_PERMANENT and error is not None:
-            error["exit_code"] = code
-            return "permanent", error
-        return "death", {
-            "kind": "WorkerDeath",
-            "message": f"worker died with exit code {code}",
-            "exit_code": code,
-        }
+        )
+        retryable = outcome in ("death", "timeout", "transient")
+        if outcome == "drained" or (retryable and self._stop.is_set()):
+            self._requeue(job)
+            return False
+        same_stage_deaths = sum(
+            1
+            for e in status.history
+            if e["outcome"] == "death" and e["stage_reached"] == stage_reached
+        )
+        poison = outcome == "death" and same_stage_deaths >= 2
+        if retryable and not poison and job.attempt < self.retry.max_retries:
+            job.attempt += 1
+            delay = self.retry.delay(job.attempt)
+            warnings.warn(
+                f"job {job.job_id} attempt {job.attempt} failed "
+                f"({outcome}: {detail.get('message')}); retrying"
+                + (f" in {delay:.3g}s" if delay > 0 else ""),
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return True
+        status.finished_at = time.time()
+        if outcome == "done":
+            status.state = "done"
+            status.result = detail
+            status.stages = list(detail.get("stages") or status.stages)
+            for note in detail.get("degradation") or []:
+                if note not in status.degradation:
+                    status.degradation.append(note)
+        else:
+            # Terminal with the partial provenance the job streamed:
+            # a typed deterministic failure, unless quarantined below.
+            status.state = "failed"
+            status.error = str(detail.get("message") or outcome)
+            status.error_kind = str(detail.get("kind") or outcome)
+        if retryable:
+            # Poison job → dead-letter quarantine + open breaker.
+            reason = (
+                f"worker died at stage "
+                f"{stage_reached or '<none>'} twice (deterministic)"
+                if poison
+                else f"retry budget exhausted "
+                f"({self.retry.max_retries} retries)"
+            )
+            status.error = f"{status.error} [dead-lettered: {reason}]"
+            entry = self.queue.deadletter(
+                job.job_id, status, workdir=job.workdir
+            )
+            warnings.warn(
+                f"dead-lettered job {job.job_id} ({reason}); breaker "
+                f"open, evidence at {entry}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        else:
+            self.queue.finish(job.job_id, status)
+        shutil.rmtree(job.workdir, ignore_errors=True)
+        with self._lock:
+            self._completed += 1
+            self._inflight -= 1
+        return False
+
+    def _requeue(self, job: _Job) -> None:
+        """Hand an unfinished job back to ``pending`` (drain)."""
+        self.queue.requeue(job.job_id)
+        job.status.state = "pending"
+        shutil.rmtree(job.workdir, ignore_errors=True)
+        with self._lock:
+            self._requeued_on_drain += 1
+            self._inflight -= 1
 
     @staticmethod
     def _terminate(child: multiprocessing.process.BaseProcess) -> None:

@@ -317,20 +317,28 @@ class SpoolQueue:
         return True
 
     # -- daemon side -------------------------------------------------------
-    def claim_next(self) -> tuple[str, JobRequest, dict[str, Any]] | None:
-        """Atomically claim the oldest pending job (``None`` if idle).
+    def claim_batch(
+        self, limit: int
+    ) -> list[tuple[str, JobRequest, dict[str, Any]]]:
+        """Atomically claim up to ``limit`` pending jobs, oldest first
+        (``pending/`` is listed and stat-sorted once per call).
 
         Rename-based: of N daemons racing on one spool, exactly one
         ``os.replace`` succeeds per job.
         """
+        claimed: list[tuple[str, JobRequest, dict[str, Any]]] = []
+        if limit < 1:
+            return claimed
         pending = self.root / "pending"
         try:
             candidates = sorted(
                 pending.glob("*.json"), key=lambda p: p.stat().st_mtime
             )
         except OSError:
-            return None
+            return claimed
         for path in candidates:
+            if len(claimed) >= limit:
+                break
             target = self.root / "running" / path.name
             try:
                 os.replace(path, target)
@@ -364,8 +372,13 @@ class SpoolQueue:
                 )
                 self.finish(path.stem, status)
                 continue
-            return path.stem, request, record
-        return None
+            claimed.append((path.stem, request, record))
+        return claimed
+
+    def claim_next(self) -> tuple[str, JobRequest, dict[str, Any]] | None:
+        """Claim the oldest pending job (``None`` if idle)."""
+        batch = self.claim_batch(1)
+        return batch[0] if batch else None
 
     def write_status(self, status: JobStatus) -> None:
         """Stream a progress snapshot for a running job (atomic)."""

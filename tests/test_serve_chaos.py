@@ -320,8 +320,13 @@ class TestDrainMidJob:
         )
         runner = threading.Thread(target=daemon.serve_forever)
         runner.start()
-        time.sleep(0.3)
-        daemon.request_drain()
+        try:
+            wait_for(
+                (tmp_path / "spool" / "health" / "ready.json").exists,
+                what="daemon to report ready",
+            )
+        finally:
+            daemon.request_drain()
         runner.join(timeout=10.0)
         assert not runner.is_alive()
         assert daemon.draining and not daemon.forced

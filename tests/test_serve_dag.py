@@ -1,31 +1,35 @@
-"""Serve-daemon ``--dag`` mode: merged-plan claiming, per-stage dedup
-provenance in results and status, failure isolation at job
-granularity, retries/dead-letter parity with the child-process path,
-and the CLI surface.
+"""The serve daemon's batch path: a claimed batch runs as one merged
+stage plan inside one supervised child — per-stage dedup provenance in
+results and status, failure isolation at job granularity, what a child
+death, hang or drain costs the batch-mates, and the CLI surface.
 
-The dag path runs batches in-process (no child per job), so these
-tests are cheap: ``scale=6`` scenarios, memory-or-tmp stores.
+One child per batch, so these tests are cheap: ``scale=6`` scenarios,
+memory-or-tmp stores.
 """
 
 from __future__ import annotations
 
+import threading
+import warnings
+
 import pytest
 
+from repro.pipeline import STAGE_ORDER, ArtifactStore, Pipeline, get_scenario
 from repro.resilience.errors import JobFailedError
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.runtime.executor import RetryPolicy
-from repro.service import ServeDaemon, ServiceClient, SpoolQueue
+from repro.service import ServeDaemon, ServiceClient
+from tests.test_serve_chaos import assert_exactly_once, wait_for
 
 CHEAP = {"scale": 6, "domains": 6, "processes": 3, "cores": 2}
 
 
 def dag_daemon(spool, store=None, **over) -> ServeDaemon:
+    """One worker slot: everything pending lands in one batch."""
     kwargs = dict(
         store_root=store,
         retry=RetryPolicy(max_retries=1, backoff=0.0),
         poll=0.05,
-        dag=True,
-        workers=2,
     )
     kwargs.update(over)
     return ServeDaemon(spool, **kwargs)
@@ -75,42 +79,27 @@ class TestDagRoundTrip:
         assert len(computed_mesh) == 1
         assert shared_totals == 4  # 2 riders × (mesh + levels)
 
-    def test_results_identical_to_child_process_path(self, tmp_path):
-        spool_a = tmp_path / "spool-dag"
-        spool_b = tmp_path / "spool-proc"
-        client_a = ServiceClient(spool_a)
-        client_b = ServiceClient(spool_b)
-        ids_a = submit_seed_sweep(client_a, 2)
-        ids_b = submit_seed_sweep(client_b, 2)
-
-        dag_daemon(spool_a, str(tmp_path / "sa")).serve_forever(
-            max_jobs=2, idle_timeout=5.0
-        )
-        ServeDaemon(
-            spool_b,
-            store_root=str(tmp_path / "sb"),
-            retry=RetryPolicy(max_retries=1, backoff=0.0),
-            poll=0.05,
-        ).serve_forever(max_jobs=2, idle_timeout=30.0)
-
-        for ja, jb in zip(ids_a, ids_b):
-            ra = client_a.result(ja, timeout=5.0)
-            rb = client_b.result(jb, timeout=5.0)
-            # Same content addresses stage by stage — the bit-identity
-            # criterion, observed through the service surface.
-            assert [s["digest"] for s in ra["stages"]] == [
-                s["digest"] for s in rb["stages"]
-            ]
-            assert ra["metrics"] == rb["metrics"]
-
-    def test_worker_mode_marked_in_status(self, tmp_path):
+    def test_results_identical_to_in_process_pipeline_run(self, tmp_path):
         spool = tmp_path / "spool"
         client = ServiceClient(spool)
-        (job_id,) = submit_seed_sweep(client, 1)
-        dag_daemon(spool).serve_forever(max_jobs=1, idle_timeout=5.0)
-        status = client.status(job_id)
-        assert status.state == "done"
-        assert status.worker.get("mode") == "dag"
+        job_ids = submit_seed_sweep(client, 2)
+        dag_daemon(spool, str(tmp_path / "store")).serve_forever(
+            max_jobs=2, idle_timeout=5.0
+        )
+        for seed, job_id in enumerate(job_ids):
+            result = client.result(job_id, timeout=5.0)
+            rec = Pipeline(ArtifactStore(None)).run(
+                get_scenario("characteristics", **dict(CHEAP, seed=seed))
+            )
+            # Same content addresses stage by stage — the bit-identity
+            # criterion, observed through the service surface.
+            assert [s["digest"] for s in result["stages"]] == [
+                rec.provenance[name].digest for name in STAGE_ORDER
+            ]
+            assert result["metrics"] == {
+                "makespan": float(rec.metrics.makespan),
+                "efficiency": float(rec.metrics.efficiency),
+            }
 
 
 class TestDagFailureIsolation:
@@ -156,8 +145,8 @@ class TestDagRetries:
         spool = tmp_path / "spool"
         client = ServiceClient(spool)
         (job_id,) = submit_seed_sweep(client, 1)
-        # Fault plan: transient on attempt 0 only (first_attempt_only
-        # default), so the retry round succeeds.
+        # Fault plan: the child is killed on attempt 0 only
+        # (first_attempt_only default), so the retry succeeds.
         plan = FaultPlan(
             specs=[FaultSpec(kind="transient", rate=1.0)], seed=7
         )
@@ -165,49 +154,175 @@ class TestDagRetries:
         with pytest.warns(RuntimeWarning, match="retrying"):
             done = daemon.serve_forever(max_jobs=1, idle_timeout=5.0)
         assert done == 1
-        assert plan.injected["transient"] >= 1
+        assert plan.injected["worker_death"] == 1
         status = client.status(job_id)
         assert status.state == "done"
         assert status.attempts == 2
-        assert [e["outcome"] for e in status.history] == [
-            "transient",
-            "done",
-        ]
+        assert [e["outcome"] for e in status.history] == ["death", "done"]
+        # Each attempt is stamped with its own start, not the job's.
+        first, second = status.history
+        assert status.started_at <= first["started_at"]
+        assert first["finished_at"] <= second["started_at"]
 
-    def test_transient_budget_exhaustion_deadletters(self, tmp_path):
+
+class TestBatchSupervision:
+    """What one child's fate costs the other jobs of its batch."""
+
+    def three_jobs(self, client):
+        """A ends at the mesh node all three share; B and C go on."""
+        a = client.submit(
+            "characteristics", options=dict(CHEAP), through="mesh"
+        )
+        b, c = (
+            client.submit(
+                "characteristics",
+                options=dict(CHEAP, seed=s),
+                through="levels",
+            )
+            for s in (1, 2)
+        )
+        return a, b, c
+
+    def test_poison_job_deadletters_alone(self, tmp_path):
         spool = tmp_path / "spool"
         client = ServiceClient(spool)
-        (job_id,) = submit_seed_sweep(client, 1)
-        plan = FaultPlan(
-            specs=[
-                FaultSpec(
-                    kind="transient",
-                    rate=1.0,
-                    first_attempt_only=False,
-                )
-            ],
-            seed=7,
-        )
+        job_ids = submit_seed_sweep(client, 3)
         daemon = dag_daemon(
             spool,
-            fault_plan=plan,
-            retry=RetryPolicy(max_retries=1, backoff=0.0),
+            str(tmp_path / "store"),
+            retry=RetryPolicy(max_retries=3, backoff=0.0),
         )
-        with pytest.warns(RuntimeWarning, match="dead-lettered"):
-            assert daemon.serve_forever(max_jobs=1, idle_timeout=5.0) == 1
-        status = client.status(job_id)
-        assert status.state == "deadletter"
-        assert "retry budget exhausted" in (status.error or "")
-        # Breaker open: resubmission fast-fails.
-        from repro.resilience.errors import CircuitOpenError
+        # The second job claimed is killed after its (unshared)
+        # partition stage on every attempt.
+        daemon._chaos_kill_stage = lambda seq, attempt: (
+            "partition" if seq == 2 else None
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert daemon.serve_forever(max_jobs=3, idle_timeout=20.0) == 3
 
-        with pytest.raises(CircuitOpenError):
-            submit_seed_sweep(client, 1)
-        # Forensic bundle landed.
-        q = SpoolQueue(spool)
-        record = q.deadletter_show(job_id)
-        assert record is not None
-        assert "error.json" in (record.get("bundle") or {})
+        queue = daemon.queue
+        (poison,) = queue.deadletter_list()
+        assert_exactly_once(queue, poison, "deadletter")
+        history = queue.deadletter_show(poison)["history"]
+        assert [h["outcome"] for h in history] == ["death", "death"]
+        assert [h["stage_reached"] for h in history] == ["partition"] * 2
+        assert [h["batch"] for h in history] == [3, 1]
+        for mate in set(job_ids) - {poison}:
+            assert_exactly_once(queue, mate, "done")
+            status = client.status(mate)
+            assert status.attempts <= 2
+            # Whatever the shared child's death cost it, the retry ran
+            # in a child of its own.
+            assert [h["outcome"] for h in status.history][-1] == "done"
+            assert [h["batch"] for h in status.history] == [3, 1][
+                : status.attempts
+            ]
+
+    def test_no_retry_budget_means_no_shared_child(self, tmp_path):
+        spool = tmp_path / "spool"
+        client = ServiceClient(spool)
+        job_ids = submit_seed_sweep(client, 2)
+        daemon = dag_daemon(
+            spool, retry=RetryPolicy(max_retries=0, backoff=0.0)
+        )
+        daemon._chaos_kill_stage = lambda seq, attempt: (
+            "partition" if seq == 1 else None
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert daemon.serve_forever(max_jobs=2, idle_timeout=20.0) == 2
+        # With no attempt to spare the jobs never shared a child, so
+        # the killed one took nobody with it.
+        states = sorted(client.status(j).state for j in job_ids)
+        assert states == ["deadletter", "done"]
+        assert all(
+            h["batch"] == 1
+            for j in job_ids
+            for h in client.status(j).history
+        )
+
+    def test_hung_child_is_terminated_finished_job_stays_done(
+        self, tmp_path, monkeypatch
+    ):
+        # The child lingers a minute after every plan node: hung, as
+        # far as a 5 s watchdog is concerned.
+        monkeypatch.setenv("REPRO_SERVE_STAGE_DELAY", "60")
+        spool = tmp_path / "spool"
+        client = ServiceClient(spool)
+        a, b, c = self.three_jobs(client)
+        daemon = dag_daemon(spool, str(tmp_path / "store"), watchdog=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            runner = threading.Thread(
+                target=daemon.serve_forever,
+                kwargs={"max_jobs": 3, "idle_timeout": 30.0},
+            )
+            runner.start()
+            try:
+                # A's result lands while the child sleeps after the
+                # mesh node; children spawned from here on don't linger.
+                wait_for(
+                    lambda: client.status(a).state == "done",
+                    what="job A to finish inside the batch child",
+                )
+                monkeypatch.setenv("REPRO_SERVE_STAGE_DELAY", "0")
+            finally:
+                runner.join(timeout=60.0)
+            assert not runner.is_alive()
+        status = client.status(a)
+        assert status.attempts == 1
+        assert [h["outcome"] for h in status.history] == ["done"]
+        assert_exactly_once(daemon.queue, a, "done")
+        for job_id in (b, c):
+            assert_exactly_once(daemon.queue, job_id, "done")
+            history = client.status(job_id).history
+            assert [h["outcome"] for h in history] == ["timeout", "done"]
+            assert [h["batch"] for h in history] == [3, 1]
+
+    def test_drain_mid_batch_keeps_done_requeues_rest(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SERVE_STAGE_DELAY", "60")
+        spool = tmp_path / "spool"
+        client = ServiceClient(spool)
+        a, b, c = self.three_jobs(client)
+        daemon = dag_daemon(spool, str(tmp_path / "store"), drain_grace=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            runner = threading.Thread(
+                target=daemon.serve_forever, kwargs={"idle_timeout": 60.0}
+            )
+            runner.start()
+            try:
+                wait_for(
+                    lambda: client.status(a).state == "done",
+                    what="job A to finish inside the batch child",
+                )
+            finally:
+                daemon.request_drain()
+                runner.join(timeout=60.0)
+            assert not runner.is_alive()
+        assert daemon.draining and not daemon.forced
+        assert daemon._completed == 1
+        assert daemon._requeued_on_drain == 2
+        assert_exactly_once(daemon.queue, a, "done")
+        for job_id in (b, c):
+            assert_exactly_once(daemon.queue, job_id, "pending")
+        for job_id in (a, b, c):
+            assert not daemon.queue.workdir(job_id).exists()
+            assert not daemon.queue._status_path(job_id).exists()
+
+    def test_max_jobs_bounds_the_batches(self, tmp_path):
+        spool = tmp_path / "spool"
+        client = ServiceClient(spool)
+        submit_seed_sweep(client, 5)
+        daemon = dag_daemon(spool, str(tmp_path / "store"), workers=2)
+        assert daemon.serve_forever(max_jobs=2, idle_timeout=5.0) == 2
+        jobs = daemon.queue.jobs()
+        assert len(jobs["done"]) == 2
+        assert len(jobs["pending"]) == 3
+        assert jobs["running"] == []
 
 
 class TestDagCLI:
@@ -216,7 +331,9 @@ class TestDagCLI:
 
         spool = str(tmp_path / "spool")
         client = ServiceClient(spool)
-        job_ids = submit_seed_sweep(client, 3)
+        # Two worker slots split the backlog evenly: two batches of
+        # two, one rider each.
+        job_ids = submit_seed_sweep(client, 4)
 
         rc = main(
             [
@@ -224,18 +341,17 @@ class TestDagCLI:
                 "run",
                 "--spool",
                 spool,
-                "--dag",
                 "--workers",
                 "2",
                 "--max-jobs",
-                "3",
+                "4",
                 "--idle-timeout",
                 "5",
             ]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "processed 3 job(s)" in out
+        assert "processed 4 job(s)" in out
 
         # Per-job status line carries the dedup split.
         rider = next(
@@ -257,9 +373,9 @@ class TestDagCLI:
         rc = main(["serve", "status", "--spool", spool])
         assert rc == 0
         overview = capsys.readouterr().out
-        assert "done=3" in overview
+        assert "done=4" in overview
         assert "per-stage dedup" in overview
-        assert "shared=2" in overview  # mesh row: 2 riders
+        assert "shared=2" in overview  # mesh row: one rider per batch
 
     def test_serve_result_prints_dedup(self, tmp_path, capsys):
         from repro.cli import main

@@ -25,7 +25,10 @@ from repro.service import (
     ServeDaemon,
     ServiceClient,
     SpoolQueue,
+    read_health,
 )
+
+from tests.test_serve_chaos import wait_for
 
 CHEAP = {"scale": 6, "domains": 6, "processes": 3, "cores": 2}
 
@@ -515,7 +518,13 @@ class TestSignalLifecycle:
         try:
             self.wait_mid_job(client, job_id)
             proc.send_signal(signal_mod.SIGTERM)
-            time.sleep(0.5)
+            # The second signal goes out once the daemon has published
+            # that the first one put it into drain.
+            wait_for(
+                lambda: read_health(tmp_path / "spool")["liveness"]["draining"],
+                timeout=60.0,
+                what="daemon to report draining",
+            )
             proc.send_signal(signal_mod.SIGTERM)
             out, _ = proc.communicate(timeout=60)
         finally:
