@@ -90,15 +90,14 @@ class Trace:
         sel = np.flatnonzero(self.process == p)
         if len(sel) == 0:
             return np.empty((0, 2))
-        ivals = np.stack([self.start[sel], self.end[sel]], axis=1)
-        ivals = ivals[np.argsort(ivals[:, 0], kind="stable")]
-        merged = [list(ivals[0])]
-        for s, e in ivals[1:]:
-            if s <= merged[-1][1] + 1e-12:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        return np.array(merged)
+        sel = sel[np.argsort(self.start[sel], kind="stable")]
+        s = self.start[sel]
+        # Latest end so far; inside a merged interval that is the
+        # interval's own end, every earlier one having closed before.
+        reach = np.maximum.accumulate(self.end[sel])
+        first = np.flatnonzero(np.r_[True, s[1:] > reach[:-1] + 1e-12])
+        last = np.r_[first[1:], len(s)] - 1
+        return np.stack([s[first], reach[last]], axis=1)
 
     def process_idle_time(self, p: int) -> float:
         """Idle time of the composite process ``p`` inside the span

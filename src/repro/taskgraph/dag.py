@@ -32,11 +32,22 @@ def _csr_from_pairs(
     n: int, src: np.ndarray, dst: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
     xadj = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(xadj[1:], src, 1)
-    np.cumsum(xadj, out=xadj)
-    return xadj, dst
+    np.cumsum(np.bincount(src, minlength=n), out=xadj[1:])
+    return xadj, dst[order]
+
+
+def _gather_rows(
+    xadj: np.ndarray, adj: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenation of the CSR rows ``rows`` and, per row, the offset
+    at which it starts in that concatenation (``len(rows) + 1``
+    entries)."""
+    starts = xadj[rows]
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(xadj[rows + 1] - starts, out=ptr[1:])
+    idx = np.repeat(starts - ptr[:-1], np.diff(ptr)) + np.arange(ptr[-1])
+    return adj[idx], ptr
 
 
 @dataclass
@@ -44,7 +55,10 @@ class TaskDAG:
     """A task graph: tasks plus dependency edges.
 
     ``edges`` is a ``(E, 2)`` array of ``(predecessor, successor)``
-    pairs.  Successor/predecessor CSR adjacency is built lazily.
+    pairs.  Everything derived from them — successor/predecessor CSR
+    adjacency, the level order, the bottom levels — is built lazily,
+    once, and kept on the instance (never compared, packed or hashed),
+    so ``tasks`` and ``edges`` must not change after the first query.
     """
 
     tasks: TaskArrays
@@ -53,6 +67,12 @@ class TaskDAG:
         default=None, repr=False, compare=False
     )
     _pred: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
+    _levels: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
+    _bottom: tuple[float, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -89,64 +109,73 @@ class TaskDAG:
         return self._pred
 
     def in_degrees(self) -> np.ndarray:
-        """Number of predecessors per task."""
-        deg = np.zeros(self.num_tasks, dtype=np.int64)
-        if len(self.edges):
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        """Number of predecessors per task (a fresh array)."""
+        if self._pred is not None:
+            return np.diff(self._pred[0])
+        return np.bincount(self.edges[:, 1], minlength=self.num_tasks)
 
     # ------------------------------------------------------------------
+    def _level_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Level-synchronous Kahn pass, one Python iteration per depth
+        level: the topological order grouped by depth (a task joins the
+        frontier when its last predecessor leaves it) and the offsets
+        of the levels in it.  Read-only, computed once per DAG."""
+        if self._levels is None:
+            indeg = self.in_degrees()
+            sx, sa = self.successors_csr()
+            order = np.empty(self.num_tasks, dtype=np.int64)
+            ptr = [0]
+            frontier = np.flatnonzero(indeg == 0)
+            while len(frontier):
+                order[ptr[-1] : ptr[-1] + len(frontier)] = frontier
+                ptr.append(ptr[-1] + len(frontier))
+                succ, _ = _gather_rows(sx, sa, frontier)
+                touched, hits = np.unique(succ, return_counts=True)
+                indeg[touched] -= hits
+                frontier = touched[indeg[touched] == 0]
+            if ptr[-1] != self.num_tasks:
+                raise ValueError("task graph contains a cycle")
+            ptr = np.array(ptr, dtype=np.int64)
+            order.flags.writeable = ptr.flags.writeable = False
+            self._levels = order, ptr
+        return self._levels
+
     def topological_order(self) -> np.ndarray:
-        """A topological order (Kahn); raises on cycles."""
-        n = self.num_tasks
-        indeg = self.in_degrees()
-        sx, sa = self.successors_csr()
-        out = np.empty(n, dtype=np.int64)
-        head = 0
-        tail = 0
-        ready = np.flatnonzero(indeg == 0)
-        out[: len(ready)] = ready
-        tail = len(ready)
-        while head < tail:
-            v = out[head]
-            head += 1
-            for u in sa[sx[v] : sx[v + 1]]:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    out[tail] = u
-                    tail += 1
-        if tail != n:
-            raise ValueError("task graph contains a cycle")
-        return out
+        """A topological order, grouped by non-decreasing depth
+        (read-only); raises on cycles."""
+        return self._level_order()[0]
 
     def critical_path(self) -> tuple[float, np.ndarray]:
-        """Critical-path length and per-task *bottom levels*.
+        """Critical-path length and per-task *bottom levels*
+        (read-only, computed once per DAG).
 
         The bottom level of a task is the longest cost-weighted path
         from the task (inclusive) to any sink — the classic HEFT
         upward-rank priority.  The critical-path length is the maximum
         bottom level, a lower bound on any schedule's makespan.
         """
-        order = self.topological_order()
-        sx, sa = self.successors_csr()
-        cost = self.tasks.cost
-        bl = cost.astype(np.float64).copy()
-        for v in order[::-1]:
-            s = sa[sx[v] : sx[v + 1]]
-            if len(s):
-                bl[v] = cost[v] + bl[s].max()
-        return (float(bl.max()) if len(bl) else 0.0), bl
+        if self._bottom is None:
+            order, ptr = self._level_order()
+            sx, sa = self.successors_csr()
+            cost = self.tasks.cost
+            bl = cost.astype(np.float64)
+            # Deepest level first (the very deepest has no successors):
+            # a task's successors all sit in deeper, finished levels.
+            for lvl in range(len(ptr) - 3, -1, -1):
+                rows = order[ptr[lvl] : ptr[lvl + 1]]
+                succ, row_ptr = _gather_rows(sx, sa, rows)
+                inner = row_ptr[1:] > row_ptr[:-1]
+                v = rows[inner]
+                bl[v] = cost[v] + np.maximum.reduceat(
+                    bl[succ], row_ptr[:-1][inner]
+                )
+            bl.flags.writeable = False
+            self._bottom = (float(bl.max()) if len(bl) else 0.0), bl
+        return self._bottom
 
     def width_profile(self) -> np.ndarray:
         """Number of tasks per DAG depth level (parallelism profile)."""
-        order = self.topological_order()
-        px, pa = self.predecessors_csr()
-        depth = np.zeros(self.num_tasks, dtype=np.int64)
-        for v in order:
-            p = pa[px[v] : px[v + 1]]
-            if len(p):
-                depth[v] = depth[p].max() + 1
-        return np.bincount(depth) if len(depth) else np.zeros(0, dtype=np.int64)
+        return np.diff(self._level_order()[1])
 
     def validate(self) -> None:
         """Raise on malformed edges or cycles."""

@@ -66,7 +66,7 @@ from ..mesh.structures import Mesh
 from ..partitioning.decomposition import DomainDecomposition
 from ..temporal.levels import face_levels
 from ..temporal.scheme import active_levels, num_subiterations
-from .dag import TaskDAG
+from .dag import TaskDAG, _gather_rows
 from .task import ObjectType, TaskArrays
 
 __all__ = ["generate_task_graph", "classify_objects"]
@@ -215,15 +215,8 @@ def _emission_blocks(
     for tph in range(nlev):
         cand = (((d * nlev + tph) * 2)[:, None] + loc_order).ravel()
         gids = cand[counts[cand] > 0]
-        lens = x[gids + 1] - x[gids]
-        total = int(lens.sum())
-        if total:
-            offs = np.concatenate(([0], np.cumsum(lens)[:-1]))
-            idx = np.repeat(x[gids] - offs, lens) + np.arange(total)
-            read = adj[idx]
-        else:
-            read = np.empty(0, dtype=np.int64)
-        owner = np.repeat(np.arange(len(gids), dtype=np.int64), lens)
+        read, ptr = _gather_rows(x, adj, gids)
+        owner = np.repeat(np.arange(len(gids), dtype=np.int64), np.diff(ptr))
         blocks.append(
             _EmissionBlock(
                 gids, read, owner, dp, counts, nlev,

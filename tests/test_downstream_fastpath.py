@@ -28,6 +28,7 @@ from repro.taskgraph import (
     verify_dag,
 )
 from repro.taskgraph.dag import TaskDAG
+from tests.oracles import dag_scalar
 
 
 class TestTaskGraphEquivalence:
@@ -108,6 +109,28 @@ class TestSimulatorEquivalence:
         )
         want = simulate_ref(cube_dag_mc, cluster, scheduler=scheduler)
         assert trace_differences(got, want) == []
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_cp_matches_reference_on_scalar_bottom_levels(
+        self, cube_dag_mc, engine, monkeypatch
+    ):
+        """``simulate_ref`` asks the DAG for its bottom levels like the
+        engine does; here the reference side gets them from the scalar
+        oracle instead, so the ``cp`` differential covers them too."""
+        ref_dag = TaskDAG(tasks=cube_dag_mc.tasks, edges=cube_dag_mc.edges)
+        monkeypatch.setattr(
+            ref_dag, "critical_path",
+            lambda: dag_scalar.critical_path(ref_dag),
+        )
+        cluster = ClusterConfig(4, 2)
+        got = simulate(cube_dag_mc, cluster, scheduler="cp", engine=engine)
+        want = simulate_ref(ref_dag, cluster, scheduler="cp")
+        assert ref_dag._bottom is None
+        assert trace_differences(got, want) == []
+        assert np.array_equal(
+            cube_dag_mc.critical_path()[1],
+            dag_scalar.critical_path(ref_dag)[1],
+        )
 
     @pytest.mark.parametrize("cores", [1, 3, None])
     def test_comm_model(self, cube_dag_mc, cores):
