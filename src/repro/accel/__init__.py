@@ -1,40 +1,19 @@
-"""Optional compiled kernel tier (Numba).
+"""Whether Numba is importable — a stub kept for the benchmark only.
 
-The three hottest scalar loops of the chain — FM gain updates, the HEM
-greedy-tail matcher and the FLUSIM batched successor release — are
-written as *pure nopython-compatible Python* in
-:mod:`repro.accel.kernels`.  When Numba is installed they are wrapped
-with ``numba.njit(cache=True)``; otherwise the very same functions run
-interpreted.  Either way the kernels compute bit-identical results to
-the always-on NumPy/list reference paths, so:
-
-* without Numba nothing changes — the reference paths stay the
-  default and the test suite can still exercise the kernel *logic*
-  (interpreted) via ``compiled=True``;
-* with Numba, setting ``REPRO_COMPILED=1`` switches the hot loops to
-  the compiled tier; equivalence is enforced by differential tests
-  and the fuzz harness.
-
-Gating
-------
-``kernels_active(compiled)`` decides per call site:
-
-* an explicit ``compiled=True/False`` argument always wins (``True``
-  runs the kernels even without Numba — interpreted, slow, but
-  bit-identical: this is what the equivalence tests use);
-* else ``REPRO_COMPILED=1`` activates the tier *when Numba is
-  importable* (silently stays on the reference path otherwise);
-* ``REPRO_COMPILED=force`` activates the tier unconditionally.
-
-Install Numba via the packaging extra: ``pip install repro[compiled]``.
+The compiled kernel tier that lived here was deleted unmeasured (no
+committed number was ever taken with Numba importable; ROADMAP).
+Nothing in ``src/`` branches on :func:`is_available`;
+``bench/run.py::machine_info`` imports it to report
+``machine.compiled``, and ``bench/`` could not change in the PR that
+removed the tier.  The benchmark-kind PR that retires that metric
+deletes this module with it.
 """
 
 from __future__ import annotations
 
-import os
 from functools import cache
 
-__all__ = ["is_available", "kernels_active", "jit_status", "maybe_jit"]
+__all__ = ["is_available"]
 
 
 @cache
@@ -45,31 +24,3 @@ def is_available() -> bool:
     except Exception:
         return False
     return True
-
-
-def kernels_active(compiled: bool | None = None) -> bool:
-    """Resolve whether a call site should run the kernel tier."""
-    if compiled is not None:
-        return bool(compiled)
-    env = os.environ.get("REPRO_COMPILED", "").strip().lower()
-    if env == "force":
-        return True
-    if env in ("1", "true", "yes", "on"):
-        return is_available()
-    return False
-
-
-def jit_status() -> str:
-    """Provenance tag: ``"numba"`` when kernels are compiled,
-    ``"interpreted"`` otherwise."""
-    return "numba" if is_available() else "interpreted"
-
-
-def maybe_jit(fn):
-    """``numba.njit(cache=True)``-wrap ``fn`` when Numba is present;
-    return ``fn`` unchanged otherwise (interpreted tier)."""
-    if is_available():
-        import numba
-
-        return numba.njit(cache=True)(fn)
-    return fn

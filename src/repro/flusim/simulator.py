@@ -17,35 +17,30 @@ events at the current instant are processed, free cores are refilled —
 so simultaneous completions release their successors together, like a
 real runtime.
 
-Engines
--------
+Implementation
+--------------
 The seed event loop (kept verbatim as the differential oracle in
 :mod:`repro.flusim.reference`) spent its time in NumPy *scalar*
 indexing: one fancy-index in-degree decrement and two scalar gathers
 per dependency edge, inside a Python ``for u in sa[...]`` loop.  This
-module keeps the identical event semantics behind two interchangeable
-cores, selected by mean out-degree (``engine="auto"``):
-
-* ``"scalar"`` — for the narrow DAGs Algorithm 1 produces (a handful
-  of successors per task): all per-event state (in-degrees, CSR
-  adjacency, durations, ready times) lives in plain Python lists,
-  whose element access is several times cheaper than NumPy scalar
-  indexing; the ``eager`` policy additionally swaps the heap-based
-  FIFO for :class:`~repro.flusim.schedulers.ArrayFifoQueue` (push
-  times are monotone in simulation time, so FIFO order *is* insertion
-  order).
-* ``"batched"`` — for wide DAGs: each completion releases its whole
-  successor slice with NumPy kernels — one ``np.subtract.at``
-  in-degree decrement and a ``flatnonzero`` over the CSR slice instead
-  of the per-successor loop (duplicate edges resolve to the last
-  occurrence, matching the sequential semantics).
-
+module keeps the identical event semantics with all per-event state
+(in-degrees, CSR adjacency, durations, ready times) in plain Python
+lists, whose element access is several times cheaper than NumPy scalar
+indexing; the ``eager`` policy additionally swaps the heap-based FIFO
+for :class:`~repro.flusim.schedulers.ArrayFifoQueue` (push times are
+monotone in simulation time, so FIFO order *is* insertion order).
 Cross-process communication delays are precomputed per task (a single
 vectorized α + size/β evaluation) instead of one ``comm.delay`` call
-per edge.  Both engines produce traces bit-identical to the reference
-oracle; the fuzz harness and the perf suite
-(:mod:`repro.perf.flusim`, ``BENCH_flusim.json``) enforce and track
-this.
+per edge.
+
+Algorithm 1 emits one task per (domain, temporal level, locality,
+object type), so its DAGs are narrow (mean out-degree 2.8–8.1 on every
+chain the registry and the benchmark build); a per-completion NumPy
+release only overtakes the list loop past ~60 successors per task
+(EXPERIMENTS.md, "Traffic behind the deleted forks").  Traces are
+bit-identical to the reference oracle; the tests, the fuzz harness and
+the perf suite (:mod:`repro.perf.flusim`, ``BENCH_flusim.json``)
+enforce and track this.
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ import heapq
 
 import numpy as np
 
-from ..accel import kernels_active
 from ..taskgraph.dag import TaskDAG
 from .cluster import ClusterConfig
 from .commmodel import CommModel
@@ -67,11 +61,6 @@ _COMPLETION = 0
 _READY = 1
 _EPS = 1e-15
 
-#: Mean successors-per-task above which the batched NumPy release
-#: kernel overtakes the scalar core (NumPy per-call overhead amortizes
-#: across the slice).
-_BATCH_DEGREE = 32
-
 
 def simulate(
     dag: TaskDAG,
@@ -81,8 +70,6 @@ def simulate(
     durations: np.ndarray | None = None,
     comm: CommModel | None = None,
     seed: int = 0,
-    engine: str = "auto",
-    compiled: bool | None = None,
 ) -> Trace:
     """Simulate one iteration of the solver on a virtual cluster.
 
@@ -107,15 +94,6 @@ def simulate(
         Optional α/β communication model; cross-process dependencies
         then delay successor readiness by ``α + objects/β``.  ``None``
         (default) reproduces the paper's overhead-free FLUSIM.
-    engine:
-        Event-loop core: ``"auto"`` (default) picks by mean
-        out-degree, ``"scalar"`` / ``"batched"`` force one (see the
-        module docstring).  All engines produce identical traces; the
-        knob exists for benchmarks and differential tests.
-    compiled:
-        Kernel-tier override for the batched engine's no-comm
-        successor release (see :mod:`repro.accel`); ``None`` consults
-        ``REPRO_COMPILED``.  Traces are bit-identical either way.
 
     Returns
     -------
@@ -136,8 +114,6 @@ def simulate(
         )
     if np.any(durations < 0):
         raise ValueError("negative duration")
-    if engine not in ("auto", "scalar", "batched"):
-        raise ValueError(f"unknown engine {engine!r}")
     nproc = cluster.num_processes
     tproc = dag.tasks.process
     if T and (tproc.min() < 0 or tproc.max() >= nproc):
@@ -179,19 +155,10 @@ def simulate(
                 nobj * comm.bytes_per_object / comm.bandwidth
             )
 
-    if engine == "auto":
-        wide = T > 0 and dag.num_edges >= _BATCH_DEGREE * T
-        engine = "batched" if wide else "scalar"
-    if engine == "batched":
-        out_worker, out_start, out_end = _run_batched(
-            T, nproc, cluster.cores, tproc, durations, indeg, sx, sa,
-            ready, delays, use_kernels=kernels_active(compiled),
-        )
-    else:
-        out_worker, out_start, out_end = _run_scalar(
-            T, nproc, cluster.cores, tproc, durations, indeg, sx, sa,
-            ready, delays,
-        )
+    out_worker, out_start, out_end = _event_loop(
+        T, nproc, cluster.cores, tproc, durations, indeg, sx, sa,
+        ready, delays,
+    )
 
     return Trace(
         process=tproc.astype(np.int32).copy(),
@@ -203,7 +170,7 @@ def simulate(
     )
 
 
-def _run_scalar(
+def _event_loop(
     T: int,
     nproc: int,
     cores: int,
@@ -215,7 +182,7 @@ def _run_scalar(
     ready: list,
     delays: np.ndarray | None,
 ) -> tuple[list[int], list[float], list[float]]:
-    """Low-overhead core: all per-event state in Python lists."""
+    """The event loop: all per-event state in Python lists."""
     heappush = heapq.heappush
     heappop = heapq.heappop
     sx_l = sx.tolist()
@@ -308,148 +275,6 @@ def _run_scalar(
                         pu = tproc_l[u]
                         ready[pu].push(u, now)
                         touched.add(pu)
-        for p in touched:
-            assign(p, now)
-
-    if done != T:
-        raise RuntimeError(
-            f"deadlock: only {done}/{T} tasks completed (cyclic graph?)"
-        )
-    return out_worker, out_start, out_end
-
-
-def _run_batched(
-    T: int,
-    nproc: int,
-    cores: int,
-    tproc: np.ndarray,
-    durations: np.ndarray,
-    indeg: np.ndarray,
-    sx: np.ndarray,
-    sa: np.ndarray,
-    ready: list,
-    delays: np.ndarray | None,
-    use_kernels: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Wide-DAG core: each completion releases its successor slice with
-    NumPy kernels (vectorized in-degree decrement + ``flatnonzero``).
-
-    With ``use_kernels`` (and no comm model) the release runs in the
-    sequential nopython kernel :func:`repro.accel.kernels.flusim_release`
-    instead; each edge decrements exactly once overall, so in-degrees
-    hit zero on their final decrement and the kernel's release order
-    equals the vectorized dedup-keep-last order.
-    """
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    indeg = indeg.copy()
-    tproc_l = tproc.tolist()
-    dur_l = durations.tolist()
-    has_comm = delays is not None
-    use_kernels = use_kernels and not has_comm
-    if use_kernels:
-        from ..accel.kernels import flusim_release
-
-        sa = sa.astype(np.int64, copy=False)
-        relbuf = np.empty(
-            int((sx[1:] - sx[:-1]).max()) if T else 1, dtype=np.int64
-        )
-    delays_l = delays.tolist() if has_comm else None
-    ready_at = np.zeros(T, dtype=np.float64) if has_comm else None
-    tproc64 = tproc.astype(np.int64)
-    single_core = cores == 1
-
-    free_workers: list[list[int]] = [[] for _ in range(nproc)]
-    next_worker = [0] * nproc
-    free_count = [cores] * nproc
-
-    out_worker = [0] * T
-    out_start = [0.0] * T
-    out_end = [0.0] * T
-
-    events: list[tuple[float, int, int, int]] = []
-    counter = 0
-
-    def assign(p: int, now: float) -> None:
-        nonlocal counter
-        q = ready[p]
-        while free_count[p] > 0 and len(q) > 0:
-            t = q.pop()
-            if single_core:
-                w = 0
-            elif free_workers[p]:
-                w = heappop(free_workers[p])
-            else:
-                w = next_worker[p]
-                next_worker[p] += 1
-            free_count[p] -= 1
-            out_worker[t] = w
-            out_start[t] = now
-            end = now + dur_l[t]
-            out_end[t] = end
-            heappush(events, (end, _COMPLETION, counter, t))
-            counter += 1
-
-    for t in np.flatnonzero(indeg == 0).tolist():
-        ready[tproc_l[t]].push(t, 0.0)
-    for p in range(nproc):
-        assign(p, 0.0)
-
-    done = 0
-    while events:
-        now = events[0][0]
-        eps = now + _EPS
-        touched: set[int] = set()
-        while events and events[0][0] <= eps:
-            _, kind, _, t = heappop(events)
-            if kind == _READY:
-                pu = tproc_l[t]
-                ready[pu].push(t, ready_at[t])
-                touched.add(pu)
-                continue
-            done += 1
-            p = tproc_l[t]
-            if not single_core:
-                heappush(free_workers[p], out_worker[t])
-            free_count[p] += 1
-            touched.add(p)
-            if use_kernels:
-                cnt = flusim_release(indeg, sa[sx[t] : sx[t + 1]], relbuf)
-                for u in relbuf[:cnt].tolist():
-                    pu = tproc_l[u]
-                    ready[pu].push(u, now)
-                    touched.add(pu)
-                continue
-            succ = sa[sx[t] : sx[t + 1]]
-            if len(succ) == 0:
-                continue
-            if has_comm:
-                cross = succ[tproc64[succ] != p]
-                if len(cross):
-                    arrival = now + delays_l[t]
-                    np.maximum.at(ready_at, cross, arrival)
-            np.subtract.at(indeg, succ, 1)
-            pos = np.flatnonzero(indeg[succ] == 0)
-            if len(pos) == 0:
-                continue
-            vals = succ[pos]
-            if len(vals) > 1:
-                # Duplicate edges release at their *last* occurrence,
-                # matching the sequential per-edge decrement.
-                _, first_rev = np.unique(vals[::-1], return_index=True)
-                keep = len(vals) - 1 - first_rev
-                keep.sort()
-                vals = vals[keep]
-            for u in vals.tolist():
-                if has_comm and ready_at[u] > eps:
-                    heappush(
-                        events, (float(ready_at[u]), _READY, counter, u)
-                    )
-                    counter += 1
-                else:
-                    pu = tproc_l[u]
-                    ready[pu].push(u, now)
-                    touched.add(pu)
         for p in touched:
             assign(p, now)
 

@@ -1,7 +1,7 @@
 """Differential fuzzing harness.
 
 :func:`run_fuzz` drives seeded adversarial cases
-(:mod:`repro.fuzz.generators`) through three families of checks:
+(:mod:`repro.fuzz.generators`) through these families of checks:
 
 * **contract checks** — :func:`repro.graph.partition.partition_graph`
   and every mesh strategy in :data:`repro.partitioning.strategies.STRATEGIES`
@@ -22,12 +22,6 @@
   ``vwgt``/``adjwgt`` holding the exact same values) and the labels
   must be bit-identical to the wide int64/float64 path — the
   equivalence gate behind the scale tier's index/weight narrowing;
-* **kernel-tier differentials** — the compiled-tier kernels
-  (:mod:`repro.accel`: FM unit pass, HEM greedy tail, FLUSIM release,
-  contraction merge, FM degree recomputation) are forced on via
-  ``compiled=True`` (interpreted when Numba is absent — same code
-  path, minus the JIT) and must reproduce the reference paths bit for
-  bit;
 * **out-of-core differentials** — every mesh case's dual graph is
   rebuilt with the streaming engine at an adversarial chunk size and
   must equal the materialized oracle array for array, and every graph
@@ -42,7 +36,7 @@
   (:mod:`repro.taskgraph.reference`, :mod:`repro.flusim.reference`):
   DAGs must match bit-identically up to canonical edge order
   (including ``scheme="heun"`` and ``iterations > 1``) and traces must
-  be bit-identical across engines, schedulers, cluster shapes and a
+  be bit-identical across schedulers, cluster shapes and a
   non-free :class:`~repro.flusim.commmodel.CommModel`.
 
 Failures are collected (not raised) so one run reports everything; the
@@ -146,14 +140,6 @@ def _check_matching(
     again = heavy_edge_matching(g, np.random.default_rng(seed))
     if not np.array_equal(fast, again):
         fail("hem-determinism", "same seed produced different matchings")
-    forced = heavy_edge_matching(
-        g, np.random.default_rng(seed), compiled=True
-    )
-    if not np.array_equal(fast, forced):
-        fail(
-            "hem-compiled",
-            "compiled-tier greedy tail diverged from the NumPy path",
-        )
     wf, wr = _matched_weight(g, fast), _matched_weight(g, ref)
     if wr > 0 and wf < 0.8 * wr:
         fail(
@@ -199,23 +185,6 @@ def _check_fm(
     again, again_cut, _ = run(fm_refine)
     if not np.array_equal(fast, again) or again_cut != fast_cut:
         fail("fm-determinism", "same seed produced different refinements")
-    try:
-        forced = fm_refine(
-            g,
-            part0.copy(),
-            imbalance_tol=tol,
-            rng=np.random.default_rng(seed),
-            check_cut=True,
-            compiled=True,
-        )
-    except PartitionError as exc:
-        fail("fm-compiled-internal", f"check_cut tripped: {exc}")
-    else:
-        if not np.array_equal(fast, forced):
-            fail(
-                "fm-compiled",
-                "compiled-tier unit pass diverged from the NumPy path",
-            )
     # FM keeps the best prefix: it must never leave the partition worse
     # than it started on *both* axes.
     if fast_cut > cut0 + 1e-9 and fast_imb > imb0 + 1e-9:
@@ -232,48 +201,6 @@ def _check_fm(
         fail(
             "fm-vs-reference",
             f"fast cut {fast_cut:g} ≫ reference cut {ref_cut:g}",
-        )
-
-
-def _check_multilevel_kernels(
-    report: FuzzReport, seed: int, case: str, g: CSRGraph
-) -> None:
-    """Differential: the contraction-merge and degree-recomputation
-    kernels forced on must be bit-identical to the NumPy paths."""
-    if g.num_vertices < 2:
-        return
-    report.differential_checks += 1
-    from ..graph.coarsen import contract
-    from ..graph.refine import _degrees
-
-    def fail(check: str, detail: str) -> None:
-        report.failures.append(FuzzFailure(seed, case, check, detail))
-
-    match = heavy_edge_matching(g, np.random.default_rng(seed))
-    ref = contract(g, match, compiled=False)
-    forced = contract(g, match, compiled=True)
-    same = (
-        np.array_equal(ref.graph.xadj, forced.graph.xadj)
-        and np.array_equal(ref.graph.adjncy, forced.graph.adjncy)
-        and np.array_equal(ref.graph.adjwgt, forced.graph.adjwgt)
-        and np.array_equal(ref.graph.vwgt, forced.graph.vwgt)
-        and ref.graph.adjncy.dtype == forced.graph.adjncy.dtype
-    )
-    if not same:
-        fail(
-            "contract-compiled",
-            "compiled-tier contraction merge diverged from the NumPy "
-            "path",
-        )
-    part = (
-        np.random.default_rng(seed).random(g.num_vertices) < 0.5
-    ).astype(np.int32)
-    i0, e0 = _degrees(g, part, compiled=False)
-    i1, e1 = _degrees(g, part, compiled=True)
-    if not (np.array_equal(i0, i1) and np.array_equal(e0, e1)):
-        fail(
-            "degrees-compiled",
-            "compiled-tier degree recomputation diverged from bincount",
         )
 
 
@@ -454,7 +381,6 @@ def _fuzz_graph_case(report: FuzzReport, seed: int, case: GraphCase) -> None:
     if case.graph.num_vertices <= 400:
         _check_matching(report, seed, name, case.graph)
         _check_fm(report, seed, name, case.graph)
-        _check_multilevel_kernels(report, seed, name, case.graph)
         if case.nparts:
             _check_spill_path(
                 report,
@@ -496,17 +422,15 @@ def _check_downstream(
     if dag is None:
         return
 
-    # One scheduler / cluster shape / engine combination per seed keeps
-    # the run bounded while the campaign sweeps the whole matrix.
+    # One scheduler / cluster shape combination per seed keeps the run
+    # bounded while the campaign sweeps the whole matrix.
     scheduler = SCHEDULERS[seed % len(SCHEDULERS)]
     cores = (1, 2, None)[seed % 3]
-    engine = ("auto", "scalar", "batched")[seed % 3]
     cluster = ClusterConfig(decomp.num_processes, cores)
     for comm in (None, CommModel(latency=0.05, bandwidth=32.0)):
         report.differential_checks += 1
         got = simulate(
-            dag, cluster, scheduler=scheduler, comm=comm, seed=seed,
-            engine=engine,
+            dag, cluster, scheduler=scheduler, comm=comm, seed=seed
         )
         want = simulate_ref(
             dag, cluster, scheduler=scheduler, comm=comm, seed=seed
@@ -514,22 +438,9 @@ def _check_downstream(
         diffs = trace_differences(got, want)
         if diffs:
             fail(
-                f"flusim-{scheduler}-{engine}"
-                f"-{'comm' if comm else 'nocomm'}",
+                f"flusim-{scheduler}-{'comm' if comm else 'nocomm'}",
                 "; ".join(diffs[:3]),
             )
-
-    # Compiled tier: the batched engine with the release kernel forced
-    # on (interpreted when Numba is absent) must stay bit-identical.
-    report.differential_checks += 1
-    got = simulate(
-        dag, cluster, scheduler=scheduler, seed=seed,
-        engine="batched", compiled=True,
-    )
-    want = simulate_ref(dag, cluster, scheduler=scheduler, seed=seed)
-    diffs = trace_differences(got, want)
-    if diffs:
-        fail(f"flusim-{scheduler}-batched-compiled", "; ".join(diffs[:3]))
 
 
 def _check_streaming_dual(

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..accel import kernels_active
 from .csr import CSRGraph
 
 __all__ = [
@@ -232,36 +231,18 @@ def _matching_fallback(
     candidates: np.ndarray,
     rng: np.random.Generator,
     multi: bool,
-    compiled: bool | None = None,
 ) -> None:
     """Greedy per-vertex matching over the remaining ``candidates``.
 
     Invoked on the small tail left after the vectorized proposal rounds
     (or when a round makes no progress on an adversarial tie pattern);
     guarantees termination with the same semantics as the seed loop.
-    The kernel tier (see :mod:`repro.accel`) runs the identical greedy
-    loop compiled; both paths consume the same single RNG permutation.
     """
     xadj, adjncy, adjwgt, vwgt = g.xadj, g.adjncy, g.adjwgt, g.vwgt
     if vwgt.dtype != np.float64:
         # Compare spreads in float64 so narrowed graphs match the wide
         # path bit for bit.
         vwgt = vwgt.astype(np.float64)
-    if kernels_active(compiled) and len(candidates):
-        from ..accel.kernels import hem_tail_match
-
-        hem_tail_match(
-            xadj.astype(np.int64, copy=False),
-            adjncy.astype(np.int64, copy=False),
-            adjwgt.astype(np.float64, copy=False),
-            np.ascontiguousarray(vwgt),
-            match,
-            candidates[rng.permutation(len(candidates))].astype(
-                np.int64, copy=False
-            ),
-            multi,
-        )
-        return
     for v in candidates[rng.permutation(len(candidates))]:
         if match[v] != v:
             continue
@@ -296,7 +277,6 @@ def heavy_edge_matching(
     rng: np.random.Generator,
     *,
     balance_constraints: bool = True,
-    compiled: bool | None = None,
 ) -> np.ndarray:
     """Compute a heavy-edge matching (vectorized).
 
@@ -410,25 +390,16 @@ def heavy_edge_matching(
             e_spread = e_spread[keep]
     if len(e_src):
         # Unmatched vertices that still have unmatched neighbours.
-        _matching_fallback(
-            g, match, np.unique(e_src), rng, multi, compiled=compiled
-        )
+        _matching_fallback(g, match, np.unique(e_src), rng, multi)
     return match
 
 
-def contract(
-    g: CSRGraph, match: np.ndarray, *, compiled: bool | None = None
-) -> CoarseningLevel:
+def contract(g: CSRGraph, match: np.ndarray) -> CoarseningLevel:
     """Contract a matching into a coarse graph.
 
     Matched pairs become single coarse vertices whose weight vectors
     are summed; parallel coarse edges are merged with summed weights;
     internal (contracted) edges disappear.
-
-    ``compiled`` selects the kernel tier (see :mod:`repro.accel`) for
-    the parallel-edge merge — a counting-sort kernel reproducing the
-    stable argsort + run-sum bit for bit; ``None`` consults
-    ``REPRO_COMPILED``.
     """
     n = g.num_vertices
     # Assign coarse ids: the smaller endpoint of each pair labels it.
@@ -452,39 +423,21 @@ def contract(
     csrc, cdst, w = csrc[keep], cdst[keep], g.adjwgt[keep]
 
     xadj = np.zeros(nc + 1, dtype=np.int64)
-    if len(csrc) and kernels_active(compiled):
-        from ..accel.kernels import contract_merge
-
-        gsrc = np.empty(len(csrc), dtype=np.int64)
-        gdst = np.empty(len(csrc), dtype=np.int64)
-        gw = np.empty(len(csrc), dtype=np.float64)
-        ng = contract_merge(
-            np.ascontiguousarray(csrc, dtype=np.int64),
-            np.ascontiguousarray(cdst, dtype=np.int64),
-            w.astype(np.float64, copy=False),
-            nc,
-            gsrc,
-            gdst,
-            gw,
-            xadj[1:],
-        )
-        gsrc, gdst, gw = gsrc[:ng], gdst[:ng], gw[:ng]
+    # Merge parallel edges: sort by (src, dst) and sum runs.
+    key = csrc * np.int64(nc) + cdst
+    order = np.argsort(key, kind="stable")
+    key, csrc, cdst, w = key[order], csrc[order], cdst[order], w[order]
+    if len(key):
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        group = np.cumsum(first) - 1
+        gw = np.bincount(group, weights=w, minlength=group[-1] + 1)
+        gsrc = csrc[first]
+        gdst = cdst[first]
     else:
-        # Merge parallel edges: sort by (src, dst) and sum runs.
-        key = csrc * np.int64(nc) + cdst
-        order = np.argsort(key, kind="stable")
-        key, csrc, cdst, w = key[order], csrc[order], cdst[order], w[order]
-        if len(key):
-            first = np.ones(len(key), dtype=bool)
-            first[1:] = key[1:] != key[:-1]
-            group = np.cumsum(first) - 1
-            gw = np.bincount(group, weights=w, minlength=group[-1] + 1)
-            gsrc = csrc[first]
-            gdst = cdst[first]
-        else:
-            gw = np.empty(0, dtype=np.float64)
-            gsrc = gdst = np.empty(0, dtype=np.int64)
-        xadj[1:] = np.bincount(gsrc, minlength=nc)
+        gw = np.empty(0, dtype=np.float64)
+        gsrc = gdst = np.empty(0, dtype=np.int64)
+    xadj[1:] = np.bincount(gsrc, minlength=nc)
     np.cumsum(xadj, out=xadj)
     # Indices stay narrowed on int32 graphs; the summed coarse weights
     # stay float64 in all cases so both storage widths see the exact
@@ -499,14 +452,9 @@ def coarsen_once(
     rng: np.random.Generator,
     *,
     balance_constraints: bool = True,
-    compiled: bool | None = None,
 ) -> CoarseningLevel:
     """One coarsening step: heavy-edge matching followed by contraction."""
-    # Forward ``compiled`` only when explicitly set: the hot-path tests
-    # monkeypatch ``heavy_edge_matching`` with the seed oracle, whose
-    # signature predates the kernel tier.
-    kwargs = {} if compiled is None else {"compiled": compiled}
     match = heavy_edge_matching(
-        g, rng, balance_constraints=balance_constraints, **kwargs
+        g, rng, balance_constraints=balance_constraints
     )
-    return contract(g, match, compiled=compiled)
+    return contract(g, match)

@@ -41,7 +41,6 @@ from collections import deque
 
 import numpy as np
 
-from ..accel import kernels_active
 from ..resilience.errors import PartitionInternalError
 from .csr import CSRGraph
 from .metrics import edge_cut
@@ -51,43 +50,15 @@ __all__ = ["fm_refine", "rebalance"]
 _INF = float("inf")
 
 
-def _degrees(
-    g: CSRGraph, part: np.ndarray, compiled: bool | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Internal/external degrees of every vertex w.r.t. a bisection.
-
-    The kernel tier (see :mod:`repro.accel`) accumulates per vertex in
-    CSR edge order — the identical sequential float64 order as the
-    ``np.bincount`` reference, so the degrees are bit-identical.
-    """
+def _degrees(g: CSRGraph, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Internal/external degrees of every vertex w.r.t. a bisection."""
     n = g.num_vertices
-    if kernels_active(compiled):
-        from ..accel.kernels import fm_degrees
-
-        ideg = np.zeros(n, dtype=np.float64)
-        edeg = np.zeros(n, dtype=np.float64)
-        fm_degrees(
-            g.xadj.astype(np.int64, copy=False),
-            g.adjncy.astype(np.int64, copy=False),
-            g.adjwgt.astype(np.float64, copy=False),
-            part.astype(np.int64, copy=False),
-            ideg,
-            edeg,
-        )
-        return ideg, edeg
     src = g.edge_sources()
     same = part[src] == part[g.adjncy]
     w = g.adjwgt
     ideg = np.bincount(src[same], weights=w[same], minlength=n)
     edeg = np.bincount(src[~same], weights=w[~same], minlength=n)
     return ideg, edeg
-
-
-def _default_early_stop(boundary: np.ndarray) -> int:
-    """Hill-climb allowance sized by the starting boundary (see the
-    module docstring); shared by the interpreted loop and the kernel
-    tier so both derive the identical default."""
-    return max(100, len(boundary) // 2)
 
 
 def _one_hot_columns(vwgt: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -158,7 +129,6 @@ def fm_refine(
     rng: np.random.Generator | None = None,
     early_stop: int | None = None,
     check_cut: bool = False,
-    compiled: bool | None = None,
 ) -> np.ndarray:
     """Refine a bisection in place and return it.
 
@@ -182,11 +152,6 @@ def fm_refine(
         Debug flag: assert at the end of every pass that the
         incrementally tracked edge cut agrees with a from-scratch
         recomputation.
-    compiled:
-        Kernel-tier override for the unit-weight/one-hot fast path
-        (see :mod:`repro.accel`); ``None`` consults
-        ``REPRO_COMPILED``.  The kernel is bit-identical to the
-        reference loop.
 
     Implementation note: internal/external degrees and the edge cut are
     computed once and then maintained *incrementally* around each moved
@@ -242,33 +207,6 @@ def fm_refine(
     if one_hot:
         col, wcol = hot
 
-    # Kernel-tier dispatch (see repro.accel): the bucket/one-hot fast
-    # path starting from a feasible bisection stays feasible after
-    # every admitted move, so a single up-front check covers every
-    # pass and the whole refinement runs inside one nopython kernel.
-    if (
-        use_buckets
-        and one_hot
-        and kernels_active(compiled)
-        and _max_imb(list(pw_arr[0]), list(pw_arr[1]), inv0, inv1)
-        <= imbalance_tol
-    ):
-        return _fm_refine_fast(
-            g,
-            part,
-            pw_arr=pw_arr,
-            inv_arr=np.array([inv0, inv1], dtype=np.float64),
-            col=col,
-            wcol=wcol.astype(np.float64, copy=False),
-            maxdeg=maxdeg,
-            tol=imbalance_tol,
-            max_passes=max_passes,
-            max_moves_per_pass=max_moves_per_pass,
-            early_stop=early_stop,
-            rng=rng,
-            check_cut=check_cut,
-        )
-
     xadj_l: list = g.xadj.tolist()
     adj_l: list = g.adjncy.tolist()
 
@@ -286,7 +224,7 @@ def fm_refine(
     awt_l: list | None = None if use_buckets else g.adjwgt.tolist()
 
     # Degrees and cut are maintained incrementally from here on.
-    ideg_a, edeg_a = _degrees(g, part, compiled=compiled)
+    ideg_a, edeg_a = _degrees(g, part)
     ideg: list = ideg_a.tolist()
     edeg: list = edeg_a.tolist()
     cur_cut = float(edeg_a.sum()) / 2.0
@@ -296,7 +234,7 @@ def fm_refine(
     # per-pass overhead proportional to the work done, not to n.
     boundary = np.flatnonzero(edeg_a > 0)
     if early_stop is None:
-        early_stop = _default_early_stop(boundary)
+        early_stop = max(100, len(boundary) // 2)
 
     for _ in range(max_passes):
         if len(boundary) == 0:
@@ -525,109 +463,6 @@ def fm_refine(
     return part
 
 
-def _fm_refine_fast(
-    g: CSRGraph,
-    part: np.ndarray,
-    *,
-    pw_arr: np.ndarray,
-    inv_arr: np.ndarray,
-    col: np.ndarray,
-    wcol: np.ndarray,
-    maxdeg: int,
-    tol: float,
-    max_passes: int,
-    max_moves_per_pass: int,
-    early_stop: int | None,
-    rng: np.random.Generator,
-    check_cut: bool,
-) -> np.ndarray:
-    """Kernel-tier FM refinement (unit weights, one-hot, feasible).
-
-    Drives :func:`repro.accel.kernels.fm_unit_pass` once per pass with
-    the exact same RNG consumption, queue discipline and rollback as
-    the reference loop in :func:`fm_refine` — bit-identical labels,
-    an order of magnitude faster when Numba compiles the kernel.
-    """
-    from ..accel.kernels import fm_unit_pass
-
-    n = g.num_vertices
-    m = len(g.adjncy)
-    xadj = g.xadj.astype(np.int64, copy=False)
-    adjncy = g.adjncy.astype(np.int64, copy=False)
-    part64 = part.astype(np.int64)
-
-    ideg, edeg = _degrees(g, part, compiled=True)
-    cur_cut = float(edeg.sum()) / 2.0
-    boundary = np.flatnonzero(edeg > 0)
-    if early_stop is None:
-        early_stop = _default_early_stop(boundary)
-
-    # Reused per-pass buffers: move log, neighbour-touch log, FIFO
-    # bucket heads/tails and the append-only node pool (one slot per
-    # initial boundary vertex plus one per neighbour push).
-    locked = np.zeros(n, dtype=np.int64)
-    moves = np.empty(n, dtype=np.int64)
-    touched = np.empty(max(m, 1), dtype=np.int64)
-    bhead = np.empty(2 * maxdeg + 1, dtype=np.int64)
-    btail = np.empty(2 * maxdeg + 1, dtype=np.int64)
-    nxt = np.empty(n + m + 1, dtype=np.int64)
-    slot_val = np.empty(n + m + 1, dtype=np.int64)
-
-    for _ in range(max_passes):
-        if len(boundary) == 0:
-            break
-        bverts = boundary[rng.permutation(len(boundary))].astype(
-            np.int64, copy=False
-        )
-        bhead.fill(-1)
-        btail.fill(-1)
-        locked.fill(0)
-        cur_cut, n_moves, n_touched, best_prefix = fm_unit_pass(
-            xadj,
-            adjncy,
-            part64,
-            col,
-            wcol,
-            ideg,
-            edeg,
-            pw_arr,
-            inv_arr,
-            bverts,
-            maxdeg,
-            tol,
-            cur_cut,
-            max_moves_per_pass,
-            early_stop,
-            locked,
-            moves,
-            touched,
-            bhead,
-            btail,
-            nxt,
-            slot_val,
-        )
-        if check_cut:
-            part[:] = part64
-            ref_cut = edge_cut(g, part)
-            if abs(cur_cut - ref_cut) > 1e-6 * max(1.0, abs(ref_cut)):
-                raise PartitionInternalError(
-                    f"incremental cut {cur_cut} != recomputed {ref_cut}"
-                )
-        if best_prefix == 0:
-            break
-        if n_moves or n_touched:
-            cand = np.unique(
-                np.concatenate(
-                    [boundary, moves[:n_moves], touched[:n_touched]]
-                )
-            )
-            boundary = cand[edeg[cand] > 0]
-        else:
-            boundary = boundary[edeg[boundary] > 0]
-    part[:] = part64
-    return part
-
-
 def rebalance(
     g: CSRGraph,
     part: np.ndarray,
@@ -635,7 +470,6 @@ def rebalance(
     target_frac: float = 0.5,
     imbalance_tol: float = 1.05,
     max_moves: int | None = None,
-    compiled: bool | None = None,
 ) -> np.ndarray:
     """Repair an infeasible bisection by explicit balancing moves.
 
@@ -656,7 +490,7 @@ def rebalance(
     if max_moves is None:
         max_moves = n
 
-    ideg, edeg = _degrees(g, part, compiled=compiled)
+    ideg, edeg = _degrees(g, part)
     locked = np.zeros(n, dtype=bool)
     moves = 0
 

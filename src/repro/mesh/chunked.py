@@ -29,8 +29,6 @@ oracle (``engine="object"``).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .structures import Mesh
@@ -64,15 +62,13 @@ _CHILD3 = tuple(
 def resolve_engine(engine: str | None, max_depth: int, limit: int) -> str:
     """Resolve the mesh ``engine`` knob to ``"array"`` or ``"object"``.
 
-    ``None`` consults ``REPRO_MESH_ENGINE`` and defaults to the array
-    engine, falling back to the object engine when ``max_depth``
-    exceeds the packed-key ``limit``; an *explicitly* requested array
-    engine past the limit raises instead of silently degrading.
+    ``None`` means the array engine, falling back to the object engine
+    when ``max_depth`` exceeds the packed-key ``limit``; an
+    *explicitly* requested array engine past the limit raises instead
+    of silently degrading.
     """
     explicit = engine is not None
-    if engine is None:
-        engine = os.environ.get("REPRO_MESH_ENGINE", "").strip() or "array"
-    engine = engine.lower()
+    engine = "array" if engine is None else engine.lower()
     if engine not in ("array", "object"):
         raise ValueError(
             f"unknown mesh engine {engine!r} (expected 'array' or 'object')"

@@ -30,8 +30,6 @@ wide int64 adjacency and the ``face_of`` table are never held at all.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..graph.csr import CSRGraph
@@ -47,13 +45,10 @@ DEFAULT_CHUNK_FACES = 1 << 17
 def resolve_dual_engine(engine: str | None) -> str:
     """Resolve the dual-construction ``engine`` knob.
 
-    ``None`` consults ``REPRO_DUAL_ENGINE`` and defaults to
-    ``"streaming"``; ``"materialized"`` is the oracle path through
-    :meth:`~repro.mesh.structures.Mesh.cell_adjacency`.
+    ``None`` means ``"streaming"``; ``"materialized"`` is the oracle
+    path through :meth:`~repro.mesh.structures.Mesh.cell_adjacency`.
     """
-    if engine is None:
-        engine = os.environ.get("REPRO_DUAL_ENGINE", "").strip() or "streaming"
-    engine = engine.lower()
+    engine = "streaming" if engine is None else engine.lower()
     if engine not in ("streaming", "materialized"):
         raise ValueError(
             f"unknown dual engine {engine!r} (expected 'streaming' or "
@@ -174,11 +169,10 @@ def mesh_to_dual_graph(
         accumulates in float64 either way.
     engine:
         ``"streaming"`` (chunked two-pass builder, the default) or
-        ``"materialized"`` (the :meth:`Mesh.cell_adjacency` oracle);
-        ``None`` consults ``REPRO_DUAL_ENGINE``.  Both engines produce
-        bit-identical graphs.  A mesh whose adjacency cache is already
-        warm is served from the cache unless an engine was requested
-        explicitly.
+        ``"materialized"`` (the :meth:`Mesh.cell_adjacency` oracle).
+        Both engines produce bit-identical graphs.  A mesh whose
+        adjacency cache is already warm is served from the cache
+        unless an engine was requested explicitly.
     chunk_faces:
         Faces per streamed window (streaming engine only); defaults to
         :data:`DEFAULT_CHUNK_FACES`.  Any positive value — including

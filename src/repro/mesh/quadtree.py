@@ -123,9 +123,8 @@ def build_quadtree_mesh(
     engine:
         ``"array"`` — chunked NumPy build (the default; required for
         paper-scale meshes); ``"object"`` — the original dict/tuple
-        build, kept as the differential oracle.  ``None`` consults
-        ``REPRO_MESH_ENGINE``.  Both engines produce bit-identical
-        meshes.
+        build, kept as the differential oracle.  Both engines
+        produce bit-identical meshes.
     chunk_cells:
         Cells per vectorized pass of the array engine (bounds its
         transient memory; irrelevant to the result).

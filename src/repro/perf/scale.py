@@ -30,7 +30,7 @@ import numpy as np
 
 from ..graph.metrics import edge_cut
 from ..graph.partition import partition_graph, recursive_bisection
-from ..mesh.dual import mesh_to_dual_graph, resolve_dual_engine
+from ..mesh.dual import mesh_to_dual_graph
 from ..mesh.generators import cylinder_mesh, uniform_mesh
 from .common import (
     compare_results,
@@ -192,7 +192,7 @@ def run_benchmarks(
                 "cells_per_s": cells / dual_s,
                 "peak_rss_mib": dual_rss,
                 "index_dtype": str(g.adjncy.dtype),
-                "engine": resolve_dual_engine(None),
+                "engine": "streaming",
             },
             "partition_serial": serial_stage,
             "partition_parallel": parallel_stage,

@@ -42,12 +42,17 @@ def make_dag(costs, edges, processes=None) -> TaskDAG:
     )
 
 
-def fuzz_dag(seed: int) -> TaskDAG:
+def fuzz_dag(
+    seed: int, n: int | None = None, edges_per_task: int = 4
+) -> TaskDAG:
     """A random DAG whose ids are *not* in generation order, with
-    duplicate edges, isolated tasks and zero-cost tasks."""
+    duplicate edges, isolated tasks and zero-cost tasks.  Up to
+    ``edges_per_task * n`` edges are drawn, so a large value on a small
+    ``n`` gives a wide DAG made mostly of duplicate edges."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 120))
-    m = int(rng.integers(0, 4 * n))
+    if n is None:
+        n = int(rng.integers(2, 120))
+    m = int(rng.integers(0, edges_per_task * n))
     a, b = rng.integers(0, n, (2, m))
     keep = a != b
     lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]

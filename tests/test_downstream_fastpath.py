@@ -29,6 +29,7 @@ from repro.taskgraph import (
 )
 from repro.taskgraph.dag import TaskDAG
 from tests.oracles import dag_scalar
+from tests.test_dag_analytics import fuzz_dag
 
 
 class TestTaskGraphEquivalence:
@@ -101,18 +102,14 @@ class TestTaskGraphEquivalence:
 
 class TestSimulatorEquivalence:
     @pytest.mark.parametrize("scheduler", ["eager", "lifo", "cp", "sjf"])
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_matches_reference(self, cube_dag_mc, scheduler, engine):
+    def test_matches_reference(self, cube_dag_mc, scheduler):
         cluster = ClusterConfig(4, 2)
-        got = simulate(
-            cube_dag_mc, cluster, scheduler=scheduler, engine=engine
-        )
+        got = simulate(cube_dag_mc, cluster, scheduler=scheduler)
         want = simulate_ref(cube_dag_mc, cluster, scheduler=scheduler)
         assert trace_differences(got, want) == []
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_cp_matches_reference_on_scalar_bottom_levels(
-        self, cube_dag_mc, engine, monkeypatch
+        self, cube_dag_mc, monkeypatch
     ):
         """``simulate_ref`` asks the DAG for its bottom levels like the
         engine does; here the reference side gets them from the scalar
@@ -123,7 +120,7 @@ class TestSimulatorEquivalence:
             lambda: dag_scalar.critical_path(ref_dag),
         )
         cluster = ClusterConfig(4, 2)
-        got = simulate(cube_dag_mc, cluster, scheduler="cp", engine=engine)
+        got = simulate(cube_dag_mc, cluster, scheduler="cp")
         want = simulate_ref(ref_dag, cluster, scheduler="cp")
         assert ref_dag._bottom is None
         assert trace_differences(got, want) == []
@@ -136,11 +133,24 @@ class TestSimulatorEquivalence:
     def test_comm_model(self, cube_dag_mc, cores):
         comm = CommModel(latency=0.05, bandwidth=32.0)
         cluster = ClusterConfig(4, cores)
-        for engine in ("scalar", "batched"):
-            got = simulate(
-                cube_dag_mc, cluster, comm=comm, engine=engine
-            )
-            want = simulate_ref(cube_dag_mc, cluster, comm=comm)
+        got = simulate(cube_dag_mc, cluster, comm=comm)
+        want = simulate_ref(cube_dag_mc, cluster, comm=comm)
+        assert trace_differences(got, want) == []
+
+    @pytest.mark.parametrize("scheduler", ["eager", "cp", "lifo"])
+    @pytest.mark.parametrize("cores", [1, 3, None])
+    def test_wide_dag_with_duplicate_edges(self, cores, scheduler):
+        """Algorithm 1's DAGs have a handful of successors per task;
+        this one has ~100, half of them duplicate edges, so a successor
+        is released on the *last* of its repeated decrements."""
+        dag = fuzz_dag(0, n=200, edges_per_task=200)
+        assert dag.num_edges >= 60 * dag.num_tasks
+        unique = len(np.unique(dag.edges, axis=0))
+        assert dag.num_edges - unique > 10_000
+        cluster = ClusterConfig(3, cores)
+        for comm in (None, CommModel(latency=0.05, bandwidth=32.0)):
+            got = simulate(dag, cluster, scheduler=scheduler, comm=comm)
+            want = simulate_ref(dag, cluster, scheduler=scheduler, comm=comm)
             assert trace_differences(got, want) == []
 
     def test_random_scheduler_seeded(self, cube_dag_sc):
@@ -163,10 +173,6 @@ class TestSimulatorEquivalence:
         dur[7] = bad
         with pytest.raises(ValueError, match="non-finite"):
             simulate(cube_dag_mc, ClusterConfig(4, 1), durations=dur)
-
-    def test_rejects_unknown_engine(self, cube_dag_mc):
-        with pytest.raises(ValueError, match="engine"):
-            simulate(cube_dag_mc, ClusterConfig(4, 1), engine="warp")
 
     def test_trace_differences_detects_perturbation(self, cube_dag_mc):
         cluster = ClusterConfig(4, 2)

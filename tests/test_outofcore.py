@@ -1,12 +1,11 @@
 """Tests for the out-of-core scale rung.
 
-Three surfaces introduced together: streaming dual construction
+Two surfaces introduced together: streaming dual construction
 (chunked two-pass count/fill, bit-identical to the materialized
-oracle), the byte-budgeted spillable coarsening hierarchy
-(``HierarchySpill`` + ``REPRO_HIERARCHY_BUDGET``), and the compiled
-kernels for coarsening contraction and FM degree recomputation — plus
-the honest scale-suite rows (per-case ``cpus``, skip-with-reason
-parallel legs) and the per-case memory gate they feed.
+oracle) and the byte-budgeted spillable coarsening hierarchy
+(``HierarchySpill`` + ``REPRO_HIERARCHY_BUDGET``) — plus the honest
+scale-suite rows (per-case ``cpus``, skip-with-reason parallel legs)
+and the per-case memory gate they feed.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.graph import CSRGraph
 from repro.graph.bisect import multilevel_bisect
 from repro.graph.coarsen import HierarchySpill, contract, heavy_edge_matching
 from repro.graph.partition import partition_graph
-from repro.graph.refine import _degrees
 from repro.graph.shared import stale_segments, sweep_stale_segments
 from repro.mesh.dual import (
     DEFAULT_CHUNK_FACES,
@@ -97,11 +95,9 @@ class TestStreamingDual:
         _assert_same_graph(ref, got)
         assert got.adjwgt.dtype == np.float32
 
-    def test_engine_resolution(self, monkeypatch):
+    def test_engine_resolution(self):
         assert resolve_dual_engine(None) == "streaming"
         assert resolve_dual_engine("materialized") == "materialized"
-        monkeypatch.setenv("REPRO_DUAL_ENGINE", "materialized")
-        assert resolve_dual_engine(None) == "materialized"
         with pytest.raises(ValueError, match="unknown dual engine"):
             resolve_dual_engine("mmap")
 
@@ -238,70 +234,6 @@ class TestSpillGc:
             assert f"repro_spill_{os.getpid()}_alive" not in names
         finally:
             os.unlink(path)
-
-
-# ----------------------------------------------------------------------
-# Compiled kernels: contraction merge + degree recomputation
-# ----------------------------------------------------------------------
-class TestMultilevelKernels:
-    def test_contract_merge_bit_identical(self):
-        g = mesh_to_dual_graph(
-            uniform_mesh(depth=4), edge_weight="area", index_dtype="auto"
-        )
-        match = heavy_edge_matching(g, np.random.default_rng(1))
-        ref = contract(g, match, compiled=False)
-        ker = contract(g, match, compiled=True)
-        _assert_same_graph(ref.graph, ker.graph)
-        np.testing.assert_array_equal(ref.graph.vwgt, ker.graph.vwgt)
-        np.testing.assert_array_equal(ref.cmap, ker.cmap)
-
-    def test_contract_merge_empty_coarse_edges(self):
-        # Two matched vertices joined by one edge: the coarse graph has
-        # no edges at all, exercising the ng == 0 corner.
-        g = CSRGraph(
-            np.array([0, 1, 2]),
-            np.array([1, 0]),
-            vwgt=np.ones((2, 1)),
-            adjwgt=np.ones(2),
-        )
-        match = np.array([1, 0])
-        ref = contract(g, match, compiled=False)
-        ker = contract(g, match, compiled=True)
-        _assert_same_graph(ref.graph, ker.graph)
-
-    def test_degrees_bit_identical(self):
-        g = mesh_to_dual_graph(uniform_mesh(depth=4), edge_weight="area")
-        part = (np.random.default_rng(2).random(g.num_vertices) < 0.5).astype(
-            np.int32
-        )
-        i0, e0 = _degrees(g, part, compiled=False)
-        i1, e1 = _degrees(g, part, compiled=True)
-        np.testing.assert_array_equal(i0, i1)
-        np.testing.assert_array_equal(e0, e1)
-
-    def test_force_mode_end_to_end(self, monkeypatch):
-        """``REPRO_COMPILED=force`` must flip every kernel dispatch on
-        (interpreted without Numba) and leave the labels bit-identical."""
-        g = mesh_to_dual_graph(uniform_mesh(depth=4))
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        base = partition_graph(g, 4, seed=5)
-        monkeypatch.setenv("REPRO_COMPILED", "force")
-        forced = partition_graph(g, 4, seed=5)
-        np.testing.assert_array_equal(base.part, forced.part)
-
-    def test_force_mode_with_spill(self, monkeypatch):
-        """Kernel tier and spill tier compose: forcing both at once is
-        still bit-identical to the plain path."""
-        g = mesh_to_dual_graph(uniform_mesh(depth=4))
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        monkeypatch.delenv("REPRO_HIERARCHY_BUDGET", raising=False)
-        base = partition_graph(g, 4, seed=5)
-        monkeypatch.setenv("REPRO_COMPILED", "force")
-        monkeypatch.setenv("REPRO_HIERARCHY_BUDGET", "1")
-        forced = partition_graph(g, 4, seed=5)
-        np.testing.assert_array_equal(base.part, forced.part)
-        assert forced.spill["spills"] > 0
-        assert not _spill_litter()
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Tests for the paper-scale tier.
 
-Four surfaces introduced together: the shared-memory CSR segment that
+Three surfaces introduced together: the shared-memory CSR segment that
 parallel recursive bisection publishes to process workers, the
-int32/float32 storage narrowing with dtype provenance, the optional
-compiled kernel tier (bit-identical interpreted without Numba), and
-the ``scale`` perf suite plus its envelope-level memory gate.
+int32/float32 storage narrowing with dtype provenance, and the
+``scale`` perf suite plus its envelope-level memory gate.
 """
 
 from __future__ import annotations
@@ -15,12 +14,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.accel import is_available, jit_status, kernels_active
 from repro.graph import CSRGraph
-from repro.graph.coarsen import heavy_edge_matching
 from repro.graph.metrics import edge_cut
 from repro.graph.partition import partition_graph, recursive_bisection
-from repro.graph.refine import fm_refine
 from repro.graph.shared import SharedCSR, attached_graph
 from repro.mesh.dual import mesh_to_dual_graph
 from repro.mesh.generators import uniform_mesh
@@ -262,86 +258,6 @@ class TestDtypeNarrowing:
         res_w = partition_graph(wide, 5, seed=11)
         np.testing.assert_array_equal(res_n.part, res_w.part)
         assert res_n.cut == res_w.cut
-
-
-# ----------------------------------------------------------------------
-# Compiled kernel tier
-# ----------------------------------------------------------------------
-class TestCompiledTier:
-    def test_gating_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        assert kernels_active(True) is True
-        assert kernels_active(False) is False
-        assert kernels_active(None) is False
-        monkeypatch.setenv("REPRO_COMPILED", "force")
-        assert kernels_active(None) is True
-        assert kernels_active(False) is False
-        monkeypatch.setenv("REPRO_COMPILED", "1")
-        assert kernels_active(None) is is_available()
-        monkeypatch.setenv("REPRO_COMPILED", "0")
-        assert kernels_active(None) is False
-
-    def test_jit_status_matches_availability(self):
-        assert jit_status() == (
-            "numba" if is_available() else "interpreted"
-        )
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fm_compiled_bit_identical(self, seed):
-        g = narrow_graph(seed, n=90)
-        rng = np.random.default_rng(seed)
-        part0 = (rng.random(g.num_vertices) < 0.5).astype(np.int32)
-        ref = fm_refine(
-            g, part0.copy(), imbalance_tol=1.1,
-            rng=np.random.default_rng(seed), compiled=False,
-            check_cut=True,
-        )
-        ker = fm_refine(
-            g, part0.copy(), imbalance_tol=1.1,
-            rng=np.random.default_rng(seed), compiled=True,
-            check_cut=True,
-        )
-        np.testing.assert_array_equal(ref, ker)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_hem_compiled_bit_identical(self, seed):
-        g = narrow_graph(seed + 10, n=90)
-        ref = heavy_edge_matching(
-            g, np.random.default_rng(seed), compiled=False
-        )
-        ker = heavy_edge_matching(
-            g, np.random.default_rng(seed), compiled=True
-        )
-        np.testing.assert_array_equal(ref, ker)
-
-    def test_partition_chain_bit_identical_under_force(
-        self, dual_graph, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        base = partition_graph(dual_graph, 4, seed=5)
-        monkeypatch.setenv("REPRO_COMPILED", "force")
-        forced = partition_graph(dual_graph, 4, seed=5)
-        np.testing.assert_array_equal(base.part, forced.part)
-        assert base.cut == forced.cut
-
-    def test_flusim_compiled_bit_identical(self):
-        from repro.flusim import ClusterConfig, simulate, simulate_ref
-        from repro.flusim.trace import trace_differences
-        from repro.partitioning import make_decomposition
-        from repro.taskgraph import generate_task_graph
-        from repro.temporal import levels_from_depth
-
-        mesh = uniform_mesh(depth=3)
-        tau = levels_from_depth(mesh)
-        decomp = make_decomposition(mesh, tau, 4, 2, seed=0)
-        dag = generate_task_graph(mesh, tau, decomp)
-        cluster = ClusterConfig(decomp.num_processes, 2)
-        got = simulate(
-            dag, cluster, scheduler="eager", seed=0,
-            engine="batched", compiled=True,
-        )
-        want = simulate_ref(dag, cluster, scheduler="eager", seed=0)
-        assert not trace_differences(got, want)
 
 
 # ----------------------------------------------------------------------
