@@ -18,11 +18,6 @@ Commands
     both strategies.
 ``mesh <name>``
     Generate a replica mesh, print its summary, optionally save it.
-``bench``
-    Run the hot-path microbenchmark suites (``--suite partitioner``,
-    ``taskgraph``, ``flusim``, the opt-in paper-scale ``scale`` chain,
-    or ``all``); optionally compare against (or update) the matching
-    committed ``BENCH_<suite>.json`` baseline.
 ``campaign``
     Run a multi-iteration solver campaign with optional physics
     guards, fault injection, checkpointing and resume.
@@ -62,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 __all__ = ["main"]
@@ -233,58 +227,6 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
         save_mesh(mesh, args.output)
         print(f"saved to {args.output}")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf import SUITES, compare_results, get_suite, load_baseline, save_baseline
-
-    _apply_artifacts(args)
-    if args.compare and not os.path.exists(args.compare):
-        print(f"no baseline at {args.compare}", file=sys.stderr)
-        return 2
-
-    # "all" expands to the cheap default suites only; the scale suite
-    # (minutes, 1M+-cell meshes) must be requested by name.
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
-    if len(suites) > 1 and (args.output or args.compare):
-        print(
-            "--output/--compare need a single --suite "
-            "(use scripts/bench_compare.py for the multi-suite diff)",
-            file=sys.stderr,
-        )
-        return 2
-
-    sizes = ("smoke", "full") if args.size == "both" else (args.size,)
-    if args.size == "paper" and suites != ["scale"]:
-        print(
-            "--size paper is only defined for the scale suite "
-            "(repro bench --suite scale --size paper)",
-            file=sys.stderr,
-        )
-        return 2
-    rc = 0
-    for name in suites:
-        mod = get_suite(name)
-        kwargs = dict(repeats=args.repeats, seed=args.seed)
-        if name in ("partitioner", "scale", "dagsched"):
-            kwargs["n_jobs"] = args.jobs
-        result = mod.run_suite(sizes, **kwargs)
-        print(f"== {name} ==")
-        print(mod.format_report(result))
-        if args.output:
-            save_baseline(result, args.output)
-            print(f"wrote {args.output}")
-        if args.compare:
-            problems = compare_results(
-                load_baseline(args.compare), result, threshold=args.threshold
-            )
-            if problems:
-                for msg in problems:
-                    print(f"REGRESSION {msg}", file=sys.stderr)
-                rc = 1
-            else:
-                print(f"no regressions vs {args.compare}")
-    return rc
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -778,54 +720,6 @@ def main(argv: list[str] | None = None) -> int:
         "--map", action="store_true", help="print the ASCII τ map"
     )
     p.set_defaults(func=_cmd_mesh)
-
-    p = sub.add_parser(
-        "bench", help="run the hot-path microbenchmark suites"
-    )
-    p.add_argument(
-        "--suite",
-        choices=[
-            "partitioner",
-            "taskgraph",
-            "flusim",
-            "scale",
-            "dagsched",
-            "all",
-        ],
-        default="partitioner",
-        help="which perf suite(s) to run ('all' excludes the "
-        "minutes-long scale and dagsched suites; ask for them by name)",
-    )
-    p.add_argument(
-        "--size",
-        choices=["smoke", "full", "both", "paper"],
-        default="full",
-        help="benchmark size; 'paper' (6.4M-cell cylinder chain) is "
-        "scale-suite only",
-    )
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=3)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        help="n_jobs for the parallel k-way benchmark leg",
-    )
-    p.add_argument(
-        "--output", default=None, help="write results as a JSON baseline"
-    )
-    p.add_argument(
-        "--compare",
-        default=None,
-        help="baseline JSON to diff against (exit 1 on regression)",
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=3.0,
-        help="slowdown factor that counts as a regression",
-    )
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "campaign",

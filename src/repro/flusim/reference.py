@@ -2,16 +2,11 @@
 
 The low-overhead engine in :mod:`repro.flusim.simulator` replaced this
 module's per-successor Python loop (NumPy scalar indexing inside the
-heapq drain).  The original engine is kept here verbatim for two
-purposes:
-
-* **differential oracle** — tests and the fuzz harness assert the fast
-  engine produces *bit-identical* traces on the same DAG, scheduler,
-  durations and communication model (the proven pattern from
-  :mod:`repro.graph.reference`);
-* **perf tracking** — the benchmark harness
-  (:mod:`repro.perf.flusim`) times fast vs. reference on the same
-  inputs and records the speedup in ``BENCH_flusim.json``.
+heapq drain).  The original engine is kept here verbatim as a
+**differential oracle**: tests and the fuzz harness assert the fast
+engine produces *bit-identical* traces on the same DAG, scheduler,
+durations and communication model (the proven pattern from
+:mod:`repro.graph.reference`).
 
 This function is *not* used by the library at runtime.
 """

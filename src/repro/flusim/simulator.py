@@ -38,9 +38,8 @@ object type), so its DAGs are narrow (mean out-degree 2.8–8.1 on every
 chain the registry and the benchmark build); a per-completion NumPy
 release only overtakes the list loop past ~60 successors per task
 (EXPERIMENTS.md, "Traffic behind the deleted forks").  Traces are
-bit-identical to the reference oracle; the tests, the fuzz harness and
-the perf suite (:mod:`repro.perf.flusim`, ``BENCH_flusim.json``)
-enforce and track this.
+bit-identical to the reference oracle; the tests and the fuzz harness
+enforce this.
 """
 
 from __future__ import annotations

@@ -2,15 +2,10 @@
 
 The vectorized heavy-edge matching in :mod:`repro.graph.coarsen` and the
 incremental-gain FM in :mod:`repro.graph.refine` replaced per-vertex
-Python loops.  The original loops are kept here verbatim for two
-purposes:
-
-* **quality-parity oracles** — tests patch these into the multilevel
-  pipeline and assert the fast paths produce edge cuts and imbalance
-  statistically indistinguishable from the seed;
-* **perf tracking** — the benchmark harness
-  (:mod:`repro.perf.partitioner`) times fast vs. reference on the same
-  inputs and records the speedup in ``BENCH_partitioner.json``.
+Python loops.  The original loops are kept here verbatim as
+**quality-parity oracles**: tests patch these into the multilevel
+pipeline and assert the fast paths produce edge cuts and imbalance
+statistically indistinguishable from the seed.
 
 These functions are *not* used by the library at runtime.
 """

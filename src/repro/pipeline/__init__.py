@@ -45,7 +45,6 @@ from .scheduler import (
     execute_stage,
 )
 from .stages import (
-    MESH_BUILDERS,
     STAGE_INPUTS,
     STAGE_ORDER,
     STAGES,
@@ -93,7 +92,6 @@ __all__ = [
     "NodeResult",
     "PlanResult",
     "execute_stage",
-    "MESH_BUILDERS",
     "STAGES",
     "STAGE_ORDER",
     "STAGE_INPUTS",

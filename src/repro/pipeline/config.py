@@ -36,10 +36,10 @@ NUM_LEVELS = {"cylinder": 4, "cube": 4, "pprime_nozzle": 3}
 class MeshConfig:
     """Mesh generation: a named builder plus its sizing knobs.
 
-    ``name`` keys into :data:`repro.pipeline.stages.MESH_BUILDERS`
-    (the replica meshes plus the perf harness's graded benchmark
-    mesh).  ``scale`` overrides the builder's default ``max_depth``;
-    ``min_depth`` is honoured by the builders that take one.
+    ``name`` keys into :data:`repro.mesh.MESH_FACTORIES` (the replica
+    meshes).  ``scale`` overrides the builder's default ``max_depth``;
+    ``min_depth`` is forwarded when set — no registered builder takes
+    one, the field stays because it is part of the content address.
     """
 
     name: str

@@ -32,11 +32,6 @@ SCENARIOS: dict[str, Scenario] = {
     "speedup": Scenario.standard(
         "cylinder", domains=128, processes=16, cores=32
     ),
-    # The perf harness's graded benchmark mesh (mesh/levels prefix
-    # only; partition sizes are whatever the bench leg asks for).
-    "bench_graded": Scenario.standard(
-        "bench_graded", domains=8, processes=8, cores=1, scale=11
-    ).with_options(min_depth=5),
 }
 
 #: Scenarios whose legacy ``PAPER_CONFIGS`` entry omitted the mesh

@@ -21,14 +21,14 @@ computed one.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from ..flusim import ClusterConfig, schedule_metrics, simulate
 from ..flusim.metrics import ScheduleMetrics
 from ..flusim.trace import Trace
-from ..mesh import MESH_FACTORIES, build_quadtree_mesh
+from ..mesh import MESH_FACTORIES
 from ..mesh.structures import Mesh
 from ..partitioning import DomainDecomposition, make_decomposition
 from ..taskgraph.dag import TaskDAG
@@ -45,7 +45,6 @@ from .config import (
 )
 
 __all__ = [
-    "MESH_BUILDERS",
     "MeshStage",
     "LevelStage",
     "PartitionStage",
@@ -79,27 +78,6 @@ _TASK_FIELDS = (
 )
 
 
-def _bench_graded_mesh(
-    max_depth: int = 11, min_depth: int = 5
-) -> Mesh:
-    """The perf harness's strongly graded quadtree mesh — the same
-    shape of input the paper's repartitioning loop sees."""
-
-    def sizing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return 0.0006 + 0.015 * np.hypot(x - 0.3, y - 0.4)
-
-    return build_quadtree_mesh(
-        sizing, max_depth=max_depth, min_depth=min_depth
-    )
-
-
-#: Name → mesh builder; the replica meshes plus the benchmark mesh.
-MESH_BUILDERS: dict[str, Callable[..., Mesh]] = {
-    **MESH_FACTORIES,
-    "bench_graded": _bench_graded_mesh,
-}
-
-
 class MeshStage:
     """``MeshConfig`` → :class:`~repro.mesh.structures.Mesh`."""
 
@@ -109,11 +87,11 @@ class MeshStage:
     @staticmethod
     def compute(config: MeshConfig) -> Mesh:
         try:
-            factory = MESH_BUILDERS[config.name]
+            factory = MESH_FACTORIES[config.name]
         except KeyError:
             raise ValueError(
                 f"unknown mesh {config.name!r}; choose from "
-                f"{sorted(MESH_BUILDERS)}"
+                f"{sorted(MESH_FACTORIES)}"
             ) from None
         kwargs: dict[str, Any] = {}
         if config.scale is not None:

@@ -3,15 +3,10 @@
 The vectorized :func:`repro.taskgraph.generation.generate_task_graph`
 replaced this module's nested Python loops (per-domain appends inside
 every phase of every subiteration).  The original generation loop is
-kept here verbatim for two purposes:
-
-* **differential oracle** — tests and the fuzz harness assert the fast
-  path produces *bit-identical* task arrays and the same canonical
-  edge set on the same inputs (the proven pattern from
-  :mod:`repro.graph.reference`);
-* **perf tracking** — the benchmark harness
-  (:mod:`repro.perf.taskgraph`) times fast vs. reference on the same
-  inputs and records the speedup in ``BENCH_taskgraph.json``.
+kept here verbatim as a **differential oracle**: tests and the fuzz
+harness assert the fast path produces *bit-identical* task arrays and
+the same canonical edge set on the same inputs (the proven pattern
+from :mod:`repro.graph.reference`).
 
 This function is *not* used by the library at runtime.  The shared
 object classification and group-relation setup (already vectorized in

@@ -288,7 +288,6 @@ class TestComputedOncePerDag:
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
-@pytest.mark.perf_smoke
 def test_level_pass_iterates_once_per_depth_level(gathers):
     """A count, not a wall time: the Kahn pass gathers the frontier's
     successor rows once per depth level, so a per-task loop cannot

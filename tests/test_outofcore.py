@@ -3,9 +3,7 @@
 Two surfaces introduced together: streaming dual construction
 (chunked two-pass count/fill, bit-identical to the materialized
 oracle) and the byte-budgeted spillable coarsening hierarchy
-(``HierarchySpill`` + ``REPRO_HIERARCHY_BUDGET``) — plus the honest
-scale-suite rows (per-case ``cpus``, skip-with-reason parallel legs)
-and the per-case memory gate they feed.
+(``HierarchySpill`` + ``REPRO_HIERARCHY_BUDGET``).
 """
 
 from __future__ import annotations
@@ -234,100 +232,3 @@ class TestSpillGc:
             assert f"repro_spill_{os.getpid()}_alive" not in names
         finally:
             os.unlink(path)
-
-
-# ----------------------------------------------------------------------
-# Honest scale-suite rows + memory gates
-# ----------------------------------------------------------------------
-class TestScaleSuiteRows:
-    @pytest.fixture()
-    def tiny_sizes(self, monkeypatch):
-        from repro.perf import scale
-
-        monkeypatch.setitem(
-            scale.SIZES, "tiny", dict(depth=3, mesh="uniform")
-        )
-        return scale
-
-    def test_single_cpu_skips_parallel_with_reason(
-        self, tiny_sizes, monkeypatch
-    ):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        case = tiny_sizes.run_benchmarks(size="tiny")
-        assert case["cpus"] == 1
-        st = case["stages"]["partition_parallel"]
-        assert st["skipped"] is True
-        assert "cpu_count" in st["reason"]
-        # The report renders the skip instead of crashing on missing keys.
-        report = tiny_sizes.format_report({"cases": {"tiny": case}})
-        assert "skipped" in report
-
-    def test_multi_cpu_records_speedup_row(self, tiny_sizes, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        case = tiny_sizes.run_benchmarks(size="tiny")
-        assert case["cpus"] == 2
-        st = case["stages"]["partition_parallel"]
-        assert "parallel_speedup" in st and "cut_vs_serial" in st
-
-    def test_paper_size_registered(self):
-        from repro.perf.scale import SIZES
-
-        assert SIZES["paper"]["mesh"] == "cylinder"
-        assert SIZES["paper"]["depth"] == 14
-
-    def test_spill_row_recorded(self, tiny_sizes, monkeypatch):
-        # depth 5: deep enough (1024 cells vs coarse_to=64) to build a
-        # coarsening hierarchy that the 1-byte budget must spill.
-        monkeypatch.setitem(
-            tiny_sizes.SIZES, "tiny", dict(depth=5, mesh="uniform")
-        )
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setenv("REPRO_HIERARCHY_BUDGET", "1")
-        case = tiny_sizes.run_benchmarks(size="tiny")
-        st = case["stages"]["partition_serial"]
-        assert st["spill"]["spills"] > 0
-        report = tiny_sizes.format_report({"cases": {"tiny": case}})
-        assert "spills=" in report
-
-
-class TestMemoryGates:
-    def _envelope(self, cases, rss):
-        return {"schema": 1, "peak_rss_mib": rss, "cases": cases}
-
-    def test_skipped_rows_never_gate(self):
-        from repro.perf.common import compare_results
-
-        base = self._envelope(
-            {"full": {"p": {"fast_s": 0.1, "speedup": 2.0}}}, 100.0
-        )
-        cur = self._envelope({"full": {"p": {"skipped": True}}}, 100.0)
-        assert compare_results(base, cur) == []
-
-    def test_envelope_gate_requires_matching_coverage(self):
-        from repro.perf.common import compare_results
-
-        base = self._envelope({"smoke": {}, "paper": {}}, 100.0)
-        cur = self._envelope({"smoke": {}}, 1000.0)
-        # Different case sets: the 10x envelope blowup must NOT fire —
-        # the baseline high-water came from a case this run never ran.
-        assert compare_results(base, cur) == []
-        cur_full = self._envelope({"smoke": {}, "paper": {}}, 1000.0)
-        assert any(
-            "memory regression" in p for p in compare_results(base, cur_full)
-        )
-
-    def test_per_case_rss_gate(self):
-        from repro.perf.common import compare_results
-
-        base = self._envelope(
-            {"smoke": {"dual": {"peak_rss_mib": 100.0}}}, 0.0
-        )
-        cur = self._envelope(
-            {"smoke": {"dual": {"peak_rss_mib": 500.0}}}, 0.0
-        )
-        problems = compare_results(base, cur)
-        assert any("cases/smoke/dual" in p for p in problems)
-        ok = self._envelope(
-            {"smoke": {"dual": {"peak_rss_mib": 150.0}}}, 0.0
-        )
-        assert compare_results(base, ok) == []

@@ -51,9 +51,9 @@ class TestNumericalIdentity:
         rec = fresh_pipeline().run(sc)
 
         # the same chain, called directly on the subsystems
-        from repro.pipeline.stages import MESH_BUILDERS
+        from repro.mesh import MESH_FACTORIES
 
-        mesh = MESH_BUILDERS["cylinder"](max_depth=6)
+        mesh = MESH_FACTORIES["cylinder"](max_depth=6)
         tau = levels_from_depth(mesh, num_levels=4)
         decomp = make_decomposition(
             mesh, tau, 6, 3, strategy=strategy, seed=0

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import ast
 import doctest
+import re
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -42,22 +45,37 @@ class TestDocumentation:
             assert ast.get_docstring(mod), path.name
 
     def test_design_and_experiments_reference_real_benches(self):
+        """Every bench script, ``python -m repro`` sub-command and
+        ``BENCH*.json`` file the docs name must exist."""
+        from repro.cli import main
+
         bench_names = {
             p.name
             for d in ("benchmarks", "scripts")
             for p in (REPO_ROOT / d).glob("bench_*.py")
         }
-        for doc in ("DESIGN.md", "EXPERIMENTS.md"):
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
             text = (REPO_ROOT / doc).read_text()
-            for token in bench_names:
-                # Not all benches must appear, but every bench path
-                # mentioned in the docs must exist.
-                pass
-            import re
-
-            mentioned = set(re.findall(r"bench_\w+\.py", text))
-            missing = mentioned - bench_names
+            missing = set(re.findall(r"bench_\w+\.py", text)) - bench_names
             assert not missing, f"{doc} references unknown benches: {missing}"
+
+            commands = set(
+                re.findall(
+                    r"python3? -m repro(?: --debug| --artifacts \S+)* (\w+)",
+                    text,
+                )
+            )
+            for cmd in sorted(commands):
+                with pytest.raises(SystemExit) as exit_info:
+                    main([cmd, "--help"])
+                assert exit_info.value.code == 0, (
+                    f"{doc} names `python -m repro {cmd}`, not a sub-command"
+                )
+
+            for name in set(re.findall(r"BENCH\w*\.json", text)):
+                assert (REPO_ROOT / name).is_file(), (
+                    f"{doc} names {name}, absent from the repo root"
+                )
 
     def test_public_modules_have_docstrings(self):
         for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):

@@ -1,9 +1,8 @@
 """Tests for the paper-scale tier.
 
-Three surfaces introduced together: the shared-memory CSR segment that
-parallel recursive bisection publishes to process workers, the
-int32/float32 storage narrowing with dtype provenance, and the
-``scale`` perf suite plus its envelope-level memory gate.
+Two surfaces introduced together: the shared-memory CSR segment that
+parallel recursive bisection publishes to process workers, and the
+int32/float32 storage narrowing with dtype provenance.
 """
 
 from __future__ import annotations
@@ -258,80 +257,3 @@ class TestDtypeNarrowing:
         res_w = partition_graph(wide, 5, seed=11)
         np.testing.assert_array_equal(res_n.part, res_w.part)
         assert res_n.cut == res_w.cut
-
-
-# ----------------------------------------------------------------------
-# Scale perf suite + memory gate
-# ----------------------------------------------------------------------
-class TestScaleSuite:
-    def test_suite_registry(self):
-        from repro.perf import EXTRA_SUITES, SUITES, get_suite, scale_suite
-
-        assert "scale" not in SUITES  # never expanded from "all"
-        assert get_suite("scale") is scale_suite
-        assert get_suite("partitioner") is SUITES["partitioner"]
-        with pytest.raises(ValueError):
-            get_suite("nope")
-        assert set(EXTRA_SUITES) == {"scale", "dagsched"}
-
-    def test_run_benchmarks_tiny_chain(self, monkeypatch):
-        from repro.perf import scale_suite
-
-        monkeypatch.setitem(scale_suite.SIZES, "tiny", dict(depth=4))
-        # Pin >= 2 CPUs so the parallel leg runs even on 1-CPU boxes
-        # (where it is skipped-with-reason; covered in test_outofcore).
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        case = scale_suite.run_benchmarks(size="tiny", n_jobs=2)
-        assert case["cells"] == 4**4
-        stages = case["stages"]
-        assert stages["dual"]["index_dtype"] == "int32"
-        assert stages["partition_serial"]["dtypes"]["adjncy"] == "int32"
-        par = stages["partition_parallel"]
-        assert par["workers_attached"] >= 1
-        assert 0.0 < par["cut_vs_serial"] < 2.0
-        for st in stages.values():
-            assert st["seconds"] >= 0.0
-            assert st["peak_rss_mib"] > 0.0
-        report = scale_suite.format_report(
-            scale_suite.run_suite(("tiny",), n_jobs=2)
-        )
-        assert "workers attached" in report
-
-    def test_unknown_size_rejected(self):
-        from repro.perf import scale_suite
-
-        with pytest.raises(ValueError):
-            scale_suite.run_benchmarks(size="galactic")
-
-    def test_peak_rss_positive_and_monotone(self):
-        from repro.perf.common import peak_rss_mib
-
-        a = peak_rss_mib()
-        blob = np.ones(4 << 20, dtype=np.uint8)  # 4 MiB touch
-        blob[::4096] = 2
-        b = peak_rss_mib()
-        assert a > 0 and b >= a
-
-    def test_memory_gate_fires_and_stays_silent(self):
-        from repro.perf.common import compare_results
-
-        base = {"cases": {}, "peak_rss_mib": 100.0}
-        bloated = {"cases": {}, "peak_rss_mib": 350.0}
-        ok = {"cases": {}, "peak_rss_mib": 150.0}
-        assert any(
-            "peak_rss_mib" in p for p in compare_results(base, bloated)
-        )
-        assert not compare_results(base, ok)
-        # Old baselines without the field must not trip the gate.
-        assert not compare_results({"cases": {}}, bloated)
-
-    def test_kway_bench_forced_workers_on_small_machines(self):
-        from repro.perf.partitioner import _bench_kway
-
-        g = narrow_graph(9, n=200)
-        out = _bench_kway(g, 4, repeats=1, seed=3, n_jobs=1)
-        if out.get("skipped"):
-            pytest.skip(out["reason"])  # pool genuinely cannot start
-        assert out["n_jobs"] >= 2
-        assert out["parallel_s"] > 0.0
-        assert out["forced_workers"] == ((os.cpu_count() or 1) < 2)
