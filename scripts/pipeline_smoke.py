@@ -5,7 +5,11 @@ Runs the same scenario twice against a throwaway disk store and
 asserts the content-addressed cache actually does its job:
 
 * the cold run computes every stage (no hits);
-* the warm run is served from the store for *every* stage;
+* what it left on disk costs the array bytes and no more (the ``.npz``
+  members are stored, not deflated; the table is the disk price);
+* the warm run is served from the store for *every* stage — with one
+  stage's ``.npz`` rewritten the way earlier versions wrote it
+  (``np.savez_compressed``), so the old format is read in every run;
 * the warm run is faster than the cold run.
 
 Exit code 0 on success, 1 with a diagnostic on any violation.
@@ -21,8 +25,52 @@ import argparse
 import sys
 import tempfile
 import time
+from pathlib import Path
+
+import numpy as np
 
 from repro.pipeline import ArtifactStore, Pipeline, get_scenario
+
+#: Container bytes allowed per array beyond its data: the ``.npy``
+#: header plus the zip local and central records (~260 B measured).
+MEMBER_OVERHEAD = 1024
+#: The stage whose entry is rewritten deflated before the warm run.
+LEGACY_STAGE = "taskgraph"
+
+
+def disk_price(root: Path, store: ArtifactStore, cold) -> list[str]:
+    """Print ``store.doctor()``'s per-stage on-disk bytes beside the
+    array bytes; a problem for every stage that costs more than its
+    arrays, its sidecar and the container's per-member records."""
+    problems = []
+    per_stage = store.doctor().per_stage
+    print("on disk after the cold run (npz + sidecar, store.doctor()):")
+    print(f"{'stage':>10s} {'arrays':>7s} {'array B':>10s} {'on disk B':>10s}")
+    for name, rec in cold.provenance.items():
+        base = root / name / rec.digest
+        with np.load(base.with_suffix(".npz")) as data:
+            members = len(data.files)
+            array_bytes = sum(data[k].nbytes for k in data.files)
+        _, on_disk = per_stage[name]
+        print(f"{name:>10s} {members:7d} {array_bytes:10d} {on_disk:10d}")
+        allowed = (
+            array_bytes
+            + MEMBER_OVERHEAD * members
+            + base.with_suffix(".json").stat().st_size
+        )
+        if on_disk > allowed:
+            problems.append(
+                f"stage {name!r} costs {on_disk} B on disk for "
+                f"{array_bytes} B of arrays (allowed {allowed})"
+            )
+    return problems
+
+
+def rewrite_deflated(npz: Path) -> None:
+    """Re-encode one entry in place as earlier versions wrote it."""
+    with np.load(npz) as data:
+        arrays = {k: data[k] for k in data.files}
+    np.savez_compressed(npz, **arrays)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,6 +102,10 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         cold = pipe.run(scenario)
         cold_s = time.perf_counter() - t0
+
+        problems += disk_price(Path(root), store, cold)
+        legacy = cold.provenance[LEGACY_STAGE].digest
+        rewrite_deflated(Path(root) / LEGACY_STAGE / f"{legacy}.npz")
 
         # drop the in-process objects so the warm run must exercise
         # the disk layer end to end

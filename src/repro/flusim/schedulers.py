@@ -114,14 +114,19 @@ class PriorityQueue:
     task cost it becomes LJF/SJF.
     """
 
-    def __init__(self, priority: np.ndarray) -> None:
-        self._priority = priority
+    def __init__(self, priority: np.ndarray | list[float]) -> None:
+        # Python floats, converted once: a NumPy scalar index per push
+        # costs more than the heap operation it feeds.  A list is used
+        # as is, so a cluster's queues can share one conversion.
+        self._priority = (
+            priority if isinstance(priority, list) else _as_floats(priority)
+        )
         self._heap: list[tuple[float, int, int]] = []
         self._counter = 0
 
     def push(self, task: int, ready_time: float) -> None:
         heapq.heappush(
-            self._heap, (-float(self._priority[task]), self._counter, task)
+            self._heap, (-self._priority[task], self._counter, task)
         )
         self._counter += 1
 
@@ -151,6 +156,10 @@ class RandomQueue:
         return len(self._items)
 
 
+def _as_floats(values: np.ndarray) -> list[float]:
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
 def make_scheduler(
     name: str,
     *,
@@ -170,15 +179,18 @@ def make_scheduler(
     if name == "cp":
         if bottom_levels is None:
             raise ValueError("cp scheduler needs bottom_levels")
-        return lambda: PriorityQueue(bottom_levels)
+        levels = _as_floats(bottom_levels)
+        return lambda: PriorityQueue(levels)
     if name == "ljf":
         if costs is None:
             raise ValueError("ljf scheduler needs costs")
-        return lambda: PriorityQueue(costs)
+        longest = _as_floats(costs)
+        return lambda: PriorityQueue(longest)
     if name == "sjf":
         if costs is None:
             raise ValueError("sjf scheduler needs costs")
-        return lambda: PriorityQueue(-np.asarray(costs))
+        shortest = _as_floats(-np.asarray(costs))
+        return lambda: PriorityQueue(shortest)
     if name == "random":
         rng = np.random.default_rng(seed)
         return lambda: RandomQueue(rng)

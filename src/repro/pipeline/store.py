@@ -16,6 +16,15 @@ version + package version + canonical config + upstream digests.  Any
 prefix of the chain computed once is therefore reused across
 experiments, CLI invocations, benches and campaign restarts.
 
+The ``.npz`` members are **stored, not deflated** (``np.savez``): every
+entry is recomputable, and deflating one cost more than recomputing
+most of them (a third of a ``downstream_sweep`` batch went to zlib for
+a x6.5 smaller cache; EXPERIMENTS.md "Store writes that cost what they
+save").  Each member still carries its zip CRC-32, checked on read.
+Disk use is what ``repro store doctor`` prints per stage and what
+``REPRO_ARTIFACTS_BUDGET`` bounds.  ``np.load`` reads deflated members
+too, so entries written by earlier versions stay disk hits.
+
 Writes are crash-safe with the same idiom as
 :mod:`repro.resilience.checkpoint`: both files go to ``*.tmp`` first
 and are ``os.replace``-d into place, arrays before sidecar, so a
@@ -386,7 +395,7 @@ class ArtifactStore:
                 missing = [k for k in expected if k not in data]
                 if missing:
                     raise ValueError(f"arrays missing {missing}")
-                arrays = {k: data[k].copy() for k in expected}
+                arrays = {k: data[k] for k in expected}
         except Exception as exc:  # BadZipFile, OSError, ValueError, ...
             self.stats.corrupt += 1
             reason = f"{type(exc).__name__}: {exc}"
@@ -452,7 +461,7 @@ class ArtifactStore:
         try:
             npz_path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp_npz, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
+                np.savez(fh, **arrays)
             os.replace(tmp_npz, npz_path)
             with open(tmp_json, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=1, sort_keys=True)

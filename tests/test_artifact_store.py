@@ -13,12 +13,15 @@ without recomputing a single digest.
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +166,32 @@ class TestSelfHealing:
         rec2 = pipe.run(SCENARIO, through="partition")
         assert rec2.provenance["partition"].cache == "disk"
 
+    def test_flipped_byte_in_stored_member_recomputes(self, disk_store):
+        """A stored member has no inflater to trip over a damaged
+        payload; the zip member CRC-32 is what catches it."""
+        pipe, npz, _ = self._one_artifact(disk_store)
+        with zipfile.ZipFile(npz) as zf:
+            info = max(zf.infolist(), key=lambda i: i.file_size)
+        assert info.compress_type == zipfile.ZIP_STORED
+        raw = bytearray(npz.read_bytes())
+        name_len, extra_len = struct.unpack_from(
+            "<HH", raw, info.header_offset + 26
+        )
+        data_start = info.header_offset + 30 + name_len + extra_len
+        raw[data_start + info.file_size - 1] ^= 0xFF  # last array byte
+        npz.write_bytes(bytes(raw))
+        disk_store.clear_memory()
+        with pytest.warns(RuntimeWarning, match="corrupt artifact.*CRC"):
+            rec = pipe.run(SCENARIO, through="partition")
+        assert not rec.provenance["partition"].hit
+        assert disk_store.stats.corrupt == 1
+        assert disk_store.stats.quarantined == 1
+        qdir = disk_store.root / ".quarantine"
+        assert (qdir / f"partition__{npz.name}").exists()
+        disk_store.clear_memory()
+        rec2 = pipe.run(SCENARIO, through="partition")
+        assert rec2.provenance["partition"].cache == "disk"
+
     def test_mismatched_sidecar_recomputes(self, disk_store):
         pipe, _, sidecar = self._one_artifact(disk_store)
         record = json.loads(sidecar.read_text())
@@ -201,6 +230,26 @@ class TestRoundTrip:
         assert cached.num_processes == fresh.num_processes
         assert cached.strategy == fresh.strategy
 
+        # No migration: the same entry as earlier versions wrote it
+        # (deflated members under an unchanged sidecar) is still a hit.
+        digest = rec.provenance["partition"].digest
+        npz = disk_store.root / "partition" / f"{digest}.npz"
+        with np.load(npz) as data:
+            members = {k: data[k] for k in data.files}
+        np.savez_compressed(npz, **members)
+        with zipfile.ZipFile(npz) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+        disk_store.clear_memory()
+        legacy = pipe.run(SCENARIO, through="partition")
+        assert legacy.provenance["partition"].cache == "disk"
+        assert disk_store.stats.corrupt == 0
+        np.testing.assert_array_equal(legacy.decomp.domain, fresh.domain)
+        np.testing.assert_array_equal(
+            legacy.decomp.domain_process, fresh.domain_process
+        )
+
     def test_schedule_round_trips(self, disk_store):
         pipe = Pipeline(disk_store)
         fresh = pipe.run(SCENARIO)
@@ -214,6 +263,34 @@ class TestRoundTrip:
             rec.trace.start, fresh.trace.start
         )
         rec.trace.validate_against(rec.dag)
+
+    def test_entry_is_stored_and_read_back_owned(self, disk_store):
+        """The container is a stored (not deflated) ``.npz``, so it
+        costs the array bytes on disk; what ``disk_read`` hands back
+        is fresh memory the caller may write to."""
+        arrays = {
+            "ints": np.zeros(4096, dtype=np.int64),  # deflates to ~nothing
+            "floats": np.linspace(0.0, 1.0, 1000),
+            "flags": np.ones((8, 8), dtype=bool),
+        }
+        disk_store.disk_write("mesh", "a" * 40, arrays, sidecar={"meta": {}})
+        npz, _ = disk_store._paths("mesh", "a" * 40)
+        with zipfile.ZipFile(npz) as zf:
+            assert [i.compress_type for i in zf.infolist()] == [
+                zipfile.ZIP_STORED
+            ] * len(arrays)
+        nbytes = sum(a.nbytes for a in arrays.values())
+        assert nbytes <= npz.stat().st_size <= nbytes + 1024 * len(arrays)
+
+        got = disk_store.disk_read("mesh", "a" * 40).arrays
+        assert sorted(got) == sorted(arrays)
+        for name, arr in got.items():
+            np.testing.assert_array_equal(arr, arrays[name])
+            assert arr.dtype == arrays[name].dtype
+            assert arr.flags.writeable
+            arr[...] = 1  # must not raise, nor reach a sibling
+        for a, b in itertools.combinations(got.values(), 2):
+            assert not np.shares_memory(a, b)
 
     def test_sidecar_provenance_fields(self, disk_store):
         pipe = Pipeline(disk_store)
@@ -533,7 +610,7 @@ class TestDegradation:
         def boom(*a, **k):
             raise OSError(errno.ENOSPC, "no space left on device")
 
-        monkeypatch.setattr(np, "savez_compressed", boom)
+        monkeypatch.setattr(np, "savez", boom)
         with pytest.warns(RuntimeWarning, match="degraded to memory-only"):
             out = store.disk_write(
                 "mesh", "f" * 40, {"x": np.arange(4.0)}, sidecar={"meta": {}}
@@ -556,7 +633,7 @@ class TestDegradation:
         def boom(*a, **k):
             raise OSError(errno.EIO, "I/O error")
 
-        monkeypatch.setattr(np, "savez_compressed", boom)
+        monkeypatch.setattr(np, "savez", boom)
         with pytest.warns(RuntimeWarning, match="continuing uncached"):
             out = store.disk_write(
                 "mesh", "g" * 40, {"x": np.arange(4.0)}, sidecar={"meta": {}}
