@@ -77,7 +77,7 @@ def multilevel_bisect(
             rng,
             ntrials=init_trials,
             imbalance_tol=imbalance_tol,
-        ).astype(np.int32)
+        ).astype(np.int32, copy=False)
         part = rebalance(
             cur, part, target_frac=target_frac, imbalance_tol=imbalance_tol
         )
@@ -103,7 +103,7 @@ def multilevel_bisect(
                 fine, reader = spill.reload(fine_lvl)
             else:
                 fine, reader = fine_lvl.graph, None
-            part = part[lvl.cmap].astype(np.int32)
+            part = part[lvl.cmap].astype(np.int32, copy=False)
             part = rebalance(
                 fine,
                 part,

@@ -238,38 +238,47 @@ def _matching_fallback(
     (or when a round makes no progress on an adversarial tie pattern);
     guarantees termination with the same semantics as the seed loop.
     """
-    xadj, adjncy, adjwgt, vwgt = g.xadj, g.adjncy, g.adjwgt, g.vwgt
-    if vwgt.dtype != np.float64:
-        # Compare spreads in float64 so narrowed graphs match the wide
-        # path bit for bit.
-        vwgt = vwgt.astype(np.float64)
-    for v in candidates[rng.permutation(len(candidates))]:
-        if match[v] != v:
+    # Spreads compare in float64 on narrowed graphs too, bit for bit
+    # as on the wide path.
+    xadj, adjncy, adjwgt, vw_cols = g.scalar_views()
+    mt = memoryview(match)
+
+    def spread(v: int, u: int) -> float:
+        """max - min of the combined weight vector of ``v`` and ``u``."""
+        hi = lo = vw_cols[0][v] + vw_cols[0][u]
+        for col in vw_cols[1:]:
+            both = col[v] + col[u]
+            if both > hi:
+                hi = both
+            elif both < lo:
+                lo = both
+        return hi - lo
+
+    for v in candidates[rng.permutation(len(candidates))].tolist():
+        if mt[v] != v:
             continue
         best = -1
         best_w = -np.inf
         best_spread = np.inf
         for idx in range(xadj[v], xadj[v + 1]):
             u = adjncy[idx]
-            if match[u] != u or u == v:
+            if mt[u] != u or u == v:
                 continue
-            w = float(adjwgt[idx])
+            w = adjwgt[idx]
             if multi:
                 if w > best_w + 1e-12:
-                    combined = vwgt[v] + vwgt[u]
                     best, best_w = u, w
-                    best_spread = float(combined.max() - combined.min())
+                    best_spread = spread(v, u)
                 elif w > best_w - 1e-12:
-                    combined = vwgt[v] + vwgt[u]
-                    spread = float(combined.max() - combined.min())
-                    if spread < best_spread:
-                        best, best_w, best_spread = u, w, spread
+                    s = spread(v, u)
+                    if s < best_spread:
+                        best, best_w, best_spread = u, w, s
             else:
                 if w > best_w:
                     best, best_w = u, w
         if best >= 0:
-            match[v] = best
-            match[best] = v
+            mt[v] = best
+            mt[best] = v
 
 
 def heavy_edge_matching(

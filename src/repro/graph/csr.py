@@ -143,6 +143,28 @@ class CSRGraph:
             )
         return self._edge_sources
 
+    def scalar_views(
+        self,
+    ) -> tuple[memoryview, memoryview, memoryview, list[memoryview]]:
+        """``(xadj, adjncy, adjwgt, vwgt columns)`` as ``memoryview``s,
+        for the kernels that walk the graph one element at a time.
+
+        Indexing a ``memoryview`` is C-typed element access that hands
+        a Python loop an ``int``/``float``: no NumPy scalar is built
+        per read, nothing is copied or boxed the way
+        ``ndarray.tolist()`` boxes it (8 B per element already in RAM
+        against a 32-40 B heap object each), read-only mmap'd levels
+        work as they are, and narrowed int32/float32 storage widens
+        exactly — loops written on the views compute in float64
+        whatever the storage width, so labels do not depend on it.
+        """
+        return (
+            memoryview(self.xadj),
+            memoryview(self.adjncy),
+            memoryview(self.adjwgt),
+            [memoryview(self.vwgt[:, c]) for c in range(self.ncon)],
+        )
+
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbour indices of vertex ``v`` (a CSR view, do not mutate)."""
         return self.adjncy[self.xadj[v] : self.xadj[v + 1]]

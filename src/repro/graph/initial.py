@@ -21,25 +21,7 @@ from ..resilience.errors import PartitionInternalError
 from .csr import CSRGraph
 from .metrics import edge_cut, imbalance
 
-__all__ = ["greedy_graph_growing", "best_initial_bisection", "random_bisection"]
-
-
-def random_bisection(
-    g: CSRGraph, target_frac: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Random feasible-ish bisection used as a last-resort fallback."""
-    n = g.num_vertices
-    part = np.ones(n, dtype=np.int32)
-    order = rng.permutation(n)
-    total = g.total_vwgt()
-    want = total * target_frac
-    acc = np.zeros_like(want)
-    for v in order:
-        if np.all(acc >= want):
-            break
-        part[v] = 0
-        acc += g.vwgt[v]
-    return part
+__all__ = ["greedy_graph_growing", "best_initial_bisection"]
 
 
 def greedy_graph_growing(
@@ -59,53 +41,50 @@ def greedy_graph_growing(
     discrete weights).
     """
     n = g.num_vertices
-    total = g.total_vwgt()
-    want = total * target_frac
+    ncon = g.ncon
+    want = (g.total_vwgt() * target_frac).tolist()
     part = np.ones(n, dtype=np.int32)
-    acc = np.zeros(g.ncon, dtype=np.float64)
+    acc = [0.0] * ncon
+
+    # Narrowed (float32) weights accumulate in float64 through the
+    # views and give bit-identical gains.
+    xadj, adj, awt, vw_cols = g.scalar_views()
+    part_v = memoryview(part)
 
     seed = int(seed_vertex) if seed_vertex is not None else int(rng.integers(n))
     # gain[v] = (weight of edges from v into part0) - (edges to part1)
-    gain = np.full(n, -np.inf)
-    in_heap = np.zeros(n, dtype=bool)
+    gain = [-np.inf] * n
     heap: list[tuple[float, int, int]] = []
     counter = 0
 
-    def push(v: int, gval: float) -> None:
-        nonlocal counter
-        heapq.heappush(heap, (-gval, counter, v))
-        counter += 1
-        gain[v] = gval
-        in_heap[v] = True
-
     def grow(v: int) -> None:
-        nonlocal acc
-        part[v] = 0
-        acc = acc + g.vwgt[v]
-        for idx in range(g.xadj[v], g.xadj[v + 1]):
-            u = g.adjncy[idx]
-            if part[u] == 0:
+        nonlocal counter
+        part_v[v] = 0
+        for c in range(ncon):
+            acc[c] += vw_cols[c][v]
+        for idx in range(xadj[v], xadj[v + 1]):
+            u = adj[idx]
+            if part_v[u] == 0:
                 continue
             # Recompute u's gain: edges to part0 minus edges to part1.
-            # Accumulate in float64 via Python floats so narrowed
-            # (float32) edge weights give bit-identical gains.
             to0 = 0.0
             to1 = 0.0
-            for j in range(g.xadj[u], g.xadj[u + 1]):
-                t = g.adjncy[j]
-                if part[t] == 0:
-                    to0 += float(g.adjwgt[j])
+            for j in range(xadj[u], xadj[u + 1]):
+                if part_v[adj[j]] == 0:
+                    to0 += awt[j]
                 else:
-                    to1 += float(g.adjwgt[j])
-            push(u, to0 - to1)
+                    to1 += awt[j]
+            gain[u] = gval = to0 - to1
+            heapq.heappush(heap, (-gval, counter, u))
+            counter += 1
 
     grow(seed)
     # Under-filled means some constraint below target.
-    while np.any(acc < want):
+    while any(a < w for a, w in zip(acc, want)):
         v = -1
         while heap:
             negg, _, cand = heapq.heappop(heap)
-            if part[cand] == 1 and -negg == gain[cand]:
+            if part_v[cand] == 1 and -negg == gain[cand]:
                 v = cand
                 break
         if v < 0:

@@ -31,7 +31,11 @@ Frontier table in EXPERIMENTS.md.
 Implementation note: the per-move admissibility check runs millions of
 times, so the inner loop works on plain Python floats (``ncon ≤`` a
 handful) rather than NumPy arrays — an order-of-magnitude win measured
-by profiling.
+by profiling.  The graph-sized state (CSR arrays, labels, degrees,
+weight columns) is indexed through ``memoryview``s of the NumPy arrays
+themselves (:meth:`CSRGraph.scalar_views`): no per-level copy into
+boxed lists, and the loop's writes land in the arrays the vectorised
+steps read.
 """
 
 from __future__ import annotations
@@ -58,7 +62,11 @@ def _degrees(g: CSRGraph, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = g.adjwgt
     ideg = np.bincount(src[same], weights=w[same], minlength=n)
     edeg = np.bincount(src[~same], weights=w[~same], minlength=n)
-    return ideg, edeg
+    # bincount of an empty selection is int64 whatever the weights.
+    return (
+        ideg.astype(np.float64, copy=False),
+        edeg.astype(np.float64, copy=False),
+    )
 
 
 def _one_hot_columns(vwgt: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -96,9 +104,10 @@ def _inv_denoms(
     positive weight is handled by the caller via the raw weights.
     """
     out0, out1 = [], []
-    for c in range(len(total)):
-        d0 = total[c] * targets[0]
-        d1 = total[c] * targets[1]
+    t0, t1 = targets.tolist()
+    for tc in total.tolist():
+        d0 = tc * t0
+        d1 = tc * t1
         out0.append(1.0 / d0 if d0 > 0 else 0.0)
         out1.append(1.0 / d1 if d1 > 0 else 0.0)
     return out0, out1
@@ -179,7 +188,7 @@ def fm_refine(
     pw_arr = np.empty((2, ncon), dtype=np.float64)
     for c in range(ncon):
         pw_arr[:, c] = np.bincount(part, weights=g.vwgt[:, c], minlength=2)
-    pw = [list(pw_arr[0]), list(pw_arr[1])]
+    pw = pw_arr.tolist()
     inv = [inv0, inv1]
 
     if max_moves_per_pass is None:
@@ -207,28 +216,18 @@ def fm_refine(
     if one_hot:
         col, wcol = hot
 
-    xadj_l: list = g.xadj.tolist()
-    adj_l: list = g.adjncy.tolist()
-
+    # The per-constraint columns feed the generic admissibility loop.
+    xadj, adj, awt, vw_cols = g.scalar_views()
     if one_hot:
-        col_l: list = col.tolist()
-        wcol_l: list = wcol.tolist()
-    # Per-constraint flat columns (much cheaper to build than the
-    # nested ``vwgt.tolist()``) feed the generic admissibility loop;
-    # one-hot graphs only need them if a pass starts infeasible, so
-    # the conversion is done lazily.  Likewise the edge-weight list is
-    # only needed by the weighted (heap) queue.
-    vw_cols: list[list] | None = (
-        None if one_hot else [g.vwgt[:, c].tolist() for c in range(ncon)]
-    )
-    awt_l: list | None = None if use_buckets else g.adjwgt.tolist()
+        col_v = memoryview(col)
+        wcol_v = memoryview(wcol)
 
     # Degrees and cut are maintained incrementally from here on.
     ideg_a, edeg_a = _degrees(g, part)
-    ideg: list = ideg_a.tolist()
-    edeg: list = edeg_a.tolist()
+    ideg = memoryview(ideg_a)
+    edeg = memoryview(edeg_a)
     cur_cut = float(edeg_a.sum()) / 2.0
-    part_l: list = part.tolist()
+    part_v = memoryview(part)
     # Boundary of the first pass comes from one vectorized scan; later
     # passes rebuild it from the vertices actually touched, keeping
     # per-pass overhead proportional to the work done, not to n.
@@ -252,8 +251,8 @@ def fm_refine(
         else:
             heap: list[tuple[float, int, int]] = []
             counter = 0
-            for v in boundary[rng.permutation(len(boundary))]:
-                heap.append((ideg[v] - edeg[v], counter, int(v)))
+            for v in boundary[rng.permutation(len(boundary))].tolist():
+                heap.append((ideg[v] - edeg[v], counter, v))
                 counter += 1
             heapq.heapify(heap)
 
@@ -267,8 +266,6 @@ def fm_refine(
         # tolerance (an admitted move keeps it that way, so the flag
         # holds for the whole pass).
         fast_bal = one_hot and best_imb <= tol
-        if not fast_bal and vw_cols is None:
-            vw_cols = [g.vwgt[:, c].tolist() for c in range(ncon)]
 
         while budget > 0:
             # Lazy deletion on both queues: skip stale entries, locked
@@ -289,20 +286,20 @@ def fm_refine(
                 gain = edeg[v] - ideg[v]
                 if locked[v] or -negg != gain or edeg[v] <= 0:
                     continue
-            src_p = part_l[v]
+            src_p = part_v[v]
             dst_p = 1 - src_p
             pws, pwd = pw[src_p], pw[dst_p]
             invs, invd = inv[src_p], inv[dst_p]
             if fast_bal:
                 # Only constraint col[v] changes; all others stay
                 # feasible, so checking the two new ratios is exact.
-                c = col_l[v]
-                w = wcol_l[v]
+                c = col_v[v]
+                w = wcol_v[v]
                 if (pws[c] - w) * invs[c] > tol or (pwd[c] + w) * invd[c] > tol:
                     continue
                 # Apply the move.
                 locked[v] = 1
-                part_l[v] = dst_p
+                part_v[v] = dst_p
                 pws[c] -= w
                 pwd[c] += w
                 new_imb = best_imb  # feasible marker; exact value unused
@@ -329,7 +326,7 @@ def fm_refine(
 
                 # Apply the move.
                 locked[v] = 1
-                part_l[v] = dst_p
+                part_v[v] = dst_p
                 for c in range(ncon):
                     w = vw_cols[c][v]
                     pws[c] -= w
@@ -344,10 +341,10 @@ def fm_refine(
             # This must happen before any early-stop break so the
             # persistent degree arrays stay consistent for rollback.
             if use_buckets:
-                for idx in range(xadj_l[v], xadj_l[v + 1]):
-                    u = adj_l[idx]
+                for idx in range(xadj[v], xadj[v + 1]):
+                    u = adj[idx]
                     touched.append(u)
-                    if part_l[u] == dst_p:
+                    if part_v[u] == dst_p:
                         ideg[u] += 1.0
                         edeg[u] -= 1.0
                     else:
@@ -359,11 +356,11 @@ def fm_refine(
                         if gi > gmax:
                             gmax = gi
             else:
-                for idx in range(xadj_l[v], xadj_l[v + 1]):
-                    u = adj_l[idx]
-                    w = awt_l[idx]
+                for idx in range(xadj[v], xadj[v + 1]):
+                    u = adj[idx]
+                    w = awt[idx]
                     touched.append(u)
-                    if part_l[u] == dst_p:
+                    if part_v[u] == dst_p:
                         ideg[u] += w
                         edeg[u] -= w
                     else:
@@ -397,12 +394,12 @@ def fm_refine(
         # Roll back the tail beyond the best prefix.
         improved = best_prefix > 0
         for v in reversed(moves[best_prefix:]):
-            src_p = part_l[v]
+            src_p = part_v[v]
             dst_p = 1 - src_p
-            part_l[v] = dst_p
+            part_v[v] = dst_p
             if one_hot:
-                c = col_l[v]
-                w = wcol_l[v]
+                c = col_v[v]
+                w = wcol_v[v]
                 pw[src_p][c] -= w
                 pw[dst_p][c] += w
             else:
@@ -413,26 +410,25 @@ def fm_refine(
             cur_cut -= edeg[v] - ideg[v]
             ideg[v], edeg[v] = edeg[v], ideg[v]
             if use_buckets:
-                for idx in range(xadj_l[v], xadj_l[v + 1]):
-                    u = adj_l[idx]
-                    if part_l[u] == dst_p:
+                for idx in range(xadj[v], xadj[v + 1]):
+                    u = adj[idx]
+                    if part_v[u] == dst_p:
                         ideg[u] += 1.0
                         edeg[u] -= 1.0
                     else:
                         ideg[u] -= 1.0
                         edeg[u] += 1.0
             else:
-                for idx in range(xadj_l[v], xadj_l[v + 1]):
-                    u = adj_l[idx]
-                    w = awt_l[idx]
-                    if part_l[u] == dst_p:
+                for idx in range(xadj[v], xadj[v + 1]):
+                    u = adj[idx]
+                    w = awt[idx]
+                    if part_v[u] == dst_p:
                         ideg[u] += w
                         edeg[u] -= w
                     else:
                         ideg[u] -= w
                         edeg[u] += w
         if check_cut:
-            part[:] = part_l
             ref_cut = edge_cut(g, part)
             if abs(cur_cut - ref_cut) > 1e-6 * max(1.0, abs(ref_cut)):
                 raise PartitionInternalError(
@@ -452,14 +448,9 @@ def fm_refine(
                     ]
                 )
             )
-            boundary = cand[
-                np.asarray([edeg[i] for i in cand.tolist()]) > 0
-            ]
+            boundary = cand[edeg_a[cand] > 0]
         else:
-            boundary = boundary[
-                np.asarray([edeg[i] for i in boundary.tolist()]) > 0
-            ]
-    part[:] = part_l
+            boundary = boundary[edeg_a[boundary] > 0]
     return part
 
 
@@ -490,9 +481,11 @@ def rebalance(
     if max_moves is None:
         max_moves = n
 
-    ideg, edeg = _degrees(g, part)
-    locked = np.zeros(n, dtype=bool)
     moves = 0
+    # Degrees and the lock mask are O(n + m) to build and only a
+    # violating pair needs them: the common feasible projection pays
+    # for neither.
+    ideg = edeg = locked = None
 
     def ratio(p: int, c: int) -> float:
         denom = total[c] * targets[p]
@@ -516,6 +509,13 @@ def rebalance(
         if worst <= imbalance_tol or src_p < 0:
             break
         dst_p = 1 - src_p
+        if ideg is None:
+            ideg, edeg = _degrees(g, part)
+            locked = np.zeros(n, dtype=bool)
+            xadj, adj, awt, _ = g.scalar_views()
+            part_v = memoryview(part)
+            ideg_v = memoryview(ideg)
+            edeg_v = memoryview(edeg)
         cand = np.flatnonzero(
             (part == src_p) & ~locked & (g.vwgt[:, c] > 0)
         )
@@ -533,24 +533,25 @@ def rebalance(
         purity = vtop[:, c] / np.maximum(vtop.sum(axis=1), 1e-300)
         v = int(top[np.argmax(purity)])
 
-        part[v] = dst_p
+        part_v[v] = dst_p
         pw[src_p] -= g.vwgt[v]
         pw[dst_p] += g.vwgt[v]
         locked[v] = True
         moves += 1
         # Incremental internal/external degree updates around v.
-        for idx in range(g.xadj[v], g.xadj[v + 1]):
-            u = g.adjncy[idx]
-            w = g.adjwgt[idx]
-            if part[u] == dst_p:
-                ideg[u] += w
-                edeg[u] -= w
+        lo, hi = xadj[v], xadj[v + 1]
+        for idx in range(lo, hi):
+            u = adj[idx]
+            w = awt[idx]
+            if part_v[u] == dst_p:
+                ideg_v[u] += w
+                edeg_v[u] -= w
             else:
-                ideg[u] -= w
-                edeg[u] += w
+                ideg_v[u] -= w
+                edeg_v[u] += w
         # v itself: recompute from neighbours.
-        same = part[g.adjncy[g.xadj[v] : g.xadj[v + 1]]] == dst_p
-        wv = g.adjwgt[g.xadj[v] : g.xadj[v + 1]]
-        ideg[v] = float(wv[same].sum(dtype=np.float64))
-        edeg[v] = float(wv[~same].sum(dtype=np.float64))
+        same = part[g.adjncy[lo:hi]] == dst_p
+        wv = g.adjwgt[lo:hi]
+        ideg_v[v] = float(wv[same].sum(dtype=np.float64))
+        edeg_v[v] = float(wv[~same].sum(dtype=np.float64))
     return part

@@ -1,0 +1,214 @@
+"""The V-cycle's scalar kernels on typed views: mechanism and oracles.
+
+``fm_refine``, ``rebalance``, ``_matching_fallback`` and
+``greedy_graph_growing`` index ``memoryview``s of the graph's NumPy
+arrays instead of boxing them into lists (or reading NumPy scalars).
+These tests pin *that*, not the speed it buys:
+
+* FM's allocation peak per graph element stays under what one boxed
+  copy of the CSR would cost;
+* the parent's loops, kept verbatim in ``tests/oracles/vcycle_scalar``,
+  give the same matchings and labels on wide and narrowed graphs;
+* a feasible projection costs ``rebalance`` no O(n + m) set-up.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.graph.refine as refine_mod
+from repro.fuzz.generators import make_graph_case
+from repro.graph import CSRGraph, graph_from_edges
+from repro.graph.coarsen import _matching_fallback
+from repro.graph.initial import greedy_graph_growing
+from repro.graph.refine import _degrees, fm_refine, rebalance
+from tests.oracles import vcycle_scalar
+from tests.test_graph_hotpaths import random_graph
+
+
+def _rng(seed=0):
+    return np.random.default_rng(seed)
+
+
+def narrowed_pair(g: CSRGraph) -> tuple[CSRGraph, CSRGraph]:
+    """``(wide, narrow)`` storage copies holding the same values: the
+    weights are rounded through float32 first (as the fuzz harness's
+    dtype differential does)."""
+    vw32 = np.asarray(g.vwgt, dtype=np.float32)
+    aw32 = np.asarray(g.adjwgt, dtype=np.float32)
+    wide = CSRGraph(
+        g.xadj,
+        g.adjncy.astype(np.int64),
+        vwgt=vw32.astype(np.float64),
+        adjwgt=aw32.astype(np.float64),
+    )
+    narrow = CSRGraph(
+        g.xadj, g.adjncy.astype(np.int32), vwgt=vw32, adjwgt=aw32
+    )
+    return wide, narrow
+
+
+def big_grid(side: int, weight: float) -> CSRGraph:
+    idx = np.arange(side * side).reshape(side, side)
+    edges = np.concatenate(
+        [
+            np.stack([idx[:-1].ravel(), idx[1:].ravel()], axis=1),
+            np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1),
+        ]
+    )
+    return graph_from_edges(
+        side * side, edges, ewgt=np.full(len(edges), weight)
+    )
+
+
+class TestFmFootprint:
+    """n = 90,000, m = 358,800, boundary 600.  The parent boxed the
+    CSR and six n-vectors per call: 71.6 B per (n + m) on the unit
+    grid (bucket queue), 95.7 B on the weighted one (heap queue)."""
+
+    @pytest.mark.parametrize("weight", [1.0, 2.0])
+    def test_peak_bytes_per_element(self, weight):
+        side = 300
+        g = big_grid(side, weight)
+        n, m = g.num_vertices, len(g.adjncy)
+        assert (n, m) == (90_000, 358_800)
+        part = (np.arange(n) // side >= side // 2).astype(np.int32)
+        g.edge_sources()  # the graph's own caches are not FM's state
+        g.degrees()
+        tracemalloc.start()
+        try:
+            fm_refine(g, part, rng=_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (n + m) <= 48.0
+
+
+class TestMatchingFallbackOracle:
+    @staticmethod
+    def both(g, seed, multi):
+        """The fallback on the whole graph (every vertex a candidate),
+        new and oracle, from the same generator state."""
+        n = g.num_vertices
+        out = []
+        for fn in (_matching_fallback, vcycle_scalar._matching_fallback):
+            match = np.arange(n, dtype=np.int64)
+            fn(g, match, np.arange(n), _rng(seed), multi)
+            out.append(match)
+        return out
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        ncon=st.sampled_from([1, 4]),
+        unit=st.booleans(),
+        multi=st.booleans(),
+    )
+    def test_equal_matchings_wide_and_narrow(self, seed, ncon, unit, multi):
+        g = random_graph(seed, n=90, ncon=ncon, unit_weights=unit)
+        wide, narrow = narrowed_pair(g)
+        new_w, ref_w = self.both(wide, seed, multi)
+        new_n, ref_n = self.both(narrow, seed, multi)
+        np.testing.assert_array_equal(new_w, ref_w)
+        np.testing.assert_array_equal(new_n, ref_n)
+        np.testing.assert_array_equal(new_w, new_n)
+        np.testing.assert_array_equal(new_w[new_w], np.arange(90))
+
+    def test_equal_weight_tie_goes_to_smaller_spread(self):
+        """The ``w > best_w - 1e-12`` branch: vertex 0 sees 1 first,
+        but 2 complements its weight vector, so 2 wins the tie."""
+        vwgt = np.array(
+            [[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 1], [1, 1, 1, 1]],
+            dtype=np.float64,
+        )
+        g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)], vwgt=vwgt)
+        for graph in narrowed_pair(g):
+            for fn in (_matching_fallback, vcycle_scalar._matching_fallback):
+                match = np.arange(4, dtype=np.int64)
+                fn(graph, match, np.array([0]), _rng(0), True)
+                assert match.tolist() == [2, 1, 0, 3]
+        # Without the multi-constraint rule the first heaviest edge wins.
+        match = np.arange(4, dtype=np.int64)
+        _matching_fallback(g, match, np.array([0]), _rng(0), False)
+        assert match.tolist() == [1, 0, 2, 3]
+
+
+class TestGraphGrowingOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        ncon=st.sampled_from([1, 4]),
+        unit=st.booleans(),
+        frac=st.sampled_from([0.5, 0.3, 0.625]),
+    )
+    def test_equal_labels_wide_and_narrow(self, seed, ncon, unit, frac):
+        g = random_graph(seed, n=70, ncon=ncon, unit_weights=unit)
+        labels = [
+            fn(graph, frac, _rng(seed))
+            for graph in narrowed_pair(g)
+            for fn in (greedy_graph_growing, vcycle_scalar.greedy_graph_growing)
+        ]
+        assert labels[0].dtype == np.int32
+        for other in labels[1:]:
+            np.testing.assert_array_equal(labels[0], other)
+
+    def test_disconnected_graph_jumps_like_the_oracle(self):
+        """Frontier exhaustion draws from the generator: both versions
+        must consume it identically."""
+        edges = [(i, i + 1) for i in range(9)] + [
+            (i, i + 1) for i in range(10, 19)
+        ]
+        g = graph_from_edges(20, edges)
+        for seed in range(5):
+            np.testing.assert_array_equal(
+                greedy_graph_growing(g, 0.7, _rng(seed)),
+                vcycle_scalar.greedy_graph_growing(g, 0.7, _rng(seed)),
+            )
+
+
+class TestRebalance:
+    def test_feasible_input_costs_no_degrees(self, medium_grid, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            refine_mod,
+            "_degrees",
+            lambda g, part: calls.append(1) or _degrees(g, part),
+        )
+        n = medium_grid.num_vertices
+        part = (np.arange(n) >= n // 2).astype(np.int32)
+        out = rebalance(medium_grid, part.copy(), imbalance_tol=1.05)
+        np.testing.assert_array_equal(out, part)
+        assert calls == []
+        # ... and an infeasible one builds them exactly once.
+        skewed = (np.arange(n) >= n // 4).astype(np.int32)
+        rebalance(medium_grid, skewed, imbalance_tol=1.05)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_infeasible_equals_oracle_on_fuzz_corpus(self, seed):
+        g = make_graph_case(_rng(seed)).graph
+        if g.num_vertices < 2:
+            return
+        part0 = (_rng(seed).random(g.num_vertices) < 0.15).astype(np.int32)
+        for graph in narrowed_pair(g):
+            np.testing.assert_array_equal(
+                rebalance(graph, part0.copy(), imbalance_tol=1.05),
+                vcycle_scalar.rebalance(graph, part0.copy(), imbalance_tol=1.05),
+            )
+
+    def test_degrees_are_float_even_when_nothing_is_cut(self):
+        """``np.bincount`` of an empty selection is int64 whatever the
+        weights; the parent then truncated ``rebalance``'s fractional
+        degree updates on an uncut start."""
+        g = graph_from_edges(
+            6, [(i, i + 1) for i in range(5)], ewgt=np.full(5, 0.5)
+        )
+        ideg, edeg = _degrees(g, np.zeros(6, dtype=np.int32))
+        assert ideg.dtype == edeg.dtype == np.float64
+        out = rebalance(g, np.zeros(6, dtype=np.int32), imbalance_tol=1.05)
+        assert out.tolist() in ([1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1])
