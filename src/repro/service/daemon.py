@@ -2,15 +2,31 @@
 
 The daemon polls a :class:`~repro.service.queue.SpoolQueue` and has
 **one execution path**: a free worker slot claims a batch of pending
-jobs and spawns **one supervised child process** for it.  The child
+jobs and starts **one supervised child process** for it.  The child
 compiles the batch into one merged
 :class:`~repro.pipeline.plan.StagePlan` — scenarios sharing a
 mesh/levels prefix execute each shared stage exactly once — and runs
-it serially, streaming per-job progress, result and error files; the
-batch pays spawn + import once.  The unit of failure is the child,
-never the daemon: a worker that dies mid-stage (segfault, OOM-kill, a
-chaos harness's injected kill) is observed as a child exit, its
-unfinished jobs are retried **one per child** with the runtime's
+it serially, streaming per-job progress, result and error files.
+
+Children start warm.  The daemon is multi-threaded and never forks
+itself; it owns one single-threaded :mod:`multiprocessing` *forkserver*
+process, launched once :meth:`ServeDaemon.serve_forever` has published
+readiness and preloaded with everything a job imports
+(:data:`_PRELOAD`).  Every child is a copy-on-write fork of that
+server: it reaches :func:`_child_main` in milliseconds, nobody pays an
+interpreter start or an import per batch, and it is as isolated as a
+fresh interpreter was (own pid, own address space).  A fork inherits
+the *server's* environment, frozen when the server started, so each
+attempt is handed the daemon's environment as it stands when the
+attempt starts — a changed ``REPRO_SERVE_STAGE_DELAY`` (or any other
+variable read at run time) reaches the next attempt, as it did when
+every child was a new interpreter.  The server exits with the daemon,
+and :mod:`multiprocessing` restarts it if it dies in between.
+
+The unit of failure is the child, never the daemon: a worker that
+dies mid-stage (segfault, OOM-kill, a chaos harness's injected kill)
+is observed as a child exit, its unfinished jobs are retried **one per
+child** with the runtime's
 :class:`~repro.runtime.executor.RetryPolicy` exponential backoff (a
 poison job costs its batch-mates at most one attempt), and only an
 exhausted budget surfaces as a typed terminal record — with the
@@ -55,14 +71,14 @@ Chaos hooks: a seeded
 :class:`~repro.resilience.faults.FaultPlan` may be installed; its
 ``transient`` decisions kill a job's child process after the job's
 first completed stage — deterministic worker death for the chaos
-suite.  ``REPRO_SERVE_STAGE_DELAY`` (seconds) makes children linger
-after each plan node, giving the signal/drain tests a deterministic
-mid-job window.
+suite.  ``REPRO_SERVE_STAGE_DELAY`` (seconds, read by the daemon when
+an attempt starts) makes that attempt's child linger after each plan
+node, giving the signal/drain tests a deterministic mid-job window.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import multiprocessing.forkserver
 import os
 import shutil
 import signal
@@ -100,14 +116,32 @@ LIVENESS_TTL = 30.0
 #: cost and how long a batch-mate waits behind the others.
 _MAX_BATCH = 8
 
+#: What the forkserver imports once so that no job child imports it
+#: again: this module, the pipeline with every stage module, and the
+#: three a ``schedule`` job was measured to load lazily on top.
+_PRELOAD = (
+    "repro.service.daemon",
+    "repro.pipeline",
+    "repro.mesh.chunked",
+    "numpy.random",
+    "numpy.ma",
+)
+
 
 def _child_main(
     jobs: list[dict[str, Any]],
     store_root: str | None,
     pressure_path: str,
     force_mmap: bool,
+    env: dict[str, str],
+    stage_delay: float,
 ) -> None:
-    """Batch body, run in a spawned child process.
+    """Batch body, run in a child forked from the preloaded server.
+
+    The fork inherited the server's environment; ``env`` is the
+    daemon's as of this attempt's start and replaces it before
+    anything reads it.  ``stage_delay`` is the daemon's reading of
+    ``REPRO_SERVE_STAGE_DELAY`` at that moment.
 
     ``jobs`` are ``{"request", "workdir", "kill_after"}`` records.  The
     batch is compiled into one merged plan and executed serially; after
@@ -125,12 +159,10 @@ def _child_main(
     store's in-memory tier.  Both decisions are recorded in the
     streamed ``degradation`` provenance.
     """
+    os.environ.clear()
+    os.environ.update(env)
     if force_mmap:
         os.environ["REPRO_SHARED_BACKEND"] = "mmap"
-    try:
-        stage_delay = float(os.environ.get("REPRO_SERVE_STAGE_DELAY", 0) or 0)
-    except ValueError:
-        stage_delay = 0.0
     try:
         from ..pipeline import (
             ArtifactStore,
@@ -334,7 +366,8 @@ class ServeDaemon:
         jobs streams progress for this long is terminated and its
         unfinished jobs retried.  ``None`` disables it.
     poll:
-        Spool poll interval while idle.
+        Spool poll interval while idle.  A slot that frees up or a
+        drain request ends the wait at once.
     workers:
         Concurrent job children, each under its own supervisor thread.
         A free slot claims ``min(8, ceil(pending / free slots))`` jobs
@@ -394,13 +427,18 @@ class ServeDaemon:
         # Guards the counters the supervisor threads and the claim loop
         # share: _completed and _inflight move together.
         self._lock = threading.Lock()
-        self._ctx = multiprocessing.get_context("spawn")
+        self._ctx = multiprocessing.get_context("forkserver")
+        self._ctx.set_forkserver_preload(list(_PRELOAD))
         self._stop = threading.Event()
         self._force = threading.Event()
+        # Set by a supervisor that frees its slot and by a drain
+        # request: the claim loop sleeps on it, not through it.
+        self._wake = threading.Event()
         self._stop_at = 0.0  # monotonic time of the first drain signal
         self._completed = 0
         self._requeued_on_drain = 0
-        self._inflight = 0
+        self._inflight = 0  # jobs under supervision
+        self._busy = 0  # slots (supervisors) under way
         self._health_at = 0.0
         self._health_state: PressureState | None = None
 
@@ -420,6 +458,7 @@ class ServeDaemon:
         else:
             self._stop_at = time.monotonic()
             self._stop.set()
+        self._wake.set()
 
     def _on_signal(self, signum: int, frame: Any) -> None:
         self.request_drain()
@@ -540,9 +579,18 @@ class ServeDaemon:
         t0 = time.monotonic()
         idle_since = time.monotonic()
         try:
+            # Readiness is out; the server's preload now overlaps the
+            # wait for the first job instead of delaying either.
+            multiprocessing.forkserver.ensure_running()
             while True:
+                # Cleared before the state it announces is read: a slot
+                # freed from here on ends this iteration's wait at once.
+                self._wake.clear()
                 threads = [t for t in threads if t.is_alive()]
-                if threads:
+                with self._lock:
+                    busy = self._busy
+                    taken = self._completed - done_base + self._inflight
+                if busy:
                     idle_since = time.monotonic()
                 if self._stop.is_set():
                     break
@@ -550,12 +598,10 @@ class ServeDaemon:
                 # published pressure.json at stage boundaries, so the
                 # snapshot must stay fresh even when no claim is due.
                 sample = self._sample_pressure()
-                with self._lock:
-                    taken = self._completed - done_base + self._inflight
                 room = None if max_jobs is None else max_jobs - taken
                 if room is not None and room <= 0:
-                    if threads:
-                        self._stop.wait(min(self.poll, 0.1))
+                    if busy:
+                        self._wake.wait(self.poll)
                         continue
                     break
                 if (
@@ -564,7 +610,7 @@ class ServeDaemon:
                 ):
                     break
                 batch: list[tuple[str, JobRequest, dict[str, Any]]] = []
-                free = self._target_workers(sample.state) - len(threads)
+                free = self._target_workers(sample.state) - busy
                 if free > 0:
                     # An even share of the backlog per free slot, from
                     # the depth the sentinel just sampled.
@@ -581,12 +627,12 @@ class ServeDaemon:
                     batch = self.queue.claim_batch(limit)
                 if not batch:
                     if (
-                        not threads
+                        not busy
                         and idle_timeout is not None
                         and time.monotonic() - idle_since > idle_timeout
                     ):
                         break
-                    self._stop.wait(self.poll)
+                    self._wake.wait(self.poll)
                     continue
                 idle_since = time.monotonic()
                 jobs = self._adopt(batch, sample)
@@ -677,6 +723,7 @@ class ServeDaemon:
             )
         with self._lock:
             self._inflight += len(jobs)
+            self._busy += 1  # given back by _supervise
         return jobs
 
     def _supervise(self, jobs: list[_Job]) -> None:
@@ -702,6 +749,12 @@ class ServeDaemon:
             for job in jobs:
                 if job.status.state == "running":
                     self._requeue(job)
+        finally:
+            # The slot is free before the loop hears of it; this
+            # thread's last few microseconds alive are not a busy slot.
+            with self._lock:
+                self._busy -= 1
+            self._wake.set()
 
     def _chaos_kill_stage(self, seq: int, attempt: int) -> str | None:
         """Seeded worker-death injection (chaos suite only)."""
@@ -717,7 +770,7 @@ class ServeDaemon:
         return None
 
     def _run_attempt(self, group: list[_Job]) -> list[_Job]:
-        """One supervised child over ``group``: spawn, watch, route.
+        """One supervised child over ``group``: fork, watch, route.
 
         Jobs are routed ``done`` the moment their ``result.json``
         lands; what is still open when the child exits (or is
@@ -744,6 +797,12 @@ class ServeDaemon:
                     ),
                 }
             )
+        # What a fresh interpreter would have inherited at this moment.
+        env = dict(os.environ)
+        try:
+            stage_delay = float(env.get("REPRO_SERVE_STAGE_DELAY") or 0)
+        except ValueError:
+            stage_delay = 0.0
         child = self._ctx.Process(
             target=_child_main,
             args=(
@@ -751,10 +810,23 @@ class ServeDaemon:
                 self.store_root,
                 str(self.queue.root / "health" / "pressure.json"),
                 any(job.force_mmap for job in group),
+                env,
+                stage_delay,
             ),
             daemon=True,
         )
-        child.start()
+        # A server killed a moment ago looks alive to multiprocessing
+        # until it has finished dying, and its socket refuses the
+        # request; the restarted server takes the repeat.
+        refused_until = time.monotonic() + 5.0
+        while True:
+            try:
+                child.start()
+                break
+            except (OSError, EOFError):
+                if time.monotonic() > refused_until:
+                    raise
+                time.sleep(0.05)
         for job in group:
             job.status.worker["child_pid"] = child.pid
         open_jobs = list(group)
@@ -785,6 +857,14 @@ class ServeDaemon:
             self._scan(open_jobs)
             break
         code = child.exitcode
+        if code == 255:
+            # No exit status came back: the forkserver died under the
+            # child, which may still run with nobody left to report it.
+            # Counted a worker death, so it must not outlive the count.
+            try:
+                os.kill(child.pid, signal.SIGKILL)
+            except OSError:
+                pass
         child.close()
         if fate == "drained":
             kind, message = "Drained", "daemon draining; job requeued"

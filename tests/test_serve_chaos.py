@@ -185,7 +185,13 @@ class TestSubmitFlood:
 
 
 class TestPressureMidJob:
-    def test_hard_pressure_sheds_store_tier_bit_identically(self, tmp_path):
+    def test_hard_pressure_sheds_store_tier_bit_identically(
+        self, tmp_path, monkeypatch
+    ):
+        # The child lingers after each stage, so the snapshot lands
+        # while stage boundaries are still ahead of it, however fast
+        # the child started.
+        monkeypatch.setenv("REPRO_SERVE_STAGE_DELAY", "0.5")
         spool = tmp_path / "spool"
         client = ServiceClient(spool)
         job_id = client.submit(
@@ -229,6 +235,7 @@ class TestPressureMidJob:
 
         # Bit-identity: a calm run of the identical request produces
         # the same content-addressed digests and metrics.
+        monkeypatch.delenv("REPRO_SERVE_STAGE_DELAY")
         calm_spool = tmp_path / "calm"
         calm = ServiceClient(calm_spool)
         calm_id = calm.submit(

@@ -261,7 +261,8 @@ class TestBatchSupervision:
             runner.start()
             try:
                 # A's result lands while the child sleeps after the
-                # mesh node; children spawned from here on don't linger.
+                # mesh node; the daemon reads the delay when an attempt
+                # starts, so the retries' children don't linger.
                 wait_for(
                     lambda: client.status(a).state == "done",
                     what="job A to finish inside the batch child",

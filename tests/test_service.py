@@ -271,20 +271,22 @@ class TestDaemon:
         with pytest.raises(JobFailedError, match="stages completed"):
             client.result(job_id)
 
-    def test_watchdog_kills_stalled_child(self, tmp_path):
+    def test_watchdog_kills_stalled_child(self, tmp_path, monkeypatch):
+        # The child lingers a minute after every plan node, so the
+        # second node cannot land inside the watchdog however fast the
+        # child started — the attempt must be terminated and, with a
+        # zero retry budget, the exhausted retryable failure is
+        # quarantined in the dead-letter tier (typed StageTimeout
+        # diagnosis).
+        monkeypatch.setenv("REPRO_SERVE_STAGE_DELAY", "60")
         client = ServiceClient(tmp_path / "spool")
         job_id = client.submit(
-            "characteristics", options=CHEAP, through="mesh"
+            "characteristics", options=CHEAP, through="levels"
         )
-        # A watchdog far below the child's startup time (interpreter +
-        # numpy import) guarantees no progress lands before the
-        # deadline — the attempt must be terminated and, with a zero
-        # retry budget, the exhausted retryable failure is quarantined
-        # in the dead-letter tier (typed StageTimeout diagnosis).
         daemon = cheap_daemon(
             tmp_path / "spool",
             tmp_path / "store",
-            watchdog=0.05,
+            watchdog=0.5,
             retry=RetryPolicy(max_retries=0, backoff=0.0),
         )
         with warnings.catch_warnings():
