@@ -38,7 +38,8 @@ Commands
     Inspect (or ``--flush``) the on-disk artifact store: entries,
     bytes, active/stale claims, quarantined corruption.
 ``gc``
-    Sweep stale shared-memory segments left by dead processes; with
+    Sweep stale shared CSR segments (``repro_csr_<pid>_*`` temp files)
+    left by dead processes; with
     ``--spool DIR`` also dead daemons' spool litter (tmp files, orphan
     work dirs).
 
@@ -594,10 +595,7 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     if removed:
         for name in removed:
             print(f"{verb} stale segment {name}")
-    print(
-        f"gc: {verb} {len(removed)} stale shared-memory/mmap segment(s) "
-        "(incl. hierarchy spill files)"
-    )
+    print(f"gc: {verb} {len(removed)} stale shared CSR segment(s)")
     if args.spool is not None:
         from .service import sweep_stale_spool
 
@@ -974,7 +972,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "gc",
-        help="sweep stale shared-memory segments (and, with --spool, "
+        help="sweep stale shared CSR segments (and, with --spool, "
         "spool litter) left by dead processes",
     )
     p.add_argument(

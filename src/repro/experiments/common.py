@@ -24,13 +24,10 @@ from ..pipeline import (
     paper_configs,
     resolve_n_jobs,
 )
-from ..pipeline import set_default_n_jobs as _set_default_n_jobs
 
 __all__ = [
     "NUM_LEVELS",
     "PAPER_CONFIGS",
-    "default_n_jobs",
-    "set_default_n_jobs",
     "standard_case",
     "standard_scenario",
     "cached_decomposition",
@@ -41,18 +38,6 @@ __all__ = [
 #: Legacy view of the scenario registry
 #: (:data:`repro.pipeline.SCENARIOS`).
 PAPER_CONFIGS = paper_configs()
-
-
-def set_default_n_jobs(n: int | None) -> None:
-    """Set the partitioner worker count used by the experiment
-    harnesses (``None`` reverts to ``REPRO_N_JOBS`` / serial)."""
-    _set_default_n_jobs(n)
-
-
-def default_n_jobs() -> int:
-    """Partitioner worker count for experiment runs (resolved once by
-    :func:`repro.pipeline.resolve_n_jobs`)."""
-    return resolve_n_jobs()
 
 
 def standard_scenario(

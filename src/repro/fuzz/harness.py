@@ -22,11 +22,9 @@
   ``vwgt``/``adjwgt`` holding the exact same values) and the labels
   must be bit-identical to the wide int64/float64 path — the
   equivalence gate behind the scale tier's index/weight narrowing;
-* **out-of-core differentials** — every mesh case's dual graph is
+* **streaming-dual differentials** — every mesh case's dual graph is
   rebuilt with the streaming engine at an adversarial chunk size and
-  must equal the materialized oracle array for array, and every graph
-  case is re-partitioned under a forced ``REPRO_HIERARCHY_BUDGET=1``
-  spill budget with bit-identical labels;
+  must equal the materialized oracle array for array;
 * **DAG checks** — every mesh decomposition is expanded into Euler and
   Heun task graphs and audited with
   :func:`repro.taskgraph.verify.verify_dag`;
@@ -204,48 +202,6 @@ def _check_fm(
         )
 
 
-def _check_spill_path(
-    report: FuzzReport,
-    seed: int,
-    case: str,
-    g: CSRGraph,
-    nparts: int,
-) -> None:
-    """Differential: a forced 1-byte hierarchy spill budget must leave
-    the labels bit-identical to the in-memory V-cycle."""
-    if g.num_vertices < 1 or nparts < 1 or nparts > g.num_vertices:
-        return
-    report.differential_checks += 1
-    import os as _os
-
-    def fail(check: str, detail: str) -> None:
-        report.failures.append(FuzzFailure(seed, case, check, detail))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            base = partition_graph(g, nparts, seed=seed)
-            prev = _os.environ.get("REPRO_HIERARCHY_BUDGET")
-            _os.environ["REPRO_HIERARCHY_BUDGET"] = "1"
-            try:
-                spilled = partition_graph(g, nparts, seed=seed)
-            finally:
-                if prev is None:
-                    del _os.environ["REPRO_HIERARCHY_BUDGET"]
-                else:
-                    _os.environ["REPRO_HIERARCHY_BUDGET"] = prev
-        except (ValueError, PartitionError):
-            return  # rejection behaviour is the contract stage's job
-    if not np.array_equal(base.part, spilled.part):
-        fail(
-            "spill-labels",
-            f"forced-spill labels diverged (nparts={nparts}, base cut "
-            f"{base.cut:g}, spilled cut {spilled.cut:g})",
-        )
-    if base.spill != {}:
-        fail("spill-provenance", "spill stats recorded without a budget")
-
-
 def _check_dtype_paths(
     report: FuzzReport,
     seed: int,
@@ -381,14 +337,6 @@ def _fuzz_graph_case(report: FuzzReport, seed: int, case: GraphCase) -> None:
     if case.graph.num_vertices <= 400:
         _check_matching(report, seed, name, case.graph)
         _check_fm(report, seed, name, case.graph)
-        if case.nparts:
-            _check_spill_path(
-                report,
-                seed,
-                name,
-                case.graph,
-                case.nparts[(seed + 1) % len(case.nparts)],
-            )
 
 
 def _check_downstream(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coarsen import CoarseningLevel, HierarchySpill, coarsen_once
+from .coarsen import CoarseningLevel, coarsen_once
 from .csr import CSRGraph
 from .initial import best_initial_bisection
 from .refine import fm_refine, rebalance
@@ -27,7 +27,6 @@ def multilevel_bisect(
     coarse_to: int | None = None,
     max_passes: int = 8,
     init_trials: int = 8,
-    spill: HierarchySpill | None = None,
 ) -> np.ndarray:
     """Bisect ``g`` so part 0 receives ``target_frac`` of every
     constraint's weight.
@@ -42,12 +41,6 @@ def multilevel_bisect(
     coarse_to:
         Stop coarsening when the graph has at most this many vertices.
         Defaults to ``max(64, 20 * ncon)``.
-    spill:
-        Optional :class:`~repro.graph.coarsen.HierarchySpill` policy:
-        past its byte budget, idle hierarchy levels are written to mmap
-        spill files and reattached read-only for their uncoarsening
-        step.  Spilling never changes the labels — the reloaded arrays
-        are byte-for-byte the spilled ones.
     """
     if coarse_to is None:
         coarse_to = max(64, 20 * g.ncon)
@@ -55,76 +48,52 @@ def multilevel_bisect(
     # --- Coarsening phase -------------------------------------------------
     levels: list[CoarseningLevel] = []
     cur = g
-    resident = 0
-    try:
-        while cur.num_vertices > coarse_to:
-            lvl = coarsen_once(cur, rng)
-            # Stop if matching stalls (e.g. star graphs): < 10% shrink.
-            if lvl.graph.num_vertices > 0.95 * cur.num_vertices:
-                break
-            levels.append(lvl)
-            cur = lvl.graph
-            # The previous level just went idle: its graph is needed
-            # again only at its uncoarsening step.  The active input
-            # (levels[-1]) always stays resident.
-            if spill is not None and len(levels) >= 2:
-                resident = spill.offload(levels[-2], resident)
+    while cur.num_vertices > coarse_to:
+        lvl = coarsen_once(cur, rng)
+        # Stop if matching stalls (e.g. star graphs): < 10% shrink.
+        if lvl.graph.num_vertices > 0.95 * cur.num_vertices:
+            break
+        levels.append(lvl)
+        cur = lvl.graph
 
-        # --- Initial partitioning -----------------------------------------
-        part = best_initial_bisection(
-            cur,
-            target_frac,
-            rng,
-            ntrials=init_trials,
-            imbalance_tol=imbalance_tol,
-        ).astype(np.int32, copy=False)
+    # --- Initial partitioning ---------------------------------------------
+    part = best_initial_bisection(
+        cur,
+        target_frac,
+        rng,
+        ntrials=init_trials,
+        imbalance_tol=imbalance_tol,
+    ).astype(np.int32, copy=False)
+    part = rebalance(
+        cur, part, target_frac=target_frac, imbalance_tol=imbalance_tol
+    )
+    part = fm_refine(
+        cur,
+        part,
+        target_frac=target_frac,
+        imbalance_tol=imbalance_tol,
+        max_passes=max_passes,
+        rng=rng,
+    )
+
+    # --- Uncoarsening phase -----------------------------------------------
+    # The fine side of level i is level i-1's coarse graph (the original
+    # ``g`` for the first level).
+    fines = [g] + [lvl.graph for lvl in levels[:-1]]
+    for lvl, fine in zip(reversed(levels), reversed(fines)):
+        part = part[lvl.cmap].astype(np.int32, copy=False)
         part = rebalance(
-            cur, part, target_frac=target_frac, imbalance_tol=imbalance_tol
+            fine,
+            part,
+            target_frac=target_frac,
+            imbalance_tol=imbalance_tol,
         )
         part = fm_refine(
-            cur,
+            fine,
             part,
             target_frac=target_frac,
             imbalance_tol=imbalance_tol,
             max_passes=max_passes,
             rng=rng,
         )
-
-        # --- Uncoarsening phase -------------------------------------------
-        # The fine side of level i is level i-1's coarse graph (``None``
-        # stands for the original ``g``), reloaded from its spill file
-        # when the level went to disk and unlinked right after its
-        # refinement step.
-        fines: list[CoarseningLevel | None] = [None] + levels[:-1]
-        for lvl, fine_lvl in zip(reversed(levels), reversed(fines)):
-            if fine_lvl is None:
-                fine, reader = g, None
-            elif spill is not None:
-                fine, reader = spill.reload(fine_lvl)
-            else:
-                fine, reader = fine_lvl.graph, None
-            part = part[lvl.cmap].astype(np.int32, copy=False)
-            part = rebalance(
-                fine,
-                part,
-                target_frac=target_frac,
-                imbalance_tol=imbalance_tol,
-            )
-            part = fm_refine(
-                fine,
-                part,
-                target_frac=target_frac,
-                imbalance_tol=imbalance_tol,
-                max_passes=max_passes,
-                rng=rng,
-            )
-            if fine_lvl is not None:
-                HierarchySpill.release(fine_lvl, reader)
-        return part
-    finally:
-        # Exception safety: never leak spill files for levels whose
-        # uncoarsening step did not run.
-        for lvl in levels:
-            if lvl.spill_handle is not None:
-                lvl.spill_handle.unlink()
-                lvl.spill_handle = None
+    return part

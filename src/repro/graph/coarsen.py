@@ -15,9 +15,7 @@ balanced initial partitions reachable.
 
 from __future__ import annotations
 
-import os
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +23,6 @@ from .csr import CSRGraph
 
 __all__ = [
     "CoarseningLevel",
-    "HierarchySpill",
     "heavy_edge_matching",
     "contract",
     "coarsen_once",
@@ -39,139 +36,14 @@ class CoarseningLevel:
     Attributes
     ----------
     graph:
-        The *coarse* graph produced at this level, or ``None`` while
-        the level is spilled to disk (see :class:`HierarchySpill`).
+        The *coarse* graph produced at this level.
     cmap:
         ``(n_fine,)`` array mapping every fine vertex to its coarse
-        vertex index.  Projection maps always stay in RAM — only the
-        CSR arrays spill.
-    spill_handle:
-        Owner handle of the mmap spill file while the level is
-        spilled (``None`` otherwise).
+        vertex index.
     """
 
-    graph: CSRGraph | None
+    graph: CSRGraph
     cmap: np.ndarray
-    spill_handle: object | None = field(default=None, repr=False)
-
-
-def _csr_nbytes(g: CSRGraph) -> int:
-    """Resident bytes of a graph's four CSR arrays."""
-    return g.xadj.nbytes + g.adjncy.nbytes + g.vwgt.nbytes + g.adjwgt.nbytes
-
-
-class HierarchySpill:
-    """Byte-budgeted spill policy for the coarsening hierarchy.
-
-    Multilevel V-cycles hold every coarsening level's graph alive from
-    the moment it is built until its uncoarsening step — roughly one
-    extra copy of the fine graph spread over the hierarchy.  Past a
-    configurable byte budget this policy writes *idle* levels (any
-    level that is neither the active coarsening input nor the current
-    uncoarsening target) to mmap spill files through the
-    :class:`~repro.graph.shared.SharedCSR` backend, keeping only the
-    active level plus the projection maps in RAM.  Spilled levels are
-    reattached read-only for their uncoarsening step and the file is
-    unlinked immediately after use.
-
-    The budget comes from ``budget`` (bytes, or a string like
-    ``"512M"``) or, when ``None``, the ``REPRO_HIERARCHY_BUDGET``
-    environment variable; an unset/empty budget disables spilling
-    entirely (the policy is then a no-op and the V-cycle is unchanged).
-    Spilling never changes results: the reloaded arrays are
-    byte-for-byte the spilled ones, so labels are bit-identical to the
-    in-memory path.
-
-    One instance may be shared across concurrent bisection-tree nodes
-    (the thread path of recursive bisection); the counters are
-    lock-protected.  ``stats()`` reports spill/attach counts and bytes
-    for :class:`~repro.graph.partition.PartitionResult` provenance.
-    """
-
-    def __init__(self, budget: int | str | None = None):
-        if budget is None:
-            budget = os.environ.get("REPRO_HIERARCHY_BUDGET") or None
-        from ..pipeline.locking import parse_bytes
-
-        self.budget = parse_bytes(budget)
-        self.spills = 0
-        self.attaches = 0
-        self.spilled_bytes = 0
-        self._lock = threading.Lock()
-
-    @property
-    def enabled(self) -> bool:
-        """Whether a budget is configured (no budget → no-op)."""
-        return self.budget is not None
-
-    def stats(self) -> dict:
-        """Provenance snapshot: budget and spill/attach counters."""
-        with self._lock:
-            return {
-                "budget_bytes": self.budget,
-                "spills": self.spills,
-                "attaches": self.attaches,
-                "spilled_bytes": self.spilled_bytes,
-            }
-
-    def absorb(self, stats: dict) -> None:
-        """Fold a worker process's :meth:`stats` into this instance."""
-        with self._lock:
-            self.spills += int(stats.get("spills", 0))
-            self.attaches += int(stats.get("attaches", 0))
-            self.spilled_bytes += int(stats.get("spilled_bytes", 0))
-
-    # ------------------------------------------------------------------
-    def offload(self, lvl: CoarseningLevel, resident: int) -> int:
-        """Spill ``lvl`` if keeping it would exceed the byte budget.
-
-        ``resident`` is the caller's running total of idle in-RAM
-        hierarchy bytes; the updated total is returned (unchanged when
-        the level was spilled, since its graph left RAM).
-        """
-        if not self.enabled or lvl.graph is None:
-            return resident
-        nbytes = _csr_nbytes(lvl.graph)
-        if resident + nbytes <= self.budget:
-            return resident + nbytes
-        from .shared import _SPILL_PREFIX, SharedCSR
-
-        handle = SharedCSR.from_graph(
-            lvl.graph, backend="mmap", prefix=_SPILL_PREFIX
-        )
-        handle.close()  # drop this process's mapping; the file persists
-        lvl.spill_handle = handle
-        lvl.graph = None
-        with self._lock:
-            self.spills += 1
-            self.spilled_bytes += nbytes
-        return resident
-
-    def reload(self, lvl: CoarseningLevel):
-        """Reattach a spilled level for its uncoarsening step.
-
-        Returns ``(graph, reader)``: zero-copy read-only views over the
-        re-mapped spill file and the reader to close afterwards (via
-        :meth:`release`).  For a level that never spilled, returns its
-        in-RAM graph and ``None``.
-        """
-        if lvl.graph is not None:
-            return lvl.graph, None
-        from .shared import SharedCSR
-
-        reader = SharedCSR.attach(lvl.spill_handle.descriptor())
-        with self._lock:
-            self.attaches += 1
-        return reader.graph(), reader
-
-    @staticmethod
-    def release(lvl: CoarseningLevel, reader) -> None:
-        """Unmap and unlink a reloaded level's spill file (idempotent)."""
-        if reader is not None:
-            reader.close()
-        if lvl.spill_handle is not None:
-            lvl.spill_handle.unlink()
-            lvl.spill_handle = None
 
 
 def _segmented_max(score: np.ndarray, starts: np.ndarray) -> np.ndarray:

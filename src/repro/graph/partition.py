@@ -15,7 +15,6 @@ default and provide a direct k-way variant for ablation.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -28,7 +27,6 @@ import numpy as np
 
 from ..resilience.errors import PartitionQualityError
 from .bisect import multilevel_bisect
-from .coarsen import HierarchySpill
 from .contracts import (
     apportion_parts,
     block_partition,
@@ -45,27 +43,15 @@ from .refine import fm_refine
 __all__ = ["PartitionResult", "partition_graph", "recursive_bisection", "kway_direct"]
 
 
-def _resolve_n_jobs(n_jobs: int | str | None) -> int:
-    """Normalize an ``n_jobs`` knob: ``None``/1 → serial, ``-1`` → one
-    worker per CPU, other values are used as-is (minimum 1).
+def _resolve_n_jobs(n_jobs: int | None) -> int:
+    """Normalize an ``n_jobs`` argument: ``None``/1 → serial, ``-1`` →
+    one worker per CPU, other values are used as-is (minimum 1).
 
-    Accepts strings (e.g. a raw ``REPRO_N_JOBS`` environment value);
-    an unparsable string is *not* worth killing a campaign for — it
-    warns and falls back to serial.
+    Environment and CLI values are parsed once, by
+    :func:`repro.pipeline.jobs.resolve_n_jobs`.
     """
     if n_jobs is None:
         return 1
-    if isinstance(n_jobs, str):
-        try:
-            n_jobs = int(n_jobs.strip() or "1")
-        except ValueError:
-            warnings.warn(
-                f"invalid n_jobs value {n_jobs!r} (expected an "
-                "integer); falling back to serial",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 1
     if n_jobs < 0:
         return max(1, os.cpu_count() or 1)
     return max(1, n_jobs)
@@ -133,14 +119,6 @@ class PartitionResult:
         narrowed and wide paths produce bit-identical labels (enforced
         by the fuzz differential stage), so this is provenance, not a
         behavioural switch.
-    spill:
-        Hierarchy-spill provenance when ``REPRO_HIERARCHY_BUDGET`` set
-        a byte budget: ``{"budget_bytes", "spills", "attaches",
-        "spilled_bytes"}`` from :class:`~repro.graph.coarsen.
-        HierarchySpill.stats`.  Empty when spilling was disabled.  Like
-        ``dtypes``, this records *how* the labels were produced, never
-        *which* labels — the spilled and in-memory paths are
-        bit-identical.
     """
 
     part: np.ndarray
@@ -150,7 +128,6 @@ class PartitionResult:
     provenance: str = "primary"
     violations: tuple[str, ...] = field(default_factory=tuple)
     dtypes: dict[str, str] = field(default_factory=dict)
-    spill: dict = field(default_factory=dict)
 
 
 def _repair_split(
@@ -182,7 +159,6 @@ def _split_node(
     level_tol: float,
     max_passes: int,
     init_trials: int,
-    spill: HierarchySpill | None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Bisect one bisection-tree node that must host ``k >= 2`` parts.
 
@@ -204,7 +180,6 @@ def _split_node(
         imbalance_tol=level_tol,
         max_passes=max_passes,
         init_trials=init_trials,
-        spill=spill,
     )
     if vertices is None:
         left, right = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
@@ -227,22 +202,18 @@ def _shared_bisect_node(
     segment.
 
     The task payload is the descriptor plus the vertex subset — never
-    the graph itself.  Returns ``(leaves, tasks, attach_event,
-    spill_stats)`` where ``leaves`` are final ``(vertices, label)``
-    assignments for the parent to apply, ``tasks`` are the two child
-    subproblems, ``attach_event`` is ``(pid, segment_name)`` when this
-    call was the process's first and actually attached the segment, and
-    ``spill_stats`` reports hierarchy-spill counters (``None`` when
-    ``REPRO_HIERARCHY_BUDGET`` is unset — workers inherit the budget
-    through the environment).
+    the graph itself.  Returns ``(leaves, tasks, attach_event)`` where
+    ``leaves`` are final ``(vertices, label)`` assignments for the
+    parent to apply, ``tasks`` are the two child subproblems, and
+    ``attach_event`` is ``(pid, segment_name)`` when this call was the
+    process's first and actually attached the segment.
     """
     from .shared import attached_graph
 
     g, fresh = attached_graph(desc)
     event = (os.getpid(), desc["name"]) if fresh else None
     if k <= 1:
-        return [(vertices, first)], [], event, None
-    spill = HierarchySpill()
+        return [(vertices, first)], [], event
     left, right, k0 = _split_node(
         g,
         vertices,
@@ -251,14 +222,12 @@ def _shared_bisect_node(
         level_tol=level_tol,
         max_passes=max_passes,
         init_trials=init_trials,
-        spill=spill if spill.enabled else None,
     )
     r_left, r_right = node_rng.spawn(2)
     return (
         [],
         [(left, first, k0, r_left), (right, first + k0, k - k0, r_right)],
         event,
-        spill.stats() if spill.enabled else None,
     )
 
 
@@ -273,7 +242,6 @@ def recursive_bisection(
     n_jobs: int | None = 1,
     executor: str | None = None,
     attach_log: list | None = None,
-    spill: HierarchySpill | None = None,
 ) -> np.ndarray:
     """Recursive-bisection partitioning (the paper's method of choice).
 
@@ -283,9 +251,12 @@ def recursive_bisection(
 
     With ``n_jobs > 1`` the two halves produced by each split — which
     are fully independent subproblems — are dispatched to a worker
-    pool.  Every tree node then draws from its own generator, spawned
-    deterministically from its parent's, so the result depends only on
-    ``rng``'s seed, not on scheduling order, worker count or backend.
+    pool.  The labels depend on ``n_jobs == 1`` versus ``n_jobs > 1``
+    and on nothing else: the serial path draws every node from ``rng``
+    itself in depth-first order, while the pool paths give every tree
+    node its own generator spawned from its parent's, so any worker
+    count, scheduling order or backend gives the same labels (ROADMAP
+    item 4 unifies the two rules).
 
     ``executor`` selects the pool backend: ``"thread"`` (shared
     address space), ``"process"`` (GIL-free; the graph is published
@@ -294,12 +265,6 @@ def recursive_bisection(
     below ~200k vertices, processes above).  ``attach_log``, when a
     list, collects ``(pid, segment_name)`` events proving workers
     attached the shared segment.
-
-    ``spill``, when given (and enabled), byte-budgets the coarsening
-    hierarchy of every bisection-tree node — see
-    :class:`~repro.graph.coarsen.HierarchySpill`.  Process-pool
-    workers build their own policy from ``REPRO_HIERARCHY_BUDGET`` and
-    their counters are folded into ``spill``.
     """
     n = g.num_vertices
     part = np.zeros(n, dtype=np.int32)
@@ -327,9 +292,7 @@ def recursive_bisection(
             if k <= 1:
                 part[vertices] = first
                 continue
-            left, right, k0 = _split_node(
-                g, vertices, k, rng, spill=spill, **split
-            )
+            left, right, k0 = _split_node(g, vertices, k, rng, **split)
             stack.append((left, first, k0))
             stack.append((right, first + k0, k - k0))
         return part
@@ -344,9 +307,7 @@ def recursive_bisection(
             # Disjoint fancy-index write; safe across workers.
             part[vertices] = first
             return []
-        left, right, k0 = _split_node(
-            g, vertices, k, node_rng, spill=spill, **split
-        )
+        left, right, k0 = _split_node(g, vertices, k, node_rng, **split)
         r_left, r_right = node_rng.spawn(2)
         return [
             (left, first, k0, r_left),
@@ -378,11 +339,9 @@ def recursive_bisection(
                         pending, return_when=FIRST_COMPLETED
                     )
                     for fut in done:
-                        leaves, tasks, event, wstats = fut.result()
+                        leaves, tasks, event = fut.result()
                         if event is not None and attach_log is not None:
                             attach_log.append(event)
-                        if wstats is not None and spill is not None:
-                            spill.absorb(wstats)
                         for vertices, label in leaves:
                             part[vertices] = label
                         for task in tasks:
@@ -421,7 +380,6 @@ def kway_direct(
     max_passes: int = 8,
     n_jobs: int | None = 1,
     executor: str | None = None,
-    spill: HierarchySpill | None = None,
 ) -> np.ndarray:
     """Direct k-way partitioning via recursive bisection followed by a
     round of pairwise k-way FM sweeps between adjacent parts.
@@ -439,7 +397,6 @@ def kway_direct(
         max_passes=max_passes,
         n_jobs=n_jobs,
         executor=executor,
-        spill=spill,
     )
     if nparts <= 2:
         return part
@@ -491,7 +448,6 @@ def _run_method(
     init_trials: int,
     n_jobs: int | None,
     executor: str | None = None,
-    spill: HierarchySpill | None = None,
 ) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if method == "recursive":
@@ -504,7 +460,6 @@ def _run_method(
             init_trials=init_trials,
             n_jobs=n_jobs,
             executor=executor,
-            spill=spill,
         )
     if method == "kway":
         return kway_direct(
@@ -515,7 +470,6 @@ def _run_method(
             max_passes=max_passes,
             n_jobs=n_jobs,
             executor=executor,
-            spill=spill,
         )
     raise ValueError(f"unknown method {method!r}")
 
@@ -533,7 +487,6 @@ def _partition_components(
     init_trials: int,
     n_jobs: int | None,
     executor: str | None = None,
-    spill: HierarchySpill | None = None,
 ) -> np.ndarray:
     """Component-aware partitioning of a disconnected graph.
 
@@ -591,7 +544,6 @@ def _partition_components(
                 init_trials=init_trials,
                 n_jobs=n_jobs,
                 executor=executor,
-                spill=spill,
             )
             part[mapping] = next_label + labels
         next_label += k
@@ -614,7 +566,7 @@ def partition_graph(
     imbalance_tol: float = 1.05,
     max_passes: int = 8,
     init_trials: int = 8,
-    n_jobs: int | str | None = 1,
+    n_jobs: int | None = 1,
     executor: str | None = None,
     coords: np.ndarray | None = None,
     strict: bool = False,
@@ -636,8 +588,9 @@ def partition_graph(
         partitioning tie-breaks.
     n_jobs:
         Workers for the independent halves of recursive bisection
-        (``-1`` = one per CPU).  ``n_jobs > 1`` is deterministic for a
-        fixed seed regardless of worker count.
+        (``-1`` = one per CPU).  The labels depend on ``n_jobs == 1``
+        versus ``n_jobs > 1`` and on nothing else (see
+        :func:`recursive_bisection`).
     executor:
         Pool backend for ``n_jobs > 1``: ``"thread"``, ``"process"``
         (workers attach one :class:`~repro.graph.shared.SharedCSR`
@@ -680,7 +633,6 @@ def partition_graph(
                 f"{g.num_vertices} vertices"
             )
 
-    spill = HierarchySpill()
     kernel = dict(
         method=method,
         seed=seed,
@@ -689,7 +641,6 @@ def partition_graph(
         init_trials=init_trials,
         n_jobs=n_jobs,
         executor=executor,
-        spill=spill if spill.enabled else None,
     )
 
     provenance = "primary"
@@ -747,7 +698,6 @@ def partition_graph(
             "adjwgt": str(g.adjwgt.dtype),
             "part": str(part.dtype),
         },
-        spill=spill.stats() if spill.enabled else {},
     )
 
 

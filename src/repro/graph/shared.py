@@ -1,32 +1,23 @@
-"""Shared-memory CSR graph storage for multi-process partitioning.
+"""Shared CSR graph storage for multi-process partitioning.
 
 Parallel recursive bisection dispatches independent subtree nodes to
 workers.  With a process pool, pickling the whole :class:`CSRGraph`
 into every task would copy O(n + m) bytes per split — at paper scale
 (1M+ cells) that dwarfs the partitioning work itself.  Instead the
 parent packs the four CSR arrays (``xadj/adjncy/vwgt/adjwgt``) into a
-single shared segment once; tasks carry only a tiny picklable
-*descriptor*, and each worker process attaches the segment one time
-and reconstructs zero-copy read-only array views.
-
-Two backends provide the segment:
-
-* ``"shm"`` — POSIX shared memory via
-  :class:`multiprocessing.shared_memory.SharedMemory` (the default);
-* ``"mmap"`` — a temporary file mapped with :class:`numpy.memmap`,
-  used as a spill path when ``/dev/shm`` is unavailable or too small
-  (or when forced with ``REPRO_SHARED_BACKEND=mmap``).
+single temporary file once and maps it with :class:`numpy.memmap`;
+tasks carry only a tiny picklable *descriptor*, and each worker process
+attaches the file one time and reconstructs zero-copy read-only array
+views.
 
 Cleanup is defensive in two layers.  The parent object unlinks its
-segment via ``weakref.finalize`` (which also runs at interpreter
-exit), so worker crashes cannot leak ``/dev/shm`` entries — only the
-parent owns the segment's lifetime.  And because a finalizer cannot
-survive ``SIGKILL``, segment names embed the owning pid
-(``repro-shm-<pid>-<hex>`` / ``repro_csr_<pid>_...`` /
-``repro_spill_<pid>_...`` for spilled coarsening levels): a killed
-parent's leftovers are recognisably stale (dead pid) and reclaimed by
-:func:`sweep_stale_segments` — run automatically once per process
-before the first segment is created (disable with
+file via ``weakref.finalize`` (which also runs at interpreter exit),
+so worker crashes cannot leak segments — only the parent owns the
+segment's lifetime.  And because a finalizer cannot survive
+``SIGKILL``, file names embed the owning pid (``repro_csr_<pid>_...``):
+a killed parent's leftovers are recognisably stale (dead pid) and
+reclaimed by :func:`sweep_stale_segments` — run automatically once per
+process before the first segment is created (disable with
 ``REPRO_SHM_SWEEP=0``), or on demand via ``repro gc``.
 """
 
@@ -37,7 +28,6 @@ import re
 import tempfile
 import warnings
 import weakref
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
@@ -47,67 +37,20 @@ from .csr import CSRGraph
 __all__ = [
     "SharedCSR",
     "attached_graph",
-    "attachment_count",
     "stale_segments",
     "sweep_stale_segments",
 ]
 
 #: Segment naming: the owning pid is part of the name, so a sweep can
 #: tell live segments from the litter of killed processes.
-_SHM_PREFIX = "repro-shm-"
-_MMAP_PREFIX = "repro_csr_"
-#: Spilled coarsening-hierarchy levels (see
-#: :class:`repro.graph.coarsen.HierarchySpill`) use the same mmap
-#: machinery under their own prefix, so the sweep can reclaim them too.
-_SPILL_PREFIX = "repro_spill_"
-_SHM_RE = re.compile(r"^repro-shm-(\d+)-[0-9a-f]+$")
-_MMAP_RE = re.compile(r"^repro_csr_(\d+)_.*$")
-_SPILL_RE = re.compile(r"^repro_spill_(\d+)_.*$")
-_SHM_DIR = Path("/dev/shm")
+_PREFIX = "repro_csr_"
+_NAME_RE = re.compile(r"^repro_csr_(\d+)_.*$")
 
 _ALIGN = 64
 
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _resolve_backend(backend: str | None) -> str:
-    if backend is None:
-        backend = os.environ.get("REPRO_SHARED_BACKEND", "").strip() or "auto"
-    backend = backend.lower()
-    if backend not in ("auto", "shm", "mmap"):
-        raise ValueError(f"unknown shared backend {backend!r}")
-    return backend
-
-
-def _attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without adopting its lifetime.
-
-    On Python >= 3.13 ``track=False`` does this directly; earlier
-    versions register every attach with the resource tracker, which
-    would try to unlink the (already parent-owned) segment at exit and
-    warn — so the registration is undone right away.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - version-dependent branch
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            import multiprocessing
-
-            if multiprocessing.get_start_method(allow_none=True) != "fork":
-                # Forked workers share the parent's tracker, where the
-                # owner's registration already covers cleanup; spawned
-                # workers have their own tracker, which would wrongly
-                # unlink the parent-owned segment at exit unless the
-                # attach registration is undone.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-        return shm
 
 
 class SharedCSR:
@@ -124,26 +67,19 @@ class SharedCSR:
     def __init__(
         self,
         *,
-        backend: str,
         name: str,
         layout: dict[str, tuple[str, tuple[int, ...], int]],
         total: int,
         buf,
-        shm: shared_memory.SharedMemory | None,
         owner: bool,
     ) -> None:
-        self._backend = backend
         self._name = name
         self._layout = layout
         self._total = total
         self._buf = buf
-        self._shm = shm
         self._owner = owner
-        self._closed = False
         if owner:
-            self._finalizer = weakref.finalize(
-                self, _cleanup, backend, name, shm
-            )
+            self._finalizer = weakref.finalize(self, _cleanup, name)
         else:
             self._finalizer = None
 
@@ -151,20 +87,8 @@ class SharedCSR:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(
-        cls,
-        g: CSRGraph,
-        *,
-        backend: str | None = None,
-        prefix: str | None = None,
-    ) -> "SharedCSR":
-        """Pack ``g``'s CSR arrays into one new shared segment.
-
-        ``prefix`` overrides the mmap spill-file prefix (the hierarchy
-        spiller uses ``repro_spill_``); it must be one of the prefixes
-        the stale sweep recognises.
-        """
-        backend = _resolve_backend(backend)
+    def from_graph(cls, g: CSRGraph) -> "SharedCSR":
+        """Pack ``g``'s CSR arrays into one new shared segment."""
         arrays = {
             "xadj": g.xadj,
             "adjncy": g.adjncy,
@@ -180,66 +104,34 @@ class SharedCSR:
         total = max(1, offset)
 
         _sweep_once()
-        shm: shared_memory.SharedMemory | None = None
-        if backend in ("auto", "shm"):
-            try:
-                shm = _create_shm(total)
-                buf = shm.buf
-                name = shm.name
-                backend = "shm"
-            except OSError:
-                if backend == "shm":
-                    raise
-                backend = "mmap"
-        if backend == "mmap":
-            fd, path = tempfile.mkstemp(
-                prefix=f"{prefix or _MMAP_PREFIX}{os.getpid()}_",
-                suffix=".bin",
-            )
-            os.close(fd)
-            with open(path, "wb") as fh:
-                fh.truncate(total)
-            buf = np.memmap(path, dtype=np.uint8, mode="r+", shape=(total,))
-            name = path
-
-        out = cls(
-            backend=backend,
-            name=name,
-            layout=layout,
-            total=total,
-            buf=buf,
-            shm=shm,
-            owner=True,
+        fd, path = tempfile.mkstemp(
+            prefix=f"{_PREFIX}{os.getpid()}_", suffix=".bin"
         )
+        os.close(fd)
+        with open(path, "wb") as fh:
+            fh.truncate(total)
+        buf = np.memmap(path, dtype=np.uint8, mode="r+", shape=(total,))
+
+        out = cls(name=path, layout=layout, total=total, buf=buf, owner=True)
         for key, arr in arrays.items():
             out._view(key)[...] = arr
-        if backend == "mmap":
-            buf.flush()
+        buf.flush()
         return out
 
     @classmethod
     def attach(cls, desc: dict) -> "SharedCSR":
         """Attach to an existing segment from its descriptor."""
-        backend = desc["backend"]
-        name = desc["name"]
         layout = {
             k: (d, tuple(s), o) for k, (d, s, o) in desc["layout"].items()
         }
-        if backend == "shm":
-            shm = _attach_shm(name)
-            buf = shm.buf
-        else:
-            shm = None
-            buf = np.memmap(
-                name, dtype=np.uint8, mode="r", shape=(desc["total"],)
-            )
+        buf = np.memmap(
+            desc["name"], dtype=np.uint8, mode="r", shape=(desc["total"],)
+        )
         return cls(
-            backend=backend,
-            name=name,
+            name=desc["name"],
             layout=layout,
             total=desc["total"],
             buf=buf,
-            shm=shm,
             owner=False,
         )
 
@@ -270,7 +162,6 @@ class SharedCSR:
     def descriptor(self) -> dict:
         """Small picklable handle workers use to :meth:`attach`."""
         return {
-            "backend": self._backend,
             "name": self._name,
             "total": self._total,
             "layout": {
@@ -278,32 +169,12 @@ class SharedCSR:
             },
         }
 
-    @property
-    def nbytes(self) -> int:
-        return self._total
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def backend(self) -> str:
-        return self._backend
-
     # ------------------------------------------------------------------
     # Lifetime
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Drop this process's mapping (does not remove the segment)."""
-        if self._closed:
-            return
-        self._closed = True
         self._buf = None
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except (OSError, BufferError):  # pragma: no cover - defensive
-                pass
 
     def unlink(self) -> None:
         """Remove the segment (owner only; idempotent)."""
@@ -320,45 +191,17 @@ class SharedCSR:
         self.unlink() if self._owner else self.close()
 
 
-def _cleanup(
-    backend: str, name: str, shm: shared_memory.SharedMemory | None
-) -> None:
+def _cleanup(name: str) -> None:
     """Owner-side segment removal; must never raise (finalizer)."""
-    if backend == "shm" and shm is not None:
-        try:
-            shm.close()
-        except (OSError, BufferError):  # pragma: no cover - defensive
-            pass
-        try:
-            shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover
-            pass
-    elif backend == "mmap":
-        try:
-            os.unlink(name)
-        except (FileNotFoundError, OSError):  # pragma: no cover
-            pass
+    try:
+        os.unlink(name)
+    except OSError:  # pragma: no cover
+        pass
 
 
 # ----------------------------------------------------------------------
 # Stale-segment hygiene
 # ----------------------------------------------------------------------
-def _create_shm(total: int) -> shared_memory.SharedMemory:
-    """Create a segment with a pid-keyed name (collision-retried)."""
-    for _ in range(16):
-        token = os.urandom(4).hex()
-        name = f"{_SHM_PREFIX}{os.getpid()}-{token}"
-        try:
-            return shared_memory.SharedMemory(
-                create=True, size=total, name=name
-            )
-        except FileExistsError:  # pragma: no cover - 2^-32 per round
-            continue
-    # Pathological collision streak: let the stdlib pick a random name
-    # (such a segment is invisible to the sweep, but still finalized).
-    return shared_memory.SharedMemory(create=True, size=total)
-
-
 def _pid_alive(pid: int) -> bool:
     from ..pipeline.locking import pid_alive
 
@@ -368,33 +211,22 @@ def _pid_alive(pid: int) -> bool:
 def stale_segments() -> list[Path]:
     """Shared segments whose owning process is dead.
 
-    Scans ``/dev/shm`` for ``repro-shm-<pid>-*`` entries and the
-    tempdir for ``repro_csr_<pid>_*`` shared-graph spill files and
-    ``repro_spill_<pid>_*`` hierarchy spill files; an entry is stale
-    when its embedded pid no longer exists.  Only this naming scheme is
-    considered — foreign segments are never touched.
+    Scans the temp dir for ``repro_csr_<pid>_*`` files; an entry is
+    stale when its embedded pid no longer exists.  Only this naming
+    scheme is considered — foreign files are never touched.
     """
     stale: list[Path] = []
-    tmp = Path(tempfile.gettempdir())
-    for directory, pattern in (
-        (_SHM_DIR, _SHM_RE),
-        (tmp, _MMAP_RE),
-        (tmp, _SPILL_RE),
-    ):
-        try:
-            entries = list(directory.iterdir())
-        except OSError:
+    try:
+        entries = list(Path(tempfile.gettempdir()).iterdir())
+    except OSError:
+        return stale
+    for path in entries:
+        match = _NAME_RE.match(path.name)
+        if match is None:
             continue
-        for path in entries:
-            match = pattern.match(path.name)
-            if match is None:
-                continue
-            try:
-                pid = int(match.group(1))
-            except ValueError:  # pragma: no cover - regex guarantees
-                continue
-            if pid != os.getpid() and not _pid_alive(pid):
-                stale.append(path)
+        pid = int(match.group(1))
+        if pid != os.getpid() and not _pid_alive(pid):
+            stale.append(path)
     return stale
 
 
@@ -436,7 +268,7 @@ def _sweep_once() -> None:
     swept = sweep_stale_segments()
     if swept:
         warnings.warn(
-            f"reclaimed {len(swept)} stale shared-memory segment(s) "
+            f"reclaimed {len(swept)} stale shared CSR segment(s) "
             f"left by dead processes: {', '.join(sorted(swept)[:4])}"
             + ("..." if len(swept) > 4 else ""),
             RuntimeWarning,
@@ -468,8 +300,3 @@ def attached_graph(desc: dict) -> tuple[CSRGraph, bool]:
     g = scsr.graph()
     _ATTACHED[key] = (scsr, g)
     return g, True
-
-
-def attachment_count() -> int:
-    """Number of distinct segments attached by this process."""
-    return len(_ATTACHED)

@@ -8,9 +8,11 @@ the batch runner and the artifact store all speak.
 
 Every field of every config participates in the stage's content
 address (see :mod:`repro.pipeline.hashing`) — including
-``PartitionConfig.n_jobs``, because the parallel recursive bisection
-explores seeds per subproblem and its output genuinely depends on the
-worker count.
+``PartitionConfig.n_jobs``: the serial recursive bisection draws from
+one generator while the parallel one spawns a generator per tree node,
+so the labels depend on ``n_jobs == 1`` versus ``n_jobs > 1`` (and on
+nothing else; ROADMAP item 4 unifies the two).  Parallel worker counts
+still get distinct addresses, computing equal labels.
 """
 
 from __future__ import annotations

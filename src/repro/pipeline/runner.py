@@ -154,8 +154,9 @@ class Pipeline:
         (explicit → process default → ``REPRO_N_JOBS`` → serial) and
         threaded through to the strategies via
         ``PartitionConfig.n_jobs``, which also makes it part of the
-        partition artifact's content address (parallel recursive
-        bisection is worker-count dependent).
+        partition artifact's content address (the labels depend on
+        ``n_jobs == 1`` versus ``n_jobs > 1``, not on the parallel
+        worker count; see :func:`repro.graph.partition.recursive_bisection`).
     """
 
     def __init__(

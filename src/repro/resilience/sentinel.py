@@ -6,8 +6,7 @@ artifact volumes, machine-wide available memory, and queue depth —
 and folds them into one typed :class:`PressureState`:
 
 * ``OK`` — full service;
-* ``SOFT`` — degrade: shrink worker concurrency, force the mmap CSR
-  backend (zero-copy attach without /dev/shm growth);
+* ``SOFT`` — degrade: shrink worker concurrency;
 * ``HARD`` — protect: pause claiming, shed the in-memory store tier.
 
 Transitions are **hysteretic**: escalation is immediate (one bad

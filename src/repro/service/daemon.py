@@ -52,13 +52,13 @@ Robustness properties:
   machine stays consistent either way);
 * **graceful degradation** — a :class:`ResourceSentinel` samples RSS,
   free disk on the spool/artifact volumes and queue depth into
-  ``OK/SOFT/HARD`` pressure states.  Under ``SOFT`` the daemon shrinks
-  worker concurrency and forces the mmap CSR backend in job children;
-  under ``HARD`` it pauses claiming and running children shed the
-  in-memory store tier.  Every decision is recorded in the job's
-  ``degradation`` provenance, and results are bit-identical to the
-  unpressured path (the mmap backend and the store's memory tier never
-  change computed values);
+  ``OK/SOFT/HARD`` pressure states.  Under ``SOFT`` the daemon halves
+  worker concurrency; under ``HARD`` it pauses claiming and running
+  children shed the in-memory store tier, which the job's
+  ``degradation`` provenance records.  The job's ``pressure`` record
+  carries the state it was claimed under, and results are
+  bit-identical to the unpressured path (neither decision changes
+  computed values);
 * **crash-safe store** — the child runs against the cross-process
   artifact store, so a retried attempt reuses every stage the dead
   attempt already published, and concurrent daemons sharing a store
@@ -132,7 +132,6 @@ def _child_main(
     jobs: list[dict[str, Any]],
     store_root: str | None,
     pressure_path: str,
-    force_mmap: bool,
     env: dict[str, str],
     stage_delay: float,
 ) -> None:
@@ -152,17 +151,13 @@ def _child_main(
     node an ``error.json``.  Anything that kills the process outright
     is the parent's problem to observe.
 
-    Degradation: ``force_mmap`` pins the shared-CSR backend to mmap
-    before any graph work (a ``SOFT``-pressure decision, bit identical
-    to the shm path); at every node the child re-reads the daemon's
+    Degradation: at every node the child re-reads the daemon's
     ``pressure_path`` snapshot and, while it says ``HARD``, sheds the
-    store's in-memory tier.  Both decisions are recorded in the
-    streamed ``degradation`` provenance.
+    store's in-memory tier, recorded in the streamed ``degradation``
+    provenance.
     """
     os.environ.clear()
     os.environ.update(env)
-    if force_mmap:
-        os.environ["REPRO_SHARED_BACKEND"] = "mmap"
     try:
         from ..pipeline import (
             ArtifactStore,
@@ -337,7 +332,6 @@ class _Job:
     status: JobStatus
     seq: int  # claim order, the chaos plan's task index
     workdir: Path
-    force_mmap: bool  # SOFT-pressure decision taken at claim time
     attempt: int = 0
     attempt_started: float = 0.0
     batch: int = 1  # jobs in the current attempt's child
@@ -692,7 +686,6 @@ class ServeDaemon:
     ) -> list[_Job]:
         """Open the running-status records of a freshly claimed batch."""
         jobs: list[_Job] = []
-        force_mmap = sample.state >= PressureState.SOFT
         for job_id, request, record in batch:
             self._job_seq += 1
             status = JobStatus(
@@ -707,10 +700,6 @@ class ServeDaemon:
                 },
                 pressure=sample.to_dict(),
             )
-            if force_mmap:
-                status.degradation.append(
-                    f"{sample.state}: forced mmap CSR backend in worker"
-                )
             jobs.append(
                 _Job(
                     job_id=job_id,
@@ -718,7 +707,6 @@ class ServeDaemon:
                     status=status,
                     seq=self._job_seq,
                     workdir=self.queue.workdir(job_id),
-                    force_mmap=force_mmap,
                 )
             )
         with self._lock:
@@ -809,7 +797,6 @@ class ServeDaemon:
                 specs,
                 self.store_root,
                 str(self.queue.root / "health" / "pressure.json"),
-                any(job.force_mmap for job in group),
                 env,
                 stage_delay,
             ),

@@ -570,12 +570,29 @@ class SpoolQueue:
 
     # -- client side ---------------------------------------------------
     def status(self, job_id: str) -> JobStatus | None:
-        """The current status of a job, wherever it is in the spool."""
-        for state in TERMINAL_STATES:
-            data = _read_json(self._job_path(state, job_id))
-            if data is not None:
-                data.setdefault("state", state)
-                return JobStatus.from_dict(data)
+        """The current status of a job, wherever it is in the spool.
+
+        A job moves while it is probed.  The probe follows its
+        lifecycle (pending → running → terminal), so a job renamed
+        forward between two reads is found by a later one; a probe that
+        misses everywhere is repeated once, which finds a job moved
+        backward (a requeue, running → pending) behind it.
+        """
+        for _ in range(2):
+            status = self._probe(job_id)
+            if status is not None:
+                return status
+        return None
+
+    def _probe(self, job_id: str) -> JobStatus | None:
+        record = _read_json(self._job_path("pending", job_id))
+        if record is not None:
+            return JobStatus(
+                job_id=job_id,
+                state="pending",
+                request=dict(record.get("request") or {}),
+                submitted_at=float(record.get("submitted_at") or 0.0),
+            )
         if self._job_path("running", job_id).exists():
             data = _read_json(self._status_path(job_id))
             if data is not None:
@@ -588,14 +605,11 @@ class SpoolQueue:
                 request=dict(record.get("request") or {}),
                 submitted_at=float(record.get("submitted_at") or 0.0),
             )
-        record = _read_json(self._job_path("pending", job_id))
-        if record is not None:
-            return JobStatus(
-                job_id=job_id,
-                state="pending",
-                request=dict(record.get("request") or {}),
-                submitted_at=float(record.get("submitted_at") or 0.0),
-            )
+        for state in TERMINAL_STATES:
+            data = _read_json(self._job_path(state, job_id))
+            if data is not None:
+                data.setdefault("state", state)
+                return JobStatus.from_dict(data)
         return None
 
     def jobs(self) -> dict[str, list[str]]:

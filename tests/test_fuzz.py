@@ -3,6 +3,8 @@ satellites (REPRO_N_JOBS parsing, corrupt-checkpoint fallback)."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,36 +123,46 @@ class TestVerifyDag:
 
 
 class TestNJobsParsing:
-    def test_resolve_n_jobs_invalid_string_warns(self):
-        from repro.graph.partition import _resolve_n_jobs
+    """``REPRO_N_JOBS`` is parsed in one place,
+    :func:`repro.pipeline.resolve_n_jobs`."""
 
-        with pytest.warns(RuntimeWarning, match="invalid n_jobs"):
-            assert _resolve_n_jobs("bananas") == 1
+    def test_resolve_n_jobs_invalid_string_warns(self, monkeypatch):
+        from repro.pipeline import resolve_n_jobs
 
-    def test_resolve_n_jobs_valid_string(self):
-        from repro.graph.partition import _resolve_n_jobs
+        monkeypatch.setenv("REPRO_N_JOBS", "bananas")
+        with pytest.warns(RuntimeWarning, match="invalid REPRO_N_JOBS"):
+            assert resolve_n_jobs() == 1
+        # An explicit count never reads the environment.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_n_jobs(3) == 3
 
-        assert _resolve_n_jobs("3") == 3
-        assert _resolve_n_jobs(" 2 ") == 2
+    def test_resolve_n_jobs_valid_string(self, monkeypatch):
+        from repro.pipeline import resolve_n_jobs
+
+        monkeypatch.setenv("REPRO_N_JOBS", "3")
+        assert resolve_n_jobs() == 3
+        monkeypatch.setenv("REPRO_N_JOBS", " 2 ")
+        assert resolve_n_jobs() == 2
 
     def test_env_var_invalid_warns(self, monkeypatch):
-        from repro.experiments.common import default_n_jobs
+        from repro.pipeline import resolve_n_jobs
 
         monkeypatch.setenv("REPRO_N_JOBS", "not-a-number")
         with pytest.warns(RuntimeWarning, match="REPRO_N_JOBS"):
-            assert default_n_jobs() == 1
+            assert resolve_n_jobs() == 1
 
     def test_env_var_valid(self, monkeypatch):
-        from repro.experiments.common import default_n_jobs
+        from repro.pipeline import resolve_n_jobs
 
         monkeypatch.setenv("REPRO_N_JOBS", "4")
-        assert default_n_jobs() == 4
+        assert resolve_n_jobs() == 4
 
     def test_env_var_empty(self, monkeypatch):
-        from repro.experiments.common import default_n_jobs
+        from repro.pipeline import resolve_n_jobs
 
         monkeypatch.setenv("REPRO_N_JOBS", "")
-        assert default_n_jobs() == 1
+        assert resolve_n_jobs() == 1
 
 
 class TestCheckpointFallback:

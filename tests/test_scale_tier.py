@@ -1,14 +1,16 @@
 """Tests for the paper-scale tier.
 
-Two surfaces introduced together: the shared-memory CSR segment that
-parallel recursive bisection publishes to process workers, and the
-int32/float32 storage narrowing with dtype provenance.
+Two surfaces introduced together: the shared CSR segment (one mmap'd
+temp file) that parallel recursive bisection publishes to process
+workers, and the int32/float32 storage narrowing with dtype
+provenance.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -62,6 +64,12 @@ class TestSharedCSR:
     def test_roundtrip_preserves_arrays_and_dtypes(self):
         g = narrow_graph(1)
         with SharedCSR.from_graph(g) as scsr:
+            # One pid-keyed temp file, the name the stale sweep knows.
+            path = scsr.descriptor()["name"]
+            assert os.path.dirname(path) == tempfile.gettempdir()
+            assert os.path.basename(path).startswith(
+                f"repro_csr_{os.getpid()}_"
+            )
             peer = SharedCSR.attach(scsr.descriptor())
             try:
                 got = peer.graph()
@@ -85,11 +93,7 @@ class TestSharedCSR:
         desc = scsr.descriptor()
         scsr.unlink()
         scsr.unlink()  # idempotent
-        if desc["backend"] == "shm":
-            with pytest.raises(FileNotFoundError):
-                SharedCSR.attach(desc)
-        else:
-            assert not os.path.exists(desc["name"])
+        assert not os.path.exists(desc["name"])
 
     def test_finalizer_cleans_up_without_explicit_unlink(self):
         import gc
@@ -99,11 +103,7 @@ class TestSharedCSR:
         desc = scsr.descriptor()
         del scsr
         gc.collect()
-        if desc["backend"] == "shm":
-            with pytest.raises(FileNotFoundError):
-                SharedCSR.attach(desc)
-        else:
-            assert not os.path.exists(desc["name"])
+        assert not os.path.exists(desc["name"])
 
     def test_worker_crash_does_not_leak_segment(self):
         """A worker that attaches and dies hard must not keep the
@@ -126,20 +126,7 @@ class TestSharedCSR:
         peer.close()
         # ...and its unlink still removes it.
         scsr.unlink()
-        if desc["backend"] == "shm":
-            with pytest.raises(FileNotFoundError):
-                SharedCSR.attach(desc)
-        else:
-            assert not os.path.exists(desc["name"])
-
-    def test_mmap_backend_roundtrip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARED_BACKEND", "mmap")
-        g = narrow_graph(5)
-        with SharedCSR.from_graph(g) as scsr:
-            assert scsr.backend == "mmap"
-            peer = SharedCSR.attach(scsr.descriptor())
-            np.testing.assert_array_equal(peer.graph().adjwgt, g.adjwgt)
-            peer.close()
+        assert not os.path.exists(desc["name"])
 
 
 def _attach_and_crash(desc):

@@ -81,7 +81,6 @@ class TestPreload:
                     [spec],
                     daemon.store_root,
                     str(tmp_path / "pressure.json"),
-                    False,
                     dict(os.environ),
                     0.0,
                 ),
