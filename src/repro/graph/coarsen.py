@@ -102,29 +102,20 @@ def _matching_fallback(
     match: np.ndarray,
     candidates: np.ndarray,
     rng: np.random.Generator,
-    multi: bool,
+    spread: np.ndarray | None,
 ) -> None:
     """Greedy per-vertex matching over the remaining ``candidates``.
 
     Invoked on the small tail left after the vectorized proposal rounds
     (or when a round makes no progress on an adversarial tie pattern);
     guarantees termination with the same semantics as the seed loop.
+    ``spread`` is :func:`_edge_spread` over every CSR edge of ``g`` when
+    equally heavy edges go to the smaller constraint spread, ``None``
+    for the plain heaviest-edge rule.
     """
-    # Spreads compare in float64 on narrowed graphs too, bit for bit
-    # as on the wide path.
-    xadj, adjncy, adjwgt, vw_cols = g.scalar_views()
+    xadj, adjncy, adjwgt, _ = g.scalar_views()
     mt = memoryview(match)
-
-    def spread(v: int, u: int) -> float:
-        """max - min of the combined weight vector of ``v`` and ``u``."""
-        hi = lo = vw_cols[0][v] + vw_cols[0][u]
-        for col in vw_cols[1:]:
-            both = col[v] + col[u]
-            if both > hi:
-                hi = both
-            elif both < lo:
-                lo = both
-        return hi - lo
+    sp = memoryview(spread) if spread is not None else None
 
     for v in candidates[rng.permutation(len(candidates))].tolist():
         if mt[v] != v:
@@ -137,12 +128,11 @@ def _matching_fallback(
             if mt[u] != u or u == v:
                 continue
             w = adjwgt[idx]
-            if multi:
+            if sp is not None:
                 if w > best_w + 1e-12:
-                    best, best_w = u, w
-                    best_spread = spread(v, u)
+                    best, best_w, best_spread = u, w, sp[idx]
                 elif w > best_w - 1e-12:
-                    s = spread(v, u)
+                    s = sp[idx]
                     if s < best_spread:
                         best, best_w, best_spread = u, w, s
             else:
@@ -197,7 +187,10 @@ def heavy_edge_matching(
     e_w = g.adjwgt
     if e_w.dtype != np.float64:
         e_w = e_w.astype(np.float64)
-    e_spread = _edge_spread(g.vwgt, e_src, e_dst) if multi else None
+    # The greedy tail reads the whole graph's spreads; the rounds read
+    # a compacted copy.
+    spread = _edge_spread(g.vwgt, e_src, e_dst) if multi else None
+    e_spread = spread
 
     # Symmetric per-edge random tie-break key, drawn once: both
     # directions of an undirected edge see the same value, so the
@@ -271,7 +264,7 @@ def heavy_edge_matching(
             e_spread = e_spread[keep]
     if len(e_src):
         # Unmatched vertices that still have unmatched neighbours.
-        _matching_fallback(g, match, np.unique(e_src), rng, multi)
+        _matching_fallback(g, match, np.unique(e_src), rng, spread)
     return match
 
 

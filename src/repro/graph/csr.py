@@ -81,6 +81,9 @@ class CSRGraph:
     _edge_sources: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _weighted_degrees: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # Row pointers stay int64 (n+1 entries — negligible memory);
@@ -143,6 +146,22 @@ class CSRGraph:
             )
         return self._edge_sources
 
+    def weighted_degrees(self) -> np.ndarray:
+        """``(n,)`` float64 total edge weight of every vertex, summed in
+        CSR order (cached; do not mutate).
+
+        Graph growing, FM and ``rebalance`` keep one gain per vertex
+        (external minus internal weight); this is the constant the
+        gains are offset from.
+        """
+        if self._weighted_degrees is None:
+            self._weighted_degrees = np.bincount(
+                self.edge_sources(),
+                weights=self.adjwgt,
+                minlength=self.num_vertices,
+            ).astype(np.float64, copy=False)
+        return self._weighted_degrees
+
     def scalar_views(
         self,
     ) -> tuple[memoryview, memoryview, memoryview, list[memoryview]]:
@@ -195,6 +214,7 @@ class CSRGraph:
         # The structure is shared, so the derived caches are too.
         g._degrees = self._degrees
         g._edge_sources = self._edge_sources
+        g._weighted_degrees = self._weighted_degrees
         return g
 
     def subgraph(self, vertices: np.ndarray) -> tuple["CSRGraph", np.ndarray]:

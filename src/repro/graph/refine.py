@@ -31,7 +31,7 @@ Frontier table in EXPERIMENTS.md.
 Implementation note: the per-move admissibility check runs millions of
 times, so the inner loop works on plain Python floats (``ncon ≤`` a
 handful) rather than NumPy arrays — an order-of-magnitude win measured
-by profiling.  The graph-sized state (CSR arrays, labels, degrees,
+by profiling.  The graph-sized state (CSR arrays, labels, gains,
 weight columns) is indexed through ``memoryview``s of the NumPy arrays
 themselves (:meth:`CSRGraph.scalar_views`): no per-level copy into
 boxed lists, and the loop's writes land in the arrays the vectorised
@@ -47,7 +47,7 @@ import numpy as np
 
 from ..resilience.errors import PartitionInternalError
 from .csr import CSRGraph
-from .metrics import edge_cut
+from .metrics import edge_cut, part_weights
 
 __all__ = ["fm_refine", "rebalance"]
 
@@ -67,6 +67,13 @@ def _degrees(g: CSRGraph, part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ideg.astype(np.float64, copy=False),
         edeg.astype(np.float64, copy=False),
     )
+
+
+def _gains(g: CSRGraph, part: np.ndarray) -> np.ndarray:
+    """External minus internal degree of every vertex w.r.t. a
+    bisection: the cut reduction of moving it (writable float64)."""
+    ideg, edeg = _degrees(g, part)
+    return edeg - ideg
 
 
 def _one_hot_columns(vwgt: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -162,11 +169,18 @@ def fm_refine(
         incrementally tracked edge cut agrees with a from-scratch
         recomputation.
 
-    Implementation note: internal/external degrees and the edge cut are
-    computed once and then maintained *incrementally* around each moved
-    (and rolled-back) vertex, so a pass costs O(moved-edge endpoints)
-    instead of O(n + m).  Only boundary vertices enter the move queue,
-    matching METIS semantics.
+    Implementation note: one gain per vertex (external minus internal
+    degree) and the edge cut are computed once and then maintained
+    *incrementally* around each moved (and rolled-back) vertex — a
+    neighbour's gain moves by ``2w``, the mover's changes sign — so a
+    pass costs O(moved-edge endpoints) instead of O(n + m).  A vertex
+    is on the boundary while its gain exceeds minus its weighted degree
+    (:meth:`CSRGraph.weighted_degrees`, which never changes), i.e.
+    while its external degree is positive.  Only boundary vertices
+    enter the move queue, matching METIS semantics.  For integer or
+    float32-valued weights every gain is exact in float64, so the
+    labels equal those of separate internal/external degree arrays bit
+    for bit.
 
     Two priority queues are used.  When every edge weight is exactly 1
     (true for all mesh-dual finest levels, where FM spends most of its
@@ -185,10 +199,7 @@ def fm_refine(
     inv0, inv1 = _inv_denoms(total, targets)
     ncon = g.ncon
 
-    pw_arr = np.empty((2, ncon), dtype=np.float64)
-    for c in range(ncon):
-        pw_arr[:, c] = np.bincount(part, weights=g.vwgt[:, c], minlength=2)
-    pw = pw_arr.tolist()
+    pw = part_weights(g, part, 2).tolist()
     inv = [inv0, inv1]
 
     if max_moves_per_pass is None:
@@ -222,16 +233,18 @@ def fm_refine(
         col_v = memoryview(col)
         wcol_v = memoryview(wcol)
 
-    # Degrees and cut are maintained incrementally from here on.
-    ideg_a, edeg_a = _degrees(g, part)
-    ideg = memoryview(ideg_a)
-    edeg = memoryview(edeg_a)
-    cur_cut = float(edeg_a.sum()) / 2.0
+    # Gains and cut are maintained incrementally from here on; the
+    # external degree is (wdeg + gain) / 2.
+    gain_a = _gains(g, part)
+    wdeg_a = g.weighted_degrees()
+    gain = memoryview(gain_a)
+    wdeg = memoryview(wdeg_a)
+    cur_cut = float((wdeg_a + gain_a).sum()) / 4.0
     part_v = memoryview(part)
     # Boundary of the first pass comes from one vectorized scan; later
     # passes rebuild it from the vertices actually touched, keeping
     # per-pass overhead proportional to the work done, not to n.
-    boundary = np.flatnonzero(edeg_a > 0)
+    boundary = np.flatnonzero(gain_a > -wdeg_a)
     if early_stop is None:
         early_stop = max(100, len(boundary) // 2)
 
@@ -244,7 +257,7 @@ def fm_refine(
             buckets: list[deque[int]] = [deque() for _ in range(2 * maxdeg + 1)]
             gmax = -1
             for v in boundary[rng.permutation(len(boundary))].tolist():
-                gi = int(edeg[v] - ideg[v]) + off
+                gi = int(gain[v]) + off
                 buckets[gi].append(v)
                 if gi > gmax:
                     gmax = gi
@@ -252,7 +265,7 @@ def fm_refine(
             heap: list[tuple[float, int, int]] = []
             counter = 0
             for v in boundary[rng.permutation(len(boundary))].tolist():
-                heap.append((ideg[v] - edeg[v], counter, v))
+                heap.append((-gain[v], counter, v))
                 counter += 1
             heapq.heapify(heap)
 
@@ -276,15 +289,15 @@ def fm_refine(
                 if gmax < 0:
                     break
                 v = buckets[gmax].popleft()
-                gain = edeg[v] - ideg[v]
-                if locked[v] or gain + off != gmax or edeg[v] <= 0:
+                gv = gain[v]
+                if locked[v] or gv + off != gmax or gv <= -wdeg[v]:
                     continue
             else:
                 if not heap:
                     break
                 negg, _, v = heapq.heappop(heap)
-                gain = edeg[v] - ideg[v]
-                if locked[v] or -negg != gain or edeg[v] <= 0:
+                gv = gain[v]
+                if locked[v] or -negg != gv or gv <= -wdeg[v]:
                     continue
             src_p = part_v[v]
             dst_p = 1 - src_p
@@ -331,43 +344,40 @@ def fm_refine(
                     w = vw_cols[c][v]
                     pws[c] -= w
                     pwd[c] += w
-            cur_cut -= gain
-            # v's own internal/external degrees swap when it flips.
-            ideg[v], edeg[v] = edeg[v], ideg[v]
+            cur_cut -= gv
+            # v's internal and external degrees swap when it flips.
+            gain[v] = -gv
             moves.append(v)
             budget -= 1
 
-            # Update neighbour degrees (and thus gains) incrementally.
-            # This must happen before any early-stop break so the
-            # persistent degree arrays stay consistent for rollback.
+            # Update neighbour gains incrementally.  This must happen
+            # before any early-stop break so the persistent gain array
+            # stays consistent for rollback.
             if use_buckets:
                 for idx in range(xadj[v], xadj[v + 1]):
                     u = adj[idx]
                     touched.append(u)
                     if part_v[u] == dst_p:
-                        ideg[u] += 1.0
-                        edeg[u] -= 1.0
+                        gu = gain[u] - 2.0
                     else:
-                        ideg[u] -= 1.0
-                        edeg[u] += 1.0
-                    if not locked[u] and edeg[u] > 0:
-                        gi = int(edeg[u] - ideg[u]) + off
+                        gu = gain[u] + 2.0
+                    gain[u] = gu
+                    if not locked[u] and gu > -wdeg[u]:
+                        gi = int(gu) + off
                         buckets[gi].append(u)
                         if gi > gmax:
                             gmax = gi
             else:
                 for idx in range(xadj[v], xadj[v + 1]):
                     u = adj[idx]
-                    w = awt[idx]
                     touched.append(u)
                     if part_v[u] == dst_p:
-                        ideg[u] += w
-                        edeg[u] -= w
+                        gu = gain[u] - 2.0 * awt[idx]
                     else:
-                        ideg[u] -= w
-                        edeg[u] += w
-                    if not locked[u] and edeg[u] > 0:
-                        heapq.heappush(heap, (ideg[u] - edeg[u], counter, u))
+                        gu = gain[u] + 2.0 * awt[idx]
+                    gain[u] = gu
+                    if not locked[u] and gu > -wdeg[u]:
+                        heapq.heappush(heap, (-gu, counter, u))
                         counter += 1
 
             feasible_now = new_imb <= tol
@@ -407,27 +417,23 @@ def fm_refine(
                     w = vw_cols[c][v]
                     pw[src_p][c] -= w
                     pw[dst_p][c] += w
-            cur_cut -= edeg[v] - ideg[v]
-            ideg[v], edeg[v] = edeg[v], ideg[v]
+            gv = gain[v]
+            cur_cut -= gv
+            gain[v] = -gv
             if use_buckets:
                 for idx in range(xadj[v], xadj[v + 1]):
                     u = adj[idx]
                     if part_v[u] == dst_p:
-                        ideg[u] += 1.0
-                        edeg[u] -= 1.0
+                        gain[u] -= 2.0
                     else:
-                        ideg[u] -= 1.0
-                        edeg[u] += 1.0
+                        gain[u] += 2.0
             else:
                 for idx in range(xadj[v], xadj[v + 1]):
                     u = adj[idx]
-                    w = awt[idx]
                     if part_v[u] == dst_p:
-                        ideg[u] += w
-                        edeg[u] -= w
+                        gain[u] -= 2.0 * awt[idx]
                     else:
-                        ideg[u] -= w
-                        edeg[u] += w
+                        gain[u] += 2.0 * awt[idx]
         if check_cut:
             ref_cut = edge_cut(g, part)
             if abs(cur_cut - ref_cut) > 1e-6 * max(1.0, abs(ref_cut)):
@@ -437,7 +443,7 @@ def fm_refine(
         if not improved:
             break
         # Next pass's boundary: only moved/touched vertices can have
-        # changed degrees, so filter the union instead of rescanning n.
+        # changed gains, so filter the union instead of rescanning n.
         if moves or touched:
             cand = np.unique(
                 np.concatenate(
@@ -448,9 +454,9 @@ def fm_refine(
                     ]
                 )
             )
-            boundary = cand[edeg_a[cand] > 0]
+            boundary = cand[gain_a[cand] > -wdeg_a[cand]]
         else:
-            boundary = boundary[edeg_a[boundary] > 0]
+            boundary = boundary[gain_a[boundary] > -wdeg_a[boundary]]
     return part
 
 
@@ -471,87 +477,85 @@ def rebalance(
     guarantees termination even when coarse vertices carry weight on
     several constraints.  Used when FM alone cannot reach feasibility
     (e.g. after projecting a coarse partition onto a finer graph).
+
+    Like FM it keeps one gain per vertex and moves a neighbour's gain
+    by ``2w``; part weights are Python floats and each constraint's
+    purity vector is built once per call.  For integer or
+    float32-valued weights the gains are exact, so the labels equal
+    those of separate internal/external degree arrays bit for bit.
     """
     n = g.num_vertices
-    total = g.total_vwgt()
-    targets = np.array([target_frac, 1.0 - target_frac])
-    pw = np.empty((2, g.ncon), dtype=np.float64)
-    for c in range(g.ncon):
-        pw[:, c] = np.bincount(part, weights=g.vwgt[:, c], minlength=2)
+    ncon = g.ncon
+    total = g.total_vwgt().tolist()
+    targets = (float(target_frac), float(1.0 - target_frac))
+    denom = [[tc * t for tc in total] for t in targets]
+    pw = part_weights(g, part, 2).tolist()
     if max_moves is None:
         max_moves = n
 
     moves = 0
-    # Degrees and the lock mask are O(n + m) to build and only a
+    # Gains and the candidate state are O(n + m) to build and only a
     # violating pair needs them: the common feasible projection pays
     # for neither.
-    ideg = edeg = locked = None
-
-    def ratio(p: int, c: int) -> float:
-        denom = total[c] * targets[p]
-        if denom <= 0:
-            return _INF if pw[p, c] > 0 else 1.0
-        return pw[p, c] / denom
-
-    def worst_pair() -> tuple[float, int, int]:
-        w, wp, wc = 1.0, -1, -1
-        for c in range(g.ncon):
-            if total[c] <= 0:
+    gain = None
+    while moves < max_moves:
+        # The worst (part, constraint) ratio; the first wins ties.
+        worst, src_p, c = 1.0, -1, -1
+        for cc in range(ncon):
+            if total[cc] <= 0:
                 continue
             for p in (0, 1):
-                r = ratio(p, c)
-                if r > w:
-                    w, wp, wc = r, p, c
-        return w, wp, wc
-
-    while moves < max_moves:
-        worst, src_p, c = worst_pair()
+                d = denom[p][cc]
+                w = pw[p][cc]
+                r = w / d if d > 0 else (_INF if w > 0 else 1.0)
+                if r > worst:
+                    worst, src_p, c = r, p, cc
         if worst <= imbalance_tol or src_p < 0:
             break
         dst_p = 1 - src_p
-        if ideg is None:
-            ideg, edeg = _degrees(g, part)
-            locked = np.zeros(n, dtype=bool)
-            xadj, adj, awt, _ = g.scalar_views()
+        if gain is None:
+            gain = _gains(g, part)
+            gain_v = memoryview(gain)
+            # Each vertex's part, or 2 once it has moved (locked): one
+            # comparison selects the movable vertices of a part.
+            side = part.astype(np.int8)
+            side_v = memoryview(side)
+            xadj, adj, awt, vw_cols = g.scalar_views()
             part_v = memoryview(part)
-            ideg_v = memoryview(ideg)
-            edeg_v = memoryview(edeg)
-        cand = np.flatnonzero(
-            (part == src_p) & ~locked & (g.vwgt[:, c] > 0)
-        )
+            # float64 arithmetic so narrowed (float32) weights pick the
+            # same candidate as the wide path.
+            vw64 = g.vwgt.astype(np.float64, copy=False)
+            rowsum = np.maximum(vw64.sum(axis=1), 1e-300)
+            # Per constraint: who carries weight on it, and how
+            # concentrated each vertex's weight is there.
+            purity: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        if c not in purity:
+            purity[c] = (vw64[:, c] > 0, vw64[:, c] / rowsum)
+        carries, pur = purity[c]
+        cand = ((side == src_p) & carries).nonzero()[0]
         if len(cand) == 0:
             break
-        gains = edeg[cand] - ideg[cand]
+        gains = gain[cand]
         # Among the best-gain candidates, prefer the one whose weight is
         # most concentrated on the violating constraint (so the move
         # does not overfill the destination on other constraints).
-        best_gain = gains.max()
-        top = cand[gains >= best_gain - 1e-12]
-        # float64 arithmetic so narrowed (float32) weights pick the
-        # same candidate as the wide path.
-        vtop = g.vwgt[top].astype(np.float64, copy=False)
-        purity = vtop[:, c] / np.maximum(vtop.sum(axis=1), 1e-300)
-        v = int(top[np.argmax(purity)])
+        top = cand[gains >= np.maximum.reduce(gains) - 1e-12]
+        v = int(top[0] if len(top) == 1 else top[pur[top].argmax()])
 
         part_v[v] = dst_p
-        pw[src_p] -= g.vwgt[v]
-        pw[dst_p] += g.vwgt[v]
-        locked[v] = True
+        side_v[v] = 2
+        pws, pwd = pw[src_p], pw[dst_p]
+        for cc in range(ncon):
+            w = vw_cols[cc][v]
+            pws[cc] -= w
+            pwd[cc] += w
         moves += 1
-        # Incremental internal/external degree updates around v.
-        lo, hi = xadj[v], xadj[v + 1]
-        for idx in range(lo, hi):
+        # Incremental gain updates around v; v's own changes sign.
+        for idx in range(xadj[v], xadj[v + 1]):
             u = adj[idx]
-            w = awt[idx]
             if part_v[u] == dst_p:
-                ideg_v[u] += w
-                edeg_v[u] -= w
+                gain_v[u] -= 2.0 * awt[idx]
             else:
-                ideg_v[u] -= w
-                edeg_v[u] += w
-        # v itself: recompute from neighbours.
-        same = part[g.adjncy[lo:hi]] == dst_p
-        wv = g.adjwgt[lo:hi]
-        ideg_v[v] = float(wv[same].sum(dtype=np.float64))
-        edeg_v[v] = float(wv[~same].sum(dtype=np.float64))
+                gain_v[u] += 2.0 * awt[idx]
+        gain_v[v] = -gain_v[v]
     return part
