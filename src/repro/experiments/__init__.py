@@ -13,7 +13,7 @@ fig11_sweep         Fig. 11a/b (domain-count sweep)
 fig12_nozzle        Fig. 12 (nozzle FLUSIM, ~20%)
 fig13_production    Fig. 13 (production replay, ~20%)
 dual_phase          §VII perspective (MC_TL→SC_OC dual phase)
-ablations           schedulers, RB-vs-kway, RCB/SFC baselines
+ablations           schedulers, RCB/SFC baselines
 ==================  ==========================================
 
 Extension studies beyond the paper's figures:

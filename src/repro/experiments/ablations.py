@@ -3,10 +3,7 @@
 1. **Scheduling policies** (§III-C): the paper argues better scheduling
    cannot fix the SC_OC task graph; we quantify this by running every
    scheduler on both strategies' graphs.
-2. **Partitioner method** (§V): the paper picks recursive bisection
-   over k-way "because it produces higher quality solutions on our
-   meshes"; we compare both drivers.
-3. **Geometric baselines** (§VIII): RCB and SFC comparators, which
+2. **Geometric baselines** (§VIII): RCB and SFC comparators, which
    balance only total cost and ignore connectivity.
 """
 
@@ -14,19 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..flusim import SCHEDULERS, ClusterConfig, simulate
-from ..graph import edge_cut, imbalance, partition_graph
-from ..mesh import mesh_to_dual_graph
-from ..partitioning.strategies import _level_indicator_matrix
-from .common import cached_task_graph, run_flusim, standard_case
+from .common import cached_task_graph, run_flusim
 
 __all__ = [
     "SchedulerAblation",
     "run_scheduler_ablation",
-    "MethodAblation",
-    "run_method_ablation",
     "BaselineAblation",
     "run_baseline_ablation",
 ]
@@ -69,33 +59,6 @@ def run_scheduler_ablation(
             trace = simulate(dag, cluster, scheduler=sched, seed=seed)
             makespan[(strategy, sched)] = trace.makespan
     return SchedulerAblation(schedulers=list(SCHEDULERS), makespan=makespan)
-
-
-@dataclass
-class MethodAblation:
-    """Recursive bisection vs direct k-way on the MC_TL problem."""
-
-    cut: dict[str, float]
-    worst_imbalance: dict[str, float]
-
-
-def run_method_ablation(
-    *,
-    mesh_name: str = "cylinder",
-    domains: int = 32,
-    scale: int | None = None,
-    seed: int = 0,
-) -> MethodAblation:
-    """Partition the MC_TL multi-constraint problem with both drivers."""
-    mesh, tau = standard_case(mesh_name, scale=scale)
-    g = mesh_to_dual_graph(mesh, vwgt=_level_indicator_matrix(tau))
-    cut: dict[str, float] = {}
-    imb: dict[str, float] = {}
-    for method in ("recursive", "kway"):
-        res = partition_graph(g, domains, method=method, seed=seed)
-        cut[method] = res.cut
-        imb[method] = float(res.imbalance.max())
-    return MethodAblation(cut=cut, worst_imbalance=imb)
 
 
 @dataclass

@@ -23,8 +23,8 @@
   must be bit-identical to the wide int64/float64 path — the
   equivalence gate behind the scale tier's index/weight narrowing;
 * **streaming-dual differentials** — every mesh case's dual graph is
-  rebuilt with the streaming engine at an adversarial chunk size and
-  must equal the materialized oracle array for array;
+  streamed at an adversarial chunk size and must equal the mesh's own
+  :meth:`~repro.mesh.structures.Mesh.cell_adjacency` array for array;
 * **DAG checks** — every mesh decomposition is expanded into Euler and
   Heun task graphs and audited with
   :func:`repro.taskgraph.verify.verify_dag`;
@@ -394,35 +394,38 @@ def _check_downstream(
 def _check_streaming_dual(
     report: FuzzReport, seed: int, name: str, mesh
 ) -> None:
-    """Differential: the streaming dual builder vs the materialized
-    oracle, at an adversarial (non-power-of-two) chunk size."""
-    from ..mesh.dual import mesh_to_dual_graph
+    """Differential: the streaming dual builder vs the adjacency the
+    mesh materializes itself (:meth:`Mesh.cell_adjacency`), at an
+    adversarial (non-power-of-two) chunk size."""
+    from ..mesh.dual import _streaming_adjacency
 
     def fail(check: str, detail: str) -> None:
         report.failures.append(FuzzFailure(seed, name, check, detail))
 
     chunk = 1 + seed % 7  # tiny odd windows stress the cursor carry
-    for edge_weight in ("unit", "area"):
+    xadj, adjncy, face_of = mesh.cell_adjacency()
+    oracle_wgt = {
+        "unit": np.ones(len(adjncy)),
+        "area": mesh.face_area[face_of],
+    }
+    for edge_weight, ref_wgt in oracle_wgt.items():
         report.differential_checks += 1
-        ref = mesh_to_dual_graph(
-            mesh, edge_weight=edge_weight, engine="materialized"
-        )
-        got = mesh_to_dual_graph(
+        got = _streaming_adjacency(
             mesh,
+            index_dtype=None,
             edge_weight=edge_weight,
-            engine="streaming",
+            weight_dtype=None,
             chunk_faces=chunk,
         )
-        same = (
-            np.array_equal(ref.xadj, got.xadj)
-            and np.array_equal(ref.adjncy, got.adjncy)
-            and np.array_equal(ref.adjwgt, got.adjwgt)
+        same = all(
+            np.array_equal(r, g)
+            for r, g in zip((xadj, adjncy, ref_wgt), got)
         )
         if not same:
             fail(
                 f"dual-streaming-{edge_weight}",
                 f"streaming dual (chunk_faces={chunk}) diverged from "
-                "the materialized oracle",
+                "the mesh's cell_adjacency",
             )
 
 

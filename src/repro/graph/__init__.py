@@ -10,7 +10,7 @@ pure NumPy:
 * heavy-edge-matching coarsening (:mod:`repro.graph.coarsen`);
 * greedy-graph-growing initial bisection (:mod:`repro.graph.initial`);
 * multi-constraint FM refinement (:mod:`repro.graph.refine`);
-* recursive-bisection and k-way drivers
+* the recursive-bisection driver
   (:func:`~repro.graph.partition.partition_graph`).
 """
 
@@ -33,7 +33,6 @@ from .metrics import (
 )
 from .partition import (
     PartitionResult,
-    kway_direct,
     partition_graph,
     recursive_bisection,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "PartitionResult",
     "partition_graph",
     "recursive_bisection",
-    "kway_direct",
     "PartitionQualityWarning",
     "InputReport",
     "validate_partition_inputs",

@@ -25,8 +25,6 @@ def multilevel_bisect(
     *,
     imbalance_tol: float = 1.05,
     coarse_to: int | None = None,
-    max_passes: int = 8,
-    init_trials: int = 8,
 ) -> np.ndarray:
     """Bisect ``g`` so part 0 receives ``target_frac`` of every
     constraint's weight.
@@ -58,11 +56,7 @@ def multilevel_bisect(
 
     # --- Initial partitioning ---------------------------------------------
     part = best_initial_bisection(
-        cur,
-        target_frac,
-        rng,
-        ntrials=init_trials,
-        imbalance_tol=imbalance_tol,
+        cur, target_frac, rng, imbalance_tol=imbalance_tol
     ).astype(np.int32, copy=False)
     part = rebalance(
         cur, part, target_frac=target_frac, imbalance_tol=imbalance_tol
@@ -72,7 +66,6 @@ def multilevel_bisect(
         part,
         target_frac=target_frac,
         imbalance_tol=imbalance_tol,
-        max_passes=max_passes,
         rng=rng,
     )
 
@@ -93,7 +86,6 @@ def multilevel_bisect(
             part,
             target_frac=target_frac,
             imbalance_tol=imbalance_tol,
-            max_passes=max_passes,
             rng=rng,
         )
     return part

@@ -1,4 +1,4 @@
-"""Public partitioning API: recursive bisection and k-way drivers.
+"""Public partitioning API: the recursive-bisection driver.
 
 :func:`partition_graph` is the entry point used by everything else in
 the library.  It mirrors ``METIS_PartGraphRecursive``: given a CSR
@@ -8,8 +8,9 @@ balanced across parts within a tolerance, while heuristically
 minimizing edge cut.
 
 The paper uses the *recursive bisection* method ("because it produces
-higher quality solutions on our meshes", §V); we implement it as the
-default and provide a direct k-way variant for ablation.
+higher quality solutions on our meshes", §V), and it is this module's
+only driver: a direct k-way variant cut less but lost balance and wall
+with no predictable makespan gain (EXPERIMENTS.md "RB vs k-way").
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from .contracts import (
 )
 from .csr import CSRGraph
 from .metrics import edge_cut, imbalance
-from .refine import fm_refine
 
-__all__ = ["PartitionResult", "partition_graph", "recursive_bisection", "kway_direct"]
+__all__ = ["PartitionResult", "partition_graph", "recursive_bisection"]
 
 
 def _resolve_n_jobs(n_jobs: int | None) -> int:
@@ -100,7 +100,7 @@ class PartitionResult:
         ``(ncon,)`` per-constraint imbalance (1.0 = perfect).
     provenance:
         Which rung of the pipeline produced the labels: ``"primary"``
-        (the requested method, contract-clean), ``"components"``
+        (recursive bisection, contract-clean), ``"components"``
         (component-aware path for a disconnected graph),
         ``"relaxed"`` (retry with relaxed tolerance), ``"sfc"``
         (space-filling-curve geometric fallback) or ``"block"``
@@ -157,8 +157,6 @@ def _split_node(
     rng: np.random.Generator,
     *,
     level_tol: float,
-    max_passes: int,
-    init_trials: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Bisect one bisection-tree node that must host ``k >= 2`` parts.
 
@@ -173,14 +171,7 @@ def _split_node(
         sub = g
     else:
         sub, vertices = g.subgraph(vertices)
-    labels = multilevel_bisect(
-        sub,
-        k0 / k,
-        rng,
-        imbalance_tol=level_tol,
-        max_passes=max_passes,
-        init_trials=init_trials,
-    )
+    labels = multilevel_bisect(sub, k0 / k, rng, imbalance_tol=level_tol)
     if vertices is None:
         left, right = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
     else:
@@ -195,8 +186,6 @@ def _shared_bisect_node(
     k: int,
     node_rng: np.random.Generator,
     level_tol: float,
-    max_passes: int,
-    init_trials: int,
 ):
     """Process-pool worker: one bisection-tree node against the shared
     segment.
@@ -215,13 +204,7 @@ def _shared_bisect_node(
     if k <= 1:
         return [(vertices, first)], [], event
     left, right, k0 = _split_node(
-        g,
-        vertices,
-        k,
-        node_rng,
-        level_tol=level_tol,
-        max_passes=max_passes,
-        init_trials=init_trials,
+        g, vertices, k, node_rng, level_tol=level_tol
     )
     r_left, r_right = node_rng.spawn(2)
     return (
@@ -237,8 +220,6 @@ def recursive_bisection(
     rng: np.random.Generator,
     *,
     imbalance_tol: float = 1.05,
-    max_passes: int = 8,
-    init_trials: int = 8,
     n_jobs: int | None = 1,
     executor: str | None = None,
     attach_log: list | None = None,
@@ -276,9 +257,6 @@ def recursive_bisection(
     depth = max(1, int(np.ceil(np.log2(nparts))))
     level_tol = max(1.01, imbalance_tol ** (1.0 / depth))
     n_jobs = _resolve_n_jobs(n_jobs)
-    split = dict(
-        level_tol=level_tol, max_passes=max_passes, init_trials=init_trials
-    )
 
     # Every tree starts at ``vertices=None``: the root is all of ``g``
     # and is bisected without copying it (``nparts >= 2`` here, so the
@@ -292,7 +270,9 @@ def recursive_bisection(
             if k <= 1:
                 part[vertices] = first
                 continue
-            left, right, k0 = _split_node(g, vertices, k, rng, **split)
+            left, right, k0 = _split_node(
+                g, vertices, k, rng, level_tol=level_tol
+            )
             stack.append((left, first, k0))
             stack.append((right, first + k0, k - k0))
         return part
@@ -307,7 +287,9 @@ def recursive_bisection(
             # Disjoint fancy-index write; safe across workers.
             part[vertices] = first
             return []
-        left, right, k0 = _split_node(g, vertices, k, node_rng, **split)
+        left, right, k0 = _split_node(
+            g, vertices, k, node_rng, level_tol=level_tol
+        )
         r_left, r_right = node_rng.spawn(2)
         return [
             (left, first, k0, r_left),
@@ -330,8 +312,6 @@ def recursive_bisection(
                         nparts,
                         rng,
                         level_tol,
-                        max_passes,
-                        init_trials,
                     )
                 }
                 while pending:
@@ -351,8 +331,6 @@ def recursive_bisection(
                                     desc,
                                     *task,
                                     level_tol,
-                                    max_passes,
-                                    init_trials,
                                 )
                             )
         finally:
@@ -371,63 +349,6 @@ def recursive_bisection(
     return part
 
 
-def kway_direct(
-    g: CSRGraph,
-    nparts: int,
-    rng: np.random.Generator,
-    *,
-    imbalance_tol: float = 1.05,
-    max_passes: int = 8,
-    n_jobs: int | None = 1,
-    executor: str | None = None,
-) -> np.ndarray:
-    """Direct k-way partitioning via recursive bisection followed by a
-    round of pairwise k-way FM sweeps between adjacent parts.
-
-    Provided as an ablation comparator for the paper's choice of
-    recursive bisection (§V).  ``n_jobs`` parallelizes the initial
-    recursive bisection; the pairwise sweeps mutate shared state and
-    stay serial.
-    """
-    part = recursive_bisection(
-        g,
-        nparts,
-        rng,
-        imbalance_tol=imbalance_tol,
-        max_passes=max_passes,
-        n_jobs=n_jobs,
-        executor=executor,
-    )
-    if nparts <= 2:
-        return part
-    # Pairwise refinement between parts that share cut edges.
-    src = g.edge_sources()
-    for _ in range(2):
-        pa = part[src]
-        pb = part[g.adjncy]
-        cut_pairs = np.unique(
-            np.sort(np.stack([pa[pa != pb], pb[pa != pb]], axis=1), axis=1),
-            axis=0,
-        )
-        for a, b in cut_pairs:
-            sel = np.flatnonzero((part == a) | (part == b))
-            if len(sel) < 4:
-                continue
-            sub, mapping = g.subgraph(sel)
-            labels = (part[sel] == b).astype(np.int32)
-            labels = fm_refine(
-                sub,
-                labels,
-                target_frac=0.5,
-                imbalance_tol=imbalance_tol,
-                max_passes=2,
-                rng=rng,
-            )
-            part[mapping[labels == 0]] = a
-            part[mapping[labels == 1]] = b
-    return part
-
-
 def _combined_weight(g: CSRGraph) -> np.ndarray:
     """Per-vertex scalar proxy weight: every constraint column
     normalized by its total, then summed — so each constraint
@@ -437,54 +358,14 @@ def _combined_weight(g: CSRGraph) -> np.ndarray:
     return (g.vwgt / safe).sum(axis=1)
 
 
-def _run_method(
-    g: CSRGraph,
-    nparts: int,
-    *,
-    method: str,
-    seed: int,
-    imbalance_tol: float,
-    max_passes: int,
-    init_trials: int,
-    n_jobs: int | None,
-    executor: str | None = None,
-) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    if method == "recursive":
-        return recursive_bisection(
-            g,
-            nparts,
-            rng,
-            imbalance_tol=imbalance_tol,
-            max_passes=max_passes,
-            init_trials=init_trials,
-            n_jobs=n_jobs,
-            executor=executor,
-        )
-    if method == "kway":
-        return kway_direct(
-            g,
-            nparts,
-            rng,
-            imbalance_tol=imbalance_tol,
-            max_passes=max_passes,
-            n_jobs=n_jobs,
-            executor=executor,
-        )
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _partition_components(
     g: CSRGraph,
     nparts: int,
     comp_labels: np.ndarray,
     ncomp: int,
     *,
-    method: str,
     seed: int,
     imbalance_tol: float,
-    max_passes: int,
-    init_trials: int,
     n_jobs: int | None,
     executor: str | None = None,
 ) -> np.ndarray:
@@ -532,16 +413,14 @@ def _partition_components(
             part[verts] = next_label
         else:
             sub, mapping = g.subgraph(verts)
-            labels = _run_method(
+            sub_seed = int(
+                np.random.default_rng([seed, c]).integers(2**31 - 1)
+            )
+            labels = recursive_bisection(
                 sub,
                 k,
-                method=method,
-                seed=int(
-                    np.random.default_rng([seed, c]).integers(2**31 - 1)
-                ),
+                np.random.default_rng(sub_seed),
                 imbalance_tol=imbalance_tol,
-                max_passes=max_passes,
-                init_trials=init_trials,
                 n_jobs=n_jobs,
                 executor=executor,
             )
@@ -561,16 +440,12 @@ def partition_graph(
     g: CSRGraph,
     nparts: int,
     *,
-    method: str = "recursive",
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    max_passes: int = 8,
-    init_trials: int = 8,
     n_jobs: int | None = 1,
     executor: str | None = None,
     coords: np.ndarray | None = None,
     strict: bool = False,
-    validate: bool = True,
     fallback: bool = True,
 ) -> PartitionResult:
     """Partition a (possibly multi-constraint) graph into ``nparts``.
@@ -580,9 +455,10 @@ def partition_graph(
     g:
         The graph; ``g.vwgt`` may have multiple columns, in which case
         every column is balanced simultaneously (multi-constraint mode,
-        the mechanism behind the paper's MC_TL strategy).
-    method:
-        ``"recursive"`` (default, the paper's choice) or ``"kway"``.
+        the mechanism behind the paper's MC_TL strategy).  Inputs are
+        hardened by :func:`~repro.graph.contracts.validate_partition_inputs`
+        (all-zero constraint columns, ``nparts > n``), and a
+        disconnected graph is partitioned component by component.
     seed:
         Seed for the deterministic RNG driving matching/initial
         partitioning tie-breaks.
@@ -604,10 +480,6 @@ def partition_graph(
         Raise :class:`~repro.resilience.errors.PartitionQualityError`
         when the primary result violates the output contract, instead
         of walking the fallback chain.
-    validate:
-        Run :func:`~repro.graph.contracts.validate_partition_inputs`
-        (input hardening: disconnected graphs, all-zero constraint
-        columns, ``nparts > n``).
     fallback:
         Walk the escalating degradation chain (relaxed tolerance →
         SFC → block split) on a contract violation.  With
@@ -621,47 +493,40 @@ def partition_graph(
     either satisfies the output contract or carries non-default
     provenance/violations — never silent garbage.
     """
-    if validate:
-        report = validate_partition_inputs(g, nparts)
-        g, nparts = report.graph, report.nparts
-    else:
-        if nparts < 1:
-            raise ValueError("nparts must be >= 1")
-        if nparts > g.num_vertices and g.num_vertices > 0:
-            raise ValueError(
-                f"cannot create {nparts} non-empty parts from "
-                f"{g.num_vertices} vertices"
-            )
+    report = validate_partition_inputs(g, nparts)
+    g, nparts = report.graph, report.nparts
 
-    kernel = dict(
-        method=method,
-        seed=seed,
-        imbalance_tol=imbalance_tol,
-        max_passes=max_passes,
-        init_trials=init_trials,
-        n_jobs=n_jobs,
-        executor=executor,
-    )
-
+    pool = dict(n_jobs=n_jobs, executor=executor)
     provenance = "primary"
-    if validate and nparts > 1 and g.num_vertices > 0:
+    ncomp = 1
+    if nparts > 1 and g.num_vertices > 0:
         comp_labels, ncomp = connected_components(g)
-        if ncomp > 1:
-            part = _partition_components(
-                g, nparts, comp_labels, ncomp, **kernel
-            )
-            provenance = "components"
-            warn_quality(
-                f"disconnected graph ({ncomp} components): used "
-                "component-aware partitioning",
-                stage="input",
-                provenance="components",
-                violations=[f"{ncomp} connected components"],
-            )
-        else:
-            part = _run_method(g, nparts, **kernel)
+    if ncomp > 1:
+        part = _partition_components(
+            g,
+            nparts,
+            comp_labels,
+            ncomp,
+            seed=seed,
+            imbalance_tol=imbalance_tol,
+            **pool,
+        )
+        provenance = "components"
+        warn_quality(
+            f"disconnected graph ({ncomp} components): used "
+            "component-aware partitioning",
+            stage="input",
+            provenance="components",
+            violations=[f"{ncomp} connected components"],
+        )
     else:
-        part = _run_method(g, nparts, **kernel)
+        part = recursive_bisection(
+            g,
+            nparts,
+            np.random.default_rng(seed),
+            imbalance_tol=imbalance_tol,
+            **pool,
+        )
 
     violations = check_partition_contract(
         g, part, nparts, imbalance_tol=imbalance_tol
@@ -682,7 +547,9 @@ def partition_graph(
             violations,
             provenance,
             coords=coords,
-            kernel=kernel,
+            seed=seed,
+            imbalance_tol=imbalance_tol,
+            pool=pool,
         )
 
     return PartitionResult(
@@ -715,19 +582,20 @@ def _fallback_chain(
     provenance: str,
     *,
     coords: np.ndarray | None,
-    kernel: dict,
+    seed: int,
+    imbalance_tol: float,
+    pool: dict,
 ) -> tuple[np.ndarray, str, list[str]]:
     """Walk the escalating degradation chain after a contract failure.
 
-    Rungs, in order: retry the graph method with a relaxed tolerance;
+    Rungs, in order: retry recursive bisection with a relaxed tolerance;
     SFC geometric split (when coordinates are available); contiguous
     block split.  The first rung whose result passes its (relaxed)
     contract wins; if none does, the least-violating candidate is
     returned.  Every non-primary outcome emits a
     :class:`~repro.graph.contracts.PartitionQualityWarning`.
     """
-    tol = float(kernel["imbalance_tol"])
-    relaxed_tol = 1.0 + _RELAX_FACTOR * (tol - 1.0) + _RELAX_FLOOR
+    relaxed_tol = 1.0 + _RELAX_FACTOR * (imbalance_tol - 1.0) + _RELAX_FLOOR
     candidates: list[tuple[np.ndarray, str, list[str]]] = [
         (part, provenance, violations)
     ]
@@ -741,10 +609,13 @@ def _fallback_chain(
     )
     candidates.append((part, "relaxed", v))
     if v:
-        relaxed_kernel = dict(kernel)
-        relaxed_kernel["imbalance_tol"] = relaxed_tol
-        relaxed_kernel["seed"] = int(kernel["seed"]) + 7919
-        relaxed = _run_method(g, nparts, **relaxed_kernel)
+        relaxed = recursive_bisection(
+            g,
+            nparts,
+            np.random.default_rng(int(seed) + 7919),
+            imbalance_tol=relaxed_tol,
+            **pool,
+        )
         v = check_partition_contract(
             g, relaxed, nparts, imbalance_tol=relaxed_tol
         )

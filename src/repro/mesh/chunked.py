@@ -1,85 +1,50 @@
-"""Array-based (chunked) quadtree/octree mesh engines.
+"""Chunked array passes behind the quadtree and octree mesh builders.
 
-The object engines in :mod:`repro.mesh.quadtree` and
-:mod:`repro.mesh.octree` build the tree as a dict of Python tuples —
-clear, but at paper scale (1M+ cells) the tuples, the dict and the
-per-face Python lists dominate both time and memory.  This module
-re-implements refine / 2:1 balance / face extraction as chunked NumPy
-array passes that never materialize O(cells) Python objects:
+:func:`repro.mesh.quadtree.build_quadtree_mesh` and
+:func:`repro.mesh.octree.build_octree_mesh` run refine / 2:1 balance /
+face extraction as NumPy array passes over chunks of at most
+:data:`DEFAULT_CHUNK_CELLS` cells, never materializing O(cells) Python
+objects:
 
 * **refine** — breadth-first frontier of ``(depth, i, j[, k])``
   arrays, split decisions evaluated vectorized per chunk (the split
-  predicate depends only on the cell itself, so the leaf set matches
-  the object engine's stack traversal exactly);
+  predicate depends only on the cell itself, so the leaf set does not
+  depend on traversal order or chunk size);
 * **balance** — leaves live in one sorted array of packed int64 keys;
   each round marks too-coarse neighbours via vectorized ancestor
   lookups (``searchsorted`` membership) and splits them all at once.
-  2:1 closure is confluent, so the fixpoint equals the object
-  engine's work-list result;
+  2:1 closure is confluent, so any split order reaches the same
+  fixpoint;
 * **faces** — per chunk of cells, neighbour resolution uses the 2:1
   guarantee (containing leaf at depth ``d`` or ``d-1``, else children
-  at exactly ``d+1``) and a slot encoding replicates the object
-  engine's per-cell emission order bit-for-bit.
+  at exactly ``d+1``) and a per-cell slot encoding fixes each cell's
+  face order.
 
-Every floating-point expression mirrors the object engine's operation
-order, so the produced :class:`~repro.mesh.structures.Mesh` arrays are
-bit-identical — the object engine stays available as the differential
-oracle (``engine="object"``).
+The chunk size bounds transient memory only: the meshes are
+bit-identical for any positive value (pinned by the golden mesh hashes
+in ``tests/golden/chain_outputs.json``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .structures import Mesh
-
 __all__ = [
-    "QUAD_ARRAY_MAX_DEPTH",
-    "OCT_ARRAY_MAX_DEPTH",
     "DEFAULT_CHUNK_CELLS",
-    "resolve_engine",
-    "build_quadtree_arrays",
-    "build_octree_arrays",
+    "FaceChunk",
+    "balance_grid",
+    "make_lookup",
+    "refine_grid",
+    "spread2",
 ]
 
-#: Morton normalization shifts coordinates to depth 24 (25-bit safe).
-QUAD_ARRAY_MAX_DEPTH = 24
-#: Packed octree keys give each of i/j/k 16 bits.
-OCT_ARRAY_MAX_DEPTH = 16
-#: Default number of cells processed per vectorized pass.
+#: Number of cells processed per vectorized pass.
 DEFAULT_CHUNK_CELLS = 1 << 17
 
-_DIRS2 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-_DIRS3 = (
-    (-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)
-)
 _CHILD2 = ((0, 0), (0, 1), (1, 0), (1, 1))
 _CHILD3 = tuple(
     (a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)
 )
-
-
-def resolve_engine(engine: str | None, max_depth: int, limit: int) -> str:
-    """Resolve the mesh ``engine`` knob to ``"array"`` or ``"object"``.
-
-    ``None`` means the array engine, falling back to the object engine
-    when ``max_depth`` exceeds the packed-key ``limit``; an
-    *explicitly* requested array engine past the limit raises instead
-    of silently degrading.
-    """
-    explicit = engine is not None
-    engine = "array" if engine is None else engine.lower()
-    if engine not in ("array", "object"):
-        raise ValueError(
-            f"unknown mesh engine {engine!r} (expected 'array' or 'object')"
-        )
-    if engine == "array" and max_depth > limit:
-        if explicit:
-            raise ValueError(
-                f"array engine supports max_depth <= {limit}, got {max_depth}"
-            )
-        return "object"
-    return engine
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +55,7 @@ def _sizing_values(sizing, coords: list[np.ndarray]) -> np.ndarray:
 
     One vectorized call is attempted first; scalar-only callables
     (e.g. 3D sizings with chained comparisons) fall back to a
-    per-point loop producing the exact values the object engine sees.
+    per-point loop over Python floats.
     """
     n = len(coords[0])
     try:
@@ -117,28 +82,7 @@ def _member(sorted_keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == q
 
 
-def _pack_quad(d, i, j):
-    return (d << 48) | (i << 24) | j
-
-
-def _unpack_quad(key):
-    return [key >> 48, (key >> 24) & 0xFFFFFF, key & 0xFFFFFF]
-
-
-def _pack_oct(d, i, j, k):
-    return (d << 48) | (i << 32) | (j << 16) | k
-
-
-def _unpack_oct(key):
-    return [
-        key >> 48,
-        (key >> 32) & 0xFFFF,
-        (key >> 16) & 0xFFFF,
-        key & 0xFFFF,
-    ]
-
-
-def _spread2(v: np.ndarray) -> np.ndarray:
+def spread2(v: np.ndarray) -> np.ndarray:
     """Interleave zeros between the low 32 bits of ``v`` (Morton)."""
     v = v.astype(np.uint64)
     v = (v | (v << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
@@ -152,7 +96,7 @@ def _spread2(v: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Refinement (dimension-generic)
 # ----------------------------------------------------------------------
-def _refine_grid(
+def refine_grid(
     sizing,
     max_depth: int,
     min_depth: int,
@@ -199,7 +143,7 @@ def _refine_grid(
 # ----------------------------------------------------------------------
 # 2:1 balance (dimension-generic)
 # ----------------------------------------------------------------------
-def _balance_grid(
+def balance_grid(
     leaf_arrays: list[np.ndarray],
     chunk: int,
     pack,
@@ -213,8 +157,7 @@ def _balance_grid(
     edge-neighbour's containing leaf is two or more levels coarser,
     splits all of them at once, and re-checks only the new children
     plus the leaves whose constraint fired (the closure is confluent,
-    so any forced-split order reaches the same fixpoint as the object
-    engine's work list).
+    so any forced-split order reaches the same fixpoint).
     """
     dim = len(leaf_arrays) - 1
     offsets = _CHILD2 if dim == 2 else _CHILD3
@@ -292,10 +235,9 @@ def _balance_grid(
 # ----------------------------------------------------------------------
 # Face accumulation
 # ----------------------------------------------------------------------
-class _FaceChunk:
-    """Collects one chunk's face entries and replays the object
-    engine's per-cell emission order via ``cell * nslots + slot``
-    sort keys."""
+class FaceChunk:
+    """Collects one chunk's face entries and emits them in per-cell
+    slot order via ``cell * nslots + slot`` sort keys."""
 
     def __init__(self, idx: np.ndarray, nslots: int) -> None:
         self._idx = idx
@@ -332,7 +274,7 @@ class _FaceChunk:
         )
 
 
-def _make_lookup(pk: np.ndarray):
+def make_lookup(pk: np.ndarray):
     """Packed-key → cell-index lookup over the final cell ordering."""
     lorder = np.argsort(pk)
     pks = pk[lorder]
@@ -343,237 +285,3 @@ def _make_lookup(pk: np.ndarray):
         return np.where(found, lorder[pos], -1), found
 
     return lookup
-
-
-# ----------------------------------------------------------------------
-# Quadtree
-# ----------------------------------------------------------------------
-def build_quadtree_arrays(
-    sizing,
-    *,
-    max_depth: int,
-    min_depth: int = 2,
-    origin: tuple[float, float] = (0.0, 0.0),
-    extent: float = 1.0,
-    chunk_cells: int | None = None,
-) -> Mesh:
-    """Array-engine quadtree build; bit-identical to the object engine
-    in :func:`repro.mesh.quadtree.build_quadtree_mesh`."""
-    if max_depth > QUAD_ARRAY_MAX_DEPTH:
-        raise ValueError(
-            f"array engine supports max_depth <= {QUAD_ARRAY_MAX_DEPTH}"
-        )
-    chunk = max(1, int(chunk_cells or DEFAULT_CHUNK_CELLS))
-    leaves = _refine_grid(
-        sizing, max_depth, min_depth, origin, extent, chunk, 2
-    )
-    bd, bi, bj = _balance_grid(
-        leaves, chunk, _pack_quad, _unpack_quad, _DIRS2
-    )
-
-    # Morton (z-curve) cell order: normalize anchors to depth 24 and
-    # interleave — identical to the object engine's bit loop.
-    sh = 24 - bd
-    code = (_spread2((bi << sh).astype(np.uint64)) << np.uint64(1)) | (
-        _spread2((bj << sh).astype(np.uint64))
-    )
-    skey = (code << np.uint64(5)) | bd.astype(np.uint64)
-    order = np.argsort(skey, kind="stable")
-    d64, i64, j64 = bd[order], bi[order], bj[order]
-    n = d64.size
-
-    ox, oy = origin
-    depth = d64.astype(np.int32)
-    size = extent / (1 << depth).astype(np.float64)
-    centers = np.stack(
-        [ox + (i64 + 0.5) * size, oy + (j64 + 0.5) * size], axis=1
-    )
-    volumes = size * size
-
-    lookup = _make_lookup(_pack_quad(d64, i64, j64))
-
-    fc_parts, area_parts, nrm_parts, ctr_parts = [], [], [], []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        d = d64[start:stop]
-        i = i64[start:stop]
-        j = j64[start:stop]
-        idx = np.arange(start, stop, dtype=np.int64)
-        s = extent / (1 << d)
-        x0 = ox + i * s
-        y0 = oy + j * s
-        side = 1 << d
-        acc = _FaceChunk(idx, 6)
-
-        # --- east side (+x): slot 0 (and 1 at refined interfaces) ----
-        bnd = (i + 1) == side
-        inner = ~bnd
-        nb_idx, nb_f = lookup(_pack_quad(d, i + 1, j))
-        p_idx, p_f = lookup(_pack_quad(d - 1, (i + 1) >> 1, j >> 1))
-        same = inner & nb_f
-        childc = inner & ~nb_f & ~p_f
-        b0 = np.where(bnd, -1, np.where(same, nb_idx, p_idx))
-        acc.add(~childc, 0, b0, s, 1.0, 0.0, x0 + s, y0 + 0.5 * s)
-        c0, _ = lookup(_pack_quad(d + 1, 2 * (i + 1), 2 * j))
-        c1, _ = lookup(_pack_quad(d + 1, 2 * (i + 1), 2 * j + 1))
-        acc.add(childc, 0, c0, s / 2, 1.0, 0.0, x0 + s, y0 + 0.5 * s / 2)
-        acc.add(childc, 1, c1, s / 2, 1.0, 0.0, x0 + s, y0 + 1.5 * s / 2)
-
-        # --- north side (+y): slot 2 (and 3) -------------------------
-        bnd = (j + 1) == side
-        inner = ~bnd
-        nb_idx, nb_f = lookup(_pack_quad(d, i, j + 1))
-        p_idx, p_f = lookup(_pack_quad(d - 1, i >> 1, (j + 1) >> 1))
-        same = inner & nb_f
-        childc = inner & ~nb_f & ~p_f
-        b0 = np.where(bnd, -1, np.where(same, nb_idx, p_idx))
-        acc.add(~childc, 2, b0, s, 0.0, 1.0, x0 + 0.5 * s, y0 + s)
-        c0, _ = lookup(_pack_quad(d + 1, 2 * i, 2 * (j + 1)))
-        c1, _ = lookup(_pack_quad(d + 1, 2 * i + 1, 2 * (j + 1)))
-        acc.add(childc, 2, c0, s / 2, 0.0, 1.0, x0 + 0.5 * s / 2, y0 + s)
-        acc.add(childc, 3, c1, s / 2, 0.0, 1.0, x0 + 1.5 * s / 2, y0 + s)
-
-        # --- west / south boundaries: slots 4, 5 ---------------------
-        acc.add(i == 0, 4, -1, s, -1.0, 0.0, x0, y0 + 0.5 * s)
-        acc.add(j == 0, 5, -1, s, 0.0, -1.0, x0 + 0.5 * s, y0)
-
-        fc, fa, fn, fctr = acc.assembled()
-        fc_parts.append(fc)
-        area_parts.append(fa)
-        nrm_parts.append(fn)
-        ctr_parts.append(fctr)
-
-    return Mesh(
-        cell_centers=centers,
-        cell_volumes=volumes,
-        cell_depth=depth,
-        face_cells=np.concatenate(fc_parts),
-        face_area=np.concatenate(area_parts),
-        face_normal=np.concatenate(nrm_parts),
-        face_center=np.concatenate(ctr_parts),
-    )
-
-
-# ----------------------------------------------------------------------
-# Octree
-# ----------------------------------------------------------------------
-# High-side in-face child offsets per axis — must match the object
-# engine's _DIRS table exactly (slot order at refined interfaces).
-_OCT_CHILD_OFFSETS = (
-    ((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)),
-    ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)),
-    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),
-)
-
-
-def build_octree_arrays(
-    sizing,
-    *,
-    max_depth: int,
-    min_depth: int = 2,
-    chunk_cells: int | None = None,
-) -> tuple[Mesh, np.ndarray]:
-    """Array-engine octree build; bit-identical to the object engine
-    in :func:`repro.mesh.octree.build_octree_mesh`."""
-    if max_depth > OCT_ARRAY_MAX_DEPTH:
-        raise ValueError(
-            f"array engine supports max_depth <= {OCT_ARRAY_MAX_DEPTH}"
-        )
-    chunk = max(1, int(chunk_cells or DEFAULT_CHUNK_CELLS))
-    leaves = _refine_grid(
-        sizing, max_depth, min_depth, (0.0, 0.0, 0.0), 1.0, chunk, 3
-    )
-    balanced = _balance_grid(
-        leaves, chunk, _pack_oct, _unpack_oct, _DIRS3
-    )
-    # Packed-key order IS lexicographic (d, i, j, k) — the object
-    # engine's sorted(leaves) cell order.
-    order = np.argsort(_pack_oct(*balanced), kind="stable")
-    d64, i64, j64, k64 = (c[order] for c in balanced)
-    n = d64.size
-
-    depth = d64.astype(np.int32)
-    size = 1.0 / (1 << depth).astype(np.float64)
-    coords = np.stack([i64, j64, k64], axis=1).astype(np.float64)
-    centers3 = (coords + 0.5) * size[:, None]
-    volumes = size**3
-
-    lookup = _make_lookup(_pack_oct(d64, i64, j64, k64))
-
-    fc_parts, area_parts, nrm_parts, ctr_parts = [], [], [], []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        d = d64[start:stop]
-        bases = [i64[start:stop], j64[start:stop], k64[start:stop]]
-        idx = np.arange(start, stop, dtype=np.int64)
-        s = 1.0 / (1 << d)
-        side = 1 << d
-        ctr = [(bases[a] + 0.5) * s for a in range(3)]
-        acc = _FaceChunk(idx, 15)
-
-        for axis in range(3):
-            bslot = axis * 5
-            nx, ny = (1.0, 0.0) if axis in (0, 2) else (0.0, 1.0)
-            # Low-side boundary face.
-            flo = [
-                ctr[a] - 0.5 * s if a == axis else ctr[a]
-                for a in range(2)
-            ]
-            acc.add(
-                bases[axis] == 0, bslot, -1, s * s, nx, ny, flo[0], flo[1]
-            )
-            # High side: boundary, equal/coarser neighbour, or four
-            # refined child faces.
-            bnd = (bases[axis] + 1) == side
-            inner = ~bnd
-            ncoords = [
-                bases[a] + 1 if a == axis else bases[a] for a in range(3)
-            ]
-            nb_idx, nb_f = lookup(_pack_oct(d, *ncoords))
-            p_idx, p_f = lookup(
-                _pack_oct(d - 1, *[c >> 1 for c in ncoords])
-            )
-            same = inner & nb_f
-            childc = inner & ~nb_f & ~p_f
-            b0 = np.where(bnd, -1, np.where(same, nb_idx, p_idx))
-            fhi = [
-                ctr[a] + 0.5 * s if a == axis else ctr[a]
-                for a in range(2)
-            ]
-            acc.add(~childc, bslot + 1, b0, s * s, nx, ny, fhi[0], fhi[1])
-            p2 = 1 << (d + 1)
-            for t, off in enumerate(_OCT_CHILD_OFFSETS[axis]):
-                ccoords = [2 * ncoords[a] + off[a] for a in range(3)]
-                ck, _ = lookup(_pack_oct(d + 1, *ccoords))
-                fcc = [
-                    (ccoords[a] + 0.5) / p2
-                    - (0.5 / p2 if a == axis else 0.0)
-                    for a in range(2)
-                ]
-                acc.add(
-                    childc,
-                    bslot + 1 + t,
-                    ck,
-                    (s / 2) ** 2,
-                    nx,
-                    ny,
-                    fcc[0],
-                    fcc[1],
-                )
-
-        fc, fa, fn, fctr = acc.assembled()
-        fc_parts.append(fc)
-        area_parts.append(fa)
-        nrm_parts.append(fn)
-        ctr_parts.append(fctr)
-
-    mesh = Mesh(
-        cell_centers=centers3[:, :2].copy(),
-        cell_volumes=volumes,
-        cell_depth=depth,
-        face_cells=np.concatenate(fc_parts),
-        face_area=np.concatenate(area_parts),
-        face_normal=np.concatenate(nrm_parts),
-        face_center=np.concatenate(ctr_parts),
-    )
-    return mesh, centers3

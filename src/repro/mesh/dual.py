@@ -6,24 +6,27 @@ This module performs exactly that conversion; the vertex weights are
 supplied by the partitioning strategy (operating costs for SC_OC,
 binary level-indicator vectors for MC_TL).
 
-Two engines build the cell–cell CSR adjacency:
+The cell–cell CSR adjacency comes from one of two places, chosen by
+the mesh's own state:
 
-* ``"materialized"`` — :meth:`~repro.mesh.structures.Mesh.cell_adjacency`:
-  concatenate both directions of every interior face and stable-sort
-  the whole table.  Simple, but at paper scale (6.4M cells ≈ 13M
-  interior faces) the six O(2·faces) int64 scratch arrays of the sort
-  dominate the chain's memory high-water.
-* ``"streaming"`` (the default) — a chunked two-pass count/fill scheme
-  over fixed-size face windows that never materializes the full face
-  table: pass 1 accumulates per-cell degrees, pass 2 streams the faces
-  twice (a→b direction first, then b→a) and scatters each chunk's
-  entries through per-cell fill cursors.  Within a chunk a stable sort
-  by source cell plus a run-rank offset reproduces, entry for entry,
-  the global stable argsort of the materialized path — the two engines
-  are **bit-identical** (the same guarantee, verified the same way, as
-  the chunked mesh engine vs its object oracle).
+* a mesh whose adjacency cache is warm
+  (:meth:`~repro.mesh.structures.Mesh.cell_adjacency` already ran —
+  the solver and the task-graph generator call it) is served from that
+  cache: it concatenates both directions of every interior face and
+  stable-sorts the whole table;
+* a cold mesh is *streamed*: a chunked two-pass count/fill scheme over
+  face windows of :data:`DEFAULT_CHUNK_FACES` that never materializes
+  the full face table (at paper scale, 6.4M cells ≈ 13M interior
+  faces, the six O(2·faces) int64 scratch arrays of the sort would
+  dominate the chain's memory high-water).  Pass 1 accumulates
+  per-cell degrees, pass 2 streams the faces twice (a→b direction
+  first, then b→a) and scatters each chunk's entries through per-cell
+  fill cursors.  Within a chunk a stable sort by source cell plus a
+  run-rank offset reproduces, entry for entry, the global stable
+  argsort of the cached path, so both give **bit-identical** graphs
+  (pinned by ``tests/golden/chain_outputs.json``).
 
-The streaming engine also fills ``adjncy`` directly in the narrowed
+The streamed build also fills ``adjncy`` directly in the narrowed
 index dtype and computes area edge weights in the fill pass, so the
 wide int64 adjacency and the ``face_of`` table are never held at all.
 """
@@ -35,26 +38,11 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from .structures import Mesh
 
-__all__ = ["mesh_to_dual_graph", "resolve_dual_engine", "DEFAULT_CHUNK_FACES"]
+__all__ = ["mesh_to_dual_graph", "DEFAULT_CHUNK_FACES"]
 
-#: Default number of faces per streamed window (matches the chunked
-#: mesh engine's cell granularity).
+#: Faces per streamed window (matches the mesh builders' cell chunk).
+#: Any positive value yields the same graph.
 DEFAULT_CHUNK_FACES = 1 << 17
-
-
-def resolve_dual_engine(engine: str | None) -> str:
-    """Resolve the dual-construction ``engine`` knob.
-
-    ``None`` means ``"streaming"``; ``"materialized"`` is the oracle
-    path through :meth:`~repro.mesh.structures.Mesh.cell_adjacency`.
-    """
-    engine = "streaming" if engine is None else engine.lower()
-    if engine not in ("streaming", "materialized"):
-        raise ValueError(
-            f"unknown dual engine {engine!r} (expected 'streaming' or "
-            "'materialized')"
-        )
-    return engine
 
 
 def _resolve_index_dtype(index_dtype, num_cells: int):
@@ -75,7 +63,7 @@ def _streaming_adjacency(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chunked two-pass construction of ``(xadj, adjncy, adjwgt)``.
 
-    Bit-identity with the materialized path: that path stable-sorts
+    Bit-identity with the cached path: that path stable-sorts
     ``src = concat([a, b])``, so cell ``c``'s row lists its a-side
     entries in interior-face order followed by its b-side entries in
     interior-face order.  Streaming all faces in the a→b direction
@@ -146,8 +134,6 @@ def mesh_to_dual_graph(
     edge_weight: str = "unit",
     index_dtype: np.dtype | type | str | None = None,
     weight_dtype: np.dtype | type | None = None,
-    engine: str | None = None,
-    chunk_faces: int | None = None,
 ) -> CSRGraph:
     """Build the dual graph of a mesh.
 
@@ -167,35 +153,25 @@ def mesh_to_dual_graph(
         Optional storage dtype for ``adjwgt`` (e.g. ``np.float32``).
         Narrowing is a storage decision only: the partitioner
         accumulates in float64 either way.
-    engine:
-        ``"streaming"`` (chunked two-pass builder, the default) or
-        ``"materialized"`` (the :meth:`Mesh.cell_adjacency` oracle).
-        Both engines produce bit-identical graphs.  A mesh whose
-        adjacency cache is already warm is served from the cache
-        unless an engine was requested explicitly.
-    chunk_faces:
-        Faces per streamed window (streaming engine only); defaults to
-        :data:`DEFAULT_CHUNK_FACES`.  Any positive value — including
-        non-powers-of-two — yields the same graph.
 
     Returns
     -------
     :class:`~repro.graph.csr.CSRGraph` whose vertex ``i`` is cell ``i``
-    and whose edges are the interior faces.
+    and whose edges are the interior faces; streamed from the faces
+    when the mesh's adjacency cache is cold, read from the cache when
+    it is warm (the same graph either way).
     """
     if edge_weight not in ("unit", "area"):
         raise ValueError(f"unknown edge_weight {edge_weight!r}")
-    explicit = engine is not None
-    resolved = resolve_dual_engine(engine)
     index_dtype = _resolve_index_dtype(index_dtype, mesh.num_cells)
 
-    if resolved == "streaming" and (explicit or mesh._adjacency is None):
+    if mesh._adjacency is None:
         xadj, adjncy, adjwgt = _streaming_adjacency(
             mesh,
             index_dtype=index_dtype,
             edge_weight=edge_weight,
             weight_dtype=weight_dtype,
-            chunk_faces=chunk_faces or DEFAULT_CHUNK_FACES,
+            chunk_faces=DEFAULT_CHUNK_FACES,
         )
         return CSRGraph(xadj, adjncy, vwgt=vwgt, adjwgt=adjwgt)
 

@@ -55,12 +55,7 @@ PAPER_CELL_COUNTS = {
 }
 
 
-def cylinder_mesh(
-    *,
-    max_depth: int = 10,
-    engine: str | None = None,
-    chunk_cells: int | None = None,
-) -> Mesh:
+def cylinder_mesh(*, max_depth: int = 10) -> Mesh:
     """CYLINDER replica: radial grading around a central piece.
 
     The finest cells form a thin annulus at radius ``r_core`` (the
@@ -89,20 +84,11 @@ def cylinder_mesh(
         )
 
     return build_quadtree_mesh(
-        sizing,
-        max_depth=max_depth,
-        min_depth=max_depth - 3,
-        engine=engine,
-        chunk_cells=chunk_cells,
+        sizing, max_depth=max_depth, min_depth=max_depth - 3
     )
 
 
-def cube_mesh(
-    *,
-    max_depth: int = 10,
-    engine: str | None = None,
-    chunk_cells: int | None = None,
-) -> Mesh:
+def cube_mesh(*, max_depth: int = 10) -> Mesh:
     """CUBE replica: three non-contiguous fine hotspots.
 
     The paper calls this mesh the worst case: its τ=0 cells are split
@@ -124,20 +110,11 @@ def cube_mesh(
         return np.where(d <= r0, h, np.where(d <= r1, 2.0 * h, 8.0 * h))
 
     return build_quadtree_mesh(
-        sizing,
-        max_depth=max_depth,
-        min_depth=max_depth - 3,
-        engine=engine,
-        chunk_cells=chunk_cells,
+        sizing, max_depth=max_depth, min_depth=max_depth - 3
     )
 
 
-def pprime_nozzle_mesh(
-    *,
-    max_depth: int = 9,
-    engine: str | None = None,
-    chunk_cells: int | None = None,
-) -> Mesh:
+def pprime_nozzle_mesh(*, max_depth: int = 9) -> Mesh:
     """PPRIME_NOZZLE replica: nozzle exit plus an elongated jet plume.
 
     Three temporal levels; the fine region is a long streamwise plume
@@ -158,11 +135,7 @@ def pprime_nozzle_mesh(
         return np.where(d <= w0, h, np.where(d <= w1, 2.0 * h, 4.0 * h))
 
     return build_quadtree_mesh(
-        sizing,
-        max_depth=max_depth,
-        min_depth=max_depth - 2,
-        engine=engine,
-        chunk_cells=chunk_cells,
+        sizing, max_depth=max_depth, min_depth=max_depth - 2
     )
 
 
@@ -170,8 +143,6 @@ def uniform_mesh(
     *,
     depth: int | None = None,
     max_depth: int = 5,
-    engine: str | None = None,
-    chunk_cells: int | None = None,
 ) -> Mesh:
     """Uniform (single temporal level) mesh — baseline and test helper.
 
@@ -185,10 +156,7 @@ def uniform_mesh(
     def sizing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.full(np.broadcast(x, y).shape, h)
 
-    return build_quadtree_mesh(
-        sizing, max_depth=d, min_depth=d, engine=engine,
-        chunk_cells=chunk_cells,
-    )
+    return build_quadtree_mesh(sizing, max_depth=d, min_depth=d)
 
 
 #: Name → factory map used by the CLI and the experiment harnesses.

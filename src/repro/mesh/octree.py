@@ -21,85 +21,41 @@ from typing import Callable
 
 import numpy as np
 
+from . import chunked
+from .chunked import FaceChunk, balance_grid, make_lookup, refine_grid
 from .structures import Mesh
 
-__all__ = ["build_octree_mesh", "octree_cylinder_mesh"]
+__all__ = ["build_octree_mesh", "octree_cylinder_mesh", "OCT_MAX_DEPTH"]
 
 Sizing3D = Callable[[float, float, float], float]
 
-# Face directions: +x, +y, +z (emitted from the lower cell), with the
-# in-face child offsets used at refined interfaces.
-_DIRS = (
-    ((1, 0, 0), ((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1))),
-    ((0, 1, 0), ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1))),
-    ((0, 0, 1), ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))),
+#: Packed octree keys give each of i/j/k 16 bits.
+OCT_MAX_DEPTH = 16
+
+_DIRS3 = (
+    (-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)
+)
+
+# High-side in-face child offsets per axis (+x, +y, +z): the slot
+# order of the four fine faces at a refined interface.
+_OCT_CHILD_OFFSETS = (
+    ((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)),
+    ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)),
+    ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),
 )
 
 
-def _refine(
-    sizing: Sizing3D, max_depth: int, min_depth: int
-) -> dict[tuple[int, int, int, int], None]:
-    leaves: dict[tuple[int, int, int, int], None] = {(0, 0, 0, 0): None}
-    queue = [(0, 0, 0, 0)]
-    while queue:
-        d, i, j, k = queue.pop()
-        if (d, i, j, k) not in leaves:
-            continue
-        size = 1.0 / (1 << d)
-        cx, cy, cz = (i + 0.5) * size, (j + 0.5) * size, (k + 0.5) * size
-        if d < max_depth and (d < min_depth or size > sizing(cx, cy, cz)):
-            del leaves[(d, i, j, k)]
-            for di in (0, 1):
-                for dj in (0, 1):
-                    for dk in (0, 1):
-                        child = (d + 1, 2 * i + di, 2 * j + dj, 2 * k + dk)
-                        leaves[child] = None
-                        queue.append(child)
-    return leaves
+def _pack_oct(d, i, j, k):
+    return (d << 48) | (i << 32) | (j << 16) | k
 
 
-def _leaf_containing(leaves, d, i, j, k):
-    while d >= 0:
-        if (d, i, j, k) in leaves:
-            return (d, i, j, k)
-        d, i, j, k = d - 1, i >> 1, j >> 1, k >> 1
-    return None
-
-
-def _balance(leaves: dict[tuple[int, int, int, int], None]) -> None:
-    work = sorted(leaves, key=lambda t: -t[0])
-    while work:
-        d, i, j, k = work.pop()
-        if (d, i, j, k) not in leaves:
-            continue
-        side = 1 << d
-        for di, dj, dk in (
-            (-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)
-        ):
-            ni, nj, nk = i + di, j + dj, k + dk
-            if not (0 <= ni < side and 0 <= nj < side and 0 <= nk < side):
-                continue
-            nb = _leaf_containing(leaves, d, ni, nj, nk)
-            if nb is None:
-                continue
-            nd, nii, njj, nkk = nb
-            if nd < d - 1:
-                del leaves[nb]
-                children = []
-                for ci in (0, 1):
-                    for cj in (0, 1):
-                        for ck in (0, 1):
-                            c = (
-                                nd + 1,
-                                2 * nii + ci,
-                                2 * njj + cj,
-                                2 * nkk + ck,
-                            )
-                            leaves[c] = None
-                            children.append(c)
-                work.extend(children)
-                work.append((d, i, j, k))
-                break
+def _unpack_oct(key):
+    return [
+        key >> 48,
+        (key >> 32) & 0xFFFF,
+        (key >> 16) & 0xFFFF,
+        key & 0xFFFF,
+    ]
 
 
 def build_octree_mesh(
@@ -107,105 +63,119 @@ def build_octree_mesh(
     *,
     max_depth: int,
     min_depth: int = 2,
-    engine: str | None = None,
-    chunk_cells: int | None = None,
 ) -> tuple[Mesh, np.ndarray]:
     """Build a 2:1-balanced octree finite-volume mesh on the unit
     cube.
 
-    ``engine`` selects the chunked NumPy build (``"array"``, the
-    default) or the original dict/tuple build (``"object"``, the
-    differential oracle); both are bit-identical.  Scalar-only sizing
-    callables are handled by the array engine via a per-point
-    fallback.
+    ``max_depth`` may not exceed :data:`OCT_MAX_DEPTH`.  Scalar-only
+    sizing callables are evaluated per point.  Cells are in
+    lexicographic ``(depth, i, j, k)`` order.
 
     Returns ``(mesh, centers3d)``: the dimension-agnostic
     :class:`Mesh` (cell volumes are true 3D volumes, face areas true
     face areas; ``cell_centers``/``face_normal`` carry the x/y
-    components) plus the full ``(n, 3)`` cell centres.
+    components, z-faces carrying a +x tag) plus the full ``(n, 3)``
+    cell centres.
     """
-    from .chunked import (
-        OCT_ARRAY_MAX_DEPTH,
-        build_octree_arrays,
-        resolve_engine,
-    )
-
-    if resolve_engine(engine, max_depth, OCT_ARRAY_MAX_DEPTH) == "array":
-        return build_octree_arrays(
-            sizing,
-            max_depth=max_depth,
-            min_depth=min_depth,
-            chunk_cells=chunk_cells,
+    if max_depth > OCT_MAX_DEPTH:
+        raise ValueError(
+            f"octree meshes support max_depth <= {OCT_MAX_DEPTH}"
         )
-    leaves = _refine(sizing, max_depth, min_depth)
-    _balance(leaves)
+    chunk = chunked.DEFAULT_CHUNK_CELLS
+    leaves = refine_grid(
+        sizing, max_depth, min_depth, (0.0, 0.0, 0.0), 1.0, chunk, 3
+    )
+    balanced = balance_grid(
+        leaves, chunk, _pack_oct, _unpack_oct, _DIRS3
+    )
+    # Packed-key order is lexicographic (d, i, j, k).
+    order = np.argsort(_pack_oct(*balanced), kind="stable")
+    d64, i64, j64, k64 = (c[order] for c in balanced)
+    n = d64.size
 
-    keys = sorted(leaves)  # lexicographic (depth, i, j, k) — deterministic
-    index = {kk: idx for idx, kk in enumerate(keys)}
-    depth = np.array([kk[0] for kk in keys], dtype=np.int32)
+    depth = d64.astype(np.int32)
     size = 1.0 / (1 << depth).astype(np.float64)
-    coords = np.array([kk[1:] for kk in keys], dtype=np.float64)
+    coords = np.stack([i64, j64, k64], axis=1).astype(np.float64)
     centers3 = (coords + 0.5) * size[:, None]
     volumes = size**3
 
-    f_cells: list[tuple[int, int]] = []
-    f_area: list[float] = []
-    f_normal: list[tuple[float, float]] = []
-    f_center: list[tuple[float, float]] = []
+    lookup = make_lookup(_pack_oct(d64, i64, j64, k64))
 
-    def emit(a, b, area, axis, fc3):
-        f_cells.append((a, b))
-        f_area.append(area)
-        # Project the 3D axis normal onto (x, y); z-faces are stored
-        # with a +x tag purely for container compatibility (the unit
-        # check only applies to genuinely 2D meshes; here we renorm).
-        nx, ny = (1.0, 0.0) if axis in (0, 2) else (0.0, 1.0)
-        f_normal.append((nx, ny))
-        f_center.append((fc3[0], fc3[1]))
-
-    for idx, (d, i, j, k) in enumerate(keys):
+    fc_parts, area_parts, nrm_parts, ctr_parts = [], [], [], []
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        d = d64[start:stop]
+        bases = [i64[start:stop], j64[start:stop], k64[start:stop]]
+        idx = np.arange(start, stop, dtype=np.int64)
         s = 1.0 / (1 << d)
         side = 1 << d
-        base = np.array([i, j, k], dtype=np.int64)
-        for axis, ((dx, dy, dz), child_offsets) in enumerate(_DIRS):
+        ctr = [(bases[a] + 0.5) * s for a in range(3)]
+        acc = FaceChunk(idx, 15)
+
+        for axis in range(3):
+            bslot = axis * 5
+            nx, ny = (1.0, 0.0) if axis in (0, 2) else (0.0, 1.0)
             # Low-side boundary face.
-            if base[axis] == 0:
-                flo = (base + 0.5) * s
-                flo[axis] -= 0.5 * s
-                emit(idx, -1, s * s, axis, flo)
+            flo = [
+                ctr[a] - 0.5 * s if a == axis else ctr[a]
+                for a in range(2)
+            ]
+            acc.add(
+                bases[axis] == 0, bslot, -1, s * s, nx, ny, flo[0], flo[1]
+            )
             # High side: boundary, equal/coarser neighbour, or four
             # refined child faces.
-            npos = base + (dx, dy, dz)
-            fc3 = (base + 0.5) * s
-            fc3[axis] += 0.5 * s
-            if npos[axis] == side:
-                emit(idx, -1, s * s, axis, fc3)
-                continue
-            nb = _leaf_containing(leaves, d, int(npos[0]), int(npos[1]), int(npos[2]))
-            if nb is not None:
-                emit(idx, index[nb], s * s, axis, fc3)
-            else:
-                cbase = 2 * npos
-                for off in child_offsets:
-                    child = (
-                        d + 1,
-                        int(cbase[0] + off[0]),
-                        int(cbase[1] + off[1]),
-                        int(cbase[2] + off[2]),
-                    )
-                    cc = (np.array(child[1:]) + 0.5) / (1 << (d + 1))
-                    fcc = cc.copy()
-                    fcc[axis] -= 0.5 / (1 << (d + 1))
-                    emit(idx, index[child], (s / 2) ** 2, axis, fcc)
+            bnd = (bases[axis] + 1) == side
+            inner = ~bnd
+            ncoords = [
+                bases[a] + 1 if a == axis else bases[a] for a in range(3)
+            ]
+            nb_idx, nb_f = lookup(_pack_oct(d, *ncoords))
+            p_idx, p_f = lookup(
+                _pack_oct(d - 1, *[c >> 1 for c in ncoords])
+            )
+            same = inner & nb_f
+            childc = inner & ~nb_f & ~p_f
+            b0 = np.where(bnd, -1, np.where(same, nb_idx, p_idx))
+            fhi = [
+                ctr[a] + 0.5 * s if a == axis else ctr[a]
+                for a in range(2)
+            ]
+            acc.add(~childc, bslot + 1, b0, s * s, nx, ny, fhi[0], fhi[1])
+            p2 = 1 << (d + 1)
+            for t, off in enumerate(_OCT_CHILD_OFFSETS[axis]):
+                ccoords = [2 * ncoords[a] + off[a] for a in range(3)]
+                ck, _ = lookup(_pack_oct(d + 1, *ccoords))
+                fcc = [
+                    (ccoords[a] + 0.5) / p2
+                    - (0.5 / p2 if a == axis else 0.0)
+                    for a in range(2)
+                ]
+                acc.add(
+                    childc,
+                    bslot + 1 + t,
+                    ck,
+                    (s / 2) ** 2,
+                    nx,
+                    ny,
+                    fcc[0],
+                    fcc[1],
+                )
+
+        fc, fa, fn, fctr = acc.assembled()
+        fc_parts.append(fc)
+        area_parts.append(fa)
+        nrm_parts.append(fn)
+        ctr_parts.append(fctr)
 
     mesh = Mesh(
         cell_centers=centers3[:, :2].copy(),
         cell_volumes=volumes,
         cell_depth=depth,
-        face_cells=np.array(f_cells, dtype=np.int64).reshape(-1, 2),
-        face_area=np.array(f_area, dtype=np.float64),
-        face_normal=np.array(f_normal, dtype=np.float64).reshape(-1, 2),
-        face_center=np.array(f_center, dtype=np.float64).reshape(-1, 2),
+        face_cells=np.concatenate(fc_parts),
+        face_area=np.concatenate(area_parts),
+        face_normal=np.concatenate(nrm_parts),
+        face_center=np.concatenate(ctr_parts),
     )
     return mesh, centers3
 
@@ -214,8 +184,6 @@ def octree_cylinder_mesh(
     *,
     max_depth: int = 7,
     min_depth: int = 4,
-    engine: str | None = None,
-    chunk_cells: int | None = None,
 ) -> tuple[Mesh, np.ndarray]:
     """3D CYLINDER-like case: a thin fine shell around a vertical axis
     segment at the cube's centre, coarsening radially — the 3D
@@ -235,10 +203,4 @@ def octree_cylinder_mesh(
             return 4.0 * h
         return 8.0 * h
 
-    return build_octree_mesh(
-        sizing,
-        max_depth=max_depth,
-        min_depth=min_depth,
-        engine=engine,
-        chunk_cells=chunk_cells,
-    )
+    return build_octree_mesh(sizing, max_depth=max_depth, min_depth=min_depth)

@@ -75,7 +75,6 @@ def sc_oc_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    method: str = "recursive",
     n_jobs: int | None = 1,
     executor: str | None = None,
     index_dtype=None,
@@ -92,7 +91,6 @@ def sc_oc_partition(
         num_domains,
         seed=seed,
         imbalance_tol=imbalance_tol,
-        method=method,
         n_jobs=n_jobs,
         executor=executor,
         coords=mesh.cell_centers,
@@ -107,7 +105,6 @@ def mc_tl_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    method: str = "recursive",
     n_jobs: int | None = 1,
     executor: str | None = None,
     index_dtype=None,
@@ -127,7 +124,6 @@ def mc_tl_partition(
         num_domains,
         seed=seed,
         imbalance_tol=imbalance_tol,
-        method=method,
         n_jobs=n_jobs,
         executor=executor,
         coords=mesh.cell_centers,

@@ -7,19 +7,13 @@ the :class:`~repro.pipeline.scheduler.DagScheduler`; ``run_batch``
 compiles *one merged plan* over the whole batch, so scenarios sharing
 a mesh/levels prefix execute each shared stage exactly once and the
 riders record it as ``"shared"`` provenance (distinct from a store
-cache hit — see ``RunRecord.explain``).
-
-``Pipeline.run_linear`` keeps the original straight-line chain as the
-oracle path (same pattern as ``graph/reference.py``): both paths call
-the same :func:`~repro.pipeline.scheduler.execute_stage` store
-protocol, and the equivalence tests pin bit-identical artifacts and
-digests between them.
+cache hit — see ``RunRecord.explain``).  Every node runs through
+:func:`~repro.pipeline.scheduler.execute_stage`'s store protocol.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
@@ -33,7 +27,7 @@ from ..taskgraph.dag import TaskDAG
 from .config import Scenario
 from .jobs import resolve_n_jobs
 from .plan import StagePlan, compile_plan
-from .scheduler import DagScheduler, PlanResult, execute_stage
+from .scheduler import DagScheduler, PlanResult
 from .stages import STAGE_ORDER
 from .store import ArtifactStore, default_store
 
@@ -180,26 +174,6 @@ class Pipeline:
             )
         )
 
-    def _run_stage(
-        self,
-        record: RunRecord,
-        name: str,
-        config: Any,
-        upstream_digests: Sequence[str],
-        upstream_objects: Sequence[Any],
-    ) -> tuple[Any, str]:
-        t0 = time.perf_counter()
-        obj, digest, cache, _ = execute_stage(
-            self.store, name, config, upstream_digests, upstream_objects
-        )
-        record.provenance[name] = StageRecord(
-            stage=name,
-            digest=digest,
-            cache=cache,
-            wall_time=time.perf_counter() - t0,
-        )
-        return obj, digest
-
     # ------------------------------------------------------------------
     def run(
         self, scenario: Scenario, *, through: str = "schedule"
@@ -215,58 +189,6 @@ class Pipeline:
         plan = compile_plan([scenario], through=through)
         result = DagScheduler(self.store, max_workers=1).execute(plan)
         return _record_from_plan(plan, result, 0)
-
-    def run_linear(
-        self, scenario: Scenario, *, through: str = "schedule"
-    ) -> RunRecord:
-        """The original straight-line chain, kept as the oracle the
-        DAG path is tested bit-identical against."""
-        if through not in STAGE_ORDER:
-            raise ValueError(
-                f"unknown stage {through!r}; choose from {STAGE_ORDER}"
-            )
-        scenario = self._resolved(scenario)
-        stop = STAGE_ORDER.index(through)
-        record = RunRecord(scenario=scenario, mesh=None, tau=None)  # type: ignore[arg-type]
-
-        mesh, d_mesh = self._run_stage(
-            record, "mesh", scenario.mesh, (), ()
-        )
-        record.mesh = mesh
-        if stop >= 1:
-            tau, d_tau = self._run_stage(
-                record, "levels", scenario.levels, (d_mesh,), (mesh,)
-            )
-            record.tau = tau
-        if stop >= 2:
-            decomp, d_part = self._run_stage(
-                record,
-                "partition",
-                scenario.partition,
-                (d_mesh, d_tau),
-                (mesh, tau),
-            )
-            record.decomp = decomp
-        if stop >= 3:
-            dag, d_dag = self._run_stage(
-                record,
-                "taskgraph",
-                scenario.taskgraph,
-                (d_mesh, d_tau, d_part),
-                (mesh, tau, decomp),
-            )
-            record.dag = dag
-        if stop >= 4:
-            (trace, metrics), _ = self._run_stage(
-                record,
-                "schedule",
-                scenario.schedule,
-                (d_part, d_dag),
-                (decomp, dag),
-            )
-            record.trace = trace
-            record.metrics = metrics
-        return record
 
     def case(self, scenario: Scenario) -> tuple[Mesh, np.ndarray]:
         """Shorthand: ``(mesh, tau)`` for a scenario prefix."""
@@ -289,8 +211,8 @@ def _record_from_plan(
     """Assemble one job's :class:`RunRecord` from an executed plan.
 
     Raises the job's causal exception if any node along its chain
-    failed or was skipped — matching the linear path, where the stage
-    exception propagated out of ``run``.
+    failed or was skipped, so a stage exception propagates out of
+    ``run``.
     """
     state = result.job_state(job)
     if state != "done":

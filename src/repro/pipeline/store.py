@@ -214,10 +214,6 @@ class ArtifactStore:
         Bound of the in-process object LRU (>= 0; 0 disables it).
         The default (64) comfortably covers the paper's sweeps while
         keeping long campaigns from holding every mesh alive.
-    locking:
-        Enable the cross-process claim tier (default on; only
-        meaningful with a disk layer).  ``REPRO_STORE_LOCKING=0``
-        disables it globally.
     lock_timeout:
         How long a loser blocks on another worker's claim before
         computing unguarded (``REPRO_STORE_LOCK_TIMEOUT``, default
@@ -236,7 +232,6 @@ class ArtifactStore:
         root: str | Path | None = None,
         *,
         memory_items: int = 64,
-        locking: bool | None = None,
         lock_timeout: float | None = None,
         claim_ttl: float | None = None,
         budget_bytes: int | str | None = None,
@@ -245,13 +240,9 @@ class ArtifactStore:
         if memory_items < 0:
             raise ValueError("memory_items must be >= 0")
         self.memory_items = memory_items
-        if locking is None:
-            locking = os.environ.get("REPRO_STORE_LOCKING", "1").strip() not in (
-                "0",
-                "off",
-                "false",
-            )
-        self.locking = bool(locking)
+        # The cross-process claim tier is on whenever a disk layer is;
+        # a filesystem without lock support switches it off (claim()).
+        self.locking = True
         self.lock_timeout = (
             float(lock_timeout)
             if lock_timeout is not None
@@ -502,12 +493,12 @@ class ArtifactStore:
     def claim(self, stage: str, digest: str) -> Lease | None:
         """Coordinate a miss across processes.
 
-        ``None`` when there is nothing to coordinate (no disk layer or
-        locking disabled): the caller just computes.  Otherwise a
-        :class:`~repro.pipeline.locking.Lease` — ``winner`` computes
-        and publishes (pass the lease to :meth:`disk_write`), then
-        releases; ``reader`` re-reads the artifact the winner
-        published.
+        ``None`` when there is nothing to coordinate (no disk layer, or
+        the filesystem refused a lock earlier): the caller just
+        computes.  Otherwise a :class:`~repro.pipeline.locking.Lease`
+        — ``winner`` computes and publishes (pass the lease to
+        :meth:`disk_write`), then releases; ``reader`` re-reads the
+        artifact the winner published.
         """
         if not self.disk_enabled or not self.locking:
             return None

@@ -21,6 +21,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -644,6 +645,39 @@ class TestDegradation:
         assert store.disk_write(
             "mesh", "g" * 40, {"x": np.arange(4.0)}, sidecar={"meta": {}}
         ) is not None
+
+    def test_unlockable_filesystem_computes_uncoordinated(
+        self, tmp_path, monkeypatch
+    ):
+        """A filesystem without lock support (``ENOLCK``) costs one
+        warning: the stage still computes and publishes, and later
+        claims skip the lock altogether."""
+        from repro.pipeline import store as store_mod
+
+        calls = []
+
+        def no_locks(*a, **k):
+            calls.append(a)
+            raise OSError(errno.ENOLCK, "no locks available")
+
+        monkeypatch.setattr(store_mod, "acquire_claim", no_locks)
+        store = ArtifactStore(tmp_path / "store")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = Pipeline(store, n_jobs=1).run(SCENARIO, through="levels")
+        runtime = [w for w in caught if w.category is RuntimeWarning]
+        assert len(runtime) == 1
+        assert "without cross-process coordination" in str(
+            runtime[0].message
+        )
+        assert len(calls) == 1  # the levels stage never tried to lock
+        assert store.disk_enabled  # ENOLCK is not a disk fault
+        for name in ("mesh", "levels"):
+            assert rec.provenance[name].cache is None  # computed
+            digest = rec.provenance[name].digest
+            assert store.disk_read(name, digest) is not None  # published
+        assert store.claim("mesh", "h" * 40) is None
+        assert len(calls) == 1
 
 
 _CONCURRENT_WORKER = """

@@ -239,11 +239,6 @@ class TestAblations:
         )
         assert best_sc > r.makespan[("MC_TL", "eager")]
 
-    def test_method_ablation(self):
-        r = ablations.run_method_ablation(scale=8, domains=8)
-        assert set(r.cut) == {"recursive", "kway"}
-        assert r.worst_imbalance["recursive"] < 2.0
-
     def test_baseline_ablation(self):
         r = ablations.run_baseline_ablation(
             scale=8, domains=16, processes=8, cores=8

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import repro.graph.bisect as bisect_mod
 import repro.graph.coarsen as coarsen_mod
-import repro.graph.partition as partition_mod
 from repro.graph import CSRGraph, graph_from_edges
 from repro.graph.coarsen import heavy_edge_matching
 from repro.graph.contracts import check_partition_contract
@@ -194,7 +193,6 @@ def _with_seed_kernels(monkeypatch):
     """Swap the seed HEM/FM implementations into the full pipeline."""
     monkeypatch.setattr(coarsen_mod, "heavy_edge_matching", heavy_edge_matching_ref)
     monkeypatch.setattr(bisect_mod, "fm_refine", fm_refine_ref)
-    monkeypatch.setattr(partition_mod, "fm_refine", fm_refine_ref)
 
 
 class TestPipelineSeedParity:

@@ -154,15 +154,6 @@ class TestPartitionGraph:
         r2 = partition_graph(small_grid, 4, seed=7)
         np.testing.assert_array_equal(r1.part, r2.part)
 
-    def test_kway_method(self, medium_grid):
-        res = partition_graph(medium_grid, 6, method="kway", seed=0)
-        assert set(np.unique(res.part)) == set(range(6))
-        assert res.imbalance.max() < 1.3
-
-    def test_unknown_method_raises(self, small_grid):
-        with pytest.raises(ValueError, match="unknown method"):
-            partition_graph(small_grid, 2, method="magic")
-
     def test_too_many_parts_raises(self):
         g = graph_from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="non-empty"):

@@ -29,6 +29,10 @@ class TestUniformMesh:
     def test_validates(self):
         uniform_mesh(depth=3).validate()
 
+    def test_depth_past_packed_key_limit_raises(self):
+        with pytest.raises(ValueError, match="max_depth <= 24"):
+            uniform_mesh(depth=25)
+
     def test_single_cell(self):
         m = uniform_mesh(depth=0)
         assert m.num_cells == 1

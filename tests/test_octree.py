@@ -34,6 +34,10 @@ class TestUniformOctree:
         assert len(mesh.interior_faces()) == 3 * d * d * (d - 1)
         assert len(mesh.boundary_faces()) == 6 * d * d
 
+    def test_depth_past_packed_key_limit_raises(self):
+        with pytest.raises(ValueError, match="max_depth <= 16"):
+            build_octree_mesh(lambda x, y, z: 1.0, max_depth=17)
+
     def test_interior_degree(self):
         """A fully interior cell has exactly 6 neighbours."""
         mesh, c3 = uniform_octree(3)

@@ -1,8 +1,8 @@
 """Tests for the out-of-core scale rung.
 
-Streaming dual construction (chunked two-pass count/fill,
-bit-identical to the materialized oracle), and the stale sweep of
-shared CSR segment files left by dead processes.
+Streaming dual construction (chunked two-pass count/fill, bit-identical
+to the graph read from the mesh's materialized adjacency cache), and
+the stale sweep of shared CSR segment files left by dead processes.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ import pytest
 
 from repro.graph import CSRGraph
 from repro.graph.shared import stale_segments, sweep_stale_segments
-from repro.mesh.dual import (
-    DEFAULT_CHUNK_FACES,
-    mesh_to_dual_graph,
-    resolve_dual_engine,
-)
+from repro.mesh import dual
+from repro.mesh.dual import DEFAULT_CHUNK_FACES, mesh_to_dual_graph
 from repro.mesh.generators import cylinder_mesh, uniform_mesh
 
 
@@ -31,6 +28,18 @@ def _assert_same_graph(a: CSRGraph, b: CSRGraph) -> None:
     assert a.adjwgt.dtype == b.adjwgt.dtype
 
 
+def _cached_and_streamed(make_mesh, monkeypatch, chunk, **kw):
+    """The dual of a warm mesh (served from ``cell_adjacency``) and of
+    a cold copy streamed in ``chunk``-face windows."""
+    warm = make_mesh()
+    warm.cell_adjacency()
+    ref = mesh_to_dual_graph(warm, **kw)
+    cold = make_mesh()
+    assert cold._adjacency is None
+    monkeypatch.setattr(dual, "DEFAULT_CHUNK_FACES", chunk)
+    return ref, mesh_to_dual_graph(cold, **kw)
+
+
 # ----------------------------------------------------------------------
 # Streaming dual construction
 # ----------------------------------------------------------------------
@@ -38,65 +47,57 @@ class TestStreamingDual:
     @pytest.mark.parametrize("depth", [3, 5])  # odd depths
     @pytest.mark.parametrize("chunk", [7, 1000, DEFAULT_CHUNK_FACES])
     @pytest.mark.parametrize("edge_weight", ["unit", "area"])
-    def test_bit_identical_to_materialized(self, depth, chunk, edge_weight):
-        mesh = uniform_mesh(depth=depth)
-        ref = mesh_to_dual_graph(
-            mesh, edge_weight=edge_weight, engine="materialized"
-        )
-        got = mesh_to_dual_graph(
-            mesh,
+    def test_bit_identical_to_materialized(
+        self, depth, chunk, edge_weight, monkeypatch
+    ):
+        ref, got = _cached_and_streamed(
+            lambda: uniform_mesh(depth=depth),
+            monkeypatch,
+            chunk,
             edge_weight=edge_weight,
-            engine="streaming",
-            chunk_faces=chunk,
         )
         _assert_same_graph(ref, got)
 
-    def test_adaptive_mesh_and_narrowing(self):
-        mesh = cylinder_mesh(max_depth=6)
-        ref = mesh_to_dual_graph(
-            mesh, edge_weight="area", index_dtype="auto", engine="materialized"
-        )
-        got = mesh_to_dual_graph(
-            mesh,
+    def test_adaptive_mesh_and_narrowing(self, monkeypatch):
+        ref, got = _cached_and_streamed(
+            lambda: cylinder_mesh(max_depth=6),
+            monkeypatch,
+            997,  # prime chunk: windows never align with runs
             edge_weight="area",
             index_dtype="auto",
-            engine="streaming",
-            chunk_faces=997,  # prime chunk: windows never align with runs
         )
         _assert_same_graph(ref, got)
         assert got.adjncy.dtype == np.int32
 
-    def test_weight_dtype_narrowing(self):
-        mesh = uniform_mesh(depth=4)
-        ref = mesh_to_dual_graph(
-            mesh,
+    def test_weight_dtype_narrowing(self, monkeypatch):
+        ref, got = _cached_and_streamed(
+            lambda: uniform_mesh(depth=4),
+            monkeypatch,
+            13,
             edge_weight="area",
             weight_dtype=np.float32,
-            engine="materialized",
-        )
-        got = mesh_to_dual_graph(
-            mesh,
-            edge_weight="area",
-            weight_dtype=np.float32,
-            engine="streaming",
-            chunk_faces=13,
         )
         _assert_same_graph(ref, got)
         assert got.adjwgt.dtype == np.float32
 
-    def test_engine_resolution(self):
-        assert resolve_dual_engine(None) == "streaming"
-        assert resolve_dual_engine("materialized") == "materialized"
-        with pytest.raises(ValueError, match="unknown dual engine"):
-            resolve_dual_engine("mmap")
+    def test_engine_resolution(self, monkeypatch):
+        # The construction path follows the mesh's cache state: a cold
+        # mesh streams, a warm one is served from its cache.
+        calls = []
+        real = dual._streaming_adjacency
 
-    def test_warm_adjacency_cache_reused_unless_explicit(self):
+        def spy(*args, **kwargs):
+            calls.append(kwargs["chunk_faces"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dual, "_streaming_adjacency", spy)
         mesh = uniform_mesh(depth=3)
+        streamed = mesh_to_dual_graph(mesh)
+        assert calls == [DEFAULT_CHUNK_FACES]
+        assert mesh._adjacency is None  # streaming leaves the cache cold
         mesh.cell_adjacency()  # warm the cache
-        assert mesh._adjacency is not None
-        # Default engine serves the warm cache; explicit request streams.
         cached = mesh_to_dual_graph(mesh)
-        streamed = mesh_to_dual_graph(mesh, engine="streaming")
+        assert len(calls) == 1
         _assert_same_graph(cached, streamed)
 
 

@@ -1,12 +1,13 @@
 """Stage-DAG layer tests: plan compilation and merge rules, the
-scheduler's dedup/bit-identity guarantees vs the linear oracle, shared
-provenance, and failure isolation between jobs sharing a prefix.
+scheduler's dedup/bit-identity guarantees, shared provenance, and
+failure isolation between jobs sharing a prefix.
 
-These back the tentpole acceptance criteria: a merged plan over
-scenarios sharing a mesh/levels prefix executes each shared stage
-exactly once (asserted by stage-compute counters), returns bit-
-identical artifacts and ``RunRecord`` digests vs the retained linear
-path, and a failure in one job's unshared suffix fails only that job.
+A merged plan over scenarios sharing a mesh/levels prefix executes
+each shared stage exactly once (asserted by stage-compute counters),
+returns artifacts and ``RunRecord`` digests bit-identical to
+independent single-scenario runs, and a failure in one job's unshared
+suffix fails only that job.  Plan keys are checked against the digest
+chain recomputed by hand with ``stage_digest``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from repro.pipeline import (
     expand_sweep,
     run_batch,
 )
-from repro.pipeline.plan import StagePlan
+from repro.pipeline.hashing import stage_digest
 from repro.pipeline.stages import (
     STAGE_INPUTS,
     STAGE_ORDER,
+    STAGES,
     LevelStage,
     MeshStage,
     PartitionStage,
@@ -72,11 +74,23 @@ class TestCompilePlan:
             compile_plan([base_scenario()], through="warp")
 
     def test_keys_match_linear_digests(self):
+        # The five-stage digest chain, walked by hand: each stage's
+        # address covers its config and its inputs' addresses.
         sc = base_scenario()
         plan = compile_plan([sc])
-        rec = Pipeline(ArtifactStore(), n_jobs=1).run_linear(sc)
-        for name, key in plan.job_stages[0].items():
-            assert rec.provenance[name].digest == key
+        digests: dict[str, str] = {}
+        for name in STAGE_ORDER:
+            stage = STAGES[name]
+            digests[name] = stage_digest(
+                stage.name,
+                stage.version,
+                getattr(sc, name),
+                [digests[u] for u in STAGE_INPUTS[name]],
+            )
+        assert plan.job_stages[0] == digests
+        rec = Pipeline(ArtifactStore(), n_jobs=1).run(sc)
+        for name in STAGE_ORDER:
+            assert rec.provenance[name].digest == digests[name]
 
     def test_shared_prefix_collapses(self):
         n = 4
@@ -172,11 +186,13 @@ class TestMergedExecution:
         assert counters["partition"]["shared"] == 0
 
     def test_bit_identical_to_independent_linear_runs(self):
+        # One merged plan vs one single-scenario run per scenario, each
+        # on its own fresh store.
         n = 3
         scenarios = seed_sweep(n)
         merged = run_batch(scenarios, store=ArtifactStore(), n_jobs=2)
         for sc, rec in zip(scenarios, merged):
-            oracle = Pipeline(ArtifactStore(), n_jobs=1).run_linear(sc)
+            oracle = Pipeline(ArtifactStore(), n_jobs=1).run(sc)
             for name in STAGE_ORDER:
                 assert (
                     rec.provenance[name].digest
@@ -196,15 +212,6 @@ class TestMergedExecution:
                 rec.trace.start, oracle.trace.start
             )
             assert rec.metrics.makespan == oracle.metrics.makespan
-
-    def test_run_matches_run_linear_provenance(self):
-        sc = base_scenario()
-        dag_rec = Pipeline(ArtifactStore(), n_jobs=1).run(sc)
-        lin_rec = Pipeline(ArtifactStore(), n_jobs=1).run_linear(sc)
-        for name in STAGE_ORDER:
-            a, b = dag_rec.provenance[name], lin_rec.provenance[name]
-            assert a.digest == b.digest
-            assert a.cache == b.cache  # both computed fresh
 
     def test_parallel_workers_deterministic(self):
         scenarios = seed_sweep(4)
