@@ -80,9 +80,8 @@ class TestStreamingDual:
         _assert_same_graph(ref, got)
         assert got.adjwgt.dtype == np.float32
 
-    def test_engine_resolution(self, monkeypatch):
-        # The construction path follows the mesh's cache state: a cold
-        # mesh streams, a warm one is served from its cache.
+    @staticmethod
+    def _spy_streaming(monkeypatch):
         calls = []
         real = dual._streaming_adjacency
 
@@ -91,13 +90,29 @@ class TestStreamingDual:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(dual, "_streaming_adjacency", spy)
+        return calls
+
+    def test_engine_resolution(self, monkeypatch):
+        # The construction path follows the mesh's cache state: a cold
+        # mesh streams in default-size windows and stays cold.
+        calls = self._spy_streaming(monkeypatch)
         mesh = uniform_mesh(depth=3)
-        streamed = mesh_to_dual_graph(mesh)
+        mesh_to_dual_graph(mesh)
         assert calls == [DEFAULT_CHUNK_FACES]
         assert mesh._adjacency is None  # streaming leaves the cache cold
+
+    def test_warm_adjacency_cache_reused_unless_explicit(self, monkeypatch):
+        # A warm mesh is served from its adjacency cache without
+        # streaming; a cold copy is the explicit way to stream, and both
+        # paths give the same graph.
+        calls = self._spy_streaming(monkeypatch)
+        mesh = uniform_mesh(depth=3)
         mesh.cell_adjacency()  # warm the cache
+        assert mesh._adjacency is not None
         cached = mesh_to_dual_graph(mesh)
-        assert len(calls) == 1
+        assert calls == []
+        streamed = mesh_to_dual_graph(uniform_mesh(depth=3))
+        assert calls == [DEFAULT_CHUNK_FACES]
         _assert_same_graph(cached, streamed)
 
 
