@@ -641,7 +641,8 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="partitioner worker threads (default: REPRO_N_JOBS or serial)",
+        help="partitioner workers for the bisection tree "
+        "(default: REPRO_N_JOBS or one per CPU)",
     )
     p.set_defaults(func=_cmd_experiment)
 
@@ -690,8 +691,9 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="parallel scenario workers for sweeps "
-        "(default: REPRO_N_JOBS or serial)",
+        help="parallel scenario workers for sweeps and partitioner "
+        "workers for each bisection tree (default: sweeps inline, "
+        "trees on REPRO_N_JOBS or one worker per CPU)",
     )
     p.set_defaults(func=_cmd_pipeline)
 
@@ -706,7 +708,8 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="partitioner worker threads (default: REPRO_N_JOBS or serial)",
+        help="partitioner workers for the bisection tree "
+        "(default: REPRO_N_JOBS or one per CPU)",
     )
     p.set_defaults(func=_cmd_gantt)
 

@@ -22,7 +22,6 @@ from ..pipeline import (
     RunRecord,
     Scenario,
     paper_configs,
-    resolve_n_jobs,
 )
 
 __all__ = [
@@ -54,7 +53,8 @@ def standard_scenario(
     n_jobs: int | None = None,
 ) -> Scenario:
     """A pipeline :class:`~repro.pipeline.Scenario` on a named replica
-    mesh with the Table I level caps and the resolved worker count."""
+    mesh with the Table I level caps (``n_jobs=None``: the partition
+    stage resolves the worker count when it runs)."""
     if name not in MESH_FACTORIES:
         raise ValueError(f"unknown mesh {name!r}")
     return Scenario.standard(
@@ -67,7 +67,7 @@ def standard_scenario(
         seed=seed,
         scheduler=scheduler,
         scheme=scheme,
-        n_jobs=resolve_n_jobs(n_jobs),
+        n_jobs=n_jobs,
     )
 
 

@@ -15,6 +15,7 @@ with no predictable makespan gain (EXPERIMENTS.md "RB vs k-way").
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -44,43 +45,50 @@ __all__ = ["PartitionResult", "partition_graph", "recursive_bisection"]
 
 
 def _resolve_n_jobs(n_jobs: int | None) -> int:
-    """Normalize an ``n_jobs`` argument: ``None``/1 → serial, ``-1`` →
-    one worker per CPU, other values are used as-is (minimum 1).
+    """Normalize an ``n_jobs`` argument: ``None`` or ``-1`` → one
+    worker per CPU, other values are used as-is (minimum 1).
 
     Environment and CLI values are parsed once, by
     :func:`repro.pipeline.jobs.resolve_n_jobs`.
     """
-    if n_jobs is None:
-        return 1
-    if n_jobs < 0:
+    if n_jobs is None or n_jobs < 0:
         return max(1, os.cpu_count() or 1)
     return max(1, n_jobs)
 
 
-#: Below this many vertices a process pool's fork/attach overhead
-#: outweighs the GIL relief; ``executor="auto"`` keeps threads.
-_PROCESS_MIN_VERTICES = 200_000
+#: Below this many vertices ``executor="auto"`` runs the tree inline:
+#: starting a process pool and publishing the shared segment cost more
+#: than the second CPU saves (break-even measured between 6k and 8k
+#: vertices on unit-weight duals, the cheapest per vertex; EXPERIMENTS.md
+#: "One seeding rule for the bisection tree").
+_POOL_MIN_VERTICES = 8_192
 
 
-def _resolve_executor(executor: str | None, num_vertices: int) -> str:
-    """Normalize the parallel-backend knob to ``"thread"`` or
+def _resolve_executor(
+    executor: str | None, num_vertices: int, n_jobs: int
+) -> str:
+    """Pick how the bisection tree runs: ``"inline"``, ``"thread"`` or
     ``"process"``.
 
-    ``None``/``"auto"`` picks processes only for graphs large enough
-    (>= ``_PROCESS_MIN_VERTICES`` vertices) to amortize the shared
-    segment setup; the environment-level default lives in
-    :func:`repro.pipeline.jobs.resolve_executor`.
+    ``None``/``"auto"`` runs inline below ``_POOL_MIN_VERTICES``
+    and on processes above; the environment-level default lives in
+    :func:`repro.pipeline.jobs.resolve_executor`.  One worker, or a
+    process leg inside a daemonic process (which may not have
+    children, e.g. a serve job child), runs inline.
     """
-    if executor is None:
-        executor = "auto"
-    executor = executor.lower()
-    if executor == "auto":
-        return "process" if num_vertices >= _PROCESS_MIN_VERTICES else "thread"
-    if executor not in ("thread", "process"):
+    executor = (executor or "auto").lower()
+    if executor not in ("auto", "thread", "process"):
         raise ValueError(
             f"unknown executor {executor!r} (expected 'auto', 'thread' "
             "or 'process')"
         )
+    if executor == "auto":
+        big = num_vertices >= _POOL_MIN_VERTICES
+        executor = "process" if big else "inline"
+    if n_jobs == 1 or (
+        executor == "process" and multiprocessing.current_process().daemon
+    ):
+        return "inline"
     return executor
 
 
@@ -150,68 +158,55 @@ def _repair_split(
     return left, right
 
 
-def _split_node(
-    g: CSRGraph,
-    vertices: np.ndarray | None,
-    k: int,
-    rng: np.random.Generator,
-    *,
-    level_tol: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Bisect one bisection-tree node that must host ``k >= 2`` parts.
-
-    ``vertices`` are the node's vertices in ``g``; ``None`` stands for
-    all of them (the root), which is bisected on ``g`` itself instead
-    of on an identity ``subgraph`` copy.  Returns ``(left, right, k0)``:
-    the two sides as vertex ids of ``g`` and the left side's part
-    count.
-    """
-    k0 = (k + 1) // 2
-    if vertices is None:
-        sub = g
-    else:
-        sub, vertices = g.subgraph(vertices)
-    labels = multilevel_bisect(sub, k0 / k, rng, imbalance_tol=level_tol)
-    if vertices is None:
-        left, right = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
-    else:
-        left, right = vertices[labels == 0], vertices[labels == 1]
-    return (*_repair_split(left, right, k0, k - k0), k0)
+#: One bisection-tree node: ``(vertices, first, k, rng)`` — its vertex
+#: ids in the root graph (``None`` for the root itself), its first part
+#: label, its part count and its own generator.
+_Node = tuple[np.ndarray | None, int, int, np.random.Generator]
 
 
-def _shared_bisect_node(
-    desc: dict,
+def _tree_node(
+    source: CSRGraph | dict,
     vertices: np.ndarray | None,
     first: int,
     k: int,
-    node_rng: np.random.Generator,
+    rng: np.random.Generator,
     level_tol: float,
-):
-    """Process-pool worker: one bisection-tree node against the shared
-    segment.
+) -> tuple[tuple[_Node, _Node], tuple[int, str] | None]:
+    """Bisect one tree node that must host ``k >= 2`` parts.
 
-    The task payload is the descriptor plus the vertex subset — never
-    the graph itself.  Returns ``(leaves, tasks, attach_event)`` where
-    ``leaves`` are final ``(vertices, label)`` assignments for the
-    parent to apply, ``tasks`` are the two child subproblems, and
-    ``attach_event`` is ``(pid, segment_name)`` when this call was the
-    process's first and actually attached the segment.
+    The single node function of every execution mode: the inline
+    stack, the thread pool and the process pool all call it.
+    ``source`` is the root graph, or, in a process worker, the
+    :class:`~repro.graph.shared.SharedCSR` descriptor to attach (the
+    task payload is the descriptor plus the vertex subset, never the
+    graph).  The root (``vertices=None``) is bisected on the graph
+    itself instead of on an identity ``subgraph`` copy.
+
+    Returns the two children, whose generators are spawned from
+    ``rng`` — so a node's labels depend on its place in the tree and
+    the root seed alone — and ``(pid, segment_name)`` when this call
+    was a worker's first and attached the segment, else ``None``.
     """
-    from .shared import attached_graph
+    event = None
+    if isinstance(source, dict):
+        from .shared import attached_graph
 
-    g, fresh = attached_graph(desc)
-    event = (os.getpid(), desc["name"]) if fresh else None
-    if k <= 1:
-        return [(vertices, first)], [], event
-    left, right, k0 = _split_node(
-        g, vertices, k, node_rng, level_tol=level_tol
-    )
-    r_left, r_right = node_rng.spawn(2)
-    return (
-        [],
-        [(left, first, k0, r_left), (right, first + k0, k - k0, r_right)],
-        event,
-    )
+        g, fresh = attached_graph(source)
+        event = (os.getpid(), source["name"]) if fresh else None
+    else:
+        g = source
+    k0 = (k + 1) // 2
+    if vertices is None:
+        labels = multilevel_bisect(g, k0 / k, rng, imbalance_tol=level_tol)
+        left, right = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+    else:
+        sub, vertices = g.subgraph(vertices)
+        labels = multilevel_bisect(sub, k0 / k, rng, imbalance_tol=level_tol)
+        left, right = vertices[labels == 0], vertices[labels == 1]
+    left, right = _repair_split(left, right, k0, k - k0)
+    r_left, r_right = rng.spawn(2)
+    children = (left, first, k0, r_left), (right, first + k0, k - k0, r_right)
+    return children, event
 
 
 def recursive_bisection(
@@ -220,7 +215,7 @@ def recursive_bisection(
     rng: np.random.Generator,
     *,
     imbalance_tol: float = 1.05,
-    n_jobs: int | None = 1,
+    n_jobs: int | None = None,
     executor: str | None = None,
     attach_log: list | None = None,
 ) -> np.ndarray:
@@ -230,25 +225,27 @@ def recursive_bisection(
     ``k -> (ceil(k/2), floor(k/2))`` with part 0 targeting
     ``ceil(k/2)/k`` of every constraint's weight.
 
-    With ``n_jobs > 1`` the two halves produced by each split — which
-    are fully independent subproblems — are dispatched to a worker
-    pool.  The labels depend on ``n_jobs == 1`` versus ``n_jobs > 1``
-    and on nothing else: the serial path draws every node from ``rng``
-    itself in depth-first order, while the pool paths give every tree
-    node its own generator spawned from its parent's, so any worker
-    count, scheduling order or backend gives the same labels (ROADMAP
-    item 4 unifies the two rules).
+    Every tree node owns a generator: the root gets ``rng`` and each
+    split hands ``rng.spawn(2)`` to its children.  The two halves of a
+    split are independent subproblems, so they run on ``n_jobs``
+    workers (``None``/``-1`` = one per CPU), and the labels depend on
+    ``rng``'s seed alone — not on the worker count, the backend or the
+    scheduling order.  A power-of-two tree is a prefix of a deeper
+    one: ``k0/k`` is ½ at every node, so on a connected graph whose
+    per-level tolerance is the same (the 1.01 floor from 32 parts on),
+    ``2**j`` parts are the ``2**8`` labels shifted right by ``8 - j``.
 
-    ``executor`` selects the pool backend: ``"thread"`` (shared
+    ``executor`` selects how the tree runs: ``"thread"`` (shared
     address space), ``"process"`` (GIL-free; the graph is published
     once through :class:`~repro.graph.shared.SharedCSR` and workers
-    attach rather than unpickle it), or ``"auto"``/``None`` (threads
-    below ~200k vertices, processes above).  ``attach_log``, when a
-    list, collects ``(pid, segment_name)`` events proving workers
-    attached the shared segment.
+    attach rather than unpickle it), or ``"auto"``/``None`` (inline
+    below ``_POOL_MIN_VERTICES`` vertices, processes above).  One
+    worker runs inline, and so does a process leg inside a daemonic
+    process.  ``attach_log``, when a list, collects
+    ``(pid, segment_name)`` events proving workers attached the shared
+    segment.
     """
-    n = g.num_vertices
-    part = np.zeros(n, dtype=np.int32)
+    part = np.zeros(g.num_vertices, dtype=np.int32)
     if nparts <= 1:
         return part
 
@@ -256,96 +253,55 @@ def recursive_bisection(
     # so each level gets the depth-th root of the requested tolerance.
     depth = max(1, int(np.ceil(np.log2(nparts))))
     level_tol = max(1.01, imbalance_tol ** (1.0 / depth))
-    n_jobs = _resolve_n_jobs(n_jobs)
+    # No tree level has more than ``nparts // 2`` nodes to split, so a
+    # larger pool only idles (and at two or three parts the splits are
+    # sequential: one worker, inline).
+    n_jobs = min(_resolve_n_jobs(n_jobs), nparts // 2)
+    # ``nparts >= 2`` here, so the root is never a leaf.
+    root: _Node = (None, 0, nparts, rng)
 
-    # Every tree starts at ``vertices=None``: the root is all of ``g``
-    # and is bisected without copying it (``nparts >= 2`` here, so the
-    # root is never a leaf).
-    if n_jobs == 1:
-        # Serial path: one shared generator, depth-first stack (the
-        # seed behaviour, kept bit-for-bit).
-        stack: list[tuple[np.ndarray | None, int, int]] = [(None, 0, nparts)]
-        while stack:
-            vertices, first, k = stack.pop()
+    def inner(children: tuple[_Node, ...]) -> list[_Node]:
+        """Label the leaves (disjoint writes); return the nodes left to
+        split."""
+        todo = []
+        for node in children:
+            vertices, first, k, _ = node
             if k <= 1:
                 part[vertices] = first
-                continue
-            left, right, k0 = _split_node(
-                g, vertices, k, rng, level_tol=level_tol
-            )
-            stack.append((left, first, k0))
-            stack.append((right, first + k0, k - k0))
+            else:
+                todo.append(node)
+        return todo
+
+    backend = _resolve_executor(executor, g.num_vertices, n_jobs)
+    if backend == "inline":
+        stack = [root]
+        while stack:
+            stack.extend(inner(_tree_node(g, *stack.pop(), level_tol)[0]))
         return part
 
-    def bisect_node(
-        vertices: np.ndarray | None,
-        first: int,
-        k: int,
-        node_rng: np.random.Generator,
-    ) -> list[tuple[np.ndarray, int, int, np.random.Generator]]:
-        if k <= 1:
-            # Disjoint fancy-index write; safe across workers.
-            part[vertices] = first
-            return []
-        left, right, k0 = _split_node(
-            g, vertices, k, node_rng, level_tol=level_tol
-        )
-        r_left, r_right = node_rng.spawn(2)
-        return [
-            (left, first, k0, r_left),
-            (right, first + k0, k - k0, r_right),
-        ]
-
-    if _resolve_executor(executor, n) == "process":
+    scsr = None
+    if backend == "process":
         from .shared import SharedCSR
 
         scsr = SharedCSR.from_graph(g)
-        try:
-            desc = scsr.descriptor()
-            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                pending = {
-                    pool.submit(
-                        _shared_bisect_node,
-                        desc,
-                        None,
-                        0,
-                        nparts,
-                        rng,
-                        level_tol,
+    pool_cls = ThreadPoolExecutor if scsr is None else ProcessPoolExecutor
+    source = g if scsr is None else scsr.descriptor()
+    try:
+        with pool_cls(max_workers=n_jobs) as pool:
+            pending = {pool.submit(_tree_node, source, *root, level_tol)}
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    children, event = fut.result()
+                    if event is not None and attach_log is not None:
+                        attach_log.append(event)
+                    pending.update(
+                        pool.submit(_tree_node, source, *node, level_tol)
+                        for node in inner(children)
                     )
-                }
-                while pending:
-                    done, pending = wait(
-                        pending, return_when=FIRST_COMPLETED
-                    )
-                    for fut in done:
-                        leaves, tasks, event = fut.result()
-                        if event is not None and attach_log is not None:
-                            attach_log.append(event)
-                        for vertices, label in leaves:
-                            part[vertices] = label
-                        for task in tasks:
-                            pending.add(
-                                pool.submit(
-                                    _shared_bisect_node,
-                                    desc,
-                                    *task,
-                                    level_tol,
-                                )
-                            )
-        finally:
+    finally:
+        if scsr is not None:
             scsr.unlink()
-        return part
-
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        pending = {
-            pool.submit(bisect_node, None, 0, nparts, rng)
-        }
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                for task in fut.result():
-                    pending.add(pool.submit(bisect_node, *task))
     return part
 
 
@@ -442,7 +398,7 @@ def partition_graph(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    n_jobs: int | None = 1,
+    n_jobs: int | None = None,
     executor: str | None = None,
     coords: np.ndarray | None = None,
     strict: bool = False,
@@ -464,14 +420,16 @@ def partition_graph(
         partitioning tie-breaks.
     n_jobs:
         Workers for the independent halves of recursive bisection
-        (``-1`` = one per CPU).  The labels depend on ``n_jobs == 1``
-        versus ``n_jobs > 1`` and on nothing else (see
-        :func:`recursive_bisection`).
+        (``None``/``-1`` = one per CPU, ``1`` = inline).  Does not
+        affect the labels: every tree node owns a generator spawned
+        from its parent's (see :func:`recursive_bisection`).
     executor:
-        Pool backend for ``n_jobs > 1``: ``"thread"``, ``"process"``
-        (workers attach one :class:`~repro.graph.shared.SharedCSR`
-        segment instead of unpickling graphs) or ``"auto"``/``None``
-        (processes only at scale).  Does not affect the labels.
+        How the tree runs with ``n_jobs > 1``: ``"thread"``,
+        ``"process"`` (workers attach one
+        :class:`~repro.graph.shared.SharedCSR` segment instead of
+        unpickling graphs) or ``"auto"``/``None`` (inline on small
+        graphs, processes above a measured vertex floor).  Does not
+        affect the labels.
     coords:
         Optional ``(n, 2)`` vertex coordinates.  When supplied, the
         space-filling-curve rung of the fallback chain becomes

@@ -75,7 +75,7 @@ def sc_oc_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    n_jobs: int | None = 1,
+    n_jobs: int | None = None,
     executor: str | None = None,
     index_dtype=None,
     strict: bool = False,
@@ -105,7 +105,7 @@ def mc_tl_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    n_jobs: int | None = 1,
+    n_jobs: int | None = None,
     executor: str | None = None,
     index_dtype=None,
     strict: bool = False,
@@ -139,7 +139,7 @@ def dual_phase_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    n_jobs: int | None = 1,
+    n_jobs: int | None = None,
     executor: str | None = None,
     strict: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +278,7 @@ def make_decomposition(
     strategy: str = "SC_OC",
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    n_jobs: int | None = 1,
+    n_jobs: int | None = None,
     executor: str | None = None,
     index_dtype=None,
     strict: bool = False,

@@ -7,12 +7,10 @@ the five configs and is the unit the runner, the scenario registry,
 the batch runner and the artifact store all speak.
 
 Every field of every config participates in the stage's content
-address (see :mod:`repro.pipeline.hashing`) — including
-``PartitionConfig.n_jobs``: the serial recursive bisection draws from
-one generator while the parallel one spawns a generator per tree node,
-so the labels depend on ``n_jobs == 1`` versus ``n_jobs > 1`` (and on
-nothing else; ROADMAP item 4 unifies the two).  Parallel worker counts
-still get distinct addresses, computing equal labels.
+address (see :mod:`repro.pipeline.hashing`) except
+``PartitionConfig.n_jobs``: every node of the bisection tree draws
+from its own generator, so the labels are the same for any worker
+count and the count is how the partition runs, not what it is.
 """
 
 from __future__ import annotations
@@ -66,7 +64,10 @@ class PartitionConfig:
     strategy: str = "SC_OC"
     seed: int = 0
     imbalance_tol: float = 1.05
-    n_jobs: int = 1
+    #: The bisection tree's worker count (``None``: resolved by
+    #: :func:`repro.pipeline.jobs.resolve_n_jobs` when the stage runs);
+    #: left out of the content address.
+    n_jobs: int | None = field(default=None, metadata={"digest": False})
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ class Scenario:
         scheme: str = "euler",
         iterations: int = 1,
         imbalance_tol: float = 1.05,
-        n_jobs: int = 1,
+        n_jobs: int | None = None,
     ) -> "Scenario":
         """Scenario on a named replica mesh with the paper's level
         caps (Table I) applied automatically."""

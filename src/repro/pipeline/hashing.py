@@ -11,7 +11,9 @@ A stage digest covers, in order:
 * the stage name and its ``version`` counter (bump it when a stage's
   semantics change and every downstream artifact must be recomputed);
 * the package version (code provenance);
-* the canonical config dict;
+* the canonical config dict, without the fields declared
+  ``metadata={"digest": False}`` (run-time knobs such as the
+  partitioner's worker count, which cannot change the output);
 * the digests of all upstream artifacts (so the key of a downstream
   stage transitively pins the whole prefix of the chain).
 """
@@ -32,6 +34,7 @@ def _canonical(value: Any) -> Any:
         return {
             f.name: _canonical(getattr(value, f.name))
             for f in dataclasses.fields(value)
+            if f.metadata.get("digest", True)
         }
     if isinstance(value, Mapping):
         return {str(k): _canonical(v) for k, v in value.items()}

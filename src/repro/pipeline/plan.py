@@ -144,9 +144,8 @@ def compile_plan(
     digest the oracle path records for the same stage — the property
     the bit-identity tests pin.
 
-    Scenarios are taken as given: worker-count resolution
-    (``Pipeline._resolved``) happens in the caller, before compiling,
-    so the partition content address matches the linear path.
+    Scenarios are taken as given; the partitioner's worker count is
+    not part of any address, so it never splits a node.
     """
     scenario_list = tuple(scenarios)
     if isinstance(through, str):

@@ -13,7 +13,6 @@ cache hit — see ``RunRecord.explain``).  Every node runs through
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
@@ -25,7 +24,7 @@ from ..mesh.structures import Mesh
 from ..partitioning import DomainDecomposition
 from ..taskgraph.dag import TaskDAG
 from .config import Scenario
-from .jobs import resolve_n_jobs
+from .jobs import pinned_n_jobs, resolve_n_jobs
 from .plan import StagePlan, compile_plan
 from .scheduler import DagScheduler, PlanResult
 from .stages import STAGE_ORDER
@@ -144,13 +143,14 @@ class Pipeline:
         memory-only unless ``REPRO_ARTIFACTS`` / ``--artifacts``
         enabled the disk layer).
     n_jobs:
-        Partitioner worker count; resolved *once* here
-        (explicit → process default → ``REPRO_N_JOBS`` → serial) and
-        threaded through to the strategies via
-        ``PartitionConfig.n_jobs``, which also makes it part of the
-        partition artifact's content address (the labels depend on
-        ``n_jobs == 1`` versus ``n_jobs > 1``, not on the parallel
-        worker count; see :func:`repro.graph.partition.recursive_bisection`).
+        Worker count for the partition stage's bisection tree; resolved
+        *once* here (explicit → process default → ``REPRO_N_JOBS`` →
+        one per CPU) and pinned for this pipeline's runs
+        (:func:`~repro.pipeline.jobs.pinned_n_jobs`) unless a
+        scenario's ``PartitionConfig.n_jobs`` names its own.  It is not
+        part of any content address: the labels are the same for every
+        count (see :func:`repro.graph.partition.recursive_bisection`),
+        so pipelines with different counts share partition artifacts.
     """
 
     def __init__(
@@ -163,18 +163,6 @@ class Pipeline:
         self.n_jobs = resolve_n_jobs(n_jobs)
 
     # ------------------------------------------------------------------
-    def _resolved(self, scenario: Scenario) -> Scenario:
-        """Thread the resolved worker count into the partition config
-        (only when the scenario didn't pin one explicitly)."""
-        if scenario.partition.n_jobs != 1 or self.n_jobs == 1:
-            return scenario
-        return scenario.replace(
-            partition=dataclasses.replace(
-                scenario.partition, n_jobs=self.n_jobs
-            )
-        )
-
-    # ------------------------------------------------------------------
     def run(
         self, scenario: Scenario, *, through: str = "schedule"
     ) -> RunRecord:
@@ -185,9 +173,9 @@ class Pipeline:
             raise ValueError(
                 f"unknown stage {through!r}; choose from {STAGE_ORDER}"
             )
-        scenario = self._resolved(scenario)
         plan = compile_plan([scenario], through=through)
-        result = DagScheduler(self.store, max_workers=1).execute(plan)
+        with pinned_n_jobs(self.n_jobs):
+            result = DagScheduler(self.store).execute(plan)
         return _record_from_plan(plan, result, 0)
 
     def case(self, scenario: Scenario) -> tuple[Mesh, np.ndarray]:
@@ -273,16 +261,17 @@ def run_batch(
     Chains sharing a prefix (same mesh/levels configs, say, differing
     only in partition seed) collapse onto shared plan nodes: each
     shared stage executes exactly once, and the scenarios that didn't
-    run it record ``"shared"`` provenance.  The resolved worker count
-    bounds the scheduler's pool; each inner partitioning call stays
-    serial so a sweep's cache keys match the single-scenario runs
-    users launch interactively.  Fully cached scenarios short-circuit
-    to store lookups, exactly as before.
+    run it record ``"shared"`` provenance.  ``n_jobs`` bounds the
+    scheduler's pool (``None``: inline, one node at a time — the CPUs
+    go to each partition's bisection tree); the cache keys match the
+    single-scenario runs users launch interactively, whatever either
+    worker count is.  Fully cached scenarios short-circuit to store
+    lookups, exactly as before.
     """
     store = store if store is not None else default_store()
     if not scenarios:
         return []
-    jobs = resolve_n_jobs(n_jobs)
+    jobs = 1 if n_jobs is None else resolve_n_jobs(n_jobs)
     plan = compile_plan(scenarios, through=through)
     scheduler = DagScheduler(
         store, max_workers=min(jobs, len(scenarios))

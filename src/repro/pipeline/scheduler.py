@@ -234,8 +234,9 @@ class DagScheduler:
         Artifact store shared by every node (defaults to the
         process-wide store).
     max_workers:
-        Bound on concurrently running nodes; resolved through the
-        pipeline's standard ``n_jobs`` chain.  ``1`` executes inline.
+        Bound on concurrently running nodes (``-1``: one per CPU).
+        The default, ``1``, executes inline: the CPUs go to each
+        partition's bisection tree, not to stage nodes.
     on_node:
         Optional callback invoked (from the scheduler's completion
         thread) with each terminal :class:`NodeResult` whose state is
@@ -251,12 +252,12 @@ class DagScheduler:
         self,
         store: ArtifactStore | None = None,
         *,
-        max_workers: int | None = None,
+        max_workers: int = 1,
         on_node: Callable[[NodeResult], None] | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> None:
         self.store = store if store is not None else default_store()
-        self.max_workers = max(1, resolve_n_jobs(max_workers))
+        self.max_workers = resolve_n_jobs(max_workers)
         self.on_node = on_node
         self.should_stop = should_stop
 

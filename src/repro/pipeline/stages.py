@@ -35,7 +35,7 @@ from ..taskgraph.dag import TaskDAG
 from ..taskgraph.generation import generate_task_graph
 from ..taskgraph.task import TaskArrays
 from ..temporal import levels_from_depth
-from .jobs import resolve_executor
+from .jobs import resolve_executor, resolve_n_jobs
 from .config import (
     LevelConfig,
     MeshConfig,
@@ -135,16 +135,17 @@ class PartitionStage:
     :class:`~repro.partitioning.DomainDecomposition`."""
 
     name = "partition"
-    version = 1
+    # v2: every bisection-tree node owns a generator spawned from its
+    # parent's, so the serial labels moved once and equal the pooled.
+    version = 2
 
     @staticmethod
     def compute(
         config: PartitionConfig, mesh: Mesh, tau: np.ndarray
     ) -> DomainDecomposition:
-        # The pool backend is resolved here (the pipeline's n_jobs
-        # resolution point) and deliberately kept OUT of the content
-        # address: thread and process executors produce identical
-        # labels, so caching must not split on the backend.
+        # Worker count and pool backend are resolved here, when the
+        # stage runs, and kept OUT of the content address: the labels
+        # are the same for every count and backend.
         return make_decomposition(
             mesh,
             tau,
@@ -153,7 +154,7 @@ class PartitionStage:
             strategy=config.strategy,
             seed=config.seed,
             imbalance_tol=config.imbalance_tol,
-            n_jobs=config.n_jobs,
+            n_jobs=resolve_n_jobs(config.n_jobs),
             executor=resolve_executor(),
         )
 

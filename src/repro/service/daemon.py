@@ -163,14 +163,13 @@ def _child_main(
             ArtifactStore,
             DagScheduler,
             NodeResult,
-            Pipeline,
             compile_plan,
+            default_store,
             get_scenario,
         )
         from ..resilience.errors import TransientError
 
-        pipe = Pipeline(ArtifactStore(store_root) if store_root else None)
-        store = pipe.store
+        store = ArtifactStore(store_root) if store_root else default_store()
         degradation: list[str] = []
         exit_codes = {0}
 
@@ -192,9 +191,7 @@ def _child_main(
             except Exception as exc:  # bad request: fails alone
                 fail(work, exc)
                 continue
-            # Same worker-count resolution as ``Pipeline.run``, so the
-            # partition digest matches an in-process run.
-            scenarios.append(pipe._resolved(scenario))
+            scenarios.append(scenario)
             planned.append(
                 {
                     "work": work,

@@ -33,6 +33,7 @@ from repro.pipeline import (
     FileLock,
     MeshConfig,
     PartitionConfig,
+    STAGES,
     Pipeline,
     Scenario,
     acquire_claim,
@@ -78,9 +79,12 @@ class TestDigests:
             PartitionConfig(domains=16, processes=4),
             PartitionConfig(domains=8, processes=4, seed=1),
             PartitionConfig(domains=8, processes=4, strategy="MC_TL"),
-            PartitionConfig(domains=8, processes=4, n_jobs=2),
         ):
             assert stage_digest("partition", 1, other, ()) != d0
+        # The worker count is how the partition runs, not what it is.
+        for n_jobs in (1, 2, -1):
+            same = PartitionConfig(domains=8, processes=4, n_jobs=n_jobs)
+            assert stage_digest("partition", 1, same, ()) == d0
 
     def test_upstream_and_version_change_digest(self):
         cfg = MeshConfig(name="cube")
@@ -96,7 +100,6 @@ class TestDigests:
             "strategy": "SC_OC",
             "seed": 0,
             "imbalance_tol": 1.05,
-            "n_jobs": 1,
         }
         assert list(json.loads(s)) == sorted(json.loads(s))
 
@@ -302,7 +305,7 @@ class TestRoundTrip:
         assert sc["stage"] == "partition"
         assert sc["digest"] == digest
         assert len(sc["upstream"]) == 2
-        assert sc["stage_version"] == 1
+        assert sc["stage_version"] == STAGES["partition"].version
         assert sc["wall_time"] >= 0
         assert json.loads(sc["config"])["strategy"] == "MC_TL"
 

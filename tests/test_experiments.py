@@ -45,7 +45,10 @@ class TestTable1:
 
 class TestFig5:
     def test_variance_reasonable(self):
-        r = fig05_validation.run(scale=7, warmup_iterations=1)
+        # Scale 8, not 7: at scale 7 the model-vs-measured variance of
+        # most partitions sits at 0.6-0.9 (µs-long tasks, timer noise);
+        # at scale 8 it reads 0.13-0.47 over seeds 0-2.
+        r = fig05_validation.run(scale=8, warmup_iterations=1)
         # The paper reports ~20%; allow a generous envelope at tiny
         # scale where per-task overhead noise is proportionally larger.
         assert 0.0 <= r.variance < 0.8
@@ -102,14 +105,21 @@ class TestFig8:
 
 class TestFig9:
     def test_mc_tl_faster_both_meshes(self):
-        r = fig09_speedup.run(
-            scale=8, domains=32, processes=8, cores=16
-        )
-        for name in r.meshes:
-            assert r.speedup[name] > 1.2, name
-            assert (
-                r.efficiency_mc_tl[name] > r.efficiency_sc_oc[name]
-            ), name
+        # At ~40 cells per domain one seed's partition swings the cube
+        # ratio between ×0.8 and ×1.6, so the claim is held on the
+        # geomean over three seeds, not on one draw.
+        runs = [
+            fig09_speedup.run(
+                scale=8, domains=32, processes=8, cores=16, seed=seed
+            )
+            for seed in range(3)
+        ]
+        for name in runs[0].meshes:
+            speedups = [r.speedup[name] for r in runs]
+            assert np.exp(np.mean(np.log(speedups))) > 1.2, name
+            assert np.mean(
+                [r.efficiency_mc_tl[name] for r in runs]
+            ) > np.mean([r.efficiency_sc_oc[name] for r in runs]), name
 
 
 class TestFig11:
@@ -152,9 +162,11 @@ class TestFig13:
 
 class TestDualPhase:
     def test_dual_phase_tradeoff(self):
-        r = dual_phase.run(
-            scale=8, domains=16, processes=4, cores=16
-        )
+        # At scale 8 (~40 cells per domain) DUAL against SC_OC is a
+        # coin flip from seed to seed; on the registry mesh (scale 10)
+        # it wins by 10-20 % at seeds 0 and 1 (EXPERIMENTS.md "One
+        # seeding rule for the bisection tree").
+        r = dual_phase.run(scale=10, domains=16, processes=4, cores=16)
         # DUAL must beat SC_OC on makespan…
         assert r.makespan["DUAL"] < r.makespan["SC_OC"]
         # …and beat MC_TL on communication volume.

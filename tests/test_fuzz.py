@@ -3,6 +3,7 @@ satellites (REPRO_N_JOBS parsing, corrupt-checkpoint fallback)."""
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
@@ -122,16 +123,21 @@ class TestVerifyDag:
         assert len(result.records) == 1
 
 
+def _per_cpu() -> int:
+    return max(1, os.cpu_count() or 1)
+
+
 class TestNJobsParsing:
     """``REPRO_N_JOBS`` is parsed in one place,
-    :func:`repro.pipeline.resolve_n_jobs`."""
+    :func:`repro.pipeline.resolve_n_jobs`; unset, empty or unparsable
+    means one worker per CPU."""
 
     def test_resolve_n_jobs_invalid_string_warns(self, monkeypatch):
         from repro.pipeline import resolve_n_jobs
 
         monkeypatch.setenv("REPRO_N_JOBS", "bananas")
         with pytest.warns(RuntimeWarning, match="invalid REPRO_N_JOBS"):
-            assert resolve_n_jobs() == 1
+            assert resolve_n_jobs() == _per_cpu()
         # An explicit count never reads the environment.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -150,7 +156,7 @@ class TestNJobsParsing:
 
         monkeypatch.setenv("REPRO_N_JOBS", "not-a-number")
         with pytest.warns(RuntimeWarning, match="REPRO_N_JOBS"):
-            assert resolve_n_jobs() == 1
+            assert resolve_n_jobs() == _per_cpu()
 
     def test_env_var_valid(self, monkeypatch):
         from repro.pipeline import resolve_n_jobs
@@ -162,7 +168,9 @@ class TestNJobsParsing:
         from repro.pipeline import resolve_n_jobs
 
         monkeypatch.setenv("REPRO_N_JOBS", "")
-        assert resolve_n_jobs() == 1
+        assert resolve_n_jobs() == _per_cpu()
+        monkeypatch.delenv("REPRO_N_JOBS")
+        assert resolve_n_jobs() == _per_cpu()
 
 
 class TestCheckpointFallback:

@@ -263,24 +263,21 @@ class TestHillClimbAllowanceFrontier:
 
 
 class TestParallelBisection:
-    """The n_jobs knob must change wall-clock only, never the answer
-    for a fixed worker-count mode."""
+    """The n_jobs knob must change wall-clock only, never the answer."""
 
     @pytest.mark.parametrize("mode", ["sc", "mc_tl"])
     def test_parallel_quality_matches_serial(self, pipeline_case, mode):
-        # Parallel workers consume spawned rng streams, so individual
-        # runs differ from serial — quality must match in aggregate.
+        # Every tree node owns a spawned generator, serial or pooled,
+        # so the partitions are the same ones, not just as good.
         g = pipeline_case[0 if mode == "sc" else 1]
-        ratios = []
-        for seed in range(6):
+        for seed in range(2):
             serial = partition_graph(g, 8, seed=seed, n_jobs=1)
-            par = partition_graph(g, 8, seed=seed, n_jobs=2)
-            ratios.append(par.cut / serial.cut)
-            # 0.01 slack: one cell of a small temporal-level class on
-            # this ~1k-cell mesh moves the ratio by ~0.004.
-            bound = max(1.05, float(serial.imbalance.max())) + 0.01
-            assert float(par.imbalance.max()) <= bound
-        assert np.mean(ratios) <= 1.05
+            for executor in ("thread", "process"):
+                par = partition_graph(
+                    g, 8, seed=seed, n_jobs=2, executor=executor
+                )
+                np.testing.assert_array_equal(par.part, serial.part)
+                assert par.provenance == serial.provenance
 
     def test_parallel_deterministic_across_worker_counts(self, pipeline_case):
         # Per-node spawned rng streams make the result a function of

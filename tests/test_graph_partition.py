@@ -223,6 +223,52 @@ class TestRootBisectedInPlace:
         assert set(np.unique(part)) == set(range(5))
 
 
+@pytest.fixture(scope="module")
+def mc_dual():
+    """1,024-cell uniform dual with three interleaved constraints."""
+    from repro.mesh.dual import mesh_to_dual_graph
+    from repro.mesh.generators import uniform_mesh
+
+    g = mesh_to_dual_graph(uniform_mesh(depth=5))
+    ids = np.arange(g.num_vertices)
+    vwgt = np.zeros((len(ids), 3))
+    vwgt[ids, (ids // 7) % 3] = 1.0
+    return CSRGraph(g.xadj, g.adjncy, vwgt=vwgt, adjwgt=g.adjwgt)
+
+
+class TestOneSeedingRule:
+    """Every bisection-tree node owns a generator spawned from its
+    parent's, on every execution path: the labels are a function of
+    the seed alone."""
+
+    @pytest.mark.parametrize("nparts", [8, 64])
+    def test_labels_do_not_depend_on_workers_or_executor(
+        self, mc_dual, nparts
+    ):
+        want = partition_graph(mc_dual, nparts, seed=11, n_jobs=1).part
+        for n_jobs in (2, 3):
+            for executor in ("process", "thread"):
+                got = partition_graph(
+                    mc_dual, nparts, seed=11, n_jobs=n_jobs,
+                    executor=executor,
+                ).part
+                np.testing.assert_array_equal(got, want)
+
+    def test_power_of_two_parts_are_prefixes_of_one_tree(self):
+        # k0/k is 1/2 at every node and the per-level tolerance is the
+        # 1.01 floor from 32 parts on, so a 2**j tree is the 256-way
+        # tree cut at depth j.
+        from repro.mesh.dual import mesh_to_dual_graph
+        from repro.mesh.generators import uniform_mesh
+
+        g = mesh_to_dual_graph(uniform_mesh(depth=6))
+        deepest = partition_graph(g, 256, seed=2, fallback=False)
+        assert deepest.provenance == "primary"
+        for j in (5, 6, 7):
+            res = partition_graph(g, 2**j, seed=2, fallback=False)
+            np.testing.assert_array_equal(res.part, deepest.part >> (8 - j))
+
+
 class TestPartitionProperties:
     @given(
         st.integers(min_value=2, max_value=6),

@@ -208,18 +208,22 @@ class TestSweepAndBatch:
         again = run_batch(scenarios, store=store, n_jobs=2)
         assert all(rec.all_cached for rec in again)
 
-    def test_pipeline_n_jobs_changes_partition_key(self):
-        # worker count participates in the content address (parallel
-        # RB output depends on it), so a serial and a parallel pipeline
-        # must not share partition artifacts
+    def test_pipeline_n_jobs_shares_partition_key(self):
+        # The labels do not depend on the worker count, so it stays out
+        # of the content address: a serial and a parallel pipeline
+        # address one partition, and the second run is a store hit.
         sc = Scenario.standard(
             "cube", domains=4, processes=2, cores=2, scale=6
         )
         store = ArtifactStore()
-        Pipeline(store, n_jobs=1).run(sc, through="partition")
+        first = Pipeline(store, n_jobs=1).run(sc, through="partition")
         rec = Pipeline(store, n_jobs=2).run(sc, through="partition")
-        assert rec.provenance["mesh"].hit
-        assert not rec.provenance["partition"].hit
+        assert (
+            rec.provenance["partition"].digest
+            == first.provenance["partition"].digest
+        )
+        assert rec.provenance["partition"].cache == "memory"
+        assert sc.partition.n_jobs is None  # nothing written back
 
 
 class TestCLI:

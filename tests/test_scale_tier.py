@@ -15,6 +15,7 @@ import tempfile
 import numpy as np
 import pytest
 
+import repro.graph.partition as partition_mod
 from repro.graph import CSRGraph
 from repro.graph.metrics import edge_cut
 from repro.graph.partition import partition_graph, recursive_bisection
@@ -129,6 +130,21 @@ class TestSharedCSR:
         assert not os.path.exists(desc["name"])
 
 
+def _partition_as_daemon(g, conn):
+    """Daemonic-child body: the default partition, counting the
+    process pools it starts."""
+    started = []
+
+    class CountingPool(partition_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(1)
+            super().__init__(*args, **kwargs)
+
+    partition_mod.ProcessPoolExecutor = CountingPool
+    assert multiprocessing.current_process().daemon
+    conn.send((partition_graph(g, 8, seed=3).part, len(started)))
+
+
 def _attach_and_crash(desc):
     graph, fresh = attached_graph(desc)
     assert fresh and graph.num_vertices > 0
@@ -176,6 +192,28 @@ class TestParallelBisection:
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0], other)
 
+    def test_daemonic_process_runs_the_tree_inline(
+        self, dual_graph, monkeypatch
+    ):
+        # A serve job child is daemonic and may not start a pool: the
+        # default (auto executor, one worker per CPU) on a graph past
+        # the pool floor runs inline there, with the in-process labels.
+        # The forked child inherits the lowered floor.
+        monkeypatch.setattr(partition_mod, "_POOL_MIN_VERTICES", 0)
+        g = dual_graph
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(
+            target=_partition_as_daemon, args=(g, send), daemon=True
+        )
+        child.start()
+        labels, pools = recv.recv()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert pools == 0
+        want = partition_graph(g, 8, seed=3, n_jobs=1).part
+        np.testing.assert_array_equal(labels, want)
+
     def test_parallel_cut_parity_with_serial(self, dual_graph):
         serial = recursive_bisection(
             dual_graph, 8, np.random.default_rng(3), n_jobs=1
@@ -184,11 +222,10 @@ class TestParallelBisection:
             dual_graph, 8, np.random.default_rng(3), n_jobs=2,
             executor="process",
         )
-        # Different RNG disciplines by design (per-node spawned
-        # streams), so labels differ — quality must not.
-        cs = edge_cut(dual_graph, serial)
-        cp = edge_cut(dual_graph, par)
-        assert cp <= 1.5 * cs + 8.0
+        # One seeding rule (a spawned generator per tree node) on every
+        # path: the labels, and so the cut, are the serial ones.
+        np.testing.assert_array_equal(par, serial)
+        assert edge_cut(dual_graph, par) == edge_cut(dual_graph, serial)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.pipeline import ArtifactStore, Pipeline, get_scenario
+from repro.pipeline import ArtifactStore
 from repro.runtime.executor import RetryPolicy
 from repro.service import JobRequest, ServiceClient
 from tests import serve_probe
@@ -102,21 +102,16 @@ class TestPreload:
 
 
 class TestEnvironmentHandOver:
-    def partition_digest(self, n_jobs: int, seed: int) -> str:
-        """What an in-process run with that worker count addresses."""
-        record = Pipeline(ArtifactStore(None), n_jobs=n_jobs).run(
-            get_scenario("characteristics", **dict(CHEAP, seed=seed)),
-            through="partition",
-        )
-        return record.provenance["partition"].digest
-
     def test_child_sees_the_daemons_environment_as_of_its_attempt(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.delenv("REPRO_N_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_ARTIFACTS", raising=False)
         client = ServiceClient(tmp_path / "spool")
-        daemon = dag_daemon(tmp_path / "spool", str(tmp_path / "store"))
+        # No store root: each child's store is the process default,
+        # which ``REPRO_ARTIFACTS`` switches onto a directory.
+        daemon = dag_daemon(tmp_path / "spool")
         server = forkserver_pid()  # up before the variable exists
+        artifacts = tmp_path / "artifacts"
 
         def served_digest(seed: int) -> str:
             job_id = client.submit(
@@ -127,15 +122,15 @@ class TestEnvironmentHandOver:
             assert daemon.serve_forever(max_jobs=1, idle_timeout=5.0) == 1
             return client.result(job_id, timeout=5.0)["stages"][-1]["digest"]
 
-        # The worker count is part of the partition's content address,
-        # and the child resolves it from its own environment.
-        monkeypatch.setenv("REPRO_N_JOBS", "2")
-        assert served_digest(1) == self.partition_digest(2, seed=1)
-        monkeypatch.delenv("REPRO_N_JOBS")
-        assert served_digest(2) == self.partition_digest(1, seed=2)
-        assert self.partition_digest(1, seed=1) != self.partition_digest(
-            2, seed=1
-        )
+        def published(digest: str) -> bool:
+            store = ArtifactStore(artifacts)
+            return store.sidecar("partition", digest) is not None
+
+        # The child reads the variable from its own environment ...
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(artifacts))
+        assert published(served_digest(1))
+        monkeypatch.delenv("REPRO_ARTIFACTS")
+        assert not published(served_digest(2))
         # ... through the same server, which never saw either change.
         assert forkserver_pid() == server
 
