@@ -24,6 +24,7 @@ from .csr import CSRGraph
 __all__ = [
     "CoarseningLevel",
     "heavy_edge_matching",
+    "inherited_matching",
     "contract",
     "coarsen_once",
 ]
@@ -266,6 +267,26 @@ def heavy_edge_matching(
         # Unmatched vertices that still have unmatched neighbours.
         _matching_fallback(g, match, np.unique(e_src), rng, spread)
     return match
+
+
+def inherited_matching(key: np.ndarray) -> np.ndarray:
+    """The matching one level of an inherited hierarchy stands for.
+
+    ``key[v]`` is the coarse vertex of the parent tree node's hierarchy
+    that vertex ``v`` lies in.  Every level of a hierarchy contracts a
+    matching, so no key has more than two members: vertices sharing a
+    key are paired, and a vertex whose partner went to the other side
+    of the parent's cut stays single.  The pair need not be adjacent in
+    ``v``'s graph (the edge joining it may have been cut away), which
+    :func:`contract` handles like any other pair.  Same return
+    convention as :func:`heavy_edge_matching`; O(n), no generator.
+    """
+    ids = np.arange(len(key), dtype=np.int64)
+    count = np.bincount(key)
+    # The two members of a pair sum to ``total``: each one's partner is
+    # that sum minus itself (exact in float64 far beyond any n here).
+    total = np.bincount(key, weights=ids).astype(np.int64)
+    return np.where(count[key] > 1, total[key] - ids, ids)
 
 
 def contract(g: CSRGraph, match: np.ndarray) -> CoarseningLevel:

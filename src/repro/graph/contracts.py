@@ -276,41 +276,32 @@ def connected_components(g: CSRGraph) -> tuple[np.ndarray, int]:
     """Connected components of a CSR graph.
 
     Returns ``(labels, ncomp)`` where ``labels[v]`` is the component id
-    of vertex ``v`` in ``[0, ncomp)``.  Frontier-vectorized BFS: each
-    sweep expands the whole frontier with one fancy-index gather, so
-    mesh-scale graphs (millions of vertices, small diameter per
-    component) stay off the per-vertex Python path.
+    of vertex ``v`` in ``[0, ncomp)``, components numbered in order of
+    their smallest vertex.  Min-label propagation with pointer jumping:
+    every round hooks each root onto the smallest root next to any of
+    its vertices (a segmented minimum over the CSR rows), then
+    flattens the forest, so a component's root ends as its smallest
+    vertex.
     """
     n = g.num_vertices
-    labels = np.full(n, -1, dtype=np.int64)
-    ncomp = 0
-    xadj, adjncy = g.xadj, g.adjncy
-    degrees = g.degrees()
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = ncomp
-        frontier = np.array([start], dtype=np.int64)
-        while len(frontier):
-            # Gather all neighbours of the frontier at once.
-            counts = degrees[frontier]
-            total = int(counts.sum())
-            if total == 0:
+    parent = np.arange(n, dtype=np.int64)
+    rows = np.flatnonzero(g.degrees())
+    starts = g.xadj[rows]
+    while len(rows):
+        nearest = np.minimum.reduceat(parent[g.adjncy], starts)
+        own = parent[rows]
+        hook = nearest < own
+        if not hook.any():
+            break
+        np.minimum.at(parent, own[hook], nearest[hook])
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
                 break
-            starts = xadj[frontier]
-            offs = np.cumsum(counts) - counts
-            flat = np.arange(total, dtype=np.int64) + np.repeat(
-                starts - offs, counts
-            )
-            nbrs = adjncy[flat]
-            fresh = nbrs[labels[nbrs] < 0]
-            if len(fresh) == 0:
-                break
-            fresh = np.unique(fresh)
-            labels[fresh] = ncomp
-            frontier = fresh
-        ncomp += 1
-    return labels, ncomp
+            parent = grand
+    roots = parent == np.arange(n)
+    rank = np.cumsum(roots) - 1
+    return rank[parent], int(roots.sum())
 
 
 def apportion_parts(weights: np.ndarray, nparts: int) -> np.ndarray:

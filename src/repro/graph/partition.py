@@ -11,6 +11,17 @@ The paper uses the *recursive bisection* method ("because it produces
 higher quality solutions on our meshes", §V), and it is this module's
 only driver: a direct k-way variant cut less but lost balance and wall
 with no predictable makespan gain (EXPERIMENTS.md "RB vs k-way").
+
+The top of the tree coarsens once.  Its root builds a multilevel
+hierarchy with heavy-edge matching; the root's children and
+grandchildren of at least ``_INHERIT_MIN_VERTICES`` vertices inherit
+their parent's hierarchy restricted to their own side of the cut
+(:func:`~repro.graph.bisect.inherit_levels`) and coarsen along it,
+falling back to fresh heavy-edge matching only where an inherited
+level stalls or the inherited levels run out above the coarsening
+target (:func:`~repro.graph.bisect.coarsen`).  Every other node
+matches afresh: each further restriction cost cut and makespan
+(EXPERIMENTS.md "Coarsen once per partition").
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..resilience.errors import PartitionQualityError
-from .bisect import multilevel_bisect
+from .bisect import coarsen, inherit_levels, multilevel_bisect
 from .contracts import (
     apportion_parts,
     block_partition,
@@ -158,10 +169,27 @@ def _repair_split(
     return left, right
 
 
-#: One bisection-tree node: ``(vertices, first, k, rng)`` — its vertex
-#: ids in the root graph (``None`` for the root itself), its first part
-#: label, its part count and its own generator.
-_Node = tuple[np.ndarray | None, int, int, np.random.Generator]
+#: How far down the bisection tree a coarsening hierarchy is handed:
+#: to the root's children and grandchildren, and only to nodes of at
+#: least ``_INHERIT_MIN_VERTICES`` vertices.  Deeper or smaller nodes
+#: match afresh, as every node did before inheritance.
+_INHERIT_DEPTH = 2
+_INHERIT_MIN_VERTICES = 8_192
+
+#: One bisection-tree node: ``(vertices, first, k, depth, rng,
+#: inherit)`` — its vertex ids in the root graph (``None`` for the root
+#: itself), its first part label, its part count, its depth (0 at the
+#: root), its own generator and its parent's coarsening hierarchy
+#: restricted to it (``None`` where it matches afresh; see
+#: :func:`~repro.graph.bisect.inherit_levels`).
+_Node = tuple[
+    np.ndarray | None,
+    int,
+    int,
+    int,
+    np.random.Generator,
+    list[np.ndarray] | None,
+]
 
 
 def _tree_node(
@@ -169,7 +197,9 @@ def _tree_node(
     vertices: np.ndarray | None,
     first: int,
     k: int,
+    depth: int,
     rng: np.random.Generator,
+    inherit: list[np.ndarray] | None,
     level_tol: float,
 ) -> tuple[tuple[_Node, _Node], tuple[int, str] | None]:
     """Bisect one tree node that must host ``k >= 2`` parts.
@@ -178,14 +208,18 @@ def _tree_node(
     stack, the thread pool and the process pool all call it.
     ``source`` is the root graph, or, in a process worker, the
     :class:`~repro.graph.shared.SharedCSR` descriptor to attach (the
-    task payload is the descriptor plus the vertex subset, never the
-    graph).  The root (``vertices=None``) is bisected on the graph
-    itself instead of on an identity ``subgraph`` copy.
+    task payload is the descriptor, the vertex subset and the inherited
+    hierarchy, never the graph).  The root (``vertices=None``) is
+    bisected on the graph itself instead of on an identity
+    ``subgraph`` copy.  A node coarsens along ``inherit`` when it has
+    one and with fresh heavy-edge matching otherwise.
 
     Returns the two children, whose generators are spawned from
-    ``rng`` — so a node's labels depend on its place in the tree and
-    the root seed alone — and ``(pid, segment_name)`` when this call
-    was a worker's first and attached the segment, else ``None``.
+    ``rng`` and whose hierarchies, where they inherit one, are this
+    node's restricted to their sides — so a node's labels depend on its
+    place in the tree and the root seed alone — and
+    ``(pid, segment_name)`` when this call was a
+    worker's first and attached the segment, else ``None``.
     """
     event = None
     if isinstance(source, dict):
@@ -196,16 +230,30 @@ def _tree_node(
     else:
         g = source
     k0 = (k + 1) // 2
-    if vertices is None:
-        labels = multilevel_bisect(g, k0 / k, rng, imbalance_tol=level_tol)
-        left, right = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
-    else:
-        sub, vertices = g.subgraph(vertices)
-        labels = multilevel_bisect(sub, k0 / k, rng, imbalance_tol=level_tol)
-        left, right = vertices[labels == 0], vertices[labels == 1]
-    left, right = _repair_split(left, right, k0, k - k0)
+    sub = g if vertices is None else g.subgraph(vertices)[0]
+    levels = coarsen(sub, rng, inherit=inherit)
+    labels = multilevel_bisect(
+        sub, k0 / k, rng, imbalance_tol=level_tol, levels=levels
+    )
+    left, right = _repair_split(
+        np.flatnonzero(labels == 0), np.flatnonzero(labels == 1), k0, k - k0
+    )
     r_left, r_right = rng.spawn(2)
-    children = (left, first, k0, r_left), (right, first + k0, k - k0, r_right)
+
+    def child(side: np.ndarray, start: int, size: int, r) -> _Node:
+        ids = side if vertices is None else vertices[side]
+        inherits = (
+            size > 1
+            and depth < _INHERIT_DEPTH
+            and len(side) >= _INHERIT_MIN_VERTICES
+        )
+        inherited = inherit_levels(levels, side) if inherits else None
+        return ids, start, size, depth + 1, r, inherited
+
+    children = (
+        child(left, first, k0, r_left),
+        child(right, first + k0, k - k0, r_right),
+    )
     return children, event
 
 
@@ -226,7 +274,11 @@ def recursive_bisection(
     ``ceil(k/2)/k`` of every constraint's weight.
 
     Every tree node owns a generator: the root gets ``rng`` and each
-    split hands ``rng.spawn(2)`` to its children.  The two halves of a
+    split hands ``rng.spawn(2)`` to its children.  The root and its
+    children also hand their coarsening hierarchy, restricted to each
+    child's side, to children of at least ``_INHERIT_MIN_VERTICES``
+    vertices, which match only where it stalls or runs out (see
+    :func:`~repro.graph.bisect.coarsen`).  The two halves of a
     split are independent subproblems, so they run on ``n_jobs``
     workers (``None``/``-1`` = one per CPU), and the labels depend on
     ``rng``'s seed alone — not on the worker count, the backend or the
@@ -258,14 +310,14 @@ def recursive_bisection(
     # sequential: one worker, inline).
     n_jobs = min(_resolve_n_jobs(n_jobs), nparts // 2)
     # ``nparts >= 2`` here, so the root is never a leaf.
-    root: _Node = (None, 0, nparts, rng)
+    root: _Node = (None, 0, nparts, 0, rng, None)
 
     def inner(children: tuple[_Node, ...]) -> list[_Node]:
         """Label the leaves (disjoint writes); return the nodes left to
         split."""
         todo = []
         for node in children:
-            vertices, first, k, _ = node
+            vertices, first, k = node[:3]
             if k <= 1:
                 part[vertices] = first
             else:

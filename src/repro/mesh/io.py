@@ -67,20 +67,21 @@ def load_mesh(path: str | Path) -> Mesh:
     """
     path = Path(path)
     try:
-        archive = np.load(path, allow_pickle=False)
+        # The handle is ours so it is closed even when NumPy rejects a
+        # truncated archive (it leaks one it opened from a path).
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+            fields = {f: data[f].copy() for f in _FIELDS if f in data}
     except FileNotFoundError:
         raise
     except (zipfile.BadZipFile, OSError, ValueError) as exc:
         raise ValueError(
             f"{path}: not a mesh archive (unreadable .npz: {exc})"
         ) from exc
-    with archive as data:
-        missing = [f for f in _FIELDS if f not in data]
-        if missing:
-            raise ValueError(
-                f"{path}: not a mesh archive, missing fields {missing}"
-            )
-        fields = {f: data[f].copy() for f in _FIELDS}
+    missing = [f for f in _FIELDS if f not in fields]
+    if missing:
+        raise ValueError(
+            f"{path}: not a mesh archive, missing fields {missing}"
+        )
 
     n = len(fields["cell_volumes"])
     m = len(fields["face_area"])

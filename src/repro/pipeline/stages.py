@@ -137,7 +137,10 @@ class PartitionStage:
     name = "partition"
     # v2: every bisection-tree node owns a generator spawned from its
     # parent's, so the serial labels moved once and equal the pooled.
-    version = 2
+    # v3: the root's children and grandchildren on large graphs
+    # inherit their parent's coarsening hierarchy instead of
+    # re-matching their subgraph.
+    version = 3
 
     @staticmethod
     def compute(

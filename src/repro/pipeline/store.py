@@ -382,7 +382,11 @@ class ArtifactStore:
             expected = sidecar.get("arrays")
             if not isinstance(expected, list):
                 raise ValueError("sidecar has no arrays manifest")
-            with np.load(npz_path, allow_pickle=False) as data:
+            # NumPy leaves a path it opened itself open when the
+            # archive is truncated; a handle we own is always closed.
+            with open(npz_path, "rb") as fh, np.load(
+                fh, allow_pickle=False
+            ) as data:
                 missing = [k for k in expected if k not in data]
                 if missing:
                     raise ValueError(f"arrays missing {missing}")

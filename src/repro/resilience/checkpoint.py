@@ -178,7 +178,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     npz_path = path.with_name(str(manifest["arrays"]))
     try:
-        with np.load(npz_path, allow_pickle=False) as data:
+        # A handle we own is closed even when NumPy rejects a
+        # truncated archive (it leaks one it opened from a path).
+        with open(npz_path, "rb") as fh, np.load(
+            fh, allow_pickle=False
+        ) as data:
             missing = [k for k in _ARRAYS if k not in data]
             if missing:
                 raise CheckpointError(

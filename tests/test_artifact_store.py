@@ -170,6 +170,28 @@ class TestSelfHealing:
         rec2 = pipe.run(SCENARIO, through="partition")
         assert rec2.provenance["partition"].cache == "disk"
 
+    def test_truncated_entry_read_closes_its_file(
+        self, disk_store, monkeypatch
+    ):
+        """A quarantined entry leaves no open descriptor behind (a
+        long-running daemon would leak one per corrupt entry)."""
+        import gc
+
+        _, npz, _ = self._one_artifact(disk_store)
+        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+        digest = npz.stem
+        # An unclosed file warns from its finalizer, where a raised
+        # warning surfaces as an "unraisable" exception, not here.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert disk_store.disk_read("partition", digest) is None
+            gc.collect()
+        assert disk_store.stats.corrupt == 1
+        assert [u.exc_value for u in unraisable] == []
+
     def test_flipped_byte_in_stored_member_recomputes(self, disk_store):
         """A stored member has no inflater to trip over a damaged
         payload; the zip member CRC-32 is what catches it."""

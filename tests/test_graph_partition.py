@@ -238,16 +238,17 @@ def mc_dual():
 
 class TestOneSeedingRule:
     """Every bisection-tree node owns a generator spawned from its
-    parent's, on every execution path: the labels are a function of
-    the seed alone."""
+    parent's and inherits its parent's coarsening hierarchy, on every
+    execution path: the labels are a function of the seed alone."""
 
     @pytest.mark.parametrize("nparts", [8, 64])
     def test_labels_do_not_depend_on_workers_or_executor(
         self, mc_dual, nparts
     ):
         want = partition_graph(mc_dual, nparts, seed=11, n_jobs=1).part
-        for n_jobs in (2, 3):
-            for executor in ("process", "thread"):
+        # "auto" runs this 1,024-vertex graph inline.
+        for n_jobs in (1, 2, 3):
+            for executor in ("auto", "process", "thread"):
                 got = partition_graph(
                     mc_dual, nparts, seed=11, n_jobs=n_jobs,
                     executor=executor,

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import (
+    connected_components,
     connected_components_of_part,
     edge_cut,
     graph_from_edges,
@@ -71,6 +72,29 @@ class TestGraphOracle:
             sub = G.subgraph(members)
             expected = nx.number_connected_components(sub) if members else 0
             assert connected_components_of_part(g, part, p) == expected
+
+    @given(st.integers(min_value=0, max_value=40))
+    @settings(max_examples=40, deadline=None)
+    def test_connected_components_match_networkx(self, seed):
+        # Sparse random graphs: several components and isolated
+        # vertices (vertices no edge touches) on most draws.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        m = int(rng.integers(0, n)) if n > 1 else 0
+        edges = random_edge_list(rng, n, m)
+        g = graph_from_edges(n, np.array(edges).reshape(-1, 2))
+        labels, ncomp = connected_components(g)
+
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(edges)
+        want = sorted(nx.connected_components(G), key=min)
+        assert ncomp == len(want)
+        # Same components, numbered in order of their smallest vertex.
+        for c, members in enumerate(want):
+            np.testing.assert_array_equal(
+                np.flatnonzero(labels == c), sorted(members)
+            )
 
 
 def _dag_from_nx(G, costs):
