@@ -37,11 +37,9 @@ Commands
 ``store doctor``
     Inspect (or ``--flush``) the on-disk artifact store: entries,
     bytes, active/stale claims, quarantined corruption.
-``gc``
-    Sweep stale shared CSR segments (``repro_csr_<pid>_*`` temp files)
-    left by dead processes; with
-    ``--spool DIR`` also dead daemons' spool litter (tmp files, orphan
-    work dirs).
+``gc --spool DIR``
+    Sweep the spool litter of dead daemons (tmp files, orphaned work
+    dirs).
 
 The global ``--artifacts DIR`` option (before the subcommand) enables
 the content-addressed on-disk artifact store for every command that
@@ -588,21 +586,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
-    from .graph.shared import sweep_stale_segments
+    from .service import sweep_stale_spool
 
-    removed = sweep_stale_segments(remove=not args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
-    if removed:
-        for name in removed:
-            print(f"{verb} stale segment {name}")
-    print(f"gc: {verb} {len(removed)} stale shared CSR segment(s)")
-    if args.spool is not None:
-        from .service import sweep_stale_spool
-
-        swept = sweep_stale_spool(args.spool, remove=not args.dry_run)
-        for path in swept:
-            print(f"{verb} stale spool litter {path}")
-        print(f"gc: {verb} {len(swept)} stale spool file(s)/dir(s)")
+    swept = sweep_stale_spool(args.spool, remove=not args.dry_run)
+    for path in swept:
+        print(f"{verb} stale spool litter {path}")
+    print(f"gc: {verb} {len(swept)} stale spool file(s)/dir(s)")
     return 0
 
 
@@ -975,8 +965,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "gc",
-        help="sweep stale shared CSR segments (and, with --spool, "
-        "spool litter) left by dead processes",
+        help="sweep a spool's litter left by dead daemons",
     )
     p.add_argument(
         "--dry-run",
@@ -985,10 +974,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--spool",
-        default=None,
+        required=True,
         metavar="DIR",
-        help="also sweep this spool's stale tmp files and orphaned "
-        "work dirs",
+        help="the spool whose stale tmp files and orphaned work dirs "
+        "to sweep",
     )
     p.set_defaults(func=_cmd_gc)
 

@@ -28,12 +28,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,39 +63,32 @@ def _resolve_n_jobs(n_jobs: int | None) -> int:
 
 
 #: Below this many vertices ``executor="auto"`` runs the tree inline:
-#: starting a process pool and publishing the shared segment cost more
-#: than the second CPU saves (break-even measured between 6k and 8k
-#: vertices on unit-weight duals, the cheapest per vertex; EXPERIMENTS.md
-#: "One seeding rule for the bisection tree").
+#: starting a process pool costs more than the second CPU saves
+#: (break-even measured between 6k and 8k vertices on unit-weight
+#: duals, the cheapest per vertex; EXPERIMENTS.md "One seeding rule for
+#: the bisection tree").
 _POOL_MIN_VERTICES = 8_192
 
 
-def _resolve_executor(
-    executor: str | None, num_vertices: int, n_jobs: int
-) -> str:
-    """Pick how the bisection tree runs: ``"inline"``, ``"thread"`` or
-    ``"process"``.
+def _use_pool(executor: str | None, num_vertices: int, n_jobs: int) -> bool:
+    """Whether the bisection tree runs on a process pool.
 
-    ``None``/``"auto"`` runs inline below ``_POOL_MIN_VERTICES``
-    and on processes above; the environment-level default lives in
-    :func:`repro.pipeline.jobs.resolve_executor`.  One worker, or a
-    process leg inside a daemonic process (which may not have
-    children, e.g. a serve job child), runs inline.
+    ``None``/``"auto"`` pools from ``_POOL_MIN_VERTICES`` vertices on,
+    ``"process"`` at any size.  One worker, a daemonic process (which
+    may not have children, e.g. a serve job child) and a host without
+    the ``fork`` start method run the tree inline.
     """
     executor = (executor or "auto").lower()
-    if executor not in ("auto", "thread", "process"):
+    if executor not in ("auto", "process"):
         raise ValueError(
-            f"unknown executor {executor!r} (expected 'auto', 'thread' "
-            "or 'process')"
+            f"unknown executor {executor!r} (expected 'auto' or 'process')"
         )
-    if executor == "auto":
-        big = num_vertices >= _POOL_MIN_VERTICES
-        executor = "process" if big else "inline"
-    if n_jobs == 1 or (
-        executor == "process" and multiprocessing.current_process().daemon
-    ):
-        return "inline"
-    return executor
+    return (
+        (executor == "process" or num_vertices >= _POOL_MIN_VERTICES)
+        and n_jobs > 1
+        and not multiprocessing.current_process().daemon
+        and "fork" in multiprocessing.get_all_start_methods()
+    )
 
 
 @dataclass
@@ -192,8 +180,20 @@ _Node = tuple[
 ]
 
 
+#: The root graph of the pool this process works for, set by
+#: :func:`_init_worker` in each pool worker.  A worker is forked from
+#: the partitioning process, so it inherits the graph copy-on-write:
+#: the graph is never pickled or written out.
+_WORKER_GRAPH: CSRGraph | None = None
+
+
+def _init_worker(g: CSRGraph) -> None:
+    global _WORKER_GRAPH
+    _WORKER_GRAPH = g
+
+
 def _tree_node(
-    source: CSRGraph | dict,
+    g: CSRGraph | None,
     vertices: np.ndarray | None,
     first: int,
     k: int,
@@ -201,34 +201,25 @@ def _tree_node(
     rng: np.random.Generator,
     inherit: list[np.ndarray] | None,
     level_tol: float,
-) -> tuple[tuple[_Node, _Node], tuple[int, str] | None]:
+) -> tuple[_Node, _Node]:
     """Bisect one tree node that must host ``k >= 2`` parts.
 
-    The single node function of every execution mode: the inline
-    stack, the thread pool and the process pool all call it.
-    ``source`` is the root graph, or, in a process worker, the
-    :class:`~repro.graph.shared.SharedCSR` descriptor to attach (the
-    task payload is the descriptor, the vertex subset and the inherited
-    hierarchy, never the graph).  The root (``vertices=None``) is
-    bisected on the graph itself instead of on an identity
-    ``subgraph`` copy.  A node coarsens along ``inherit`` when it has
-    one and with fresh heavy-edge matching otherwise.
+    The single node function of both execution modes: the inline stack
+    passes the root graph ``g``, and a pool task passes ``None`` and
+    reads the graph its worker inherited (the task payload is the
+    vertex subset and the inherited hierarchy, never the graph).  The
+    root (``vertices=None``) is bisected on the graph itself instead of
+    on an identity ``subgraph`` copy.  A node coarsens along
+    ``inherit`` when it has one and with fresh heavy-edge matching
+    otherwise.
 
     Returns the two children, whose generators are spawned from
     ``rng`` and whose hierarchies, where they inherit one, are this
     node's restricted to their sides — so a node's labels depend on its
-    place in the tree and the root seed alone — and
-    ``(pid, segment_name)`` when this call was a
-    worker's first and attached the segment, else ``None``.
+    place in the tree and the root seed alone.
     """
-    event = None
-    if isinstance(source, dict):
-        from .shared import attached_graph
-
-        g, fresh = attached_graph(source)
-        event = (os.getpid(), source["name"]) if fresh else None
-    else:
-        g = source
+    if g is None:
+        g = _WORKER_GRAPH
     k0 = (k + 1) // 2
     sub = g if vertices is None else g.subgraph(vertices)[0]
     levels = coarsen(sub, rng, inherit=inherit)
@@ -250,11 +241,10 @@ def _tree_node(
         inherited = inherit_levels(levels, side) if inherits else None
         return ids, start, size, depth + 1, r, inherited
 
-    children = (
+    return (
         child(left, first, k0, r_left),
         child(right, first + k0, k - k0, r_right),
     )
-    return children, event
 
 
 def recursive_bisection(
@@ -265,7 +255,6 @@ def recursive_bisection(
     imbalance_tol: float = 1.05,
     n_jobs: int | None = None,
     executor: str | None = None,
-    attach_log: list | None = None,
 ) -> np.ndarray:
     """Recursive-bisection partitioning (the paper's method of choice).
 
@@ -281,21 +270,18 @@ def recursive_bisection(
     :func:`~repro.graph.bisect.coarsen`).  The two halves of a
     split are independent subproblems, so they run on ``n_jobs``
     workers (``None``/``-1`` = one per CPU), and the labels depend on
-    ``rng``'s seed alone — not on the worker count, the backend or the
-    scheduling order.  A power-of-two tree is a prefix of a deeper
+    ``rng``'s seed alone — not on the worker count or the scheduling
+    order.  A power-of-two tree is a prefix of a deeper
     one: ``k0/k`` is ½ at every node, so on a connected graph whose
     per-level tolerance is the same (the 1.01 floor from 32 parts on),
     ``2**j`` parts are the ``2**8`` labels shifted right by ``8 - j``.
 
-    ``executor`` selects how the tree runs: ``"thread"`` (shared
-    address space), ``"process"`` (GIL-free; the graph is published
-    once through :class:`~repro.graph.shared.SharedCSR` and workers
-    attach rather than unpickle it), or ``"auto"``/``None`` (inline
-    below ``_POOL_MIN_VERTICES`` vertices, processes above).  One
-    worker runs inline, and so does a process leg inside a daemonic
-    process.  ``attach_log``, when a list, collects
-    ``(pid, segment_name)`` events proving workers attached the shared
-    segment.
+    The workers are processes forked from this one, and each inherits
+    ``g`` at fork rather than receiving a copy.  ``executor`` is
+    ``"auto"``/``None`` (inline below ``_POOL_MIN_VERTICES`` vertices,
+    the pool above) or ``"process"`` (the pool at any size).  One
+    worker, a daemonic process and a host without ``fork`` run the
+    tree inline.
     """
     part = np.zeros(g.num_vertices, dtype=np.int32)
     if nparts <= 1:
@@ -324,36 +310,26 @@ def recursive_bisection(
                 todo.append(node)
         return todo
 
-    backend = _resolve_executor(executor, g.num_vertices, n_jobs)
-    if backend == "inline":
+    if not _use_pool(executor, g.num_vertices, n_jobs):
         stack = [root]
         while stack:
-            stack.extend(inner(_tree_node(g, *stack.pop(), level_tol)[0]))
+            stack.extend(inner(_tree_node(g, *stack.pop(), level_tol)))
         return part
 
-    scsr = None
-    if backend == "process":
-        from .shared import SharedCSR
-
-        scsr = SharedCSR.from_graph(g)
-    pool_cls = ThreadPoolExecutor if scsr is None else ProcessPoolExecutor
-    source = g if scsr is None else scsr.descriptor()
-    try:
-        with pool_cls(max_workers=n_jobs) as pool:
-            pending = {pool.submit(_tree_node, source, *root, level_tol)}
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    children, event = fut.result()
-                    if event is not None and attach_log is not None:
-                        attach_log.append(event)
-                    pending.update(
-                        pool.submit(_tree_node, source, *node, level_tol)
-                        for node in inner(children)
-                    )
-    finally:
-        if scsr is not None:
-            scsr.unlink()
+    with ProcessPoolExecutor(
+        max_workers=n_jobs,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(g,),
+    ) as pool:
+        pending = {pool.submit(_tree_node, None, *root, level_tol)}
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for fut in done:
+                pending.update(
+                    pool.submit(_tree_node, None, *node, level_tol)
+                    for node in inner(fut.result())
+                )
     return part
 
 
@@ -476,12 +452,10 @@ def partition_graph(
         affect the labels: every tree node owns a generator spawned
         from its parent's (see :func:`recursive_bisection`).
     executor:
-        How the tree runs with ``n_jobs > 1``: ``"thread"``,
-        ``"process"`` (workers attach one
-        :class:`~repro.graph.shared.SharedCSR` segment instead of
-        unpickling graphs) or ``"auto"``/``None`` (inline on small
-        graphs, processes above a measured vertex floor).  Does not
-        affect the labels.
+        How the tree runs with ``n_jobs > 1``: ``"auto"``/``None``
+        (inline on small graphs, forked processes above a measured
+        vertex floor) or ``"process"`` (forked processes at any size).
+        Does not affect the labels.
     coords:
         Optional ``(n, 2)`` vertex coordinates.  When supplied, the
         space-filling-curve rung of the fallback chain becomes

@@ -76,7 +76,6 @@ def sc_oc_partition(
     seed: int = 0,
     imbalance_tol: float = 1.05,
     n_jobs: int | None = None,
-    executor: str | None = None,
     index_dtype=None,
     strict: bool = False,
 ) -> np.ndarray:
@@ -92,7 +91,6 @@ def sc_oc_partition(
         seed=seed,
         imbalance_tol=imbalance_tol,
         n_jobs=n_jobs,
-        executor=executor,
         coords=mesh.cell_centers,
         strict=strict,
     ).part
@@ -106,7 +104,6 @@ def mc_tl_partition(
     seed: int = 0,
     imbalance_tol: float = 1.05,
     n_jobs: int | None = None,
-    executor: str | None = None,
     index_dtype=None,
     strict: bool = False,
 ) -> np.ndarray:
@@ -125,7 +122,6 @@ def mc_tl_partition(
         seed=seed,
         imbalance_tol=imbalance_tol,
         n_jobs=n_jobs,
-        executor=executor,
         coords=mesh.cell_centers,
         strict=strict,
     ).part
@@ -140,7 +136,6 @@ def dual_phase_partition(
     seed: int = 0,
     imbalance_tol: float = 1.05,
     n_jobs: int | None = None,
-    executor: str | None = None,
     strict: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dual-phase partitioning (paper §VII perspective).
@@ -161,7 +156,6 @@ def dual_phase_partition(
         seed=seed,
         imbalance_tol=imbalance_tol,
         n_jobs=n_jobs,
-        executor=executor,
         strict=strict,
     )
     cost = operating_costs(tau)
@@ -184,7 +178,6 @@ def dual_phase_partition(
             seed=seed + 1 + p,
             imbalance_tol=imbalance_tol,
             n_jobs=n_jobs,
-            executor=executor,
             coords=mesh.cell_centers[mapping],
             strict=strict,
         ).part
@@ -279,7 +272,6 @@ def make_decomposition(
     seed: int = 0,
     imbalance_tol: float = 1.05,
     n_jobs: int | None = None,
-    executor: str | None = None,
     index_dtype=None,
     strict: bool = False,
 ) -> DomainDecomposition:
@@ -288,9 +280,8 @@ def make_decomposition(
     ``strategy`` is one of :data:`STRATEGIES` (``"SC_OC"``,
     ``"MC_TL"``, ``"RCB"``, ``"SFC"``) or ``"DUAL"`` for the dual-phase
     scheme (which requires ``num_domains`` to be a multiple of
-    ``num_processes``).  ``n_jobs``, ``executor`` (pool backend, see
-    :func:`repro.pipeline.jobs.resolve_executor`) and ``index_dtype``
-    (dual-graph ``adjncy`` narrowing, e.g. ``"auto"``) are forwarded
+    ``num_processes``).  ``n_jobs`` and ``index_dtype`` (dual-graph
+    ``adjncy`` narrowing, e.g. ``"auto"``) are forwarded
     to the graph partitioner for the strategies that use them, and
     ``strict=True`` makes the graph strategies raise
     :class:`~repro.resilience.errors.PartitionQualityError` instead of
@@ -309,7 +300,6 @@ def make_decomposition(
             seed=seed,
             imbalance_tol=imbalance_tol,
             n_jobs=n_jobs,
-            executor=executor,
             strict=strict,
         )
         return DomainDecomposition(
@@ -334,7 +324,6 @@ def make_decomposition(
             seed=seed,
             imbalance_tol=imbalance_tol,
             n_jobs=n_jobs,
-            executor=executor,
             index_dtype=index_dtype,
             strict=strict,
         )

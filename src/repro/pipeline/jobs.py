@@ -1,21 +1,21 @@
-"""Single resolution point for the partitioner parallelism knobs.
+"""Single resolution point for the partitioner worker count.
 
 Historically ``REPRO_N_JOBS`` was consulted independently by the
 experiment harness, the CLI and the graph partitioner; this module is
-now the one place the knobs are resolved, and the partition stage
-resolves them when it runs — the worker count is never part of a
-content address, because the labels do not depend on it.
+now the one place it is resolved, and the partition stage resolves it
+when it runs — the worker count is never part of a content address,
+because the labels do not depend on it.
 
 Resolution order for the worker count: an explicit value (e.g. the
 CLI's ``--jobs``), then the count a running
 :class:`~repro.pipeline.Pipeline` pinned for its own chain
 (:func:`pinned_n_jobs`), then the process-wide default installed with
 :func:`set_default_n_jobs`, then the ``REPRO_N_JOBS`` environment
-variable, then one worker per CPU.  The pool backend
-(:func:`resolve_executor`) follows the same pattern with
-``REPRO_EXECUTOR``; its ``"auto"`` default lets the partitioner run
-small graphs inline and larger ones on shared-memory processes
-(:class:`~repro.graph.shared.SharedCSR`).
+variable, then one worker per CPU.  The partitioner runs small graphs
+inline and larger ones on a pool of processes forked from the caller,
+which inherit the graph (see
+:func:`repro.graph.partition.recursive_bisection`);
+:func:`resolve_executor` only validates an explicit pool choice.
 
 The knob governs the bisection tree only.  Plan-node concurrency is
 separate: a :class:`~repro.pipeline.scheduler.DagScheduler` runs inline
@@ -40,7 +40,7 @@ __all__ = [
 
 #: Valid pool-backend names, as understood by
 #: :func:`repro.graph.partition.recursive_bisection`.
-_EXECUTORS = ("auto", "thread", "process")
+_EXECUTORS = ("auto", "process")
 
 #: Process-wide default installed by the CLI; ``None`` falls through
 #: to the ``REPRO_N_JOBS`` environment variable.
@@ -98,24 +98,13 @@ def resolve_n_jobs(n_jobs: int | None = None) -> int:
 
 
 def resolve_executor(executor: str | None = None) -> str:
-    """Resolve the parallel pool backend: ``"auto"``, ``"thread"`` or
-    ``"process"``.
-
-    An explicit value wins; otherwise the ``REPRO_EXECUTOR``
-    environment variable is consulted; the default is ``"auto"``
-    (inline below the partitioner's vertex floor, shared-memory
-    processes above it).  An invalid value warns and falls back to
-    ``"auto"`` rather than killing a campaign.
-    """
-    if executor is None:
-        executor = os.environ.get("REPRO_EXECUTOR", "").strip() or "auto"
-    executor = executor.lower()
+    """Validate a pool choice for
+    :func:`repro.graph.partition.recursive_bisection`: ``None`` reads
+    as ``"auto"``, and anything but ``"auto"`` or ``"process"`` raises
+    :class:`ValueError`."""
+    executor = (executor or "auto").lower()
     if executor not in _EXECUTORS:
-        warnings.warn(
-            f"invalid executor value {executor!r} (expected one of "
-            f"{_EXECUTORS}); falling back to 'auto'",
-            RuntimeWarning,
-            stacklevel=2,
+        raise ValueError(
+            f"unknown executor {executor!r} (expected one of {_EXECUTORS})"
         )
-        return "auto"
     return executor

@@ -35,7 +35,7 @@ from ..taskgraph.dag import TaskDAG
 from ..taskgraph.generation import generate_task_graph
 from ..taskgraph.task import TaskArrays
 from ..temporal import levels_from_depth
-from .jobs import resolve_executor, resolve_n_jobs
+from .jobs import resolve_n_jobs
 from .config import (
     LevelConfig,
     MeshConfig,
@@ -146,9 +146,9 @@ class PartitionStage:
     def compute(
         config: PartitionConfig, mesh: Mesh, tau: np.ndarray
     ) -> DomainDecomposition:
-        # Worker count and pool backend are resolved here, when the
-        # stage runs, and kept OUT of the content address: the labels
-        # are the same for every count and backend.
+        # The worker count is resolved here, when the stage runs, and
+        # kept OUT of the content address: the labels are the same for
+        # every count.
         return make_decomposition(
             mesh,
             tau,
@@ -158,7 +158,6 @@ class PartitionStage:
             seed=config.seed,
             imbalance_tol=config.imbalance_tol,
             n_jobs=resolve_n_jobs(config.n_jobs),
-            executor=resolve_executor(),
         )
 
     @staticmethod

@@ -272,12 +272,11 @@ class TestParallelBisection:
         g = pipeline_case[0 if mode == "sc" else 1]
         for seed in range(2):
             serial = partition_graph(g, 8, seed=seed, n_jobs=1)
-            for executor in ("thread", "process"):
-                par = partition_graph(
-                    g, 8, seed=seed, n_jobs=2, executor=executor
-                )
-                np.testing.assert_array_equal(par.part, serial.part)
-                assert par.provenance == serial.provenance
+            par = partition_graph(
+                g, 8, seed=seed, n_jobs=2, executor="process"
+            )
+            np.testing.assert_array_equal(par.part, serial.part)
+            assert par.provenance == serial.provenance
 
     def test_parallel_deterministic_across_worker_counts(self, pipeline_case):
         # Per-node spawned rng streams make the result a function of

@@ -173,9 +173,8 @@ class TestRootBisectedInPlace:
     """The root of the bisection tree is all of ``g``: it is bisected
     on ``g`` itself, not on an identity ``subgraph`` copy."""
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_no_identity_subgraph_and_same_labels(
-        self, medium_grid, monkeypatch, n_jobs
+        self, medium_grid, monkeypatch
     ):
         ids = np.arange(medium_grid.num_vertices)
         vwgt = np.zeros((len(ids), 3))
@@ -187,7 +186,6 @@ class TestRootBisectedInPlace:
             adjwgt=medium_grid.adjwgt,
         )
         n = g.num_vertices
-        kw = dict(n_jobs=n_jobs, executor="thread")
 
         sizes, dtypes = [], []
         real_subgraph = CSRGraph.subgraph
@@ -204,7 +202,7 @@ class TestRootBisectedInPlace:
         with monkeypatch.context() as mp:
             mp.setattr(CSRGraph, "subgraph", spy_subgraph)
             mp.setattr(partition_mod, "multilevel_bisect", spy_bisect)
-            part = recursive_bisection(g, 5, _rng(3), **kw)
+            part = recursive_bisection(g, 5, _rng(3), n_jobs=1)
         assert len(sizes) == 3 and max(sizes) < n  # 4 bisections, root bare
         assert dtypes == [np.dtype(np.int32)] * 4
 
@@ -217,7 +215,7 @@ class TestRootBisectedInPlace:
 
         with monkeypatch.context() as mp:
             mp.setattr(partition_mod, "multilevel_bisect", copying_bisect)
-            want = recursive_bisection(g, 5, _rng(3), **kw)
+            want = recursive_bisection(g, 5, _rng(3), n_jobs=1)
         np.testing.assert_array_equal(part, want)
         assert part.dtype == np.int32
         assert set(np.unique(part)) == set(range(5))
@@ -248,12 +246,15 @@ class TestOneSeedingRule:
         want = partition_graph(mc_dual, nparts, seed=11, n_jobs=1).part
         # "auto" runs this 1,024-vertex graph inline.
         for n_jobs in (1, 2, 3):
-            for executor in ("auto", "process", "thread"):
+            for executor in ("auto", "process"):
                 got = partition_graph(
                     mc_dual, nparts, seed=11, n_jobs=n_jobs,
                     executor=executor,
                 ).part
                 np.testing.assert_array_equal(got, want)
+        # The thread leg is gone: one pool, of forked processes.
+        with pytest.raises(ValueError, match="executor"):
+            partition_graph(mc_dual, nparts, n_jobs=2, executor="thread")
 
     def test_power_of_two_parts_are_prefixes_of_one_tree(self):
         # k0/k is 1/2 at every node and the per-level tolerance is the

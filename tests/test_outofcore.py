@@ -1,20 +1,15 @@
 """Tests for the out-of-core scale rung.
 
 Streaming dual construction (chunked two-pass count/fill, bit-identical
-to the graph read from the mesh's materialized adjacency cache), and
-the stale sweep of shared CSR segment files left by dead processes.
+to the graph read from the mesh's materialized adjacency cache).
 """
 
 from __future__ import annotations
-
-import os
-import tempfile
 
 import numpy as np
 import pytest
 
 from repro.graph import CSRGraph
-from repro.graph.shared import stale_segments, sweep_stale_segments
 from repro.mesh import dual
 from repro.mesh.dual import DEFAULT_CHUNK_FACES, mesh_to_dual_graph
 from repro.mesh.generators import cylinder_mesh, uniform_mesh
@@ -115,31 +110,3 @@ class TestStreamingDual:
         assert calls == [DEFAULT_CHUNK_FACES]
         _assert_same_graph(cached, streamed)
 
-
-# ----------------------------------------------------------------------
-# Stale shared CSR segment files are swept by owner pid
-# ----------------------------------------------------------------------
-class TestSpillGc:
-    def test_stale_spill_file_swept(self):
-        dead = 2**22 + 12345  # beyond pid_max defaults: no such process
-        name = f"repro_csr_{dead}_deadbeef.bin"
-        path = os.path.join(tempfile.gettempdir(), name)
-        with open(path, "wb") as f:
-            f.write(b"\0" * 16)
-        try:
-            assert name in [p.name for p in stale_segments()]
-            assert name in sweep_stale_segments(remove=True)
-            assert not os.path.exists(path)
-        finally:
-            if os.path.exists(path):
-                os.unlink(path)
-
-    def test_live_spill_file_kept(self):
-        name = f"repro_csr_{os.getpid()}_alive.bin"
-        path = os.path.join(tempfile.gettempdir(), name)
-        with open(path, "wb") as f:
-            f.write(b"\0" * 16)
-        try:
-            assert name not in [p.name for p in stale_segments()]
-        finally:
-            os.unlink(path)

@@ -449,6 +449,10 @@ class TestStaleSpoolSweep:
         assert not (
             queue.root / "failed" / f"z.json.tmp{DEAD_PID}"
         ).exists()
+        # The spool is the only thing gc sweeps, so it is required.
+        with pytest.raises(SystemExit) as exc:
+            main(["gc"])
+        assert exc.value.code != 0
 
 
 class TestDaemonDegradation:

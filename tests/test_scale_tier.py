@@ -1,16 +1,14 @@
 """Tests for the paper-scale tier.
 
-Two surfaces introduced together: the shared CSR segment (one mmap'd
-temp file) that parallel recursive bisection publishes to process
-workers, and the int32/float32 storage narrowing with dtype
-provenance.
+Two surfaces: the process pool parallel recursive bisection forks
+(its workers inherit the graph instead of receiving it), and the
+int32/float32 storage narrowing with dtype provenance.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ import repro.graph.partition as partition_mod
 from repro.graph import CSRGraph
 from repro.graph.metrics import edge_cut
 from repro.graph.partition import partition_graph, recursive_bisection
-from repro.graph.shared import SharedCSR, attached_graph
 from repro.mesh.dual import mesh_to_dual_graph
 from repro.mesh.generators import uniform_mesh
 
@@ -58,78 +55,6 @@ def narrow_graph(seed: int = 0, n: int = 120) -> CSRGraph:
     return CSRGraph(xadj, adjncy, vwgt=vwgt, adjwgt=adjwgt)
 
 
-# ----------------------------------------------------------------------
-# SharedCSR
-# ----------------------------------------------------------------------
-class TestSharedCSR:
-    def test_roundtrip_preserves_arrays_and_dtypes(self):
-        g = narrow_graph(1)
-        with SharedCSR.from_graph(g) as scsr:
-            # One pid-keyed temp file, the name the stale sweep knows.
-            path = scsr.descriptor()["name"]
-            assert os.path.dirname(path) == tempfile.gettempdir()
-            assert os.path.basename(path).startswith(
-                f"repro_csr_{os.getpid()}_"
-            )
-            peer = SharedCSR.attach(scsr.descriptor())
-            try:
-                got = peer.graph()
-                np.testing.assert_array_equal(got.xadj, g.xadj)
-                np.testing.assert_array_equal(got.adjncy, g.adjncy)
-                np.testing.assert_array_equal(got.vwgt, g.vwgt)
-                np.testing.assert_array_equal(got.adjwgt, g.adjwgt)
-                # Narrowed storage must survive the segment round-trip.
-                assert got.adjncy.dtype == np.int32
-                assert got.vwgt.dtype == np.float32
-                assert got.adjwgt.dtype == np.float32
-            finally:
-                # Drop the zero-copy views before unmapping, else the
-                # mmap close is refused (exported pointers).
-                del got
-                peer.close()
-
-    def test_unlink_is_idempotent_and_removes_segment(self):
-        g = narrow_graph(2)
-        scsr = SharedCSR.from_graph(g)
-        desc = scsr.descriptor()
-        scsr.unlink()
-        scsr.unlink()  # idempotent
-        assert not os.path.exists(desc["name"])
-
-    def test_finalizer_cleans_up_without_explicit_unlink(self):
-        import gc
-
-        g = narrow_graph(3)
-        scsr = SharedCSR.from_graph(g)
-        desc = scsr.descriptor()
-        del scsr
-        gc.collect()
-        assert not os.path.exists(desc["name"])
-
-    def test_worker_crash_does_not_leak_segment(self):
-        """A worker that attaches and dies hard must not keep the
-        segment alive or remove it out from under the parent — only
-        the parent owns the lifetime."""
-        g = narrow_graph(4)
-        scsr = SharedCSR.from_graph(g)
-        desc = scsr.descriptor()
-
-        proc = multiprocessing.Process(
-            target=_attach_and_crash, args=(desc,)
-        )
-        proc.start()
-        proc.join(timeout=30)
-        assert proc.exitcode == 17  # the worker did reach its os._exit
-
-        # Parent still owns a live segment after the crash...
-        peer = SharedCSR.attach(desc)
-        np.testing.assert_array_equal(peer.graph().adjncy, g.adjncy)
-        peer.close()
-        # ...and its unlink still removes it.
-        scsr.unlink()
-        assert not os.path.exists(desc["name"])
-
-
 def _partition_as_daemon(g, conn):
     """Daemonic-child body: the default partition, counting the
     process pools it starts."""
@@ -145,34 +70,67 @@ def _partition_as_daemon(g, conn):
     conn.send((partition_graph(g, 8, seed=3).part, len(started)))
 
 
-def _attach_and_crash(desc):
-    graph, fresh = attached_graph(desc)
-    assert fresh and graph.num_vertices > 0
-    os._exit(17)  # hard death: no finalizers, no atexit
-
-
 # ----------------------------------------------------------------------
-# Parallel recursive bisection over the shared segment
+# Parallel recursive bisection on the forked pool
 # ----------------------------------------------------------------------
 class TestParallelBisection:
-    def test_process_workers_attach_instead_of_unpickling(self, dual_graph):
-        attach_log: list = []
-        part = recursive_bisection(
-            dual_graph,
-            8,
-            np.random.default_rng(3),
-            n_jobs=2,
-            executor="process",
-            attach_log=attach_log,
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    def test_pool_never_pickles_the_graph(
+        self, dual_graph, monkeypatch, n_jobs
+    ):
+        # Workers inherit the root graph at fork: a task carries a
+        # vertex subset and a hierarchy, never a CSRGraph.
+        want = partition_graph(dual_graph, 8, seed=3, n_jobs=1).part
+        pools = []
+
+        class CountingPool(partition_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(1)
+                super().__init__(*args, **kwargs)
+
+        def refuse(self, *args):
+            raise AssertionError("a CSRGraph was pickled")
+
+        monkeypatch.setattr(CSRGraph, "__reduce__", refuse)
+        monkeypatch.setattr(CSRGraph, "__reduce_ex__", refuse)
+        monkeypatch.setattr(partition_mod, "_POOL_MIN_VERTICES", 0)
+        monkeypatch.setattr(
+            partition_mod, "ProcessPoolExecutor", CountingPool
         )
-        assert len(np.unique(part)) == 8
-        # Each worker attaches the one shared segment exactly once.
-        assert attach_log, "no shared-segment attach events recorded"
-        pids = {pid for pid, _ in attach_log}
-        assert os.getpid() not in pids
-        assert len(attach_log) == len(pids)
-        names = {name for _, name in attach_log}
-        assert len(names) == 1
+        got = partition_graph(dual_graph, 8, seed=3, n_jobs=n_jobs).part
+        assert pools == [1]
+        np.testing.assert_array_equal(got, want)
+
+    def test_pooled_calls_from_concurrent_threads(
+        self, dual_graph, monkeypatch
+    ):
+        # `repro pipeline sweep --jobs N` partitions on DagScheduler
+        # threads, so pools fork from a multithreaded parent.  Three
+        # threads start a pooled 8-part partition at once; none may
+        # hang, and each gets the serial labels.
+        monkeypatch.setattr(partition_mod, "_POOL_MIN_VERTICES", 0)
+        want = partition_graph(dual_graph, 8, seed=3, n_jobs=1).part
+        start = threading.Barrier(3)
+        results: dict[int, np.ndarray] = {}
+
+        def run(i: int) -> None:
+            start.wait(timeout=30)
+            results[i] = partition_graph(
+                dual_graph, 8, seed=3, n_jobs=2
+            ).part
+
+        threads = [
+            threading.Thread(target=run, args=(i,), daemon=True)
+            for i in range(3)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads), "a pooled call hung"
+        assert sorted(results) == [0, 1, 2]
+        for got in results.values():
+            np.testing.assert_array_equal(got, want)
 
     def test_parallel_labels_scheduling_invariant(self, dual_graph):
         runs = [
@@ -183,11 +141,7 @@ class TestParallelBisection:
                 n_jobs=n_jobs,
                 executor=executor,
             )
-            for n_jobs, executor in (
-                (2, "process"),
-                (3, "process"),
-                (2, "thread"),
-            )
+            for n_jobs, executor in ((2, "process"), (3, "process"))
         ]
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0], other)
@@ -213,6 +167,20 @@ class TestParallelBisection:
         assert pools == 0
         want = partition_graph(g, 8, seed=3, n_jobs=1).part
         np.testing.assert_array_equal(labels, want)
+
+    def test_host_without_fork_runs_the_tree_inline(
+        self, dual_graph, monkeypatch
+    ):
+        # Workers get the graph only by inheriting it, so a host whose
+        # start methods lack "fork" must not start a pool at all.
+        monkeypatch.setattr(partition_mod, "_POOL_MIN_VERTICES", 0)
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        monkeypatch.setattr(partition_mod, "ProcessPoolExecutor", None)
+        got = partition_graph(dual_graph, 8, seed=3, n_jobs=2).part
+        want = partition_graph(dual_graph, 8, seed=3, n_jobs=1).part
+        np.testing.assert_array_equal(got, want)
 
     def test_parallel_cut_parity_with_serial(self, dual_graph):
         serial = recursive_bisection(

@@ -1,6 +1,6 @@
 """Service-tier tests: the spool queue's crash-safe state machine,
 the client's typed results, the daemon's retry/watchdog/orphan paths,
-and the ``repro serve`` / ``repro gc`` CLI round-trips.
+and the ``repro serve`` CLI round-trips.
 
 The daemon runs jobs in spawned child processes; these tests use tiny
 scenarios (``scale=6``) so each child costs import time, not compute
@@ -435,31 +435,6 @@ class TestServeCLI:
         rc = main(["serve", "result", "--spool", str(tmp_path / "s")])
         assert rc == 1
         assert "needs --job-id" in capsys.readouterr().err
-
-
-class TestGcCLI:
-    def test_gc_removes_stale_segments(self, tmp_path, capsys):
-        import tempfile
-        from pathlib import Path
-
-        from repro.cli import main
-
-        # Beyond pid_max defaults: no such process owns the segment.
-        fake = Path(tempfile.gettempdir()) / "repro_csr_4194999_feedface.bin"
-        fake.write_bytes(b"x")
-        try:
-            rc = main(["gc", "--dry-run"])
-            assert rc == 0
-            out = capsys.readouterr().out
-            assert "would remove" in out and fake.name in out
-            assert fake.exists()
-
-            rc = main(["gc"])
-            assert rc == 0
-            assert "removed" in capsys.readouterr().out
-            assert not fake.exists()
-        finally:
-            fake.unlink(missing_ok=True)
 
 
 class TestSignalLifecycle:
