@@ -681,9 +681,8 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="parallel scenario workers for sweeps and partitioner "
-        "workers for each bisection tree (default: sweeps inline, "
-        "trees on REPRO_N_JOBS or one worker per CPU)",
+        help="workers for each round of a sweep's plan nodes and for "
+        "each bisection tree (default: REPRO_N_JOBS or one per CPU)",
     )
     p.set_defaults(func=_cmd_pipeline)
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..resilience.errors import PartitionQualityError
+from ..util.forkpool import can_fork_pool
 from .bisect import coarsen, inherit_levels, multilevel_bisect
 from .contracts import (
     apportion_parts,
@@ -74,9 +75,9 @@ def _use_pool(executor: str | None, num_vertices: int, n_jobs: int) -> bool:
     """Whether the bisection tree runs on a process pool.
 
     ``None``/``"auto"`` pools from ``_POOL_MIN_VERTICES`` vertices on,
-    ``"process"`` at any size.  One worker, a daemonic process (which
-    may not have children, e.g. a serve job child) and a host without
-    the ``fork`` start method run the tree inline.
+    ``"process"`` at any size, wherever
+    :func:`~repro.util.forkpool.can_fork_pool` allows a pool of
+    ``n_jobs`` workers.
     """
     executor = (executor or "auto").lower()
     if executor not in ("auto", "process"):
@@ -84,11 +85,8 @@ def _use_pool(executor: str | None, num_vertices: int, n_jobs: int) -> bool:
             f"unknown executor {executor!r} (expected 'auto' or 'process')"
         )
     return (
-        (executor == "process" or num_vertices >= _POOL_MIN_VERTICES)
-        and n_jobs > 1
-        and not multiprocessing.current_process().daemon
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
+        executor == "process" or num_vertices >= _POOL_MIN_VERTICES
+    ) and can_fork_pool(n_jobs)
 
 
 @dataclass

@@ -17,10 +17,10 @@ which inherit the graph (see
 :func:`repro.graph.partition.recursive_bisection`);
 :func:`resolve_executor` only validates an explicit pool choice.
 
-The knob governs the bisection tree only.  Plan-node concurrency is
-separate: a :class:`~repro.pipeline.scheduler.DagScheduler` runs inline
-unless its ``max_workers`` (``run_batch``'s ``n_jobs``) says otherwise,
-so the CPUs go to the tree, not to stage nodes.
+The same resolution sizes a sweep's plan-node pool:
+:func:`~repro.pipeline.runner.run_batch` resolves its ``n_jobs`` here,
+while :class:`~repro.pipeline.Pipeline` runs its one chain inline and
+gives the CPUs to the bisection tree.
 """
 
 from __future__ import annotations

@@ -262,16 +262,19 @@ def run_batch(
     only in partition seed) collapse onto shared plan nodes: each
     shared stage executes exactly once, and the scenarios that didn't
     run it record ``"shared"`` provenance.  ``n_jobs`` bounds the
-    scheduler's pool (``None``: inline, one node at a time — the CPUs
-    go to each partition's bisection tree); the cache keys match the
-    single-scenario runs users launch interactively, whatever either
-    worker count is.  Fully cached scenarios short-circuit to store
-    lookups, exactly as before.
+    scheduler's pool, resolved by
+    :func:`~repro.pipeline.jobs.resolve_n_jobs` (``None``: the pinned
+    count, then ``REPRO_N_JOBS``, then one worker per CPU): each round
+    of ready nodes runs its misses on that many forked workers, while
+    partition nodes run here on their own bisection-tree pool.  The
+    records, and the cache keys, are the same for every count and
+    match the single-scenario runs users launch interactively.  Fully
+    cached scenarios short-circuit to store lookups and start no pool.
     """
     store = store if store is not None else default_store()
     if not scenarios:
         return []
-    jobs = 1 if n_jobs is None else resolve_n_jobs(n_jobs)
+    jobs = resolve_n_jobs(n_jobs)
     plan = compile_plan(scenarios, through=through)
     scheduler = DagScheduler(
         store, max_workers=min(jobs, len(scenarios))

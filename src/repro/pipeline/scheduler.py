@@ -2,42 +2,72 @@
 *schedule* half of the plan/schedule split).
 
 :func:`execute_stage` is the single store protocol for running one
-stage — memory LRU, disk read, cross-process claim, compute-and-publish
-— factored out of the old ``Pipeline._run_stage`` body verbatim.  Both
-the linear oracle path and the DAG scheduler call it, which is what
-makes "bit-identical to the linear path" true by construction rather
-than by test luck.
+stage — memory LRU, disk read, cross-process claim, compute-and-publish.
+Every node the scheduler computes runs through it, in this process or
+in a pool worker, so a node's artifact does not depend on where it ran.
 
 :class:`DagScheduler` walks a plan in dependency order with
-critical-path-first dispatch (the plan's precomputed bottom levels)
-over a bounded worker pool.  Each node moves through
-pending → ready → running → done/failed; a failed node marks its
-transitive dependents ``skipped``, so in a merged multi-job plan a
-failure in one job's unshared suffix cannot touch jobs whose chains
-avoid that node — failure isolation falls out of the graph structure.
+critical-path-first dispatch (the plan's precomputed bottom levels).
+Each node moves through pending → ready → running → done/failed; a
+failed node marks its transitive dependents ``skipped``, so in a merged
+multi-job plan a failure in one job's unshared suffix cannot touch jobs
+whose chains avoid that node — failure isolation falls out of the graph
+structure.
 
-``max_workers == 1`` runs a serial inline loop (no thread pool): this
-is the path ``Pipeline.run`` takes for a single scenario, so the
-refactor adds no threading overhead or ordering nondeterminism to the
-interactive case.
+``max_workers == 1`` runs a serial inline loop: this is the path
+``Pipeline.run`` takes for a single scenario.  ``max_workers > 1`` runs
+the plan in rounds, each over every node ready at its start.  Memory
+and disk hits resolve in this process, and so do partition nodes, whose
+bisection tree keeps its own pool.  Two or more remaining misses run on
+one pool of processes forked for the round
+(:func:`~repro.util.forkpool.can_fork_pool`): the workers inherit every
+upstream object computed so far, so nothing is pickled on the way in,
+and each returns the stage's ``pack()``, which this process
+``unpack()``s into its memory layer as on a disk hit.  A node that
+becomes ready during a round waits for the next one; a lone miss runs
+inline.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
+import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Sequence
 
+from ..util.forkpool import can_fork_pool
 from .hashing import canonical_json, stage_digest
 from .jobs import resolve_n_jobs
 from .plan import StagePlan, StageTask
-from .stages import STAGE_ORDER
-from .store import ArtifactStore, default_store
+from .stages import STAGE_ORDER, STAGES
+from .store import ArtifactStore, StoreStats, default_store
 
 __all__ = ["execute_stage", "NodeResult", "PlanResult", "DagScheduler"]
+
+
+def _cached(
+    store: ArtifactStore,
+    name: str,
+    digest: str,
+    upstream_objects: Sequence[Any],
+) -> tuple[Any, str] | None:
+    """``(obj, cache)`` for a memory or disk hit on ``digest``, counted
+    in ``store.stats`` (a disk hit also enters the memory layer);
+    ``None`` on a miss."""
+    obj = store.memory_get(digest)
+    if obj is not None:
+        store.stats.memory_hits += 1
+        return obj, "memory"
+    payload = store.disk_read(name, digest)
+    if payload is None:
+        return None
+    meta = payload.sidecar.get("meta") or {}
+    obj = STAGES[name].unpack(payload.arrays, meta, *upstream_objects)
+    store.stats.disk_hits += 1
+    store.memory_put(digest, obj)
+    return obj, "disk"
 
 
 def execute_stage(
@@ -56,75 +86,62 @@ def execute_stage(
     may be passed when the caller already derived the content address
     (plan nodes carry it); it is re-derived otherwise.
     """
-    from .stages import STAGES
-
     stage = STAGES[name]
     if digest is None:
         digest = stage_digest(
             stage.name, stage.version, config, upstream_digests
         )
     t0 = time.perf_counter()
-    obj = store.memory_get(digest)
+    hit = _cached(store, name, digest, upstream_objects)
+    if hit is not None:
+        return hit[0], digest, hit[1], time.perf_counter() - t0
+    obj: Any = None
     cache: str | None = None
-    if obj is not None:
-        cache = "memory"
-        store.stats.memory_hits += 1
-    else:
-        payload = store.disk_read(stage.name, digest)
-        if payload is not None:
-            meta = payload.sidecar.get("meta") or {}
-            obj = stage.unpack(payload.arrays, meta, *upstream_objects)
-            cache = "disk"
-            store.stats.disk_hits += 1
-        else:
-            # Cross-process coordination: on a shared miss exactly
-            # one worker wins the claim and computes; the others
-            # block on the claim and read the published artifact.
-            # Up to two reader rounds absorb a winner whose publish
-            # turned out corrupt (quarantined on read).
-            for _ in range(3):
-                lease = store.claim(stage.name, digest)
-                if lease is not None and lease.role == "reader":
-                    lease.release()
-                    payload = store.disk_read(stage.name, digest)
-                    if payload is not None:
-                        meta = payload.sidecar.get("meta") or {}
-                        obj = stage.unpack(
-                            payload.arrays, meta, *upstream_objects
-                        )
-                        cache = "disk"
-                        store.stats.disk_hits += 1
-                        break
-                    continue  # published entry unreadable; re-claim
-                try:
-                    store.stats.misses += 1
-                    obj = stage.compute(config, *upstream_objects)
-                    wall = time.perf_counter() - t0
-                    arrays, meta = stage.pack(obj)
-                    store.disk_write(
-                        stage.name,
-                        digest,
-                        arrays,
-                        sidecar={
-                            "config": canonical_json(config),
-                            "upstream": list(upstream_digests),
-                            "stage_version": stage.version,
-                            "wall_time": wall,
-                            "created": time.time(),
-                            "meta": meta,
-                        },
-                        lease=lease,
-                    )
-                finally:
-                    if lease is not None:
-                        lease.release()
+    # Cross-process coordination: on a shared miss exactly one worker
+    # wins the claim and computes; the others block on the claim and
+    # read the published artifact.  Up to two reader rounds absorb a
+    # winner whose publish turned out corrupt (quarantined on read).
+    for _ in range(3):
+        lease = store.claim(stage.name, digest)
+        if lease is not None and lease.role == "reader":
+            lease.release()
+            payload = store.disk_read(stage.name, digest)
+            if payload is not None:
+                meta = payload.sidecar.get("meta") or {}
+                obj = stage.unpack(payload.arrays, meta, *upstream_objects)
+                cache = "disk"
+                store.stats.disk_hits += 1
                 break
-            if obj is None:
-                # Pathological: every published copy we were told
-                # to read was corrupt.  Compute locally, uncached.
-                store.stats.misses += 1
-                obj = stage.compute(config, *upstream_objects)
-        store.memory_put(digest, obj)
+            continue  # published entry unreadable; re-claim
+        try:
+            store.stats.misses += 1
+            obj = stage.compute(config, *upstream_objects)
+            wall = time.perf_counter() - t0
+            arrays, meta = stage.pack(obj)
+            store.disk_write(
+                stage.name,
+                digest,
+                arrays,
+                sidecar={
+                    "config": canonical_json(config),
+                    "upstream": list(upstream_digests),
+                    "stage_version": stage.version,
+                    "wall_time": wall,
+                    "created": time.time(),
+                    "meta": meta,
+                },
+                lease=lease,
+            )
+        finally:
+            if lease is not None:
+                lease.release()
+        break
+    if obj is None:
+        # Pathological: every published copy we were told to read was
+        # corrupt.  Compute locally, uncached.
+        store.stats.misses += 1
+        obj = stage.compute(config, *upstream_objects)
+    store.memory_put(digest, obj)
     return obj, digest, cache, time.perf_counter() - t0
 
 
@@ -225,6 +242,53 @@ class PlanResult:
         return any(n.state == "failed" for n in self.nodes.values())
 
 
+#: The store, plan and computed objects of the round this pool worker
+#: serves, set by :func:`_init_worker`.  A worker is forked from the
+#: scheduling process, so it inherits them copy-on-write: no upstream
+#: object is pickled on the way in.
+_WORKER_ROUND: tuple[ArtifactStore, StagePlan, dict[str, Any]] | None = None
+
+
+def _init_worker(
+    store: ArtifactStore, plan: StagePlan, objects: dict[str, Any]
+) -> None:
+    global _WORKER_ROUND
+    _WORKER_ROUND = (store, plan, objects)
+
+
+def _pool_node(
+    key: str,
+) -> tuple[tuple[dict, dict], str | None, float, dict[str, Any]]:
+    """Run plan node ``key`` in a pool worker through
+    :func:`execute_stage`.
+
+    Returns the stage's ``pack()`` of the object, its provenance and
+    wall time, and the store counters the run moved (this worker's
+    store is a copy, so the scheduling process adds them to its own).
+    """
+    store, plan, objects = _WORKER_ROUND  # type: ignore[misc]
+    task = plan.nodes[key]
+    before = replace(store.stats)
+    obj, _, cache, wall = execute_stage(
+        store,
+        task.stage,
+        task.config,
+        task.deps,
+        tuple(objects[d] for d in task.deps),
+        digest=key,
+    )
+    moved = {
+        f.name: (
+            getattr(store.stats, f.name) - getattr(before, f.name)
+            if f.name != "degraded"
+            else store.stats.degraded
+        )
+        for f in fields(StoreStats)
+        if getattr(store.stats, f.name) != getattr(before, f.name)
+    }
+    return STAGES[task.stage].pack(obj), cache, wall, moved
+
+
 class DagScheduler:
     """Dependency-ordered, critical-path-first plan executor.
 
@@ -235,17 +299,18 @@ class DagScheduler:
         process-wide store).
     max_workers:
         Bound on concurrently running nodes (``-1``: one per CPU).
-        The default, ``1``, executes inline: the CPUs go to each
-        partition's bisection tree, not to stage nodes.
+        The default, ``1``, executes inline; more run each round's
+        misses on a forked pool (see the module docstring).
     on_node:
-        Optional callback invoked (from the scheduler's completion
-        thread) with each terminal :class:`NodeResult` whose state is
-        ``done`` or ``failed`` — the daemon's stage-level progress
-        stream.  Exceptions from it are swallowed: observability must
-        not kill the run.
+        Optional callback invoked, in the calling process, with each
+        terminal :class:`NodeResult` whose state is ``done`` or
+        ``failed`` — the daemon's stage-level progress stream.
+        Exceptions from it are swallowed: observability must not kill
+        the run.
     should_stop:
-        Optional predicate polled before each dispatch; returning True
-        cancels all not-yet-running nodes (drain support).
+        Optional predicate polled before each dispatch, pool fork and
+        pool submit; returning True cancels all not-yet-running nodes
+        (drain support).
     """
 
     def __init__(
@@ -270,27 +335,27 @@ class DagScheduler:
         except Exception:
             pass
 
-    def _run_node(
-        self, task: StageTask, objects: dict[str, Any]
+    def _stopping(self) -> bool:
+        return self.should_stop is not None and self.should_stop()
+
+    @staticmethod
+    def _failed(task: StageTask, exc: BaseException) -> NodeResult:
+        return NodeResult(
+            key=task.key,
+            stage=task.stage,
+            state="failed",
+            error=exc,
+            jobs=task.jobs,
+        )
+
+    @staticmethod
+    def _done(
+        task: StageTask,
+        objects: dict[str, Any],
+        obj: Any,
+        cache: str | None,
+        wall: float,
     ) -> NodeResult:
-        upstream = tuple(objects[d] for d in task.deps)
-        try:
-            obj, _, cache, wall = execute_stage(
-                self.store,
-                task.stage,
-                task.config,
-                task.deps,
-                upstream,
-                digest=task.key,
-            )
-        except BaseException as exc:  # noqa: BLE001 — recorded, not raised
-            return NodeResult(
-                key=task.key,
-                stage=task.stage,
-                state="failed",
-                error=exc,
-                jobs=task.jobs,
-            )
         objects[task.key] = obj
         return NodeResult(
             key=task.key,
@@ -300,6 +365,64 @@ class DagScheduler:
             wall_time=wall,
             jobs=task.jobs,
         )
+
+    def _run_node(
+        self, task: StageTask, objects: dict[str, Any]
+    ) -> NodeResult:
+        try:
+            obj, _, cache, wall = execute_stage(
+                self.store,
+                task.stage,
+                task.config,
+                task.deps,
+                tuple(objects[d] for d in task.deps),
+                digest=task.key,
+            )
+        except BaseException as exc:  # noqa: BLE001 — recorded, not raised
+            return self._failed(task, exc)
+        return self._done(task, objects, obj, cache, wall)
+
+    def _hit(
+        self, task: StageTask, objects: dict[str, Any]
+    ) -> NodeResult | None:
+        """``task`` served from the store here, or ``None`` on a miss."""
+        t0 = time.perf_counter()
+        try:
+            hit = _cached(
+                self.store,
+                task.stage,
+                task.key,
+                tuple(objects[d] for d in task.deps),
+            )
+        except BaseException as exc:  # noqa: BLE001 — recorded, not raised
+            return self._failed(task, exc)
+        if hit is None:
+            return None
+        obj, cache = hit
+        return self._done(
+            task, objects, obj, cache, time.perf_counter() - t0
+        )
+
+    def _unpack(
+        self, task: StageTask, objects: dict[str, Any], fut: Future
+    ) -> NodeResult:
+        """Settle a pool worker's result for ``task`` here, as a disk
+        hit is: unpack it, count its store traffic, enter it in the
+        memory layer."""
+        try:
+            (arrays, meta), cache, wall, moved = fut.result()
+            obj = STAGES[task.stage].unpack(
+                arrays, meta, *(objects[d] for d in task.deps)
+            )
+        except BaseException as exc:  # noqa: BLE001 — recorded, not raised
+            return self._failed(task, exc)
+        stats = self.store.stats
+        for name, value in moved.items():
+            if name != "degraded":
+                value += getattr(stats, name)
+            setattr(stats, name, value)
+        self.store.memory_put(task.key, obj)
+        return self._done(task, objects, obj, cache, wall)
 
     def _skip_dependents(
         self, plan: StagePlan, result: PlanResult, key: str
@@ -320,6 +443,53 @@ class DagScheduler:
                 jobs=task.jobs,
             )
             frontier.extend(plan.dependents[k])
+
+    def _round(
+        self,
+        plan: StagePlan,
+        objects: dict[str, Any],
+        keys: list[str],
+        settle: Callable[[NodeResult], None],
+    ) -> bool:
+        """Run one round of ready nodes; returns whether to stop."""
+        misses: list[StageTask] = []
+        for key in keys:
+            if self._stopping():
+                return True
+            task = plan.nodes[key]
+            if task.stage == "partition":
+                settle(self._run_node(task, objects))
+                continue
+            node = self._hit(task, objects)
+            if node is None:
+                misses.append(task)
+            else:
+                settle(node)
+        workers = min(self.max_workers, len(misses))
+        if not can_fork_pool(workers):
+            for task in misses:
+                if self._stopping():
+                    return True
+                settle(self._run_node(task, objects))
+            return False
+        if self._stopping():
+            return True
+        stopped = False
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(self.store, plan, objects),
+        ) as pool:
+            inflight: dict[Future, StageTask] = {}
+            for task in misses:
+                stopped = self._stopping()
+                if stopped:
+                    break
+                inflight[pool.submit(_pool_node, task.key)] = task
+            for fut in as_completed(inflight):
+                settle(self._unpack(inflight[fut], objects, fut))
+        return stopped
 
     # ------------------------------------------------------------------
     def execute(self, plan: StagePlan) -> PlanResult:
@@ -358,41 +528,17 @@ class DagScheduler:
                 self._skip_dependents(plan, result, node.key)
             self._notify(node)
 
-        stopped = False
         if self.max_workers == 1:
             while ready:
                 if self.should_stop is not None and self.should_stop():
-                    stopped = True
                     break
                 _, _, key = heapq.heappop(ready)
                 settle(self._run_node(plan.nodes[key], objects))
         else:
-            inflight: dict[Future[NodeResult], str] = {}
-            with ThreadPoolExecutor(
-                max_workers=self.max_workers
-            ) as pool:
-                while ready or inflight:
-                    while ready and len(inflight) < self.max_workers:
-                        if (
-                            self.should_stop is not None
-                            and self.should_stop()
-                        ):
-                            stopped = True
-                            ready.clear()
-                            break
-                        _, _, key = heapq.heappop(ready)
-                        fut = pool.submit(
-                            self._run_node, plan.nodes[key], objects
-                        )
-                        inflight[fut] = key
-                    if not inflight:
-                        break
-                    done, _ = wait(
-                        inflight, return_when=FIRST_COMPLETED
-                    )
-                    for fut in done:
-                        inflight.pop(fut)
-                        settle(fut.result())
+            while ready:
+                keys = [heapq.heappop(ready)[2] for _ in range(len(ready))]
+                if self._round(plan, objects, keys, settle):
+                    break
 
         for key, task in plan.nodes.items():
             if key not in result.nodes:
@@ -402,6 +548,4 @@ class DagScheduler:
                     state="cancelled",
                     jobs=task.jobs,
                 )
-        if stopped:
-            return result
         return result

@@ -104,10 +104,10 @@ class TestParallelBisection:
     def test_pooled_calls_from_concurrent_threads(
         self, dual_graph, monkeypatch
     ):
-        # `repro pipeline sweep --jobs N` partitions on DagScheduler
-        # threads, so pools fork from a multithreaded parent.  Three
-        # threads start a pooled 8-part partition at once; none may
-        # hang, and each gets the serial labels.
+        # A caller may partition from threads of its own, so pools
+        # can fork from a multithreaded parent.  Three threads start a
+        # pooled 8-part partition at once; none may hang, and each
+        # gets the serial labels.
         monkeypatch.setattr(partition_mod, "_POOL_MIN_VERTICES", 0)
         want = partition_graph(dual_graph, 8, seed=3, n_jobs=1).part
         start = threading.Barrier(3)

@@ -12,6 +12,12 @@ chain recomputed by hand with ``stage_digest``.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import shutil
+import threading
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -24,15 +30,18 @@ from repro.pipeline import (
     expand_sweep,
     run_batch,
 )
+from repro.mesh.structures import Mesh
+from repro.partitioning import DomainDecomposition
+from repro.pipeline import scheduler as scheduler_mod
 from repro.pipeline.hashing import stage_digest
 from repro.pipeline.stages import (
     STAGE_INPUTS,
     STAGE_ORDER,
     STAGES,
-    LevelStage,
-    MeshStage,
     PartitionStage,
+    TaskGraphStage,
 )
+from repro.taskgraph.dag import TaskDAG
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -46,6 +55,12 @@ def base_scenario(**overrides) -> Scenario:
 def seed_sweep(n: int) -> list[Scenario]:
     """N scenarios differing only in partition/schedule seed."""
     return expand_sweep(base_scenario(), {"seed": list(range(n))})
+
+
+def iteration_sweep() -> list[Scenario]:
+    """Three scenarios behind one partition: a round of three
+    taskgraph misses, then one of three schedule misses."""
+    return expand_sweep(base_scenario(), {"iterations": [1, 2, 3]})
 
 
 class TestCompilePlan:
@@ -135,44 +150,134 @@ class TestCompilePlan:
             compile_plan([base_scenario()], through=["mesh", "mesh"])
 
 
-@pytest.fixture
-def compute_counters(monkeypatch):
-    """Count stage ``compute`` invocations for mesh/levels/partition."""
-    counters = {"mesh": 0, "levels": 0, "partition": 0}
-    originals = {
-        "mesh": MeshStage.compute,
-        "levels": LevelStage.compute,
-        "partition": PartitionStage.compute,
-    }
+class ComputeLog:
+    """Stage ``compute`` calls, one ``"<stage> <pid>"`` line each,
+    appended to a file so that computes in forked pool workers count
+    too."""
 
-    def counting(name):
-        orig = originals[name]
+    def __init__(self, path) -> None:
+        self.path = path
+
+    def lines(self) -> list[tuple[str, int]]:
+        if not self.path.exists():
+            return []
+        rows = [line.split() for line in self.path.read_text().splitlines()]
+        return [(stage, int(pid)) for stage, pid in rows]
+
+    def __getitem__(self, stage: str) -> int:
+        return sum(1 for s, _ in self.lines() if s == stage)
+
+
+@pytest.fixture
+def compute_counters(monkeypatch, tmp_path):
+    """Count every stage's ``compute`` invocations, in this process
+    and in pool workers forked from it."""
+    log = ComputeLog(tmp_path / "computes.log")
+
+    def counting(stage):
+        orig = stage.compute
 
         def wrapper(*args, **kwargs):
-            counters[name] += 1
+            with open(log.path, "a") as fh:
+                fh.write(f"{stage.name} {os.getpid()}\n")
             return orig(*args, **kwargs)
 
         return staticmethod(wrapper)
 
-    monkeypatch.setattr(MeshStage, "compute", counting("mesh"))
-    monkeypatch.setattr(LevelStage, "compute", counting("levels"))
-    monkeypatch.setattr(
-        PartitionStage, "compute", counting("partition")
-    )
-    return counters
+    for stage in STAGES.values():
+        monkeypatch.setattr(stage, "compute", counting(stage))
+    return log
+
+
+class CountingPool(scheduler_mod.ProcessPoolExecutor):
+    """The scheduler's round pool, recording every pool it starts and
+    every plan node key submitted to one."""
+
+    started: list[int] = []
+    submitted: list[str] = []
+
+    def __init__(self, *args, **kwargs):
+        CountingPool.started.append(kwargs["max_workers"])
+        super().__init__(*args, **kwargs)
+
+    def submit(self, fn, key):
+        CountingPool.submitted.append(key)
+        return super().submit(fn, key)
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    monkeypatch.setattr(CountingPool, "started", [])
+    monkeypatch.setattr(CountingPool, "submitted", [])
+    monkeypatch.setattr(scheduler_mod, "ProcessPoolExecutor", CountingPool)
+    return CountingPool
 
 
 class TestMergedExecution:
-    def test_shared_stages_compute_exactly_once(self, compute_counters):
+    def test_shared_stages_compute_exactly_once(
+        self, compute_counters, pool_spy
+    ):
         n = 5
         scenarios = seed_sweep(n)
         records = run_batch(scenarios, store=ArtifactStore(), n_jobs=2)
         assert len(records) == n
         # The acceptance criterion: mesh and levels ran once for the
-        # whole sweep, partitions once per seed.
+        # whole sweep, everything downstream once per seed — also
+        # where the taskgraph and schedule rounds ran on a pool.
         assert compute_counters["mesh"] == 1
         assert compute_counters["levels"] == 1
         assert compute_counters["partition"] == n
+        assert compute_counters["taskgraph"] == n
+        assert compute_counters["schedule"] == n
+        assert pool_spy.started == [2, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_partition_nodes_never_enter_the_pool(
+        self, compute_counters, pool_spy
+    ):
+        # Five partition nodes are ready in one round; they run here,
+        # each on its own bisection tree, and only the downstream
+        # misses are submitted to the round pools.
+        plan = compile_plan(seed_sweep(5))
+        result = DagScheduler(ArtifactStore(), max_workers=2).execute(plan)
+        assert not result.failed
+        stages = {plan.nodes[k].stage for k in pool_spy.submitted}
+        assert stages == {"taskgraph", "schedule"}
+        assert {
+            pid for s, pid in compute_counters.lines() if s == "partition"
+        } == {os.getpid()}
+        assert {
+            pid for s, pid in compute_counters.lines() if s == "schedule"
+        } - {os.getpid()}
+
+    def test_pool_never_pickles_stage_objects(self, monkeypatch, pool_spy):
+        # Workers inherit the upstream objects at fork and send back
+        # packed arrays: no mesh, decomposition or task graph crosses
+        # a process boundary.
+        def refuse(self, *args):
+            raise AssertionError(f"a {type(self).__name__} was pickled")
+
+        for cls in (Mesh, DomainDecomposition, TaskDAG):
+            monkeypatch.setattr(cls, "__reduce__", refuse)
+            monkeypatch.setattr(cls, "__reduce_ex__", refuse)
+        records = run_batch(seed_sweep(3), store=ArtifactStore(), n_jobs=2)
+        assert pool_spy.started == [2, 2]
+        assert all(rec.metrics is not None for rec in records)
+
+    def test_warm_batch_forks_no_pool(self, tmp_path, pool_spy):
+        scenarios = seed_sweep(3)
+        run_batch(scenarios, store=ArtifactStore(tmp_path), n_jobs=2)
+        assert pool_spy.started
+        pool_spy.started.clear()
+        # A fresh store on the same directory: every node is a disk
+        # hit (or rides one), resolved without a pool.
+        warm = run_batch(scenarios, store=ArtifactStore(tmp_path), n_jobs=2)
+        assert pool_spy.started == []
+        for rec in warm:
+            assert {r.cache for r in rec.provenance.values()} <= {
+                "disk",
+                "shared",
+            }
 
     def test_scheduler_counters_agree(self):
         n = 4
@@ -212,6 +317,61 @@ class TestMergedExecution:
                 rec.trace.start, oracle.trace.start
             )
             assert rec.metrics.makespan == oracle.metrics.makespan
+
+    def test_sweep_records_equal_for_every_worker_count(self, tmp_path):
+        # A small downstream sweep behind one stored partition, as the
+        # benchmark runs it: inline, on two workers and on the default
+        # (one per CPU).  Every record and the store's own accounting
+        # must be the same.
+        base = Scenario.standard(
+            "cylinder",
+            domains=16,
+            processes=4,
+            cores=1,
+            strategy="MC_TL",
+            scale=8,
+            seed=3,
+        )
+        sweep = expand_sweep(
+            base,
+            {
+                "scheme": ["euler", "heun"],
+                "iterations": [1, 4],
+                "scheduler": ["eager", "cp"],
+                "cores": [1, 8],
+            },
+        )
+        prefix = tmp_path / "prefix"
+        Pipeline(ArtifactStore(prefix)).run(sweep[0], through="partition")
+        runs = {}
+        for n_jobs in (1, 2, None):
+            root = tmp_path / f"jobs{n_jobs}"
+            shutil.copytree(prefix, root)
+            store = ArtifactStore(root)
+            runs[n_jobs] = run_batch(sweep, store=store, n_jobs=n_jobs), store
+            assert multiprocessing.active_children() == []
+        want, want_store = runs[1]
+        assert want_store.stats.misses == 20  # 4 task graphs, 16 schedules
+        for n_jobs in (2, None):
+            got, store = runs[n_jobs]
+            assert store.stats == want_store.stats
+            for a, b in zip(want, got):
+                assert {
+                    name: (r.digest, r.cache)
+                    for name, r in a.provenance.items()
+                } == {
+                    name: (r.digest, r.cache)
+                    for name, r in b.provenance.items()
+                }
+                np.testing.assert_array_equal(
+                    a.decomp.domain, b.decomp.domain
+                )
+                np.testing.assert_array_equal(a.dag.edges, b.dag.edges)
+                for f in ("start", "end", "worker"):
+                    np.testing.assert_array_equal(
+                        getattr(a.trace, f), getattr(b.trace, f)
+                    )
+                assert a.metrics == b.metrics
 
     def test_parallel_workers_deterministic(self):
         scenarios = seed_sweep(4)
@@ -290,6 +450,122 @@ class TestFailureIsolation:
         assert result.nodes[chain["schedule"]].state == "skipped"
         # The shared prefix is done and healthy for the others.
         assert result.nodes[chain["mesh"]].state == "done"
+
+    def test_pooled_node_failure_fails_only_that_job(
+        self, monkeypatch, pool_spy
+    ):
+        scenarios = iteration_sweep()
+        poison = scenarios[1].taskgraph
+        orig = TaskGraphStage.compute
+
+        def failing(config, *upstream):
+            if config == poison:
+                raise ValueError("injected taskgraph failure")
+            return orig(config, *upstream)
+
+        monkeypatch.setattr(
+            TaskGraphStage, "compute", staticmethod(failing)
+        )
+        plan = compile_plan(scenarios)
+        result = DagScheduler(ArtifactStore(), max_workers=2).execute(plan)
+
+        # The taskgraph round ran on a pool; the schedule round had
+        # two misses left, so it did too.
+        assert pool_spy.started == [2, 2]
+        chain = plan.job_stages[1]
+        assert result.nodes[chain["taskgraph"]].state == "failed"
+        err = result.job_error(1)
+        assert type(err) is ValueError
+        assert "injected taskgraph failure" in str(err)
+        assert result.nodes[chain["schedule"]].state == "skipped"
+        assert result.job_state(0) == "done"
+        assert result.job_state(2) == "done"
+        states = [n.state for n in result.nodes.values()]
+        assert states.count("failed") == 1
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_fails_its_nodes_without_a_hang(
+        self, monkeypatch, pool_spy
+    ):
+        scenarios = iteration_sweep()
+        poison = scenarios[1].taskgraph
+        orig = TaskGraphStage.compute
+        parent = os.getpid()
+
+        def dying(config, *upstream):
+            if config == poison and os.getpid() != parent:
+                os._exit(3)  # a worker killed mid-round
+            return orig(config, *upstream)
+
+        monkeypatch.setattr(TaskGraphStage, "compute", staticmethod(dying))
+        plan = compile_plan(scenarios)
+        results = []
+        runner = threading.Thread(
+            target=lambda: results.append(
+                DagScheduler(ArtifactStore(), max_workers=2).execute(plan)
+            ),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "execute hung on a broken pool"
+        (result,) = results
+
+        assert pool_spy.started[0] == 2
+        killed = result.nodes[plan.job_stages[1]["taskgraph"]]
+        assert killed.state == "failed"
+        assert isinstance(killed.error, BrokenProcessPool)
+        # Whatever the broken pool had not finished failed with it;
+        # the rest of the round stands.
+        for chain in plan.job_stages:
+            node = result.nodes[chain["taskgraph"]]
+            after = result.nodes[chain["schedule"]].state
+            if node.state == "failed":
+                assert isinstance(node.error, BrokenProcessPool)
+                assert after == "skipped"
+            else:
+                assert node.state == "done"
+                assert after == "done"
+        assert result.job_state(1) == "failed"
+        assert multiprocessing.active_children() == []
+
+    def test_should_stop_is_polled_before_the_fork(self, pool_spy):
+        plan = compile_plan(iteration_sweep())
+        partition = plan.job_stages[0]["partition"]
+        settled: list[str] = []
+        result = DagScheduler(
+            ArtifactStore(),
+            max_workers=2,
+            on_node=lambda node: settled.append(node.key),
+            should_stop=lambda: partition in settled,
+        ).execute(plan)
+        assert pool_spy.started == []
+        assert result.nodes[partition].state == "done"
+        for chain in plan.job_stages:
+            assert result.nodes[chain["taskgraph"]].state == "cancelled"
+
+    def test_should_stop_is_polled_before_each_submit(self, pool_spy):
+        plan = compile_plan(iteration_sweep())
+        result = DagScheduler(
+            ArtifactStore(),
+            max_workers=2,
+            should_stop=lambda: bool(pool_spy.submitted),
+        ).execute(plan)
+        # One node went to the pool and finished; its round-mates and
+        # everything after them were cancelled.
+        assert pool_spy.started == [2]
+        (key,) = pool_spy.submitted
+        assert result.nodes[key].state == "done"
+        states = [
+            result.nodes[chain["taskgraph"]].state
+            for chain in plan.job_stages
+        ]
+        assert sorted(states) == ["cancelled", "cancelled", "done"]
+        assert all(
+            result.nodes[chain["schedule"]].state == "cancelled"
+            for chain in plan.job_stages
+        )
+        assert multiprocessing.active_children() == []
 
     def test_run_batch_raises_the_causal_error(self, monkeypatch):
         scenarios = seed_sweep(2)
