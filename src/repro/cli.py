@@ -61,13 +61,6 @@ import sys
 __all__ = ["main"]
 
 
-def _apply_jobs(args: argparse.Namespace) -> None:
-    if getattr(args, "jobs", None) is not None:
-        from .pipeline import set_default_n_jobs
-
-        set_default_n_jobs(args.jobs)
-
-
 def _apply_artifacts(args: argparse.Namespace) -> None:
     """Install a disk-backed default store when ``--artifacts`` was
     given (``default`` resolves to ``$REPRO_ARTIFACTS`` /
@@ -92,7 +85,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments.registry import run_experiment
 
-    _apply_jobs(args)
     _apply_artifacts(args)
     print(run_experiment(args.name, scale=args.scale))
     return 0
@@ -118,7 +110,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         run_batch,
     )
 
-    _apply_jobs(args)
     _apply_artifacts(args)
 
     if args.action == "scenarios":
@@ -191,7 +182,6 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     from .experiments.common import run_flusim
     from .viz import render_process_gantt
 
-    _apply_jobs(args)
     _apply_artifacts(args)
     for strategy in ("SC_OC", "MC_TL"):
         dag, trace, metrics = run_flusim(
@@ -631,7 +621,7 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="partitioner workers for the bisection tree "
+        help="workers for every partition's bisection tree "
         "(default: REPRO_N_JOBS or one per CPU)",
     )
     p.set_defaults(func=_cmd_experiment)
@@ -682,7 +672,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         help="workers for each round of a sweep's plan nodes and for "
-        "each bisection tree (default: REPRO_N_JOBS or one per CPU)",
+        "every partition's bisection tree (default: REPRO_N_JOBS or "
+        "one per CPU)",
     )
     p.set_defaults(func=_cmd_pipeline)
 
@@ -697,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="partitioner workers for the bisection tree "
+        help="workers for every partition's bisection tree "
         "(default: REPRO_N_JOBS or one per CPU)",
     )
     p.set_defaults(func=_cmd_gantt)
@@ -981,8 +972,13 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_gc)
 
     args = parser.parse_args(argv)
+    from .util.forkpool import pinned_n_jobs
+
     try:
-        return args.func(args)
+        # ``--jobs`` holds for this command only, in every partition
+        # it runs; no process default outlives it.
+        with pinned_n_jobs(getattr(args, "jobs", None)):
+            return args.func(args)
     except BrokenPipeError:  # e.g. `repro ... | head`
         return 0
     except (ValueError, OSError, RuntimeError) as exc:

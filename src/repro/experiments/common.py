@@ -50,11 +50,9 @@ def standard_scenario(
     seed: int = 0,
     scheduler: str = "eager",
     scheme: str = "euler",
-    n_jobs: int | None = None,
 ) -> Scenario:
     """A pipeline :class:`~repro.pipeline.Scenario` on a named replica
-    mesh with the Table I level caps (``n_jobs=None``: the partition
-    stage resolves the worker count when it runs)."""
+    mesh with the Table I level caps."""
     if name not in MESH_FACTORIES:
         raise ValueError(f"unknown mesh {name!r}")
     return Scenario.standard(
@@ -67,7 +65,6 @@ def standard_scenario(
         seed=seed,
         scheduler=scheduler,
         scheme=scheme,
-        n_jobs=n_jobs,
     )
 
 
@@ -91,10 +88,9 @@ def cached_decomposition(
     *,
     scale: int | None = None,
     seed: int = 0,
-    n_jobs: int | None = None,
 ) -> DomainDecomposition:
     """Store-backed :func:`repro.partitioning.make_decomposition` on a
-    standard case (``n_jobs=None`` uses the resolved default)."""
+    standard case."""
     sc = standard_scenario(
         name,
         domains,
@@ -102,7 +98,6 @@ def cached_decomposition(
         strategy=strategy,
         scale=scale,
         seed=seed,
-        n_jobs=n_jobs,
     )
     return Pipeline().run(sc, through="partition").decomp
 
@@ -114,7 +109,6 @@ def cached_task_graph(
     strategy: str,
     scale: int | None = None,
     seed: int = 0,
-    n_jobs: int | None = None,
 ):
     """Store-backed task graph for a standard case + decomposition."""
     sc = standard_scenario(
@@ -124,7 +118,6 @@ def cached_task_graph(
         strategy=strategy,
         scale=scale,
         seed=seed,
-        n_jobs=n_jobs,
     )
     return Pipeline().run(sc, through="taskgraph").dag
 

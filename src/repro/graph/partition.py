@@ -26,15 +26,13 @@ matches afresh: each further restriction cost cut and makespan
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..resilience.errors import PartitionQualityError
-from ..util.forkpool import can_fork_pool
+from ..util import forkpool
 from .bisect import coarsen, inherit_levels, multilevel_bisect
 from .contracts import (
     apportion_parts,
@@ -49,18 +47,6 @@ from .csr import CSRGraph
 from .metrics import edge_cut, imbalance
 
 __all__ = ["PartitionResult", "partition_graph", "recursive_bisection"]
-
-
-def _resolve_n_jobs(n_jobs: int | None) -> int:
-    """Normalize an ``n_jobs`` argument: ``None`` or ``-1`` → one
-    worker per CPU, other values are used as-is (minimum 1).
-
-    Environment and CLI values are parsed once, by
-    :func:`repro.pipeline.jobs.resolve_n_jobs`.
-    """
-    if n_jobs is None or n_jobs < 0:
-        return max(1, os.cpu_count() or 1)
-    return max(1, n_jobs)
 
 
 #: Below this many vertices ``executor="auto"`` runs the tree inline:
@@ -79,14 +65,10 @@ def _use_pool(executor: str | None, num_vertices: int, n_jobs: int) -> bool:
     :func:`~repro.util.forkpool.can_fork_pool` allows a pool of
     ``n_jobs`` workers.
     """
-    executor = (executor or "auto").lower()
-    if executor not in ("auto", "process"):
-        raise ValueError(
-            f"unknown executor {executor!r} (expected 'auto' or 'process')"
-        )
     return (
-        executor == "process" or num_vertices >= _POOL_MIN_VERTICES
-    ) and can_fork_pool(n_jobs)
+        forkpool.resolve_executor(executor) == "process"
+        or num_vertices >= _POOL_MIN_VERTICES
+    ) and forkpool.can_fork_pool(n_jobs)
 
 
 @dataclass
@@ -178,18 +160,6 @@ _Node = tuple[
 ]
 
 
-#: The root graph of the pool this process works for, set by
-#: :func:`_init_worker` in each pool worker.  A worker is forked from
-#: the partitioning process, so it inherits the graph copy-on-write:
-#: the graph is never pickled or written out.
-_WORKER_GRAPH: CSRGraph | None = None
-
-
-def _init_worker(g: CSRGraph) -> None:
-    global _WORKER_GRAPH
-    _WORKER_GRAPH = g
-
-
 def _tree_node(
     g: CSRGraph | None,
     vertices: np.ndarray | None,
@@ -204,7 +174,8 @@ def _tree_node(
 
     The single node function of both execution modes: the inline stack
     passes the root graph ``g``, and a pool task passes ``None`` and
-    reads the graph its worker inherited (the task payload is the
+    reads the graph its worker inherited at fork
+    (:func:`~repro.util.forkpool.inherited`; the task payload is the
     vertex subset and the inherited hierarchy, never the graph).  The
     root (``vertices=None``) is bisected on the graph itself instead of
     on an identity ``subgraph`` copy.  A node coarsens along
@@ -217,7 +188,7 @@ def _tree_node(
     place in the tree and the root seed alone.
     """
     if g is None:
-        g = _WORKER_GRAPH
+        (g,) = forkpool.inherited()
     k0 = (k + 1) // 2
     sub = g if vertices is None else g.subgraph(vertices)[0]
     levels = coarsen(sub, rng, inherit=inherit)
@@ -267,12 +238,14 @@ def recursive_bisection(
     vertices, which match only where it stalls or runs out (see
     :func:`~repro.graph.bisect.coarsen`).  The two halves of a
     split are independent subproblems, so they run on ``n_jobs``
-    workers (``None``/``-1`` = one per CPU), and the labels depend on
-    ``rng``'s seed alone — not on the worker count or the scheduling
-    order.  A power-of-two tree is a prefix of a deeper
-    one: ``k0/k`` is ½ at every node, so on a connected graph whose
-    per-level tolerance is the same (the 1.01 floor from 32 parts on),
-    ``2**j`` parts are the ``2**8`` labels shifted right by ``8 - j``.
+    workers (resolved by :func:`~repro.util.forkpool.resolve_n_jobs`:
+    ``None`` reads the pinned count, then ``REPRO_N_JOBS``, then one
+    per CPU), and the labels depend on ``rng``'s seed alone — not on
+    the worker count or the scheduling order.  A power-of-two tree is
+    a prefix of a deeper one: ``k0/k`` is ½ at every node, so on a
+    connected graph whose per-level tolerance is the same (the 1.01
+    floor from 32 parts on), ``2**j`` parts are the ``2**8`` labels
+    shifted right by ``8 - j``.
 
     The workers are processes forked from this one, and each inherits
     ``g`` at fork rather than receiving a copy.  ``executor`` is
@@ -292,7 +265,7 @@ def recursive_bisection(
     # No tree level has more than ``nparts // 2`` nodes to split, so a
     # larger pool only idles (and at two or three parts the splits are
     # sequential: one worker, inline).
-    n_jobs = min(_resolve_n_jobs(n_jobs), nparts // 2)
+    n_jobs = min(forkpool.resolve_n_jobs(n_jobs), nparts // 2)
     # ``nparts >= 2`` here, so the root is never a leaf.
     root: _Node = (None, 0, nparts, 0, rng, None)
 
@@ -314,12 +287,7 @@ def recursive_bisection(
             stack.extend(inner(_tree_node(g, *stack.pop(), level_tol)))
         return part
 
-    with ProcessPoolExecutor(
-        max_workers=n_jobs,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(g,),
-    ) as pool:
+    with forkpool.fork_pool(n_jobs, g) as pool:
         pending = {pool.submit(_tree_node, None, *root, level_tol)}
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
@@ -446,9 +414,11 @@ def partition_graph(
         partitioning tie-breaks.
     n_jobs:
         Workers for the independent halves of recursive bisection
-        (``None``/``-1`` = one per CPU, ``1`` = inline).  Does not
-        affect the labels: every tree node owns a generator spawned
-        from its parent's (see :func:`recursive_bisection`).
+        (``None``: the pinned count, ``REPRO_N_JOBS`` or one per CPU,
+        by :func:`~repro.util.forkpool.resolve_n_jobs`; ``-1`` = one
+        per CPU; ``1`` = inline).  Does not affect the labels: every
+        tree node owns a generator spawned from its parent's (see
+        :func:`recursive_bisection`).
     executor:
         How the tree runs with ``n_jobs > 1``: ``"auto"``/``None``
         (inline on small graphs, forked processes above a measured

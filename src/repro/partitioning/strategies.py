@@ -75,7 +75,6 @@ def sc_oc_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    n_jobs: int | None = None,
     index_dtype=None,
     strict: bool = False,
 ) -> np.ndarray:
@@ -90,7 +89,6 @@ def sc_oc_partition(
         num_domains,
         seed=seed,
         imbalance_tol=imbalance_tol,
-        n_jobs=n_jobs,
         coords=mesh.cell_centers,
         strict=strict,
     ).part
@@ -103,7 +101,6 @@ def mc_tl_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    n_jobs: int | None = None,
     index_dtype=None,
     strict: bool = False,
 ) -> np.ndarray:
@@ -121,7 +118,6 @@ def mc_tl_partition(
         num_domains,
         seed=seed,
         imbalance_tol=imbalance_tol,
-        n_jobs=n_jobs,
         coords=mesh.cell_centers,
         strict=strict,
     ).part
@@ -135,7 +131,6 @@ def dual_phase_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    n_jobs: int | None = None,
     strict: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dual-phase partitioning (paper §VII perspective).
@@ -155,7 +150,6 @@ def dual_phase_partition(
         num_processes,
         seed=seed,
         imbalance_tol=imbalance_tol,
-        n_jobs=n_jobs,
         strict=strict,
     )
     cost = operating_costs(tau)
@@ -177,7 +171,6 @@ def dual_phase_partition(
             domains_per_process,
             seed=seed + 1 + p,
             imbalance_tol=imbalance_tol,
-            n_jobs=n_jobs,
             coords=mesh.cell_centers[mapping],
             strict=strict,
         ).part
@@ -271,7 +264,6 @@ def make_decomposition(
     strategy: str = "SC_OC",
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    n_jobs: int | None = None,
     index_dtype=None,
     strict: bool = False,
 ) -> DomainDecomposition:
@@ -280,9 +272,9 @@ def make_decomposition(
     ``strategy`` is one of :data:`STRATEGIES` (``"SC_OC"``,
     ``"MC_TL"``, ``"RCB"``, ``"SFC"``) or ``"DUAL"`` for the dual-phase
     scheme (which requires ``num_domains`` to be a multiple of
-    ``num_processes``).  ``n_jobs`` and ``index_dtype`` (dual-graph
-    ``adjncy`` narrowing, e.g. ``"auto"``) are forwarded
-    to the graph partitioner for the strategies that use them, and
+    ``num_processes``).  ``index_dtype`` (dual-graph ``adjncy``
+    narrowing, e.g. ``"auto"``) is forwarded to the graph partitioner
+    for the strategies that use it, and
     ``strict=True`` makes the graph strategies raise
     :class:`~repro.resilience.errors.PartitionQualityError` instead of
     degrading through the fallback chain.
@@ -299,7 +291,6 @@ def make_decomposition(
             num_domains // num_processes,
             seed=seed,
             imbalance_tol=imbalance_tol,
-            n_jobs=n_jobs,
             strict=strict,
         )
         return DomainDecomposition(
@@ -323,7 +314,6 @@ def make_decomposition(
             num_domains,
             seed=seed,
             imbalance_tol=imbalance_tol,
-            n_jobs=n_jobs,
             index_dtype=index_dtype,
             strict=strict,
         )

@@ -18,6 +18,7 @@ and the campaign driver:
 * the scenario registry (:mod:`repro.pipeline.registry`).
 """
 
+from ..util.forkpool import resolve_n_jobs
 from .config import (
     NUM_LEVELS,
     LevelConfig,
@@ -28,7 +29,6 @@ from .config import (
     TaskGraphConfig,
 )
 from .hashing import canonical_json, config_digest, stage_digest
-from .jobs import resolve_n_jobs, set_default_n_jobs
 from .plan import StagePlan, StageTask, compile_plan
 from .registry import SCENARIOS, get_scenario, paper_configs
 from .runner import (
@@ -76,7 +76,6 @@ __all__ = [
     "config_digest",
     "stage_digest",
     "resolve_n_jobs",
-    "set_default_n_jobs",
     "SCENARIOS",
     "get_scenario",
     "paper_configs",

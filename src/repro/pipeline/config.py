@@ -64,8 +64,9 @@ class PartitionConfig:
     strategy: str = "SC_OC"
     seed: int = 0
     imbalance_tol: float = 1.05
-    #: The bisection tree's worker count (``None``: resolved by
-    #: :func:`repro.pipeline.jobs.resolve_n_jobs` when the stage runs);
+    #: The bisection tree's worker count, pinned for the partition when
+    #: the stage runs (``None``: the pinned count, ``REPRO_N_JOBS`` or
+    #: one per CPU; see :func:`repro.util.forkpool.resolve_n_jobs`);
     #: left out of the content address.
     n_jobs: int | None = field(default=None, metadata={"digest": False})
 
@@ -117,7 +118,6 @@ class Scenario:
         scheme: str = "euler",
         iterations: int = 1,
         imbalance_tol: float = 1.05,
-        n_jobs: int | None = None,
     ) -> "Scenario":
         """Scenario on a named replica mesh with the paper's level
         caps (Table I) applied automatically."""
@@ -130,7 +130,6 @@ class Scenario:
                 strategy=strategy,
                 seed=seed,
                 imbalance_tol=imbalance_tol,
-                n_jobs=n_jobs,
             ),
             taskgraph=TaskGraphConfig(scheme=scheme, iterations=iterations),
             schedule=ScheduleConfig(

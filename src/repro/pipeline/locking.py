@@ -45,6 +45,8 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable
 
+from ..util.fsjson import read_json
+
 __all__ = [
     "FileLock",
     "Lease",
@@ -184,11 +186,7 @@ def pid_alive(pid: int) -> bool:
 
 def read_claim(path: str | Path) -> dict[str, Any] | None:
     """The claim record at ``path`` (``None`` if absent/unreadable)."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    return data if isinstance(data, dict) else None
+    return read_json(path)
 
 
 def claim_is_stale(claim: dict[str, Any], ttl: float) -> bool:

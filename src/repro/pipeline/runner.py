@@ -23,8 +23,8 @@ from ..flusim.trace import Trace
 from ..mesh.structures import Mesh
 from ..partitioning import DomainDecomposition
 from ..taskgraph.dag import TaskDAG
+from ..util.forkpool import pinned_n_jobs, resolve_n_jobs
 from .config import Scenario
-from .jobs import pinned_n_jobs, resolve_n_jobs
 from .plan import StagePlan, compile_plan
 from .scheduler import DagScheduler, PlanResult
 from .stages import STAGE_ORDER
@@ -144,9 +144,9 @@ class Pipeline:
         enabled the disk layer).
     n_jobs:
         Worker count for the partition stage's bisection tree; resolved
-        *once* here (explicit → process default → ``REPRO_N_JOBS`` →
-        one per CPU) and pinned for this pipeline's runs
-        (:func:`~repro.pipeline.jobs.pinned_n_jobs`) unless a
+        *once* here (explicit → pinned → ``REPRO_N_JOBS`` → one per
+        CPU) and pinned for this pipeline's runs
+        (:func:`~repro.util.forkpool.pinned_n_jobs`) unless a
         scenario's ``PartitionConfig.n_jobs`` names its own.  It is not
         part of any content address: the labels are the same for every
         count (see :func:`repro.graph.partition.recursive_bisection`),
@@ -261,12 +261,12 @@ def run_batch(
     Chains sharing a prefix (same mesh/levels configs, say, differing
     only in partition seed) collapse onto shared plan nodes: each
     shared stage executes exactly once, and the scenarios that didn't
-    run it record ``"shared"`` provenance.  ``n_jobs`` bounds the
-    scheduler's pool, resolved by
-    :func:`~repro.pipeline.jobs.resolve_n_jobs` (``None``: the pinned
-    count, then ``REPRO_N_JOBS``, then one worker per CPU): each round
+    run it record ``"shared"`` provenance.  ``n_jobs`` is resolved
+    once by :func:`~repro.util.forkpool.resolve_n_jobs` (``None``: the
+    pinned count, then ``REPRO_N_JOBS``, then one worker per CPU) and
+    pinned for the batch, as :class:`Pipeline` pins its own: each round
     of ready nodes runs its misses on that many forked workers, while
-    partition nodes run here on their own bisection-tree pool.  The
+    partition nodes run here on a bisection tree of that many.  The
     records, and the cache keys, are the same for every count and
     match the single-scenario runs users launch interactively.  Fully
     cached scenarios short-circuit to store lookups and start no pool.
@@ -276,10 +276,8 @@ def run_batch(
         return []
     jobs = resolve_n_jobs(n_jobs)
     plan = compile_plan(scenarios, through=through)
-    scheduler = DagScheduler(
-        store, max_workers=min(jobs, len(scenarios))
-    )
-    result = scheduler.execute(plan)
+    with pinned_n_jobs(jobs):
+        result = DagScheduler(store, max_workers=jobs).execute(plan)
     return [
         _record_from_plan(plan, result, j)
         for j in range(len(scenarios))

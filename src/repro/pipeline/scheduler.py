@@ -14,13 +14,16 @@ multi-job plan a failure in one job's unshared suffix cannot touch jobs
 whose chains avoid that node — failure isolation falls out of the graph
 structure.
 
-``max_workers == 1`` runs a serial inline loop: this is the path
-``Pipeline.run`` takes for a single scenario.  ``max_workers > 1`` runs
-the plan in rounds, each over every node ready at its start.  Memory
-and disk hits resolve in this process, and so do partition nodes, whose
+One loop runs every plan, in rounds.  Where no pool may start
+(:func:`~repro.util.forkpool.can_fork_pool`: one worker, as
+``Pipeline.run`` asks, or a daemonic serve job child), a round is the
+one node on top of the ready heap, run here through
+:func:`execute_stage`, so nodes run one at a time in critical-path
+order.  Otherwise a round is every node ready at its start.  Memory and
+disk hits resolve in this process, and so do partition nodes, whose
 bisection tree keeps its own pool.  Two or more remaining misses run on
 one pool of processes forked for the round
-(:func:`~repro.util.forkpool.can_fork_pool`): the workers inherit every
+(:func:`~repro.util.forkpool.fork_pool`): the workers inherit every
 upstream object computed so far, so nothing is pickled on the way in,
 and each returns the stage's ``pack()``, which this process
 ``unpack()``s into its memory layer as on a disk hit.  A node that
@@ -31,15 +34,13 @@ inline.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, as_completed
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Sequence
 
-from ..util.forkpool import can_fork_pool
+from ..util import forkpool
 from .hashing import canonical_json, stage_digest
-from .jobs import resolve_n_jobs
 from .plan import StagePlan, StageTask
 from .stages import STAGE_ORDER, STAGES
 from .store import ArtifactStore, StoreStats, default_store
@@ -242,31 +243,20 @@ class PlanResult:
         return any(n.state == "failed" for n in self.nodes.values())
 
 
-#: The store, plan and computed objects of the round this pool worker
-#: serves, set by :func:`_init_worker`.  A worker is forked from the
-#: scheduling process, so it inherits them copy-on-write: no upstream
-#: object is pickled on the way in.
-_WORKER_ROUND: tuple[ArtifactStore, StagePlan, dict[str, Any]] | None = None
-
-
-def _init_worker(
-    store: ArtifactStore, plan: StagePlan, objects: dict[str, Any]
-) -> None:
-    global _WORKER_ROUND
-    _WORKER_ROUND = (store, plan, objects)
-
-
 def _pool_node(
     key: str,
 ) -> tuple[tuple[dict, dict], str | None, float, dict[str, Any]]:
     """Run plan node ``key`` in a pool worker through
     :func:`execute_stage`.
 
-    Returns the stage's ``pack()`` of the object, its provenance and
-    wall time, and the store counters the run moved (this worker's
-    store is a copy, so the scheduling process adds them to its own).
+    The worker inherited the round's store, plan and computed objects
+    at fork (:func:`~repro.util.forkpool.inherited`), so no upstream
+    object is pickled on the way in.  Returns the stage's ``pack()`` of
+    the object, its provenance and wall time, and the store counters
+    the run moved (this worker's store is a copy, so the scheduling
+    process adds them to its own).
     """
-    store, plan, objects = _WORKER_ROUND  # type: ignore[misc]
+    store, plan, objects = forkpool.inherited()
     task = plan.nodes[key]
     before = replace(store.stats)
     obj, _, cache, wall = execute_stage(
@@ -299,8 +289,9 @@ class DagScheduler:
         process-wide store).
     max_workers:
         Bound on concurrently running nodes (``-1``: one per CPU).
-        The default, ``1``, executes inline; more run each round's
-        misses on a forked pool (see the module docstring).
+        The default, ``1``, executes inline, one node at a time; more
+        run each round's misses on a forked pool (see the module
+        docstring).
     on_node:
         Optional callback invoked, in the calling process, with each
         terminal :class:`NodeResult` whose state is ``done`` or
@@ -322,7 +313,7 @@ class DagScheduler:
         should_stop: Callable[[], bool] | None = None,
     ) -> None:
         self.store = store if store is not None else default_store()
-        self.max_workers = resolve_n_jobs(max_workers)
+        self.max_workers = forkpool.resolve_n_jobs(max_workers)
         self.on_node = on_node
         self.should_stop = should_stop
 
@@ -450,14 +441,20 @@ class DagScheduler:
         objects: dict[str, Any],
         keys: list[str],
         settle: Callable[[NodeResult], None],
+        pooled: bool,
     ) -> bool:
-        """Run one round of ready nodes; returns whether to stop."""
+        """Run one round of ready nodes; returns whether to stop.
+
+        Without ``pooled`` every node runs here through
+        :func:`execute_stage`; with it, store hits and partitions run
+        here and the misses left go to a pool when two or more remain.
+        """
         misses: list[StageTask] = []
         for key in keys:
             if self._stopping():
                 return True
             task = plan.nodes[key]
-            if task.stage == "partition":
+            if not pooled or task.stage == "partition":
                 settle(self._run_node(task, objects))
                 continue
             node = self._hit(task, objects)
@@ -465,8 +462,10 @@ class DagScheduler:
                 misses.append(task)
             else:
                 settle(node)
+        if not misses:
+            return False
         workers = min(self.max_workers, len(misses))
-        if not can_fork_pool(workers):
+        if not forkpool.can_fork_pool(workers):
             for task in misses:
                 if self._stopping():
                     return True
@@ -475,12 +474,7 @@ class DagScheduler:
         if self._stopping():
             return True
         stopped = False
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(self.store, plan, objects),
-        ) as pool:
+        with forkpool.fork_pool(workers, self.store, plan, objects) as pool:
             inflight: dict[Future, StageTask] = {}
             for task in misses:
                 stopped = self._stopping()
@@ -528,17 +522,18 @@ class DagScheduler:
                 self._skip_dependents(plan, result, node.key)
             self._notify(node)
 
-        if self.max_workers == 1:
-            while ready:
-                if self.should_stop is not None and self.should_stop():
-                    break
-                _, _, key = heapq.heappop(ready)
-                settle(self._run_node(plan.nodes[key], objects))
-        else:
-            while ready:
-                keys = [heapq.heappop(ready)[2] for _ in range(len(ready))]
-                if self._round(plan, objects, keys, settle):
-                    break
+        # Without a pool a round is the node on top of the heap, so a
+        # node that becomes ready can overtake the rest in
+        # critical-path order, and no node is looked up twice.
+        pooled = forkpool.can_fork_pool(self.max_workers)
+        while ready:
+            keys = (
+                [heapq.heappop(ready)[2] for _ in range(len(ready))]
+                if pooled
+                else [heapq.heappop(ready)[2]]
+            )
+            if self._round(plan, objects, keys, settle, pooled):
+                break
 
         for key, task in plan.nodes.items():
             if key not in result.nodes:

@@ -35,7 +35,7 @@ from ..taskgraph.dag import TaskDAG
 from ..taskgraph.generation import generate_task_graph
 from ..taskgraph.task import TaskArrays
 from ..temporal import levels_from_depth
-from .jobs import resolve_n_jobs
+from ..util.forkpool import pinned_n_jobs
 from .config import (
     LevelConfig,
     MeshConfig,
@@ -146,19 +146,19 @@ class PartitionStage:
     def compute(
         config: PartitionConfig, mesh: Mesh, tau: np.ndarray
     ) -> DomainDecomposition:
-        # The worker count is resolved here, when the stage runs, and
-        # kept OUT of the content address: the labels are the same for
-        # every count.
-        return make_decomposition(
-            mesh,
-            tau,
-            config.domains,
-            config.processes,
-            strategy=config.strategy,
-            seed=config.seed,
-            imbalance_tol=config.imbalance_tol,
-            n_jobs=resolve_n_jobs(config.n_jobs),
-        )
+        # A worker count named in the config is pinned for the
+        # partition and kept OUT of the content address: the labels
+        # are the same for every count.
+        with pinned_n_jobs(config.n_jobs):
+            return make_decomposition(
+                mesh,
+                tau,
+                config.domains,
+                config.processes,
+                strategy=config.strategy,
+                seed=config.seed,
+                imbalance_tol=config.imbalance_tol,
+            )
 
     @staticmethod
     def pack(

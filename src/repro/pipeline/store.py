@@ -82,6 +82,7 @@ from typing import Any
 
 import numpy as np
 
+from ..util.fsjson import read_json
 from .locking import (
     FileLock,
     Lease,
@@ -487,11 +488,7 @@ class ArtifactStore:
         if self.root is None:
             return None
         _, json_path = self._paths(stage, digest)
-        try:
-            data = json.loads(json_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        return data if isinstance(data, dict) else None
+        return read_json(json_path)
 
     # -- cross-process claims ------------------------------------------
     def claim(self, stage: str, digest: str) -> Lease | None:

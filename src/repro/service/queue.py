@@ -166,8 +166,6 @@ def _atomic_json(path: Path, payload: dict[str, Any]) -> None:
     atomic_write_json(path, payload, indent=1, sort_keys=True)
 
 
-_read_json = read_json
-
 
 @dataclass(frozen=True)
 class QueueLimits:
@@ -285,7 +283,7 @@ class SpoolQueue:
                 return job_id
         entry = self._job_path("deadletter", job_id)
         if entry.exists():
-            record = _read_json(entry) or {}
+            record = read_json(entry) or {}
             raise CircuitOpenError(
                 job_id, str(entry), reason=record.get("error_kind")
             )
@@ -301,7 +299,7 @@ class SpoolQueue:
     def resubmit(self, job_id: str) -> bool:
         """Move a failed job back to pending (retry after a fix)."""
         src = self._job_path("failed", job_id)
-        record = _read_json(src)
+        record = read_json(src)
         if record is None:
             return False
         fresh = {
@@ -346,7 +344,7 @@ class SpoolQueue:
                 continue  # another daemon won this one
             except OSError:
                 continue
-            record = _read_json(target)
+            record = read_json(target)
             if record is None or "request" not in record:
                 # Unreadable request: fail it with evidence rather
                 # than looping on it forever.
@@ -407,7 +405,7 @@ class SpoolQueue:
         never lost.
         """
         src = self._job_path("running", job_id)
-        record = _read_json(src)
+        record = read_json(src)
         if record is None:
             return False
         fresh = {
@@ -450,7 +448,7 @@ class SpoolQueue:
                 if path.name.endswith(".status.json"):
                     continue
                 job_id = path.stem
-                status = _read_json(self._status_path(job_id))
+                status = read_json(self._status_path(job_id))
                 pid = (status or {}).get("worker", {}).get("daemon_pid")
                 if (
                     pid is not None
@@ -509,13 +507,13 @@ class SpoolQueue:
 
     def deadletter_show(self, job_id: str) -> dict[str, Any] | None:
         """The full forensic record of one dead-lettered job."""
-        record = _read_json(self._job_path("deadletter", job_id))
+        record = read_json(self._job_path("deadletter", job_id))
         if record is None:
             return None
         bundle = self._bundle_path(job_id)
         if bundle.is_dir():
             record["bundle"] = {
-                p.name: _read_json(p) for p in sorted(bundle.glob("*.json"))
+                p.name: read_json(p) for p in sorted(bundle.glob("*.json"))
             }
         return record
 
@@ -527,7 +525,7 @@ class SpoolQueue:
         dead-lettered digest becomes runnable again.
         """
         src = self._job_path("deadletter", job_id)
-        record = _read_json(src)
+        record = read_json(src)
         if record is None:
             return False
         fresh = {
@@ -585,7 +583,7 @@ class SpoolQueue:
         return None
 
     def _probe(self, job_id: str) -> JobStatus | None:
-        record = _read_json(self._job_path("pending", job_id))
+        record = read_json(self._job_path("pending", job_id))
         if record is not None:
             return JobStatus(
                 job_id=job_id,
@@ -594,11 +592,11 @@ class SpoolQueue:
                 submitted_at=float(record.get("submitted_at") or 0.0),
             )
         if self._job_path("running", job_id).exists():
-            data = _read_json(self._status_path(job_id))
+            data = read_json(self._status_path(job_id))
             if data is not None:
                 data.setdefault("state", "running")
                 return JobStatus.from_dict(data)
-            record = _read_json(self._job_path("running", job_id)) or {}
+            record = read_json(self._job_path("running", job_id)) or {}
             return JobStatus(
                 job_id=job_id,
                 state="running",
@@ -606,7 +604,7 @@ class SpoolQueue:
                 submitted_at=float(record.get("submitted_at") or 0.0),
             )
         for state in TERMINAL_STATES:
-            data = _read_json(self._job_path(state, job_id))
+            data = read_json(self._job_path(state, job_id))
             if data is not None:
                 data.setdefault("state", state)
                 return JobStatus.from_dict(data)
@@ -671,7 +669,7 @@ def stale_spool_files(root: str | Path) -> list[Path]:
         if not running.exists():
             stale.append(workdir)
             continue
-        status = _read_json(queue._status_path(job_id))
+        status = read_json(queue._status_path(job_id))
         pid = (status or {}).get("worker", {}).get("daemon_pid")
         if pid is None:
             continue  # claimed but unattributed yet: assume live

@@ -8,8 +8,9 @@ two calls leaves only attributable tmp litter (reclaimed by ``repro gc
 old file or the new one, atomically.
 
 The reader side is equally deliberate: a missing, unreadable, corrupt
-or non-object JSON file reads as ``None`` — torn concurrent state is a
-normal observation in the spool protocol, not an error.
+(undecodable bytes included) or non-object JSON file reads as ``None``
+— torn concurrent state is a normal observation in the spool protocol,
+not an error.
 """
 
 from __future__ import annotations
@@ -50,6 +51,6 @@ def read_json(path: Path | str) -> dict[str, Any] | None:
     unreadable, corrupt, or not a JSON object."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # JSON or UTF-8 decoding errors
         return None
     return data if isinstance(data, dict) else None

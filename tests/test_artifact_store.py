@@ -236,6 +236,13 @@ class TestSelfHealing:
             rec = pipe.run(SCENARIO, through="partition")
         assert not rec.provenance["partition"].hit
 
+    def test_undecodable_sidecar_reads_as_none(self, disk_store):
+        _, _, sidecar = self._one_artifact(disk_store)
+        digest = sidecar.stem
+        assert disk_store.sidecar("partition", digest) is not None
+        sidecar.write_bytes(b'{"stage": "\xff"}')
+        assert disk_store.sidecar("partition", digest) is None
+
 
 class TestRoundTrip:
     def test_mc_tl_partition_bit_for_bit(self, disk_store):

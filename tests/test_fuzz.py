@@ -128,14 +128,17 @@ def _per_cpu() -> int:
 
 
 class TestNJobsParsing:
-    """``REPRO_N_JOBS`` is parsed in one place,
-    :func:`repro.pipeline.resolve_n_jobs`; unset, empty or unparsable
-    means one worker per CPU."""
+    """The worker count is resolved in one place,
+    :func:`repro.util.forkpool.resolve_n_jobs` (importable as
+    :func:`repro.pipeline.resolve_n_jobs`): explicit, then pinned, then
+    ``REPRO_N_JOBS``, then one worker per CPU; unset, empty or
+    unparsable means one worker per CPU."""
 
-    def test_resolve_n_jobs_invalid_string_warns(self, monkeypatch):
+    @pytest.mark.parametrize("raw", ["bananas", "not-a-number"])
+    def test_env_var_invalid_warns(self, monkeypatch, raw):
         from repro.pipeline import resolve_n_jobs
 
-        monkeypatch.setenv("REPRO_N_JOBS", "bananas")
+        monkeypatch.setenv("REPRO_N_JOBS", raw)
         with pytest.warns(RuntimeWarning, match="invalid REPRO_N_JOBS"):
             assert resolve_n_jobs() == _per_cpu()
         # An explicit count never reads the environment.
@@ -143,26 +146,14 @@ class TestNJobsParsing:
             warnings.simplefilter("error")
             assert resolve_n_jobs(3) == 3
 
-    def test_resolve_n_jobs_valid_string(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "raw, want", [("3", 3), (" 2 ", 2), ("4", 4)], ids=["3", "padded", "4"]
+    )
+    def test_env_var_valid(self, monkeypatch, raw, want):
         from repro.pipeline import resolve_n_jobs
 
-        monkeypatch.setenv("REPRO_N_JOBS", "3")
-        assert resolve_n_jobs() == 3
-        monkeypatch.setenv("REPRO_N_JOBS", " 2 ")
-        assert resolve_n_jobs() == 2
-
-    def test_env_var_invalid_warns(self, monkeypatch):
-        from repro.pipeline import resolve_n_jobs
-
-        monkeypatch.setenv("REPRO_N_JOBS", "not-a-number")
-        with pytest.warns(RuntimeWarning, match="REPRO_N_JOBS"):
-            assert resolve_n_jobs() == _per_cpu()
-
-    def test_env_var_valid(self, monkeypatch):
-        from repro.pipeline import resolve_n_jobs
-
-        monkeypatch.setenv("REPRO_N_JOBS", "4")
-        assert resolve_n_jobs() == 4
+        monkeypatch.setenv("REPRO_N_JOBS", raw)
+        assert resolve_n_jobs() == want
 
     def test_env_var_empty(self, monkeypatch):
         from repro.pipeline import resolve_n_jobs
@@ -171,6 +162,61 @@ class TestNJobsParsing:
         assert resolve_n_jobs() == _per_cpu()
         monkeypatch.delenv("REPRO_N_JOBS")
         assert resolve_n_jobs() == _per_cpu()
+
+    def test_resolution_order(self, monkeypatch):
+        from repro.util.forkpool import pinned_n_jobs, resolve_n_jobs
+
+        monkeypatch.delenv("REPRO_N_JOBS", raising=False)
+        assert resolve_n_jobs() == _per_cpu()
+        monkeypatch.setenv("REPRO_N_JOBS", "5")
+        assert resolve_n_jobs() == 5
+        with pinned_n_jobs(3):
+            assert resolve_n_jobs() == 3
+            assert resolve_n_jobs(2) == 2
+        assert resolve_n_jobs(2) == 2
+
+    def test_minus_one_is_one_per_cpu(self, monkeypatch):
+        from repro.util.forkpool import pinned_n_jobs, resolve_n_jobs
+
+        monkeypatch.setenv("REPRO_N_JOBS", "-1")
+        assert resolve_n_jobs() == _per_cpu()
+        monkeypatch.setenv("REPRO_N_JOBS", "2")
+        assert resolve_n_jobs(-1) == _per_cpu()
+        with pinned_n_jobs(-1):
+            assert resolve_n_jobs() == _per_cpu()
+
+    def test_nested_pin_restores_on_exit(self, monkeypatch):
+        from repro.util.forkpool import pinned_n_jobs, resolve_n_jobs
+
+        monkeypatch.setenv("REPRO_N_JOBS", "5")
+        with pinned_n_jobs(2):
+            with pinned_n_jobs(3):
+                assert resolve_n_jobs() == 3
+            assert resolve_n_jobs() == 2
+            # ``None`` keeps the pin in force (a config naming no count).
+            with pinned_n_jobs(None):
+                assert resolve_n_jobs() == 2
+            with pytest.raises(RuntimeError):
+                with pinned_n_jobs(4):
+                    raise RuntimeError("the pin is undone on an error")
+            assert resolve_n_jobs() == 2
+        assert resolve_n_jobs() == 5
+
+    def test_cli_pin_ends_with_the_command(self, monkeypatch):
+        # ``--jobs`` holds for one command only: it sets no process
+        # default that a later call would read.
+        from repro.cli import main
+        from repro.pipeline import resolve_n_jobs
+
+        monkeypatch.setenv("REPRO_N_JOBS", "5")
+        seen = []
+        monkeypatch.setattr(
+            "repro.experiments.registry.run_experiment",
+            lambda name, scale=None: seen.append(resolve_n_jobs()) or "",
+        )
+        assert main(["experiment", "fig08", "--jobs", "1"]) == 0
+        assert seen == [1]
+        assert resolve_n_jobs() == 5
 
 
 class TestCheckpointFallback:

@@ -1,8 +1,9 @@
 """Tests for the paper-scale tier.
 
 Two surfaces: the process pool parallel recursive bisection forks
-(its workers inherit the graph instead of receiving it), and the
-int32/float32 storage narrowing with dtype provenance.
+(its workers inherit the graph instead of receiving it, and its size
+follows the one worker-count rule), and the int32/float32 storage
+narrowing with dtype provenance.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.graph.metrics import edge_cut
 from repro.graph.partition import partition_graph, recursive_bisection
 from repro.mesh.dual import mesh_to_dual_graph
 from repro.mesh.generators import uniform_mesh
+from repro.util import forkpool
 
 
 @pytest.fixture(scope="module")
@@ -55,17 +57,38 @@ def narrow_graph(seed: int = 0, n: int = 120) -> CSRGraph:
     return CSRGraph(xadj, adjncy, vwgt=vwgt, adjwgt=adjwgt)
 
 
+def counting_fork_pool(started: list[int]):
+    """The one pool constructor, :func:`repro.util.forkpool.fork_pool`,
+    wrapped to append to ``started`` the worker count of every
+    bisection-tree pool it builds.  A tree pool is told from a
+    scheduler round pool by what is submitted to it: tree nodes,
+    through ``_tree_node``.  It is counted at its first submit, which
+    is when its workers fork."""
+    real = forkpool.fork_pool
+
+    def spy(workers, *inherited):
+        pool = real(workers, *inherited)
+        submit = pool.submit
+        counted = False
+
+        def counting_submit(fn, *args):
+            nonlocal counted
+            if fn is partition_mod._tree_node and not counted:
+                counted = True
+                started.append(workers)
+            return submit(fn, *args)
+
+        pool.submit = counting_submit
+        return pool
+
+    return spy
+
+
 def _partition_as_daemon(g, conn):
     """Daemonic-child body: the default partition, counting the
     process pools it starts."""
-    started = []
-
-    class CountingPool(partition_mod.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(1)
-            super().__init__(*args, **kwargs)
-
-    partition_mod.ProcessPoolExecutor = CountingPool
+    started: list[int] = []
+    forkpool.fork_pool = counting_fork_pool(started)
     assert multiprocessing.current_process().daemon
     conn.send((partition_graph(g, 8, seed=3).part, len(started)))
 
@@ -81,12 +104,7 @@ class TestParallelBisection:
         # Workers inherit the root graph at fork: a task carries a
         # vertex subset and a hierarchy, never a CSRGraph.
         want = partition_graph(dual_graph, 8, seed=3, n_jobs=1).part
-        pools = []
-
-        class CountingPool(partition_mod.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(1)
-                super().__init__(*args, **kwargs)
+        pools: list[int] = []
 
         def refuse(self, *args):
             raise AssertionError("a CSRGraph was pickled")
@@ -94,11 +112,9 @@ class TestParallelBisection:
         monkeypatch.setattr(CSRGraph, "__reduce__", refuse)
         monkeypatch.setattr(CSRGraph, "__reduce_ex__", refuse)
         monkeypatch.setattr(partition_mod, "_POOL_MIN_VERTICES", 0)
-        monkeypatch.setattr(
-            partition_mod, "ProcessPoolExecutor", CountingPool
-        )
+        monkeypatch.setattr(forkpool, "fork_pool", counting_fork_pool(pools))
         got = partition_graph(dual_graph, 8, seed=3, n_jobs=n_jobs).part
-        assert pools == [1]
+        assert pools == [n_jobs]
         np.testing.assert_array_equal(got, want)
 
     def test_pooled_calls_from_concurrent_threads(
@@ -177,7 +193,7 @@ class TestParallelBisection:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        monkeypatch.setattr(partition_mod, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(forkpool, "fork_pool", None)
         got = partition_graph(dual_graph, 8, seed=3, n_jobs=2).part
         want = partition_graph(dual_graph, 8, seed=3, n_jobs=1).part
         np.testing.assert_array_equal(got, want)
@@ -194,6 +210,29 @@ class TestParallelBisection:
         # path: the labels, and so the cut, are the serial ones.
         np.testing.assert_array_equal(par, serial)
         assert edge_cut(dual_graph, par) == edge_cut(dual_graph, serial)
+
+    def test_direct_partition_follows_the_worker_count_rule(
+        self, dual_graph, monkeypatch
+    ):
+        # A direct call with no n_jobs resolves the count as the
+        # pipeline does: a pin (the CLI's --jobs) or REPRO_N_JOBS=1
+        # keeps the tree inline, REPRO_N_JOBS=2 starts one pool.
+        monkeypatch.setattr(partition_mod, "_POOL_MIN_VERTICES", 0)
+        started: list[int] = []
+        monkeypatch.setattr(forkpool, "fork_pool", counting_fork_pool(started))
+        monkeypatch.delenv("REPRO_N_JOBS", raising=False)
+        with forkpool.pinned_n_jobs(1):
+            pinned = partition_graph(dual_graph, 8, seed=3).part
+        assert started == []
+        monkeypatch.setenv("REPRO_N_JOBS", "1")
+        env_one = partition_graph(dual_graph, 8, seed=3).part
+        assert started == []
+        monkeypatch.setenv("REPRO_N_JOBS", "2")
+        env_two = partition_graph(dual_graph, 8, seed=3).part
+        assert started == [2]
+        assert multiprocessing.active_children() == []
+        np.testing.assert_array_equal(env_one, pinned)
+        np.testing.assert_array_equal(env_two, pinned)
 
 
 # ----------------------------------------------------------------------

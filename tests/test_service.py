@@ -99,6 +99,21 @@ class TestSpoolQueue:
         assert status.state == "failed"
         assert status.error_kind == "CorruptRequest"
 
+    def test_undecodable_request_fails_typed(self, tmp_path):
+        # A byte that is not UTF-8 reads as a corrupt record, like any
+        # other garbage, instead of raising after the claim's rename
+        # and stranding the job in running/.
+        q = SpoolQueue(tmp_path)
+        (tmp_path / "pending" / "badbytes.json").write_bytes(
+            b'{"request": "\xff"}'
+        )
+        assert q.claim_batch(4) == []
+        status = q.status("badbytes")
+        assert status is not None
+        assert status.state == "failed"
+        assert status.error_kind == "CorruptRequest"
+        assert q.jobs()["running"] == []
+
     def test_invalid_request_fails_typed(self, tmp_path):
         q = SpoolQueue(tmp_path)
         (tmp_path / "pending" / "badstage.json").write_text(
@@ -186,7 +201,7 @@ class TestSpoolQueue:
             "requeue": lambda: q.requeue(job_id),
             "resubmit": lambda: q.resubmit(job_id),
         }
-        real_read = queue_mod._read_json
+        real_read = queue_mod.read_json
         moved = []
 
         def read_then_move(path):
@@ -196,7 +211,7 @@ class TestSpoolQueue:
                 moves[move]()
             return data
 
-        monkeypatch.setattr(queue_mod, "_read_json", read_then_move)
+        monkeypatch.setattr(queue_mod, "read_json", read_then_move)
         status = q.status(job_id)
         assert moved, "the hook never fired"
         assert status is not None, f"job read None across a {move}"

@@ -42,6 +42,7 @@ from repro.pipeline.stages import (
     TaskGraphStage,
 )
 from repro.taskgraph.dag import TaskDAG
+from repro.util import forkpool
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -189,28 +190,53 @@ def compute_counters(monkeypatch, tmp_path):
     return log
 
 
-class CountingPool(scheduler_mod.ProcessPoolExecutor):
-    """The scheduler's round pool, recording every pool it starts and
-    every plan node key submitted to one."""
+class CountingPool:
+    """Spy on the one pool constructor,
+    :func:`repro.util.forkpool.fork_pool`, which the scheduler's rounds
+    and the bisection tree share.  A round pool is told from a tree
+    pool by what is submitted to it: plan node keys, through
+    ``_pool_node``.  Records the worker count of every round pool
+    (when its first node is submitted, which is when its workers
+    fork), every key submitted to one, and whether each forked from
+    the main thread with no claim heartbeat live."""
 
-    started: list[int] = []
-    submitted: list[str] = []
+    def __init__(self, real):
+        self.real = real
+        self.started: list[int] = []
+        self.submitted: list[str] = []
+        self.forked_clean: list[bool] = []
 
-    def __init__(self, *args, **kwargs):
-        CountingPool.started.append(kwargs["max_workers"])
-        super().__init__(*args, **kwargs)
+    def __call__(self, workers, *inherited):
+        pool = self.real(workers, *inherited)
+        submit = pool.submit
+        counted = False
 
-    def submit(self, fn, key):
-        CountingPool.submitted.append(key)
-        return super().submit(fn, key)
+        def counting_submit(fn, *args):
+            nonlocal counted
+            if fn is scheduler_mod._pool_node:
+                if not counted:
+                    counted = True
+                    self.started.append(workers)
+                    self.forked_clean.append(
+                        threading.current_thread()
+                        is threading.main_thread()
+                        and not any(
+                            t.name == "repro-claim-heartbeat"
+                            for t in threading.enumerate()
+                        )
+                    )
+                self.submitted.append(args[0])
+            return submit(fn, *args)
+
+        pool.submit = counting_submit
+        return pool
 
 
 @pytest.fixture
 def pool_spy(monkeypatch):
-    monkeypatch.setattr(CountingPool, "started", [])
-    monkeypatch.setattr(CountingPool, "submitted", [])
-    monkeypatch.setattr(scheduler_mod, "ProcessPoolExecutor", CountingPool)
-    return CountingPool
+    spy = CountingPool(forkpool.fork_pool)
+    monkeypatch.setattr(forkpool, "fork_pool", spy)
+    return spy
 
 
 class TestMergedExecution:
@@ -230,6 +256,7 @@ class TestMergedExecution:
         assert compute_counters["taskgraph"] == n
         assert compute_counters["schedule"] == n
         assert pool_spy.started == [2, 2]
+        assert all(pool_spy.forked_clean)
         assert multiprocessing.active_children() == []
 
     def test_partition_nodes_never_enter_the_pool(
@@ -268,6 +295,9 @@ class TestMergedExecution:
         scenarios = seed_sweep(3)
         run_batch(scenarios, store=ArtifactStore(tmp_path), n_jobs=2)
         assert pool_spy.started
+        # Partitions ran here under claims; each claim's heartbeat
+        # stopped before a round forked.
+        assert all(pool_spy.forked_clean)
         pool_spy.started.clear()
         # A fresh store on the same directory: every node is a disk
         # hit (or rides one), resolved without a pool.
