@@ -6,6 +6,10 @@ process's *strategy* picks the next ready task.  The paper's runs use
 StarPU's **eager** policy (FIFO on ready order); the alternatives here
 support the §III-C analysis that scheduling policy is *not* the root
 cause of idleness, plus ablations.
+
+The classes here define each policy and are what the seed oracle
+(:mod:`repro.flusim.reference`) runs; :func:`repro.flusim.simulate`
+keeps the same disciplines on plain containers inside its event loop.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import numpy as np
 __all__ = [
     "ReadyQueue",
     "FifoQueue",
-    "ArrayFifoQueue",
     "LifoQueue",
     "PriorityQueue",
     "RandomQueue",
@@ -58,36 +61,6 @@ class FifoQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-class ArrayFifoQueue:
-    """Array-backed eager/FIFO queue: a growing list with a pop cursor.
-
-    Equivalent to :class:`FifoQueue` **iff push ready-times are
-    non-decreasing** — then FIFO-by-(ready_time, arrival) is exactly
-    insertion order and the heap is pure overhead.  The simulator's
-    event loop pushes only at the monotonically advancing simulation
-    clock, so it satisfies the precondition and uses this queue for the
-    ``eager`` policy; external callers that push out of order must use
-    :class:`FifoQueue`.
-    """
-
-    __slots__ = ("_items", "_head")
-
-    def __init__(self) -> None:
-        self._items: list[int] = []
-        self._head = 0
-
-    def push(self, task: int, ready_time: float) -> None:
-        self._items.append(task)
-
-    def pop(self) -> int:
-        t = self._items[self._head]
-        self._head += 1
-        return t
-
-    def __len__(self) -> int:
-        return len(self._items) - self._head
 
 
 class LifoQueue:

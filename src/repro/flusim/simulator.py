@@ -19,19 +19,33 @@ real runtime.
 
 Implementation
 --------------
-The seed event loop (kept verbatim as the differential oracle in
-:mod:`repro.flusim.reference`) spent its time in NumPy *scalar*
-indexing: one fancy-index in-degree decrement and two scalar gathers
-per dependency edge, inside a Python ``for u in sa[...]`` loop.  This
-module keeps the identical event semantics with all per-event state
-(in-degrees, CSR adjacency, durations, ready times) in plain Python
-lists, whose element access is several times cheaper than NumPy scalar
-indexing; the ``eager`` policy additionally swaps the heap-based FIFO
-for :class:`~repro.flusim.schedulers.ArrayFifoQueue` (push times are
-monotone in simulation time, so FIFO order *is* insertion order).
-Cross-process communication delays are precomputed per task (a single
-vectorized α + size/β evaluation) instead of one ``comm.delay`` call
-per edge.
+One loop, :func:`_event_loop`, runs all six policies with and without
+a communication model.  The seed engine (kept verbatim as the
+differential oracle in :mod:`repro.flusim.reference`) pays a method
+call per ready-queue ``push``/``pop``/``len`` and a closure call per
+refill; here each process's ready queue is a plain container held
+inside the loop, and the refill is inlined as one ``while free and
+queue`` pop loop whose only branch is the discipline:
+
+* ``eager`` without a comm model: a deque.  Every push carries the
+  current clock, so FIFO-by-(ready time, arrival) is insertion order
+  and the oracle's heap is pure overhead;
+* ``cp``/``sjf``/``ljf``, and ``eager`` with a comm model (a message
+  arrival inside the drain epsilon can carry a later ready time than a
+  push after it): a heap of ``(key, seq, task)``, the key being the
+  negated static priority or the ready time;
+* ``lifo``: a stack; ``random``: a swap-pop driven by the same seeded
+  generator the oracle's queues share.
+
+Events are ``(time, seq, task)``.  Under a comm model a message arrival
+adds :data:`_READY` to its ``seq``, which orders it after every
+completion at the same instant, as the oracle's ``(time, kind, seq)``
+does; a sentinel at infinity keeps the heap from running empty.
+Per-event state (in-degrees, CSR adjacency, durations, ready times)
+lives in Python lists, whose element access is several times cheaper
+than NumPy scalar indexing, cross-process delays are one vectorized
+α + size/β evaluation per task, and end times are formed once, as
+``start + duration``, after the loop.
 
 Algorithm 1 emits one task per (domain, temporal level, locality,
 object type), so its DAGs are narrow (mean out-degree 2.8–8.1 on every
@@ -45,20 +59,25 @@ enforce this.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 
 import numpy as np
 
 from ..taskgraph.dag import TaskDAG
 from .cluster import ClusterConfig
 from .commmodel import CommModel
-from .schedulers import ArrayFifoQueue, make_scheduler
+from .schedulers import SCHEDULERS
 from .trace import Trace
 
 __all__ = ["simulate"]
 
-_COMPLETION = 0
-_READY = 1
+#: Added to a message arrival's event ``seq``: above every completion's.
+_READY = 1 << 62
 _EPS = 1e-15
+_END = float("inf")
+
+# Ready-queue disciplines of :func:`_event_loop`.
+_FIFO, _HEAP, _STACK, _RANDOM = range(4)
 
 
 def simulate(
@@ -99,6 +118,8 @@ def simulate(
     :class:`~repro.flusim.trace.Trace` with per-task placement and
     timing.
     """
+    if scheduler not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {scheduler!r}")
     T = dag.num_tasks
     if durations is None:
         durations = dag.tasks.cost
@@ -120,27 +141,19 @@ def simulate(
     if comm is not None and comm.is_free:
         comm = None
 
-    bottom_levels = None
+    # Heap keys: the oracle's PriorityQueue orders by -priority, with
+    # priority = bottom level (cp), cost (ljf) or -cost (sjf).
+    keys = None
     if scheduler == "cp":
-        _, bottom_levels = dag.critical_path()
-    if scheduler == "eager" and comm is None:
-        # Without READY events every push in a drain carries the same
-        # clock value, so FIFO-by-(time, arrival) == insertion order
-        # and the heap is pure overhead.  With a comm model a READY
-        # push can carry a time inside the drain epsilon, where the
-        # heap's (time, arrival) order differs — keep FifoQueue there.
-        queue_factory = ArrayFifoQueue
+        keys = (-np.asarray(dag.critical_path()[1], np.float64)).tolist()
+    elif scheduler == "ljf":
+        keys = (-np.asarray(dag.tasks.cost, np.float64)).tolist()
+    elif scheduler == "sjf":
+        keys = np.asarray(dag.tasks.cost, np.float64).tolist()
+    if keys is not None or (scheduler == "eager" and comm is not None):
+        mode = _HEAP
     else:
-        queue_factory = make_scheduler(
-            scheduler,
-            bottom_levels=bottom_levels,
-            costs=dag.tasks.cost,
-            seed=seed,
-        )
-    ready = [queue_factory() for _ in range(nproc)]
-
-    indeg = dag.in_degrees()
-    sx, sa = dag.successors_csr()
+        mode = {"eager": _FIFO, "lifo": _STACK, "random": _RANDOM}[scheduler]
 
     # Per-task cross-process delay, precomputed in one vectorized pass
     # (the seed engine re-evaluated comm.delay per dependency edge).
@@ -154,23 +167,24 @@ def simulate(
                 nobj * comm.bytes_per_object / comm.bandwidth
             )
 
+    sx, sa = dag.successors_csr()
     out_worker, out_start, out_end = _event_loop(
-        T, nproc, cluster.cores, tproc, durations, indeg, sx, sa,
-        ready, delays,
+        nproc, cluster.cores, tproc, durations, dag.in_degrees(), sx, sa,
+        mode, keys,
+        np.random.default_rng(seed) if mode == _RANDOM else None, delays,
     )
 
     return Trace(
         process=tproc.astype(np.int32).copy(),
-        worker=np.asarray(out_worker, dtype=np.int32),
-        start=np.asarray(out_start, dtype=np.float64),
-        end=np.asarray(out_end, dtype=np.float64),
+        worker=out_worker,
+        start=out_start,
+        end=out_end,
         num_processes=nproc,
         cores_per_process=cluster.cores,
     )
 
 
 def _event_loop(
-    T: int,
     nproc: int,
     cores: int,
     tproc: np.ndarray,
@@ -178,12 +192,19 @@ def _event_loop(
     indeg: np.ndarray,
     sx: np.ndarray,
     sa: np.ndarray,
-    ready: list,
+    mode: int,
+    keys: list[float] | None,
+    rng: np.random.Generator | None,
     delays: np.ndarray | None,
-) -> tuple[list[int], list[float], list[float]]:
-    """The event loop: all per-event state in Python lists."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """List-schedule the DAG: ``(worker, start, end)`` per task.
+
+    ``mode`` is the ready-queue discipline; ``keys`` the static heap
+    key per task (``None``: the ready time is the key).
+    """
     heappush = heapq.heappush
     heappop = heapq.heappop
+    T = len(durations)
     sx_l = sx.tolist()
     sa_l = sa.tolist()
     indeg_l = indeg.tolist()
@@ -192,93 +213,143 @@ def _event_loop(
     has_comm = delays is not None
     delays_l = delays.tolist() if has_comm else None
     ready_at = [0.0] * T if has_comm else None
+    heap = mode == _HEAP
     single_core = cores == 1
 
+    ready: list = [
+        deque() if mode == _FIFO else [] for _ in range(nproc)
+    ]
     free_workers: list[list[int]] = [[] for _ in range(nproc)]
     next_worker = [0] * nproc
     free_count = [cores] * nproc
 
-    out_worker = [0] * T
+    # One core per process: every worker id is 0, so none is stored.
+    out_worker = None if single_core else [0] * T
     out_start = [0.0] * T
-    out_end = [0.0] * T
 
-    events: list[tuple[float, int, int, int]] = []  # (t, kind, tiebreak, task)
-    counter = 0
-
-    def assign(p: int, now: float) -> None:
-        nonlocal counter
-        q = ready[p]
-        while free_count[p] > 0 and len(q) > 0:
-            t = q.pop()
-            if single_core:
-                w = 0
-            elif free_workers[p]:
-                w = heappop(free_workers[p])
-            else:
-                w = next_worker[p]
-                next_worker[p] += 1
-            free_count[p] -= 1
-            out_worker[t] = w
-            out_start[t] = now
-            end = now + dur_l[t]
-            out_end[t] = end
-            heappush(events, (end, _COMPLETION, counter, t))
-            counter += 1
+    # (time, seq, task), over a sentinel that outlasts every event.
+    events: list[tuple[float, int, int]] = [(_END, 0, -1)]
+    seq = 0  # events pushed
+    qseq = 0  # heap ready-queue pushes
+    arrivals = 0  # message-arrival events among the ``seq``
 
     for t in np.flatnonzero(indeg == 0).tolist():
-        ready[tproc_l[t]].push(t, 0.0)
-    for p in range(nproc):
-        assign(p, 0.0)
+        if heap:
+            heappush(
+                ready[tproc_l[t]],
+                (keys[t] if keys is not None else 0.0, qseq, t),
+            )
+            qseq += 1
+        else:
+            ready[tproc_l[t]].append(t)
 
-    done = 0
-    while events:
-        now = events[0][0]
-        eps = now + _EPS
-        touched: set[int] = set()
-        # Drain every event at this instant before reassigning.
-        while events and events[0][0] <= eps:
-            _, kind, _, t = heappop(events)
-            if kind == _READY:
-                pu = tproc_l[t]
-                ready[pu].push(t, ready_at[t])
-                touched.add(pu)
-                continue
-            done += 1
-            p = tproc_l[t]
-            if not single_core:
-                heappush(free_workers[p], out_worker[t])
-            free_count[p] += 1
-            touched.add(p)
-            if has_comm:
-                arrival = now + delays_l[t]
-                for u in sa_l[sx_l[t] : sx_l[t + 1]]:
-                    if tproc_l[u] != p and arrival > ready_at[u]:
-                        ready_at[u] = arrival
-                    d = indeg_l[u] - 1
-                    indeg_l[u] = d
-                    if d == 0:
-                        if ready_at[u] > eps:
-                            heappush(
-                                events, (ready_at[u], _READY, counter, u)
-                            )
-                            counter += 1
-                        else:
-                            pu = tproc_l[u]
-                            ready[pu].push(u, now)
-                            touched.add(pu)
-            else:
-                for u in sa_l[sx_l[t] : sx_l[t + 1]]:
-                    d = indeg_l[u] - 1
-                    indeg_l[u] = d
-                    if d == 0:
-                        pu = tproc_l[u]
-                        ready[pu].push(u, now)
-                        touched.add(pu)
+    now = 0.0
+    touched = range(nproc)
+    while True:
+        # Refill the free cores of every process an event touched.
         for p in touched:
-            assign(p, now)
+            free = free_count[p]
+            q = ready[p]
+            while free and q:
+                if mode == _FIFO:
+                    t = q.popleft()
+                elif mode == _HEAP:
+                    t = heappop(q)[2]
+                elif mode == _STACK:
+                    t = q.pop()
+                else:
+                    i = int(rng.integers(len(q)))
+                    q[i], q[-1] = q[-1], q[i]
+                    t = q.pop()
+                free -= 1
+                if not single_core:
+                    if free_workers[p]:
+                        out_worker[t] = heappop(free_workers[p])
+                    else:
+                        out_worker[t] = next_worker[p]
+                        next_worker[p] += 1
+                out_start[t] = now
+                heappush(events, (now + dur_l[t], seq, t))
+                seq += 1
+            free_count[p] = free
 
-    if done != T:
+        # Drain every event at this instant before refilling.
+        now, s, t = heappop(events)
+        if t < 0:
+            break
+        eps = now + _EPS
+        touched = set()
+        while True:
+            if s >= _READY:
+                pu = tproc_l[t]
+                if heap:
+                    heappush(
+                        ready[pu],
+                        (keys[t] if keys is not None else ready_at[t], qseq, t),
+                    )
+                    qseq += 1
+                else:
+                    ready[pu].append(t)
+                touched.add(pu)
+            else:
+                p = tproc_l[t]
+                if single_core:
+                    free_count[p] = 1
+                else:
+                    heappush(free_workers[p], out_worker[t])
+                    free_count[p] += 1
+                touched.add(p)
+                if has_comm:
+                    arrival = now + delays_l[t]
+                    for u in sa_l[sx_l[t] : sx_l[t + 1]]:
+                        if tproc_l[u] != p and arrival > ready_at[u]:
+                            ready_at[u] = arrival
+                        d = indeg_l[u] - 1
+                        if d:
+                            indeg_l[u] = d
+                            continue
+                        if ready_at[u] > eps:
+                            heappush(events, (ready_at[u], _READY + seq, u))
+                            seq += 1
+                            arrivals += 1
+                            continue
+                        pu = tproc_l[u]
+                        if heap:
+                            heappush(
+                                ready[pu],
+                                (keys[u] if keys is not None else now, qseq, u),
+                            )
+                            qseq += 1
+                        else:
+                            ready[pu].append(u)
+                        touched.add(pu)
+                else:
+                    for u in sa_l[sx_l[t] : sx_l[t + 1]]:
+                        d = indeg_l[u] - 1
+                        if d:
+                            indeg_l[u] = d
+                            continue
+                        pu = tproc_l[u]
+                        if heap:
+                            heappush(ready[pu], (keys[u], qseq, u))
+                            qseq += 1
+                        else:
+                            ready[pu].append(u)
+                        touched.add(pu)
+            if events[0][0] > eps:
+                break
+            _, s, t = heappop(events)
+
+    if seq - arrivals != T:
         raise RuntimeError(
-            f"deadlock: only {done}/{T} tasks completed (cyclic graph?)"
+            f"deadlock: only {seq - arrivals}/{T} tasks completed "
+            "(cyclic graph?)"
         )
-    return out_worker, out_start, out_end
+    start = np.asarray(out_start, dtype=np.float64)
+    worker = (
+        np.zeros(T, dtype=np.int32)
+        if single_core
+        else np.asarray(out_worker, dtype=np.int32)
+    )
+    # The loop's ``now + duration``, element for element.
+    return worker, start, start + durations

@@ -339,13 +339,22 @@ def _fuzz_graph_case(report: FuzzReport, seed: int, case: GraphCase) -> None:
         _check_fm(report, seed, name, case.graph)
 
 
+def _downstream_case(seed: int) -> tuple[str, int | None]:
+    """The (policy, cores) pair seed ``seed`` simulates.  One pair per
+    seed keeps the run bounded while the campaign sweeps the whole
+    matrix: every pair once in each run of 18 consecutive seeds."""
+    from ..flusim.schedulers import SCHEDULERS
+
+    n = len(SCHEDULERS)
+    return SCHEDULERS[seed % n], (1, 2, None)[seed // n % 3]
+
+
 def _check_downstream(
     report: FuzzReport, seed: int, name: str, mesh, tau, decomp
 ) -> None:
     """Differential: vectorized Algorithm 1 + low-overhead FLUSIM vs
     the retained seed oracles — DAG and trace bit-equality."""
     from ..flusim import ClusterConfig, CommModel, simulate, simulate_ref
-    from ..flusim.schedulers import SCHEDULERS
     from ..flusim.trace import trace_differences
     from ..taskgraph import generate_task_graph, generate_task_graph_ref
     from ..taskgraph.verify import dag_differences
@@ -370,10 +379,7 @@ def _check_downstream(
     if dag is None:
         return
 
-    # One scheduler / cluster shape combination per seed keeps the run
-    # bounded while the campaign sweeps the whole matrix.
-    scheduler = SCHEDULERS[seed % len(SCHEDULERS)]
-    cores = (1, 2, None)[seed % 3]
+    scheduler, cores = _downstream_case(seed)
     cluster = ClusterConfig(decomp.num_processes, cores)
     for comm in (None, CommModel(latency=0.05, bandwidth=32.0)):
         report.differential_checks += 1

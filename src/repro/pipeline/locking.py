@@ -222,6 +222,16 @@ def _write_claim(path: Path, token: str, started_at: float) -> None:
     os.replace(tmp, path)
 
 
+def _drop_claim(path: Path, token: str) -> None:
+    """Remove the claim at ``path`` if it is still ``token``'s."""
+    claim = read_claim(path)
+    if claim is not None and claim.get("token") == token:
+        try:
+            path.unlink()
+        except OSError:
+            pass
+
+
 # ----------------------------------------------------------------------
 # Leases
 # ----------------------------------------------------------------------
@@ -313,15 +323,8 @@ class Lease:
             self._hb_stop.set()
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=1.0)
-        if (
-            self.role == "winner"
-            and self.claim_path is not None
-            and self.still_owner()
-        ):
-            try:
-                self.claim_path.unlink()
-            except OSError:
-                pass
+        if self.role == "winner" and self.claim_path is not None:
+            _drop_claim(self.claim_path, self.token)
         if self.lock is not None:
             self.lock.release()
 
@@ -368,6 +371,12 @@ def acquire_claim(
             lock.release()
             return Lease(role="reader", ttl=ttl)
         if lock.try_acquire():
+            # A holder may have published and released between the
+            # check above and taking the lock: then there is nothing
+            # left to compute.
+            if published():
+                lock.release()
+                return Lease(role="reader", ttl=ttl)
             # The lock is ours.  A leftover claim means the previous
             # holder died between claiming and releasing.
             reclaimed = False
@@ -408,6 +417,10 @@ def acquire_claim(
                 stacklevel=2,
             )
             _write_claim(claim_path, token, started_at=_now())
+            if published():
+                # The deposed holder published before our claim landed.
+                _drop_claim(claim_path, token)
+                return Lease(role="reader", ttl=ttl)
             return Lease(
                 role="winner",
                 claim_path=claim_path,

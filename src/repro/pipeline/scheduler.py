@@ -23,12 +23,15 @@ order.  Otherwise a round is every node ready at its start.  Memory and
 disk hits resolve in this process, and so do partition nodes, whose
 bisection tree keeps its own pool.  Two or more remaining misses run on
 one pool of processes forked for the round
-(:func:`~repro.util.forkpool.fork_pool`): the workers inherit every
-upstream object computed so far, so nothing is pickled on the way in,
-and each returns the stage's ``pack()``, which this process
-``unpack()``s into its memory layer as on a disk hit.  A node that
-becomes ready during a round waits for the next one; a lone miss runs
-inline.
+(:func:`~repro.util.forkpool.fork_pool`), submitted largest first by
+the size their inputs state (a schedule node's task graph's tasks plus
+edges; nodes of a stage without a ``size`` go first, in ready order),
+so a round does not end on one worker running its last big node.  The
+workers inherit every upstream object computed so far, so nothing is
+pickled on the way in, and each returns the stage's ``pack()``, which
+this process ``unpack()``s into its memory layer as on a disk hit.  A
+node that becomes ready during a round waits for the next one; a lone
+miss runs inline.
 """
 
 from __future__ import annotations
@@ -279,6 +282,15 @@ def _pool_node(
     return STAGES[task.stage].pack(obj), cache, wall, moved
 
 
+def _size(task: StageTask, objects: dict[str, Any]) -> tuple[bool, int]:
+    """Sort key for a pooled round's dispatch: nodes without a stated
+    size first, then the larger the size the earlier."""
+    size = getattr(STAGES[task.stage], "size", None)
+    if size is None:
+        return False, 0
+    return True, -size(*(objects[d] for d in task.deps))
+
+
 class DagScheduler:
     """Dependency-ordered, critical-path-first plan executor.
 
@@ -473,6 +485,10 @@ class DagScheduler:
             return False
         if self._stopping():
             return True
+        # Largest first, so the round does not end on one worker
+        # running the last big node while the others idle; nodes whose
+        # stage states no size go first, in ready order.
+        misses.sort(key=lambda task: _size(task, objects))
         stopped = False
         with forkpool.fork_pool(workers, self.store, plan, objects) as pool:
             inflight: dict[Future, StageTask] = {}

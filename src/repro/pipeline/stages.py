@@ -12,6 +12,10 @@ Each stage knows three things:
 
 ``version`` is part of the stage's content address; bump it whenever
 ``compute`` semantics change so stale artifacts are never reused.
+A stage whose inputs state the size of its work also has
+``size(*upstream)``; the scheduler submits a pooled round's misses
+largest first by it (only ``schedule`` has one: its task graph's tasks
+plus edges, the events and releases its simulation makes).
 
 Round-trips are bit-for-bit: ``pack``/``unpack`` preserve array dtypes
 and values exactly (verified by the store tests), so a cached MC_TL
@@ -253,6 +257,10 @@ class ScheduleStage:
             dag, cluster, scheduler=config.scheduler, seed=config.seed
         )
         return trace, schedule_metrics(dag, trace)
+
+    @staticmethod
+    def size(decomp: DomainDecomposition, dag: TaskDAG) -> int:
+        return dag.num_tasks + dag.num_edges
 
     @staticmethod
     def pack(

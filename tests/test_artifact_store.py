@@ -398,6 +398,44 @@ class TestClaims:
         assert reader.role == "reader"
         reader.release()
 
+    @staticmethod
+    def _published_after(calls: int):
+        """A ``published`` probe that turns true after ``calls`` checks:
+        a holder publishing and releasing in between."""
+        seen = itertools.count()
+        return lambda: next(seen) >= calls
+
+    def test_publish_before_the_lock_is_taken_yields_reader(self, tmp_path):
+        base = tmp_path / "stage" / ("c" * 8)
+        lease = acquire_claim(
+            base, published=self._published_after(1), ttl=5.0, timeout=5.0
+        )
+        assert lease.role == "reader"
+        lease.release()
+        assert FileLock(base.with_name(base.name + ".lock")).try_acquire()
+        assert not base.with_name(base.name + ".claim").exists()
+
+    def test_publish_during_a_takeover_yields_reader(self, tmp_path):
+        base = tmp_path / "stage" / ("b" * 8)
+        base.parent.mkdir(parents=True)
+        holder_lock = FileLock(base.with_name(base.name + ".lock"))
+        assert holder_lock.try_acquire()
+        claim_path = base.with_name(base.name + ".claim")
+        claim_path.write_text(
+            json.dumps(self._claim(heartbeat=time.time() - 3600, token="old"))
+        )
+        with pytest.warns(RuntimeWarning, match="taking over stale claim"):
+            lease = acquire_claim(
+                base,
+                published=self._published_after(1),
+                ttl=0.5,
+                timeout=10.0,
+            )
+        assert lease.role == "reader"
+        assert not claim_path.exists()
+        lease.release()
+        holder_lock.release()
+
     def test_dead_holder_claim_is_reclaimed(self, tmp_path):
         base = tmp_path / "stage" / ("e" * 8)
         base.parent.mkdir(parents=True)

@@ -4,7 +4,7 @@ The vectorized Algorithm 1 generator and the low-overhead FLUSIM
 engine must reproduce their retained seed oracles exactly: task arrays
 bit-identical, dependency sets equal up to canonical edge order, and
 traces bit-identical — across schemes, iteration counts, schedulers,
-cluster shapes, communication models and both event-loop engines.
+cluster shapes, communication models and tie-breaks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.flusim import (
     simulate_ref,
     trace_differences,
 )
-from repro.flusim.schedulers import ArrayFifoQueue, FifoQueue
+from repro.flusim.schedulers import SCHEDULERS
 from repro.taskgraph import (
     canonical_edges,
     dag_differences,
@@ -29,7 +29,22 @@ from repro.taskgraph import (
 )
 from repro.taskgraph.dag import TaskDAG
 from tests.oracles import dag_scalar
-from tests.test_dag_analytics import fuzz_dag
+from tests.test_dag_analytics import fuzz_dag, make_dag
+
+CORES = (1, 3, None)
+COMMS = (None, CommModel(latency=0.05, bandwidth=32.0))
+
+
+def assert_matches_reference(dag, num_processes, scheduler, comms=COMMS):
+    """``simulate`` equals ``simulate_ref`` at every core count in
+    :data:`CORES`, with and without each communication model."""
+    for cores in CORES:
+        cluster = ClusterConfig(num_processes, cores)
+        for comm in comms:
+            kwargs = dict(scheduler=scheduler, comm=comm, seed=7)
+            got = simulate(dag, cluster, **kwargs)
+            want = simulate_ref(dag, cluster, **kwargs)
+            assert trace_differences(got, want) == [], (cores, comm)
 
 
 class TestTaskGraphEquivalence:
@@ -101,12 +116,27 @@ class TestTaskGraphEquivalence:
 
 
 class TestSimulatorEquivalence:
-    @pytest.mark.parametrize("scheduler", ["eager", "lifo", "cp", "sjf"])
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_matches_reference(self, cube_dag_mc, scheduler):
-        cluster = ClusterConfig(4, 2)
-        got = simulate(cube_dag_mc, cluster, scheduler=scheduler)
-        want = simulate_ref(cube_dag_mc, cluster, scheduler=scheduler)
-        assert trace_differences(got, want) == []
+        assert_matches_reference(cube_dag_mc, 4, scheduler)
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_ties_match_reference(self, scheduler):
+        """Zero and equal costs on four processes: completions share
+        instants, a task freed at an instant starts at it, and (with a
+        latency-only link) message arrivals land on the same instants
+        as completions, so every tie-break is compared."""
+        rng = np.random.default_rng(3)
+        n = 300
+        shape = fuzz_dag(3, n=n, edges_per_task=3)
+        costs = rng.choice([0.0, 1.0, 1.0, 2.0], n)
+        dag = make_dag(costs, shape.edges, rng.integers(0, 4, n))
+        trace = simulate(dag, ClusterConfig(4, 1), scheduler=scheduler)
+        assert len(np.unique(trace.end)) < n // 3
+        assert np.count_nonzero(costs == 0.0) > n // 5
+        assert_matches_reference(
+            dag, 4, scheduler, comms=COMMS + (CommModel(latency=1.0),)
+        )
 
     def test_cp_matches_reference_on_scalar_bottom_levels(
         self, cube_dag_mc, monkeypatch
@@ -137,8 +167,26 @@ class TestSimulatorEquivalence:
         want = simulate_ref(cube_dag_mc, cluster, comm=comm)
         assert trace_differences(got, want) == []
 
-    @pytest.mark.parametrize("scheduler", ["eager", "cp", "lifo"])
-    @pytest.mark.parametrize("cores", [1, 3, None])
+    def test_eager_arrival_inside_the_drain_orders_by_ready_time(self):
+        """Under a comm model ``eager`` orders by ready time, not by
+        arrival in the drain.  A opens the drain at 0.3; C's message
+        lands one ulp later and is queued first; D ends one ulp after
+        that and frees E, which is ready at the drain's 0.3 and so
+        runs first on P2's one core."""
+        third = np.nextafter(0.3, 1.0)  # 0.1 + 0.2
+        assert 0.1 + 0.2 == third
+        costs = [0.3, 0.1, 1.0, np.nextafter(third, 1.0), 1.0]
+        #        A    B    C    D                          E
+        dag = make_dag(costs, [[1, 2], [3, 4]], [0, 1, 2, 2, 2])
+        cluster = ClusterConfig(3, 1)
+        comm = CommModel(latency=0.2)
+        got = simulate(dag, cluster, comm=comm)
+        assert got.start[4] == 0.3 and got.start[2] > got.start[4]
+        want = simulate_ref(dag, cluster, comm=comm)
+        assert trace_differences(got, want) == []
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("cores", CORES)
     def test_wide_dag_with_duplicate_edges(self, cores, scheduler):
         """Algorithm 1's DAGs have a handful of successors per task;
         this one has ~100, half of them duplicate edges, so a successor
@@ -148,7 +196,7 @@ class TestSimulatorEquivalence:
         unique = len(np.unique(dag.edges, axis=0))
         assert dag.num_edges - unique > 10_000
         cluster = ClusterConfig(3, cores)
-        for comm in (None, CommModel(latency=0.05, bandwidth=32.0)):
+        for comm in COMMS:
             got = simulate(dag, cluster, scheduler=scheduler, comm=comm)
             want = simulate_ref(dag, cluster, scheduler=scheduler, comm=comm)
             assert trace_differences(got, want) == []
@@ -181,16 +229,3 @@ class TestSimulatorEquivalence:
         b.end[0] += 1.0
         diffs = trace_differences(a, b)
         assert diffs and "end" in diffs[0]
-
-
-class TestArrayFifoQueue:
-    def test_fifo_order_matches_heap_queue(self):
-        heap, arr = FifoQueue(), ArrayFifoQueue()
-        for i, t in enumerate([5, 3, 9, 1]):
-            heap.push(t, float(i))
-            arr.push(t, float(i))
-        assert len(heap) == len(arr) == 4
-        assert [heap.pop() for _ in range(4)] == [
-            arr.pop() for _ in range(4)
-        ] == [5, 3, 9, 1]
-        assert len(arr) == 0

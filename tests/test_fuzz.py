@@ -3,13 +3,16 @@ satellites (REPRO_N_JOBS parsing, corrupt-checkpoint fallback)."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.flusim.schedulers import SCHEDULERS
 from repro.fuzz import run_fuzz
+from repro.fuzz.harness import _downstream_case
 from repro.fuzz.generators import (
     GRAPH_GENERATORS,
     MESH_GENERATORS,
@@ -48,6 +51,15 @@ class TestHarness:
         assert report.ok, report.summary()
         assert report.contract_checks > 0
         assert report.dag_checks > 0
+
+    def test_downstream_cases_cover_every_policy_and_shape(self):
+        # Eighteen consecutive seeds meet each (policy, cores) pair
+        # once, so every policy is also checked multi-core.
+        for start in (0, 7):
+            cases = [_downstream_case(s) for s in range(start, start + 18)]
+            assert sorted(cases, key=repr) == sorted(
+                itertools.product(SCHEDULERS, (1, 2, None)), key=repr
+            )
 
     def test_report_counts(self):
         report = run_fuzz(3, start=100)

@@ -413,6 +413,40 @@ class TestMergedExecution:
                 a.decomp.domain, b.decomp.domain
             )
 
+    def test_schedule_round_is_submitted_largest_first(self, pool_spy):
+        # Eight task graphs of different sizes behind one partition:
+        # the schedule round goes to the pool largest task graph
+        # first, and nothing the batch returns or counts depends on it.
+        scenarios = expand_sweep(
+            base_scenario(),
+            {"iterations": [1, 3, 2, 4], "scheme": ["heun", "euler"]},
+        )
+        stores = {n: ArtifactStore() for n in (1, 2)}
+        runs = {
+            n: run_batch(scenarios, store=stores[n], n_jobs=n)
+            for n in (1, 2)
+        }
+        dags = {
+            rec.provenance["schedule"].digest: rec.dag for rec in runs[2]
+        }
+        submitted = [k for k in pool_spy.submitted if k in dags]
+        assert sorted(submitted) == sorted(dags)
+        sizes = [dags[k].num_tasks + dags[k].num_edges for k in submitted]
+        assert len(set(sizes)) == len(sizes)
+        assert sizes == sorted(sizes, reverse=True)
+        assert stores[2].stats == stores[1].stats
+        for a, b in zip(runs[1], runs[2]):
+            assert {
+                name: (r.digest, r.cache) for name, r in a.provenance.items()
+            } == {
+                name: (r.digest, r.cache) for name, r in b.provenance.items()
+            }
+            for f in ("start", "end", "worker"):
+                np.testing.assert_array_equal(
+                    getattr(a.trace, f), getattr(b.trace, f)
+                )
+            assert a.metrics == b.metrics
+
 
 class TestSharedProvenance:
     def test_riders_record_shared(self):
