@@ -58,7 +58,6 @@ from . import (
 )
 from .common import (
     NUM_LEVELS,
-    PAPER_CONFIGS,
     cached_decomposition,
     cached_task_graph,
     run_flusim,
@@ -96,7 +95,6 @@ __all__ = [
     "cached_task_graph",
     "run_flusim",
     "NUM_LEVELS",
-    "PAPER_CONFIGS",
     "EXPERIMENTS",
     "available",
     "run_experiment",

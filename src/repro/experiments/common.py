@@ -1,13 +1,11 @@
 """Shared infrastructure for the experiment harnesses.
 
-Historically this module owned its own memoization (a scatter of
-unbounded ``functools.lru_cache`` maps) and the ``PAPER_CONFIGS``
-dict.  Both now live in :mod:`repro.pipeline`: the chain is executed
-by the typed pipeline runner against the process-wide artifact store
-(bounded in-memory LRU, optional content-addressed disk layer), and
-the paper configurations are the scenario registry.  The helpers here
-are kept as thin wrappers so the experiment modules and external
-callers keep their historical API.
+The chain is executed by the typed pipeline runner of
+:mod:`repro.pipeline` against the process-wide artifact store (bounded
+in-memory LRU, optional content-addressed disk layer), and the paper
+configurations are its scenario registry
+(:data:`repro.pipeline.SCENARIOS`).  The helpers here are thin
+wrappers so the experiment modules keep one small API.
 """
 
 from __future__ import annotations
@@ -21,22 +19,16 @@ from ..pipeline import (
     Pipeline,
     RunRecord,
     Scenario,
-    paper_configs,
 )
 
 __all__ = [
     "NUM_LEVELS",
-    "PAPER_CONFIGS",
     "standard_case",
     "standard_scenario",
     "cached_decomposition",
     "cached_task_graph",
     "run_flusim",
 ]
-
-#: Legacy view of the scenario registry
-#: (:data:`repro.pipeline.SCENARIOS`).
-PAPER_CONFIGS = paper_configs()
 
 
 def standard_scenario(

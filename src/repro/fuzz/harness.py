@@ -17,11 +17,6 @@
   deterministic, internally consistent (incremental cut == recomputed
   cut) and never worse than the oracle on both cut and worst
   imbalance beyond small slack;
-* **mixed-dtype differentials** — every graph case is re-partitioned
-  from a narrowed storage copy (int32 ``adjncy``, float32
-  ``vwgt``/``adjwgt`` holding the exact same values) and the labels
-  must be bit-identical to the wide int64/float64 path — the
-  equivalence gate behind the scale tier's index/weight narrowing;
 * **streaming-dual differentials** — every mesh case's dual graph is
   streamed at an adversarial chunk size and must equal the mesh's own
   :meth:`~repro.mesh.structures.Mesh.cell_adjacency` array for array;
@@ -202,63 +197,6 @@ def _check_fm(
         )
 
 
-def _check_dtype_paths(
-    report: FuzzReport,
-    seed: int,
-    case: str,
-    g: CSRGraph,
-    nparts: int,
-) -> None:
-    """Differential: narrowed (int32/float32) vs wide (int64/float64)
-    storage must produce bit-identical labels.
-
-    Both copies hold the *same values* — the weights are rounded
-    through float32 first — so any divergence means a kernel scored or
-    accumulated in storage precision instead of promoting to float64,
-    exactly the failure mode the narrowing tier must not introduce.
-    """
-    if g.num_vertices < 1 or nparts < 1 or nparts > g.num_vertices:
-        return
-    report.differential_checks += 1
-
-    def fail(check: str, detail: str) -> None:
-        report.failures.append(FuzzFailure(seed, case, check, detail))
-
-    vw32 = np.asarray(g.vwgt, dtype=np.float32)
-    aw32 = np.asarray(g.adjwgt, dtype=np.float32)
-    wide = CSRGraph(
-        g.xadj.astype(np.int64),
-        g.adjncy.astype(np.int64),
-        vwgt=vw32.astype(np.float64),
-        adjwgt=aw32.astype(np.float64),
-    )
-    narrow = CSRGraph(
-        g.xadj.astype(np.int64),
-        g.adjncy.astype(np.int32),
-        vwgt=vw32,
-        adjwgt=aw32,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            res_w = partition_graph(wide, nparts, seed=seed)
-            res_n = partition_graph(narrow, nparts, seed=seed)
-        except (ValueError, PartitionError):
-            return  # rejection behaviour is the contract stage's job
-    if not np.array_equal(res_w.part, res_n.part):
-        fail(
-            "dtype-labels",
-            f"narrowed labels diverged from wide path (nparts={nparts}, "
-            f"wide cut {res_w.cut:g}, narrow cut {res_n.cut:g})",
-        )
-    if res_n.dtypes.get("adjncy") != "int32":
-        fail(
-            "dtype-provenance",
-            "narrowed run recorded adjncy dtype "
-            f"{res_n.dtypes.get('adjncy')!r}, expected 'int32'",
-        )
-
-
 def _check_partition_result(
     report: FuzzReport,
     seed: int,
@@ -326,14 +264,6 @@ def _fuzz_graph_case(report: FuzzReport, seed: int, case: GraphCase) -> None:
     name = f"graph:{case.name}"
     for nparts in case.nparts:
         _check_partition_result(report, seed, name, case.graph, nparts)
-    if case.nparts:
-        _check_dtype_paths(
-            report,
-            seed,
-            name,
-            case.graph,
-            case.nparts[seed % len(case.nparts)],
-        )
     if case.graph.num_vertices <= 400:
         _check_matching(report, seed, name, case.graph)
         _check_fm(report, seed, name, case.graph)
@@ -417,11 +347,7 @@ def _check_streaming_dual(
     for edge_weight, ref_wgt in oracle_wgt.items():
         report.differential_checks += 1
         got = _streaming_adjacency(
-            mesh,
-            index_dtype=None,
-            edge_weight=edge_weight,
-            weight_dtype=None,
-            chunk_faces=chunk,
+            mesh, edge_weight=edge_weight, chunk_faces=chunk
         )
         same = all(
             np.array_equal(r, g)

@@ -85,7 +85,7 @@ def _edge_spread(
     """
 
     def combined(c: int) -> np.ndarray:
-        col = np.ascontiguousarray(vwgt[:, c], dtype=np.float64)
+        col = np.ascontiguousarray(vwgt[:, c])
         return col[e_src] + col[e_dst]
 
     hi = combined(0)
@@ -183,11 +183,7 @@ def heavy_edge_matching(
     # geometrically and the total work stays O(m).
     e_src = g.edge_sources()
     e_dst = g.adjncy
-    # Scoring runs in float64 even on narrowed graphs, so float32
-    # storage yields the exact same matching as the wide path.
     e_w = g.adjwgt
-    if e_w.dtype != np.float64:
-        e_w = e_w.astype(np.float64)
     # The greedy tail reads the whole graph's spreads; the rounds read
     # a compacted copy.
     spread = _edge_spread(g.vwgt, e_src, e_dst) if multi else None
@@ -334,10 +330,6 @@ def contract(g: CSRGraph, match: np.ndarray) -> CoarseningLevel:
         gsrc = gdst = np.empty(0, dtype=np.int64)
     xadj[1:] = np.bincount(gsrc, minlength=nc)
     np.cumsum(xadj, out=xadj)
-    # Indices stay narrowed on int32 graphs; the summed coarse weights
-    # stay float64 in all cases so both storage widths see the exact
-    # same hierarchy.
-    gdst = gdst.astype(g.adjncy.dtype, copy=False)
     coarse = CSRGraph(xadj, gdst, vwgt=cvwgt, adjwgt=gw)
     return CoarseningLevel(graph=coarse, cmap=cmap)
 

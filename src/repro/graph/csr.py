@@ -21,35 +21,22 @@ import numpy as np
 __all__ = ["CSRGraph", "graph_from_edges", "validate_csr"]
 
 
-def _as_index_array(a, *, allow_narrow: bool = False) -> np.ndarray:
-    """Contiguous integer index array.
-
-    With ``allow_narrow`` an int32 input keeps its dtype (the scale
-    tier stores ``adjncy`` narrowed); everything else is widened to
-    int64.
-    """
-    arr = np.ascontiguousarray(a)
-    if allow_narrow and arr.dtype == np.int32:
-        return arr
-    if arr.dtype != np.int64:
-        arr = arr.astype(np.int64)
-    return arr
+def _as_index_array(a) -> np.ndarray:
+    """Contiguous int64 index array."""
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 def _as_weight_array(a) -> np.ndarray:
-    """Contiguous float weight array, preserving an explicit float32
-    narrowing; all other dtypes are widened to float64."""
-    arr = np.ascontiguousarray(a)
-    if arr.dtype == np.float32:
-        return arr
-    if arr.dtype != np.float64:
-        arr = arr.astype(np.float64)
-    return arr
+    """Contiguous float64 weight array."""
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 @dataclass
 class CSRGraph:
     """An undirected graph in CSR (adjacency-list) form.
+
+    One storage format: indices are int64 and weights float64, and
+    input of any other dtype is converted at construction.
 
     Parameters
     ----------
@@ -86,10 +73,8 @@ class CSRGraph:
     )
 
     def __post_init__(self) -> None:
-        # Row pointers stay int64 (n+1 entries — negligible memory);
-        # the O(2m) ``adjncy`` and the weights may stay narrowed.
         self.xadj = _as_index_array(self.xadj)
-        self.adjncy = _as_index_array(self.adjncy, allow_narrow=True)
+        self.adjncy = _as_index_array(self.adjncy)
         n = self.num_vertices
         if self.vwgt is None:
             self.vwgt = np.ones((n, 1), dtype=np.float64)
@@ -141,7 +126,7 @@ class CSRGraph:
         """
         if self._edge_sources is None:
             self._edge_sources = np.repeat(
-                np.arange(self.num_vertices, dtype=self.adjncy.dtype),
+                np.arange(self.num_vertices, dtype=np.int64),
                 self.degrees(),
             )
         return self._edge_sources
@@ -172,10 +157,8 @@ class CSRGraph:
         a Python loop an ``int``/``float``: no NumPy scalar is built
         per read, nothing is copied or boxed the way
         ``ndarray.tolist()`` boxes it (8 B per element already in RAM
-        against a 32-40 B heap object each), read-only mmap'd levels
-        work as they are, and narrowed int32/float32 storage widens
-        exactly — loops written on the views compute in float64
-        whatever the storage width, so labels do not depend on it.
+        against a 32-40 B heap object each), and read-only mmap'd
+        levels work as they are.
         """
         return (
             memoryview(self.xadj),
@@ -194,19 +177,15 @@ class CSRGraph:
         return self.adjwgt[self.xadj[v] : self.xadj[v + 1]]
 
     def total_vwgt(self) -> np.ndarray:
-        """Sum of vertex weights per constraint, shape ``(ncon,)``.
-
-        Always accumulated in float64 so narrowed (float32) storage
-        yields bit-identical totals to the wide path.
-        """
-        return self.vwgt.sum(axis=0, dtype=np.float64)
+        """Sum of vertex weights per constraint, shape ``(ncon,)``."""
+        return self.vwgt.sum(axis=0)
 
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
     def total_edge_weight(self) -> float:
         """Total weight over undirected edges (each counted once)."""
-        return float(self.adjwgt.sum(dtype=np.float64)) / 2.0
+        return float(self.adjwgt.sum()) / 2.0
 
     def with_vwgt(self, vwgt: np.ndarray) -> "CSRGraph":
         """Return a shallow copy of the graph with new vertex weights."""
@@ -224,13 +203,9 @@ class CSRGraph:
         vertex index -> original vertex index.  Edges to vertices
         outside the set are dropped.
         """
-        vertices = _as_index_array(vertices, allow_narrow=True)
-        n = self.num_vertices
-        # Local indices inherit the adjacency dtype so an int32 graph
-        # stays int32 through recursive bisection.
-        idx_dtype = self.adjncy.dtype
-        local = np.full(n, -1, dtype=idx_dtype)
-        local[vertices] = np.arange(len(vertices), dtype=idx_dtype)
+        vertices = _as_index_array(vertices)
+        local = np.full(self.num_vertices, -1, dtype=np.int64)
+        local[vertices] = np.arange(len(vertices), dtype=np.int64)
 
         # Gather all candidate edges from the selected rows.
         starts = self.xadj[vertices]
@@ -279,7 +254,6 @@ def graph_from_edges(
     *,
     vwgt: np.ndarray | None = None,
     ewgt: np.ndarray | None = None,
-    index_dtype: np.dtype | type | None = None,
 ) -> CSRGraph:
     """Build a :class:`CSRGraph` from an edge list.
 
@@ -294,9 +268,6 @@ def graph_from_edges(
     vwgt / ewgt:
         Optional vertex weights (``(n,)`` or ``(n, ncon)``) and edge
         weights ``(m,)``.
-    index_dtype:
-        Optional storage dtype for ``adjncy`` (e.g. ``np.int32`` when
-        ``n`` provably fits); row pointers stay int64.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) and (edges.min() < 0 or edges.max() >= n):
@@ -332,8 +303,6 @@ def graph_from_edges(
     xadj = np.zeros(n + 1, dtype=np.int64)
     xadj[1:] = np.bincount(src, minlength=n)
     np.cumsum(xadj, out=xadj)
-    if index_dtype is not None:
-        dst = dst.astype(index_dtype, copy=False)
     return CSRGraph(xadj, dst, vwgt=vwgt, adjwgt=wboth)
 
 

@@ -14,9 +14,9 @@ multi-constraint variant is ROADMAP item 7.
 Gains are kept, not recomputed: every vertex starts at minus its
 weighted degree (:meth:`CSRGraph.weighted_degrees`, all its edges into
 the other part) and gains ``2w`` when a neighbour across an edge of
-weight ``w`` is absorbed.  For integer or float32-valued weights every
-partial sum is exact in float64, so the gains — and the labels — equal
-those of rescanning the neighbour's adjacency bit for bit.
+weight ``w`` is absorbed.  Where every partial sum of the weights is
+exact in float64 (integer weights, for one) the gains — and the labels
+— equal those of rescanning the neighbour's adjacency bit for bit.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def greedy_graph_growing(
     no constraint is below its target; a disconnected graph whose
     frontier runs dry continues from a random vertex of part 1.
 
-    Labels equal a gain rescan's bit for bit for integer or
-    float32-valued weights (see the module docstring).
+    Labels equal a gain rescan's bit for bit where the weights' partial
+    sums are exact (see the module docstring).
     """
     return _grow(_growth_state(g, target_frac), rng, seed_vertex)[0]
 

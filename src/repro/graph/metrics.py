@@ -28,9 +28,7 @@ __all__ = [
 def edge_cut(g: CSRGraph, part: np.ndarray) -> float:
     """Total weight of cut edges (each undirected edge counted once)."""
     cut = part[g.edge_sources()] != part[g.adjncy]
-    # float64 accumulation keeps narrowed (float32) graphs bit-identical
-    # with the wide path.
-    return float(g.adjwgt[cut].sum(dtype=np.float64)) / 2.0
+    return float(g.adjwgt[cut].sum()) / 2.0
 
 
 def part_weights(g: CSRGraph, part: np.ndarray, nparts: int) -> np.ndarray:

@@ -98,14 +98,6 @@ class PartitionResult:
         Contract violations of the *final* labels (empty for a clean
         result; populated only when every fallback rung still failed
         some check and the least-bad result was returned).
-    dtypes:
-        Storage-dtype provenance of the run: the dtypes of the input
-        graph's ``adjncy``/``vwgt``/``adjwgt`` and of the returned
-        labels, e.g. ``{"adjncy": "int32", ...}``.  Records whether
-        the scale tier's index/weight narrowing was in effect — the
-        narrowed and wide paths produce bit-identical labels (enforced
-        by the fuzz differential stage), so this is provenance, not a
-        behavioural switch.
     """
 
     part: np.ndarray
@@ -114,7 +106,6 @@ class PartitionResult:
     imbalance: np.ndarray
     provenance: str = "primary"
     violations: tuple[str, ...] = field(default_factory=tuple)
-    dtypes: dict[str, str] = field(default_factory=dict)
 
 
 def _repair_split(
@@ -511,12 +502,6 @@ def partition_graph(
         imbalance=imbalance(g, part, nparts),
         provenance=provenance,
         violations=tuple(violations),
-        dtypes={
-            "adjncy": str(g.adjncy.dtype),
-            "vwgt": str(g.vwgt.dtype),
-            "adjwgt": str(g.adjwgt.dtype),
-            "part": str(part.dtype),
-        },
     )
 
 

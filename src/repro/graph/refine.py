@@ -177,10 +177,10 @@ def fm_refine(
     is on the boundary while its gain exceeds minus its weighted degree
     (:meth:`CSRGraph.weighted_degrees`, which never changes), i.e.
     while its external degree is positive.  Only boundary vertices
-    enter the move queue, matching METIS semantics.  For integer or
-    float32-valued weights every gain is exact in float64, so the
-    labels equal those of separate internal/external degree arrays bit
-    for bit.
+    enter the move queue, matching METIS semantics.  Where every
+    partial sum of the weights is exact in float64 (integer weights,
+    for one) the labels equal those of separate internal/external
+    degree arrays bit for bit.
 
     Two priority queues are used.  When every edge weight is exactly 1
     (true for all mesh-dual finest levels, where FM spends most of its
@@ -480,9 +480,9 @@ def rebalance(
 
     Like FM it keeps one gain per vertex and moves a neighbour's gain
     by ``2w``; part weights are Python floats and each constraint's
-    purity vector is built once per call.  For integer or
-    float32-valued weights the gains are exact, so the labels equal
-    those of separate internal/external degree arrays bit for bit.
+    purity vector is built once per call.  Where every partial sum of
+    the weights is exact in float64 the labels equal those of separate
+    internal/external degree arrays bit for bit.
     """
     n = g.num_vertices
     ncon = g.ncon
@@ -522,15 +522,13 @@ def rebalance(
             side_v = memoryview(side)
             xadj, adj, awt, vw_cols = g.scalar_views()
             part_v = memoryview(part)
-            # float64 arithmetic so narrowed (float32) weights pick the
-            # same candidate as the wide path.
-            vw64 = g.vwgt.astype(np.float64, copy=False)
-            rowsum = np.maximum(vw64.sum(axis=1), 1e-300)
+            vw = g.vwgt
+            rowsum = np.maximum(vw.sum(axis=1), 1e-300)
             # Per constraint: who carries weight on it, and how
             # concentrated each vertex's weight is there.
             purity: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if c not in purity:
-            purity[c] = (vw64[:, c] > 0, vw64[:, c] / rowsum)
+            purity[c] = (vw[:, c] > 0, vw[:, c] / rowsum)
         carries, pur = purity[c]
         cand = ((side == src_p) & carries).nonzero()[0]
         if len(cand) == 0:

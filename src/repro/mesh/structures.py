@@ -79,7 +79,9 @@ class Mesh:
 
         ``face_of`` gives, for every adjacency entry, the index of the
         mesh face realizing it — useful for mapping cut edges back to
-        communication faces.  Cached after the first call.
+        communication faces.  Cached after the first call.  It is the
+        reference the streamed dual graph
+        (:func:`~repro.mesh.dual.mesh_to_dual_graph`) is tested against.
         """
         if self._adjacency is not None:
             return self._adjacency

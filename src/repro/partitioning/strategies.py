@@ -75,7 +75,6 @@ def sc_oc_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    index_dtype=None,
     strict: bool = False,
 ) -> np.ndarray:
     """Single-Constraint Operating-Cost partitioning (the baseline).
@@ -83,7 +82,7 @@ def sc_oc_partition(
     Returns the ``(n_cells,)`` domain assignment.
     """
     vwgt = operating_costs(tau)
-    g = mesh_to_dual_graph(mesh, vwgt=vwgt, index_dtype=index_dtype)
+    g = mesh_to_dual_graph(mesh, vwgt=vwgt)
     return partition_graph(
         g,
         num_domains,
@@ -101,7 +100,6 @@ def mc_tl_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    index_dtype=None,
     strict: bool = False,
 ) -> np.ndarray:
     """Multi-Constraint Temporal-Level partitioning (the paper's
@@ -112,7 +110,7 @@ def mc_tl_partition(
     Returns the ``(n_cells,)`` domain assignment.
     """
     vwgt = _level_indicator_matrix(tau)
-    g = mesh_to_dual_graph(mesh, vwgt=vwgt, index_dtype=index_dtype)
+    g = mesh_to_dual_graph(mesh, vwgt=vwgt)
     return partition_graph(
         g,
         num_domains,
@@ -264,7 +262,6 @@ def make_decomposition(
     strategy: str = "SC_OC",
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    index_dtype=None,
     strict: bool = False,
 ) -> DomainDecomposition:
     """Partition a mesh and map the domains to processes.
@@ -272,10 +269,7 @@ def make_decomposition(
     ``strategy`` is one of :data:`STRATEGIES` (``"SC_OC"``,
     ``"MC_TL"``, ``"RCB"``, ``"SFC"``) or ``"DUAL"`` for the dual-phase
     scheme (which requires ``num_domains`` to be a multiple of
-    ``num_processes``).  ``index_dtype`` (dual-graph ``adjncy``
-    narrowing, e.g. ``"auto"``) is forwarded to the graph partitioner
-    for the strategies that use it, and
-    ``strict=True`` makes the graph strategies raise
+    ``num_processes``).  ``strict=True`` makes the graph strategies raise
     :class:`~repro.resilience.errors.PartitionQualityError` instead of
     degrading through the fallback chain.
     """
@@ -314,7 +308,6 @@ def make_decomposition(
             num_domains,
             seed=seed,
             imbalance_tol=imbalance_tol,
-            index_dtype=index_dtype,
             strict=strict,
         )
     else:

@@ -30,7 +30,7 @@ from .config import (
 )
 from .hashing import canonical_json, config_digest, stage_digest
 from .plan import StagePlan, StageTask, compile_plan
-from .registry import SCENARIOS, get_scenario, paper_configs
+from .registry import SCENARIOS, get_scenario
 from .runner import (
     Pipeline,
     RunRecord,
@@ -78,7 +78,6 @@ __all__ = [
     "resolve_n_jobs",
     "SCENARIOS",
     "get_scenario",
-    "paper_configs",
     "Pipeline",
     "RunRecord",
     "StageRecord",

@@ -1,17 +1,15 @@
 """Scenario registry — the named cluster/domain configurations of the
 paper's experiments, as full pipeline scenarios.
 
-This replaces the old ``PAPER_CONFIGS`` dict-of-dicts scatter: each
-entry is a typed :class:`~repro.pipeline.config.Scenario` the runner
-can execute directly, and the legacy view is derived from it (see
-:func:`paper_configs`).
+Each entry is a typed :class:`~repro.pipeline.config.Scenario` the
+runner can execute directly.
 """
 
 from __future__ import annotations
 
 from .config import Scenario
 
-__all__ = ["SCENARIOS", "get_scenario", "paper_configs"]
+__all__ = ["SCENARIOS", "get_scenario"]
 
 #: Named scenarios (paper experiment configurations).
 SCENARIOS: dict[str, Scenario] = {
@@ -34,19 +32,6 @@ SCENARIOS: dict[str, Scenario] = {
     ),
 }
 
-#: Scenarios whose legacy ``PAPER_CONFIGS`` entry omitted the mesh
-#: (the experiment sweeps meshes itself).
-_LEGACY_MESH_SWEPT = frozenset({"speedup"})
-
-#: Entries that predate the pipeline and must keep their exact legacy
-#: ``PAPER_CONFIGS`` shape.
-_LEGACY_NAMES = (
-    "nozzle_validation",
-    "unbounded",
-    "characteristics",
-    "speedup",
-)
-
 
 def get_scenario(name: str, **options: object) -> Scenario:
     """A registered scenario, optionally with leaf options overridden
@@ -59,19 +44,3 @@ def get_scenario(name: str, **options: object) -> Scenario:
         ) from None
     return sc.with_options(**options) if options else sc
 
-
-def paper_configs() -> dict[str, dict]:
-    """The legacy ``PAPER_CONFIGS`` view, derived from the registry."""
-    out: dict[str, dict] = {}
-    for name in _LEGACY_NAMES:
-        sc = SCENARIOS[name]
-        cfg: dict = {}
-        if name not in _LEGACY_MESH_SWEPT:
-            cfg["mesh"] = sc.mesh.name
-        cfg.update(
-            domains=sc.partition.domains,
-            processes=sc.partition.processes,
-            cores=sc.schedule.cores,
-        )
-        out[name] = cfg
-    return out

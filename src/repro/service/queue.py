@@ -55,10 +55,11 @@ from pathlib import Path
 from typing import Any
 
 from ..pipeline.hashing import canonical_json
-from ..pipeline.locking import FileLock, parse_bytes, pid_alive
+from ..pipeline.locking import FileLock, pid_alive
 from ..pipeline.stages import STAGE_ORDER
 from ..util.fsjson import atomic_write_json, read_json
 from ..resilience.errors import CircuitOpenError, QueueFull
+from ..resilience.sentinel import _env_bytes, _env_int
 
 __all__ = [
     "JobRequest",
@@ -185,13 +186,11 @@ class QueueLimits:
     @classmethod
     def from_env(cls) -> "QueueLimits":
         """``REPRO_SPOOL_MAX_PENDING`` / ``REPRO_SPOOL_MAX_BYTES``
-        (unset = unbounded, the pre-admission-control behaviour)."""
-        depth_raw = os.environ.get("REPRO_SPOOL_MAX_PENDING", "").strip()
-        depth = int(depth_raw) if depth_raw else None
-        bytes_raw = os.environ.get("REPRO_SPOOL_MAX_BYTES", "").strip()
+        (unset = unbounded, the pre-admission-control behaviour; a
+        malformed value warns and is ignored)."""
         return cls(
-            max_pending=depth,
-            max_pending_bytes=parse_bytes(bytes_raw or None),
+            max_pending=_env_int("REPRO_SPOOL_MAX_PENDING", None),
+            max_pending_bytes=_env_bytes("REPRO_SPOOL_MAX_BYTES", None),
         )
 
 

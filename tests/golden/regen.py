@@ -12,12 +12,13 @@ and say so in CHANGES.md — with::
 case, the sha256 of the partition labels (and ``repr`` of the
 simulated makespan where a schedule is run).  Cases: the six
 ``paper_chains`` scenarios at seed 3000 (bench seed 3, pass 0), the
-``scale_chain`` scenario at its quick scale, and one
-int32/float32-narrowed, area-weighted dual graph partitioned directly
-(seed 4: the first seed on which no bisection reaches ``rebalance``
-uncut — before PR 23 ``_degrees`` came back int64 there and
-``rebalance`` truncated non-integer degree updates, so those labels
-were an accident, not a reference).
+``scale_chain`` scenario at its quick scale, and one area-weighted
+dual graph partitioned directly (seed 4: the first seed on which no
+bisection reaches ``rebalance`` uncut — before PR 23 ``_degrees`` came
+back int64 there and ``rebalance`` truncated non-integer degree
+updates, so those labels were an accident, not a reference).  That
+case's key still says ``narrowed``: it was first stored int32/float32,
+and the one int64/float64 format gives the same labels.
 
 ``chain_outputs.json`` (``tests/test_golden_chain.py``) pins the
 stages whose second implementation is gone, by their outputs (never by
@@ -28,7 +29,8 @@ stage digests, which embed ``__version__``):
   depths 5–7.  Generated where the dict-of-tuples mesh engines still
   existed and gave the same hashes;
 * ``dual/…`` — ``xadj``/``adjncy``/``adjwgt`` of the depth-7 duals,
-  unit and area weights, int64 and ``index_dtype="auto"``;
+  unit and area weights (keys end in ``int64``, the one storage
+  format);
 * ``chain/…`` — task-graph edges and costs and the simulated trace's
   ``start``/``end``/``worker`` for the four registry scenarios.
 """
@@ -59,12 +61,7 @@ STRATEGIES = ("SC_OC", "MC_TL")
 MESH_DEPTHS = (5, 7, 9)
 OCTREE_DEPTHS = (5, 6, 7)
 DUAL_DEPTH = 7
-DUAL_VARIANTS = (
-    ("unit", None),
-    ("unit", "auto"),
-    ("area", None),
-    ("area", "auto"),
-)
+DUAL_VARIANTS = ("unit", "area")
 
 
 def _sha(a: np.ndarray) -> str:
@@ -111,24 +108,20 @@ def mesh_hashes(
     return out
 
 
-def dual_key(name: str, edge_weight: str, index_dtype) -> str:
-    return f"dual/{name}/depth{DUAL_DEPTH}/{edge_weight}/{index_dtype or 'int64'}"
+def dual_key(name: str, edge_weight: str) -> str:
+    return f"dual/{name}/depth{DUAL_DEPTH}/{edge_weight}/int64"
 
 
 def dual_hashes() -> dict[str, str]:
-    """``dual/…`` → hash of ``(xadj, adjncy, adjwgt)``, each graph
-    built from a mesh whose adjacency cache is cold (streamed)."""
+    """``dual/…`` → hash of ``(xadj, adjncy, adjwgt)``."""
     from repro.mesh import MESH_FACTORIES, mesh_to_dual_graph
 
     out = {}
     for name, factory in MESH_FACTORIES.items():
-        for edge_weight, index_dtype in DUAL_VARIANTS:
-            g = mesh_to_dual_graph(
-                factory(max_depth=DUAL_DEPTH),
-                edge_weight=edge_weight,
-                index_dtype=index_dtype,
-            )
-            out[dual_key(name, edge_weight, index_dtype)] = _sha_arrays(
+        mesh = factory(max_depth=DUAL_DEPTH)
+        for edge_weight in DUAL_VARIANTS:
+            g = mesh_to_dual_graph(mesh, edge_weight=edge_weight)
+            out[dual_key(name, edge_weight)] = _sha_arrays(
                 g.xadj, g.adjncy, g.adjwgt
             )
     return out
@@ -186,16 +179,13 @@ def compute() -> dict[str, dict[str, str]]:
                 "labels": _sha(rec.decomp.domain),
                 "makespan": repr(float(rec.metrics.makespan)),
             }
-        # Narrowed storage, weighted finest level (FM's heap queue).
+        # Weighted finest level (FM's heap queue).
         g = mesh_to_dual_graph(
             rec.mesh,
-            vwgt=_level_indicator_matrix(rec.tau).astype(np.float32),
+            vwgt=_level_indicator_matrix(rec.tau),
             edge_weight="area",
-            index_dtype=np.int32,
-            weight_dtype=np.float32,
         )
         res = partition_graph(g, 8, seed=4)
-    assert g.adjncy.dtype == np.int32 and g.adjwgt.dtype == np.float32
     out["narrowed/cylinder/scale10/area/8/seed4"] = {"labels": _sha(res.part)}
     return out
 

@@ -8,9 +8,8 @@ its helpers) and ``best_initial_bisection`` are the versions that kept
 separate internal/external degree arrays, rescanned a neighbour's
 adjacency for every graph-growing gain and scored each trial with
 ``imbalance`` + ``edge_cut``.  The rewritten kernels must reproduce
-their matchings and labels exactly (``array_equal``), on wide and on
-narrowed graphs alike, wherever the weights are integer or
-float32-valued.
+their matchings and labels exactly (``array_equal``) wherever the
+weights are integer or float32-valued.
 """
 
 from __future__ import annotations

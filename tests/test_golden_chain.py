@@ -2,9 +2,9 @@
 implementation: meshes, dual graphs, task graphs and traces.
 
 ``tests/golden/chain_outputs.json`` was generated while the
-dict-of-tuples mesh engines, the explicit dual engines and the
-straight-line pipeline path still existed and agreed with the paths
-that remain; regenerate it (``tests/golden/regen.py chain``) only for
+dict-of-tuples mesh engines, the explicit dual engines, the warm-cache
+dual and the straight-line pipeline path still existed and agreed with
+the paths that remain; regenerate it (``tests/golden/regen.py chain``) only for
 a change that is meant to move an output.
 """
 
@@ -36,18 +36,12 @@ def test_mesh_hashes_do_not_depend_on_chunk_size(chunk, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(MESH_FACTORIES))
 def test_dual_matches_cell_adjacency(name):
-    """The streamed dual (cold mesh) and the cached one (warm mesh)
-    both equal what ``Mesh.cell_adjacency`` materializes."""
+    """The streamed dual equals what ``Mesh.cell_adjacency``
+    materializes, and its golden hash."""
     mesh = MESH_FACTORIES[name](max_depth=regen.DUAL_DEPTH)
-    streamed = {
-        variant: mesh_to_dual_graph(
-            mesh, edge_weight=variant[0], index_dtype=variant[1]
-        )
-        for variant in regen.DUAL_VARIANTS
-    }
-    assert mesh._adjacency is None
     xadj, adjncy, face_of = mesh.cell_adjacency()
-    for (edge_weight, index_dtype), g in streamed.items():
+    for edge_weight in regen.DUAL_VARIANTS:
+        g = mesh_to_dual_graph(mesh, edge_weight=edge_weight)
         want_wgt = (
             np.ones(len(adjncy)) if edge_weight == "unit"
             else mesh.face_area[face_of]
@@ -55,14 +49,5 @@ def test_dual_matches_cell_adjacency(name):
         np.testing.assert_array_equal(g.xadj, xadj)
         np.testing.assert_array_equal(g.adjncy, adjncy)
         np.testing.assert_array_equal(g.adjwgt, want_wgt)
-        assert g.adjncy.dtype == (
-            np.int32 if index_dtype == "auto" else np.int64
-        )
-        cached = mesh_to_dual_graph(
-            mesh, edge_weight=edge_weight, index_dtype=index_dtype
-        )
-        key = regen.dual_key(name, edge_weight, index_dtype)
-        for graph in (g, cached):
-            assert regen._sha_arrays(
-                graph.xadj, graph.adjncy, graph.adjwgt
-            ) == GOLDEN[key]
+        key = regen.dual_key(name, edge_weight)
+        assert regen._sha_arrays(g.xadj, g.adjncy, g.adjwgt) == GOLDEN[key]

@@ -1,7 +1,7 @@
 """Tests for the out-of-core scale rung.
 
 Streaming dual construction (chunked two-pass count/fill, bit-identical
-to the graph read from the mesh's materialized adjacency cache).
+to the adjacency :meth:`Mesh.cell_adjacency` materializes).
 """
 
 from __future__ import annotations
@@ -19,20 +19,17 @@ def _assert_same_graph(a: CSRGraph, b: CSRGraph) -> None:
     np.testing.assert_array_equal(a.xadj, b.xadj)
     np.testing.assert_array_equal(a.adjncy, b.adjncy)
     np.testing.assert_array_equal(a.adjwgt, b.adjwgt)
-    assert a.adjncy.dtype == b.adjncy.dtype
-    assert a.adjwgt.dtype == b.adjwgt.dtype
 
 
-def _cached_and_streamed(make_mesh, monkeypatch, chunk, **kw):
-    """The dual of a warm mesh (served from ``cell_adjacency``) and of
-    a cold copy streamed in ``chunk``-face windows."""
-    warm = make_mesh()
-    warm.cell_adjacency()
-    ref = mesh_to_dual_graph(warm, **kw)
-    cold = make_mesh()
-    assert cold._adjacency is None
+def _materialized_and_streamed(make_mesh, monkeypatch, chunk, edge_weight):
+    """The dual read off ``cell_adjacency`` and the dual streamed in
+    ``chunk``-face windows."""
+    mesh = make_mesh()
+    xadj, adjncy, face_of = mesh.cell_adjacency()
+    adjwgt = mesh.face_area[face_of] if edge_weight == "area" else None
+    ref = CSRGraph(xadj, adjncy, adjwgt=adjwgt)
     monkeypatch.setattr(dual, "DEFAULT_CHUNK_FACES", chunk)
-    return ref, mesh_to_dual_graph(cold, **kw)
+    return ref, mesh_to_dual_graph(mesh, edge_weight=edge_weight)
 
 
 # ----------------------------------------------------------------------
@@ -45,38 +42,23 @@ class TestStreamingDual:
     def test_bit_identical_to_materialized(
         self, depth, chunk, edge_weight, monkeypatch
     ):
-        ref, got = _cached_and_streamed(
-            lambda: uniform_mesh(depth=depth),
-            monkeypatch,
-            chunk,
-            edge_weight=edge_weight,
+        ref, got = _materialized_and_streamed(
+            lambda: uniform_mesh(depth=depth), monkeypatch, chunk, edge_weight
         )
         _assert_same_graph(ref, got)
 
-    def test_adaptive_mesh_and_narrowing(self, monkeypatch):
-        ref, got = _cached_and_streamed(
+    def test_adaptive_mesh(self, monkeypatch):
+        ref, got = _materialized_and_streamed(
             lambda: cylinder_mesh(max_depth=6),
             monkeypatch,
             997,  # prime chunk: windows never align with runs
-            edge_weight="area",
-            index_dtype="auto",
+            "area",
         )
         _assert_same_graph(ref, got)
-        assert got.adjncy.dtype == np.int32
 
-    def test_weight_dtype_narrowing(self, monkeypatch):
-        ref, got = _cached_and_streamed(
-            lambda: uniform_mesh(depth=4),
-            monkeypatch,
-            13,
-            edge_weight="area",
-            weight_dtype=np.float32,
-        )
-        _assert_same_graph(ref, got)
-        assert got.adjwgt.dtype == np.float32
-
-    @staticmethod
-    def _spy_streaming(monkeypatch):
+    def test_engine_resolution(self, monkeypatch):
+        # Every dual is streamed in default-size windows, whether or
+        # not the mesh's own adjacency cache is warm.
         calls = []
         real = dual._streaming_adjacency
 
@@ -85,28 +67,10 @@ class TestStreamingDual:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(dual, "_streaming_adjacency", spy)
-        return calls
-
-    def test_engine_resolution(self, monkeypatch):
-        # The construction path follows the mesh's cache state: a cold
-        # mesh streams in default-size windows and stays cold.
-        calls = self._spy_streaming(monkeypatch)
         mesh = uniform_mesh(depth=3)
         mesh_to_dual_graph(mesh)
         assert calls == [DEFAULT_CHUNK_FACES]
         assert mesh._adjacency is None  # streaming leaves the cache cold
-
-    def test_warm_adjacency_cache_reused_unless_explicit(self, monkeypatch):
-        # A warm mesh is served from its adjacency cache without
-        # streaming; a cold copy is the explicit way to stream, and both
-        # paths give the same graph.
-        calls = self._spy_streaming(monkeypatch)
-        mesh = uniform_mesh(depth=3)
-        mesh.cell_adjacency()  # warm the cache
-        assert mesh._adjacency is not None
-        cached = mesh_to_dual_graph(mesh)
-        assert calls == []
-        streamed = mesh_to_dual_graph(uniform_mesh(depth=3))
-        assert calls == [DEFAULT_CHUNK_FACES]
-        _assert_same_graph(cached, streamed)
-
+        mesh.cell_adjacency()
+        mesh_to_dual_graph(mesh)
+        assert calls == [DEFAULT_CHUNK_FACES] * 2

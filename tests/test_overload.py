@@ -219,6 +219,21 @@ class TestAdmissionControl:
         assert limits.max_pending == 7
         assert limits.max_pending_bytes == 2**20
 
+    @pytest.mark.parametrize(
+        "name", ["REPRO_SPOOL_MAX_PENDING", "REPRO_SPOOL_MAX_BYTES"]
+    )
+    def test_malformed_limit_warns_and_stays_unbounded(
+        self, tmp_path, monkeypatch, name
+    ):
+        # Like REPRO_ARTIFACTS_BUDGET and the sentinel knobs: a typo
+        # must not stop even a read-only client from opening the spool.
+        monkeypatch.delenv("REPRO_SPOOL_MAX_PENDING", raising=False)
+        monkeypatch.delenv("REPRO_SPOOL_MAX_BYTES", raising=False)
+        monkeypatch.setenv(name, "abc")
+        with pytest.warns(RuntimeWarning, match=name):
+            queue = SpoolQueue(tmp_path)
+        assert queue.limits == QueueLimits()
+
     def test_unbounded_by_default(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_SPOOL_MAX_PENDING", raising=False)
         monkeypatch.delenv("REPRO_SPOOL_MAX_BYTES", raising=False)

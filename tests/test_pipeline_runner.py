@@ -23,7 +23,6 @@ from repro.pipeline import (
     Scenario,
     expand_sweep,
     get_scenario,
-    paper_configs,
     run_batch,
 )
 from repro.pipeline.registry import SCENARIOS
@@ -146,12 +145,6 @@ class TestRegistry:
     def test_unknown_scenario_raises(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             get_scenario("does_not_exist")
-
-    def test_paper_configs_legacy_view(self):
-        cfgs = paper_configs()
-        assert "validation" in cfgs or "nozzle_validation" in cfgs
-        for cfg in cfgs.values():
-            assert "domains" in cfg and "processes" in cfg
 
     def test_unknown_option_raises(self):
         sc = SCENARIOS["characteristics"]

@@ -2,8 +2,8 @@
 
 Two surfaces: the process pool parallel recursive bisection forks
 (its workers inherit the graph instead of receiving it, and its size
-follows the one worker-count rule), and the int32/float32 storage
-narrowing with dtype provenance.
+follows the one worker-count rule), and the one graph storage format
+(int64 indices, float64 weights) whatever the input dtypes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import repro.graph.partition as partition_mod
-from repro.graph import CSRGraph
+from repro.graph import CSRGraph, graph_from_edges
+from repro.graph.coarsen import coarsen_once
 from repro.graph.metrics import edge_cut
 from repro.graph.partition import partition_graph, recursive_bisection
 from repro.mesh.dual import mesh_to_dual_graph
@@ -25,13 +26,13 @@ from repro.util import forkpool
 
 @pytest.fixture(scope="module")
 def dual_graph():
-    """Dual graph of a 256-cell uniform mesh, auto-narrowed indices."""
-    return mesh_to_dual_graph(uniform_mesh(depth=4), index_dtype="auto")
+    """Dual graph of a 256-cell uniform mesh."""
+    return mesh_to_dual_graph(uniform_mesh(depth=4))
 
 
-def narrow_graph(seed: int = 0, n: int = 120) -> CSRGraph:
-    """A connected random graph stored narrow: int32 adjncy, float32
-    weights (values exactly representable in float32)."""
+def narrow_arrays(seed: int = 0, n: int = 120):
+    """``(xadj, adjncy, vwgt, adjwgt)`` of a connected random graph in
+    narrow dtypes: int32 adjncy, float32 weights."""
     rng = np.random.default_rng(seed)
     edges = {(i, i + 1) for i in range(n - 1)}
     for _ in range(2 * n):
@@ -54,7 +55,7 @@ def narrow_graph(seed: int = 0, n: int = 120) -> CSRGraph:
         adjwgt[pos[v]] = wv
         pos[v] += 1
     vwgt = rng.integers(1, 5, n).astype(np.float32)
-    return CSRGraph(xadj, adjncy, vwgt=vwgt, adjwgt=adjwgt)
+    return xadj, adjncy, vwgt, adjwgt
 
 
 def counting_fork_pool(started: list[int]):
@@ -236,55 +237,31 @@ class TestParallelBisection:
 
 
 # ----------------------------------------------------------------------
-# Dtype narrowing
+# One storage format
 # ----------------------------------------------------------------------
-class TestDtypeNarrowing:
-    def test_auto_dual_is_int32_at_small_scale(self, dual_graph):
-        assert dual_graph.adjncy.dtype == np.int32
-
-    def test_subgraph_preserves_narrow_storage(self):
-        g = narrow_graph(6)
-        sub, mapping = g.subgraph(np.arange(0, g.num_vertices, 2))
-        assert sub.adjncy.dtype == np.int32
-        assert sub.vwgt.dtype == np.float32
-        assert sub.adjwgt.dtype == np.float32
-        assert mapping.dtype == np.int64
-
-    def test_coarsening_keeps_narrow_indices(self):
-        from repro.graph.coarsen import coarsen_once
-
-        g = narrow_graph(12)
-        lvl = coarsen_once(g, np.random.default_rng(0))
-        # Indices must never silently widen; the *weights* deliberately
-        # accumulate in float64 (sums of float32 are not representable
-        # in float32 without rounding).
-        assert lvl.graph.adjncy.dtype == np.int32
-        assert lvl.graph.vwgt.dtype == np.float64
-        assert lvl.cmap.max() < g.num_vertices
-
-    def test_partition_round_trip_no_silent_widening(self):
-        g = narrow_graph(7)
-        res = partition_graph(g, 4, seed=7)
-        assert res.part.dtype == np.int32
-        assert res.dtypes == {
-            "adjncy": "int32",
-            "vwgt": "float32",
-            "adjwgt": "float32",
-            "part": "int32",
-        }
-        # The input graph's own storage must be untouched.
-        assert g.adjncy.dtype == np.int32
-        assert g.vwgt.dtype == np.float32
-
-    def test_narrow_and_wide_labels_bit_identical(self):
-        g = narrow_graph(8)
-        wide = CSRGraph(
-            g.xadj.astype(np.int64),
-            g.adjncy.astype(np.int64),
-            vwgt=np.asarray(g.vwgt, dtype=np.float64),
-            adjwgt=np.asarray(g.adjwgt, dtype=np.float64),
+@pytest.mark.parametrize(
+    "build", ["CSRGraph", "graph_from_edges", "subgraph", "contract"]
+)
+def test_narrow_inputs_are_widened(build):
+    xadj, adjncy, vwgt, adjwgt = narrow_arrays(6)
+    g = CSRGraph(xadj, adjncy, vwgt=vwgt, adjwgt=adjwgt)
+    np.testing.assert_array_equal(g.adjncy, adjncy)
+    np.testing.assert_array_equal(g.vwgt[:, 0], vwgt)
+    np.testing.assert_array_equal(g.adjwgt, adjwgt)
+    if build == "graph_from_edges":
+        src = g.edge_sources()
+        once = src < g.adjncy
+        edges = np.stack([src[once], g.adjncy[once]], axis=1)
+        g = graph_from_edges(
+            g.num_vertices,
+            edges.astype(np.int32),
+            vwgt=vwgt,
+            ewgt=adjwgt[once],
         )
-        res_n = partition_graph(g, 5, seed=11)
-        res_w = partition_graph(wide, 5, seed=11)
-        np.testing.assert_array_equal(res_n.part, res_w.part)
-        assert res_n.cut == res_w.cut
+    elif build == "subgraph":
+        g, mapping = g.subgraph(np.arange(0, len(vwgt), 2, dtype=np.int32))
+        assert mapping.dtype == np.int64
+    elif build == "contract":
+        g = coarsen_once(g, np.random.default_rng(0)).graph
+    assert g.xadj.dtype == g.adjncy.dtype == np.int64
+    assert g.vwgt.dtype == g.adjwgt.dtype == np.float64

@@ -10,7 +10,7 @@ These tests pin *that*, not the speed it buys:
 * FM's allocation peak per graph element stays under what one boxed
   copy of the CSR would cost;
 * the earlier loops, kept verbatim in ``tests/oracles/vcycle_scalar``,
-  give the same matchings and labels on wide and narrowed graphs;
+  give the same matchings and labels on float32-valued weights;
 * a feasible projection costs ``rebalance`` no O(n + m) set-up;
 * on arbitrary float64 weights — outside the integer/float32-valued
   domain where labels are bit-identical — the maintained gains do not
@@ -46,22 +46,16 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def narrowed_pair(g: CSRGraph) -> tuple[CSRGraph, CSRGraph]:
-    """``(wide, narrow)`` storage copies holding the same values: the
-    weights are rounded through float32 first (as the fuzz harness's
-    dtype differential does)."""
-    vw32 = np.asarray(g.vwgt, dtype=np.float32)
-    aw32 = np.asarray(g.adjwgt, dtype=np.float32)
-    wide = CSRGraph(
+def float32_valued(g: CSRGraph) -> CSRGraph:
+    """``g`` with its weights rounded through float32: values whose
+    partial sums are exact in float64, the domain where the kept gains
+    equal the oracles' bit for bit."""
+    return CSRGraph(
         g.xadj,
-        g.adjncy.astype(np.int64),
-        vwgt=vw32.astype(np.float64),
-        adjwgt=aw32.astype(np.float64),
+        g.adjncy,
+        vwgt=np.asarray(g.vwgt, dtype=np.float32),
+        adjwgt=np.asarray(g.adjwgt, dtype=np.float32),
     )
-    narrow = CSRGraph(
-        g.xadj, g.adjncy.astype(np.int32), vwgt=vw32, adjwgt=aw32
-    )
-    return wide, narrow
 
 
 def big_grid(side: int, weight: float) -> CSRGraph:
@@ -126,13 +120,9 @@ class TestMatchingFallbackOracle:
     )
     def test_equal_matchings_wide_and_narrow(self, seed, ncon, unit, multi):
         g = random_graph(seed, n=90, ncon=ncon, unit_weights=unit)
-        wide, narrow = narrowed_pair(g)
-        new_w, ref_w = self.both(wide, seed, multi)
-        new_n, ref_n = self.both(narrow, seed, multi)
-        np.testing.assert_array_equal(new_w, ref_w)
-        np.testing.assert_array_equal(new_n, ref_n)
-        np.testing.assert_array_equal(new_w, new_n)
-        np.testing.assert_array_equal(new_w[new_w], np.arange(90))
+        new, ref = self.both(float32_valued(g), seed, multi)
+        np.testing.assert_array_equal(new, ref)
+        np.testing.assert_array_equal(new[new], np.arange(90))
 
     def test_equal_weight_tie_goes_to_smaller_spread(self):
         """The ``w > best_w - 1e-12`` branch: vertex 0 sees 1 first,
@@ -142,17 +132,12 @@ class TestMatchingFallbackOracle:
             dtype=np.float64,
         )
         g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)], vwgt=vwgt)
-        for graph in narrowed_pair(g):
-            match = np.arange(4, dtype=np.int64)
-            _matching_fallback(
-                graph, match, np.array([0]), _rng(0), spreads(graph, True)
-            )
-            assert match.tolist() == [2, 1, 0, 3]
-            match = np.arange(4, dtype=np.int64)
-            vcycle_scalar._matching_fallback(
-                graph, match, np.array([0]), _rng(0), True
-            )
-            assert match.tolist() == [2, 1, 0, 3]
+        match = np.arange(4, dtype=np.int64)
+        _matching_fallback(g, match, np.array([0]), _rng(0), spreads(g, True))
+        assert match.tolist() == [2, 1, 0, 3]
+        match = np.arange(4, dtype=np.int64)
+        vcycle_scalar._matching_fallback(g, match, np.array([0]), _rng(0), True)
+        assert match.tolist() == [2, 1, 0, 3]
         # Without the multi-constraint rule the first heaviest edge wins.
         match = np.arange(4, dtype=np.int64)
         _matching_fallback(g, match, np.array([0]), _rng(0), None)
@@ -170,8 +155,7 @@ class TestGraphGrowingOracle:
     def test_equal_labels_wide_and_narrow(self, seed, ncon, unit, frac):
         g = random_graph(seed, n=70, ncon=ncon, unit_weights=unit)
         labels = [
-            fn(graph, frac, _rng(seed))
-            for graph in narrowed_pair(g)
+            fn(float32_valued(g), frac, _rng(seed))
             for fn in (greedy_graph_growing, vcycle_scalar.greedy_graph_growing)
         ]
         assert labels[0].dtype == np.int32
@@ -216,11 +200,11 @@ class TestRebalance:
         if g.num_vertices < 2:
             return
         part0 = (_rng(seed).random(g.num_vertices) < 0.15).astype(np.int32)
-        for graph in narrowed_pair(g):
-            np.testing.assert_array_equal(
-                rebalance(graph, part0.copy(), imbalance_tol=1.05),
-                vcycle_scalar.rebalance(graph, part0.copy(), imbalance_tol=1.05),
-            )
+        g = float32_valued(g)
+        np.testing.assert_array_equal(
+            rebalance(g, part0.copy(), imbalance_tol=1.05),
+            vcycle_scalar.rebalance(g, part0.copy(), imbalance_tol=1.05),
+        )
 
     def test_degrees_are_float_even_when_nothing_is_cut(self):
         """``np.bincount`` of an empty selection is int64 whatever the
@@ -246,10 +230,6 @@ class TestWeightedDegrees:
         )
         assert g.weighted_degrees() is wdeg
         assert g.with_vwgt(g.vwgt[:, :1]).weighted_degrees() is wdeg
-        wide, narrow = narrowed_pair(g)
-        np.testing.assert_array_equal(
-            wide.weighted_degrees(), narrow.weighted_degrees()
-        )
         # No edge at all: float zeros, not bincount's int64.
         empty = graph_from_edges(3, [])
         assert empty.weighted_degrees().dtype == np.float64
@@ -274,9 +254,9 @@ class TestFmRefineOracle:
         start = (_rng(seed + 1).random(g.num_vertices) >= frac).astype(
             np.int32
         )
+        g = float32_valued(g)
         labels = [
-            fn(graph, start.copy(), target_frac=frac, rng=_rng(seed))
-            for graph in narrowed_pair(g)
+            fn(g, start.copy(), target_frac=frac, rng=_rng(seed))
             for fn in (fm_refine, vcycle_scalar.fm_refine)
         ]
         for other in labels[1:]:
@@ -289,11 +269,11 @@ class TestBestInitialBisectionOracle:
     def test_equal_labels_and_draws(self, seed, ncon, unit, frac):
         g = random_graph(seed, n=70, ncon=ncon, unit_weights=unit)
         labels, states = [], []
-        for graph in narrowed_pair(g):
-            for fn in (best_initial_bisection, vcycle_scalar.best_initial_bisection):
-                rng = _rng(seed)
-                labels.append(fn(graph, frac, rng, imbalance_tol=1.05))
-                states.append(rng.bit_generator.state)
+        g = float32_valued(g)
+        for fn in (best_initial_bisection, vcycle_scalar.best_initial_bisection):
+            rng = _rng(seed)
+            labels.append(fn(g, frac, rng, imbalance_tol=1.05))
+            states.append(rng.bit_generator.state)
         assert labels[0].dtype == np.int32
         for other, state in zip(labels[1:], states[1:]):
             np.testing.assert_array_equal(labels[0], other)
