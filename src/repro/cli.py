@@ -396,7 +396,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         limits = QueueLimits.from_env()
         if args.max_pending is not None or args.max_pending_bytes is not None:
-            from .pipeline.locking import parse_bytes
+            from .util.env import parse_bytes
 
             limits = QueueLimits(
                 max_pending=(

@@ -28,7 +28,7 @@ from .config import (
     ScheduleConfig,
     TaskGraphConfig,
 )
-from .hashing import canonical_json, config_digest, stage_digest
+from .hashing import canonical_json, stage_digest
 from .plan import StagePlan, StageTask, compile_plan
 from .registry import SCENARIOS, get_scenario
 from .runner import (
@@ -73,7 +73,6 @@ __all__ = [
     "ScheduleConfig",
     "Scenario",
     "canonical_json",
-    "config_digest",
     "stage_digest",
     "resolve_n_jobs",
     "SCENARIOS",

@@ -25,7 +25,7 @@ import hashlib
 import json
 from typing import Any, Mapping, Sequence
 
-__all__ = ["canonical_json", "config_digest", "stage_digest"]
+__all__ = ["canonical_json", "stage_digest"]
 
 
 def _canonical(value: Any) -> Any:
@@ -57,11 +57,6 @@ def canonical_json(value: Any) -> str:
     return json.dumps(
         _canonical(value), sort_keys=True, separators=(",", ":")
     )
-
-
-def config_digest(config: Any) -> str:
-    """SHA-256 hex digest of a (dataclass) config."""
-    return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
 def stage_digest(

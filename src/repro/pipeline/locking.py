@@ -35,7 +35,6 @@ invariant rather than a probabilistic one.
 from __future__ import annotations
 
 import errno
-import json
 import os
 import socket
 import threading
@@ -45,7 +44,7 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable
 
-from ..util.fsjson import read_json
+from ..util.fsjson import atomic_write_json, read_json
 
 __all__ = [
     "FileLock",
@@ -54,7 +53,6 @@ __all__ = [
     "read_claim",
     "claim_is_stale",
     "pid_alive",
-    "parse_bytes",
 ]
 
 try:  # POSIX
@@ -217,9 +215,7 @@ def _write_claim(path: Path, token: str, started_at: float) -> None:
         "heartbeat": _now(),
         "token": token,
     }
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(record), encoding="utf-8")
-    os.replace(tmp, path)
+    atomic_write_json(path, record)
 
 
 def _drop_claim(path: Path, token: str) -> None:
@@ -288,11 +284,9 @@ class Lease:
                     if claim is None or claim.get("token") != self.token:
                         return  # deposed; stop advertising
                     claim["heartbeat"] = _now()
-                    tmp = self.claim_path.with_name(  # type: ignore[union-attr]
-                        self.claim_path.name + f".tmp{os.getpid()}"
+                    atomic_write_json(
+                        self.claim_path, claim  # type: ignore[arg-type]
                     )
-                    tmp.write_text(json.dumps(claim), encoding="utf-8")
-                    os.replace(tmp, self.claim_path)
                 except OSError:  # pragma: no cover - defensive
                     return
 
@@ -439,32 +433,3 @@ def acquire_claim(
             )
             return Lease(role="winner", ttl=ttl, unguarded=True)
         time.sleep(poll)
-
-
-# ----------------------------------------------------------------------
-def parse_bytes(value: str | int | None) -> int | None:
-    """Parse a byte budget like ``"512M"``, ``"2G"``, ``"100000"``.
-
-    Returns ``None`` for ``None``/empty; raises ``ValueError`` on
-    garbage.  Suffixes are binary (K=2**10, M=2**20, G=2**30, T=2**40).
-    """
-    if value is None:
-        return None
-    if isinstance(value, int):
-        return value if value > 0 else None
-    text = value.strip()
-    if not text:
-        return None
-    scale = 1
-    suffixes = {"K": 2**10, "M": 2**20, "G": 2**30, "T": 2**40}
-    if text[-1].upper() in suffixes:
-        scale = suffixes[text[-1].upper()]
-        text = text[:-1]
-    try:
-        n = int(float(text) * scale)
-    except ValueError:
-        raise ValueError(
-            f"unparsable byte budget {value!r} (expected e.g. '512M', "
-            "'2G' or a plain byte count)"
-        ) from None
-    return n if n > 0 else None

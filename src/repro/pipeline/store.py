@@ -82,15 +82,9 @@ from typing import Any
 
 import numpy as np
 
+from ..util.env import parse_bytes, read
 from ..util.fsjson import read_json
-from .locking import (
-    FileLock,
-    Lease,
-    acquire_claim,
-    claim_is_stale,
-    parse_bytes,
-    read_claim,
-)
+from .locking import FileLock, Lease, acquire_claim, claim_is_stale, read_claim
 
 __all__ = [
     "ArtifactStore",
@@ -120,8 +114,7 @@ _DEGRADE_ERRNOS = frozenset(
 def default_cache_root() -> Path:
     """The default on-disk root (``$REPRO_ARTIFACTS`` or
     ``~/.cache/repro``)."""
-    env = os.environ.get("REPRO_ARTIFACTS", "").strip()
-    return Path(env if env else DEFAULT_CACHE_DIR).expanduser()
+    return Path(read("REPRO_ARTIFACTS") or DEFAULT_CACHE_DIR).expanduser()
 
 
 @dataclass
@@ -217,15 +210,16 @@ class ArtifactStore:
         keeping long campaigns from holding every mesh alive.
     lock_timeout:
         How long a loser blocks on another worker's claim before
-        computing unguarded (``REPRO_STORE_LOCK_TIMEOUT``, default
-        600 s).
+        computing unguarded (seconds).
     claim_ttl:
         Heartbeat age beyond which a claim counts as stale and is
-        reclaimed (``REPRO_STORE_CLAIM_TTL``, default 30 s).
+        reclaimed; ``None`` reads ``REPRO_STORE_CLAIM_TTL``.
     budget_bytes:
         Disk byte budget for LRU eviction; ``None`` reads
-        ``REPRO_ARTIFACTS_BUDGET`` (unset = unbounded).  Accepts
-        ``"512M"``-style strings.
+        ``REPRO_ARTIFACTS_BUDGET``.  Accepts ``"512M"``-style strings.
+
+    Both knobs, their domains and defaults are rows of
+    :data:`repro.util.env.KNOBS`.
     """
 
     def __init__(
@@ -233,7 +227,7 @@ class ArtifactStore:
         root: str | Path | None = None,
         *,
         memory_items: int = 64,
-        lock_timeout: float | None = None,
+        lock_timeout: float = 600.0,
         claim_ttl: float | None = None,
         budget_bytes: int | str | None = None,
     ) -> None:
@@ -244,29 +238,17 @@ class ArtifactStore:
         # The cross-process claim tier is on whenever a disk layer is;
         # a filesystem without lock support switches it off (claim()).
         self.locking = True
-        self.lock_timeout = (
-            float(lock_timeout)
-            if lock_timeout is not None
-            else _env_float("REPRO_STORE_LOCK_TIMEOUT", 600.0)
-        )
+        self.lock_timeout = float(lock_timeout)
         self.claim_ttl = (
             float(claim_ttl)
             if claim_ttl is not None
-            else _env_float("REPRO_STORE_CLAIM_TTL", 30.0)
+            else read("REPRO_STORE_CLAIM_TTL")
         )
-        if budget_bytes is None:
-            env = os.environ.get("REPRO_ARTIFACTS_BUDGET", "").strip()
-            try:
-                self.budget_bytes = parse_bytes(env or None)
-            except ValueError as exc:
-                warnings.warn(
-                    f"ignoring REPRO_ARTIFACTS_BUDGET: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self.budget_bytes = None
-        else:
-            self.budget_bytes = parse_bytes(budget_bytes)
+        self.budget_bytes = (
+            parse_bytes(budget_bytes)
+            if budget_bytes is not None
+            else read("REPRO_ARTIFACTS_BUDGET")
+        )
         self.stats = StoreStats()
         self._memory: OrderedDict[str, Any] = OrderedDict()
         self._lock = threading.Lock()
@@ -677,21 +659,6 @@ class ArtifactStore:
         return report
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        warnings.warn(
-            f"invalid {name} value {raw!r}; using {default:g}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default
-
-
 # ---------------------------------------------------------------------
 #: Process-wide store shared by the experiment wrappers and the CLI.
 _default_store: ArtifactStore | None = None
@@ -709,8 +676,7 @@ def default_store() -> ArtifactStore:
     global _default_store
     with _default_lock:
         if _default_store is None:
-            env = os.environ.get("REPRO_ARTIFACTS", "").strip()
-            _default_store = ArtifactStore(root=env or None)
+            _default_store = ArtifactStore(root=read("REPRO_ARTIFACTS"))
         return _default_store
 
 

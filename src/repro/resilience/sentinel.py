@@ -17,22 +17,21 @@ flap the service between modes on every sample.
 
 Every probe is injectable, which is how the chaos suite applies
 *synthetic* memory/disk pressure deterministically; the defaults read
-``/proc`` and :func:`shutil.disk_usage` and are tunable through
-``REPRO_SENTINEL_*`` environment variables (byte values accept
-``"512M"``-style suffixes via
-:func:`repro.pipeline.locking.parse_bytes`).
+``/proc`` and :func:`shutil.disk_usage`.  Thresholds come from the
+``REPRO_SENTINEL_*`` rows of :data:`repro.util.env.KNOBS`.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 import shutil
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
+
+from ..util.env import read
 
 __all__ = [
     "PressureState",
@@ -51,39 +50,6 @@ class PressureState(enum.IntEnum):
 
     def __str__(self) -> str:  # "SOFT", not "PressureState.SOFT"
         return self.name
-
-
-def _env_bytes(name: str, default: int | None) -> int | None:
-    # Lazy import: the pipeline package (which owns parse_bytes) sits
-    # above the graph layer, and the graph layer imports this package
-    # for its error types — a module-level import here would cycle.
-    from ..pipeline.locking import parse_bytes
-
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return parse_bytes(raw)
-    except ValueError as exc:
-        warnings.warn(
-            f"ignoring {name}: {exc}", RuntimeWarning, stacklevel=3
-        )
-        return default
-
-
-def _env_int(name: str, default: int | None) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring {name}: not an integer ({raw!r})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default
 
 
 @dataclass(frozen=True)
@@ -109,21 +75,17 @@ class SentinelConfig:
 
     @classmethod
     def from_env(cls) -> "SentinelConfig":
-        """Defaults overridden by ``REPRO_SENTINEL_*`` variables."""
-        base = cls()
+        """Each threshold read from its ``REPRO_SENTINEL_*`` knob, named
+        after the field: ``rss_soft_bytes`` reads
+        ``REPRO_SENTINEL_RSS_SOFT``."""
         return cls(
-            rss_soft_bytes=_env_bytes("REPRO_SENTINEL_RSS_SOFT", base.rss_soft_bytes),
-            rss_hard_bytes=_env_bytes("REPRO_SENTINEL_RSS_HARD", base.rss_hard_bytes),
-            mem_soft_bytes=_env_bytes("REPRO_SENTINEL_MEM_SOFT", base.mem_soft_bytes),
-            mem_hard_bytes=_env_bytes("REPRO_SENTINEL_MEM_HARD", base.mem_hard_bytes),
-            disk_soft_bytes=_env_bytes(
-                "REPRO_SENTINEL_DISK_SOFT", base.disk_soft_bytes
-            ),
-            disk_hard_bytes=_env_bytes(
-                "REPRO_SENTINEL_DISK_HARD", base.disk_hard_bytes
-            ),
-            queue_soft=_env_int("REPRO_SENTINEL_QUEUE_SOFT", base.queue_soft),
-            queue_hard=_env_int("REPRO_SENTINEL_QUEUE_HARD", base.queue_hard),
+            **{
+                f.name: read(
+                    "REPRO_SENTINEL_" + f.name.removesuffix("_bytes").upper()
+                )
+                for f in fields(cls)
+                if f.name != "hysteresis"
+            }
         )
 
 

@@ -115,32 +115,6 @@ class ServiceClient:
             for options in options_list
         ]
 
-    def wait_many(
-        self,
-        job_ids: list[str],
-        *,
-        timeout: float | None = None,
-        poll: float = 0.1,
-        poll_cap: float = 2.0,
-    ) -> list[JobStatus]:
-        """Block until *every* job is terminal; statuses in input
-        order.  ``timeout`` bounds the whole batch, not each job."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        statuses = []
-        for job_id in job_ids:
-            remaining = (
-                None if deadline is None else deadline - time.monotonic()
-            )
-            statuses.append(
-                self.wait(
-                    job_id,
-                    timeout=remaining,
-                    poll=poll,
-                    poll_cap=poll_cap,
-                )
-            )
-        return statuses
-
     def status(self, job_id: str) -> JobStatus | None:
         """Current typed status (``None`` for an unknown id)."""
         return self.queue.status(job_id)

@@ -71,9 +71,10 @@ Chaos hooks: a seeded
 :class:`~repro.resilience.faults.FaultPlan` may be installed; its
 ``transient`` decisions kill a job's child process after the job's
 first completed stage — deterministic worker death for the chaos
-suite.  ``REPRO_SERVE_STAGE_DELAY`` (seconds, read by the daemon when
-an attempt starts) makes that attempt's child linger after each plan
-node, giving the signal/drain tests a deterministic mid-job window.
+suite.  ``REPRO_SERVE_STAGE_DELAY`` (a row of
+:data:`repro.util.env.KNOBS`, read by the daemon when an attempt
+starts) makes that attempt's child linger after each plan node, giving
+the signal/drain tests a deterministic mid-job window.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ from ..resilience.sentinel import (
     ResourceSentinel,
 )
 from ..runtime.executor import RetryPolicy
+from ..util.env import read
 from ..util.fsjson import atomic_write_json, read_json
 from .queue import JobRequest, JobStatus, SpoolQueue, sweep_stale_spool
 
@@ -784,10 +786,7 @@ class ServeDaemon:
             )
         # What a fresh interpreter would have inherited at this moment.
         env = dict(os.environ)
-        try:
-            stage_delay = float(env.get("REPRO_SERVE_STAGE_DELAY") or 0)
-        except ValueError:
-            stage_delay = 0.0
+        stage_delay = read("REPRO_SERVE_STAGE_DELAY")
         child = self._ctx.Process(
             target=_child_main,
             args=(

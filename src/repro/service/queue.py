@@ -57,9 +57,9 @@ from typing import Any
 from ..pipeline.hashing import canonical_json
 from ..pipeline.locking import FileLock, pid_alive
 from ..pipeline.stages import STAGE_ORDER
+from ..util.env import read
 from ..util.fsjson import atomic_write_json, read_json
 from ..resilience.errors import CircuitOpenError, QueueFull
-from ..resilience.sentinel import _env_bytes, _env_int
 
 __all__ = [
     "JobRequest",
@@ -186,11 +186,10 @@ class QueueLimits:
     @classmethod
     def from_env(cls) -> "QueueLimits":
         """``REPRO_SPOOL_MAX_PENDING`` / ``REPRO_SPOOL_MAX_BYTES``
-        (unset = unbounded, the pre-admission-control behaviour; a
-        malformed value warns and is ignored)."""
+        (see :data:`repro.util.env.KNOBS`; unset = unbounded)."""
         return cls(
-            max_pending=_env_int("REPRO_SPOOL_MAX_PENDING", None),
-            max_pending_bytes=_env_bytes("REPRO_SPOOL_MAX_BYTES", None),
+            max_pending=read("REPRO_SPOOL_MAX_PENDING"),
+            max_pending_bytes=read("REPRO_SPOOL_MAX_BYTES"),
         )
 
 

@@ -12,7 +12,7 @@ count pinned for the current thread of execution
 (:func:`pinned_n_jobs`: the CLI's ``--jobs`` around a command, a
 :class:`~repro.pipeline.Pipeline` or ``run_batch`` around its plan, a
 ``PartitionConfig.n_jobs`` around its stage), then the ``REPRO_N_JOBS``
-environment variable, then one worker per CPU.  The count is never
+knob (:data:`repro.util.env.KNOBS`), then one worker per CPU.  The count is never
 part of a content address: labels and records are the same for every
 count.
 
@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Iterator
+
+from .env import read
 
 __all__ = [
     "can_fork_pool",
@@ -75,24 +76,12 @@ def pinned_n_jobs(n: int | None) -> Iterator[None]:
 def resolve_n_jobs(n_jobs: int | None = None) -> int:
     """Resolve the effective worker count (>= 1).
 
-    ``-1`` means one worker per CPU, and so does nothing set at all;
-    an unparsable ``REPRO_N_JOBS`` warns and falls back to that
-    default rather than killing a campaign.
+    ``-1`` means one worker per CPU, and so does nothing set at all.
     """
     if n_jobs is None:
         n_jobs = _pinned.get()
     if n_jobs is None:
-        env = os.environ.get("REPRO_N_JOBS", "").strip()
-        try:
-            n_jobs = int(env) if env else -1
-        except ValueError:
-            warnings.warn(
-                f"invalid REPRO_N_JOBS value {env!r} (expected an "
-                "integer); falling back to one worker per CPU",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            n_jobs = -1
+        n_jobs = read("REPRO_N_JOBS")
     if n_jobs < 0:
         return max(1, os.cpu_count() or 1)
     return max(1, n_jobs)

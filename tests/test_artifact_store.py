@@ -40,7 +40,8 @@ from repro.pipeline import (
     canonical_json,
     stage_digest,
 )
-from repro.pipeline.locking import claim_is_stale, parse_bytes
+from repro.pipeline.locking import claim_is_stale
+from repro.util.env import parse_bytes
 
 SCENARIO = Scenario.standard(
     "cube", domains=4, processes=2, cores=2, strategy="MC_TL", scale=6
@@ -518,8 +519,9 @@ class TestClaims:
         assert parse_bytes("512M") == 512 * 2**20
         assert parse_bytes("2G") == 2 * 2**30
         assert parse_bytes(42) == 42
-        with pytest.raises(ValueError, match="unparsable byte budget"):
-            parse_bytes("lots")
+        for garbage in ("lots", "inf", "1e400", "nan"):
+            with pytest.raises(ValueError, match="unparsable byte budget"):
+                parse_bytes(garbage)
 
 
 class TestQuarantine:
