@@ -32,7 +32,12 @@ stage digests, which embed ``__version__``):
   unit and area weights (keys end in ``int64``, the one storage
   format);
 * ``chain/…`` — task-graph edges and costs and the simulated trace's
-  ``start``/``end``/``worker`` for the four registry scenarios.
+  ``start``/``end``/``worker`` for the four registry scenarios;
+* ``solver/<strategy>/<scheme>`` — ``(U, acc, Ustar, acc2)`` after two
+  serial :meth:`TaskDistributedSolver.run_iteration` calls from a blast
+  wave, on the ``nozzle_validation`` scenario at scale
+  ``SOLVER_SCALE``, per strategy and integration scheme (the solver
+  tier behind Figs 5 and 13).
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ MESH_DEPTHS = (5, 7, 9)
 OCTREE_DEPTHS = (5, 6, 7)
 DUAL_DEPTH = 7
 DUAL_VARIANTS = ("unit", "area")
+SOLVER_SCALE = 7
+SOLVER_SCHEMES = ("euler", "heun")
 
 
 def _sha(a: np.ndarray) -> str:
@@ -147,9 +154,50 @@ def chain_hashes() -> dict[str, str]:
     return out
 
 
+def solver_hashes() -> dict[str, str]:
+    """``solver/<strategy>/<scheme>`` → hash of the state after two
+    serial task-graph iterations."""
+    from repro.pipeline import ArtifactStore, Pipeline
+    from repro.pipeline.registry import get_scenario
+    from repro.solver import LTSState, TaskDistributedSolver, blast_wave
+    from repro.solver.timestep import stable_timesteps
+
+    out = {}
+    pipe = Pipeline(ArtifactStore(None), n_jobs=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # partition-quality provenance
+        for strategy in STRATEGIES:
+            for scheme in SOLVER_SCHEMES:
+                rec = pipe.run(
+                    get_scenario(
+                        "nozzle_validation",
+                        strategy=strategy,
+                        scale=SOLVER_SCALE,
+                        scheme=scheme,
+                    ),
+                    through="taskgraph",
+                )
+                U0 = blast_wave(rec.mesh)
+                dt_min = float(
+                    (stable_timesteps(rec.mesh, U0) / np.exp2(rec.tau)).min()
+                )
+                solver = TaskDistributedSolver(
+                    rec.mesh, rec.tau, rec.decomp, dt_min,
+                    dag=rec.dag, scheme=scheme,
+                )
+                state = LTSState(U0)
+                solver.run(state, 2)
+                out[f"solver/{strategy}/{scheme}"] = _sha_arrays(
+                    state.U, state.acc, state.Ustar, state.acc2
+                )
+    return out
+
+
 def compute_chain() -> dict[str, str]:
     """Every ``chain_outputs.json`` entry, recomputed from scratch."""
-    return {**mesh_hashes(), **dual_hashes(), **chain_hashes()}
+    return {
+        **mesh_hashes(), **dual_hashes(), **chain_hashes(), **solver_hashes()
+    }
 
 
 def compute() -> dict[str, dict[str, str]]:
