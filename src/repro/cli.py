@@ -259,7 +259,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if specs:
         fault_plan = FaultPlan(specs=specs, seed=args.fault_seed)
 
-    executor = "threaded" if (args.threaded or fault_plan) else "serial"
+    threaded = args.threaded or fault_plan or args.watchdog is not None
+    executor = "threaded" if threaded else "serial"
     resilience = dict(
         guard=guard,
         executor=executor,
@@ -716,7 +717,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--threaded",
         action="store_true",
-        help="run on the threaded runtime (implied by fault injection)",
+        help="run on the threaded runtime (implied by fault injection "
+        "and --watchdog)",
     )
     p.add_argument("--cores", type=int, default=2, help="threads per process")
     p.add_argument(
@@ -747,7 +749,7 @@ def main(argv: list[str] | None = None) -> int:
         "--watchdog",
         type=float,
         default=None,
-        help="per-task deadline in seconds (threaded executor)",
+        help="per-task deadline in seconds (implies --threaded)",
     )
     p.add_argument(
         "--checkpoint-dir", default=None, help="directory for checkpoints"

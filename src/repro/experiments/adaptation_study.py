@@ -28,6 +28,7 @@ from ..mesh import (
 )
 from ..partitioning import make_decomposition
 from ..solver import LTSState, TaskDistributedSolver, blast_wave
+from ..solver.lts import apply_cell_updates
 from ..solver.timestep import stable_timesteps
 from ..taskgraph import generate_task_graph
 from ..temporal import levels_from_depth
@@ -105,8 +106,7 @@ def run(
             solver.run_iteration(state)
         # Fold outstanding accumulators into the state before the next
         # adaptation (the transfer only sees U).
-        state.U += state.acc / mesh.cell_volumes[:, None]
-        state.acc[:] = 0.0
+        apply_cell_updates(mesh, state, np.arange(mesh.num_cells))
         U = state.U
 
         fine = mesh.cell_centers[mesh.cell_depth == mesh.cell_depth.max()]

@@ -129,13 +129,13 @@ class Mesh:
             raise ValueError("degenerate face (same cell twice)")
         # Geometric closure: for each cell, sum of area-weighted
         # outward normals must vanish (divergence of a constant field).
-        acc = np.zeros((n, 2))
+        closure = np.zeros((n, 2))
         w = self.face_area[:, None] * self.face_normal
-        np.add.at(acc, a, w)
+        np.add.at(closure, a, w)
         interior = self.interior_faces()
-        np.add.at(acc, b[interior], -w[interior])
+        np.add.at(closure, b[interior], -w[interior])
         scale = np.sqrt(self.cell_volumes)[:, None]
-        if not np.allclose(acc / scale, 0.0, atol=1e-6):
+        if not np.allclose(closure / scale, 0.0, atol=1e-6):
             raise ValueError("cells are not geometrically closed")
 
     def summary(self) -> dict:

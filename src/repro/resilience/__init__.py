@@ -8,7 +8,8 @@ corruption, and whole-process death:
 * :mod:`~repro.resilience.faults` — deterministic, seeded fault
   injection to make the rest *testable*;
 * :mod:`~repro.resilience.guards` — post-iteration physics validation
-  and in-memory rollback snapshots;
+  (the rollback snapshot is an :meth:`LTSState.copy
+  <repro.solver.lts.LTSState.copy>`);
 * :mod:`~repro.resilience.checkpoint` — atomic on-disk campaign
   checkpoints and restart;
 * :mod:`~repro.resilience.errors` — the shared exception hierarchy
@@ -42,7 +43,7 @@ from .sentinel import (
     SentinelConfig,
 )
 
-_GUARD_NAMES = ("GuardConfig", "GuardReport", "StateSnapshot", "check_state")
+_GUARD_NAMES = ("GuardConfig", "GuardReport", "check_state")
 
 
 def __getattr__(name: str):
@@ -76,7 +77,6 @@ __all__ = [
     "ResourceSentinel",
     "GuardConfig",
     "GuardReport",
-    "StateSnapshot",
     "check_state",
     "Checkpoint",
     "save_checkpoint",

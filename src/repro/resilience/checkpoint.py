@@ -4,8 +4,10 @@ A checkpoint captures everything needed to continue a campaign from
 iteration *k* as if it had never stopped: the conserved state and flux
 accumulators, the temporal levels, the domain assignment (a resumed
 campaign must *not* re-partition — the levels have evolved since the
-partition was computed), the base time step and hysteresis anchor, the
-driver's RNG state, and the driver configuration.
+partition was computed), the base time step and hysteresis anchor, and
+the driver configuration.  Unknown manifest keys are ignored, so a
+manifest carrying the RNG state that older writers stored still
+loads.
 
 Writes are crash-safe: both files go to ``*.tmp`` first and are
 ``os.replace``-d into place, arrays before manifest — a manifest is
@@ -75,7 +77,6 @@ class Checkpoint:
     dt_min: float
     dt_ref: float
     num_processes: int
-    rng_state: dict | None = None
     meta: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -112,7 +113,6 @@ def save_checkpoint(
         "num_domains": int(ckpt.num_domains),
         "num_processes": int(ckpt.num_processes),
         "arrays": npz_path.name,
-        "rng_state": ckpt.rng_state,
         "meta": ckpt.meta,
     }
 
@@ -230,7 +230,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         dt_min=float(manifest["dt_min"]),
         dt_ref=float(manifest["dt_ref"]),
         num_processes=int(manifest["num_processes"]),
-        rng_state=manifest.get("rng_state"),
         meta=dict(manifest.get("meta") or {}),
         **arrays,
     )

@@ -1,4 +1,4 @@
-"""Physics guards and in-memory rollback snapshots.
+"""Physics guards: post-iteration validation of the solver state.
 
 After every (sub)iteration a campaign can validate its
 :class:`~repro.solver.lts.LTSState`:
@@ -11,11 +11,12 @@ After every (sub)iteration a campaign can validate its
   machine precision in the absence of boundary outflow) within a
   relative drift bound of a reference.
 
-A failed check triggers rollback to the last
-:class:`StateSnapshot` — an in-memory deep copy of the solver state
-plus the temporal configuration it was valid for.  Restoration builds
-*fresh* arrays rather than writing in place, so a zombie worker thread
-abandoned by the watchdog can never scribble on the restored state.
+A failed check makes :class:`~repro.solver.driver.SimulationDriver`
+roll back to its last snapshot, an :meth:`LTSState.copy
+<repro.solver.lts.LTSState.copy>` taken before the iteration, and
+restore another copy of it: fresh arrays and a fresh deposit lock, so
+a worker thread abandoned by the watchdog can never scribble on the
+restored state.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..mesh.structures import Mesh
 from ..solver.euler import pressure
 from ..solver.lts import LTSState
 
-__all__ = ["GuardConfig", "GuardReport", "check_state", "StateSnapshot"]
+__all__ = ["GuardConfig", "GuardReport", "check_state"]
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def check_state(
 
     ``reference_total`` is the conserved-total vector
     (:meth:`LTSState.conserved_total`) the drift check compares
-    against — typically captured with the rollback snapshot.
+    against — typically taken from the rollback snapshot.
     """
     violations: list[str] = []
     for name, arr in (
@@ -134,66 +135,3 @@ def check_state(
                         f"{ref:.12e} -> {float(total[c]):.12e}"
                     )
     return GuardReport(ok=not violations, violations=violations)
-
-
-class StateSnapshot:
-    """Deep copy of the solver state + temporal configuration.
-
-    Captured before an iteration; :meth:`make_state` rebuilds a *new*
-    :class:`LTSState` (fresh arrays) so restoration is immune to
-    abandoned worker threads still holding references to the old one.
-    """
-
-    __slots__ = ("U", "acc", "Ustar", "acc2", "tau", "dt_min", "iteration")
-
-    def __init__(
-        self,
-        U: np.ndarray,
-        acc: np.ndarray,
-        Ustar: np.ndarray,
-        acc2: np.ndarray,
-        tau: np.ndarray,
-        dt_min: float,
-        iteration: int,
-    ) -> None:
-        self.U = U
-        self.acc = acc
-        self.Ustar = Ustar
-        self.acc2 = acc2
-        self.tau = tau
-        self.dt_min = float(dt_min)
-        self.iteration = int(iteration)
-
-    @classmethod
-    def capture(
-        cls,
-        state: LTSState,
-        *,
-        tau: np.ndarray,
-        dt_min: float,
-        iteration: int = 0,
-    ) -> "StateSnapshot":
-        """Deep-copy ``state`` (and its temporal config) for rollback."""
-        return cls(
-            U=state.U.copy(),
-            acc=state.acc.copy(),
-            Ustar=state.Ustar.copy(),
-            acc2=state.acc2.copy(),
-            tau=np.array(tau, copy=True),
-            dt_min=dt_min,
-            iteration=iteration,
-        )
-
-    def make_state(self) -> LTSState:
-        """Rebuild a fresh :class:`LTSState` from the snapshot."""
-        st = LTSState(self.U)
-        st.acc[:] = self.acc
-        st.Ustar[:] = self.Ustar
-        st.acc2[:] = self.acc2
-        return st
-
-    def conserved_total(self, mesh: Mesh) -> np.ndarray:
-        """Conserved totals of the snapshotted state."""
-        return (self.U * mesh.cell_volumes[:, None]).sum(axis=0) + (
-            self.acc
-        ).sum(axis=0)

@@ -174,8 +174,8 @@ class ThreadedExecutor:
         aborts the execution with a
         :class:`~repro.resilience.errors.TaskTimeoutError`; its worker
         thread is abandoned (daemon), so the caller must treat the
-        shared state as suspect and roll back (see
-        :class:`~repro.resilience.guards.StateSnapshot`).
+        shared state as suspect and roll back to a fresh copy (see
+        :meth:`~repro.solver.lts.LTSState.copy`).
     """
 
     def __init__(

@@ -1,34 +1,26 @@
 """Thread-parallel execution of the finite-volume task graph.
 
-Wraps :class:`~repro.solver.runner.TaskDistributedSolver`'s kernels for
-the :class:`~repro.runtime.executor.ThreadedExecutor`:
-
-* flux *computation* (the heavy, GIL-releasing part) runs fully
-  concurrently;
-* accumulator *deposits* are serialized by a lock — two face tasks
-  from different domains may deposit into the same boundary cell, and
-  the dependency structure intentionally leaves commutative additions
-  unordered (they commute exactly, FLUSEPA does the same with StarPU's
-  data reductions);
-* cell updates need no lock: Algorithm 1 gives every cell task a
-  disjoint cell set, and its read of the accumulator is ordered after
-  all deposits by the task dependencies.
+Runs :meth:`~repro.solver.runner.TaskDistributedSolver.run_task` — the
+solver's own task body, the one the serial timed loop runs — on the
+:class:`~repro.runtime.executor.ThreadedExecutor`'s worker threads.
+Nothing here re-implements a kernel: flux evaluation (the heavy,
+GIL-releasing part) runs fully concurrently, and
+:func:`~repro.solver.lts.accumulate_face_fluxes` serializes only its
+accumulator deposits, under the state's own lock (two face tasks from
+different domains may deposit into the same boundary cell; the
+dependency structure leaves those commutative additions unordered, as
+FLUSEPA does with StarPU's data reductions).  Cell updates take no
+lock: every cell task owns a disjoint cell set, ordered after its
+deposits by the task dependencies.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..mesh.structures import Mesh
-from ..partitioning.decomposition import DomainDecomposition
 from ..resilience.faults import FaultPlan
-from ..solver.euler import FLUXES, physical_flux
 from ..solver.lts import LTSState
 from ..solver.runner import TaskDistributedSolver
-from ..taskgraph.task import ObjectType
 from .executor import ExecutionResult, RetryPolicy, ThreadedExecutor
 
 __all__ = ["ParallelSolverRun", "run_iteration_threaded"]
@@ -51,65 +43,23 @@ class ParallelSolverRun:
     state: LTSState
 
 
-def _face_task_fn(
-    mesh: Mesh,
-    state: LTSState,
-    faces: np.ndarray,
-    dt_face: float,
-    flux_name: str,
-    deposit_lock: threading.Lock,
-    stage: int = 1,
-) -> None:
-    if len(faces) == 0:
-        return
-    src = state.U if stage == 1 else state.Ustar
-    acc = state.acc if stage == 1 else state.acc2
-    flux_fn = FLUXES[flux_name]
-    a = mesh.face_cells[faces, 0]
-    b = mesh.face_cells[faces, 1]
-    nx = mesh.face_normal[faces, 0]
-    ny = mesh.face_normal[faces, 1]
-    area = mesh.face_area[faces]
-    interior = b >= 0
-    UL = src[a]
-    UR = UL.copy()
-    UR[interior] = src[b[interior]]
-    F = np.empty_like(UL)
-    if interior.any():
-        F[interior] = flux_fn(
-            UL[interior], UR[interior], nx[interior], ny[interior]
-        )
-    bnd = ~interior
-    if bnd.any():
-        F[bnd] = physical_flux(UL[bnd], nx[bnd], ny[bnd])
-    w = F * (area * dt_face)[:, None]
-    # Deposits may touch cells shared with other concurrent face
-    # tasks; additions commute but are not atomic → serialize them.
-    with deposit_lock:
-        np.add.at(acc, a, -w)
-        if interior.any():
-            np.add.at(acc, b[interior], w[interior])
-
-
 def run_iteration_threaded(
     solver: TaskDistributedSolver,
     state: LTSState,
     *,
-    num_processes: int | None = None,
     cores_per_process: int = 2,
     fault_plan: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
     watchdog: float | None = None,
 ) -> ParallelSolverRun:
-    """Run one solver iteration on real worker threads.
+    """Run one solver iteration on real worker threads, one worker
+    group per process of the solver's decomposition.
 
     Parameters
     ----------
     solver:
         A prepared :class:`TaskDistributedSolver` (its DAG and object
         sets are reused).
-    num_processes:
-        Worker groups; defaults to the decomposition's process count.
     cores_per_process:
         Threads per group.
     fault_plan:
@@ -123,39 +73,10 @@ def run_iteration_threaded(
     -------
     :class:`ParallelSolverRun` with the real execution trace.
     """
-    dag = solver.dag
-    mesh = solver.mesh
-    if num_processes is None:
-        num_processes = solver.decomp.num_processes
-    deposit_lock = threading.Lock()
-    t = dag.tasks
-
-    heun = getattr(solver, "scheme", "euler") == "heun"
+    t = solver.dag.tasks
 
     def task_fn(i: int) -> None:
-        objs = solver._task_objects[i]
-        stage = int(t.stage[i])
-        if t.obj_type[i] == int(ObjectType.FACE):
-            dt_face = float(1 << int(t.phase_tau[i])) * solver.dt_min
-            _face_task_fn(
-                mesh, state, objs, dt_face, solver.flux, deposit_lock,
-                stage=stage,
-            )
-        elif not heun:
-            state.U[objs] += state.acc[objs] / mesh.cell_volumes[objs, None]
-            state.acc[objs] = 0.0
-        elif stage == 1:
-            state.Ustar[objs] = (
-                state.U[objs] + state.acc[objs] / mesh.cell_volumes[objs, None]
-            )
-        else:
-            state.U[objs] += (
-                0.5
-                * (state.acc[objs] + state.acc2[objs])
-                / mesh.cell_volumes[objs, None]
-            )
-            state.acc[objs] = 0.0
-            state.acc2[objs] = 0.0
+        solver.run_task(i, state)
 
     fn = task_fn
     if fault_plan is not None:
@@ -166,7 +87,7 @@ def run_iteration_threaded(
             poison_targets=(state.acc,),
         )
     executor = ThreadedExecutor(
-        dag, num_processes, cores_per_process, fn,
+        solver.dag, solver.decomp.num_processes, cores_per_process, fn,
         retry=retry, watchdog=watchdog,
     )
     result = executor.run()

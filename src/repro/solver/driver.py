@@ -46,9 +46,9 @@ from ..resilience.errors import (
     TransientError,
 )
 from ..resilience.faults import FaultPlan
-from ..resilience.guards import GuardConfig, StateSnapshot, check_state
+from ..resilience.guards import GuardConfig, check_state
 from ..temporal.levels import levels_from_timestep, relevel_with_hysteresis
-from .lts import LTSState
+from .lts import LTSState, apply_cell_updates
 from .runner import TaskDistributedSolver
 from .timestep import stable_timesteps
 
@@ -150,7 +150,7 @@ class SimulationDriver:
     cores_per_process, fault_plan, retry, watchdog:
         Threaded-executor knobs (see
         :func:`repro.runtime.run_iteration_threaded`); ``fault_plan``
-        requires the threaded executor.
+        and ``watchdog`` require the threaded executor.
     checkpoint_every, checkpoint_dir:
         Write an atomic checkpoint every N completed iterations into
         ``checkpoint_dir`` (both must be set to enable).
@@ -209,7 +209,6 @@ class SimulationDriver:
         )
         self.state = LTSState(U0)
         self.iteration = 0
-        self.rng = np.random.default_rng(seed)
         self.tau, self.dt_min = self._derive_levels()
         # Anchor the octave reference for hysteresis re-leveling: a
         # moving reference would reclassify cell populations whenever
@@ -249,6 +248,8 @@ class SimulationDriver:
             )
         if fault_plan is not None and executor != "threaded":
             raise ValueError("fault_plan requires executor='threaded'")
+        if watchdog is not None and executor != "threaded":
+            raise ValueError("watchdog requires executor='threaded'")
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if checkpoint_every and checkpoint_dir is None:
@@ -338,15 +339,8 @@ class SimulationDriver:
             checkpoint_dir=checkpoint_dir,
             debug_verify_dag=debug_verify_dag,
         )
-        st = LTSState(ck.U)
-        st.acc[:] = ck.acc
-        st.Ustar[:] = ck.Ustar
-        st.acc2[:] = ck.acc2
-        drv.state = st
+        drv.state = LTSState(ck.U, ck.acc, ck.Ustar, ck.acc2)
         drv.iteration = ck.iteration
-        drv.rng = np.random.default_rng(drv.seed)
-        if ck.rng_state is not None:
-            drv.rng.bit_generator.state = ck.rng_state
         drv.tau = np.asarray(ck.tau, dtype=np.int32)
         drv.dt_min = ck.dt_min
         drv.dt_ref = ck.dt_ref
@@ -383,7 +377,6 @@ class SimulationDriver:
             dt_min=self.dt_min,
             dt_ref=self.dt_ref,
             num_processes=self.num_processes,
-            rng_state=self.rng.bit_generator.state,
             meta={
                 "strategy": self.strategy,
                 "num_levels": self.num_levels,
@@ -422,12 +415,7 @@ class SimulationDriver:
         # residue before switching task structures so nothing is lost.
         if not first:
             nonzero = np.flatnonzero(np.abs(self.state.acc).sum(axis=1) > 0)
-            if len(nonzero):
-                self.state.U[nonzero] += (
-                    self.state.acc[nonzero]
-                    / self.mesh.cell_volumes[nonzero, None]
-                )
-                self.state.acc[nonzero] = 0.0
+            apply_cell_updates(self.mesh, self.state, nonzero)
 
     def _verify_solver_dag(self) -> None:
         """Audit the freshly generated task graph (debug mode).
@@ -481,13 +469,10 @@ class SimulationDriver:
         result = CampaignResult()
         health = result.health
         guard = self.guard
-        snapshot: StateSnapshot | None = None
+        snapshot: LTSState | None = None
         ref_total: np.ndarray | None = None
         if guard is not None:
-            snapshot = StateSnapshot.capture(
-                self.state, tau=self.tau, dt_min=self.dt_min,
-                iteration=self.iteration,
-            )
+            snapshot = self.state.copy()
             ref_total = snapshot.conserved_total(self.mesh)
         rollback_round = 0
         done = 0
@@ -531,7 +516,7 @@ class SimulationDriver:
                     )
                 # Fresh arrays: a worker abandoned by the watchdog may
                 # still hold references to the old state.
-                self.state = snapshot.make_state()
+                self.state = snapshot.copy()
                 if rollback_round >= 2:
                     self.dt_min *= 0.5
                     self.solver.dt_min = self.dt_min
@@ -576,10 +561,7 @@ class SimulationDriver:
                 health.checkpoints += 1
                 checkpointed = True
             if guard is not None:
-                snapshot = StateSnapshot.capture(
-                    self.state, tau=self.tau, dt_min=self.dt_min,
-                    iteration=self.iteration,
-                )
+                snapshot = self.state.copy()
                 ref_total = snapshot.conserved_total(self.mesh)
             result.records.append(
                 IterationRecord(

@@ -11,9 +11,15 @@ invariant ``Σ_c U_c V_c + Σ_c acc_c = const`` holds *exactly* (up to
 boundary fluxes) — the test suite checks it to machine precision.
 
 These kernels are precisely the bodies of the task graph's FACE and
-CELL tasks; :mod:`repro.solver.runner` times them per task.  A
-straight (task-free) phase-loop driver is also provided as the
-equivalence reference.
+CELL tasks, and the only place a face flux is deposited or a cell is
+updated: :meth:`repro.solver.runner.TaskDistributedSolver.run_task`
+dispatches to them for the serial timed loop and the threaded runtime
+alike.  A face task deposits under the state's lock — two concurrent
+face tasks may touch the same boundary cell, and ``np.add.at`` is not
+atomic — while its flux evaluation runs outside it.  Cell updates need
+no lock: every cell task owns a disjoint cell set, ordered after its
+deposits by the task dependencies.  A straight (task-free) phase-loop
+driver is also provided as the equivalence reference.
 
 Startup transient: with updates at window *starts* (the paper's
 activity pattern, Fig. 4), a cell whose faces span several levels
@@ -38,6 +44,8 @@ Two integration schemes share the accumulator machinery:
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -70,13 +78,32 @@ class LTSState:
         forward-Euler scheme).
     acc2:
         ``(n, 4)`` stage-2 flux accumulators (∫F(U*)·A dt).
+    lock:
+        Serializes accumulator deposits (see
+        :func:`accumulate_face_fluxes`).
+
+    The arrays given are copied; omitted ones start as ``acc = acc2 =
+    0`` and ``Ustar = U``.
     """
 
-    def __init__(self, U: np.ndarray) -> None:
+    def __init__(
+        self,
+        U: np.ndarray,
+        acc: np.ndarray | None = None,
+        Ustar: np.ndarray | None = None,
+        acc2: np.ndarray | None = None,
+    ) -> None:
         self.U = np.array(U, dtype=np.float64, copy=True)
-        self.acc = np.zeros_like(self.U)
-        self.Ustar = self.U.copy()
-        self.acc2 = np.zeros_like(self.U)
+        self.acc = _copy_or(acc, np.zeros_like(self.U))
+        self.Ustar = _copy_or(Ustar, self.U.copy())
+        self.acc2 = _copy_or(acc2, np.zeros_like(self.U))
+        self.lock = threading.Lock()
+
+    def copy(self) -> "LTSState":
+        """Deep copy with fresh arrays and a fresh lock — what rollback
+        restores, so a worker thread abandoned by the watchdog can
+        neither scribble on the restored arrays nor hold its lock."""
+        return LTSState(self.U, self.acc, self.Ustar, self.acc2)
 
     def conserved_total(self, mesh: Mesh) -> np.ndarray:
         """``Σ_c U_c V_c + Σ_c acc_c`` — exactly conserved in the
@@ -96,6 +123,10 @@ class LTSState:
         ).sum(axis=0)
 
 
+def _copy_or(a: np.ndarray | None, default: np.ndarray) -> np.ndarray:
+    return default if a is None else np.array(a, dtype=np.float64, copy=True)
+
+
 def accumulate_face_fluxes(
     mesh: Mesh,
     state: LTSState,
@@ -111,7 +142,8 @@ def accumulate_face_fluxes(
     ``stage=1`` reads ``state.U`` and deposits into ``state.acc``;
     ``stage=2`` (the Heun corrector sweep) reads the predictor states
     ``state.Ustar`` and deposits into ``state.acc2``.  Boundary faces
-    (second cell −1) use transmissive conditions.
+    (second cell −1) use transmissive conditions.  The deposits, and
+    only they, run under ``state.lock``.
     """
     if len(faces) == 0:
         return
@@ -143,9 +175,10 @@ def accumulate_face_fluxes(
         if bnd.any():
             F[bnd] = physical_flux(UL[bnd], nx[bnd], ny[bnd])
     w = F * (area * dt_face)[:, None]
-    np.add.at(acc, a, -w)
-    if interior.any():
-        np.add.at(acc, b[interior], w[interior])
+    with state.lock:
+        np.add.at(acc, a, -w)
+        if interior.any():
+            np.add.at(acc, b[interior], w[interior])
 
 
 def apply_cell_updates(

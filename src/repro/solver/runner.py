@@ -124,6 +124,24 @@ class TaskDistributedSolver:
                 self._task_objects.append(self._cells_of_group[g])
         self._face_level = face_levels(mesh, self.tau)
 
+    def run_task(self, i: int, state: LTSState) -> None:
+        """Run task ``i``'s kernel on its object set — the one task body
+        of the serial timed loop and the threaded runtime alike."""
+        t = self.dag.tasks
+        objs = self._task_objects[i]
+        if t.obj_type[i] == int(ObjectType.FACE):
+            dt_face = float(1 << int(t.phase_tau[i])) * self.dt_min
+            accumulate_face_fluxes(
+                self.mesh, state, objs, dt_face, flux=self.flux,
+                stage=int(t.stage[i]),
+            )
+        elif self.scheme == "euler":
+            apply_cell_updates(self.mesh, state, objs)
+        elif t.stage[i] == 1:
+            predictor_update(self.mesh, state, objs)
+        else:
+            corrector_update(self.mesh, state, objs)
+
     def run_iteration(self, state: LTSState) -> IterationResult:
         """Execute one full iteration (all subiterations), timing each
         task.
@@ -132,26 +150,11 @@ class TaskDistributedSolver:
         the DAG by construction; the numerical result is bit-identical
         to the task-free phase loop (:func:`repro.solver.lts.lts_iteration`).
         """
-        t = self.dag.tasks
-        durations = np.zeros(t.num_tasks, dtype=np.float64)
-        heun = self.scheme == "heun"
+        durations = np.zeros(self.dag.num_tasks, dtype=np.float64)
         t_start = time.perf_counter()
-        for i in range(t.num_tasks):
-            objs = self._task_objects[i]
-            stage = int(t.stage[i])
+        for i in range(len(durations)):
             t0 = time.perf_counter()
-            if t.obj_type[i] == int(ObjectType.FACE):
-                dt_face = float(1 << int(t.phase_tau[i])) * self.dt_min
-                accumulate_face_fluxes(
-                    self.mesh, state, objs, dt_face, flux=self.flux,
-                    stage=stage,
-                )
-            elif not heun:
-                apply_cell_updates(self.mesh, state, objs)
-            elif stage == 1:
-                predictor_update(self.mesh, state, objs)
-            else:
-                corrector_update(self.mesh, state, objs)
+            self.run_task(i, state)
             durations[i] = time.perf_counter() - t0
         return IterationResult(
             durations=durations, elapsed=time.perf_counter() - t_start

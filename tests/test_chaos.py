@@ -212,6 +212,35 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="checkpoint_dir"):
             _driver(small_cube_mesh, U0, checkpoint_every=2)
 
+    def test_watchdog_requires_threaded(self, small_cube_mesh):
+        """A serial executor never arms the watchdog: refuse it."""
+        U0 = blast_wave(small_cube_mesh)
+        with pytest.raises(ValueError, match="threaded"):
+            _driver(small_cube_mesh, U0, watchdog=30.0)
+        with pytest.raises(ValueError, match="threaded"):
+            _driver(small_cube_mesh, U0, executor="serial", watchdog=30.0)
+
+    def test_resume_ignores_legacy_rng_state(
+        self, small_cube_mesh, tmp_path
+    ):
+        """Manifests written before the driver's unused RNG went carry
+        its state; they still load and resume bit-exactly."""
+        import json
+
+        mesh = small_cube_mesh
+        U0 = blast_wave(mesh)
+        straight = _driver(mesh, U0).run(3)
+        _driver(
+            mesh, U0, checkpoint_every=2, checkpoint_dir=tmp_path
+        ).run(2)
+        manifest = tmp_path / "ckpt_00000002.json"
+        data = json.loads(manifest.read_text())
+        data["rng_state"] = np.random.default_rng(0).bit_generator.state
+        manifest.write_text(json.dumps(data))
+        resumed = SimulationDriver.from_checkpoint(mesh, manifest).run(1)
+        np.testing.assert_array_equal(resumed.state.U, straight.state.U)
+        np.testing.assert_array_equal(resumed.state.acc, straight.state.acc)
+
 
 class TestResilienceOverhead:
     def test_armed_executor_adds_no_work_on_clean_run(self, cube_dag_mc):

@@ -35,6 +35,10 @@ class TestCampaignCommand:
         out = capsys.readouterr().out
         assert "executor threaded" in out
 
+    def test_watchdog_implies_threaded(self, capsys):
+        assert main(_campaign("--watchdog", "30")) == 0
+        assert "executor threaded" in capsys.readouterr().out
+
     def test_checkpoint_then_resume(self, tmp_path, capsys):
         ck = str(tmp_path / "ckpts")
         assert main(_campaign(

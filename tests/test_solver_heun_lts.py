@@ -244,6 +244,8 @@ class TestHeunTaskGraph:
         st_thr = LTSState(U0)
         run_iteration_threaded(solver, st_thr, cores_per_process=2)
         np.testing.assert_allclose(st_thr.U, st_serial.U, atol=1e-11)
+        np.testing.assert_allclose(st_thr.acc, st_serial.acc, atol=1e-11)
+        np.testing.assert_allclose(st_thr.acc2, st_serial.acc2, atol=1e-11)
 
     def test_bad_scheme_rejected(self, setup):
         mesh, tau, U0, dt_min, decomp = setup
