@@ -7,7 +7,8 @@ and the campaign driver:
 * typed per-stage configs and :class:`Scenario` bundles
   (:mod:`repro.pipeline.config`);
 * deterministic content addressing (:mod:`repro.pipeline.hashing`);
-* a content-addressed ``.npz`` + JSON-sidecar artifact store with a
+* a content-addressed artifact store (a raw ``.bin`` payload per
+  entry, described and CRC-checked by its JSON sidecar) with a
   bounded in-memory LRU (:mod:`repro.pipeline.store`);
 * the five stage definitions (:mod:`repro.pipeline.stages`);
 * the stage-DAG plan compiler (:mod:`repro.pipeline.plan`) and the

@@ -6,7 +6,7 @@ Each stage knows three things:
   calling the underlying subsystem (mesh generators, temporal levels,
   partitioning strategies, task-graph expansion, FLUSIM);
 * ``pack(obj)`` — flatten the object into ``(arrays, meta)`` for the
-  content-addressed store (``.npz`` arrays + JSON-able meta);
+  content-addressed store (raw array bytes + JSON-able meta);
 * ``unpack(arrays, meta, *upstream)`` — rebuild the object from a
   stored artifact.
 

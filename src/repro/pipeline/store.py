@@ -2,11 +2,11 @@
 
 Layout (one directory per stage under the root)::
 
-    <root>/mesh/<digest>.npz        arrays
-    <root>/mesh/<digest>.json       sidecar: config, provenance
+    <root>/mesh/<digest>.bin        payload: the arrays' raw bytes
+    <root>/mesh/<digest>.json       sidecar: manifest, CRC, config, provenance
     <root>/mesh/<digest>.lock       advisory compute lock (crumb file)
     <root>/mesh/<digest>.claim      active compute claim (transient)
-    <root>/partition/<digest>.npz
+    <root>/partition/<digest>.bin
     <root>/.quarantine/             corrupt entries, moved aside
     ...
 
@@ -16,23 +16,30 @@ version + package version + canonical config + upstream digests.  Any
 prefix of the chain computed once is therefore reused across
 experiments, CLI invocations, benches and campaign restarts.
 
-The ``.npz`` members are **stored, not deflated** (``np.savez``): every
-entry is recomputable, and deflating one cost more than recomputing
-most of them (a third of a ``downstream_sweep`` batch went to zlib for
-a x6.5 smaller cache; EXPERIMENTS.md "Store writes that cost what they
-save").  Each member still carries its zip CRC-32, checked on read.
-Disk use is what ``repro store doctor`` prints per stage and what
-``REPRO_ARTIFACTS_BUDGET`` bounds.  ``np.load`` reads deflated members
-too, so entries written by earlier versions stay disk hits.
+The payload holds each array's C-order bytes back to back, in
+sorted-name order, and nothing else: an entry costs its array bytes
+plus its sidecar on disk.  The sidecar (``sidecar_version`` 2) carries
+the manifest ``arrays = [[name, dtype.str, shape], ...]``, the payload
+size ``nbytes`` and the ``crc32`` of the whole payload.  A read checks
+the payload's size against ``nbytes`` and folds every byte it reads
+into a CRC-32 checked against ``crc32``.  Disk use is what ``repro
+store doctor`` prints per stage and what ``REPRO_ARTIFACTS_BUDGET``
+bounds.
+
+Entries written by earlier versions (a ``sidecar_version`` 1 beside a
+``<digest>.npz``) are plain misses: every entry is recomputable, so
+such a digest is recomputed once, and that publish replaces the
+sidecar and removes the ``.npz``.
 
 Writes are crash-safe with the same idiom as
 :mod:`repro.resilience.checkpoint`: both files go to ``*.tmp`` first
-and are ``os.replace``-d into place, arrays before sidecar, so a
-sidecar is only ever visible once its arrays are complete.
+and are ``os.replace``-d into place, payload before sidecar, so a
+sidecar is only ever visible once its payload is complete.
 
-Reads are *self-healing*: a truncated ``.npz``, an unparsable sidecar,
-or a sidecar whose recorded digest/arrays manifest disagrees with the
-files on disk is treated as a miss (with a :class:`RuntimeWarning`).
+Reads are *self-healing*: a payload whose size or CRC disagrees with
+its sidecar, an unparsable sidecar, or a sidecar whose recorded
+digest/manifest is malformed or disagrees with the files on disk is
+treated as a miss (with a :class:`RuntimeWarning`).
 The corrupt entry is **quarantined** into ``<root>/.quarantine/``
 rather than silently overwritten, so a flaky disk leaves evidence;
 ``repro store doctor`` inspects and flushes the quarantine.
@@ -71,10 +78,12 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import threading
 import time
 import warnings
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,7 +104,11 @@ __all__ = [
     "default_cache_root",
 ]
 
-SIDECAR_VERSION = 1
+#: Sidecar format: 2 describes a raw ``.bin`` payload; 1 was the
+#: ``.npz`` container of earlier versions, read as a miss.
+SIDECAR_VERSION = 2
+_LEGACY_SIDECAR_VERSION = 1
+_LEGACY_SUFFIX = ".npz"
 
 #: Default on-disk root when the disk layer is enabled without an
 #: explicit directory.
@@ -109,6 +122,68 @@ QUARANTINE_DIR = ".quarantine"
 _DEGRADE_ERRNOS = frozenset(
     {errno.ENOSPC, errno.EDQUOT, errno.EACCES, errno.EPERM, errno.EROFS}
 )
+
+
+def _layout(
+    arrays: dict[str, np.ndarray],
+) -> tuple[list[list[Any]], list[np.ndarray]]:
+    """The sidecar manifest of ``arrays`` and their bytes as flat
+    ``uint8`` views, both in sorted-name order.  Refuses a dtype the
+    manifest cannot rebuild (Python objects, structured fields)."""
+    manifest: list[list[Any]] = []
+    blocks: list[np.ndarray] = []
+    for name in sorted(arrays):
+        arr = np.asarray(arrays[name])
+        if arr.dtype.hasobject or np.dtype(arr.dtype.str) != arr.dtype:
+            raise TypeError(
+                f"array {name!r} has dtype {arr.dtype}, which is not "
+                "stored as raw bytes"
+            )
+        manifest.append([name, arr.dtype.str, list(arr.shape)])
+        blocks.append(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
+    return manifest, blocks
+
+
+def _read_payload(path: Path, sidecar: dict[str, Any]) -> dict[str, np.ndarray]:
+    """The arrays a v2 sidecar describes, read from ``path`` into fresh
+    memory.  Raises on a malformed manifest, a manifest or payload size
+    other than ``nbytes``, or a CRC-32 over the payload bytes other
+    than ``crc32``."""
+    layout = []
+    total = 0
+    for name, dtype, shape in sidecar["arrays"]:
+        if not (
+            isinstance(name, str)
+            and isinstance(shape, list)
+            and all(isinstance(n, int) and n >= 0 for n in shape)
+        ):
+            raise ValueError(f"malformed manifest entry {name!r}")
+        dtype = np.dtype(dtype)
+        layout.append((name, dtype, tuple(shape)))
+        total += dtype.itemsize * math.prod(shape)
+    nbytes = sidecar["nbytes"]
+    if total != nbytes:
+        raise ValueError(
+            f"manifest sums to {total} B, sidecar records nbytes {nbytes}"
+        )
+    arrays = {}
+    crc = 0
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != nbytes:
+            raise ValueError(f"payload is {size} B, sidecar records {nbytes} B")
+        for name, dtype, shape in layout:
+            arr = np.empty(shape, dtype)
+            buf = arr.reshape(-1).view(np.uint8)
+            if fh.readinto(buf) != buf.size:
+                raise ValueError(f"payload ends inside array {name!r}")
+            crc = zlib.crc32(buf, crc)
+            arrays[name] = arr
+    if crc != sidecar["crc32"]:
+        raise ValueError(
+            f"payload CRC-32 {crc} != recorded {sidecar['crc32']!r}"
+        )
+    return arrays
 
 
 def default_cache_root() -> Path:
@@ -305,10 +380,10 @@ class ArtifactStore:
 
     def _paths(self, stage: str, digest: str) -> tuple[Path, Path]:
         base = self.root / stage / digest  # type: ignore[operator]
-        return base.with_suffix(".npz"), base.with_suffix(".json")
+        return base.with_suffix(".bin"), base.with_suffix(".json")
 
     def _quarantine(
-        self, stage: str, digest: str, npz_path: Path, json_path: Path, reason: str
+        self, stage: str, digest: str, bin_path: Path, json_path: Path, reason: str
     ) -> None:
         """Move a corrupt entry aside (evidence for ``store doctor``)
         instead of leaving it to be silently overwritten."""
@@ -316,7 +391,7 @@ class ArtifactStore:
         try:
             qdir.mkdir(parents=True, exist_ok=True)
             moved = False
-            for p in (npz_path, json_path):
+            for p in (bin_path, json_path):
                 target = qdir / f"{stage}__{p.name}"
                 try:
                     os.replace(p, target)
@@ -347,7 +422,7 @@ class ArtifactStore:
         treated as a miss, so the caller recomputes)."""
         if not self.disk_enabled:
             return None
-        npz_path, json_path = self._paths(stage, digest)
+        bin_path, json_path = self._paths(stage, digest)
         if not json_path.exists():
             return None
         try:
@@ -362,19 +437,15 @@ class ArtifactStore:
                 raise ValueError(
                     f"sidecar records stage {sidecar.get('stage')!r}"
                 )
-            expected = sidecar.get("arrays")
-            if not isinstance(expected, list):
-                raise ValueError("sidecar has no arrays manifest")
-            # NumPy leaves a path it opened itself open when the
-            # archive is truncated; a handle we own is always closed.
-            with open(npz_path, "rb") as fh, np.load(
-                fh, allow_pickle=False
-            ) as data:
-                missing = [k for k in expected if k not in data]
-                if missing:
-                    raise ValueError(f"arrays missing {missing}")
-                arrays = {k: data[k] for k in expected}
-        except Exception as exc:  # BadZipFile, OSError, ValueError, ...
+            version = sidecar.get("sidecar_version")
+            if version == _LEGACY_SIDECAR_VERSION:
+                # An earlier version's ``.npz`` entry: recomputed once,
+                # and that publish replaces it.
+                return None
+            if version != SIDECAR_VERSION:
+                raise ValueError(f"unknown sidecar_version {version!r}")
+            arrays = _read_payload(bin_path, sidecar)
+        except Exception as exc:  # OSError, ValueError, KeyError, ...
             self.stats.corrupt += 1
             reason = f"{type(exc).__name__}: {exc}"
             warnings.warn(
@@ -383,7 +454,7 @@ class ArtifactStore:
                 RuntimeWarning,
                 stacklevel=3,
             )
-            self._quarantine(stage, digest, npz_path, json_path, reason)
+            self._quarantine(stage, digest, bin_path, json_path, reason)
             return None
         # Bump recency for LRU eviction (atime is unreliable; use the
         # sidecar's mtime as the clock).  Best-effort only.
@@ -428,31 +499,38 @@ class ArtifactStore:
                 stacklevel=3,
             )
             return None
-        npz_path, json_path = self._paths(stage, digest)
-        record = dict(sidecar)
-        record.setdefault("sidecar_version", SIDECAR_VERSION)
-        record["stage"] = stage
-        record["digest"] = digest
-        record["arrays"] = sorted(arrays)
-        tmp_npz = npz_path.with_name(npz_path.name + f".tmp{os.getpid()}")
+        bin_path, json_path = self._paths(stage, digest)
+        tmp_bin = bin_path.with_name(bin_path.name + f".tmp{os.getpid()}")
         tmp_json = json_path.with_name(json_path.name + f".tmp{os.getpid()}")
         try:
-            npz_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp_npz, "wb") as fh:
-                np.savez(fh, **arrays)
-            os.replace(tmp_npz, npz_path)
+            manifest, blocks = _layout(arrays)
+            bin_path.parent.mkdir(parents=True, exist_ok=True)
+            crc = 0
+            with open(tmp_bin, "wb") as fh:
+                for block in blocks:
+                    fh.write(block)
+                    crc = zlib.crc32(block, crc)
+            os.replace(tmp_bin, bin_path)
+            record = dict(sidecar)
+            record["sidecar_version"] = SIDECAR_VERSION
+            record["stage"] = stage
+            record["digest"] = digest
+            record["arrays"] = manifest
+            record["nbytes"] = sum(block.size for block in blocks)
+            record["crc32"] = crc
             with open(tmp_json, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=1, sort_keys=True)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp_json, json_path)
-        except OSError as exc:
-            for tmp in (tmp_npz, tmp_json):
+        except Exception as exc:
+            for tmp in (tmp_bin, tmp_json):
                 try:
                     tmp.unlink()
                 except OSError:
                     pass
-            self._maybe_degrade(exc, "write")
+            if isinstance(exc, OSError):
+                self._maybe_degrade(exc, "write")
             if self._disk_fault is None:
                 warnings.warn(
                     f"failed to persist artifact {stage}/{digest[:12]}: "
@@ -461,6 +539,11 @@ class ArtifactStore:
                     stacklevel=3,
                 )
             return None
+        # The entry an earlier version wrote under this digest, if any.
+        try:
+            bin_path.with_suffix(_LEGACY_SUFFIX).unlink(missing_ok=True)
+        except OSError:
+            pass
         if self.budget_bytes is not None:
             self._evict_lru(protect={digest})
         return json_path
@@ -485,12 +568,15 @@ class ArtifactStore:
         """
         if not self.disk_enabled or not self.locking:
             return None
-        _, json_path = self._paths(stage, digest)
+        bin_path, json_path = self._paths(stage, digest)
         base = self.root / stage / digest  # type: ignore[operator]
         try:
+            # Only this format writes a ``.bin``: an earlier version's
+            # sidecar alone does not count as published, or every
+            # request would wait on it and read nothing.
             lease = acquire_claim(
                 base,
-                published=json_path.exists,
+                published=lambda: json_path.exists() and bin_path.exists(),
                 ttl=self.claim_ttl,
                 timeout=self.lock_timeout,
             )
@@ -526,16 +612,17 @@ class ArtifactStore:
             if not stage_dir.is_dir() or stage_dir.name.startswith("."):
                 continue
             for json_path in stage_dir.glob("*.json"):
-                digest = json_path.stem
-                npz_path = json_path.with_suffix(".npz")
                 try:
                     st = json_path.stat()
-                    size = st.st_size + (
-                        npz_path.stat().st_size if npz_path.exists() else 0
-                    )
                 except OSError:
                     continue
-                out.append((st.st_mtime, size, stage_dir.name, digest))
+                size = st.st_size
+                for suffix in (".bin", _LEGACY_SUFFIX):
+                    try:
+                        size += json_path.with_suffix(suffix).stat().st_size
+                    except OSError:
+                        pass
+                out.append((st.st_mtime, size, stage_dir.name, json_path.stem))
         return out
 
     def _evict_lru(self, protect: set[str] | None = None) -> int:
@@ -583,9 +670,12 @@ class ArtifactStore:
                         claim, self.claim_ttl
                     ):
                         continue
+                    # Sidecar first: a reader then sees a miss, never a
+                    # sidecar without its payload.
                     for p in (
-                        base.with_suffix(".npz"),
                         base.with_suffix(".json"),
+                        base.with_suffix(".bin"),
+                        base.with_suffix(_LEGACY_SUFFIX),
                     ):
                         try:
                             p.unlink()

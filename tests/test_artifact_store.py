@@ -17,12 +17,10 @@ import itertools
 import json
 import os
 import socket
-import struct
 import subprocess
 import sys
 import time
 import warnings
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +44,21 @@ from repro.util.env import parse_bytes
 SCENARIO = Scenario.standard(
     "cube", domains=4, processes=2, cores=2, strategy="MC_TL", scale=6
 )
+
+
+def write_legacy_entry(payload: Path, sidecar: Path) -> None:
+    """Rewrite a stored entry as earlier versions wrote it: an ``.npz``
+    container beside a version-1 sidecar listing the array names."""
+    record = json.loads(sidecar.read_text())
+    names = [name for name, _, _ in record["arrays"]]
+    arrays = ArtifactStore(payload.parent.parent).disk_read(
+        payload.parent.name, payload.stem
+    ).arrays
+    np.savez(payload.with_suffix(".npz"), **arrays)
+    payload.unlink()
+    del record["nbytes"], record["crc32"]
+    record.update(sidecar_version=1, arrays=names)
+    sidecar.write_text(json.dumps(record))
 
 
 @pytest.fixture
@@ -150,22 +163,67 @@ class TestHitMiss:
         assert store.disk_write("mesh", "deadbeef", {}, {}) is None
 
 
+def _flip_last_byte(payload: Path, sidecar: Path) -> None:
+    raw = bytearray(payload.read_bytes())
+    raw[-1] ^= 0xFF  # last byte of the last array
+    payload.write_bytes(bytes(raw))
+
+
+def _edit_sidecar(edit):
+    def corrupt(payload: Path, sidecar: Path) -> None:
+        record = json.loads(sidecar.read_text())
+        edit(record)
+        sidecar.write_text(json.dumps(record))
+
+    return corrupt
+
+
+def _grow_first_array(record: dict) -> None:
+    record["arrays"][0][2][0] += 1  # one more element than stored
+
+
+#: Damage done to a stored entry, and what the warning must name.
+CORRUPTIONS = {
+    "truncated": (
+        lambda p, s: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+        "payload is",
+    ),
+    "trailing": (lambda p, s: p.write_bytes(p.read_bytes() + bytes(8)), "payload is"),
+    # the size still matches: the CRC-32 over every byte catches it
+    "flipped": (_flip_last_byte, "CRC"),
+    "missing": (lambda p, s: p.unlink(), "FileNotFoundError"),
+    "manifest": (_edit_sidecar(_grow_first_array), "manifest sums to"),
+    "version": (
+        _edit_sidecar(lambda r: r.update(sidecar_version=3)),
+        "unknown sidecar_version 3",
+    ),
+}
+
+
 class TestSelfHealing:
     def _one_artifact(self, disk_store) -> tuple[Pipeline, Path, Path]:
         pipe = Pipeline(disk_store)
         rec = pipe.run(SCENARIO, through="partition")
         digest = rec.provenance["partition"].digest
         base = disk_store.root / "partition" / digest
-        return pipe, base.with_suffix(".npz"), base.with_suffix(".json")
+        return pipe, base.with_suffix(".bin"), base.with_suffix(".json")
 
-    def test_truncated_npz_recomputes_and_heals(self, disk_store):
-        pipe, npz, sidecar = self._one_artifact(disk_store)
-        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+    @pytest.mark.parametrize("mode", sorted(CORRUPTIONS))
+    def test_corrupt_entry_recomputes_and_heals(self, disk_store, mode):
+        corrupt, match = CORRUPTIONS[mode]
+        pipe, payload, sidecar = self._one_artifact(disk_store)
+        corrupt(payload, sidecar)
         disk_store.clear_memory()
-        with pytest.warns(RuntimeWarning, match="corrupt artifact"):
+        with pytest.warns(RuntimeWarning, match=f"corrupt artifact.*{match}"):
             rec = pipe.run(SCENARIO, through="partition")
         assert not rec.provenance["partition"].hit
         assert disk_store.stats.corrupt == 1
+        assert disk_store.stats.quarantined == 1
+        qdir = disk_store.root / ".quarantine"
+        assert (qdir / f"partition__{sidecar.name}").exists()
+        assert (qdir / f"partition__{payload.name}").exists() == (
+            mode != "missing"
+        )
         # the overwrite healed the entry: next read is a clean disk hit
         disk_store.clear_memory()
         rec2 = pipe.run(SCENARIO, through="partition")
@@ -178,9 +236,9 @@ class TestSelfHealing:
         long-running daemon would leak one per corrupt entry)."""
         import gc
 
-        _, npz, _ = self._one_artifact(disk_store)
-        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
-        digest = npz.stem
+        _, payload, sidecar = self._one_artifact(disk_store)
+        CORRUPTIONS["truncated"][0](payload, sidecar)
+        digest = payload.stem
         # An unclosed file warns from its finalizer, where a raised
         # warning surfaces as an "unraisable" exception, not here.
         unraisable = []
@@ -192,32 +250,6 @@ class TestSelfHealing:
             gc.collect()
         assert disk_store.stats.corrupt == 1
         assert [u.exc_value for u in unraisable] == []
-
-    def test_flipped_byte_in_stored_member_recomputes(self, disk_store):
-        """A stored member has no inflater to trip over a damaged
-        payload; the zip member CRC-32 is what catches it."""
-        pipe, npz, _ = self._one_artifact(disk_store)
-        with zipfile.ZipFile(npz) as zf:
-            info = max(zf.infolist(), key=lambda i: i.file_size)
-        assert info.compress_type == zipfile.ZIP_STORED
-        raw = bytearray(npz.read_bytes())
-        name_len, extra_len = struct.unpack_from(
-            "<HH", raw, info.header_offset + 26
-        )
-        data_start = info.header_offset + 30 + name_len + extra_len
-        raw[data_start + info.file_size - 1] ^= 0xFF  # last array byte
-        npz.write_bytes(bytes(raw))
-        disk_store.clear_memory()
-        with pytest.warns(RuntimeWarning, match="corrupt artifact.*CRC"):
-            rec = pipe.run(SCENARIO, through="partition")
-        assert not rec.provenance["partition"].hit
-        assert disk_store.stats.corrupt == 1
-        assert disk_store.stats.quarantined == 1
-        qdir = disk_store.root / ".quarantine"
-        assert (qdir / f"partition__{npz.name}").exists()
-        disk_store.clear_memory()
-        rec2 = pipe.run(SCENARIO, through="partition")
-        assert rec2.provenance["partition"].cache == "disk"
 
     def test_mismatched_sidecar_recomputes(self, disk_store):
         pipe, _, sidecar = self._one_artifact(disk_store)
@@ -264,25 +296,37 @@ class TestRoundTrip:
         assert cached.num_processes == fresh.num_processes
         assert cached.strategy == fresh.strategy
 
-        # No migration: the same entry as earlier versions wrote it
-        # (deflated members under an unchanged sidecar) is still a hit.
-        digest = rec.provenance["partition"].digest
-        npz = disk_store.root / "partition" / f"{digest}.npz"
-        with np.load(npz) as data:
-            members = {k: data[k] for k in data.files}
-        np.savez_compressed(npz, **members)
-        with zipfile.ZipFile(npz) as zf:
-            assert {i.compress_type for i in zf.infolist()} == {
-                zipfile.ZIP_DEFLATED
-            }
+
+    def test_legacy_npz_entry_is_recomputed_once(self, disk_store):
+        """An entry as earlier versions wrote it (an ``.npz`` beside a
+        version-1 sidecar) is a plain miss: no warning, no corrupt
+        count, no quarantine.  It is recomputed once, that publish
+        replaces it, and the next run is a disk hit."""
+        pipe = Pipeline(disk_store)
+        fresh = pipe.run(SCENARIO, through="partition")
+        digest = fresh.provenance["partition"].digest
+        payload, sidecar = disk_store._paths("partition", digest)
+        write_legacy_entry(payload, sidecar)
+        npz = payload.with_suffix(".npz")
+        assert npz.exists() and not payload.exists()
+
         disk_store.clear_memory()
-        legacy = pipe.run(SCENARIO, through="partition")
-        assert legacy.provenance["partition"].cache == "disk"
+        misses = disk_store.stats.misses
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the store's
+            rec = pipe.run(SCENARIO, through="partition")
+        assert rec.provenance["partition"].cache is None
+        assert rec.provenance["levels"].cache == "disk"
+        assert disk_store.stats.misses == misses + 1
         assert disk_store.stats.corrupt == 0
-        np.testing.assert_array_equal(legacy.decomp.domain, fresh.domain)
-        np.testing.assert_array_equal(
-            legacy.decomp.domain_process, fresh.domain_process
-        )
+        assert disk_store.stats.quarantined == 0
+        assert not npz.exists()
+        np.testing.assert_array_equal(rec.decomp.domain, fresh.decomp.domain)
+
+        disk_store.clear_memory()
+        again = pipe.run(SCENARIO, through="partition")
+        assert again.provenance["partition"].cache == "disk"
+        assert disk_store.stats.misses == misses + 1
 
     def test_schedule_round_trips(self, disk_store):
         pipe = Pipeline(disk_store)
@@ -299,22 +343,22 @@ class TestRoundTrip:
         rec.trace.validate_against(rec.dag)
 
     def test_entry_is_stored_and_read_back_owned(self, disk_store):
-        """The container is a stored (not deflated) ``.npz``, so it
-        costs the array bytes on disk; what ``disk_read`` hands back
-        is fresh memory the caller may write to."""
+        """The payload is the array bytes and nothing else; what
+        ``disk_read`` hands back is fresh memory the caller may write
+        to."""
         arrays = {
-            "ints": np.zeros(4096, dtype=np.int64),  # deflates to ~nothing
+            "ints": np.zeros(4096, dtype=np.int64),
             "floats": np.linspace(0.0, 1.0, 1000),
             "flags": np.ones((8, 8), dtype=bool),
         }
         disk_store.disk_write("mesh", "a" * 40, arrays, sidecar={"meta": {}})
-        npz, _ = disk_store._paths("mesh", "a" * 40)
-        with zipfile.ZipFile(npz) as zf:
-            assert [i.compress_type for i in zf.infolist()] == [
-                zipfile.ZIP_STORED
-            ] * len(arrays)
+        payload, sidecar = disk_store._paths("mesh", "a" * 40)
         nbytes = sum(a.nbytes for a in arrays.values())
-        assert nbytes <= npz.stat().st_size <= nbytes + 1024 * len(arrays)
+        assert payload.stat().st_size == nbytes
+        record = json.loads(sidecar.read_text())
+        assert record["sidecar_version"] == 2
+        assert record["nbytes"] == nbytes
+        assert [name for name, _, _ in record["arrays"]] == sorted(arrays)
 
         got = disk_store.disk_read("mesh", "a" * 40).arrays
         assert sorted(got) == sorted(arrays)
@@ -323,6 +367,34 @@ class TestRoundTrip:
             assert arr.dtype == arrays[name].dtype
             assert arr.flags.writeable
             arr[...] = 1  # must not raise, nor reach a sibling
+        for a, b in itertools.combinations(got.values(), 2):
+            assert not np.shares_memory(a, b)
+
+    def test_shapes_dtypes_and_layouts_round_trip(self, disk_store):
+        grid = np.arange(24, dtype=np.float64).reshape(4, 6)
+        arrays = {
+            "scalar": np.array(2.5),
+            "empty": np.zeros(0, dtype=np.int32),
+            "empty_rows": np.zeros((0, 3)),
+            "flags": np.array([True, False, True]),
+            "int8": np.arange(-4, 4, dtype=np.int8),
+            "uint16": np.arange(7, dtype=np.uint16),
+            "big_endian": np.arange(5, dtype=">f8"),
+            "text": np.array(["a", "bc", "def"], dtype="<U3"),
+            "fortran": np.asfortranarray(grid),
+            "strided": grid[::2, 1::2],
+        }
+        assert disk_store.disk_write(
+            "mesh", "b" * 40, arrays, sidecar={"meta": {}}
+        ) is not None
+        got = disk_store.disk_read("mesh", "b" * 40).arrays
+        assert sorted(got) == sorted(arrays)
+        for name, arr in got.items():
+            want = arrays[name]
+            assert arr.dtype == want.dtype, name
+            assert arr.shape == want.shape, name
+            np.testing.assert_array_equal(arr, want)
+            assert arr.flags.owndata and arr.flags.writeable, name
         for a, b in itertools.combinations(got.values(), 2):
             assert not np.shares_memory(a, b)
 
@@ -529,15 +601,15 @@ class TestQuarantine:
         pipe = Pipeline(disk_store)
         rec = pipe.run(SCENARIO, through="levels")
         digest = rec.provenance["levels"].digest
-        npz = disk_store.root / "levels" / f"{digest}.npz"
-        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+        payload = disk_store.root / "levels" / f"{digest}.bin"
+        payload.write_bytes(payload.read_bytes()[: payload.stat().st_size // 2])
         disk_store.clear_memory()
         with pytest.warns(RuntimeWarning, match="quarantining"):
             assert disk_store.disk_read("levels", digest) is None
         assert disk_store.stats.quarantined == 1
         qdir = disk_store.root / ".quarantine"
         names = {p.name for p in qdir.iterdir()}
-        assert f"levels__{digest}.npz" in names
+        assert f"levels__{digest}.bin" in names
         reason = json.loads(
             (qdir / f"levels__{digest}.reason.json").read_text()
         )
@@ -572,18 +644,18 @@ class TestDoctor:
                 }
             )
         )
-        (stage_dir / "junk.npz.tmp123").write_bytes(b"torn")
+        (stage_dir / "junk.bin.tmp123").write_bytes(b"torn")
         qdir = disk_store.root / ".quarantine"
         qdir.mkdir()
-        (qdir / "mesh__deadbeef.npz").write_bytes(b"corpse")
+        (qdir / "mesh__deadbeef.bin").write_bytes(b"corpse")
 
         report = disk_store.doctor()
         assert report.entries == 2  # mesh + levels artifacts
         assert not report.healthy
         assert len(report.stale_claims) == 1
         assert len(report.active_claims) == 1
-        assert report.tmp_files == ["mesh/junk.npz.tmp123"]
-        assert report.quarantined == ["mesh__deadbeef.npz"]
+        assert report.tmp_files == ["mesh/junk.bin.tmp123"]
+        assert report.quarantined == ["mesh__deadbeef.bin"]
         text = report.summary()
         assert "needs attention" in text
 
@@ -642,6 +714,20 @@ class TestEviction:
         total = sum(s for _, s, _, _ in store._disk_entries())
         assert total <= store.budget_bytes
 
+    def test_legacy_entry_is_counted_and_evicted(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        self._write(store, "c" * 40, mtime=time.time() - 100)
+        payload, sidecar = store._paths("mesh", "c" * 40)
+        write_legacy_entry(payload, sidecar)
+        npz = payload.with_suffix(".npz")
+        ((_, size, _, _),) = store._disk_entries()
+        assert size == npz.stat().st_size + sidecar.stat().st_size
+        assert store.doctor().entries == 1
+        store.budget_bytes = 1
+        self._write(store, "d" * 40)
+        assert store.stats.evicted == 1
+        assert not npz.exists() and not sidecar.exists()
+
     def test_disk_hit_bumps_recency(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         self._write(store, "e" * 40, mtime=time.time() - 500)
@@ -683,7 +769,7 @@ class TestDegradation:
         def boom(*a, **k):
             raise OSError(errno.ENOSPC, "no space left on device")
 
-        monkeypatch.setattr(np, "savez", boom)
+        monkeypatch.setattr(os, "replace", boom)
         with pytest.warns(RuntimeWarning, match="degraded to memory-only"):
             out = store.disk_write(
                 "mesh", "f" * 40, {"x": np.arange(4.0)}, sidecar={"meta": {}}
@@ -706,7 +792,7 @@ class TestDegradation:
         def boom(*a, **k):
             raise OSError(errno.EIO, "I/O error")
 
-        monkeypatch.setattr(np, "savez", boom)
+        monkeypatch.setattr(os, "replace", boom)
         with pytest.warns(RuntimeWarning, match="continuing uncached"):
             out = store.disk_write(
                 "mesh", "g" * 40, {"x": np.arange(4.0)}, sidecar={"meta": {}}
@@ -717,6 +803,38 @@ class TestDegradation:
         assert store.disk_write(
             "mesh", "g" * 40, {"x": np.arange(4.0)}, sidecar={"meta": {}}
         ) is not None
+
+    def test_object_array_is_refused_before_any_file(self, tmp_path):
+        """The writer refuses what the reader could not rebuild: an
+        object array never reaches disk (it would be quarantined as
+        corrupt on every later read)."""
+        store = ArtifactStore(tmp_path / "store")
+        arrays = {"x": np.arange(3.0), "o": np.array([1, "a"], dtype=object)}
+        with pytest.warns(RuntimeWarning, match="continuing uncached"):
+            out = store.disk_write("mesh", "i" * 40, arrays, sidecar={})
+        assert out is None
+        assert store.disk_enabled
+        assert not (tmp_path / "store" / "mesh").exists()
+        assert store.disk_read("mesh", "i" * 40) is None
+        assert store.stats.corrupt == 0
+
+    def test_failed_sidecar_write_leaves_no_tmp(self, tmp_path):
+        """Any exception mid-write, not only an ``OSError``, removes
+        the tmp files and publishes nothing."""
+        store = ArtifactStore(tmp_path / "store")
+        with pytest.warns(RuntimeWarning, match="continuing uncached"):
+            out = store.disk_write(
+                "mesh", "j" * 40, {"x": np.arange(3.0)},
+                sidecar={"meta": {"not_json": object()}},
+            )
+        assert out is None
+        payload, sidecar = store._paths("mesh", "j" * 40)
+        assert not sidecar.exists()
+        assert sorted(p.name for p in payload.parent.iterdir()) == [
+            payload.name
+        ]
+        assert store.disk_read("mesh", "j" * 40) is None
+        assert store.doctor().tmp_files == []
 
     def test_unlockable_filesystem_computes_uncoordinated(
         self, tmp_path, monkeypatch

@@ -11,7 +11,7 @@ survive:
   claim, leaving the claim file behind (the flock dies with it);
 * ``kill_write``  — the worker dies mid-publish, leaving a partial
   ``.tmp`` file;
-* ``truncate``    — the worker publishes, then truncates the ``.npz``
+* ``truncate``    — the worker publishes, then truncates the ``.bin``
   (a torn artifact readers must quarantine, never return);
 * ``skew``        — the worker's clock (``locking._now``) runs an hour
   slow, so every heartbeat it writes looks ancient and live waiters
@@ -157,10 +157,10 @@ def worker_main(argv: list[str]) -> int:
                 tmp = (
                     Path(args.root)
                     / STAGE
-                    / f"{digest}.npz.tmp{os.getpid()}"
+                    / f"{digest}.bin.tmp{os.getpid()}"
                 )
                 tmp.parent.mkdir(parents=True, exist_ok=True)
-                tmp.write_bytes(b"PK\x03\x04 torn mid-write")
+                tmp.write_bytes(b"torn mid-write")
                 log(digest, "kill_write")
                 os._exit(78)  # die mid-publish, tmp left behind
             path = store.disk_write(
@@ -182,9 +182,9 @@ def worker_main(argv: list[str]) -> int:
                 lease.release()
                 break
             if inject and args.fault == "truncate":
-                npz = Path(args.root) / STAGE / f"{digest}.npz"
-                with open(npz, "r+b") as fh:
-                    fh.truncate(max(1, npz.stat().st_size // 2))
+                payload = Path(args.root) / STAGE / f"{digest}.bin"
+                with open(payload, "r+b") as fh:
+                    fh.truncate(max(1, payload.stat().st_size // 2))
                 log(digest, "truncated")
                 lease.release()
                 inject = False  # verify loop must now quarantine+heal
