@@ -281,27 +281,47 @@ def connected_components(g: CSRGraph) -> tuple[np.ndarray, int]:
     every round hooks each root onto the smallest root next to any of
     its vertices (a segmented minimum over the CSR rows), then
     flattens the forest, so a component's root ends as its smallest
-    vertex.
+    vertex.  A round visits the rows in
+    :meth:`~repro.graph.csr.CSRGraph.row_windows` and hooks window by
+    window, so besides the forest and its jump buffer (two
+    ``n``-vectors, the forest becoming the labels) it holds one
+    window's gather, never an ``m``-length one.  Hooking only lowers a
+    vertex's pointer to a smaller id of its own component, so the
+    fixpoint, and with it the labels, is the one a whole-graph round
+    reaches.
     """
     n = g.num_vertices
+    xadj, adjncy = g.xadj, g.adjncy
+    degrees = g.degrees()
     parent = np.arange(n, dtype=np.int64)
-    rows = np.flatnonzero(g.degrees())
-    starts = g.xadj[rows]
-    while len(rows):
-        nearest = np.minimum.reduceat(parent[g.adjncy], starts)
-        own = parent[rows]
-        hook = nearest < own
-        if not hook.any():
+    grand = np.empty_like(parent)
+    while True:
+        hooked = False
+        for lo, hi in g.row_windows():
+            rows = lo + np.flatnonzero(degrees[lo:hi])
+            if not len(rows):
+                continue
+            e0 = xadj[rows[0]]
+            nearest = np.minimum.reduceat(
+                parent[adjncy[e0 : xadj[rows[-1] + 1]]], xadj[rows] - e0
+            )
+            own = parent[rows]
+            hook = nearest < own
+            if hook.any():
+                hooked = True
+                np.minimum.at(parent, own[hook], nearest[hook])
+        if not hooked:
             break
-        np.minimum.at(parent, own[hook], nearest[hook])
         while True:
-            grand = parent[parent]
+            np.take(parent, parent, out=grand)
             if np.array_equal(grand, parent):
                 break
-            parent = grand
+            parent, grand = grand, parent
+    del grand
     roots = parent == np.arange(n)
-    rank = np.cumsum(roots) - 1
-    return rank[parent], int(roots.sum())
+    rank = np.cumsum(roots)
+    rank -= 1
+    return np.take(rank, parent, out=parent), int(roots.sum())
 
 
 def apportion_parts(weights: np.ndarray, nparts: int) -> np.ndarray:

@@ -15,10 +15,19 @@ vectorize with NumPy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 __all__ = ["CSRGraph", "graph_from_edges", "validate_csr"]
+
+#: Adjacency entries one row window of :meth:`CSRGraph.row_windows`
+#: spans at most (a single longer row is a window of its own).  Any
+#: window from 2**14 to 2**18 ran equally fast on the 357k- and
+#: 1.42M-cell duals with a few MiB of transient; one whole-graph window
+#: cost 114 MiB more RSS at 1.42M (EXPERIMENTS.md "The scale chain's
+#: memory high-water").
+ROW_WINDOW_EDGES = 1 << 17
 
 
 def _as_index_array(a) -> np.ndarray:
@@ -166,6 +175,21 @@ class CSRGraph:
             memoryview(self.adjwgt),
             [memoryview(self.vwgt[:, c]) for c in range(self.ncon)],
         )
+
+    def row_windows(self) -> Iterator[tuple[int, int]]:
+        """Consecutive vertex ranges ``[lo, hi)`` covering ``0..n``
+        whose rows hold at most :data:`ROW_WINDOW_EDGES` adjacency
+        entries each, so a whole-graph pass can gather per window
+        instead of over all ``m`` entries at once."""
+        xadj, n = self.xadj, self.num_vertices
+        lo = 0
+        while lo < n:
+            hi = int(
+                np.searchsorted(xadj, xadj[lo] + ROW_WINDOW_EDGES, "right")
+            ) - 1
+            hi = min(max(hi, lo + 1), n)
+            yield lo, hi
+            lo = hi
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbour indices of vertex ``v`` (a CSR view, do not mutate)."""

@@ -26,9 +26,25 @@ __all__ = [
 
 
 def edge_cut(g: CSRGraph, part: np.ndarray) -> float:
-    """Total weight of cut edges (each undirected edge counted once)."""
-    cut = part[g.edge_sources()] != part[g.adjncy]
-    return float(g.adjwgt[cut].sum()) / 2.0
+    """Total weight of cut edges (each undirected edge counted once).
+
+    Streams the rows in :meth:`~repro.graph.csr.CSRGraph.row_windows`,
+    so its transient is a window plus the cut edges' weights, and it
+    neither builds nor caches ``g.edge_sources()``.  The cut weights
+    are gathered in CSR order and summed once, so the total is the
+    same float as a single whole-graph sum for any weights.
+    """
+    xadj, adjncy, adjwgt = g.xadj, g.adjncy, g.adjwgt
+    degrees = g.degrees()
+    picked = []
+    for lo, hi in g.row_windows():
+        e0, e1 = xadj[lo], xadj[hi]
+        src_part = np.repeat(part[lo:hi], degrees[lo:hi])
+        cut = src_part != part[adjncy[e0:e1]]
+        picked.append(adjwgt[e0:e1][cut])
+    if not picked:
+        return 0.0
+    return float(np.concatenate(picked).sum()) / 2.0
 
 
 def part_weights(g: CSRGraph, part: np.ndarray, nparts: int) -> np.ndarray:

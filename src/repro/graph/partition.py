@@ -151,6 +151,34 @@ _Node = tuple[
 ]
 
 
+class _Sent:
+    """A task argument that the parent lets go of once it is pickled.
+
+    ``ProcessPoolExecutor`` keeps every submitted argument until its
+    task returns, so a tree node's vertex ids and hierarchy would sit in
+    the parent while a worker bisects the node.  Pickled once on its
+    way to the worker, this wrapper drops its object and the worker
+    unpickles the object itself.  A second pickle raises: the object
+    is gone, and ``None`` in its place would read as the tree's root.
+    """
+
+    __slots__ = ("obj",)
+    _GONE = object()
+
+    def __init__(self, obj) -> None:
+        self.obj = obj
+
+    def __reduce__(self):
+        obj, self.obj = self.obj, self._GONE
+        if obj is self._GONE:
+            raise RuntimeError("payload already sent")
+        return _identity, (obj,)
+
+
+def _identity(obj):
+    return obj
+
+
 def _tree_node(
     g: CSRGraph | None,
     vertices: np.ndarray | None,
@@ -192,7 +220,13 @@ def _tree_node(
     r_left, r_right = rng.spawn(2)
 
     def child(side: np.ndarray, start: int, size: int, r) -> _Node:
-        ids = side if vertices is None else vertices[side]
+        # Root-graph ids travel in int32 below 2**31 vertices: the root
+        # narrows them once and every deeper node gathers from those.
+        ids = (
+            side.astype(np.int32 if g.num_vertices < 2**31 else np.int64)
+            if vertices is None
+            else vertices[side]
+        )
         inherits = (
             size > 1
             and depth < _INHERIT_DEPTH
@@ -279,14 +313,21 @@ def recursive_bisection(
         return part
 
     with forkpool.fork_pool(n_jobs, g) as pool:
-        pending = {pool.submit(_tree_node, None, *root, level_tol)}
+
+        def submit(node: _Node):
+            vertices, first, k, depth, r, inherit = node
+            return pool.submit(
+                _tree_node, None, _Sent(vertices), first, k, depth, r,
+                _Sent(inherit), level_tol,
+            )
+
+        pending = {submit(root)}
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for fut in done:
-                pending.update(
-                    pool.submit(_tree_node, None, *node, level_tol)
-                    for node in inner(fut.result())
-                )
+                pending.update(map(submit, inner(fut.result())))
+            # A finished future holds its children until it is freed.
+            del done, fut
     return part
 
 

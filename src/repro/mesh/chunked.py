@@ -9,20 +9,26 @@ objects:
 * **refine** — breadth-first frontier of ``(depth, i, j[, k])``
   arrays, split decisions evaluated vectorized per chunk (the split
   predicate depends only on the cell itself, so the leaf set does not
-  depend on traversal order or chunk size);
+  depend on traversal order or chunk size); the leaves are kept as
+  packed int64 keys;
 * **balance** — leaves live in one sorted array of packed int64 keys;
   each round marks too-coarse neighbours via vectorized ancestor
   lookups (``searchsorted`` membership) and splits them all at once.
   2:1 closure is confluent, so any split order reaches the same
   fixpoint;
-* **faces** — per chunk of cells, neighbour resolution uses the 2:1
-  guarantee (containing leaf at depth ``d`` or ``d-1``, else children
-  at exactly ``d+1``) and a per-cell slot encoding fixes each cell's
-  face order.
+* **faces** — :func:`assemble_faces`, the one face-assembly path of
+  both builders: per chunk of cells, neighbour resolution uses the
+  2:1 guarantee (containing leaf at depth ``d`` or ``d-1``, else
+  children at exactly ``d+1``, searched only where they exist); a
+  first pass counts each cell's faces, a second writes them in slot
+  order straight into the preallocated face arrays.
 
-The chunk size bounds transient memory only: the meshes are
-bit-identical for any positive value (pinned by the golden mesh hashes
-in ``tests/golden/chain_outputs.json``).
+What a builder holds at its peak is its output, the packed-key lookup
+and one chunk's temporaries; the builders drop each whole-mesh
+temporary as soon as it is consumed.  The chunk size sets only the
+last term: the meshes are byte-identical for any positive value
+(``tests/test_outofcore.py::TestChunkedBuilders``; the golden mesh
+hashes in ``tests/golden/chain_outputs.json``).
 """
 
 from __future__ import annotations
@@ -31,15 +37,18 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_CHUNK_CELLS",
-    "FaceChunk",
+    "assemble_faces",
     "balance_grid",
     "make_lookup",
     "refine_grid",
     "spread2",
 ]
 
-#: Number of cells processed per vectorized pass.
-DEFAULT_CHUNK_CELLS = 1 << 17
+#: Number of cells processed per vectorized pass.  2**15 built the
+#: 357k- and 1.42M-cell cylinders faster than 2**14, 2**16 and 2**17,
+#: at 6 MiB less RSS than 2**17 on the smaller one (EXPERIMENTS.md "The
+#: scale chain's memory high-water").
+DEFAULT_CHUNK_CELLS = 1 << 15
 
 _CHILD2 = ((0, 0), (0, 1), (1, 0), (1, 1))
 _CHILD3 = tuple(
@@ -104,11 +113,12 @@ def refine_grid(
     extent: float,
     chunk: int,
     dim: int,
-) -> list[np.ndarray]:
-    """Breadth-first chunked refinement; returns ``[d, c0, .., c_dim-1]``
-    int64 leaf arrays (unordered)."""
+    pack,
+) -> np.ndarray:
+    """Breadth-first chunked refinement; returns the leaves as packed
+    int64 keys, ``pack(d, c0, .., c_dim-1)`` (unordered)."""
     offsets = _CHILD2 if dim == 2 else _CHILD3
-    keep: list[list[np.ndarray]] = []
+    keep: list[np.ndarray] = []
     cur = [np.zeros(1, dtype=np.int64) for _ in range(dim + 1)]
     while cur[0].size:
         nxt: list[list[np.ndarray]] = [[] for _ in range(dim + 1)]
@@ -123,7 +133,7 @@ def refine_grid(
             split = (d < max_depth) & ((d < min_depth) | (size > want))
             if not split.all():
                 k = ~split
-                keep.append([d[k]] + [c[k] for c in cs])
+                keep.append(pack(d[k], *[c[k] for c in cs]))
             if split.any():
                 sd = d[split] + 1
                 scs = [c[split] * 2 for c in cs]
@@ -135,23 +145,21 @@ def refine_grid(
             cur = [np.concatenate(parts) for parts in nxt]
         else:
             cur = [np.empty(0, dtype=np.int64) for _ in range(dim + 1)]
-    return [
-        np.concatenate([blk[a] for blk in keep]) for a in range(dim + 1)
-    ]
+    return np.concatenate(keep)
 
 
 # ----------------------------------------------------------------------
 # 2:1 balance (dimension-generic)
 # ----------------------------------------------------------------------
 def balance_grid(
-    leaf_arrays: list[np.ndarray],
+    keys: np.ndarray,
     chunk: int,
     pack,
     unpack,
     dirs,
 ) -> list[np.ndarray]:
-    """Enforce 2:1 balance on packed leaf keys; returns the balanced
-    ``[d, c0, ...]`` arrays sorted by packed key.
+    """Enforce 2:1 balance on packed leaf keys (sorted in place);
+    returns the balanced ``[d, c0, ...]`` arrays sorted by packed key.
 
     Each round: vectorized ancestor walk finds every leaf whose
     edge-neighbour's containing leaf is two or more levels coarser,
@@ -159,9 +167,9 @@ def balance_grid(
     plus the leaves whose constraint fired (the closure is confluent,
     so any forced-split order reaches the same fixpoint).
     """
-    dim = len(leaf_arrays) - 1
+    dim = len(dirs[0])
     offsets = _CHILD2 if dim == 2 else _CHILD3
-    keys = np.sort(pack(*leaf_arrays))
+    keys.sort()
     frontier = keys
     while frontier.size:
         split_parts: list[np.ndarray] = []
@@ -233,55 +241,110 @@ def balance_grid(
 
 
 # ----------------------------------------------------------------------
-# Face accumulation
+# Face assembly: count, then fill in place
 # ----------------------------------------------------------------------
-class FaceChunk:
-    """Collects one chunk's face entries and emits them in per-cell
-    slot order via ``cell * nslots + slot`` sort keys."""
+FaceArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-    def __init__(self, idx: np.ndarray, nslots: int) -> None:
-        self._idx = idx
-        self._nslots = nslots
-        self._parts: list[tuple[np.ndarray, ...]] = []
 
-    def add(self, mask, slot, b, area, nx, ny, fx, fy) -> None:
+class _FaceCount:
+    """Pass-1 sink: adds one to a cell's face count per face added."""
+
+    def __init__(self, counts: np.ndarray) -> None:
+        self._counts = counts
+
+    def add(self, mask, b, area, nx, ny, fx, fy) -> None:
+        self._counts += mask
+
+
+class _FaceFill:
+    """Pass-2 sink: writes each face at its cell's fill cursor, then
+    advances the cursor."""
+
+    def __init__(self, faces: FaceArrays, start: int, cursor: np.ndarray):
+        self._faces = faces
+        self._start = start
+        self._cursor = cursor
+
+    def add(self, mask, b, area, nx, ny, fx, fy) -> None:
         sel = np.flatnonzero(mask)
         if sel.size == 0:
             return
-        shape = mask.shape
-        self._parts.append((
-            self._idx[sel] * self._nslots + slot,
-            self._idx[sel],
-            np.broadcast_to(np.asarray(b, dtype=np.int64), shape)[sel],
-            np.broadcast_to(area, shape)[sel],
-            np.full(sel.size, nx),
-            np.full(sel.size, ny),
-            np.broadcast_to(fx, shape)[sel],
-            np.broadcast_to(fy, shape)[sel],
-        ))
+        cells, face_area, normal, center = self._faces
+        pos = self._cursor[sel]
+        cells[pos, 0] = self._start + sel
+        cells[pos, 1] = _pick(b, sel)
+        face_area[pos] = _pick(area, sel)
+        normal[pos, 0] = nx
+        normal[pos, 1] = ny
+        center[pos, 0] = _pick(fx, sel)
+        center[pos, 1] = _pick(fy, sel)
+        self._cursor[sel] += 1
 
-    def assembled(self):
-        """Returns (face_cells, face_area, face_normal, face_center)
-        arrays for this chunk, in emission order."""
-        cols = [np.concatenate(c) for c in zip(*self._parts)]
-        order = np.argsort(cols[0])  # keys are unique per (cell, slot)
-        a, b = cols[1][order], cols[2][order]
-        return (
-            np.stack([a, b], axis=1),
-            cols[3][order],
-            np.stack([cols[4][order], cols[5][order]], axis=1),
-            np.stack([cols[6][order], cols[7][order]], axis=1),
-        )
+
+def _pick(v, sel: np.ndarray):
+    """``v`` at the chunk lanes ``sel``; a scalar is broadcast."""
+    return v[sel] if np.ndim(v) else v
+
+
+def assemble_faces(n: int, chunk: int, chunk_faces) -> FaceArrays:
+    """Build ``(face_cells, face_area, face_normal, face_center)`` for
+    ``n`` cells, chunk by chunk, straight into their final arrays.
+
+    ``chunk_faces(start, stop, sink)`` describes the faces of cells
+    ``start:stop``: one ``sink.add(mask, b, area, nx, ny, fx, fy)``
+    per face slot, in slot order, where ``mask`` selects the chunk's
+    cells that own a face in that slot, ``b`` is the second cell (``-1``
+    on the boundary), ``nx, ny`` are the slot's constant normal and the
+    others are per-cell arrays or scalars.  It runs twice per chunk.
+    Pass 1 only counts each cell's faces (one byte per cell), which
+    sizes the four arrays exactly; pass 2 writes every face at its
+    cell's fill cursor, so a cell's faces come out in slot order and
+    the cells in index order, with no per-chunk parts, sort or final
+    concatenate.  The peak is the output plus one chunk's temporaries.
+    """
+    counts = np.zeros(n, dtype=np.uint8)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        chunk_faces(start, stop, _FaceCount(counts[start:stop]))
+    m = int(counts.sum(dtype=np.int64))
+    faces = (
+        np.empty((m, 2), dtype=np.int64),
+        np.empty(m, dtype=np.float64),
+        np.empty((m, 2), dtype=np.float64),
+        np.empty((m, 2), dtype=np.float64),
+    )
+    base = 0
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        ends = np.cumsum(counts[start:stop], dtype=np.int64)
+        cursor = base + ends - counts[start:stop]
+        base += int(ends[-1])
+        chunk_faces(start, stop, _FaceFill(faces, start, cursor))
+    return faces
 
 
 def make_lookup(pk: np.ndarray):
-    """Packed-key → cell-index lookup over the final cell ordering."""
+    """Packed-key → cell-index lookup over the final cell ordering.
+
+    ``lookup(q, where)`` returns ``(index, found)`` per query key; only
+    the lanes selected by the boolean mask ``where`` are searched and
+    every other lane reads ``(-1, False)``.
+    """
     lorder = np.argsort(pk)
     pks = pk[lorder]
 
-    def lookup(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pos = np.minimum(np.searchsorted(pks, q), pks.size - 1)
-        found = pks[pos] == q
-        return np.where(found, lorder[pos], -1), found
+    def lookup(
+        q: np.ndarray, where: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        idx = np.full(q.shape, -1, dtype=np.int64)
+        found = np.zeros(q.shape, dtype=bool)
+        sel = np.flatnonzero(where)
+        if sel.size:
+            qs = q[sel]
+            pos = np.minimum(np.searchsorted(pks, qs), pks.size - 1)
+            hit = pks[pos] == qs
+            idx[sel] = np.where(hit, lorder[pos], -1)
+            found[sel] = hit
+        return idx, found
 
     return lookup

@@ -30,8 +30,8 @@ from .structures import Mesh
 
 __all__ = ["mesh_to_dual_graph", "DEFAULT_CHUNK_FACES"]
 
-#: Faces per streamed window (matches the mesh builders' cell chunk).
-#: Any positive value yields the same graph.
+#: Faces per streamed window.  Any positive value yields the same
+#: graph.
 DEFAULT_CHUNK_FACES = 1 << 17
 
 

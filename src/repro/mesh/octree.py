@@ -13,6 +13,11 @@ container (cell centres carry the first two coordinates; the full 3D
 centres are returned separately) — everything downstream of the dual
 graph (partitioning, task generation, FLUSIM) is dimension-agnostic,
 which is exactly what the 3D experiments exercise.
+
+It shares :mod:`repro.mesh.chunked` with the quadtree builder: the same
+refine and balance passes, and the same count-then-fill face assembly
+(:func:`~repro.mesh.chunked.assemble_faces`), so it too peaks at its
+output plus the neighbour lookup and one chunk's temporaries.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import chunked
-from .chunked import FaceChunk, balance_grid, make_lookup, refine_grid
+from .chunked import assemble_faces, balance_grid, make_lookup, refine_grid
 from .structures import Mesh
 
 __all__ = ["build_octree_mesh", "octree_cylinder_mesh", "OCT_MAX_DEPTH"]
@@ -82,47 +87,42 @@ def build_octree_mesh(
             f"octree meshes support max_depth <= {OCT_MAX_DEPTH}"
         )
     chunk = chunked.DEFAULT_CHUNK_CELLS
-    leaves = refine_grid(
-        sizing, max_depth, min_depth, (0.0, 0.0, 0.0), 1.0, chunk, 3
+    # Balanced arrays come back in packed-key order, which is
+    # lexicographic (d, i, j, k).
+    d64, i64, j64, k64 = balance_grid(
+        refine_grid(
+            sizing, max_depth, min_depth, (0.0, 0.0, 0.0), 1.0, chunk, 3,
+            _pack_oct,
+        ),
+        chunk, _pack_oct, _unpack_oct, _DIRS3,
     )
-    balanced = balance_grid(
-        leaves, chunk, _pack_oct, _unpack_oct, _DIRS3
-    )
-    # Packed-key order is lexicographic (d, i, j, k).
-    order = np.argsort(_pack_oct(*balanced), kind="stable")
-    d64, i64, j64, k64 = (c[order] for c in balanced)
     n = d64.size
 
     depth = d64.astype(np.int32)
     size = 1.0 / (1 << depth).astype(np.float64)
     coords = np.stack([i64, j64, k64], axis=1).astype(np.float64)
     centers3 = (coords + 0.5) * size[:, None]
+    del coords
     volumes = size**3
+    del size
 
     lookup = make_lookup(_pack_oct(d64, i64, j64, k64))
 
-    fc_parts, area_parts, nrm_parts, ctr_parts = [], [], [], []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    def chunk_faces(start: int, stop: int, acc) -> None:
         d = d64[start:stop]
         bases = [i64[start:stop], j64[start:stop], k64[start:stop]]
-        idx = np.arange(start, stop, dtype=np.int64)
         s = 1.0 / (1 << d)
         side = 1 << d
         ctr = [(bases[a] + 0.5) * s for a in range(3)]
-        acc = FaceChunk(idx, 15)
 
         for axis in range(3):
-            bslot = axis * 5
             nx, ny = (1.0, 0.0) if axis in (0, 2) else (0.0, 1.0)
             # Low-side boundary face.
             flo = [
                 ctr[a] - 0.5 * s if a == axis else ctr[a]
                 for a in range(2)
             ]
-            acc.add(
-                bases[axis] == 0, bslot, -1, s * s, nx, ny, flo[0], flo[1]
-            )
+            acc.add(bases[axis] == 0, -1, s * s, nx, ny, flo[0], flo[1])
             # High side: boundary, equal/coarser neighbour, or four
             # refined child faces.
             bnd = (bases[axis] + 1) == side
@@ -130,9 +130,9 @@ def build_octree_mesh(
             ncoords = [
                 bases[a] + 1 if a == axis else bases[a] for a in range(3)
             ]
-            nb_idx, nb_f = lookup(_pack_oct(d, *ncoords))
+            nb_idx, nb_f = lookup(_pack_oct(d, *ncoords), inner)
             p_idx, p_f = lookup(
-                _pack_oct(d - 1, *[c >> 1 for c in ncoords])
+                _pack_oct(d - 1, *[c >> 1 for c in ncoords]), inner & ~nb_f
             )
             same = inner & nb_f
             childc = inner & ~nb_f & ~p_f
@@ -141,41 +141,29 @@ def build_octree_mesh(
                 ctr[a] + 0.5 * s if a == axis else ctr[a]
                 for a in range(2)
             ]
-            acc.add(~childc, bslot + 1, b0, s * s, nx, ny, fhi[0], fhi[1])
+            acc.add(~childc, b0, s * s, nx, ny, fhi[0], fhi[1])
             p2 = 1 << (d + 1)
-            for t, off in enumerate(_OCT_CHILD_OFFSETS[axis]):
+            for off in _OCT_CHILD_OFFSETS[axis]:
                 ccoords = [2 * ncoords[a] + off[a] for a in range(3)]
-                ck, _ = lookup(_pack_oct(d + 1, *ccoords))
+                ck, _ = lookup(_pack_oct(d + 1, *ccoords), childc)
                 fcc = [
                     (ccoords[a] + 0.5) / p2
                     - (0.5 / p2 if a == axis else 0.0)
                     for a in range(2)
                 ]
-                acc.add(
-                    childc,
-                    bslot + 1 + t,
-                    ck,
-                    (s / 2) ** 2,
-                    nx,
-                    ny,
-                    fcc[0],
-                    fcc[1],
-                )
+                acc.add(childc, ck, (s / 2) ** 2, nx, ny, fcc[0], fcc[1])
 
-        fc, fa, fn, fctr = acc.assembled()
-        fc_parts.append(fc)
-        area_parts.append(fa)
-        nrm_parts.append(fn)
-        ctr_parts.append(fctr)
-
+    face_cells, face_area, face_normal, face_center = assemble_faces(
+        n, chunk, chunk_faces
+    )
     mesh = Mesh(
         cell_centers=centers3[:, :2].copy(),
         cell_volumes=volumes,
         cell_depth=depth,
-        face_cells=np.concatenate(fc_parts),
-        face_area=np.concatenate(area_parts),
-        face_normal=np.concatenate(nrm_parts),
-        face_center=np.concatenate(ctr_parts),
+        face_cells=face_cells,
+        face_area=face_area,
+        face_normal=face_normal,
+        face_center=face_center,
     )
     return mesh, centers3
 

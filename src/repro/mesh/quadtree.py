@@ -12,7 +12,11 @@ Cells are the quadtree leaves.  Faces are extracted between
 edge-adjacent leaves (one face for equal-depth neighbours, two for a
 coarse-fine interface) plus domain-boundary faces, giving a complete
 finite-volume mesh ready for :mod:`repro.solver`.  Refinement, balance
-and face extraction are chunked array passes (:mod:`repro.mesh.chunked`).
+and face extraction are chunked array passes (:mod:`repro.mesh.chunked`):
+the faces are counted, then written in place by
+:func:`~repro.mesh.chunked.assemble_faces`, and each whole-mesh
+temporary is dropped once consumed, so the builder peaks at its output
+plus the neighbour lookup and one chunk's temporaries.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import chunked
 from .chunked import (
-    FaceChunk,
+    assemble_faces,
     balance_grid,
     make_lookup,
     refine_grid,
@@ -84,22 +88,28 @@ def build_quadtree_mesh(
             f"quadtree meshes support max_depth <= {QUAD_MAX_DEPTH}"
         )
     chunk = chunked.DEFAULT_CHUNK_CELLS
-    leaves = refine_grid(
-        sizing, max_depth, min_depth, origin, extent, chunk, 2
-    )
     bd, bi, bj = balance_grid(
-        leaves, chunk, _pack_quad, _unpack_quad, _DIRS2
+        refine_grid(
+            sizing, max_depth, min_depth, origin, extent, chunk, 2,
+            _pack_quad,
+        ),
+        chunk, _pack_quad, _unpack_quad, _DIRS2,
     )
 
     # Morton (z-curve) cell order: normalize anchors to depth 24 and
-    # interleave, depth breaking ties.
+    # interleave, depth breaking ties.  Every whole-mesh temporary is
+    # dropped as soon as the next step has consumed it.
     sh = 24 - bd
     code = (spread2((bi << sh).astype(np.uint64)) << np.uint64(1)) | (
         spread2((bj << sh).astype(np.uint64))
     )
+    del sh
     skey = (code << np.uint64(5)) | bd.astype(np.uint64)
+    del code
     order = np.argsort(skey, kind="stable")
+    del skey
     d64, i64, j64 = bd[order], bi[order], bj[order]
+    del bd, bi, bj, order
     n = d64.size
 
     ox, oy = origin
@@ -109,66 +119,64 @@ def build_quadtree_mesh(
         [ox + (i64 + 0.5) * size, oy + (j64 + 0.5) * size], axis=1
     )
     volumes = size * size
+    del size
 
     lookup = make_lookup(_pack_quad(d64, i64, j64))
 
-    fc_parts, area_parts, nrm_parts, ctr_parts = [], [], [], []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    def chunk_faces(start: int, stop: int, acc) -> None:
         d = d64[start:stop]
         i = i64[start:stop]
         j = j64[start:stop]
-        idx = np.arange(start, stop, dtype=np.int64)
         s = extent / (1 << d)
         x0 = ox + i * s
         y0 = oy + j * s
         side = 1 << d
-        acc = FaceChunk(idx, 6)
 
         # --- east side (+x): slot 0 (and 1 at refined interfaces) ----
         bnd = (i + 1) == side
         inner = ~bnd
-        nb_idx, nb_f = lookup(_pack_quad(d, i + 1, j))
-        p_idx, p_f = lookup(_pack_quad(d - 1, (i + 1) >> 1, j >> 1))
+        nb_idx, nb_f = lookup(_pack_quad(d, i + 1, j), inner)
+        p_idx, p_f = lookup(
+            _pack_quad(d - 1, (i + 1) >> 1, j >> 1), inner & ~nb_f
+        )
         same = inner & nb_f
         childc = inner & ~nb_f & ~p_f
         b0 = np.where(bnd, -1, np.where(same, nb_idx, p_idx))
-        acc.add(~childc, 0, b0, s, 1.0, 0.0, x0 + s, y0 + 0.5 * s)
-        c0, _ = lookup(_pack_quad(d + 1, 2 * (i + 1), 2 * j))
-        c1, _ = lookup(_pack_quad(d + 1, 2 * (i + 1), 2 * j + 1))
-        acc.add(childc, 0, c0, s / 2, 1.0, 0.0, x0 + s, y0 + 0.5 * s / 2)
-        acc.add(childc, 1, c1, s / 2, 1.0, 0.0, x0 + s, y0 + 1.5 * s / 2)
+        acc.add(~childc, b0, s, 1.0, 0.0, x0 + s, y0 + 0.5 * s)
+        c0, _ = lookup(_pack_quad(d + 1, 2 * (i + 1), 2 * j), childc)
+        c1, _ = lookup(_pack_quad(d + 1, 2 * (i + 1), 2 * j + 1), childc)
+        acc.add(childc, c0, s / 2, 1.0, 0.0, x0 + s, y0 + 0.5 * s / 2)
+        acc.add(childc, c1, s / 2, 1.0, 0.0, x0 + s, y0 + 1.5 * s / 2)
 
         # --- north side (+y): slot 2 (and 3) -------------------------
         bnd = (j + 1) == side
         inner = ~bnd
-        nb_idx, nb_f = lookup(_pack_quad(d, i, j + 1))
-        p_idx, p_f = lookup(_pack_quad(d - 1, i >> 1, (j + 1) >> 1))
+        nb_idx, nb_f = lookup(_pack_quad(d, i, j + 1), inner)
+        p_idx, p_f = lookup(
+            _pack_quad(d - 1, i >> 1, (j + 1) >> 1), inner & ~nb_f
+        )
         same = inner & nb_f
         childc = inner & ~nb_f & ~p_f
         b0 = np.where(bnd, -1, np.where(same, nb_idx, p_idx))
-        acc.add(~childc, 2, b0, s, 0.0, 1.0, x0 + 0.5 * s, y0 + s)
-        c0, _ = lookup(_pack_quad(d + 1, 2 * i, 2 * (j + 1)))
-        c1, _ = lookup(_pack_quad(d + 1, 2 * i + 1, 2 * (j + 1)))
-        acc.add(childc, 2, c0, s / 2, 0.0, 1.0, x0 + 0.5 * s / 2, y0 + s)
-        acc.add(childc, 3, c1, s / 2, 0.0, 1.0, x0 + 1.5 * s / 2, y0 + s)
+        acc.add(~childc, b0, s, 0.0, 1.0, x0 + 0.5 * s, y0 + s)
+        c0, _ = lookup(_pack_quad(d + 1, 2 * i, 2 * (j + 1)), childc)
+        c1, _ = lookup(_pack_quad(d + 1, 2 * i + 1, 2 * (j + 1)), childc)
+        acc.add(childc, c0, s / 2, 0.0, 1.0, x0 + 0.5 * s / 2, y0 + s)
+        acc.add(childc, c1, s / 2, 0.0, 1.0, x0 + 1.5 * s / 2, y0 + s)
 
         # --- west / south boundaries: slots 4, 5 ---------------------
-        acc.add(i == 0, 4, -1, s, -1.0, 0.0, x0, y0 + 0.5 * s)
-        acc.add(j == 0, 5, -1, s, 0.0, -1.0, x0 + 0.5 * s, y0)
+        acc.add(i == 0, -1, s, -1.0, 0.0, x0, y0 + 0.5 * s)
+        acc.add(j == 0, -1, s, 0.0, -1.0, x0 + 0.5 * s, y0)
 
-        fc, fa, fn, fctr = acc.assembled()
-        fc_parts.append(fc)
-        area_parts.append(fa)
-        nrm_parts.append(fn)
-        ctr_parts.append(fctr)
-
+    face_cells, face_area, face_normal, face_center = assemble_faces(
+        n, chunk, chunk_faces
+    )
     return Mesh(
         cell_centers=centers,
         cell_volumes=volumes,
         cell_depth=depth,
-        face_cells=np.concatenate(fc_parts),
-        face_area=np.concatenate(area_parts),
-        face_normal=np.concatenate(nrm_parts),
-        face_center=np.concatenate(ctr_parts),
+        face_cells=face_cells,
+        face_area=face_area,
+        face_normal=face_normal,
+        face_center=face_center,
     )

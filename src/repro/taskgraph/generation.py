@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..mesh import dual
 from ..mesh.structures import Mesh
 from ..partitioning.decomposition import DomainDecomposition
 from ..temporal.levels import face_levels
@@ -127,35 +128,50 @@ def _group_relations(
     """Unique face-group↔cell-group adjacency as two CSR relations.
 
     Returns ``(f2c_x, f2c_a, c2f_x, c2f_a)``: face group → adjacent
-    cell groups and cell group → bounding face groups.
+    cell groups and cell group → bounding face groups.  The faces are
+    read in windows of :data:`~repro.mesh.dual.DEFAULT_CHUNK_FACES`,
+    so no face-length pair array is ever built.
     """
-    a = mesh.face_cells[:, 0]
-    b = mesh.face_cells[:, 1]
-    bi = np.flatnonzero(b >= 0)
-    fg = np.concatenate([fgid, fgid[bi]])
-    cg = np.concatenate([cgid[a], cgid[b[bi]]])
+    fc = mesh.face_cells
+    m = len(fc)
     # Scalar-keyed unique: both group ids live in [0, ngroups), so a
     # pair packs into one int64 whose sorted order is the pairs'
     # lexicographic order — orders of magnitude cheaper than
     # ``np.unique(..., axis=0)``'s void-view row sort.  When the key
     # range is modest a presence bitmap beats ``np.unique`` outright.
     n = np.int64(ngroups)
-    if ngroups * ngroups <= max(1 << 22, 4 * len(fg)):
-
-        def uniq(keys: np.ndarray) -> np.ndarray:
-            seen = np.zeros(ngroups * ngroups, dtype=bool)
-            seen[keys] = True
-            return np.flatnonzero(seen)
-
+    npairs = m + int(np.count_nonzero(fc[:, 1] >= 0))
+    bitmap = ngroups * ngroups <= max(1 << 22, 4 * npairs)
+    if bitmap:
+        fwd = np.zeros(ngroups * ngroups, dtype=bool)
+        rev = np.zeros(ngroups * ngroups, dtype=bool)
     else:
-        uniq = np.unique
+        fwd, rev = [], []
+    chunk = dual.DEFAULT_CHUNK_FACES
+    for start in range(0, m, chunk):
+        cells = fc[start : start + chunk]
+        inner = cells[:, 1] >= 0
+        fg = fgid[start : start + chunk]
+        fg = np.concatenate([fg, fg[inner]])
+        cg = np.concatenate([cgid[cells[:, 0]], cgid[cells[inner, 1]]])
+        for acc, keys in ((fwd, fg * n + cg), (rev, cg * n + fg)):
+            if bitmap:
+                acc[keys] = True
+            else:
+                acc.append(np.unique(keys))
+
+    def uniq(acc) -> np.ndarray:
+        if bitmap:
+            return np.flatnonzero(acc)
+        return np.unique(np.concatenate(acc)) if acc else np.empty(0, np.int64)
+
     # CSR: face group -> adjacent cell groups
-    key = uniq(fg * n + cg)
+    key = uniq(fwd)
     f2c_x = np.zeros(ngroups + 1, dtype=np.int64)
     np.cumsum(np.bincount(key // n, minlength=ngroups), out=f2c_x[1:])
     f2c_a = key % n
     # CSR: cell group -> bounding face groups
-    rkey = uniq(cg * n + fg)
+    rkey = uniq(rev)
     c2f_x = np.zeros(ngroups + 1, dtype=np.int64)
     np.cumsum(np.bincount(rkey // n, minlength=ngroups), out=c2f_x[1:])
     c2f_a = rkey % n
