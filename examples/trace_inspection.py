@@ -23,9 +23,8 @@ def main() -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for strategy in ("SC_OC", "MC_TL"):
-        dag, trace, metrics = run_flusim(
-            "cylinder", 32, 8, 8, strategy, scale=9
-        )
+        rec = run_flusim("cylinder", 32, 8, 8, strategy, scale=9)
+        dag, trace, metrics = rec.dag, rec.trace, rec.metrics
         base = out_dir / f"cylinder_{strategy.lower()}"
         write_json(trace, dag, base.with_suffix(".json"))
         write_csv(trace, dag, base.with_suffix(".csv"))

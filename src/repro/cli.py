@@ -184,7 +184,7 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
 
     _apply_artifacts(args)
     for strategy in ("SC_OC", "MC_TL"):
-        dag, trace, metrics = run_flusim(
+        rec = run_flusim(
             args.mesh,
             args.domains,
             args.processes,
@@ -192,9 +192,9 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
             strategy,
             scale=args.scale,
         )
-        print(f"=== {strategy}: makespan {metrics.makespan:.0f}, "
-              f"efficiency {metrics.efficiency:.2f} ===")
-        print(render_process_gantt(trace, dag, width=args.width))
+        print(f"=== {strategy}: makespan {rec.metrics.makespan:.0f}, "
+              f"efficiency {rec.metrics.efficiency:.2f} ===")
+        print(render_process_gantt(rec.trace, rec.dag, width=args.width))
         print()
     return 0
 

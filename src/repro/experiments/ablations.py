@@ -83,10 +83,10 @@ def run_baseline_ablation(
     strategies = ["SC_OC", "MC_TL", "RCB", "SFC"]
     makespan: dict[str, float] = {}
     for s in strategies:
-        _, _, m = run_flusim(
+        rec = run_flusim(
             mesh_name, domains, processes, cores, s, scale=scale, seed=seed
         )
-        makespan[s] = m.makespan
+        makespan[s] = rec.metrics.makespan
     speedup = {s: makespan["SC_OC"] / makespan[s] for s in strategies}
     return BaselineAblation(
         strategies=strategies, makespan=makespan, speedup_vs_sc_oc=speedup

@@ -128,8 +128,7 @@ def run_flusim(
     """One FLUSIM run on a standard case.
 
     Returns a typed :class:`~repro.pipeline.RunRecord` (with per-stage
-    cache provenance in ``record.provenance``); iterating it yields
-    the legacy ``(dag, trace, metrics)`` triple.
+    cache provenance in ``record.provenance``).
     """
     sc = standard_scenario(
         name,

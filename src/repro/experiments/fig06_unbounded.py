@@ -42,9 +42,10 @@ def run(
     seed: int = 0,
 ) -> Fig6Result:
     """Run the unbounded-cores experiment (SC_OC, eager)."""
-    dag, trace, metrics = run_flusim(
+    rec = run_flusim(
         mesh_name, domains, processes, None, "SC_OC", scale=scale, seed=seed
     )
+    trace, metrics = rec.trace, rec.metrics
     idle = np.array(
         [
             trace.process_idle_time(p) / trace.makespan

@@ -35,12 +35,12 @@ def run(
     seed: int = 0,
 ) -> Fig12Result:
     """Run the nozzle FLUSIM comparison."""
-    _, _, m_sc = run_flusim(
+    m_sc = run_flusim(
         mesh_name, domains, processes, cores, "SC_OC", scale=scale, seed=seed
-    )
-    _, _, m_mc = run_flusim(
+    ).metrics
+    m_mc = run_flusim(
         mesh_name, domains, processes, cores, "MC_TL", scale=scale, seed=seed
-    )
+    ).metrics
     return Fig12Result(
         makespan_sc_oc=m_sc.makespan,
         makespan_mc_tl=m_mc.makespan,

@@ -106,12 +106,10 @@ class InputReport:
     graph:
         The (possibly re-weighted) graph to partition.
     nparts:
-        The validated part count (clamped to ``n`` if requested).
+        The validated part count.
     dropped_constraints:
         Indices of all-zero constraint columns removed from ``vwgt``
         (e.g. empty temporal-level classes after adaptation).
-    clamped:
-        True when ``nparts`` was reduced to the vertex count.
     notes:
         Human-readable degradation notes (one per event).
     """
@@ -119,21 +117,15 @@ class InputReport:
     graph: CSRGraph
     nparts: int
     dropped_constraints: list[int] = field(default_factory=list)
-    clamped: bool = False
     notes: list[str] = field(default_factory=list)
 
 
-def validate_partition_inputs(
-    g: CSRGraph,
-    nparts: int,
-    *,
-    allow_clamp: bool = False,
-    warn: bool = True,
-) -> InputReport:
+def validate_partition_inputs(g: CSRGraph, nparts: int) -> InputReport:
     """Validate and normalize partitioner inputs.
 
     Typed :class:`ValueError`\\ s for caller bugs (negative/NaN
-    weights, ``nparts < 1``, ``nparts > n`` unless ``allow_clamp``);
+    weights, ``nparts < 1``, more than one part for fewer vertices —
+    an empty graph admits only ``nparts=1``);
     graceful degradation with a :class:`PartitionQualityWarning` for
     inputs that are legal but degenerate (all-zero constraint columns).
 
@@ -147,16 +139,9 @@ def validate_partition_inputs(
 
     report = InputReport(graph=g, nparts=nparts)
 
-    if nparts > n and n > 0:
-        if not allow_clamp:
-            raise ValueError(
-                f"cannot create {nparts} non-empty parts from "
-                f"{n} vertices"
-            )
-        report.nparts = n
-        report.clamped = True
-        report.notes.append(
-            f"nparts clamped from {nparts} to the vertex count {n}"
+    if nparts > max(n, 1):
+        raise ValueError(
+            f"cannot create {nparts} non-empty parts from {n} vertices"
         )
 
     vwgt = g.vwgt
@@ -198,7 +183,7 @@ def validate_partition_inputs(
             "total vertex weight is zero; falling back to unit weights"
         )
 
-    if warn and report.notes:
+    if report.notes:
         warn_quality(
             "degenerate partition input: " + "; ".join(report.notes),
             stage="input",

@@ -45,7 +45,7 @@ def _growth_state(g: CSRGraph, target_frac: float) -> tuple:
 
 
 def _grow(
-    state: tuple, rng: np.random.Generator, seed_vertex: int | None = None
+    state: tuple, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[float], float]:
     """One GGG trial: ``(labels, gains, cut)``.
 
@@ -67,7 +67,7 @@ def _grow(
     counter = 0
     cut = 0.0
 
-    v = int(seed_vertex) if seed_vertex is not None else int(rng.integers(n))
+    v = int(rng.integers(n))
     while True:
         side[v] = 0
         cut -= gain[v]
@@ -104,10 +104,8 @@ def greedy_graph_growing(
     g: CSRGraph,
     target_frac: float,
     rng: np.random.Generator,
-    *,
-    seed_vertex: int | None = None,
 ) -> np.ndarray:
-    """Grow part 0 from a seed until every constraint reaches
+    """Grow part 0 from a random vertex until every constraint reaches
     ``target_frac`` of its total weight.
 
     Returns a ``(n,)`` int32 array of 0/1 part labels.  The growth
@@ -120,7 +118,7 @@ def greedy_graph_growing(
     Labels equal a gain rescan's bit for bit where the weights' partial
     sums are exact (see the module docstring).
     """
-    return _grow(_growth_state(g, target_frac), rng, seed_vertex)[0]
+    return _grow(_growth_state(g, target_frac), rng)[0]
 
 
 def best_initial_bisection(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .contracts import connected_components
 from .csr import CSRGraph
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "boundary_vertices",
     "parts_connected",
     "connected_components_of_part",
+    "part_component_labels",
 ]
 
 
@@ -96,31 +98,30 @@ def boundary_vertices(g: CSRGraph, part: np.ndarray) -> np.ndarray:
     return np.unique(src[is_cut])
 
 
+def part_component_labels(
+    g: CSRGraph, part: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Connected components of every part's induced subgraph at once.
+
+    :func:`~repro.graph.contracts.connected_components` of the graph
+    without its cut edges: ``(labels, ncomp)``, components numbered in
+    order of their smallest vertex, each inside one part.
+    """
+    n = g.num_vertices
+    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees())
+    keep = part[src] == part[g.adjncy]
+    xadj = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[keep], minlength=n), out=xadj[1:])
+    return connected_components(CSRGraph(xadj, g.adjncy[keep]))
+
+
 def connected_components_of_part(
     g: CSRGraph, part: np.ndarray, p: int
 ) -> int:
     """Number of connected components of the subgraph induced by part
     ``p`` (0 if the part is empty)."""
-    members = np.flatnonzero(part == p)
-    if len(members) == 0:
-        return 0
-    inpart = np.zeros(g.num_vertices, dtype=bool)
-    inpart[members] = True
-    seen = np.zeros(g.num_vertices, dtype=bool)
-    ncomp = 0
-    for start in members:
-        if seen[start]:
-            continue
-        ncomp += 1
-        stack = [int(start)]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if inpart[u] and not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-    return ncomp
+    labels, _ = part_component_labels(g, part)
+    return len(np.unique(labels[part == p]))
 
 
 def parts_connected(g: CSRGraph, part: np.ndarray, nparts: int) -> np.ndarray:
@@ -130,7 +131,6 @@ def parts_connected(g: CSRGraph, part: np.ndarray, nparts: int) -> np.ndarray:
     notes MC_TL often fails to keep domains connected — this metric
     quantifies that artifact (Section IX perspective).
     """
-    out = np.ones(nparts, dtype=bool)
-    for p in range(nparts):
-        out[p] = connected_components_of_part(g, part, p) <= 1
-    return out
+    labels, _ = part_component_labels(g, part)
+    first = np.unique(labels, return_index=True)[1]
+    return np.bincount(part[first], minlength=nparts)[:nparts] <= 1

@@ -428,7 +428,6 @@ def partition_graph(
     executor: str | None = None,
     coords: np.ndarray | None = None,
     strict: bool = False,
-    fallback: bool = True,
 ) -> PartitionResult:
     """Partition a (possibly multi-constraint) graph into ``nparts``.
 
@@ -463,12 +462,8 @@ def partition_graph(
     strict:
         Raise :class:`~repro.resilience.errors.PartitionQualityError`
         when the primary result violates the output contract, instead
-        of walking the fallback chain.
-    fallback:
-        Walk the escalating degradation chain (relaxed tolerance →
-        SFC → block split) on a contract violation.  With
-        ``fallback=False`` the primary result is returned as-is, with
-        its violations recorded.
+        of walking the escalating degradation chain (relaxed tolerance
+        → SFC → block split).
 
     Returns
     -------
@@ -483,7 +478,7 @@ def partition_graph(
     pool = dict(n_jobs=n_jobs, executor=executor)
     provenance = "primary"
     ncomp = 1
-    if nparts > 1 and g.num_vertices > 0:
+    if nparts > 1:
         comp_labels, ncomp = connected_components(g)
     if ncomp > 1:
         part = _partition_components(
@@ -523,7 +518,7 @@ def partition_graph(
             violations=violations,
             provenance=provenance,
         )
-    if violations and fallback:
+    if violations:
         part, provenance, violations = _fallback_chain(
             g,
             nparts,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csr import CSRGraph
-from .metrics import edge_cut, imbalance, part_weights
+from .metrics import edge_cut, imbalance, part_component_labels, part_weights
 
 __all__ = ["ReconnectResult", "part_components", "reconnect_parts"]
 
@@ -63,28 +63,18 @@ class ReconnectResult:
 def part_components(g: CSRGraph, part: np.ndarray, nparts: int) -> list[list[np.ndarray]]:
     """Connected components of every part's induced subgraph.
 
-    Returns, per part, the list of component vertex arrays sorted by
-    descending total (summed over constraints) weight — the first
-    entry is the dominant component.
+    Returns, per part, the list of component vertex arrays (ascending
+    vertex ids) sorted by descending total (summed over constraints)
+    weight, ties broken by smallest vertex — the first entry is the
+    dominant component.
     """
-    n = g.num_vertices
-    seen = np.zeros(n, dtype=bool)
+    labels, ncomp = part_component_labels(g, part)
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=ncomp))
     out: list[list[np.ndarray]] = [[] for _ in range(nparts)]
-    for start in range(n):
-        if seen[start]:
-            continue
-        p = part[start]
-        stack = [start]
-        seen[start] = True
-        comp = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if not seen[u] and part[u] == p:
-                    seen[u] = True
-                    stack.append(int(u))
-                    comp.append(int(u))
-        out[p].append(np.array(comp, dtype=np.int64))
+    for start, stop in zip(np.r_[0, ends[:-1]], ends):
+        comp = order[start:stop]
+        out[part[comp[0]]].append(comp)
     for p in range(nparts):
         out[p].sort(key=lambda c: -float(g.vwgt[c].sum()))
     return out

@@ -13,7 +13,7 @@ worst per-constraint imbalance (so infeasible states can be repaired).
 
 Hill-climb allowance.  A pass keeps making non-improving moves until
 ``early_stop`` consecutive ones have failed to beat the best prefix,
-then rolls all of them back.  The default allowance follows the
+then rolls all of them back.  The allowance follows the
 boundary the refinement starts from,
 ``max(100, len(boundary) // 2)``: only boundary vertices can move, so
 the boundary — not ``n`` — is the scale of a useful excursion.  (METIS
@@ -141,9 +141,7 @@ def fm_refine(
     target_frac: float = 0.5,
     imbalance_tol: float = 1.05,
     max_passes: int = 8,
-    max_moves_per_pass: int | None = None,
     rng: np.random.Generator | None = None,
-    early_stop: int | None = None,
     check_cut: bool = False,
 ) -> np.ndarray:
     """Refine a bisection in place and return it.
@@ -158,12 +156,10 @@ def fm_refine(
         Allowed multiplicative deviation from the per-part target.
     max_passes:
         FM passes; the loop stops early when a pass yields no
-        improvement.
-    early_stop:
-        Abandon a pass's hill climb after this many consecutive
-        non-improving moves; defaults to
-        ``max(100, len(boundary) // 2)`` for the boundary the
-        refinement starts from (see the module docstring).
+        improvement.  A pass abandons its hill climb after
+        ``max(100, len(boundary) // 2)`` consecutive non-improving
+        moves, for the boundary the refinement starts from (see the
+        module docstring), and moves every vertex at most once.
     check_cut:
         Debug flag: assert at the end of every pass that the
         incrementally tracked edge cut agrees with a from-scratch
@@ -201,9 +197,6 @@ def fm_refine(
 
     pw = part_weights(g, part, 2).tolist()
     inv = [inv0, inv1]
-
-    if max_moves_per_pass is None:
-        max_moves_per_pass = n
 
     # Unit edge weights -> integer gains -> FM gain buckets.  The
     # maxdeg guard keeps the per-pass bucket allocation trivial (a
@@ -245,8 +238,7 @@ def fm_refine(
     # passes rebuild it from the vertices actually touched, keeping
     # per-pass overhead proportional to the work done, not to n.
     boundary = np.flatnonzero(gain_a > -wdeg_a)
-    if early_stop is None:
-        early_stop = max(100, len(boundary) // 2)
+    early_stop = max(100, len(boundary) // 2)
 
     for _ in range(max_passes):
         if len(boundary) == 0:
@@ -273,14 +265,15 @@ def fm_refine(
         best_imb = _max_imb(pw[0], pw[1], inv0, inv1)
         moves: list[int] = []
         best_prefix = 0
-        budget = max_moves_per_pass
         tol = imbalance_tol
         # One-hot fast balance path: valid while every ratio is within
         # tolerance (an admitted move keeps it that way, so the flag
         # holds for the whole pass).
         fast_bal = one_hot and best_imb <= tol
 
-        while budget > 0:
+        # Every applied move locks its vertex, so the queues run dry
+        # after at most n moves.
+        while True:
             # Lazy deletion on both queues: skip stale entries, locked
             # and interior vertices (only boundary vertices may move).
             if use_buckets:
@@ -348,7 +341,6 @@ def fm_refine(
             # v's internal and external degrees swap when it flips.
             gain[v] = -gv
             moves.append(v)
-            budget -= 1
 
             # Update neighbour gains incrementally.  This must happen
             # before any early-stop break so the persistent gain array
@@ -466,7 +458,6 @@ def rebalance(
     *,
     target_frac: float = 0.5,
     imbalance_tol: float = 1.05,
-    max_moves: int | None = None,
 ) -> np.ndarray:
     """Repair an infeasible bisection by explicit balancing moves.
 
@@ -484,21 +475,17 @@ def rebalance(
     the weights is exact in float64 the labels equal those of separate
     internal/external degree arrays bit for bit.
     """
-    n = g.num_vertices
     ncon = g.ncon
     total = g.total_vwgt().tolist()
     targets = (float(target_frac), float(1.0 - target_frac))
     denom = [[tc * t for tc in total] for t in targets]
     pw = part_weights(g, part, 2).tolist()
-    if max_moves is None:
-        max_moves = n
 
-    moves = 0
     # Gains and the candidate state are O(n + m) to build and only a
     # violating pair needs them: the common feasible projection pays
     # for neither.
     gain = None
-    while moves < max_moves:
+    while True:
         # The worst (part, constraint) ratio; the first wins ties.
         worst, src_p, c = 1.0, -1, -1
         for cc in range(ncon):
@@ -547,7 +534,6 @@ def rebalance(
             w = vw_cols[cc][v]
             pws[cc] -= w
             pwd[cc] += w
-        moves += 1
         # Incremental gain updates around v; v's own changes sign.
         for idx in range(xadj[v], xadj[v + 1]):
             u = adj[idx]

@@ -109,14 +109,13 @@ def refine_grid(
     sizing,
     max_depth: int,
     min_depth: int,
-    origin: tuple[float, ...],
-    extent: float,
     chunk: int,
     dim: int,
     pack,
 ) -> np.ndarray:
-    """Breadth-first chunked refinement; returns the leaves as packed
-    int64 keys, ``pack(d, c0, .., c_dim-1)`` (unordered)."""
+    """Breadth-first chunked refinement of the unit square or cube;
+    returns the leaves as packed int64 keys, ``pack(d, c0, ..,
+    c_dim-1)`` (unordered)."""
     offsets = _CHILD2 if dim == 2 else _CHILD3
     keep: list[np.ndarray] = []
     cur = [np.zeros(1, dtype=np.int64) for _ in range(dim + 1)]
@@ -125,10 +124,8 @@ def refine_grid(
         for start in range(0, cur[0].size, chunk):
             d = cur[0][start : start + chunk]
             cs = [c[start : start + chunk] for c in cur[1:]]
-            size = extent / (1 << d)
-            centers = [
-                origin[a] + (cs[a] + 0.5) * size for a in range(dim)
-            ]
+            size = 1.0 / (1 << d)
+            centers = [(cs[a] + 0.5) * size for a in range(dim)]
             want = _sizing_values(sizing, centers)
             split = (d < max_depth) & ((d < min_depth) | (size > want))
             if not split.all():

@@ -90,10 +90,7 @@ def build_octree_mesh(
     # Balanced arrays come back in packed-key order, which is
     # lexicographic (d, i, j, k).
     d64, i64, j64, k64 = balance_grid(
-        refine_grid(
-            sizing, max_depth, min_depth, (0.0, 0.0, 0.0), 1.0, chunk, 3,
-            _pack_oct,
-        ),
+        refine_grid(sizing, max_depth, min_depth, chunk, 3, _pack_oct),
         chunk, _pack_oct, _unpack_oct, _DIRS3,
     )
     n = d64.size

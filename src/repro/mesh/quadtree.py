@@ -58,10 +58,9 @@ def build_quadtree_mesh(
     *,
     max_depth: int,
     min_depth: int = 2,
-    origin: tuple[float, float] = (0.0, 0.0),
-    extent: float = 1.0,
 ) -> Mesh:
-    """Build a 2:1-balanced quadtree finite-volume mesh.
+    """Build a 2:1-balanced quadtree finite-volume mesh of the unit
+    square ``[0, 1] × [0, 1]``.
 
     Parameters
     ----------
@@ -73,8 +72,6 @@ def build_quadtree_mesh(
         Depth bounds; ``max_depth`` caps the finest resolution, hence
         also the number of distinct cell sizes ``max_depth - min_depth
         + 1``.  ``max_depth`` may not exceed :data:`QUAD_MAX_DEPTH`.
-    origin, extent:
-        The square domain ``[ox, ox+extent] × [oy, oy+extent]``.
 
     Returns
     -------
@@ -89,10 +86,7 @@ def build_quadtree_mesh(
         )
     chunk = chunked.DEFAULT_CHUNK_CELLS
     bd, bi, bj = balance_grid(
-        refine_grid(
-            sizing, max_depth, min_depth, origin, extent, chunk, 2,
-            _pack_quad,
-        ),
+        refine_grid(sizing, max_depth, min_depth, chunk, 2, _pack_quad),
         chunk, _pack_quad, _unpack_quad, _DIRS2,
     )
 
@@ -112,12 +106,9 @@ def build_quadtree_mesh(
     del bd, bi, bj, order
     n = d64.size
 
-    ox, oy = origin
     depth = d64.astype(np.int32)
-    size = extent / (1 << depth).astype(np.float64)
-    centers = np.stack(
-        [ox + (i64 + 0.5) * size, oy + (j64 + 0.5) * size], axis=1
-    )
+    size = 1.0 / (1 << depth).astype(np.float64)
+    centers = np.stack([(i64 + 0.5) * size, (j64 + 0.5) * size], axis=1)
     volumes = size * size
     del size
 
@@ -127,9 +118,9 @@ def build_quadtree_mesh(
         d = d64[start:stop]
         i = i64[start:stop]
         j = j64[start:stop]
-        s = extent / (1 << d)
-        x0 = ox + i * s
-        y0 = oy + j * s
+        s = 1.0 / (1 << d)
+        x0 = i * s
+        y0 = j * s
         side = 1 << d
 
         # --- east side (+x): slot 0 (and 1 at refined interfaces) ----

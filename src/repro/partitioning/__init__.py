@@ -7,7 +7,7 @@ from .granularity import (
     GranularitySearchResult,
     tune_granularity,
 )
-from .sfc import hilbert_codes, morton_codes, sfc_order
+from .sfc import hilbert_codes, sfc_order
 from .strategies import (
     STRATEGIES,
     dual_phase_partition,
@@ -31,6 +31,5 @@ __all__ = [
     "GranularitySearchResult",
     "tune_granularity",
     "hilbert_codes",
-    "morton_codes",
     "sfc_order",
 ]

@@ -107,8 +107,6 @@ def tune_granularity(
     seed: int = 0,
     task_overhead: float = 0.0,
     comm_cost: float = 0.0,
-    min_domains: int | None = None,
-    max_domains: int | None = None,
     scheduler: str = "eager",
 ) -> GranularitySearchResult:
     """Search the domain count minimizing the (penalized) makespan.
@@ -134,18 +132,13 @@ def tune_granularity(
     recommended domain count.
     """
     P = cluster.num_processes
-    if min_domains is None:
-        min_domains = P
-    if max_domains is None:
-        # Do not shrink the average domain below ~32 cells.
-        max_domains = max(min_domains, mesh.num_cells // 32)
+    # Do not shrink the average domain below ~32 cells.
+    max_domains = max(P, mesh.num_cells // 32)
     candidates: list[int] = []
-    d = max(P, min_domains)
+    d = P
     while d <= max_domains:
         candidates.append(d)
         d *= 2
-    if not candidates:
-        candidates = [min_domains]
 
     evaluated = [
         _evaluate(

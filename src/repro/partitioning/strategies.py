@@ -75,7 +75,6 @@ def sc_oc_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    strict: bool = False,
 ) -> np.ndarray:
     """Single-Constraint Operating-Cost partitioning (the baseline).
 
@@ -89,7 +88,6 @@ def sc_oc_partition(
         seed=seed,
         imbalance_tol=imbalance_tol,
         coords=mesh.cell_centers,
-        strict=strict,
     ).part
 
 
@@ -100,7 +98,6 @@ def mc_tl_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    strict: bool = False,
 ) -> np.ndarray:
     """Multi-Constraint Temporal-Level partitioning (the paper's
     contribution).
@@ -117,7 +114,6 @@ def mc_tl_partition(
         seed=seed,
         imbalance_tol=imbalance_tol,
         coords=mesh.cell_centers,
-        strict=strict,
     ).part
 
 
@@ -129,7 +125,6 @@ def dual_phase_partition(
     *,
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    strict: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dual-phase partitioning (paper §VII perspective).
 
@@ -148,7 +143,6 @@ def dual_phase_partition(
         num_processes,
         seed=seed,
         imbalance_tol=imbalance_tol,
-        strict=strict,
     )
     cost = operating_costs(tau)
     g = mesh_to_dual_graph(mesh, vwgt=cost)
@@ -170,7 +164,6 @@ def dual_phase_partition(
             seed=seed + 1 + p,
             imbalance_tol=imbalance_tol,
             coords=mesh.cell_centers[mapping],
-            strict=strict,
         ).part
         domain[mapping] = base + labels
     return domain, domain_process
@@ -222,20 +215,19 @@ def sfc_partition(
     num_domains: int,
     *,
     seed: int = 0,
-    curve: str = "hilbert",
 ) -> np.ndarray:
     """Space-filling-curve partitioning weighted by operating cost.
 
-    Cells are sorted along a space-filling curve (Hilbert by default,
-    Morton optionally) and cut into ``num_domains`` consecutive chunks
-    of equal operating cost — the classical CFD load-balancing method
+    Cells are sorted along the Hilbert curve and cut into
+    ``num_domains`` consecutive chunks of equal operating cost — the
+    classical CFD load-balancing method
     referenced in the paper's conclusion ([1], Aftosmis et al.).
     """
     from .sfc import sfc_order
 
     _check_geometric_inputs(mesh, num_domains)
     cost = operating_costs(tau)
-    order = sfc_order(mesh.cell_centers, curve=curve)
+    order = sfc_order(mesh.cell_centers)
     # weighted_contiguous_cuts guarantees every chunk is non-empty even
     # on heavy-tailed costs, where a plain quantile searchsorted can
     # collapse a chunk to nothing.
@@ -262,22 +254,19 @@ def make_decomposition(
     strategy: str = "SC_OC",
     seed: int = 0,
     imbalance_tol: float = 1.05,
-    strict: bool = False,
 ) -> DomainDecomposition:
     """Partition a mesh and map the domains to processes.
 
     ``strategy`` is one of :data:`STRATEGIES` (``"SC_OC"``,
     ``"MC_TL"``, ``"RCB"``, ``"SFC"``) or ``"DUAL"`` for the dual-phase
     scheme (which requires ``num_domains`` to be a multiple of
-    ``num_processes``).  ``strict=True`` makes the graph strategies raise
-    :class:`~repro.resilience.errors.PartitionQualityError` instead of
-    degrading through the fallback chain.
+    ``num_processes``).
     """
     if strategy == "DUAL":
         if num_domains % num_processes:
             raise ValueError(
                 "DUAL requires num_domains to be a multiple of num_processes"
-            )
+        )
         domain, domain_process = dual_phase_partition(
             mesh,
             tau,
@@ -285,7 +274,6 @@ def make_decomposition(
             num_domains // num_processes,
             seed=seed,
             imbalance_tol=imbalance_tol,
-            strict=strict,
         )
         return DomainDecomposition(
             domain=domain,
@@ -308,7 +296,6 @@ def make_decomposition(
             num_domains,
             seed=seed,
             imbalance_tol=imbalance_tol,
-            strict=strict,
         )
     else:
         domain = fn(mesh, tau, num_domains, seed=seed)

@@ -14,7 +14,7 @@ cache hit — see ``RunRecord.explain``).  Every node runs through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -58,13 +58,8 @@ class StageRecord:
 
 @dataclass
 class RunRecord:
-    """Typed result of one pipeline run.
-
-    Replaces the anonymous ``(dag, trace, metrics)`` tuples the
-    experiment harnesses used to pass around; iterating a record
-    still yields exactly that triple, so legacy unpacking keeps
-    working.
-    """
+    """Typed result of one pipeline run: the chain's stage outputs
+    and the provenance of each stage."""
 
     scenario: Scenario
     mesh: Mesh
@@ -74,11 +69,6 @@ class RunRecord:
     trace: Trace | None = None
     metrics: ScheduleMetrics | None = None
     provenance: dict[str, StageRecord] = field(default_factory=dict)
-
-    def __iter__(self) -> Iterator[Any]:
-        yield self.dag
-        yield self.trace
-        yield self.metrics
 
     @property
     def cache_hits(self) -> int:
@@ -202,14 +192,8 @@ def _record_from_plan(
     failed or was skipped, so a stage exception propagates out of
     ``run``.
     """
-    state = result.job_state(job)
-    if state != "done":
-        error = result.job_error(job)
-        if error is not None:
-            raise error
-        raise RuntimeError(
-            f"plan execution {state} before job {job} completed"
-        )
+    if result.job_state(job) != "done":
+        raise result.job_error(job)
     record = RunRecord(
         scenario=plan.scenarios[job], mesh=None, tau=None  # type: ignore[arg-type]
     )

@@ -155,8 +155,7 @@ class NodeResult:
 
     key: str
     stage: str
-    #: "done" | "failed" | "skipped" (upstream failed) |
-    #: "cancelled" (scheduler stopped before reaching it)
+    #: "done" | "failed" | "skipped" (upstream failed)
     state: str
     cache: str | None = None  # "memory" | "disk" | None, when done
     wall_time: float = 0.0
@@ -174,17 +173,12 @@ class PlanResult:
 
     # -- per-job views -------------------------------------------------
     def job_state(self, job: int) -> str:
-        """``"done"`` | ``"failed"`` | ``"cancelled"`` for one job."""
-        state = "done"
+        """``"done"``, or ``"failed"`` when a node along the job's
+        chain failed or was skipped."""
         for key in self.plan.job_stages[job].values():
-            node = self.nodes.get(key)
-            if node is None or node.state == "cancelled":
-                return "cancelled"
-            if node.state == "failed":
+            if self.nodes[key].state != "done":
                 return "failed"
-            if node.state == "skipped":
-                state = "failed"
-        return state
+        return "done"
 
     def job_error(self, job: int) -> BaseException | None:
         """The causal exception for a failed job (the first failed or
@@ -310,10 +304,6 @@ class DagScheduler:
         ``failed`` — the daemon's stage-level progress stream.
         Exceptions from it are swallowed: observability must not kill
         the run.
-    should_stop:
-        Optional predicate polled before each dispatch, pool fork and
-        pool submit; returning True cancels all not-yet-running nodes
-        (drain support).
     """
 
     def __init__(
@@ -322,12 +312,10 @@ class DagScheduler:
         *,
         max_workers: int = 1,
         on_node: Callable[[NodeResult], None] | None = None,
-        should_stop: Callable[[], bool] | None = None,
     ) -> None:
         self.store = store if store is not None else default_store()
         self.max_workers = forkpool.resolve_n_jobs(max_workers)
         self.on_node = on_node
-        self.should_stop = should_stop
 
     # ------------------------------------------------------------------
     def _notify(self, result: NodeResult) -> None:
@@ -337,9 +325,6 @@ class DagScheduler:
             self.on_node(result)
         except Exception:
             pass
-
-    def _stopping(self) -> bool:
-        return self.should_stop is not None and self.should_stop()
 
     @staticmethod
     def _failed(task: StageTask, exc: BaseException) -> NodeResult:
@@ -454,8 +439,8 @@ class DagScheduler:
         keys: list[str],
         settle: Callable[[NodeResult], None],
         pooled: bool,
-    ) -> bool:
-        """Run one round of ready nodes; returns whether to stop.
+    ) -> None:
+        """Run one round of ready nodes.
 
         Without ``pooled`` every node runs here through
         :func:`execute_stage`; with it, store hits and partitions run
@@ -463,8 +448,6 @@ class DagScheduler:
         """
         misses: list[StageTask] = []
         for key in keys:
-            if self._stopping():
-                return True
             task = plan.nodes[key]
             if not pooled or task.stage == "partition":
                 settle(self._run_node(task, objects))
@@ -475,31 +458,22 @@ class DagScheduler:
             else:
                 settle(node)
         if not misses:
-            return False
+            return
         workers = min(self.max_workers, len(misses))
         if not forkpool.can_fork_pool(workers):
             for task in misses:
-                if self._stopping():
-                    return True
                 settle(self._run_node(task, objects))
-            return False
-        if self._stopping():
-            return True
+            return
         # Largest first, so the round does not end on one worker
         # running the last big node while the others idle; nodes whose
         # stage states no size go first, in ready order.
         misses.sort(key=lambda task: _size(task, objects))
-        stopped = False
         with forkpool.fork_pool(workers, self.store, plan, objects) as pool:
-            inflight: dict[Future, StageTask] = {}
-            for task in misses:
-                stopped = self._stopping()
-                if stopped:
-                    break
-                inflight[pool.submit(_pool_node, task.key)] = task
+            inflight = {
+                pool.submit(_pool_node, task.key): task for task in misses
+            }
             for fut in as_completed(inflight):
                 settle(self._unpack(inflight[fut], objects, fut))
-        return stopped
 
     # ------------------------------------------------------------------
     def execute(self, plan: StagePlan) -> PlanResult:
@@ -548,15 +522,6 @@ class DagScheduler:
                 if pooled
                 else [heapq.heappop(ready)[2]]
             )
-            if self._round(plan, objects, keys, settle, pooled):
-                break
-
-        for key, task in plan.nodes.items():
-            if key not in result.nodes:
-                result.nodes[key] = NodeResult(
-                    key=key,
-                    stage=task.stage,
-                    state="cancelled",
-                    jobs=task.jobs,
-                )
+            self._round(plan, objects, keys, settle, pooled)
+        # Every node is now done, failed, or skipped behind a failure.
         return result

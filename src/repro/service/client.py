@@ -14,7 +14,7 @@ The client is a *well-behaved* tenant of an overloaded service:
   carried by :class:`~repro.resilience.errors.QueueFull` instead of
   hammering a spool that just rejected it;
 * :meth:`wait` polls with jittered exponential backoff (base ``poll``,
-  factor 2, cap ``poll_cap``, ±50% jitter) so a thousand clients
+  factor 2, cap :data:`POLL_CAP`, ±50% jitter) so a thousand clients
   waiting on one spool do not synchronize into a stat() stampede;
 * a dead-lettered job surfaces as :class:`JobFailedError` with the
   quarantine diagnosis — and resubmitting it trips the typed
@@ -33,6 +33,9 @@ from ..resilience.errors import JobFailedError, QueueFull
 from .queue import TERMINAL_STATES, JobRequest, JobStatus, SpoolQueue
 
 __all__ = ["ServiceClient"]
+
+#: Longest wait, in seconds, between two status polls of :meth:`wait`.
+POLL_CAP = 2.0
 
 
 class ServiceClient:
@@ -125,13 +128,12 @@ class ServiceClient:
         *,
         timeout: float | None = None,
         poll: float = 0.1,
-        poll_cap: float = 2.0,
     ) -> JobStatus:
         """Block until the job is terminal (``done``, ``failed`` or
         ``deadletter``).
 
         Polls with jittered exponential backoff from ``poll`` up to
-        ``poll_cap`` seconds.  Raises :class:`TimeoutError` when
+        :data:`POLL_CAP` seconds.  Raises :class:`TimeoutError` when
         ``timeout`` elapses first and :class:`KeyError` for an unknown
         job id.
         """
@@ -143,7 +145,7 @@ class ServiceClient:
                 raise KeyError(f"unknown job id {job_id!r}")
             if status.state in TERMINAL_STATES:
                 return status
-            sleep = min(delay, poll_cap) * self._rng.uniform(0.5, 1.5)
+            sleep = min(delay, POLL_CAP) * self._rng.uniform(0.5, 1.5)
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -153,7 +155,7 @@ class ServiceClient:
                     )
                 sleep = min(sleep, remaining)
             time.sleep(sleep)
-            delay = min(delay * 2.0, poll_cap)
+            delay = min(delay * 2.0, POLL_CAP)
 
     def result(
         self,

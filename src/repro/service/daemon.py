@@ -114,6 +114,10 @@ _EXIT_CHAOS = 86  # injected worker death (chaos harness)
 #: Liveness heartbeats older than this many seconds read as dead.
 LIVENESS_TTL = 30.0
 
+#: Max age in seconds of the ``health/`` liveness/pressure files and of
+#: a running job's status heartbeat.
+HEALTH_INTERVAL = 1.0
+
 #: Most jobs one child takes on: bounds what a single worker death can
 #: cost and how long a batch-mate waits behind the others.
 _MAX_BATCH = 8
@@ -373,8 +377,6 @@ class ServeDaemon:
     drain_grace:
         Seconds a running child gets to finish after a drain signal
         before it is terminated and its unfinished jobs requeued.
-    health_interval:
-        Max age of the ``health/`` liveness/pressure files.
     fault_plan:
         Optional seeded chaos hook (see module docstring).
     """
@@ -390,7 +392,6 @@ class ServeDaemon:
         workers: int = 1,
         sentinel: ResourceSentinel | None = None,
         drain_grace: float = 5.0,
-        health_interval: float = 1.0,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         self.queue = spool if isinstance(spool, SpoolQueue) else SpoolQueue(spool)
@@ -414,7 +415,6 @@ class ServeDaemon:
         if drain_grace < 0:
             raise ValueError("drain_grace must be >= 0")
         self.drain_grace = float(drain_grace)
-        self.health_interval = float(health_interval)
         self.fault_plan = fault_plan
         self._job_seq = 0
         # Guards the counters the supervisor threads and the claim loop
@@ -519,7 +519,7 @@ class ServeDaemon:
         ready = not self.draining and sample.state < PressureState.HARD
         if (
             sample.state != self._health_state
-            or now - self._health_at >= self.health_interval
+            or now - self._health_at >= HEALTH_INTERVAL
         ):
             self._write_health(sample, ready=ready)
             self._health_at = now
@@ -903,7 +903,7 @@ class ServeDaemon:
                 self._route(job, "done", result)
             elif (
                 changed
-                or now - (status.heartbeat or 0.0) >= self.health_interval
+                or now - (status.heartbeat or 0.0) >= HEALTH_INTERVAL
             ):
                 status.heartbeat = now
                 self.queue.write_status(status)

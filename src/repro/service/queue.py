@@ -420,7 +420,7 @@ class SpoolQueue:
                 pass
         return True
 
-    def recover_orphans(self, *, requeue: bool = True) -> list[str]:
+    def recover_orphans(self) -> list[str]:
         """Requeue running jobs whose worker daemon is gone.
 
         Called at daemon startup: a job stuck in ``running/`` whose
@@ -455,8 +455,7 @@ class SpoolQueue:
                 ):
                     continue  # genuinely still being worked on
                 orphans.append(job_id)
-                if requeue:
-                    self.requeue(job_id, reason="recovered")
+                self.requeue(job_id, reason="recovered")
         finally:
             if lock is not None:
                 lock.release()

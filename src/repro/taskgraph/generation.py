@@ -197,7 +197,6 @@ class _EmissionBlock:
         counts: np.ndarray,
         nlev: int,
         unit_cost: float,
-        level_factor: float,
     ) -> None:
         self.gids = gids
         self.read = read
@@ -207,7 +206,7 @@ class _EmissionBlock:
         self.process = dp[doms].astype(np.int32)
         self.locality = (gids & 1).astype(np.int8)
         self.num_objects = counts[gids]
-        self.cost = self.num_objects * unit_cost * level_factor
+        self.cost = self.num_objects * unit_cost
 
 
 def _emission_blocks(
@@ -218,7 +217,6 @@ def _emission_blocks(
     ndom: int,
     nlev: int,
     unit_cost: float,
-    level_cost_factor: np.ndarray,
 ) -> list[_EmissionBlock]:
     """Build one :class:`_EmissionBlock` per temporal level.
 
@@ -234,10 +232,7 @@ def _emission_blocks(
         read, ptr = _gather_rows(x, adj, gids)
         owner = np.repeat(np.arange(len(gids), dtype=np.int64), np.diff(ptr))
         blocks.append(
-            _EmissionBlock(
-                gids, read, owner, dp, counts, nlev,
-                unit_cost, level_cost_factor[tph],
-            )
+            _EmissionBlock(gids, read, owner, dp, counts, nlev, unit_cost)
         )
     return blocks
 
@@ -275,7 +270,6 @@ def generate_task_graph(
     *,
     cell_unit_cost: float = 1.0,
     face_unit_cost: float = 1.0,
-    level_cost_factor: np.ndarray | None = None,
     scheme: str = "euler",
     iterations: int = 1,
 ) -> TaskDAG:
@@ -287,9 +281,6 @@ def generate_task_graph(
         The mesh, per-cell temporal levels, and domain decomposition.
     cell_unit_cost / face_unit_cost:
         Work units per cell update / per face flux.
-    level_cost_factor:
-        Optional ``(L,)`` multiplier per temporal level (e.g. to model
-        deeper stencils on fine levels).  Defaults to 1 everywhere.
     scheme:
         ``"euler"`` — one (faces, cells) sweep per phase;
         ``"heun"`` — the paper's second-order method: each phase emits
@@ -326,11 +317,6 @@ def generate_task_graph(
     ndom = decomp.num_domains
     tau_max = int(tau.max()) if len(tau) else 0
     nlev = tau_max + 1
-    if level_cost_factor is None:
-        level_cost_factor = np.ones(nlev, dtype=np.float64)
-    level_cost_factor = np.asarray(level_cost_factor, dtype=np.float64)
-    if len(level_cost_factor) < nlev:
-        raise ValueError("level_cost_factor too short")
 
     # --- group tables --------------------------------------------------
     cgid = _group_ids(
@@ -347,12 +333,10 @@ def generate_task_graph(
     f2c_x, f2c_a, c2f_x, c2f_a = _group_relations(mesh, fgid, cgid, ngroups)
     dp = np.asarray(decomp.domain_process)
     fblocks = _emission_blocks(
-        face_counts, f2c_x, f2c_a, dp, ndom, nlev,
-        face_unit_cost, level_cost_factor,
+        face_counts, f2c_x, f2c_a, dp, ndom, nlev, face_unit_cost
     )
     cblocks = _emission_blocks(
-        cell_counts, c2f_x, c2f_a, dp, ndom, nlev,
-        cell_unit_cost, level_cost_factor,
+        cell_counts, c2f_x, c2f_a, dp, ndom, nlev, cell_unit_cost
     )
 
     # --- one-iteration template -----------------------------------------

@@ -56,9 +56,8 @@ class TestCachedArtifacts:
         )
 
     def test_run_flusim_end_to_end(self):
-        dag, trace, metrics = run_flusim(
-            "cube", 4, 2, 2, "MC_TL", scale=7, seed=0
-        )
+        rec = run_flusim("cube", 4, 2, 2, "MC_TL", scale=7, seed=0)
+        dag, trace, metrics = rec.dag, rec.trace, rec.metrics
         trace.validate_against(dag)
         assert metrics.makespan == trace.makespan
         assert metrics.total_work > 0

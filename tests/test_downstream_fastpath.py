@@ -69,21 +69,6 @@ class TestTaskGraphEquivalence:
             scheme=scheme, iterations=iterations,
         )
 
-    def test_level_cost_factor(
-        self, small_cube_mesh, small_cube_tau, cube_decomp_sc
-    ):
-        nlev = int(small_cube_tau.max()) + 1
-        factors = [1.0 + 0.5 * i for i in range(nlev)]
-        fast = generate_task_graph(
-            small_cube_mesh, small_cube_tau, cube_decomp_sc,
-            level_cost_factor=factors, scheme="heun",
-        )
-        ref = generate_task_graph_ref(
-            small_cube_mesh, small_cube_tau, cube_decomp_sc,
-            level_cost_factor=factors, scheme="heun",
-        )
-        assert dag_differences(fast, ref) == []
-
     def test_edges_are_int64(self, cube_dag_mc):
         assert cube_dag_mc.edges.dtype == np.int64
 

@@ -20,7 +20,7 @@ import repro.graph.partition as partition_mod
 from repro.graph.bisect import coarsen, inherit_levels, multilevel_bisect
 from repro.graph.coarsen import contract, inherited_matching
 from repro.graph.csr import CSRGraph, graph_from_edges
-from repro.graph.partition import _repair_split, partition_graph
+from repro.graph.partition import _repair_split, recursive_bisection
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
@@ -199,8 +199,7 @@ def test_matching_runs_where_nodes_match_afresh(monkeypatch, min_vertices):
         mp.setattr(partition_mod, "_tree_node", spy_node)
         mp.setattr(coarsen_mod, "heavy_edge_matching", spy_hem)
         mp.setattr(bisect_mod, "contract", spy_contract)
-        res = partition_graph(g, 16, seed=1, n_jobs=1, fallback=False)
-    assert res.provenance == "primary"
+        recursive_bisection(g, 16, np.random.default_rng(1), n_jobs=1)
 
     assert len(nodes) == 15  # a 16-leaf tree has 15 inner nodes
     inheriting = 0

@@ -38,10 +38,6 @@ class TestGreedyGrowing:
         total = small_grid.total_vwgt()
         assert w[0, 0] >= 0.5 * total[0] - 1  # may overshoot, not undershoot
 
-    def test_respects_seed_vertex(self, small_grid):
-        part = greedy_graph_growing(small_grid, 0.3, _rng(), seed_vertex=0)
-        assert part[0] == 0
-
     def test_handles_disconnected_graph(self):
         g = graph_from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         part = greedy_graph_growing(g, 0.5, _rng())
@@ -264,11 +260,10 @@ class TestOneSeedingRule:
         from repro.mesh.generators import uniform_mesh
 
         g = mesh_to_dual_graph(uniform_mesh(depth=6))
-        deepest = partition_graph(g, 256, seed=2, fallback=False)
-        assert deepest.provenance == "primary"
+        deepest = recursive_bisection(g, 256, np.random.default_rng(2))
         for j in (5, 6, 7):
-            res = partition_graph(g, 2**j, seed=2, fallback=False)
-            np.testing.assert_array_equal(res.part, deepest.part >> (8 - j))
+            part = recursive_bisection(g, 2**j, np.random.default_rng(2))
+            np.testing.assert_array_equal(part, deepest >> (8 - j))
 
 
 class TestPartitionProperties:

@@ -18,6 +18,8 @@ from repro.graph import (
     connected_components_of_part,
     edge_cut,
     graph_from_edges,
+    part_components,
+    parts_connected,
 )
 from repro.taskgraph import TaskDAG
 from repro.taskgraph.task import TaskArrays
@@ -61,17 +63,30 @@ class TestGraphOracle:
         n = int(rng.integers(4, 30))
         m = int(rng.integers(2, min(35, n * (n - 1) // 2)))
         edges = random_edge_list(rng, n, m)
-        g = graph_from_edges(n, np.array(edges))
+        # Small integer weights, so components tie on weight.
+        vwgt = rng.integers(1, 3, n).astype(np.float64)
+        g = graph_from_edges(n, np.array(edges), vwgt=vwgt)
         part = rng.integers(0, 2, n).astype(np.int32)
 
         G = nx.Graph()
         G.add_nodes_from(range(n))
         G.add_edges_from(edges)
+        comps = part_components(g, part, 2)
         for p in range(2):
             members = [v for v in range(n) if part[v] == p]
             sub = G.subgraph(members)
             expected = nx.number_connected_components(sub) if members else 0
             assert connected_components_of_part(g, part, p) == expected
+            # Dominant first: heaviest, ties to the smallest vertex.
+            want = sorted(
+                (sorted(c) for c in nx.connected_components(sub)),
+                key=lambda c: (-vwgt[c].sum(), c[0]),
+            )
+            assert [c.tolist() for c in comps[p]] == want
+        np.testing.assert_array_equal(
+            parts_connected(g, part, 2),
+            [connected_components_of_part(g, part, p) <= 1 for p in range(2)],
+        )
 
     @given(st.integers(min_value=0, max_value=40))
     @settings(max_examples=40, deadline=None)

@@ -73,17 +73,6 @@ class TestNumericalIdentity:
         assert rec.metrics.makespan == metrics.makespan
         assert rec.metrics.total_work == metrics.total_work
 
-    def test_run_record_unpacks_like_legacy_tuple(self):
-        sc = Scenario.standard(
-            "cube", domains=4, processes=2, cores=2, scale=6
-        )
-        rec = fresh_pipeline().run(sc)
-        dag, trace, metrics = rec
-        assert dag is rec.dag
-        assert trace is rec.trace
-        assert metrics is rec.metrics
-        trace.validate_against(dag)
-
 
 class TestFullChainReuse:
     def test_second_invocation_hits_every_stage(self):

@@ -17,9 +17,23 @@ from repro.flusim.export import (
     write_json,
     write_paje,
 )
-from repro.partitioning import hilbert_codes, morton_codes, sfc_order
+from repro.partitioning import hilbert_codes, sfc_order
 from repro.solver import blast_wave
 from repro.solver.driver import SimulationDriver
+
+
+def z_order(points, bits=16):
+    """Z-order (Morton) permutation: the curve Hilbert is measured
+    against."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    scale = np.maximum(hi - lo, 1e-300)
+    q = ((points - lo) / scale * ((1 << bits) - 1)).astype(np.uint64)
+    code = np.zeros(len(points), dtype=np.uint64)
+    for b in range(bits):
+        for a, shift in ((0, 1), (1, 0)):
+            bit = (q[:, a] >> np.uint64(b)) & np.uint64(1)
+            code |= bit << np.uint64(2 * b + shift)
+    return np.argsort(code, kind="stable")
 
 
 def unit_grid(n):
@@ -37,34 +51,19 @@ class TestHilbert:
 
     def test_curve_is_continuous(self):
         """Consecutive Hilbert indices are grid neighbours — the
-        defining property Morton lacks."""
+        defining property the Z-order curve lacks."""
         pts = unit_grid(16)
-        order = sfc_order(pts, curve="hilbert", bits=4)
+        order = sfc_order(pts, bits=4)
         walk = pts[order]
         steps = np.abs(np.diff(walk, axis=0)).sum(axis=1)
         assert np.allclose(steps, 1.0 / 16)
 
-    def test_morton_has_jumps(self):
-        pts = unit_grid(16)
-        order = sfc_order(pts, curve="morton", bits=4)
-        walk = pts[order]
-        steps = np.abs(np.diff(walk, axis=0)).sum(axis=1)
-        assert steps.max() > 2.0 / 16  # the Z-jumps
-
     def test_hilbert_locality_beats_morton(self):
         rng = np.random.default_rng(0)
         pts = rng.random((2000, 2))
-        d_h = np.linalg.norm(
-            np.diff(pts[sfc_order(pts, curve="hilbert")], axis=0), axis=1
-        ).mean()
-        d_m = np.linalg.norm(
-            np.diff(pts[sfc_order(pts, curve="morton")], axis=0), axis=1
-        ).mean()
-        assert d_h < d_m
-
-    def test_unknown_curve(self):
-        with pytest.raises(ValueError):
-            sfc_order(unit_grid(4), curve="peano")
+        d_h = np.linalg.norm(np.diff(pts[sfc_order(pts)], axis=0), axis=1)
+        d_m = np.linalg.norm(np.diff(pts[z_order(pts)], axis=0), axis=1)
+        assert d_h.mean() < d_m.mean()
 
     @given(st.integers(min_value=1, max_value=400))
     @settings(max_examples=20, deadline=None)
@@ -80,16 +79,21 @@ class TestHilbert:
         aggregate over several configurations (per-instance ordering
         can flip on small graded meshes)."""
         from repro.flusim import cut_faces_between_domains
+        from repro.graph.contracts import weighted_contiguous_cuts
         from repro.mesh import uniform_mesh
         from repro.partitioning import DomainDecomposition, sfc_partition
-        from repro.temporal import levels_from_depth
+        from repro.temporal import levels_from_depth, operating_costs
 
         mesh = uniform_mesh(depth=5)
         tau = levels_from_depth(mesh)
+        cost = operating_costs(tau)
+        morton = z_order(mesh.cell_centers)
         totals = {"hilbert": 0, "morton": 0}
         for k in (4, 8, 16):
-            for curve in totals:
-                dom = sfc_partition(mesh, tau, k, curve=curve)
+            z_dom = np.zeros(mesh.num_cells, dtype=np.int32)
+            z_dom[morton] = weighted_contiguous_cuts(cost[morton], k)
+            doms = {"hilbert": sfc_partition(mesh, tau, k), "morton": z_dom}
+            for curve, dom in doms.items():
                 dec = DomainDecomposition.block_mapping(dom, k, 2)
                 totals[curve] += cut_faces_between_domains(mesh, dec)
         assert totals["hilbert"] < totals["morton"]

@@ -593,44 +593,6 @@ class TestFailureIsolation:
         assert result.job_state(1) == "failed"
         assert multiprocessing.active_children() == []
 
-    def test_should_stop_is_polled_before_the_fork(self, pool_spy):
-        plan = compile_plan(iteration_sweep())
-        partition = plan.job_stages[0]["partition"]
-        settled: list[str] = []
-        result = DagScheduler(
-            ArtifactStore(),
-            max_workers=2,
-            on_node=lambda node: settled.append(node.key),
-            should_stop=lambda: partition in settled,
-        ).execute(plan)
-        assert pool_spy.started == []
-        assert result.nodes[partition].state == "done"
-        for chain in plan.job_stages:
-            assert result.nodes[chain["taskgraph"]].state == "cancelled"
-
-    def test_should_stop_is_polled_before_each_submit(self, pool_spy):
-        plan = compile_plan(iteration_sweep())
-        result = DagScheduler(
-            ArtifactStore(),
-            max_workers=2,
-            should_stop=lambda: bool(pool_spy.submitted),
-        ).execute(plan)
-        # One node went to the pool and finished; its round-mates and
-        # everything after them were cancelled.
-        assert pool_spy.started == [2]
-        (key,) = pool_spy.submitted
-        assert result.nodes[key].state == "done"
-        states = [
-            result.nodes[chain["taskgraph"]].state
-            for chain in plan.job_stages
-        ]
-        assert sorted(states) == ["cancelled", "cancelled", "done"]
-        assert all(
-            result.nodes[chain["schedule"]].state == "cancelled"
-            for chain in plan.job_stages
-        )
-        assert multiprocessing.active_children() == []
-
     def test_run_batch_raises_the_causal_error(self, monkeypatch):
         scenarios = seed_sweep(2)
         poison = scenarios[0].partition
@@ -646,26 +608,6 @@ class TestFailureIsolation:
         )
         with pytest.raises(RuntimeError, match="boom"):
             run_batch(scenarios, store=ArtifactStore(), n_jobs=1)
-
-    def test_should_stop_cancels_remaining(self):
-        plan = compile_plan(seed_sweep(2))
-        calls = []
-
-        def stop_after_two():
-            return len(calls) >= 2
-
-        def on_node(node):
-            calls.append(node.key)
-
-        result = DagScheduler(
-            ArtifactStore(),
-            max_workers=1,
-            on_node=on_node,
-            should_stop=stop_after_two,
-        ).execute(plan)
-        states = {n.state for n in result.nodes.values()}
-        assert "cancelled" in states
-        assert result.job_state(0) == "cancelled"
 
     def test_on_node_exceptions_are_swallowed(self):
         plan = compile_plan([base_scenario()], through="levels")

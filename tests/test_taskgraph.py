@@ -170,16 +170,6 @@ class TestGeneration:
             t.cost[~is_cell], 3.0 * t.num_objects[~is_cell]
         )
 
-    def test_level_cost_factor(self, small_cube_mesh, small_cube_tau, cube_decomp_sc):
-        factor = np.array([4.0, 1.0, 1.0, 1.0])
-        dag = generate_task_graph(
-            small_cube_mesh, small_cube_tau, cube_decomp_sc,
-            level_cost_factor=factor,
-        )
-        t = dag.tasks
-        sel = t.phase_tau == 0
-        np.testing.assert_allclose(t.cost[sel], 4.0 * t.num_objects[sel])
-
     def test_faces_precede_cells_within_phase(self, cube_dag_sc):
         """Within each (subiteration, phase), all FACE task ids precede
         all CELL task ids (Algorithm 1's object-type loop)."""
