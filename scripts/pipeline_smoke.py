@@ -5,9 +5,9 @@ Runs the same scenario three times against a throwaway disk store and
 asserts the content-addressed cache actually does its job:
 
 * the cold run computes every stage (no hits);
-* what it left on disk costs the array bytes and no more (each
-  entry's payload is its arrays' raw bytes; the table is the disk
-  price);
+* what it left on disk costs the stored bytes and no more (each
+  entry's payload is exactly the narrowed bytes its manifest lists,
+  never more than its arrays' bytes; the table is the disk price);
 * the warm run is served from the store for every stage but one,
   whose entry was rewritten the way earlier versions wrote it (an
   ``.npz`` beside a version-1 sidecar): that stage is recomputed
@@ -41,25 +41,42 @@ LEGACY_STAGE = "taskgraph"
 
 def disk_price(root: Path, store: ArtifactStore, cold) -> list[str]:
     """Print ``store.doctor()``'s per-stage on-disk bytes beside the
-    array bytes; a problem for every stage whose payload is not exactly
-    its array bytes, or that costs more than payload plus sidecar."""
+    array bytes and the stored (narrowed) bytes; a problem for every
+    stage whose payload is not exactly the stored bytes its manifest
+    lists, whose stored bytes exceed its array bytes, or whose on-disk
+    total is not payload plus sidecar."""
     problems = []
     per_stage = store.doctor().per_stage
     print("on disk after the cold run (payload + sidecar, store.doctor()):")
-    print(f"{'stage':>10s} {'arrays':>7s} {'array B':>10s} {'on disk B':>10s}")
+    print(
+        f"{'stage':>10s} {'arrays':>7s} {'array B':>10s} {'stored B':>10s} "
+        f"{'on disk B':>10s}"
+    )
     for name, rec in cold.provenance.items():
         arrays = store.disk_read(name, rec.digest).arrays
         array_bytes = sum(a.nbytes for a in arrays.values())
+        manifest = store.sidecar(name, rec.digest)["arrays"]
+        stored = sum(
+            np.dtype(dtype).itemsize * int(np.prod(shape))
+            for _, dtype, shape, *_ in manifest
+        )
         base = root / name / rec.digest
         payload = base.with_suffix(".bin").stat().st_size
         sidecar = base.with_suffix(".json").stat().st_size
         _, on_disk = per_stage[name]
-        print(f"{name:>10s} {len(arrays):7d} {array_bytes:10d} {on_disk:10d}")
-        if payload != array_bytes or on_disk != payload + sidecar:
+        print(
+            f"{name:>10s} {len(arrays):7d} {array_bytes:10d} {stored:10d} "
+            f"{on_disk:10d}"
+        )
+        if (
+            payload != stored
+            or stored > array_bytes
+            or on_disk != payload + sidecar
+        ):
             problems.append(
                 f"stage {name!r} costs {on_disk} B on disk ({payload} B "
-                f"payload) for {array_bytes} B of arrays and a "
-                f"{sidecar} B sidecar"
+                f"payload, {stored} B stored) for {array_bytes} B of "
+                f"arrays and a {sidecar} B sidecar"
             )
     return problems
 

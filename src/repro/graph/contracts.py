@@ -105,8 +105,6 @@ class InputReport:
     ----------
     graph:
         The (possibly re-weighted) graph to partition.
-    nparts:
-        The validated part count.
     dropped_constraints:
         Indices of all-zero constraint columns removed from ``vwgt``
         (e.g. empty temporal-level classes after adaptation).
@@ -115,7 +113,6 @@ class InputReport:
     """
 
     graph: CSRGraph
-    nparts: int
     dropped_constraints: list[int] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -130,14 +127,14 @@ def validate_partition_inputs(g: CSRGraph, nparts: int) -> InputReport:
     inputs that are legal but degenerate (all-zero constraint columns).
 
     Returns an :class:`InputReport`; callers should partition
-    ``report.graph`` into ``report.nparts`` parts.
+    ``report.graph`` into ``nparts`` parts.
     """
     n = g.num_vertices
     nparts = int(nparts)
     if nparts < 1:
         raise ValueError(f"nparts must be >= 1, got {nparts}")
 
-    report = InputReport(graph=g, nparts=nparts)
+    report = InputReport(graph=g)
 
     if nparts > max(n, 1):
         raise ValueError(

@@ -472,8 +472,8 @@ def partition_graph(
     either satisfies the output contract or carries non-default
     provenance/violations — never silent garbage.
     """
-    report = validate_partition_inputs(g, nparts)
-    g, nparts = report.graph, report.nparts
+    g = validate_partition_inputs(g, nparts).graph
+    nparts = int(nparts)
 
     pool = dict(n_jobs=n_jobs, executor=executor)
     provenance = "primary"

@@ -234,9 +234,7 @@ def fm_refine(
     wdeg = memoryview(wdeg_a)
     cur_cut = float((wdeg_a + gain_a).sum()) / 4.0
     part_v = memoryview(part)
-    # Boundary of the first pass comes from one vectorized scan; later
-    # passes rebuild it from the vertices actually touched, keeping
-    # per-pass overhead proportional to the work done, not to n.
+    # Every pass's boundary comes from one vectorized scan.
     boundary = np.flatnonzero(gain_a > -wdeg_a)
     early_stop = max(100, len(boundary) // 2)
 
@@ -244,7 +242,6 @@ def fm_refine(
         if len(boundary) == 0:
             break
         locked = bytearray(n)
-        touched: list[int] = []
         if use_buckets:
             buckets: list[deque[int]] = [deque() for _ in range(2 * maxdeg + 1)]
             gmax = -1
@@ -348,7 +345,6 @@ def fm_refine(
             if use_buckets:
                 for idx in range(xadj[v], xadj[v + 1]):
                     u = adj[idx]
-                    touched.append(u)
                     if part_v[u] == dst_p:
                         gu = gain[u] - 2.0
                     else:
@@ -362,7 +358,6 @@ def fm_refine(
             else:
                 for idx in range(xadj[v], xadj[v + 1]):
                     u = adj[idx]
-                    touched.append(u)
                     if part_v[u] == dst_p:
                         gu = gain[u] - 2.0 * awt[idx]
                     else:
@@ -434,21 +429,7 @@ def fm_refine(
                 )
         if not improved:
             break
-        # Next pass's boundary: only moved/touched vertices can have
-        # changed gains, so filter the union instead of rescanning n.
-        if moves or touched:
-            cand = np.unique(
-                np.concatenate(
-                    [
-                        boundary,
-                        np.asarray(moves, dtype=np.int64),
-                        np.asarray(touched, dtype=np.int64),
-                    ]
-                )
-            )
-            boundary = cand[gain_a[cand] > -wdeg_a[cand]]
-        else:
-            boundary = boundary[gain_a[boundary] > -wdeg_a[boundary]]
+        boundary = np.flatnonzero(gain_a > -wdeg_a)
     return part
 
 

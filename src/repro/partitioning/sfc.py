@@ -12,28 +12,33 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hilbert_codes", "sfc_order"]
+__all__ = ["BITS", "hilbert_codes", "sfc_order"]
+
+#: Bits per axis of the grid the points are quantized to: codes are
+#: below ``2 ** (2 * BITS)``.
+BITS = 16
 
 
-def _quantize(points: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+def _quantize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     scale = np.maximum(hi - lo, 1e-300)
-    q = ((points - lo) / scale * ((1 << bits) - 1)).astype(np.uint64)
+    q = ((points - lo) / scale * ((1 << BITS) - 1)).astype(np.uint64)
     return q[:, 0], q[:, 1]
 
 
-def hilbert_codes(points: np.ndarray, *, bits: int = 16) -> np.ndarray:
-    """Hilbert-curve index of 2D points (vectorized xy→d transform).
+def hilbert_codes(points: np.ndarray) -> np.ndarray:
+    """Hilbert-curve index of 2D points (vectorized xy→d transform) on
+    a ``2**BITS`` × ``2**BITS`` grid over their bounding box.
 
     Standard bit-twiddling algorithm (Warren / Wikipedia ``xy2d``),
     applied to all points simultaneously.
     """
-    x, y = _quantize(np.asarray(points, dtype=np.float64), bits)
+    x, y = _quantize(np.asarray(points, dtype=np.float64))
     x = x.astype(np.int64)
     y = y.astype(np.int64)
     d = np.zeros(len(x), dtype=np.int64)
-    s = np.int64(1) << (bits - 1)
+    s = np.int64(1) << (BITS - 1)
     while s > 0:
         rx = ((x & s) > 0).astype(np.int64)
         ry = ((y & s) > 0).astype(np.int64)
@@ -52,6 +57,6 @@ def hilbert_codes(points: np.ndarray, *, bits: int = 16) -> np.ndarray:
     return d.astype(np.uint64)
 
 
-def sfc_order(points: np.ndarray, *, bits: int = 16) -> np.ndarray:
+def sfc_order(points: np.ndarray) -> np.ndarray:
     """Permutation sorting points along the Hilbert curve."""
-    return np.argsort(hilbert_codes(points, bits=bits), kind="stable")
+    return np.argsort(hilbert_codes(points), kind="stable")

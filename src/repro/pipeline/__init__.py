@@ -8,7 +8,8 @@ and the campaign driver:
   (:mod:`repro.pipeline.config`);
 * deterministic content addressing (:mod:`repro.pipeline.hashing`);
 * a content-addressed artifact store (a raw ``.bin`` payload per
-  entry, described and CRC-checked by its JSON sidecar) with a
+  entry, each array in the narrowest dtype that widens back to it bit
+  for bit, described and CRC-checked by its JSON sidecar) with a
   bounded in-memory LRU (:mod:`repro.pipeline.store`);
 * the five stage definitions (:mod:`repro.pipeline.stages`);
 * the stage-DAG plan compiler (:mod:`repro.pipeline.plan`) and the

@@ -2,7 +2,7 @@
 
 Layout (one directory per stage under the root)::
 
-    <root>/mesh/<digest>.bin        payload: the arrays' raw bytes
+    <root>/mesh/<digest>.bin        payload: the arrays' narrowed raw bytes
     <root>/mesh/<digest>.json       sidecar: manifest, CRC, config, provenance
     <root>/mesh/<digest>.lock       advisory compute lock (crumb file)
     <root>/mesh/<digest>.claim      active compute claim (transient)
@@ -17,14 +17,34 @@ prefix of the chain computed once is therefore reused across
 experiments, CLI invocations, benches and campaign restarts.
 
 The payload holds each array's C-order bytes back to back, in
-sorted-name order, and nothing else: an entry costs its array bytes
-plus its sidecar on disk.  The sidecar (``sidecar_version`` 2) carries
-the manifest ``arrays = [[name, dtype.str, shape], ...]``, the payload
-size ``nbytes`` and the ``crc32`` of the whole payload.  A read checks
-the payload's size against ``nbytes`` and folds every byte it reads
-into a CRC-32 checked against ``crc32``.  Disk use is what ``repro
-store doctor`` prints per stage and what ``REPRO_ARTIFACTS_BUDGET``
-bounds.
+sorted-name order, and nothing else: an entry costs its stored bytes
+plus its sidecar on disk.  Each array is stored in the narrowest dtype
+of one fixed ladder that widens back to it bit for bit:
+
+* float64 becomes float32 when the int64 views of the array and of its
+  float32 round trip are equal (NaN payloads, float64 subnormals and
+  values float32 cannot hold exactly keep the array float64);
+* a signed int becomes the smallest of int8, int16 and int32 that
+  holds its [min, max];
+* everything else is stored as it is.
+
+The mesh chain's geometry (power-of-two cell sizes) and its cell,
+face, level and domain ids fit these rungs, so a chain's payload is
+less than half its array bytes.  The writer narrows, writes and
+checksums one chunk of one array at a time, so no second copy of an
+entry is ever alive.
+
+The sidecar (``sidecar_version`` 3) carries the manifest ``arrays =
+[[name, stored dtype, shape(, logical dtype)], ...]`` (the logical
+dtype, byte order included, only where it differs from the stored
+one), the payload size ``nbytes`` and the ``crc32`` of the whole
+payload, both over the stored bytes.  A read checks the payload's size
+against ``nbytes``, folds every byte it reads into a CRC-32 checked
+against ``crc32``, and widens each narrowed array into fresh memory
+before reading the next.  A ``sidecar_version`` 2 entry is a version-3
+manifest with nothing narrowed and is read as it is.  Disk use is what
+``repro store doctor`` prints per stage and what
+``REPRO_ARTIFACTS_BUDGET`` bounds.
 
 Entries written by earlier versions (a ``sidecar_version`` 1 beside a
 ``<digest>.npz``) are plain misses: every entry is recomputable, so
@@ -104,9 +124,11 @@ __all__ = [
     "default_cache_root",
 ]
 
-#: Sidecar format: 2 describes a raw ``.bin`` payload; 1 was the
-#: ``.npz`` container of earlier versions, read as a miss.
-SIDECAR_VERSION = 2
+#: Sidecar format: 3 describes a raw ``.bin`` payload of narrowed
+#: arrays; 2 is the same with nothing narrowed, read as it is; 1 was
+#: the ``.npz`` container of earlier versions, read as a miss.
+SIDECAR_VERSION = 3
+_READABLE_SIDECAR_VERSIONS = (2, SIDECAR_VERSION)
 _LEGACY_SIDECAR_VERSION = 1
 _LEGACY_SUFFIX = ".npz"
 
@@ -123,44 +145,142 @@ _DEGRADE_ERRNOS = frozenset(
     {errno.ENOSPC, errno.EDQUOT, errno.EACCES, errno.EPERM, errno.EROFS}
 )
 
+#: The narrowing ladder: float64 to float32, a signed int to the
+#: smallest of these that holds its range.
+_FLOAT_RUNG = np.dtype("<f4")
+_INT_LADDER = (np.dtype("i1"), np.dtype("<i2"), np.dtype("<i4"))
 
-def _layout(
-    arrays: dict[str, np.ndarray],
-) -> tuple[list[list[Any]], list[np.ndarray]]:
-    """The sidecar manifest of ``arrays`` and their bytes as flat
-    ``uint8`` views, both in sorted-name order.  Refuses a dtype the
-    manifest cannot rebuild (Python objects, structured fields)."""
+#: Elements narrowed (checked, cast, written) or widened per step: a
+#: write holds no second copy of a whole array, and every temporary
+#: stays below glibc's default 128 KiB mmap threshold.
+_CHUNK_ITEMS = 1 << 13
+
+
+def _check_storable(arrays: dict[str, np.ndarray]) -> None:
+    """Refuse, before any file is opened, a dtype the manifest cannot
+    rebuild (Python objects, structured fields)."""
+    for name, arr in arrays.items():
+        dtype = np.asarray(arr).dtype
+        if dtype.hasobject or np.dtype(dtype.str) != dtype:
+            raise TypeError(
+                f"array {name!r} has dtype {dtype}, which is not stored "
+                "as raw bytes"
+            )
+
+
+def _chunks(flat: np.ndarray):
+    """``flat`` in consecutive slices of at most ``_CHUNK_ITEMS``."""
+    for start in range(0, flat.size, _CHUNK_ITEMS):
+        yield flat[start : start + _CHUNK_ITEMS]
+
+
+def _stored_dtype(flat: np.ndarray) -> np.dtype:
+    """The narrowest rung of the ladder that ``flat`` (1-D, C order)
+    widens back from bit for bit; its own dtype when none does."""
+    dtype = flat.dtype
+    if flat.size == 0:
+        return dtype
+    if dtype.kind == "f" and dtype.itemsize == 8:
+        # Compared as int64 bits: NaN payloads and subnormals that the
+        # cast would change keep the array float64.
+        with np.errstate(over="ignore"):
+            for chunk in _chunks(flat):
+                wide = np.asarray(chunk, dtype=np.float64)
+                back = wide.astype(np.float32).astype(np.float64)
+                bits, back_bits = wide.view(np.int64), back.view(np.int64)
+                if not np.array_equal(bits, back_bits):
+                    return dtype
+        return _FLOAT_RUNG
+    if dtype.kind == "i":
+        lo, hi = int(flat.min()), int(flat.max())
+        for rung in _INT_LADDER:
+            if rung.itemsize >= dtype.itemsize:
+                break
+            info = np.iinfo(rung)
+            if info.min <= lo and hi <= info.max:
+                return rung
+    return dtype
+
+
+def _write_payload(
+    fh, arrays: dict[str, np.ndarray]
+) -> tuple[list[list[Any]], int, int]:
+    """Write ``arrays`` to ``fh`` in sorted-name order, each narrowed
+    to its stored dtype a chunk at a time; returns the manifest, the
+    stored byte count and their CRC-32."""
     manifest: list[list[Any]] = []
-    blocks: list[np.ndarray] = []
+    nbytes = 0
+    crc = 0
     for name in sorted(arrays):
         arr = np.asarray(arrays[name])
-        if arr.dtype.hasobject or np.dtype(arr.dtype.str) != arr.dtype:
-            raise TypeError(
-                f"array {name!r} has dtype {arr.dtype}, which is not "
-                "stored as raw bytes"
-            )
-        manifest.append([name, arr.dtype.str, list(arr.shape)])
-        blocks.append(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
-    return manifest, blocks
+        flat = np.ascontiguousarray(arr).reshape(-1)
+        stored = _stored_dtype(flat)
+        entry = [name, stored.str, list(arr.shape)]
+        if stored != arr.dtype:
+            entry.append(arr.dtype.str)
+        manifest.append(entry)
+        for chunk in _chunks(flat):
+            block = chunk.astype(stored, copy=False).view(np.uint8)
+            fh.write(block)
+            crc = zlib.crc32(block, crc)
+            nbytes += block.size
+    return manifest, nbytes, crc
+
+
+def _widen_in_place(flat: np.ndarray, narrow: np.ndarray) -> None:
+    """Widen ``narrow``, a view of the tail of ``flat``'s own bytes, to
+    ``flat``'s dtype, front to back.
+
+    Each step writes only bytes whose narrow values an earlier step
+    already read, so no step overlaps its source; NumPy copies the
+    last ``_CHUNK_ITEMS`` or fewer, which do overlap, through a small
+    temporary.  A long array is thus allocated once, as an unnarrowed
+    read allocates it: a narrow buffer per array, freed after the
+    cast, raised the caller's RSS high-water by ~8 MiB on the
+    ``downstream_sweep`` bench (glibc's mmap threshold adapts to the
+    largest block freed)."""
+    n = flat.size
+    ratio = flat.itemsize // narrow.itemsize
+    start = 0
+    while n - start > _CHUNK_ITEMS:
+        stop = n - -(-(n - start) // ratio)
+        flat[start:stop] = narrow[start:stop]
+        start = stop
+    flat[start:] = narrow[start:]
 
 
 def _read_payload(path: Path, sidecar: dict[str, Any]) -> dict[str, np.ndarray]:
-    """The arrays a v2 sidecar describes, read from ``path`` into fresh
-    memory.  Raises on a malformed manifest, a manifest or payload size
-    other than ``nbytes``, or a CRC-32 over the payload bytes other
-    than ``crc32``."""
+    """The arrays a v2/v3 sidecar describes, read from ``path`` and
+    widened to their logical dtypes in fresh memory.  Raises on a
+    malformed manifest, a manifest or payload size other than
+    ``nbytes``, or a CRC-32 over the payload bytes other than
+    ``crc32``."""
     layout = []
     total = 0
-    for name, dtype, shape in sidecar["arrays"]:
+    for entry in sidecar["arrays"]:
+        name, stored, shape, *logical = entry
         if not (
             isinstance(name, str)
             and isinstance(shape, list)
             and all(isinstance(n, int) and n >= 0 for n in shape)
+            and len(logical) <= 1
         ):
             raise ValueError(f"malformed manifest entry {name!r}")
-        dtype = np.dtype(dtype)
-        layout.append((name, dtype, tuple(shape)))
-        total += dtype.itemsize * math.prod(shape)
+        stored = np.dtype(stored)
+        widen = np.dtype(logical[0]) if logical else None
+        # Only what the ladder writes: a float or signed int widened
+        # within its kind, which also keeps _widen_in_place's ratio >= 2.
+        if widen is not None and not (
+            widen.kind == stored.kind
+            and stored.kind in "fi"
+            and widen.itemsize > stored.itemsize
+        ):
+            raise ValueError(
+                f"array {name!r} stored as {stored.str} does not widen "
+                f"to {widen.str}"
+            )
+        layout.append((name, stored, tuple(shape), widen))
+        total += stored.itemsize * math.prod(shape)
     nbytes = sidecar["nbytes"]
     if total != nbytes:
         raise ValueError(
@@ -172,12 +292,21 @@ def _read_payload(path: Path, sidecar: dict[str, Any]) -> dict[str, np.ndarray]:
         size = os.fstat(fh.fileno()).st_size
         if size != nbytes:
             raise ValueError(f"payload is {size} B, sidecar records {nbytes} B")
-        for name, dtype, shape in layout:
-            arr = np.empty(shape, dtype)
-            buf = arr.reshape(-1).view(np.uint8)
+        for name, stored, shape, widen in layout:
+            # A long narrowed array is read into the tail of its own
+            # widened memory; a short one into a buffer of its own.
+            in_place = widen is not None and math.prod(shape) > _CHUNK_ITEMS
+            arr = np.empty(shape, widen if in_place else stored)
+            flat = arr.reshape(-1)
+            skip = flat.size * (arr.itemsize - stored.itemsize)
+            buf = flat.view(np.uint8)[skip:]
             if fh.readinto(buf) != buf.size:
                 raise ValueError(f"payload ends inside array {name!r}")
             crc = zlib.crc32(buf, crc)
+            if in_place:
+                _widen_in_place(flat, buf.view(stored))
+            elif widen is not None:
+                arr = arr.astype(widen)
             arrays[name] = arr
     if crc != sidecar["crc32"]:
         raise ValueError(
@@ -442,7 +571,7 @@ class ArtifactStore:
                 # An earlier version's ``.npz`` entry: recomputed once,
                 # and that publish replaces it.
                 return None
-            if version != SIDECAR_VERSION:
+            if version not in _READABLE_SIDECAR_VERSIONS:
                 raise ValueError(f"unknown sidecar_version {version!r}")
             arrays = _read_payload(bin_path, sidecar)
         except Exception as exc:  # OSError, ValueError, KeyError, ...
@@ -503,20 +632,17 @@ class ArtifactStore:
         tmp_bin = bin_path.with_name(bin_path.name + f".tmp{os.getpid()}")
         tmp_json = json_path.with_name(json_path.name + f".tmp{os.getpid()}")
         try:
-            manifest, blocks = _layout(arrays)
+            _check_storable(arrays)
             bin_path.parent.mkdir(parents=True, exist_ok=True)
-            crc = 0
             with open(tmp_bin, "wb") as fh:
-                for block in blocks:
-                    fh.write(block)
-                    crc = zlib.crc32(block, crc)
+                manifest, nbytes, crc = _write_payload(fh, arrays)
             os.replace(tmp_bin, bin_path)
             record = dict(sidecar)
             record["sidecar_version"] = SIDECAR_VERSION
             record["stage"] = stage
             record["digest"] = digest
             record["arrays"] = manifest
-            record["nbytes"] = sum(block.size for block in blocks)
+            record["nbytes"] = nbytes
             record["crc32"] = crc
             with open(tmp_json, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=1, sort_keys=True)

@@ -20,7 +20,9 @@ import socket
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +52,7 @@ def write_legacy_entry(payload: Path, sidecar: Path) -> None:
     """Rewrite a stored entry as earlier versions wrote it: an ``.npz``
     container beside a version-1 sidecar listing the array names."""
     record = json.loads(sidecar.read_text())
-    names = [name for name, _, _ in record["arrays"]]
+    names = [entry[0] for entry in record["arrays"]]
     arrays = ArtifactStore(payload.parent.parent).disk_read(
         payload.parent.name, payload.stem
     ).arrays
@@ -182,6 +184,12 @@ def _grow_first_array(record: dict) -> None:
     record["arrays"][0][2][0] += 1  # one more element than stored
 
 
+def _retype_first_array(record: dict) -> None:
+    # the partition's first array is an int narrowed to int8; no
+    # float64 widens back from that
+    record["arrays"][0][3:] = ["<f8"]
+
+
 #: Damage done to a stored entry, and what the warning must name.
 CORRUPTIONS = {
     "truncated": (
@@ -193,9 +201,10 @@ CORRUPTIONS = {
     "flipped": (_flip_last_byte, "CRC"),
     "missing": (lambda p, s: p.unlink(), "FileNotFoundError"),
     "manifest": (_edit_sidecar(_grow_first_array), "manifest sums to"),
+    "widening": (_edit_sidecar(_retype_first_array), "does not widen"),
     "version": (
-        _edit_sidecar(lambda r: r.update(sidecar_version=3)),
-        "unknown sidecar_version 3",
+        _edit_sidecar(lambda r: r.update(sidecar_version=4)),
+        "unknown sidecar_version 4",
     ),
 }
 
@@ -343,9 +352,9 @@ class TestRoundTrip:
         rec.trace.validate_against(rec.dag)
 
     def test_entry_is_stored_and_read_back_owned(self, disk_store):
-        """The payload is the array bytes and nothing else; what
-        ``disk_read`` hands back is fresh memory the caller may write
-        to."""
+        """The payload is the stored (narrowed) array bytes and nothing
+        else; what ``disk_read`` hands back is fresh memory the caller
+        may write to."""
         arrays = {
             "ints": np.zeros(4096, dtype=np.int64),
             "floats": np.linspace(0.0, 1.0, 1000),
@@ -353,12 +362,16 @@ class TestRoundTrip:
         }
         disk_store.disk_write("mesh", "a" * 40, arrays, sidecar={"meta": {}})
         payload, sidecar = disk_store._paths("mesh", "a" * 40)
-        nbytes = sum(a.nbytes for a in arrays.values())
-        assert payload.stat().st_size == nbytes
         record = json.loads(sidecar.read_text())
-        assert record["sidecar_version"] == 2
-        assert record["nbytes"] == nbytes
-        assert [name for name, _, _ in record["arrays"]] == sorted(arrays)
+        stored = sum(
+            np.dtype(dtype).itemsize * int(np.prod(shape))
+            for _, dtype, shape, *_ in record["arrays"]
+        )
+        assert payload.stat().st_size == stored
+        assert stored < sum(a.nbytes for a in arrays.values())  # ints
+        assert record["sidecar_version"] == 3
+        assert record["nbytes"] == stored
+        assert [entry[0] for entry in record["arrays"]] == sorted(arrays)
 
         got = disk_store.disk_read("mesh", "a" * 40).arrays
         assert sorted(got) == sorted(arrays)
@@ -410,6 +423,153 @@ class TestRoundTrip:
         assert sc["stage_version"] == STAGES["partition"].version
         assert sc["wall_time"] >= 0
         assert json.loads(sc["config"])["strategy"] == "MC_TL"
+
+
+def write_v2_entry(store: ArtifactStore, stage: str, digest: str) -> None:
+    """Rewrite a stored entry as ``sidecar_version`` 2 wrote it: every
+    array's own C-order bytes, nothing narrowed, and a manifest of
+    ``[name, dtype, shape]`` triples."""
+    payload, sidecar = store._paths(stage, digest)
+    arrays = store.disk_read(stage, digest).arrays
+    record = json.loads(sidecar.read_text())
+    names = sorted(arrays)
+    raw = b"".join(np.ascontiguousarray(arrays[n]).tobytes() for n in names)
+    payload.write_bytes(raw)
+    record.update(
+        sidecar_version=2,
+        arrays=[
+            [n, arrays[n].dtype.str, list(arrays[n].shape)] for n in names
+        ],
+        nbytes=len(raw),
+        crc32=zlib.crc32(raw),
+    )
+    sidecar.write_text(json.dumps(record))
+
+
+def _nan(bits: int) -> np.ndarray:
+    return np.array([bits], dtype=np.uint64).view(np.float64)
+
+
+_I32, _I64 = np.iinfo(np.int32), np.iinfo(np.int64)
+_GRID = np.arange(40, dtype=np.int64).reshape(5, 8)
+
+#: name -> (array, the dtype its bytes are stored in).
+LADDER = {
+    "i8_edges": (np.array([-128, 127], dtype=np.int64), "|i1"),
+    "i8_below": (np.array([-129, 0], dtype=np.int64), "<i2"),
+    "i8_above": (np.array([0, 128], dtype=np.int64), "<i2"),
+    "i16_edges": (np.array([-32768, 32767], dtype=np.int64), "<i2"),
+    "i16_below": (np.array([-32769], dtype=np.int64), "<i4"),
+    "i16_above": (np.array([32768], dtype=np.int64), "<i4"),
+    "i32_edges": (np.array([_I32.min, _I32.max], dtype=np.int64), "<i4"),
+    "i32_below": (np.array([_I32.min - 1], dtype=np.int64), "<i8"),
+    "i64_edges": (np.array([_I64.min, _I64.max], dtype=np.int64), "<i8"),
+    "i16_as_i8": (np.array([-128, 127], dtype=np.int16), "|i1"),
+    "i32_kept": (np.array([_I32.min], dtype=np.int32), "<i4"),
+    # float32 carries the sign of zero and infinities exactly
+    "neg_zero": (np.array([-0.0, 0.0]), "<f4"),
+    "inf": (np.array([np.inf, -np.inf, 1.5]), "<f4"),
+    "quiet_nan": (_nan(0x7FF8000000000000), "<f4"),
+    "nan_payload": (_nan(0x7FF8000000000001), "<f8"),
+    "subnormal": (np.array([5e-324]), "<f8"),
+    "inexact": (np.array([0.1]), "<f8"),
+    "overflow": (np.array([1e300]), "<f8"),
+    "empty_f8": (np.zeros(0), "<f8"),
+    "empty_i8": (np.zeros((0, 3), dtype=np.int64), "<i8"),
+    "scalar_f8": (np.array(2.5), "<f4"),
+    "scalar_i8": (np.array(7, dtype=np.int64), "|i1"),
+    "fortran": (np.asfortranarray(np.arange(12.0).reshape(3, 4)), "<f4"),
+    "strided": (_GRID[::2, 1::3], "|i1"),
+    "big_f8": (np.arange(5, dtype=">f8"), "<f4"),
+    "big_i8": (np.arange(5, dtype=">i8"), "|i1"),
+    "uint64": (np.arange(3, dtype=np.uint64), "<u8"),
+    "float32": (np.array([0.1], dtype=np.float32), "<f4"),
+    "flags": (np.array([True, False]), "|b1"),
+    # long enough to widen in several in-place steps
+    "long_f8": (np.arange(100_003) * 0.25, "<f4"),
+    "long_i8": (np.arange(-50_000, 50_001, dtype=np.int64) * 7, "<i4"),
+    "long_i8_as_i1": (np.arange(70_001, dtype=np.int64) % 101 - 50, "|i1"),
+    "long_big_f8": (np.arange(30_001, dtype=">f8") - 0.5, "<f4"),
+}
+
+
+class TestNarrowing:
+    def test_every_rung_round_trips_bit_for_bit(self, disk_store):
+        arrays = {name: arr for name, (arr, _) in LADDER.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast may warn
+            assert disk_store.disk_write(
+                "mesh", "n" * 40, arrays, sidecar={}
+            ) is not None
+            got = disk_store.disk_read("mesh", "n" * 40).arrays
+        record = disk_store.sidecar("mesh", "n" * 40)
+        stored = {entry[0]: entry[1] for entry in record["arrays"]}
+        assert stored == {name: dt for name, (_, dt) in LADDER.items()}
+        for entry in record["arrays"]:
+            name, dtype, _, *logical = entry
+            want = arrays[name].dtype.str
+            assert logical == ([] if dtype == want else [want]), name
+        assert sorted(got) == sorted(arrays)
+        for name, arr in got.items():
+            want = arrays[name]
+            assert arr.dtype.str == want.dtype.str, name
+            assert arr.shape == want.shape, name
+            assert arr.tobytes() == want.tobytes(), name
+            assert arr.flags.owndata and arr.flags.writeable, name
+
+    def test_flipped_byte_in_a_narrowed_array_is_quarantined(
+        self, disk_store
+    ):
+        arrays = {"a": np.arange(1000, dtype=np.int64), "b": np.arange(8.0)}
+        disk_store.disk_write("mesh", "f" * 40, arrays, sidecar={})
+        payload, sidecar = disk_store._paths("mesh", "f" * 40)
+        assert disk_store.sidecar("mesh", "f" * 40)["arrays"][0][1] == "<i2"
+        raw = bytearray(payload.read_bytes())
+        raw[1000] ^= 0x01  # inside "a", stored as int16
+        payload.write_bytes(bytes(raw))
+        with pytest.warns(RuntimeWarning, match="corrupt artifact.*CRC"):
+            assert disk_store.disk_read("mesh", "f" * 40) is None
+        assert disk_store.stats.quarantined == 1
+        assert not payload.exists() and not sidecar.exists()
+
+    def test_version_2_entries_are_served_as_they_are(self, disk_store):
+        """Entries written before narrowing (``sidecar_version`` 2)
+        read with no warning and no recompute, and stay as written."""
+        pipe = Pipeline(disk_store)
+        fresh = pipe.run(SCENARIO, through="partition")
+        for stage, prov in fresh.provenance.items():
+            write_v2_entry(disk_store, stage, prov.digest)
+        disk_store.clear_memory()
+        misses = disk_store.stats.misses
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the store's
+            rec = pipe.run(SCENARIO, through="partition")
+        assert {p.cache for p in rec.provenance.values()} == {"disk"}
+        assert disk_store.stats.misses == misses
+        assert disk_store.stats.corrupt == 0
+        np.testing.assert_array_equal(rec.decomp.domain, fresh.decomp.domain)
+        assert rec.decomp.domain.dtype == fresh.decomp.domain.dtype
+        for stage, prov in rec.provenance.items():
+            record = disk_store.sidecar(stage, prov.digest)
+            assert record["sidecar_version"] == 2
+
+    def test_write_holds_at_most_one_narrowed_array(self, disk_store):
+        """``disk_write`` streams: above its inputs it never holds more
+        than one array's narrowed bytes."""
+        n = 1 << 20
+        arrays = {f"x{i}": np.arange(n) * 0.5 for i in range(4)}
+        arrays["ids"] = np.arange(n, dtype=np.int64)
+        disk_store.root.mkdir(parents=True)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            assert disk_store.disk_write("mesh", "m" * 40, arrays, sidecar={})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        narrowed = n * 4  # one float64 array as float32
+        assert disk_store.sidecar("mesh", "m" * 40)["nbytes"] == 5 * narrowed
+        assert peak - base <= narrowed
 
 
 class TestFileLock:

@@ -18,18 +18,19 @@ from repro.flusim.export import (
     write_paje,
 )
 from repro.partitioning import hilbert_codes, sfc_order
+from repro.partitioning.sfc import BITS
 from repro.solver import blast_wave
 from repro.solver.driver import SimulationDriver
 
 
-def z_order(points, bits=16):
+def z_order(points):
     """Z-order (Morton) permutation: the curve Hilbert is measured
     against."""
     lo, hi = points.min(axis=0), points.max(axis=0)
     scale = np.maximum(hi - lo, 1e-300)
-    q = ((points - lo) / scale * ((1 << bits) - 1)).astype(np.uint64)
+    q = ((points - lo) / scale * ((1 << BITS) - 1)).astype(np.uint64)
     code = np.zeros(len(points), dtype=np.uint64)
-    for b in range(bits):
+    for b in range(BITS):
         for a, shift in ((0, 1), (1, 0)):
             bit = (q[:, a] >> np.uint64(b)) & np.uint64(1)
             code |= bit << np.uint64(2 * b + shift)
@@ -44,16 +45,20 @@ def unit_grid(n):
 
 
 class TestHilbert:
+    # A 16 x 16 grid of cell centres quantizes to one point in each
+    # cell of the curve's top four levels (point i of an axis lands in
+    # row floor(i * 4369 / 4096) = i of the 2**4 coarse rows), so the
+    # BITS-bit curve visits them in the order of the 4-bit curve.
     def test_codes_unique_on_grid(self):
         pts = unit_grid(16)
-        codes = hilbert_codes(pts, bits=4)
+        codes = hilbert_codes(pts)
         assert len(np.unique(codes)) == len(pts)
 
     def test_curve_is_continuous(self):
         """Consecutive Hilbert indices are grid neighbours — the
         defining property the Z-order curve lacks."""
         pts = unit_grid(16)
-        order = sfc_order(pts, bits=4)
+        order = sfc_order(pts)
         walk = pts[order]
         steps = np.abs(np.diff(walk, axis=0)).sum(axis=1)
         assert np.allclose(steps, 1.0 / 16)
@@ -70,9 +75,8 @@ class TestHilbert:
     def test_codes_in_range(self, n):
         rng = np.random.default_rng(n)
         pts = rng.random((n, 2))
-        bits = 8
-        codes = hilbert_codes(pts, bits=bits)
-        assert codes.max(initial=0) < (1 << (2 * bits))
+        codes = hilbert_codes(pts)
+        assert codes.max(initial=0) < (1 << (2 * BITS))
 
     def test_sfc_partition_hilbert_fewer_cuts_in_aggregate(self):
         """Hilbert's locality produces fewer cut faces than Morton in
