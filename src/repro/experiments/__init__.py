@@ -13,7 +13,6 @@ fig11_sweep         Fig. 11a/b (domain-count sweep)
 fig12_nozzle        Fig. 12 (nozzle FLUSIM, ~20%)
 fig13_production    Fig. 13 (production replay, ~20%)
 dual_phase          §VII perspective (MC_TL→SC_OC dual phase)
-ablations           schedulers, RCB/SFC baselines
 ==================  ==========================================
 
 Extension studies beyond the paper's figures:
@@ -29,7 +28,12 @@ multi_iteration             cross-iteration pipelining (steady state)
 distribution_sensitivity    when does MC_TL matter? (τ-mix sweep)
 strong_scaling              SC_OC saturates; MC_TL keeps scaling
 chaos_study                 campaigns under injected faults
+ablations                   schedulers, RCB/SFC baselines
 ==========================  =======================================
+
+``ablations`` is not a row of :data:`~.registry.EXPERIMENTS`, so
+``repro experiment`` cannot run it; two ``benchmarks/bench_ablation_*``
+wrappers (partitioner, schedulers) are its callers.
 """
 
 from . import (

@@ -40,11 +40,10 @@ def standard_scenario(
     *,
     scale: int | None = None,
     seed: int = 0,
-    scheduler: str = "eager",
     scheme: str = "euler",
 ) -> Scenario:
     """A pipeline :class:`~repro.pipeline.Scenario` on a named replica
-    mesh with the Table I level caps."""
+    mesh with the Table I level caps and the eager scheduler."""
     if name not in MESH_FACTORIES:
         raise ValueError(f"unknown mesh {name!r}")
     return Scenario.standard(
@@ -55,7 +54,6 @@ def standard_scenario(
         strategy,
         scale=scale,
         seed=seed,
-        scheduler=scheduler,
         scheme=scheme,
     )
 
@@ -123,9 +121,8 @@ def run_flusim(
     *,
     scale: int | None = None,
     seed: int = 0,
-    scheduler: str = "eager",
 ) -> RunRecord:
-    """One FLUSIM run on a standard case.
+    """One FLUSIM run (eager scheduler) on a standard case.
 
     Returns a typed :class:`~repro.pipeline.RunRecord` (with per-stage
     cache provenance in ``record.provenance``).
@@ -138,6 +135,5 @@ def run_flusim(
         strategy,
         scale=scale,
         seed=seed,
-        scheduler=scheduler,
     )
     return Pipeline().run(sc)

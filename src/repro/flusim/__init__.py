@@ -3,11 +3,7 @@ virtual cluster (reimplementation of the paper's §III-A submodule)."""
 
 from .cluster import UNBOUNDED, ClusterConfig
 from .commmodel import CommModel
-from .comm import (
-    cut_faces_between_domains,
-    cut_faces_between_processes,
-    taskgraph_comm_volume,
-)
+from .comm import taskgraph_comm_volume
 from .metrics import ScheduleMetrics, schedule_metrics, subiteration_balance
 from .reference import simulate_ref
 from .schedulers import SCHEDULERS, make_scheduler
@@ -28,6 +24,4 @@ __all__ = [
     "make_scheduler",
     "SCHEDULERS",
     "taskgraph_comm_volume",
-    "cut_faces_between_domains",
-    "cut_faces_between_processes",
 ]

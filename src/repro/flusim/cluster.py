@@ -48,13 +48,3 @@ class ClusterConfig:
             if self.cores_per_process is None
             else self.cores_per_process
         )
-
-    @property
-    def total_cores(self) -> int:
-        """Total worker count across the cluster."""
-        return self.num_processes * self.cores
-
-    @property
-    def unbounded(self) -> bool:
-        """Whether this configuration emulates unlimited cores."""
-        return self.cores_per_process is None

@@ -3,23 +3,16 @@
 FLUSIM does not simulate communication, but its volume can be
 estimated: "a communication is considered to be an edge of the task
 graph connecting two nodes whose domains are distributed across two
-different processes" (paper §VI, Fig. 11b).  We provide that count plus
-mesh-level variants (cut faces between domains/processes).
+different processes" (paper §VI, Fig. 11b).  We provide that count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..mesh.structures import Mesh
-from ..partitioning.decomposition import DomainDecomposition
 from ..taskgraph.dag import TaskDAG
 
-__all__ = [
-    "taskgraph_comm_volume",
-    "cut_faces_between_domains",
-    "cut_faces_between_processes",
-]
+__all__ = ["taskgraph_comm_volume"]
 
 
 def taskgraph_comm_volume(dag: TaskDAG) -> int:
@@ -30,25 +23,3 @@ def taskgraph_comm_volume(dag: TaskDAG) -> int:
     p = dag.tasks.process
     return int(np.sum(p[dag.edges[:, 0]] != p[dag.edges[:, 1]]))
 
-
-def cut_faces_between_domains(
-    mesh: Mesh, decomp: DomainDecomposition
-) -> int:
-    """Number of mesh faces whose two cells belong to different
-    domains (data exchanged per halo update, domain granularity)."""
-    interior = mesh.interior_faces()
-    a = mesh.face_cells[interior, 0]
-    b = mesh.face_cells[interior, 1]
-    return int(np.sum(decomp.domain[a] != decomp.domain[b]))
-
-
-def cut_faces_between_processes(
-    mesh: Mesh, decomp: DomainDecomposition
-) -> int:
-    """Number of mesh faces crossing a *process* boundary — actual MPI
-    traffic (domain cuts inside a process are free)."""
-    interior = mesh.interior_faces()
-    a = mesh.face_cells[interior, 0]
-    b = mesh.face_cells[interior, 1]
-    cp = decomp.cell_process
-    return int(np.sum(cp[a] != cp[b]))

@@ -15,12 +15,10 @@ keeps the same disciplines on plain containers inside its event loop.
 from __future__ import annotations
 
 import heapq
-from typing import Protocol
 
 import numpy as np
 
 __all__ = [
-    "ReadyQueue",
     "FifoQueue",
     "LifoQueue",
     "PriorityQueue",
@@ -28,20 +26,6 @@ __all__ = [
     "make_scheduler",
     "SCHEDULERS",
 ]
-
-
-class ReadyQueue(Protocol):
-    """One process's pool of ready tasks."""
-
-    def push(self, task: int, ready_time: float) -> None:
-        """Add a task that just became ready."""
-        ...
-
-    def pop(self) -> int:
-        """Remove and return the next task to run."""
-        ...
-
-    def __len__(self) -> int: ...
 
 
 class FifoQueue:
@@ -140,7 +124,7 @@ def make_scheduler(
     costs: np.ndarray | None = None,
     seed: int = 0,
 ):
-    """Return a factory of fresh :class:`ReadyQueue` objects.
+    """Return a factory of fresh ready queues (``push``, ``pop``, ``len``).
 
     ``name`` ∈ ``{"eager", "lifo", "cp", "sjf", "ljf", "random"}``.
     ``cp`` needs ``bottom_levels``; ``sjf``/``ljf`` need ``costs``.

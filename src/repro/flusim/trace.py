@@ -124,29 +124,3 @@ class Trace:
         out = np.zeros((self.num_processes, nsub), dtype=np.float64)
         np.add.at(out, (self.process, sub), self.end - self.start)
         return out
-
-    def validate_against(self, dag: TaskDAG) -> None:
-        """Check the trace is a valid schedule of ``dag``:
-        dependencies respected, no worker overlap, tasks on their
-        owning process."""
-        if len(self.start) != dag.num_tasks:
-            raise ValueError("trace/task count mismatch")
-        if np.any(self.end < self.start - 1e-12):
-            raise ValueError("negative task duration")
-        if np.any(self.process != dag.tasks.process):
-            raise ValueError("task executed on a foreign process")
-        pred = dag.edges[:, 0]
-        succ = dag.edges[:, 1]
-        if np.any(self.start[succ] < self.end[pred] - 1e-9):
-            raise ValueError("dependency violated")
-        # No overlap on a (process, worker) pair.
-        key = self.process.astype(np.int64) * (
-            int(self.worker.max(initial=0)) + 1
-        ) + self.worker
-        order = np.lexsort((self.start, key))
-        k = key[order]
-        s = self.start[order]
-        e = self.end[order]
-        same = k[1:] == k[:-1]
-        if np.any(s[1:][same] < e[:-1][same] - 1e-9):
-            raise ValueError("worker executes two tasks at once")

@@ -24,8 +24,6 @@ from .contracts import (
 )
 from .csr import CSRGraph, graph_from_edges, validate_csr
 from .metrics import (
-    boundary_vertices,
-    connected_components_of_part,
     edge_cut,
     imbalance,
     part_weights,
@@ -45,9 +43,7 @@ __all__ = [
     "edge_cut",
     "imbalance",
     "part_weights",
-    "boundary_vertices",
     "parts_connected",
-    "connected_components_of_part",
     "PartitionResult",
     "partition_graph",
     "recursive_bisection",

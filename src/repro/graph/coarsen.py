@@ -144,22 +144,17 @@ def _matching_fallback(
             mt[best] = v
 
 
-def heavy_edge_matching(
-    g: CSRGraph,
-    rng: np.random.Generator,
-    *,
-    balance_constraints: bool = True,
-) -> np.ndarray:
+def heavy_edge_matching(g: CSRGraph, rng: np.random.Generator) -> np.ndarray:
     """Compute a heavy-edge matching (vectorized).
 
     Returns ``match`` where ``match[v]`` is the vertex matched with
     ``v`` (``match[v] == v`` for unmatched vertices).  The matching is
     symmetric: ``match[match[v]] == v``.
 
-    When ``balance_constraints`` is true and the graph has more than
-    one constraint, ties between equally heavy edges are broken toward
-    the neighbour minimizing the spread (max-min) of the combined
-    constraint vector, following the multi-constraint HEM heuristic.
+    When the graph has more than one constraint, ties between equally
+    heavy edges are broken toward the neighbour minimizing the spread
+    (max-min) of the combined constraint vector, following the
+    multi-constraint HEM heuristic.
 
     Implementation: randomized *proposal rounds* instead of the seed's
     greedy per-vertex loop.  Each round, every unmatched vertex points
@@ -176,7 +171,7 @@ def heavy_edge_matching(
     match = np.arange(n, dtype=np.int64)
     if n == 0 or len(g.adjncy) == 0:
         return match
-    multi = balance_constraints and g.ncon > 1
+    multi = g.ncon > 1
 
     # Working COO edge set, sorted by source (CSR order); compacted to
     # live endpoints every round, so per-round cost shrinks
@@ -334,14 +329,6 @@ def contract(g: CSRGraph, match: np.ndarray) -> CoarseningLevel:
     return CoarseningLevel(graph=coarse, cmap=cmap)
 
 
-def coarsen_once(
-    g: CSRGraph,
-    rng: np.random.Generator,
-    *,
-    balance_constraints: bool = True,
-) -> CoarseningLevel:
+def coarsen_once(g: CSRGraph, rng: np.random.Generator) -> CoarseningLevel:
     """One coarsening step: heavy-edge matching followed by contraction."""
-    match = heavy_edge_matching(
-        g, rng, balance_constraints=balance_constraints
-    )
-    return contract(g, match)
+    return contract(g, heavy_edge_matching(g, rng))

@@ -115,10 +115,6 @@ class CSRGraph:
         """Number of balance constraints (columns of ``vwgt``)."""
         return self.vwgt.shape[1]
 
-    def degree(self, v: int) -> int:
-        """Degree of vertex ``v``."""
-        return int(self.xadj[v + 1] - self.xadj[v])
-
     def degrees(self) -> np.ndarray:
         """Vector of all vertex degrees (cached; do not mutate)."""
         if self._degrees is None:
@@ -207,10 +203,6 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    def total_edge_weight(self) -> float:
-        """Total weight over undirected edges (each counted once)."""
-        return float(self.adjwgt.sum()) / 2.0
-
     def with_vwgt(self, vwgt: np.ndarray) -> "CSRGraph":
         """Return a shallow copy of the graph with new vertex weights."""
         g = CSRGraph(self.xadj, self.adjncy, vwgt=vwgt, adjwgt=self.adjwgt)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .csr import CSRGraph
 
-__all__ = ["greedy_graph_growing", "best_initial_bisection"]
+__all__ = ["best_initial_bisection"]
 
 
 def _growth_state(g: CSRGraph, target_frac: float) -> tuple:
@@ -98,27 +98,6 @@ def _grow(
                 break
             v = int(remaining[rng.integers(len(remaining))])
     return np.frombuffer(side, dtype=np.uint8).astype(np.int32), gain, cut
-
-
-def greedy_graph_growing(
-    g: CSRGraph,
-    target_frac: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Grow part 0 from a random vertex until every constraint reaches
-    ``target_frac`` of its total weight.
-
-    Returns a ``(n,)`` int32 array of 0/1 part labels.  The growth
-    frontier is a max-heap on cut gain: the next vertex is always the
-    one with the highest gain, the earliest pushed among equal gains,
-    whether or not it overshoots a constraint.  Growth stops as soon as
-    no constraint is below its target; a disconnected graph whose
-    frontier runs dry continues from a random vertex of part 1.
-
-    Labels equal a gain rescan's bit for bit where the weights' partial
-    sums are exact (see the module docstring).
-    """
-    return _grow(_growth_state(g, target_frac), rng)[0]
 
 
 def best_initial_bisection(

@@ -20,9 +20,7 @@ __all__ = [
     "edge_cut",
     "part_weights",
     "imbalance",
-    "boundary_vertices",
     "parts_connected",
-    "connected_components_of_part",
     "part_component_labels",
 ]
 
@@ -91,13 +89,6 @@ def imbalance(
     return out
 
 
-def boundary_vertices(g: CSRGraph, part: np.ndarray) -> np.ndarray:
-    """Indices of vertices adjacent to at least one other part."""
-    src = g.edge_sources()
-    is_cut = part[src] != part[g.adjncy]
-    return np.unique(src[is_cut])
-
-
 def part_component_labels(
     g: CSRGraph, part: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -113,15 +104,6 @@ def part_component_labels(
     xadj = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src[keep], minlength=n), out=xadj[1:])
     return connected_components(CSRGraph(xadj, g.adjncy[keep]))
-
-
-def connected_components_of_part(
-    g: CSRGraph, part: np.ndarray, p: int
-) -> int:
-    """Number of connected components of the subgraph induced by part
-    ``p`` (0 if the part is empty)."""
-    labels, _ = part_component_labels(g, part)
-    return len(np.unique(labels[part == p]))
 
 
 def parts_connected(g: CSRGraph, part: np.ndarray, nparts: int) -> np.ndarray:

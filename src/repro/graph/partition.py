@@ -564,24 +564,28 @@ def _fallback_chain(
     Rungs, in order: retry recursive bisection with a relaxed tolerance;
     SFC geometric split (when coordinates are available); contiguous
     block split.  The first rung whose result passes its (relaxed)
-    contract wins; if none does, the least-violating candidate is
-    returned.  Every non-primary outcome emits a
+    contract wins; if none does, the candidate with the fewest
+    violations at the relaxed tolerance is returned under the rung that
+    produced it (the primary labels keep their own provenance).  Every
+    outcome emits a
     :class:`~repro.graph.contracts.PartitionQualityWarning`.
     """
     relaxed_tol = 1.0 + _RELAX_FACTOR * (imbalance_tol - 1.0) + _RELAX_FLOOR
+    # Every candidate is judged at the relaxed tolerance.
+    v = check_partition_contract(
+        g, part, nparts, imbalance_tol=relaxed_tol
+    )
     candidates: list[tuple[np.ndarray, str, list[str]]] = [
-        (part, provenance, violations)
+        (part, provenance, v)
     ]
 
     # First relaxed rung: keep the primary labels if they already meet
     # the relaxed tolerance — the method optimized the cut at the
     # strict tolerance, so re-running would trade a marginal balance
     # miss for a genuinely worse partition.
-    v = check_partition_contract(
-        g, part, nparts, imbalance_tol=relaxed_tol
-    )
-    candidates.append((part, "relaxed", v))
-    if v:
+    if not v:
+        candidates.append((part, "relaxed", v))
+    else:
         relaxed = recursive_bisection(
             g,
             nparts,
@@ -624,14 +628,19 @@ def _fallback_chain(
             min(candidates, key=lambda c: len(c[2])),
         )
 
+    failed = violations
     part, provenance, violations = chosen
+    outcome = (
+        "no rung met the relaxed tolerance; kept"
+        if chosen is candidates[0]
+        else "degraded to"
+    )
     warn_quality(
         f"partition into {nparts} parts failed its contract "
-        f"({'; '.join(candidates[0][2])}); degraded to "
-        f"provenance={provenance!r}"
+        f"({'; '.join(failed)}); {outcome} provenance={provenance!r}"
         + (f" with residual violations {violations}" if violations else ""),
         stage="output",
         provenance=provenance,
-        violations=candidates[0][2] + violations,
+        violations=failed + violations,
     )
     return part, provenance, violations

@@ -31,6 +31,9 @@ from .metrics import edge_cut, imbalance, part_component_labels, part_weights
 
 __all__ = ["ReconnectResult", "part_components", "reconnect_parts"]
 
+#: Largest share of its part a fragment may hold and still be moved.
+MAX_FRAGMENT_FRACTION = 0.25
+
 
 @dataclass
 class ReconnectResult:
@@ -86,7 +89,6 @@ def reconnect_parts(
     nparts: int,
     *,
     imbalance_tol: float = 1.20,
-    max_fragment_fraction: float = 0.25,
 ) -> ReconnectResult:
     """Reassign stray components to adjacent parts.
 
@@ -95,10 +97,9 @@ def reconnect_parts(
     imbalance_tol:
         Per-constraint balance ceiling the pass must respect when
         absorbing fragments; fragments whose absorption would violate
-        it everywhere stay put (connectivity is best-effort).
-    max_fragment_fraction:
-        Safety valve: a "fragment" larger than this fraction of its
-        part's weight is never moved (it is half the part, not an
+        it everywhere stay put (connectivity is best-effort).  A
+        "fragment" holding more than :data:`MAX_FRAGMENT_FRACTION` of
+        its part's weight is never moved (it is half the part, not an
         artifact).
 
     Returns
@@ -129,7 +130,7 @@ def reconnect_parts(
     for p, comp in fragments:
         w = g.vwgt[comp].sum(axis=0)
         part_total = pw[p].sum()
-        if part_total > 0 and w.sum() > max_fragment_fraction * part_total:
+        if part_total > 0 and w.sum() > MAX_FRAGMENT_FRACTION * part_total:
             continue
         # Edge weight from the fragment toward each neighbouring part.
         gain = np.zeros(nparts, dtype=np.float64)

@@ -22,12 +22,7 @@ from .metrics import edge_cut
 __all__ = ["heavy_edge_matching_ref", "fm_refine_ref"]
 
 
-def heavy_edge_matching_ref(
-    g: CSRGraph,
-    rng: np.random.Generator,
-    *,
-    balance_constraints: bool = True,
-) -> np.ndarray:
+def heavy_edge_matching_ref(g: CSRGraph, rng: np.random.Generator) -> np.ndarray:
     """Seed heavy-edge matching: greedy per-vertex loop in random order.
 
     Same contract as :func:`repro.graph.coarsen.heavy_edge_matching`.
@@ -36,7 +31,7 @@ def heavy_edge_matching_ref(
     match = np.arange(n, dtype=np.int64)
     order = rng.permutation(n)
     xadj, adjncy, adjwgt = g.xadj, g.adjncy, g.adjwgt
-    multi = balance_constraints and g.ncon > 1
+    multi = g.ncon > 1
     vwgt = g.vwgt
 
     for v in order:

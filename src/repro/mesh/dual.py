@@ -108,10 +108,7 @@ def _streaming_adjacency(
 
 
 def mesh_to_dual_graph(
-    mesh: Mesh,
-    *,
-    vwgt: np.ndarray | None = None,
-    edge_weight: str = "unit",
+    mesh: Mesh, *, vwgt: np.ndarray | None = None
 ) -> CSRGraph:
     """Build the dual graph of a mesh.
 
@@ -119,19 +116,15 @@ def mesh_to_dual_graph(
     ----------
     vwgt:
         Optional vertex (cell) weights, ``(n,)`` or ``(n, ncon)``.
-    edge_weight:
-        ``"unit"`` — every face counts 1 (communication ∝ number of
-        faces, the paper's model); ``"area"`` — weight by face area
-        (communication ∝ interface size).
 
     Returns
     -------
     :class:`~repro.graph.csr.CSRGraph` whose vertex ``i`` is cell ``i``
     and whose edges are the interior faces, streamed from the faces.
+    Every face counts 1 (communication ∝ number of faces, the paper's
+    model).
     """
-    if edge_weight not in ("unit", "area"):
-        raise ValueError(f"unknown edge_weight {edge_weight!r}")
     xadj, adjncy, adjwgt = _streaming_adjacency(
-        mesh, edge_weight=edge_weight, chunk_faces=DEFAULT_CHUNK_FACES
+        mesh, edge_weight="unit", chunk_faces=DEFAULT_CHUNK_FACES
     )
     return CSRGraph(xadj, adjncy, vwgt=vwgt, adjwgt=adjwgt)

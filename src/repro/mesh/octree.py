@@ -165,11 +165,7 @@ def build_octree_mesh(
     return mesh, centers3
 
 
-def octree_cylinder_mesh(
-    *,
-    max_depth: int = 7,
-    min_depth: int = 4,
-) -> tuple[Mesh, np.ndarray]:
+def octree_cylinder_mesh(*, max_depth: int = 7) -> tuple[Mesh, np.ndarray]:
     """3D CYLINDER-like case: a thin fine shell around a vertical axis
     segment at the cube's centre, coarsening radially — the 3D
     analogue of :func:`repro.mesh.generators.cylinder_mesh`, with the
@@ -188,4 +184,4 @@ def octree_cylinder_mesh(
             return 4.0 * h
         return 8.0 * h
 
-    return build_octree_mesh(sizing, max_depth=max_depth, min_depth=min_depth)
+    return build_octree_mesh(sizing, max_depth=max_depth, min_depth=4)

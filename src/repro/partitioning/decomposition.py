@@ -8,7 +8,7 @@ evenly across processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +39,6 @@ class DomainDecomposition:
     domain_process: np.ndarray
     num_processes: int
     strategy: str = "?"
-    # Lazy domain -> cells grouping (cells sorted by domain + slice
-    # bounds); callers iterate over every domain, so one argsort beats
-    # ``num_domains`` full scans.
-    _group_order: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _group_bounds: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.domain = np.ascontiguousarray(self.domain, dtype=np.int32)
@@ -97,21 +88,3 @@ class DomainDecomposition:
             num_processes=num_processes,
             strategy=strategy,
         )
-
-    def domains_of_process(self, p: int) -> np.ndarray:
-        """Domain indices owned by process ``p``."""
-        return np.flatnonzero(self.domain_process == p)
-
-    def cells_of_domain(self, d: int) -> np.ndarray:
-        """Cell indices belonging to domain ``d`` (ascending)."""
-        if self._group_order is None:
-            order = np.argsort(self.domain, kind="stable")
-            bounds = np.searchsorted(
-                self.domain[order],
-                np.arange(self.num_domains + 1),
-            )
-            self._group_order = order
-            self._group_bounds = bounds
-        return self._group_order[
-            self._group_bounds[d] : self._group_bounds[d + 1]
-        ]

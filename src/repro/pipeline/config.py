@@ -114,13 +114,12 @@ class Scenario:
         *,
         scale: int | None = None,
         seed: int = 0,
-        scheduler: str = "eager",
         scheme: str = "euler",
-        iterations: int = 1,
-        imbalance_tol: float = 1.05,
     ) -> "Scenario":
         """Scenario on a named replica mesh with the paper's level
-        caps (Table I) applied automatically."""
+        caps (Table I) applied automatically (eager scheduler, one
+        iteration, imbalance tolerance 1.05; :meth:`with_options` or
+        ``--set`` changes them)."""
         return cls(
             mesh=MeshConfig(name=mesh, scale=scale),
             levels=LevelConfig(num_levels=NUM_LEVELS.get(mesh)),
@@ -129,12 +128,9 @@ class Scenario:
                 processes=processes,
                 strategy=strategy,
                 seed=seed,
-                imbalance_tol=imbalance_tol,
             ),
-            taskgraph=TaskGraphConfig(scheme=scheme, iterations=iterations),
-            schedule=ScheduleConfig(
-                cores=cores, scheduler=scheduler, seed=seed
-            ),
+            taskgraph=TaskGraphConfig(scheme=scheme),
+            schedule=ScheduleConfig(cores=cores, seed=seed),
         )
 
     def replace(self, **stage_overrides: object) -> "Scenario":

@@ -65,6 +65,10 @@ except ImportError:  # pragma: no cover - Windows
         _msvcrt = None
 
 
+#: Seconds between looks at a claim another process holds.
+CLAIM_POLL_S = 0.05
+
+
 def _now() -> float:
     """Clock used for heartbeats/staleness (an indirection so chaos
     tests can skew one process's notion of time)."""
@@ -125,16 +129,6 @@ class FileLock:
         self._fd = fd
         return True
 
-    def acquire(self, timeout: float | None = None, poll: float = 0.05) -> bool:
-        """Blocking acquire with an optional timeout (``False`` on
-        expiry)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self.try_acquire():
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(poll)
-        return True
-
     def release(self) -> None:
         if self._fd is None:
             return
@@ -155,13 +149,6 @@ class FileLock:
                     os.unlink(str(self.path) + ".x")
                 except OSError:
                     pass
-
-    def __enter__(self) -> "FileLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.release()
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +322,6 @@ def acquire_claim(
     published: Callable[[], bool],
     ttl: float = 30.0,
     timeout: float = 600.0,
-    poll: float = 0.05,
 ) -> Lease:
     """Win or wait out the claim for one digest.
 
@@ -432,4 +418,4 @@ def acquire_claim(
                 stacklevel=2,
             )
             return Lease(role="winner", ttl=ttl, unguarded=True)
-        time.sleep(poll)
+        time.sleep(CLAIM_POLL_S)

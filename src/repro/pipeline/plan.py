@@ -94,33 +94,10 @@ class StagePlan:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @property
-    def num_jobs(self) -> int:
-        return len(self.scenarios)
-
     def roots(self) -> list[str]:
         """Keys of the dependency-free nodes (the dispatch frontier)."""
         return [k for k, t in self.nodes.items() if not t.deps]
 
-    def stage_counts(self) -> dict[str, dict[str, int]]:
-        """Per stage: distinct ``nodes`` vs requested ``job_stages``.
-
-        The difference is the plan-time dedup: ``job_stages - nodes``
-        stage executions were collapsed into already-planned nodes.
-        """
-        out: dict[str, dict[str, int]] = {}
-        for task in self.nodes.values():
-            c = out.setdefault(task.stage, {"nodes": 0, "job_stages": 0})
-            c["nodes"] += 1
-            c["job_stages"] += len(task.jobs)
-        return out
-
-    @property
-    def deduped_stages(self) -> int:
-        """Total stage executions saved by prefix merging."""
-        return sum(
-            len(t.jobs) - 1 for t in self.nodes.values()
-        )
 
 
 def _validate_through(through: str) -> str:

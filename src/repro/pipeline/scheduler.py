@@ -45,7 +45,7 @@ from typing import Any, Callable, Sequence
 from ..util import forkpool
 from .hashing import canonical_json, stage_digest
 from .plan import StagePlan, StageTask
-from .stages import STAGE_ORDER, STAGES
+from .stages import STAGES
 from .store import ArtifactStore, StoreStats, default_store
 
 __all__ = ["execute_stage", "NodeResult", "PlanResult", "DagScheduler"]
@@ -203,38 +203,6 @@ class PlanResult:
         return None if job == min(node.jobs, default=job) else "shared"
 
     # -- aggregates ----------------------------------------------------
-    def stage_counters(self) -> dict[str, dict[str, int]]:
-        """Per-stage execution accounting.
-
-        ``job_stages`` is what N independent runs would have executed;
-        ``nodes`` is what the merged plan scheduled; ``computed`` /
-        ``memory`` / ``disk`` split how the scheduled nodes were
-        served; ``shared`` counts the job-stage executions the merge
-        elided entirely.
-        """
-        out: dict[str, dict[str, int]] = {}
-        for name in STAGE_ORDER:
-            out[name] = {
-                "nodes": 0,
-                "job_stages": 0,
-                "computed": 0,
-                "memory": 0,
-                "disk": 0,
-                "shared": 0,
-            }
-        for node in self.nodes.values():
-            c = out[node.stage]
-            c["nodes"] += 1
-            c["job_stages"] += len(node.jobs)
-            c["shared"] += max(0, len(node.jobs) - 1)
-            if node.state != "done":
-                continue
-            if node.cache is None:
-                c["computed"] += 1
-            else:
-                c[node.cache] += 1
-        return {k: v for k, v in out.items() if v["nodes"]}
-
     @property
     def failed(self) -> bool:
         return any(n.state == "failed" for n in self.nodes.values())

@@ -92,32 +92,6 @@ class ServiceClient:
                     raise
                 time.sleep(delay)
 
-    def submit_many(
-        self,
-        scenario: str,
-        options_list: list[dict[str, Any]],
-        *,
-        through: str = "schedule",
-        block: bool = False,
-        timeout: float | None = None,
-    ) -> list[str]:
-        """Submit one scenario under many option sets (a sweep) and
-        return the job ids, in order.
-
-        Jobs submitted together land in one claim batch of the daemon,
-        where their shared prefixes collapse into single plan nodes.
-        """
-        return [
-            self.submit(
-                scenario,
-                options=options,
-                through=through,
-                block=block,
-                timeout=timeout,
-            )
-            for options in options_list
-        ]
-
     def status(self, job_id: str) -> JobStatus | None:
         """Current typed status (``None`` for an unknown id)."""
         return self.queue.status(job_id)

@@ -552,14 +552,12 @@ class ServeDaemon:
         *,
         max_jobs: int | None = None,
         idle_timeout: float | None = None,
-        deadline: float | None = None,
     ) -> int:
         """Process jobs until a bound trips; returns the count of jobs
         brought to a terminal state.
 
         ``max_jobs`` stops after N jobs; ``idle_timeout`` stops after
-        that many seconds without work; ``deadline`` is an absolute
-        wall budget in seconds.  A drain signal (SIGTERM/SIGINT or
+        that many seconds without work.  A drain signal (SIGTERM/SIGINT or
         :meth:`request_drain`) stops claiming, lets running children
         finish within ``drain_grace`` seconds, requeues the rest, and
         returns.
@@ -569,7 +567,6 @@ class ServeDaemon:
         self._sample_pressure()  # publish health from the first moment
         done_base = self._completed
         threads: list[threading.Thread] = []
-        t0 = time.monotonic()
         idle_since = time.monotonic()
         try:
             # Readiness is out; the server's preload now overlaps the
@@ -596,11 +593,6 @@ class ServeDaemon:
                     if busy:
                         self._wake.wait(self.poll)
                         continue
-                    break
-                if (
-                    deadline is not None
-                    and time.monotonic() - t0 > deadline
-                ):
                     break
                 batch: list[tuple[str, JobRequest, dict[str, Any]]] = []
                 free = self._target_workers(sample.state) - busy

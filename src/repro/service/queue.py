@@ -294,24 +294,6 @@ class SpoolQueue:
         _atomic_json(self._job_path("pending", job_id), record)
         return job_id
 
-    def resubmit(self, job_id: str) -> bool:
-        """Move a failed job back to pending (retry after a fix)."""
-        src = self._job_path("failed", job_id)
-        record = read_json(src)
-        if record is None:
-            return False
-        fresh = {
-            "job_id": job_id,
-            "request": record.get("request", {}),
-            "submitted_at": time.time(),
-        }
-        _atomic_json(self._job_path("pending", job_id), fresh)
-        try:
-            src.unlink()
-        except OSError:
-            pass
-        return True
-
     # -- daemon side -------------------------------------------------------
     def claim_batch(
         self, limit: int
@@ -555,13 +537,6 @@ class SpoolQueue:
             shutil.rmtree(self._bundle_path(jid), ignore_errors=True)
             purged.append(jid)
         return purged
-
-    def breaker_open(self, request: JobRequest | str) -> bool:
-        """Whether the per-digest breaker for this request is open."""
-        job_id = (
-            request if isinstance(request, str) else request.job_id()
-        )
-        return self._job_path("deadletter", job_id).exists()
 
     # -- client side ---------------------------------------------------
     def status(self, job_id: str) -> JobStatus | None:

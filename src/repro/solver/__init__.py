@@ -23,7 +23,7 @@ from .lts import (
 )
 from .runner import IterationResult, TaskDistributedSolver
 from .state import blast_wave, jet_flow, quiescent
-from .timestep import assign_temporal_levels, stable_timesteps
+from .timestep import stable_timesteps
 
 __all__ = [
     "GAMMA",
@@ -50,5 +50,4 @@ __all__ = [
     "jet_flow",
     "quiescent",
     "stable_timesteps",
-    "assign_temporal_levels",
 ]

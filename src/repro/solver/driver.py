@@ -358,12 +358,11 @@ class SimulationDriver:
         drv._verify_solver_dag()
         return drv
 
-    def save_checkpoint(self, directory: str | Path | None = None) -> Path:
+    def save_checkpoint(self) -> Path:
         """Write an atomic checkpoint of the current campaign position
-        (``iteration`` = completed iterations); returns the manifest
-        path."""
-        directory = directory if directory is not None else self.checkpoint_dir
-        if directory is None:
+        (``iteration`` = completed iterations) into ``checkpoint_dir``;
+        returns the manifest path."""
+        if self.checkpoint_dir is None:
             raise ValueError("no checkpoint directory configured")
         ck = Checkpoint(
             iteration=self.iteration,
@@ -388,7 +387,7 @@ class SimulationDriver:
                 "checkpoint_every": self.checkpoint_every,
             },
         )
-        return save_checkpoint(directory, ck)
+        return save_checkpoint(self.checkpoint_dir, ck)
 
     # ------------------------------------------------------------------
     def _derive_levels(self) -> tuple[np.ndarray, float]:

@@ -64,11 +64,11 @@ def integrate(
     t_end: float,
     *,
     cfl: float = 0.4,
-    flux: str = "rusanov",
     method: str = "heun",
     max_steps: int = 100_000,
 ) -> tuple[np.ndarray, int]:
-    """Advance to ``t_end`` with a uniform (global-minimum) time step.
+    """Advance to ``t_end`` with a uniform (global-minimum) time step
+    and the Rusanov flux.
 
     Returns ``(U, steps)``.
     """
@@ -80,7 +80,7 @@ def integrate(
     while t < t_end - 1e-15:
         dt = float(stable_timesteps(mesh, U, cfl=cfl).min())
         dt = min(dt, t_end - t)
-        U = step(mesh, U, dt, flux=flux)
+        U = step(mesh, U, dt)
         t += dt
         steps += 1
         if steps >= max_steps:

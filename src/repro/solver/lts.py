@@ -108,18 +108,9 @@ class LTSState:
     def conserved_total(self, mesh: Mesh) -> np.ndarray:
         """``Σ_c U_c V_c + Σ_c acc_c`` — exactly conserved in the
         absence of boundary fluxes (forward-Euler scheme; the Heun
-        scheme conserves ``Σ U·V + ½ Σ (acc + acc2)``, see
-        :meth:`conserved_total_heun`)."""
+        scheme conserves ``Σ U·V + ½ Σ (acc + acc2)``)."""
         return (self.U * mesh.cell_volumes[:, None]).sum(axis=0) + (
             self.acc
-        ).sum(axis=0)
-
-    def conserved_total_heun(self, mesh: Mesh) -> np.ndarray:
-        """``Σ_c U_c V_c + ½ Σ_c (acc_c + acc2_c)`` — the Heun scheme's
-        exact invariant (each stage's deposits are eventually applied
-        with weight ½)."""
-        return (self.U * mesh.cell_volumes[:, None]).sum(axis=0) + 0.5 * (
-            self.acc + self.acc2
         ).sum(axis=0)
 
 
@@ -224,11 +215,11 @@ def lts_iteration(
     cell_tau_cells: dict[int, np.ndarray],
     dt_min: float,
     *,
-    flux: str = "rusanov",
     scheme: str = "euler",
 ) -> None:
     """One full iteration (``2**τ_max`` subiterations) as a direct
-    phase loop — the task-free reference implementation.
+    phase loop with the Rusanov flux — the task-free reference
+    implementation.
 
     ``cell_tau_faces[τ]`` / ``cell_tau_cells[τ]`` are the face/cell
     index sets of each level (see
@@ -248,14 +239,10 @@ def lts_iteration(
             faces = cell_tau_faces.get(t, empty)
             cells = cell_tau_cells.get(t, empty)
             dt_face = (1 << t) * dt_min
-            accumulate_face_fluxes(
-                mesh, state, faces, dt_face, flux=flux, stage=1
-            )
+            accumulate_face_fluxes(mesh, state, faces, dt_face, stage=1)
             if scheme == "euler":
                 apply_cell_updates(mesh, state, cells)
             else:
                 predictor_update(mesh, state, cells)
-                accumulate_face_fluxes(
-                    mesh, state, faces, dt_face, flux=flux, stage=2
-                )
+                accumulate_face_fluxes(mesh, state, faces, dt_face, stage=2)
                 corrector_update(mesh, state, cells)

@@ -61,7 +61,7 @@ class TaskDistributedSolver:
     dt_min:
         Subiteration time step (a level-τ cell advances ``2**τ ·
         dt_min`` per activation); must satisfy every τ=0 cell's CFL
-        bound (see :func:`repro.solver.timestep.assign_temporal_levels`).
+        bound (see :func:`repro.solver.timestep.stable_timesteps`).
     flux:
         Numerical flux name (``"rusanov"`` or ``"hllc"``).
     scheme:

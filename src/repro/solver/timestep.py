@@ -15,10 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..mesh.structures import Mesh
-from ..temporal.levels import levels_from_timestep
 from .euler import max_wave_speed
 
-__all__ = ["stable_timesteps", "assign_temporal_levels"]
+__all__ = ["stable_timesteps"]
 
 
 def stable_timesteps(
@@ -39,20 +38,3 @@ def stable_timesteps(
     denom = np.maximum(denom, 1e-300)
     return cfl * mesh.cell_volumes / denom
 
-
-def assign_temporal_levels(
-    mesh: Mesh,
-    U: np.ndarray,
-    *,
-    cfl: float = 0.4,
-    num_levels: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """Temporal levels and the base (finest) time step for state ``U``.
-
-    Returns ``(tau, dt_min)``: the per-cell levels and the subiteration
-    time step.  A cell of level τ advances by ``2**τ · dt_min`` at each
-    of its updates, which is guaranteed ≤ its own stability bound.
-    """
-    dt = stable_timesteps(mesh, U, cfl=cfl)
-    tau = levels_from_timestep(dt, num_levels=num_levels)
-    return tau, float(dt.min())

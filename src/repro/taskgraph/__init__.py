@@ -1,11 +1,6 @@
 """Task-graph generation (Algorithm 1), DAG structure and analytics."""
 
-from .analysis import (
-    cells_by_domain_level,
-    task_count_by_subiteration,
-    work_by_process_level,
-    work_by_process_subiteration,
-)
+from .analysis import work_by_process_subiteration
 from .dag import TaskDAG, canonical_edges
 from .generation import classify_objects, generate_task_graph
 from .reference import generate_task_graph_ref
@@ -24,8 +19,5 @@ __all__ = [
     "Locality",
     "generate_task_graph",
     "classify_objects",
-    "work_by_process_level",
     "work_by_process_subiteration",
-    "task_count_by_subiteration",
-    "cells_by_domain_level",
 ]

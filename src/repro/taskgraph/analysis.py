@@ -1,8 +1,7 @@
 """Task-graph analytics used by the experiments.
 
-Computes the per-process/per-subiteration workload matrices behind
-Figs. 7 and 10 of the paper, and summary histograms of task
-composition.
+Computes the per-process workload matrices behind Figs. 7 and 10 of
+the paper.
 """
 
 from __future__ import annotations
@@ -13,25 +12,7 @@ from ..partitioning.decomposition import DomainDecomposition
 from ..temporal.levels import operating_costs
 from .dag import TaskDAG
 
-__all__ = [
-    "work_by_process_level",
-    "work_by_process_subiteration",
-    "task_count_by_subiteration",
-    "cells_by_domain_level",
-]
-
-
-def work_by_process_level(dag: TaskDAG, num_processes: int) -> np.ndarray:
-    """Work (summed task cost) per (process, phase level).
-
-    This is Fig. 7a / Fig. 10a: the operating-cost composition of each
-    process's workload, broken down by temporal level.
-    """
-    t = dag.tasks
-    nlev = int(t.phase_tau.max()) + 1 if t.num_tasks else 1
-    out = np.zeros((num_processes, nlev), dtype=np.float64)
-    np.add.at(out, (t.process, t.phase_tau), t.cost)
-    return out
+__all__ = ["work_by_process_subiteration", "operating_cost_by_process_level"]
 
 
 def work_by_process_subiteration(
@@ -46,28 +27,6 @@ def work_by_process_subiteration(
     nsub = int(t.subiteration.max()) + 1 if t.num_tasks else 1
     out = np.zeros((num_processes, nsub), dtype=np.float64)
     np.add.at(out, (t.process, t.subiteration), t.cost)
-    return out
-
-
-def task_count_by_subiteration(dag: TaskDAG) -> np.ndarray:
-    """Number of tasks per subiteration."""
-    t = dag.tasks
-    nsub = int(t.subiteration.max()) + 1 if t.num_tasks else 0
-    return np.bincount(t.subiteration, minlength=nsub)
-
-
-def cells_by_domain_level(
-    tau: np.ndarray, decomp: DomainDecomposition
-) -> np.ndarray:
-    """Cell counts per (domain, temporal level).
-
-    The quantity MC_TL balances directly; for SC_OC only the
-    cost-weighted row sums are balanced.
-    """
-    tau = np.asarray(tau, dtype=np.int64)
-    nlev = int(tau.max()) + 1
-    out = np.zeros((decomp.num_domains, nlev), dtype=np.int64)
-    np.add.at(out, (decomp.domain, tau), 1)
     return out
 
 

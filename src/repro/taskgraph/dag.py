@@ -66,9 +66,6 @@ class TaskDAG:
     _succ: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
-    _pred: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
     _levels: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -100,18 +97,8 @@ class TaskDAG:
             )
         return self._succ
 
-    def predecessors_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR adjacency successor → predecessors."""
-        if self._pred is None:
-            self._pred = _csr_from_pairs(
-                self.num_tasks, self.edges[:, 1], self.edges[:, 0]
-            )
-        return self._pred
-
     def in_degrees(self) -> np.ndarray:
         """Number of predecessors per task (a fresh array)."""
-        if self._pred is not None:
-            return np.diff(self._pred[0])
         return np.bincount(self.edges[:, 1], minlength=self.num_tasks)
 
     # ------------------------------------------------------------------
@@ -172,10 +159,6 @@ class TaskDAG:
             bl.flags.writeable = False
             self._bottom = (float(bl.max()) if len(bl) else 0.0), bl
         return self._bottom
-
-    def width_profile(self) -> np.ndarray:
-        """Number of tasks per DAG depth level (parallelism profile)."""
-        return np.diff(self._level_order()[1])
 
     def validate(self) -> None:
         """Raise on malformed edges or cycles."""

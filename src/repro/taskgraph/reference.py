@@ -33,14 +33,11 @@ def generate_task_graph_ref(
     tau: np.ndarray,
     decomp: DomainDecomposition,
     *,
-    cell_unit_cost: float = 1.0,
-    face_unit_cost: float = 1.0,
-    level_cost_factor: np.ndarray | None = None,
     scheme: str = "euler",
     iterations: int = 1,
 ) -> TaskDAG:
-    """Seed implementation of Algorithm 1 (see
-    :func:`repro.taskgraph.generation.generate_task_graph` for the
+    """Seed implementation of Algorithm 1 at unit cell and face costs
+    (see :func:`repro.taskgraph.generation.generate_task_graph` for the
     parameter documentation)."""
     if scheme not in ("euler", "heun"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -51,11 +48,6 @@ def generate_task_graph_ref(
     ndom = decomp.num_domains
     tau_max = int(tau.max()) if len(tau) else 0
     nlev = tau_max + 1
-    if level_cost_factor is None:
-        level_cost_factor = np.ones(nlev, dtype=np.float64)
-    level_cost_factor = np.asarray(level_cost_factor, dtype=np.float64)
-    if len(level_cost_factor) < nlev:
-        raise ValueError("level_cost_factor too short")
 
     # --- group tables --------------------------------------------------
     cgid = _group_ids(
@@ -130,7 +122,7 @@ def generate_task_graph_ref(
                     loc,
                     d,
                     nobj,
-                    nobj * face_unit_cost * level_cost_factor[tph],
+                    float(nobj),
                     stage,
                 )
                 table = last_face1 if stage == 1 else last_face2
@@ -162,7 +154,7 @@ def generate_task_graph_ref(
                     loc,
                     d,
                     nobj,
-                    nobj * cell_unit_cost * level_cost_factor[tph],
+                    float(nobj),
                     stage,
                 )
                 preds = {int(last_cell[gid])}

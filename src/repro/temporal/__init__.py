@@ -7,13 +7,7 @@ from .levels import (
     levels_from_timestep,
     operating_costs,
 )
-from .scheme import (
-    IterationSchedule,
-    active_levels,
-    is_active,
-    num_subiterations,
-    subiteration_tau_max,
-)
+from .scheme import active_levels, num_subiterations, subiteration_tau_max
 
 __all__ = [
     "levels_from_depth",
@@ -23,7 +17,5 @@ __all__ = [
     "face_levels",
     "num_subiterations",
     "active_levels",
-    "is_active",
     "subiteration_tau_max",
-    "IterationSchedule",
 ]

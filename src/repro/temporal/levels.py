@@ -26,6 +26,19 @@ __all__ = [
     "face_levels",
 ]
 
+#: Hysteresis of :func:`relevel_with_hysteresis`, in octaves.
+HYSTERESIS_MARGIN = 0.15
+#: ``2**HYSTERESIS_MARGIN``, correctly rounded (a literal, so no host's
+#: ``pow`` decides its last bit).
+_MARGIN_RATIO = 1.109569472067845
+
+
+def _floor_log2(x: np.ndarray) -> np.ndarray:
+    """``floor(log2(x))`` for positive ``x``, read exactly off the
+    binary exponent: no ``log2`` kernel, so no SIMD-dependent rounding
+    can move a value across an octave boundary."""
+    return np.frexp(x)[1].astype(np.int64) - 1
+
 
 def levels_from_depth(mesh: Mesh, *, num_levels: int | None = None) -> np.ndarray:
     """Temporal levels from quadtree depth.
@@ -58,7 +71,7 @@ def levels_from_timestep(
     if np.any(dt_cell <= 0):
         raise ValueError("time steps must be positive")
     dt_min = dt_cell.min()
-    tau = np.floor(np.log2(dt_cell / dt_min + 1e-12)).astype(np.int64)
+    tau = _floor_log2(dt_cell / dt_min + 1e-12)
     tau = np.maximum(tau, 0)
     if num_levels is not None:
         tau = np.minimum(tau, num_levels - 1)
@@ -71,7 +84,6 @@ def relevel_with_hysteresis(
     dt_ref: float,
     *,
     num_levels: int | None = None,
-    margin: float = 0.15,
 ) -> np.ndarray:
     """Update temporal levels with an anchored reference and
     hysteresis.
@@ -90,7 +102,12 @@ def relevel_with_hysteresis(
       ``x < τ_old`` — the cell's stability bound no longer covers its
       band, so there is no slack on the unsafe side;
     * **up** (τ increases): applied only when the cell has left its
-      band by the ``margin``: ``x ≥ τ_old + 1 + margin``.
+      band by the margin ``m`` (:data:`HYSTERESIS_MARGIN`):
+      ``x ≥ τ_old + 1 + m``, and then ``τ = floor(x − m)``.
+
+    Both rules are evaluated on ``r = dt / dt_ref`` without a
+    logarithm: ``floor(x)`` is the binary exponent of ``r``, and
+    ``x ≥ τ_old + 1 + m`` is ``r ≥ 2**(τ_old + 1) · 2**m``.
 
     Returns the new ``(n,)`` int32 level array.
     """
@@ -100,12 +117,13 @@ def relevel_with_hysteresis(
         raise ValueError("dt_ref must be positive")
     if np.any(dt_cell <= 0):
         raise ValueError("time steps must be positive")
-    x = np.log2(dt_cell / dt_ref)
+    r = dt_cell / dt_ref
+    octave = _floor_log2(r)
     tau = tau_old.copy()
-    down = x < tau_old
-    tau[down] = np.floor(x[down]).astype(np.int64)
-    up = x >= tau_old + 1 + margin
-    tau[up] = np.floor(x[up] - margin).astype(np.int64)
+    down = octave < tau_old
+    tau[down] = octave[down]
+    up = r >= np.ldexp(_MARGIN_RATIO, tau_old + 1)
+    tau[up] = _floor_log2(r[up] / _MARGIN_RATIO)
     tau = np.maximum(tau, 0)
     if num_levels is not None:
         tau = np.minimum(tau, num_levels - 1)
@@ -140,13 +158,12 @@ def assign_levels_by_fraction(
     return tau
 
 
-def operating_costs(tau: np.ndarray, *, tau_max: int | None = None) -> np.ndarray:
+def operating_costs(tau: np.ndarray) -> np.ndarray:
     """Operating cost ``2**(τ_max − τ)`` per cell (activations per
-    iteration)."""
+    iteration), ``τ_max`` the highest level present."""
     tau = np.asarray(tau, dtype=np.int64)
-    if tau_max is None:
-        tau_max = int(tau.max()) if len(tau) else 0
-    if np.any(tau > tau_max) or np.any(tau < 0):
+    tau_max = int(tau.max()) if len(tau) else 0
+    if np.any(tau < 0):
         raise ValueError("levels out of range")
     return np.exp2(tau_max - tau)
 

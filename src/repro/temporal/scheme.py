@@ -13,17 +13,7 @@ taken before finer cells interpolate against it, paper Algorithm 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-__all__ = [
-    "num_subiterations",
-    "active_levels",
-    "is_active",
-    "subiteration_tau_max",
-    "IterationSchedule",
-]
+__all__ = ["num_subiterations", "active_levels", "subiteration_tau_max"]
 
 
 def num_subiterations(tau_max: int) -> int:
@@ -31,12 +21,6 @@ def num_subiterations(tau_max: int) -> int:
     if tau_max < 0:
         raise ValueError("tau_max must be >= 0")
     return 1 << tau_max
-
-
-def is_active(tau: np.ndarray | int, s: int) -> np.ndarray | bool:
-    """Whether cells of level(s) ``tau`` are active at subiteration ``s``."""
-    tau_arr = np.asarray(tau)
-    return (s % np.exp2(tau_arr).astype(np.int64)) == 0
 
 
 def subiteration_tau_max(s: int, tau_max: int) -> int:
@@ -55,50 +39,3 @@ def active_levels(s: int, tau_max: int) -> list[int]:
     top = subiteration_tau_max(s, tau_max)
     return list(range(top, -1, -1))
 
-
-@dataclass
-class IterationSchedule:
-    """Precomputed schedule of one iteration.
-
-    Attributes
-    ----------
-    tau_max:
-        Highest temporal level in the mesh.
-    subiterations:
-        For each subiteration, the list of active levels in phase
-        (descending) order.
-    """
-
-    tau_max: int
-    subiterations: list[list[int]]
-
-    @classmethod
-    def create(cls, tau_max: int) -> "IterationSchedule":
-        """Build the schedule for a mesh whose highest level is
-        ``tau_max``."""
-        nsub = num_subiterations(tau_max)
-        return cls(
-            tau_max=tau_max,
-            subiterations=[active_levels(s, tau_max) for s in range(nsub)],
-        )
-
-    @property
-    def num_subiterations(self) -> int:
-        """Number of subiterations (``2**τ_max``)."""
-        return len(self.subiterations)
-
-    def activations_per_level(self) -> np.ndarray:
-        """How many times each level is active during one iteration.
-
-        Equals the operating cost ``2**(τ_max − τ)`` — the consistency
-        of the two views is checked by the test suite.
-        """
-        counts = np.zeros(self.tau_max + 1, dtype=np.int64)
-        for levels in self.subiterations:
-            for lvl in levels:
-                counts[lvl] += 1
-        return counts
-
-    def phase_count(self) -> int:
-        """Total number of phases across the iteration."""
-        return sum(len(levels) for levels in self.subiterations)

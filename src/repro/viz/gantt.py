@@ -2,8 +2,8 @@
 
 The paper's evidence is largely visual (Figs. 5, 6, 9, 12, 13 are
 Gantt charts color-coded by subiteration).  This module renders the
-same charts as text: one row per process (composite view) or per
-worker, time binned into columns, each cell showing the subiteration
+same charts as text: one row per process (composite view), time
+binned into columns, each cell showing the subiteration
 digit of the dominant task (``.`` = idle).
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 from ..flusim.trace import Trace
 from ..taskgraph.dag import TaskDAG
 
-__all__ = ["render_gantt", "render_process_gantt"]
+__all__ = ["render_process_gantt"]
 
 _IDLE = "."
 
@@ -59,35 +59,6 @@ def _bin_trace(
     return rows
 
 
-def render_gantt(
-    trace: Trace, dag: TaskDAG, *, width: int = 100, max_workers: int = 64
-) -> str:
-    """Worker-level Gantt chart (one row per (process, worker))."""
-    workers = {}
-    for t in range(dag.num_tasks):
-        key = (int(trace.process[t]), int(trace.worker[t]))
-        workers.setdefault(key, len(workers))
-    keys = sorted(workers)[:max_workers]
-    row_index = {k: i for i, k in enumerate(keys)}
-    row_of_task = np.full(dag.num_tasks, -1, dtype=np.int64)
-    for t in range(dag.num_tasks):
-        key = (int(trace.process[t]), int(trace.worker[t]))
-        row_of_task[t] = row_index.get(key, -1)
-    keep = row_of_task >= 0
-    rows = _bin_trace(
-        _subset_trace(trace, keep),
-        _subset_dag(dag, keep),
-        row_of_task[keep],
-        len(keys),
-        width,
-    )
-    lines = [
-        f"p{p:<3d}w{w:<3d} |{row}|"
-        for (p, w), row in zip(keys, rows)
-    ]
-    return "\n".join(lines)
-
-
 def render_process_gantt(trace: Trace, dag: TaskDAG, *, width: int = 100) -> str:
     """Composite-process Gantt chart (paper Fig. 6 style): a row is
     idle only when *no* core of the process is busy."""
@@ -97,31 +68,3 @@ def render_process_gantt(trace: Trace, dag: TaskDAG, *, width: int = 100) -> str
     return "\n".join(
         f"proc{p:<4d} |{row}|" for p, row in enumerate(rows)
     )
-
-
-def _subset_trace(trace: Trace, keep: np.ndarray) -> Trace:
-    return Trace(
-        process=trace.process[keep],
-        worker=trace.worker[keep],
-        start=trace.start[keep],
-        end=trace.end[keep],
-        num_processes=trace.num_processes,
-        cores_per_process=trace.cores_per_process,
-    )
-
-
-def _subset_dag(dag: TaskDAG, keep: np.ndarray):
-    from ..taskgraph.task import TaskArrays
-
-    t = dag.tasks
-    tasks = TaskArrays(
-        subiteration=t.subiteration[keep],
-        phase_tau=t.phase_tau[keep],
-        obj_type=t.obj_type[keep],
-        locality=t.locality[keep],
-        domain=t.domain[keep],
-        process=t.process[keep],
-        num_objects=t.num_objects[keep],
-        cost=t.cost[keep],
-    )
-    return TaskDAG(tasks=tasks, edges=np.empty((0, 2), dtype=np.int64))

@@ -10,25 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["render_stacked_bars", "render_matrix"]
+__all__ = ["render_stacked_bars"]
 
 
 def render_stacked_bars(
     matrix: np.ndarray,
     *,
     row_label: str = "proc",
-    col_symbols: str | None = None,
     width: int = 60,
 ) -> str:
     """Render a ``(rows, classes)`` matrix as horizontal stacked bars.
 
     Every row is scaled to the global maximum row sum; segment ``c`` of
-    a row is drawn with ``col_symbols[c]`` (digits by default).
+    a row is drawn with the digit ``c % 10``.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     rows, ncls = matrix.shape
-    if col_symbols is None:
-        col_symbols = "".join(str(c % 10) for c in range(ncls))
     total_max = matrix.sum(axis=1).max()
     if total_max <= 0:
         total_max = 1.0
@@ -40,19 +37,8 @@ def render_stacked_bars(
         for c in range(ncls):
             acc += matrix[r, c]
             upto = int(round(acc / total_max * width))
-            segs.append(col_symbols[c] * max(0, upto - drawn))
+            segs.append(str(c % 10) * max(0, upto - drawn))
             drawn = max(drawn, upto)
         lines.append(f"{row_label}{r:<3d} |{''.join(segs):<{width}}|")
     return "\n".join(lines)
 
-
-def render_matrix(
-    matrix: np.ndarray, *, row_label: str = "proc", fmt: str = "8.1f"
-) -> str:
-    """Render a numeric matrix with row labels (debug/report helper)."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    lines = []
-    for r in range(matrix.shape[0]):
-        cells = " ".join(f"{v:{fmt}}" for v in matrix[r])
-        lines.append(f"{row_label}{r:<3d} {cells}")
-    return "\n".join(lines)

@@ -115,19 +115,32 @@ def mesh_hashes(
     return out
 
 
+def dual_graph(mesh, edge_weight: str, vwgt=None):
+    """The mesh's dual graph, its edges weighted by face count
+    (``"unit"``, :func:`repro.mesh.dual.mesh_to_dual_graph`) or by face
+    area (``"area"``), streamed in ``DEFAULT_CHUNK_FACES`` windows."""
+    from repro.graph import CSRGraph
+    from repro.mesh import dual
+
+    xadj, adjncy, adjwgt = dual._streaming_adjacency(
+        mesh, edge_weight=edge_weight, chunk_faces=dual.DEFAULT_CHUNK_FACES
+    )
+    return CSRGraph(xadj, adjncy, vwgt=vwgt, adjwgt=adjwgt)
+
+
 def dual_key(name: str, edge_weight: str) -> str:
     return f"dual/{name}/depth{DUAL_DEPTH}/{edge_weight}/int64"
 
 
 def dual_hashes() -> dict[str, str]:
     """``dual/…`` → hash of ``(xadj, adjncy, adjwgt)``."""
-    from repro.mesh import MESH_FACTORIES, mesh_to_dual_graph
+    from repro.mesh import MESH_FACTORIES
 
     out = {}
     for name, factory in MESH_FACTORIES.items():
         mesh = factory(max_depth=DUAL_DEPTH)
         for edge_weight in DUAL_VARIANTS:
-            g = mesh_to_dual_graph(mesh, edge_weight=edge_weight)
+            g = dual_graph(mesh, edge_weight)
             out[dual_key(name, edge_weight)] = _sha_arrays(
                 g.xadj, g.adjncy, g.adjwgt
             )
@@ -203,7 +216,6 @@ def compute_chain() -> dict[str, str]:
 def compute() -> dict[str, dict[str, str]]:
     """Every golden case, recomputed from scratch (≈5 s)."""
     from repro.graph import partition_graph
-    from repro.mesh.dual import mesh_to_dual_graph
     from repro.partitioning.strategies import _level_indicator_matrix
     from repro.pipeline import ArtifactStore, Pipeline, Scenario
 
@@ -228,11 +240,7 @@ def compute() -> dict[str, dict[str, str]]:
                 "makespan": repr(float(rec.metrics.makespan)),
             }
         # Weighted finest level (FM's heap queue).
-        g = mesh_to_dual_graph(
-            rec.mesh,
-            vwgt=_level_indicator_matrix(rec.tau),
-            edge_weight="area",
-        )
+        g = dual_graph(rec.mesh, "area", vwgt=_level_indicator_matrix(rec.tau))
         res = partition_graph(g, 8, seed=4)
     out["narrowed/cylinder/scale10/area/8/seed4"] = {"labels": _sha(res.part)}
     return out

@@ -55,10 +55,18 @@ def critical_path(dag) -> tuple[float, np.ndarray]:
     return (float(bl.max()) if len(bl) else 0.0), bl
 
 
+def predecessors_csr(dag) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency successor → predecessors."""
+    order = np.argsort(dag.edges[:, 1], kind="stable")
+    xadj = np.zeros(dag.num_tasks + 1, dtype=np.int64)
+    np.cumsum(in_degrees(dag), out=xadj[1:])
+    return xadj, dag.edges[order, 0]
+
+
 def depths(dag) -> np.ndarray:
     """Longest edge-count distance of every task from a source."""
     order = topological_order(dag)
-    px, pa = dag.predecessors_csr()
+    px, pa = predecessors_csr(dag)
     depth = np.zeros(dag.num_tasks, dtype=np.int64)
     for v in order:
         p = pa[px[v] : px[v + 1]]

@@ -42,6 +42,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.locking import claim_is_stale
 from repro.util.env import parse_bytes
+from tests.oracles.invariants import validate_schedule
 
 SCENARIO = Scenario.standard(
     "cube", domains=4, processes=2, cores=2, strategy="MC_TL", scale=6
@@ -349,7 +350,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             rec.trace.start, fresh.trace.start
         )
-        rec.trace.validate_against(rec.dag)
+        validate_schedule(rec.trace, rec.dag)
 
     def test_entry_is_stored_and_read_back_owned(self, disk_store):
         """The payload is the stored (narrowed) array bytes and nothing
@@ -580,15 +581,6 @@ class TestFileLock:
         assert not b.try_acquire()
         a.release()
         assert b.try_acquire()
-        b.release()
-
-    def test_blocking_acquire_times_out(self, tmp_path):
-        path = tmp_path / "x.lock"
-        a, b = FileLock(path), FileLock(path)
-        assert a.try_acquire()
-        assert not b.acquire(timeout=0.2, poll=0.02)
-        a.release()
-        assert b.acquire(timeout=0.2)
         b.release()
 
 

@@ -1,0 +1,389 @@
+"""Ratchet: every function, method and class in ``src/`` has a caller
+outside ``tests/``, and every defaulted parameter is set by one.
+
+The scan is name-based and uses the stdlib ``ast`` module only.  Caller
+roots are ``src/``, ``bench/``, ``benchmarks/``, ``scripts/`` and
+``examples/``; ``tests/`` never counts.
+
+- A def counts as called when its name appears outside its own body as
+  a ``Name`` or ``Attribute`` load, or as a string constant outside an
+  ``__all__`` assignment (``getattr`` and registries).  Import aliases,
+  re-exports and ``__all__`` entries are not loads.  Dunder methods are
+  skipped.
+- A defaulted parameter counts as set when some call matched by the
+  function's name (the class name for ``__init__``) passes it by
+  keyword, passes enough positional arguments to reach it, or passes
+  ``*args`` / ``**kwargs``.  A function whose name is also used as a
+  value (a registry row, a callback, a ``getattr`` string) is skipped:
+  its callers are unknown.
+
+Anything flagged must be in :data:`ALLOWED` with a one-line reason, and
+every entry of :data:`ALLOWED` must still be flagged, so the list only
+shrinks.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from dataclasses import dataclass, field
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_ROOTS = ("src", "bench", "benchmarks", "scripts", "examples")
+
+#: ``module:qualname`` or ``module:qualname(param)`` (module relative to
+#: ``repro``) → why it stays without a caller outside ``tests/``.
+ALLOWED: dict[str, str] = {
+    "graph.csr:validate_csr": (
+        "check on a CSR graph built outside the program; tests run it on "
+        "every graph builder"
+    ),
+    "mesh.io:load_mesh": (
+        "read side of a CLI output: loads what `repro mesh --output` "
+        "writes through save_mesh"
+    ),
+    "solver.heun:integrate": (
+        "reference tests compare against: the uniform-step Heun/Euler "
+        "integration the solver tests take as ground truth"
+    ),
+    "solver.lts:lts_iteration": (
+        "reference tests compare against: the direct phase loop the "
+        "task-executed solver must reproduce"
+    ),
+    "solver.state:quiescent": (
+        "reference tests compare against: the exact steady state the "
+        "solver kernels must leave unchanged"
+    ),
+    "flusim.reference:simulate_ref(durations)": (
+        "reference tests compare against: simulate(durations=) is checked "
+        "against it"
+    ),
+    "resilience.sentinel:ResourceSentinel.__init__(rss_probe)": (
+        "test hook: tests inject a fake RSS probe"
+    ),
+    "resilience.sentinel:ResourceSentinel.__init__(mem_probe)": (
+        "test hook: tests inject a fake available-memory probe"
+    ),
+    "resilience.sentinel:ResourceSentinel.__init__(disk_probe)": (
+        "test hook: tests inject a fake free-disk probe"
+    ),
+    "service.client:ServiceClient.__init__(rng)": (
+        "test hook: tests inject a seeded backoff-jitter source"
+    ),
+    "service.daemon:ServeDaemon.__init__(fault_plan)": (
+        "test hook: tests inject faults into job attempts"
+    ),
+    "service.daemon:ServeDaemon.__init__(poll)": (
+        "test hook: tests shorten the claim loop's wait"
+    ),
+    "service.daemon:ServeDaemon.__init__(sentinel)": (
+        "test hook: tests inject a sentinel with fake probes"
+    ),
+}
+
+
+@dataclass
+class _Def:
+    key: str
+    name: str
+    path: str
+    first: int
+    last: int
+    node: ast.AST
+    owner: str | None  # the enclosing class's name
+
+
+@dataclass
+class _Refs:
+    #: name → [(path, line)] of loads that are not the callee of a call,
+    #: nor part of an annotation, plus identifier strings.
+    values: dict = field(default_factory=lambda: defaultdict(list))
+    #: name → [(path, line)] of every load and identifier string.
+    loads: dict = field(default_factory=lambda: defaultdict(list))
+    #: name → [(path, line, n_positional, keywords, starred)] of calls.
+    calls: dict = field(default_factory=lambda: defaultdict(list))
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _collect_defs(module: str, path: str, tree: ast.Module) -> list[_Def]:
+    out: list[_Def] = []
+
+    def visit(body, prefix, owner):
+        for node in body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            qual = f"{prefix}{node.name}"
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            out.append(
+                _Def(
+                    key=f"{module}:{qual}",
+                    name=node.name,
+                    path=path,
+                    first=first,
+                    last=node.end_lineno,
+                    node=node,
+                    owner=owner,
+                )
+            )
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{qual}.", node.name)
+
+    visit(tree.body, "", None)
+    return out
+
+
+def _string_names(value: str) -> list[str]:
+    parts = value.replace(":", ".").split(".")
+    return parts if all(p.isidentifier() for p in parts) else []
+
+
+def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
+    exported: set[int] = set()  # ids of nodes under an __all__ assignment
+    annotation: set[int] = set()  # ids of nodes inside an annotation
+    callees: set[int] = set()
+    nodes = list(ast.walk(tree))
+    for node in nodes:
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            exported.update(id(n) for n in ast.walk(node.value))
+        annotations = []
+        if isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                annotations.append(node.returns)
+        for ann in annotations:
+            annotation.update(id(n) for n in ast.walk(ann))
+        if isinstance(node, ast.Call):
+            callees.add(id(node.func))
+            func = node.func
+            name = (
+                func.id
+                if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None
+            )
+            if name is not None:
+                starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords
+                )
+                refs.calls[name].append(
+                    (
+                        path,
+                        node.lineno,
+                        len(node.args),
+                        frozenset(k.arg for k in node.keywords if k.arg),
+                        starred,
+                    )
+                )
+
+    for node in nodes:
+        names = []
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in exported:
+                names = _string_names(node.value)
+        for name in names:
+            refs.loads[name].append((path, node.lineno))
+            if id(node) not in annotation and id(node) not in callees:
+                refs.values[name].append((path, node.lineno))
+
+
+def _outside(d: _Def, sites) -> list:
+    return [s for s in sites if not (s[0] == d.path and d.first <= s[1] <= d.last)]
+
+
+def _bound_slots(d: _Def) -> int:
+    """Positional slots a call does not fill: ``self`` or ``cls``."""
+    static = any(
+        isinstance(x, ast.Name) and x.id == "staticmethod"
+        for x in d.node.decorator_list
+    )
+    return int(d.owner is not None and not static)
+
+
+def _defaulted(fn: ast.FunctionDef, offset: int) -> list[tuple[str, int | None]]:
+    """(name, positional index or None) of each parameter with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    out = [
+        (a.arg, i)
+        for i, a in enumerate(positional)
+        if i >= len(positional) - len(args.defaults) and i >= offset
+    ]
+    out += [
+        (a.arg, None)
+        for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def scan(src: dict[str, str], callers: dict[str, str]):
+    """Scan ``src`` (module → source) against ``callers`` (path →
+    source; ``src`` modules are keyed ``src:<module>``).
+
+    Returns ``(dead, unset)``: ``dead`` maps each uncalled def's key to
+    its line count, ``unset`` lists ``key(param)`` of each defaulted
+    parameter no call passes.
+    """
+    refs = _Refs()
+    trees = {path: ast.parse(text) for path, text in callers.items()}
+    for path, tree in trees.items():
+        _collect_refs(path, tree, refs)
+    defs: list[_Def] = []
+    for module, text in src.items():
+        path = f"src:{module}"
+        tree = trees[path] if path in trees else ast.parse(text)
+        defs.extend(_collect_defs(module, path, tree))
+
+    dead: dict[str, int] = {}
+    unset: list[str] = []
+    for d in defs:
+        if _is_dunder(d.name) and d.name != "__init__":
+            continue
+        if d.name != "__init__" and not _outside(d, refs.loads[d.name]):
+            dead[d.key] = d.last - d.first + 1
+            continue
+        if isinstance(d.node, ast.ClassDef):
+            continue
+        # A constructor is called through its class (or ``super()``).
+        callee = d.owner if d.name == "__init__" else d.name
+        if _outside(d, refs.values[callee]):
+            continue  # used as a value: its callers are unknown
+        sites = _outside(d, refs.calls[callee])
+        if d.name == "__init__":
+            sites += refs.calls["__init__"]
+        offset = _bound_slots(d)
+        for param, index in _defaulted(d.node, offset):
+            if not any(
+                starred
+                or param in keywords
+                or (index is not None and n_pos + offset > index)
+                for _, _, n_pos, keywords, starred in sites
+            ):
+                unset.append(f"{d.key}({param})")
+    return dead, unset
+
+
+def _repo_scan():
+    src, callers = {}, {}
+    for root in CALLER_ROOTS:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            if root == "src":
+                rel = path.relative_to(ROOT / "src" / "repro").with_suffix("")
+                parts = [p for p in rel.parts if p != "__init__"]
+                module = ".".join(parts) or "repro"
+                src[module] = text
+                callers[f"src:{module}"] = text
+            else:
+                callers[str(path.relative_to(ROOT))] = text
+    return scan(src, callers)
+
+
+def test_every_src_def_and_parameter_has_a_caller_or_a_reason():
+    dead, unset = _repo_scan()
+    flagged = set(dead) | set(unset)
+    print(
+        f"\nflagged: {len(dead)} defs ({sum(dead.values())} lines), "
+        f"{len(unset)} parameters; allowlisted: {len(ALLOWED)}"
+    )
+    for key in sorted(flagged - set(ALLOWED)):
+        print("  ", key, dead.get(key, ""))
+    assert sorted(flagged - set(ALLOWED)) == [], "no caller outside tests/"
+    assert sorted(set(ALLOWED) - flagged) == [], "stale allowlist entries"
+
+
+FIXTURE_SRC = {
+    "pkg": """
+from .mod import reexported
+
+__all__ = ["reexported"]
+""",
+    "pkg.mod": """
+import pkg.mod as mod
+
+__all__ = ["dead", "exported_only"]
+
+
+def dead():
+    return dead()
+
+
+def exported_only():
+    pass
+
+
+def reexported():
+    pass
+
+
+def in_a_table(x, seed=0):
+    pass
+
+
+def by_getattr():
+    pass
+
+
+def positional(a, b=1):
+    pass
+
+
+def by_kwargs(a, *, c=2):
+    pass
+
+
+def never_passed(a, e=1):
+    pass
+
+
+class Box:
+    def __init__(self, size=3):
+        self.size = size
+
+    def method(self, scale=1.0):
+        return scale
+
+
+def caller(opts):
+    table = {"row": in_a_table}
+    getattr(mod, "by_getattr")()
+    positional(0, 5)
+    by_kwargs(0, **opts)
+    never_passed(0)
+    Box(4).method(2.0)
+    return table
+""",
+}
+
+
+def test_scanner_flags_dead_defs_and_unset_parameters():
+    callers = {f"src:{m}": text for m, text in FIXTURE_SRC.items()}
+    callers["examples/run.py"] = "from pkg.mod import caller\ncaller({})\n"
+    dead, unset = scan(FIXTURE_SRC, callers)
+    # Recursion, a re-export and an ``__all__`` string are not calls.
+    assert sorted(dead) == [
+        "pkg.mod:dead",
+        "pkg.mod:exported_only",
+        "pkg.mod:reexported",
+    ]
+    # A dict value, a getattr string, a positional argument, ``**kwargs``
+    # and a bound-method call all count; only ``e`` is never passed.
+    assert unset == ["pkg.mod:never_passed(e)"]
+

@@ -8,6 +8,7 @@ import pytest
 from repro.flusim import ClusterConfig, CommModel, simulate
 from repro.partitioning import tune_granularity
 from tests.test_flusim import chain_dag, independent_dag
+from tests.oracles.invariants import validate_schedule
 
 
 class TestCommModel:
@@ -28,7 +29,7 @@ class TestCommModel:
         cm = CommModel(latency=4.0)
         trace = simulate(dag, ClusterConfig(2, 1), comm=cm)
         assert trace.start[1] == pytest.approx(2.0 + 4.0)
-        trace.validate_against(dag)
+        validate_schedule(trace, dag)
 
     def test_same_process_edge_free(self):
         dag = chain_dag([2.0, 3.0], processes=[0, 0])

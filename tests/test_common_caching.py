@@ -11,6 +11,7 @@ from repro.experiments.common import (
     run_flusim,
     standard_case,
 )
+from tests.oracles.invariants import validate_schedule
 
 
 class TestStandardCase:
@@ -58,6 +59,6 @@ class TestCachedArtifacts:
     def test_run_flusim_end_to_end(self):
         rec = run_flusim("cube", 4, 2, 2, "MC_TL", scale=7, seed=0)
         dag, trace, metrics = rec.dag, rec.trace, rec.metrics
-        trace.validate_against(dag)
+        validate_schedule(trace, dag)
         assert metrics.makespan == trace.makespan
         assert metrics.total_work > 0

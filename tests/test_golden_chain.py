@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.mesh import MESH_FACTORIES, chunked, mesh_to_dual_graph
+from repro.mesh import MESH_FACTORIES, chunked
 from tests.golden import regen
 
 GOLDEN = json.loads(regen.CHAIN_PATH.read_text())
@@ -41,7 +41,7 @@ def test_dual_matches_cell_adjacency(name):
     mesh = MESH_FACTORIES[name](max_depth=regen.DUAL_DEPTH)
     xadj, adjncy, face_of = mesh.cell_adjacency()
     for edge_weight in regen.DUAL_VARIANTS:
-        g = mesh_to_dual_graph(mesh, edge_weight=edge_weight)
+        g = regen.dual_graph(mesh, edge_weight)
         want_wgt = (
             np.ones(len(adjncy)) if edge_weight == "unit"
             else mesh.face_area[face_of]

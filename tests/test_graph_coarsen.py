@@ -126,8 +126,8 @@ class TestContract:
             for i, u in enumerate(g.neighbors(v))
             if match[v] == u
         ) / 2.0
-        assert lvl.graph.total_edge_weight() == pytest.approx(
-            g.total_edge_weight() - internal
+        assert (lvl.graph.adjwgt.sum() / 2) == pytest.approx(
+            (g.adjwgt.sum() / 2) - internal
         )
 
     def test_cmap_surjective(self, small_grid):

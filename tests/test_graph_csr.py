@@ -28,7 +28,7 @@ class TestGraphFromEdges:
     def test_duplicate_edges_merge_weights(self):
         g = graph_from_edges(2, [(0, 1), (1, 0)], ewgt=[2.0, 3.0])
         assert g.num_edges == 1
-        assert g.total_edge_weight() == pytest.approx(5.0)
+        assert (g.adjwgt.sum() / 2) == pytest.approx(5.0)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -58,7 +58,6 @@ class TestGraphFromEdges:
     def test_degrees(self):
         g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
         np.testing.assert_array_equal(g.degrees(), [3, 1, 1, 1])
-        assert g.degree(0) == 3
 
     def test_edge_weights_aligned_with_neighbors(self):
         g = graph_from_edges(3, [(0, 1), (0, 2)], ewgt=[5.0, 7.0])

@@ -18,9 +18,10 @@ from repro.graph import (
     parts_connected,
 )
 from repro.graph.csr import CSRGraph
-from repro.graph.initial import best_initial_bisection, greedy_graph_growing
+from repro.graph.initial import best_initial_bisection
 from repro.graph.partition import recursive_bisection
 from repro.graph.refine import fm_refine, rebalance
+from tests.test_vcycle_typed_state import greedy_graph_growing
 
 
 def _rng(seed=0):

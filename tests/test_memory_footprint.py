@@ -30,10 +30,10 @@ from repro.graph.csr import graph_from_edges
 from repro.graph.metrics import edge_cut
 from repro.graph.partition import _Sent, _tree_node
 from repro.mesh import dual
-from repro.mesh.dual import mesh_to_dual_graph
 from repro.mesh.generators import cylinder_mesh
 from repro.mesh.octree import octree_cylinder_mesh
 from repro.taskgraph.generation import _group_relations
+from tests.golden.regen import dual_graph
 from tests.test_vcycle_typed_state import big_grid
 
 
@@ -122,7 +122,7 @@ class TestRowWindows:
     def test_area_cut_is_the_same_float(self, window, monkeypatch):
         """Face-area weights are not integers, yet the cut equals, bit
         for bit, a single sum over the whole graph's cut entries."""
-        g = mesh_to_dual_graph(cylinder_mesh(max_depth=8), edge_weight="area")
+        g = dual_graph(cylinder_mesh(max_depth=8), "area")
         part = np.random.default_rng(3).integers(0, 4, g.num_vertices)
         cut = part[np.repeat(np.arange(g.num_vertices), g.degrees())]
         whole = float(g.adjwgt[cut != part[g.adjncy]].sum()) / 2.0

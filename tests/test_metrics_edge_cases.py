@@ -15,6 +15,7 @@ from repro.flusim.trace import Trace
 from repro.taskgraph import TaskDAG
 from repro.taskgraph.task import TaskArrays
 from tests.test_flusim import chain_dag, independent_dag
+from tests.oracles.invariants import validate_schedule
 
 
 class TestTraceEdgeCases:
@@ -49,14 +50,14 @@ class TestTraceEdgeCases:
             cores_per_process=1,
         )
         with pytest.raises(ValueError, match="mismatch"):
-            trace.validate_against(dag)
+            validate_schedule(trace, dag)
 
     def test_validate_rejects_foreign_process(self):
         dag = independent_dag([1.0, 1.0], [0, 1])
         trace = simulate(dag, ClusterConfig(2, 1))
         trace.process = np.zeros(2, dtype=np.int32)
         with pytest.raises(ValueError, match="foreign"):
-            trace.validate_against(dag)
+            validate_schedule(trace, dag)
 
     def test_validate_rejects_worker_overlap(self):
         dag = independent_dag([2.0, 2.0], [0, 0])
@@ -69,7 +70,7 @@ class TestTraceEdgeCases:
             cores_per_process=1,
         )
         with pytest.raises(ValueError, match="two tasks at once"):
-            trace.validate_against(dag)
+            validate_schedule(trace, dag)
 
 
 class TestMetricsEdgeCases:

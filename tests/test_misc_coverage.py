@@ -5,23 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph import boundary_vertices, graph_from_edges
 from repro.mesh import uniform_mesh
 from repro.solver import integrate, quiescent
 from repro.taskgraph import TaskView
 from repro.taskgraph.analysis import operating_cost_by_process_level
 from repro.taskgraph.task import Locality, ObjectType
-
-
-class TestBoundaryVertices:
-    def test_path_boundary(self):
-        g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        part = np.array([0, 0, 1, 1])
-        np.testing.assert_array_equal(boundary_vertices(g, part), [1, 2])
-
-    def test_no_boundary_single_part(self):
-        g = graph_from_edges(3, [(0, 1), (1, 2)])
-        assert len(boundary_vertices(g, np.zeros(3, dtype=int))) == 0
 
 
 class TestIntegrateGuards:
@@ -63,17 +51,6 @@ class TestAnalysisHelpers:
         assert m.sum() == pytest.approx(
             operating_costs(small_cube_tau).sum()
         )
-
-
-class TestUnboundedGantt:
-    def test_worker_gantt_unbounded_cluster(self, cube_dag_sc):
-        """Lazy worker allocation still renders (workers capped)."""
-        from repro.flusim import ClusterConfig, simulate
-        from repro.viz import render_gantt
-
-        trace = simulate(cube_dag_sc, ClusterConfig(4, None))
-        out = render_gantt(trace, cube_dag_sc, width=30, max_workers=12)
-        assert 1 <= len(out.splitlines()) <= 12
 
 
 class TestMeshFactoriesRegistry:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.graph import (
     connected_components,
-    connected_components_of_part,
     edge_cut,
     graph_from_edges,
     part_components,
@@ -76,7 +75,7 @@ class TestGraphOracle:
             members = [v for v in range(n) if part[v] == p]
             sub = G.subgraph(members)
             expected = nx.number_connected_components(sub) if members else 0
-            assert connected_components_of_part(g, part, p) == expected
+            assert len(comps[p]) == expected
             # Dominant first: heaviest, ties to the smallest vertex.
             want = sorted(
                 (sorted(c) for c in nx.connected_components(sub)),
@@ -85,7 +84,7 @@ class TestGraphOracle:
             assert [c.tolist() for c in comps[p]] == want
         np.testing.assert_array_equal(
             parts_connected(g, part, 2),
-            [connected_components_of_part(g, part, p) <= 1 for p in range(2)],
+            [len(comps[p]) <= 1 for p in range(2)],
         )
 
     @given(st.integers(min_value=0, max_value=40))

@@ -21,6 +21,7 @@ from repro.mesh.generators import (
     uniform_mesh,
 )
 from repro.mesh.octree import octree_cylinder_mesh
+from tests.golden.regen import dual_graph
 
 
 def _assert_same_graph(a: CSRGraph, b: CSRGraph) -> None:
@@ -37,7 +38,7 @@ def _materialized_and_streamed(make_mesh, monkeypatch, chunk, edge_weight):
     adjwgt = mesh.face_area[face_of] if edge_weight == "area" else None
     ref = CSRGraph(xadj, adjncy, adjwgt=adjwgt)
     monkeypatch.setattr(dual, "DEFAULT_CHUNK_FACES", chunk)
-    return ref, mesh_to_dual_graph(mesh, edge_weight=edge_weight)
+    return ref, dual_graph(mesh, edge_weight)
 
 
 # ----------------------------------------------------------------------

@@ -339,7 +339,7 @@ class TestDeadLetterTier:
     def test_breaker_fast_fails_resubmission(self, tmp_path):
         queue, job_id = self.quarantine_one(tmp_path)
         request = JobRequest("characteristics", options=dict(CHEAP))
-        assert queue.breaker_open(request)
+        assert queue._job_path("deadletter", job_id).exists()
         with pytest.raises(CircuitOpenError) as err:
             queue.submit(request)
         assert err.value.job_id == job_id
@@ -350,7 +350,7 @@ class TestDeadLetterTier:
         queue, job_id = self.quarantine_one(tmp_path)
         assert queue.deadletter_retry(job_id)
         assert queue.deadletter_list() == []
-        assert not queue.breaker_open(job_id)
+        assert not queue._job_path("deadletter", job_id).exists()
         assert queue.status(job_id).state == "pending"
         assert not queue._bundle_path(job_id).exists()
 

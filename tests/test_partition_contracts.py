@@ -157,6 +157,37 @@ class TestPartitionGraphContract:
         assert res.violations == ()
         assert check_partition_contract(small_grid, res.part, 4) == []
 
+    def test_unclean_fallback_keeps_the_primary_labels_own_rung(
+        self, monkeypatch
+    ):
+        """No rung meets the relaxed tolerance (1.25), and the primary
+        labels violate it least: they come back as ``primary``, their
+        violations counted at the relaxed tolerance, not as a
+        ``relaxed`` result that still breaks it."""
+        import repro.graph.partition as partition_mod
+
+        # Constraint 1 puts part 0 over the strict bound but inside the
+        # relaxed one; constraint 0 puts it over both.
+        vwgt = np.ones((20, 2))
+        vwgt[15:, 1] = 1.5
+        g = path_graph(20, vwgt=vwgt)
+        primary = (np.arange(20) >= 15).astype(np.int32)
+        worse = (np.arange(20) >= 17).astype(np.int32)
+        assert len(check_partition_contract(g, primary, 2)) == 2
+        relaxed = check_partition_contract(g, primary, 2, imbalance_tol=1.25)
+        assert len(relaxed) == 1
+        assert len(check_partition_contract(g, worse, 2, imbalance_tol=1.25)) == 2
+        labels = iter([primary, worse])
+        monkeypatch.setattr(
+            partition_mod, "recursive_bisection", lambda *a, **k: next(labels)
+        )
+        monkeypatch.setattr(partition_mod, "block_partition", lambda *a: worse)
+        with pytest.warns(PartitionQualityWarning, match="kept provenance='primary'"):
+            res = partition_graph(g, 2, seed=0)
+        np.testing.assert_array_equal(res.part, primary)
+        assert res.provenance == "primary"
+        assert list(res.violations) == relaxed
+
     def test_disconnected_uses_components(self):
         g = two_components(6, 4)
         with warnings.catch_warnings(record=True) as w:

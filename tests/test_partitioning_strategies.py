@@ -157,8 +157,8 @@ class TestDecomposition:
         dec = DomainDecomposition.block_mapping(
             np.array([0, 0, 1, 2, 3]), 4, 2
         )
-        np.testing.assert_array_equal(dec.domains_of_process(0), [0, 1])
-        np.testing.assert_array_equal(dec.cells_of_domain(0), [0, 1])
+        np.testing.assert_array_equal(dec.domain_process, [0, 0, 1, 1])
+        np.testing.assert_array_equal(dec.cell_process, [0, 0, 0, 1, 1])
 
 
 class TestMakeDecomposition:

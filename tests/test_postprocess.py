@@ -51,11 +51,10 @@ class TestPartComponents:
 
 class TestReconnect:
     def test_repairs_simple_fragment(self):
-        g = path_graph(6)
-        part = np.array([0, 0, 1, 1, 0, 0], dtype=np.int32)
-        res = reconnect_parts(
-            g, part, 2, imbalance_tol=2.5, max_fragment_fraction=0.5
-        )
+        g = path_graph(10)
+        # Part 0's stray component {9} is 1/7 of its weight.
+        part = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 0], dtype=np.int32)
+        res = reconnect_parts(g, part, 2, imbalance_tol=2.5)
         assert res.fragments_before == 1
         assert res.fragments_after == 0
         assert np.all(parts_connected(g, res.part, 2))
@@ -69,23 +68,19 @@ class TestReconnect:
 
     def test_respects_balance_ceiling(self):
         """A fragment whose absorption would blow the tolerance stays."""
-        g = path_graph(6)
-        part = np.array([0, 0, 1, 1, 0, 0], dtype=np.int32)
-        # Moving {4,5} to part 1 makes it 4/6 → imbalance 1.33; with a
+        g = path_graph(10)
+        part = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 0], dtype=np.int32)
+        # Moving {9} to part 1 makes it 7/10 → imbalance 1.4; with a
         # tight ceiling the move is refused.
-        res = reconnect_parts(
-            g, part, 2, imbalance_tol=1.05, max_fragment_fraction=0.5
-        )
+        res = reconnect_parts(g, part, 2, imbalance_tol=1.05)
         assert res.fragments_after == res.fragments_before
 
     def test_never_moves_dominant_half(self):
-        """max_fragment_fraction guards big 'fragments'."""
+        """MAX_FRAGMENT_FRACTION guards big 'fragments'."""
         g = path_graph(8)
         part = np.array([0, 0, 0, 0, 1, 0, 0, 0], dtype=np.int32)
         # Part 0's second component {5,6,7} is 3/7 of its weight.
-        res = reconnect_parts(
-            g, part, 2, imbalance_tol=10.0, max_fragment_fraction=0.25
-        )
+        res = reconnect_parts(g, part, 2, imbalance_tol=10.0)
         assert res.moved_vertices == 0
 
     def test_mc_tl_fragments_reduced(self, small_cube_mesh, small_cube_tau):

@@ -12,6 +12,7 @@ from repro.resilience import TaskTimeoutError, TransientError
 from repro.runtime import RetryPolicy, ThreadedExecutor, run_iteration_threaded
 from repro.solver import LTSState, TaskDistributedSolver, blast_wave
 from repro.solver.timestep import stable_timesteps
+from tests.oracles.invariants import validate_schedule
 from tests.test_flusim import chain_dag, independent_dag
 
 
@@ -46,7 +47,7 @@ class TestThreadedExecutor:
             pass
 
         result = ThreadedExecutor(cube_dag_mc, 4, 2, fn).run()
-        result.trace.validate_against(cube_dag_mc)
+        validate_schedule(result.trace, cube_dag_mc)
 
     def test_tasks_run_in_owning_group(self):
         dag = independent_dag([0.0] * 12, [i % 4 for i in range(12)])
@@ -132,7 +133,7 @@ class TestParallelSolver:
         np.testing.assert_allclose(
             st_threaded.acc, st_serial.acc, atol=1e-11
         )
-        run.result.trace.validate_against(solver.dag)
+        validate_schedule(run.result.trace, solver.dag)
 
     def test_conservation_under_threads(
         self, small_cube_mesh, small_cube_tau, cube_decomp_sc
@@ -199,7 +200,7 @@ class TestRetryPolicy:
         # every task completed exactly once (failed attempts aside)
         done = [t for t in fn.calls]
         assert sorted(set(done)) == [0, 1, 2, 3]
-        result.trace.validate_against(dag)
+        validate_schedule(result.trace, dag)
 
     def test_budget_exhaustion_raises(self):
         dag = chain_dag([0.0, 0.0])

@@ -36,11 +36,10 @@ def dag_daemon(spool, store=None, **over) -> ServeDaemon:
 
 
 def submit_seed_sweep(client: ServiceClient, n: int) -> list[str]:
-    return client.submit_many(
-        "characteristics",
-        [dict(CHEAP, seed=s) for s in range(n)],
-        through="schedule",
-    )
+    return [
+        client.submit("characteristics", options=dict(CHEAP, seed=s))
+        for s in range(n)
+    ]
 
 
 class TestDagRoundTrip:

@@ -175,9 +175,8 @@ class TestSpoolQueue:
             ("pending", "claim", {"pending", "running"}),
             ("running", "finish", {"done"}),
             ("running", "requeue", {"pending"}),
-            ("failed", "resubmit", {"pending"}),
         ],
-        ids=["claim", "finish", "requeue", "resubmit"],
+        ids=["claim", "finish", "requeue"],
     )
     def test_status_survives_a_move_between_probes(
         self, tmp_path, monkeypatch, start, move, seen
@@ -191,15 +190,12 @@ class TestSpoolQueue:
         job_id = q.submit(JobRequest("characteristics"))
         if start != "pending":
             q.claim_next()
-        if start == "failed":
-            q.finish(job_id, JobStatus(job_id=job_id, state="failed"))
         moves = {
             "claim": q.claim_next,
             "finish": lambda: q.finish(
                 job_id, JobStatus(job_id=job_id, state="done")
             ),
             "requeue": lambda: q.requeue(job_id),
-            "resubmit": lambda: q.resubmit(job_id),
         }
         real_read = queue_mod.read_json
         moved = []
@@ -216,19 +212,6 @@ class TestSpoolQueue:
         assert moved, "the hook never fired"
         assert status is not None, f"job read None across a {move}"
         assert status.state in seen
-
-    def test_resubmit_failed_job(self, tmp_path):
-        q = SpoolQueue(tmp_path)
-        job_id = q.submit(JobRequest("characteristics"))
-        q.claim_next()
-        q.finish(
-            job_id,
-            JobStatus(job_id=job_id, state="failed", error="boom"),
-        )
-        assert q.resubmit(job_id)
-        assert q.jobs()["pending"] == [job_id]
-        assert q.jobs()["failed"] == []
-        assert not q.resubmit("no-such-job")
 
 
 class TestClient:

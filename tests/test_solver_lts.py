@@ -17,8 +17,14 @@ from repro.solver import (
     lts_iteration,
     quiescent,
 )
-from repro.solver.timestep import assign_temporal_levels, stable_timesteps
-from repro.temporal import face_levels, levels_from_depth, num_subiterations
+from repro.solver.timestep import stable_timesteps
+from repro.temporal import (
+    face_levels,
+    levels_from_depth,
+    levels_from_timestep,
+    num_subiterations,
+)
+from tests.oracles.invariants import validate_schedule
 
 
 def _index_sets(mesh, tau):
@@ -45,7 +51,8 @@ class TestTimestep:
         self, small_cube_mesh
     ):
         U = quiescent(small_cube_mesh)
-        tau, dt_min = assign_temporal_levels(small_cube_mesh, U)
+        dt_min = stable_timesteps(small_cube_mesh, U).min()
+        tau = levels_from_timestep(stable_timesteps(small_cube_mesh, U))
         d = small_cube_mesh.cell_depth
         np.testing.assert_array_equal(tau, d.max() - d)
         assert dt_min > 0
@@ -53,8 +60,8 @@ class TestTimestep:
     def test_cfl_safety(self, small_cube_mesh):
         """2^τ · dt_min never exceeds a cell's own stability bound."""
         U = blast_wave(small_cube_mesh)
-        tau, dt_min = assign_temporal_levels(small_cube_mesh, U)
         dt = stable_timesteps(small_cube_mesh, U)
+        tau, dt_min = levels_from_timestep(dt), dt.min()
         assert np.all(np.exp2(tau) * dt_min <= dt + 1e-15)
 
 
@@ -190,7 +197,7 @@ class TestTaskDistributedSolver:
         trace = simulate(
             solver.dag, ClusterConfig(4, 2), durations=res.durations
         )
-        trace.validate_against(solver.dag)
+        validate_schedule(trace, solver.dag)
         assert trace.makespan <= res.durations.sum() + 1e-12
 
     def test_multiple_iterations(self, small_cube_mesh, small_cube_tau, cube_decomp_mc):

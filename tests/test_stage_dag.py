@@ -64,11 +64,23 @@ def iteration_sweep() -> list[Scenario]:
     return expand_sweep(base_scenario(), {"iterations": [1, 2, 3]})
 
 
+def stage_counts(plan) -> dict[str, dict[str, int]]:
+    """Per stage: distinct ``nodes``, requested ``job_stages`` and the
+    ``shared`` executions the plan-time merge elided."""
+    out: dict[str, dict[str, int]] = {}
+    for task in plan.nodes.values():
+        c = out.setdefault(task.stage, {"nodes": 0, "job_stages": 0, "shared": 0})
+        c["nodes"] += 1
+        c["job_stages"] += len(task.jobs)
+        c["shared"] += len(task.jobs) - 1
+    return out
+
+
 class TestCompilePlan:
     def test_single_scenario_shape(self):
         plan = compile_plan([base_scenario()])
         assert len(plan) == 5
-        assert plan.num_jobs == 1
+        assert len(plan.scenarios) == 1
         assert [plan.nodes[k].stage for k in plan.job_stages[0].values()] == list(
             STAGE_ORDER
         )
@@ -111,13 +123,13 @@ class TestCompilePlan:
     def test_shared_prefix_collapses(self):
         n = 4
         plan = compile_plan(seed_sweep(n))
-        counts = plan.stage_counts()
-        assert counts["mesh"] == {"nodes": 1, "job_stages": n}
-        assert counts["levels"] == {"nodes": 1, "job_stages": n}
+        counts = stage_counts(plan)
+        assert counts["mesh"] == {"nodes": 1, "job_stages": n, "shared": n - 1}
+        assert counts["levels"] == {"nodes": 1, "job_stages": n, "shared": n - 1}
         assert counts["partition"]["nodes"] == n
         assert counts["taskgraph"]["nodes"] == n
         assert counts["schedule"]["nodes"] == n
-        assert plan.deduped_stages == 2 * (n - 1)
+        assert sum(c["shared"] for c in counts.values()) == 2 * (n - 1)
         mesh_key = plan.job_stages[0]["mesh"]
         assert plan.nodes[mesh_key].jobs == tuple(range(n))
         assert plan.nodes[mesh_key].shared
@@ -127,7 +139,7 @@ class TestCompilePlan:
             [base_scenario(scale=5), base_scenario(scale=6)]
         )
         assert len(plan) == 10
-        assert plan.deduped_stages == 0
+        assert sum(c["shared"] for c in stage_counts(plan).values()) == 0
 
     def test_priorities_are_critical_path_first(self):
         plan = compile_plan(seed_sweep(2))
@@ -313,11 +325,15 @@ class TestMergedExecution:
         n = 4
         plan = compile_plan(seed_sweep(n))
         result = DagScheduler(ArtifactStore(), max_workers=2).execute(plan)
-        counters = result.stage_counters()
-        assert counters["mesh"]["computed"] == 1
+        counters = stage_counts(plan)
+        computed = {name: 0 for name in STAGE_ORDER}
+        for node in result.nodes.values():
+            if node.state == "done" and node.cache is None:
+                computed[node.stage] += 1
+        assert computed["mesh"] == 1
         assert counters["mesh"]["shared"] == n - 1
-        assert counters["levels"]["computed"] == 1
-        assert counters["partition"]["computed"] == n
+        assert computed["levels"] == 1
+        assert computed["partition"] == n
         assert counters["partition"]["shared"] == 0
 
     def test_bit_identical_to_independent_linear_runs(self):

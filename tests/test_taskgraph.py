@@ -10,15 +10,13 @@ from repro.taskgraph import (
     Locality,
     ObjectType,
     TaskDAG,
-    cells_by_domain_level,
     generate_task_graph,
-    task_count_by_subiteration,
-    work_by_process_level,
     work_by_process_subiteration,
 )
 from repro.taskgraph.generation import classify_objects
 from repro.taskgraph.task import TaskArrays
 from repro.temporal import num_subiterations, operating_costs
+from tests.oracles import dag_scalar
 
 
 class TestClassifyObjects:
@@ -213,7 +211,7 @@ class TestMultiIteration:
         assert crossing.sum() > 0
         # No barrier: the second iteration's first task has far fewer
         # predecessors than the first iteration has tasks.
-        px, pa = dag2.predecessors_csr()
+        px, pa = dag_scalar.predecessors_csr(dag2)
         first = n1
         assert px[first + 1] - px[first] < n1 / 2
 
@@ -253,7 +251,7 @@ class TestDependencies:
         """Fig. 8: within a phase, a domain's cell task depends on the
         face task(s) covering its faces — at minimum its own domain's."""
         t = cube_dag_sc.tasks
-        px, pa = cube_dag_sc.predecessors_csr()
+        px, pa = dag_scalar.predecessors_csr(cube_dag_sc)
         # Pick a cell task in subiteration 0 with internal locality.
         cand = np.flatnonzero(
             (t.obj_type == int(ObjectType.CELL))
@@ -271,7 +269,7 @@ class TestDependencies:
         """A cell group's successive tasks are ordered by a dependency
         path (RAW on own state)."""
         t = cube_dag_sc.tasks
-        px, pa = cube_dag_sc.predecessors_csr()
+        px, pa = dag_scalar.predecessors_csr(cube_dag_sc)
         # Find any τ=0 cell group (domain, locality) with ≥2 tasks;
         # τ=0 groups activate every subiteration.
         cand = np.flatnonzero(
@@ -327,7 +325,8 @@ class TestDAGUtilities:
         assert bl.max() == pytest.approx(cp)
 
     def test_width_profile_sums_to_tasks(self, cube_dag_sc):
-        assert cube_dag_sc.width_profile().sum() == cube_dag_sc.num_tasks
+        width = np.diff(cube_dag_sc._level_order()[1])
+        assert width.sum() == cube_dag_sc.num_tasks
 
     def test_self_dependency_rejected(self):
         tasks = TaskArrays(
@@ -347,17 +346,11 @@ class TestDAGUtilities:
 
 class TestAnalysis:
     def test_work_matrices_sum_to_total(self, cube_dag_sc):
-        w1 = work_by_process_level(cube_dag_sc, 4)
         w2 = work_by_process_subiteration(cube_dag_sc, 4)
-        assert w1.sum() == pytest.approx(cube_dag_sc.total_work())
         assert w2.sum() == pytest.approx(cube_dag_sc.total_work())
 
     def test_task_count_by_subiteration(self, cube_dag_sc):
-        counts = task_count_by_subiteration(cube_dag_sc)
+        counts = np.bincount(cube_dag_sc.tasks.subiteration)
         assert counts.sum() == cube_dag_sc.num_tasks
         # Subiteration 0 activates every level → the most tasks.
         assert counts[0] == counts.max()
-
-    def test_cells_by_domain_level(self, small_cube_tau, cube_decomp_sc):
-        m = cells_by_domain_level(small_cube_tau, cube_decomp_sc)
-        assert m.sum() == len(small_cube_tau)

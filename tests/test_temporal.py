@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.temporal import (
-    IterationSchedule,
     active_levels,
     assign_levels_by_fraction,
     face_levels,
-    is_active,
     levels_from_depth,
     levels_from_timestep,
     num_subiterations,
@@ -21,6 +19,17 @@ from repro.temporal import (
     subiteration_tau_max,
 )
 from repro.temporal.levels import relevel_with_hysteresis
+
+
+def is_active(tau: int, s: int) -> bool:
+    return tau in active_levels(s, tau)
+
+
+def activations_per_level(tau_max: int) -> np.ndarray:
+    """How many phases of one iteration each level takes part in."""
+    nsub = num_subiterations(tau_max)
+    levels = [t for s in range(nsub) for t in active_levels(s, tau_max)]
+    return np.bincount(levels, minlength=tau_max + 1)
 
 
 class TestLevelsFromDepth:
@@ -82,12 +91,12 @@ class TestHysteresisReleveling:
     def test_promotion_needs_margin(self):
         # x = 1.05 with τ_old = 0: inside the margin → stay.
         stay = relevel_with_hysteresis(
-            np.array([2.0 ** 1.05]), np.array([0]), 1.0, margin=0.15
+            np.array([2.0 ** 1.05]), np.array([0]), 1.0
         )
         assert stay[0] == 0
         # x = 1.3: beyond the margin → promoted.
         go = relevel_with_hysteresis(
-            np.array([2.0 ** 1.3]), np.array([0]), 1.0, margin=0.15
+            np.array([2.0 ** 1.3]), np.array([0]), 1.0
         )
         assert go[0] == 1
 
@@ -147,14 +156,9 @@ class TestOperatingCosts:
             operating_costs(np.array([0, 1, 2, 3])), [8, 4, 2, 1]
         )
 
-    def test_explicit_tau_max(self):
-        np.testing.assert_array_equal(
-            operating_costs(np.array([0, 1]), tau_max=3), [8, 4]
-        )
-
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
-            operating_costs(np.array([2]), tau_max=1)
+            operating_costs(np.array([2, -1]))
 
 
 class TestScheme:
@@ -192,24 +196,21 @@ class TestScheme:
         """Consistency: the schedule activates level τ exactly
         2^(τmax−τ) times per iteration."""
         for tau_max in range(5):
-            sched = IterationSchedule.create(tau_max)
             np.testing.assert_array_equal(
-                sched.activations_per_level(),
+                activations_per_level(tau_max),
                 operating_costs(np.arange(tau_max + 1)),
             )
 
     def test_phase_count(self):
-        sched = IterationSchedule.create(2)
-        assert sched.phase_count() == 4 + 2 + 1
-        assert sched.num_subiterations == 4
+        assert num_subiterations(2) == 4
+        assert sum(len(active_levels(s, 2)) for s in range(4)) == 4 + 2 + 1
 
     @given(st.integers(min_value=0, max_value=6))
     @settings(max_examples=10, deadline=None)
     def test_all_levels_meet_at_iteration_end(self, tau_max):
         """After a full iteration every level has advanced the same
         total time: count(τ) · 2^τ = 2^τmax."""
-        sched = IterationSchedule.create(tau_max)
-        acts = sched.activations_per_level()
+        acts = activations_per_level(tau_max)
         for t in range(tau_max + 1):
             assert acts[t] * (1 << t) == 1 << tau_max
 

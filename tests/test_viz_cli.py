@@ -7,12 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.flusim import ClusterConfig, simulate
-from repro.viz import (
-    render_gantt,
-    render_matrix,
-    render_process_gantt,
-    render_stacked_bars,
-)
+from repro.viz import render_process_gantt, render_stacked_bars
 
 
 class TestStackedBars:
@@ -33,10 +28,6 @@ class TestStackedBars:
         out = render_stacked_bars(np.zeros((2, 2)), width=10)
         assert "0" not in out.split("|")[1]
 
-    def test_render_matrix(self):
-        out = render_matrix(np.array([[1.5, 2.5]]))
-        assert "1.5" in out and "2.5" in out
-
 
 class TestGantt:
     def test_process_gantt_dimensions(self, cube_dag_mc):
@@ -52,11 +43,6 @@ class TestGantt:
         body = "".join(l.split("|")[1] for l in out.splitlines())
         # Subiteration 0 tasks must appear somewhere.
         assert "0" in body
-
-    def test_worker_gantt(self, cube_dag_mc):
-        trace = simulate(cube_dag_mc, ClusterConfig(4, 2))
-        out = render_gantt(trace, cube_dag_mc, width=40, max_workers=8)
-        assert len(out.splitlines()) <= 8
 
     def test_idle_shown_as_dots(self, cube_dag_sc):
         trace = simulate(cube_dag_sc, ClusterConfig(4, 2))
