@@ -393,26 +393,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.action == "run":
         from .runtime import RetryPolicy
-        from .service import QueueLimits, SpoolQueue
 
-        limits = QueueLimits.from_env()
-        if args.max_pending is not None or args.max_pending_bytes is not None:
-            from .util.env import parse_bytes
-
-            limits = QueueLimits(
-                max_pending=(
-                    args.max_pending
-                    if args.max_pending is not None
-                    else limits.max_pending
-                ),
-                max_pending_bytes=(
-                    parse_bytes(args.max_pending_bytes)
-                    if args.max_pending_bytes is not None
-                    else limits.max_pending_bytes
-                ),
-            )
         daemon = ServeDaemon(
-            SpoolQueue(args.spool, limits=limits),
+            args.spool,
             store_root=args.artifacts,
             retry=RetryPolicy(
                 max_retries=args.retries, backoff=args.backoff
@@ -923,21 +906,6 @@ def main(argv: list[str] | None = None) -> int:
         default=5.0,
         help="daemon: seconds a running job gets to finish after "
         "SIGTERM/SIGINT before it is requeued",
-    )
-    p.add_argument(
-        "--max-pending",
-        type=int,
-        default=None,
-        help="daemon: admission control — reject submissions beyond "
-        "this pending depth (default: $REPRO_SPOOL_MAX_PENDING)",
-    )
-    p.add_argument(
-        "--max-pending-bytes",
-        default=None,
-        metavar="BYTES",
-        help="daemon: admission control — reject submissions beyond "
-        "this pending byte budget ('64M' style; default: "
-        "$REPRO_SPOOL_MAX_BYTES)",
     )
     p.set_defaults(func=_cmd_serve)
 

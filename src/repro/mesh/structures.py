@@ -99,45 +99,6 @@ class Mesh:
         self._adjacency = (xadj, dst, fidx)
         return self._adjacency
 
-    def validate(self) -> None:
-        """Raise :class:`ValueError` on structural inconsistencies."""
-        n, m = self.num_cells, self.num_faces
-        if self.cell_centers.shape != (n, 2):
-            raise ValueError("cell_centers shape mismatch")
-        if self.cell_depth.shape != (n,):
-            raise ValueError("cell_depth shape mismatch")
-        if np.any(self.cell_volumes <= 0):
-            raise ValueError("non-positive cell volume")
-        if self.face_cells.shape != (m, 2):
-            raise ValueError("face_cells shape mismatch")
-        if self.face_area.shape != (m,) or np.any(self.face_area <= 0):
-            raise ValueError("invalid face areas")
-        if self.face_normal.shape != (m, 2):
-            raise ValueError("face_normal shape mismatch")
-        norms = np.linalg.norm(self.face_normal, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-9):
-            raise ValueError("face normals must be unit vectors")
-        if np.any(self.face_cells[:, 0] < 0) or np.any(
-            self.face_cells[:, 0] >= n
-        ):
-            raise ValueError("face_cells[:,0] out of range")
-        if np.any(self.face_cells[:, 1] >= n):
-            raise ValueError("face_cells[:,1] out of range")
-        a = self.face_cells[:, 0]
-        b = self.face_cells[:, 1]
-        if np.any(a == b):
-            raise ValueError("degenerate face (same cell twice)")
-        # Geometric closure: for each cell, sum of area-weighted
-        # outward normals must vanish (divergence of a constant field).
-        closure = np.zeros((n, 2))
-        w = self.face_area[:, None] * self.face_normal
-        np.add.at(closure, a, w)
-        interior = self.interior_faces()
-        np.add.at(closure, b[interior], -w[interior])
-        scale = np.sqrt(self.cell_volumes)[:, None]
-        if not np.allclose(closure / scale, 0.0, atol=1e-6):
-            raise ValueError("cells are not geometrically closed")
-
     def summary(self) -> dict:
         """Human-readable structural summary."""
         return {

@@ -92,10 +92,6 @@ class FileLock:
         self.path = Path(path)
         self._fd: int | None = None
 
-    @property
-    def locked(self) -> bool:
-        return self._fd is not None
-
     def try_acquire(self) -> bool:
         """Take the lock without blocking; ``False`` if held elsewhere.
 

@@ -94,11 +94,6 @@ class StagePlan:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def roots(self) -> list[str]:
-        """Keys of the dependency-free nodes (the dispatch frontier)."""
-        return [k for k, t in self.nodes.items() if not t.deps]
-
-
 
 def _validate_through(through: str) -> str:
     if through not in STAGE_ORDER:

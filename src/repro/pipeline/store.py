@@ -339,10 +339,6 @@ class StoreStats:
     #: Non-empty once the disk layer degraded to memory-only.
     degraded: str = ""
 
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
 
 @dataclass
 class _DiskPayload:

@@ -14,7 +14,10 @@ corruption, and whole-process death:
   checkpoints and restart;
 * :mod:`~repro.resilience.errors` — the shared exception hierarchy
   (the executor's retry/watchdog machinery in
-  :mod:`repro.runtime.executor` builds on it).
+  :mod:`repro.runtime.executor` builds on it);
+* :mod:`~repro.resilience.sentinel` — the serve daemon's hysteretic
+  ``OK/SOFT/HARD`` pressure verdict from available memory and free
+  disk.
 """
 
 from .checkpoint import (

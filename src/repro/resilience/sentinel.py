@@ -1,24 +1,26 @@
 """Resource pressure sentinel for the serving tier.
 
-A :class:`ResourceSentinel` samples the signals that take a real
-serving box down — resident set size, free space on the spool and
-artifact volumes, machine-wide available memory, and queue depth —
-and folds them into one typed :class:`PressureState`:
+A :class:`ResourceSentinel` samples the two signals that take a real
+serving box down — machine-wide available memory (which sees the job
+children, not only the daemon) and free space on the spool and
+artifact volumes — and folds them into one typed
+:class:`PressureState`:
 
 * ``OK`` — full service;
 * ``SOFT`` — degrade: shrink worker concurrency;
 * ``HARD`` — protect: pause claiming, shed the in-memory store tier.
 
-Transitions are **hysteretic**: escalation is immediate (one bad
-sample is enough — the box is already in trouble), but de-escalation
-requires the signal to clear its threshold by a relative margin
-(default 10%), so a value oscillating around a threshold does not
-flap the service between modes on every sample.
+Both signals are low-is-bad: a value **at or below** its threshold
+escalates.  Transitions are **hysteretic**: escalation is immediate
+(one bad sample is enough — the box is already in trouble), but
+de-escalation requires the signal to clear its threshold by
+:data:`HYSTERESIS` (10%), so a value oscillating around a threshold
+does not flap the service between modes on every sample.
 
-Every probe is injectable, which is how the chaos suite applies
+Both probes are injectable, which is how the chaos suite applies
 *synthetic* memory/disk pressure deterministically; the defaults read
-``/proc`` and :func:`shutil.disk_usage`.  Thresholds come from the
-``REPRO_SENTINEL_*`` rows of :data:`repro.util.env.KNOBS`.
+``/proc/meminfo`` and :func:`shutil.disk_usage`.  Thresholds come from
+the ``REPRO_SENTINEL_*`` rows of :data:`repro.util.env.KNOBS`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ __all__ = [
     "ResourceSentinel",
 ]
 
+#: Relative clearance a signal needs beyond its threshold before the
+#: sentinel de-escalates.
+HYSTERESIS = 0.1
+
 
 class PressureState(enum.IntEnum):
     """Typed pressure tier; ordered so ``HARD > SOFT > OK``."""
@@ -54,37 +60,25 @@ class PressureState(enum.IntEnum):
 
 @dataclass(frozen=True)
 class SentinelConfig:
-    """Thresholds for each signal (``None`` disables that signal).
+    """Thresholds for each signal (``None`` disables that signal); a
+    value **at or below** a threshold escalates."""
 
-    High-is-bad signals (``rss``, ``queue_depth``) escalate when the
-    value is **at or above** the threshold; low-is-bad signals
-    (``disk_free``, ``mem_available``) escalate when the value is **at
-    or below** it.  ``hysteresis`` is the relative clearance a signal
-    needs beyond its threshold before the sentinel de-escalates.
-    """
-
-    rss_soft_bytes: int | None = None
-    rss_hard_bytes: int | None = None
     mem_soft_bytes: int | None = None
     mem_hard_bytes: int | None = None
     disk_soft_bytes: int | None = 512 * 2**20
     disk_hard_bytes: int | None = 64 * 2**20
-    queue_soft: int | None = None
-    queue_hard: int | None = None
-    hysteresis: float = 0.1
 
     @classmethod
     def from_env(cls) -> "SentinelConfig":
         """Each threshold read from its ``REPRO_SENTINEL_*`` knob, named
-        after the field: ``rss_soft_bytes`` reads
-        ``REPRO_SENTINEL_RSS_SOFT``."""
+        after the field: ``mem_soft_bytes`` reads
+        ``REPRO_SENTINEL_MEM_SOFT``."""
         return cls(
             **{
                 f.name: read(
                     "REPRO_SENTINEL_" + f.name.removesuffix("_bytes").upper()
                 )
                 for f in fields(cls)
-                if f.name != "hysteresis"
             }
         )
 
@@ -95,20 +89,16 @@ class PressureSample:
     the human-readable reasons behind any non-``OK`` verdict."""
 
     state: PressureState
-    rss_bytes: int | None = None
     mem_available_bytes: int | None = None
     disk_free_bytes: dict[str, int] = field(default_factory=dict)
-    queue_depth: int | None = None
     reasons: list[str] = field(default_factory=list)
     at: float = 0.0
 
     def to_dict(self) -> dict:
         return {
             "state": str(self.state),
-            "rss_bytes": self.rss_bytes,
             "mem_available_bytes": self.mem_available_bytes,
             "disk_free_bytes": dict(self.disk_free_bytes),
-            "queue_depth": self.queue_depth,
             "reasons": list(self.reasons),
             "at": self.at,
         }
@@ -117,23 +107,6 @@ class PressureSample:
 # ----------------------------------------------------------------------
 # Default probes
 # ----------------------------------------------------------------------
-def read_rss_bytes() -> int | None:
-    """Current resident set size of this process (Linux ``/proc``)."""
-    try:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    try:  # portable fallback: peak RSS, close enough for thresholds
-        import resource
-
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    except Exception:  # pragma: no cover - exotic platform
-        return None
-
-
 def read_mem_available_bytes() -> int | None:
     """Machine-wide ``MemAvailable`` (Linux ``/proc/meminfo``)."""
     try:
@@ -171,10 +144,7 @@ class ResourceSentinel:
     volumes:
         Paths whose volumes are probed for free space (the spool and
         artifact roots; duplicates and ``None`` entries are dropped).
-    queue_depth:
-        Zero-arg callable returning the current pending depth
-        (``None`` disables the queue signal).
-    rss_probe / mem_probe / disk_probe:
+    mem_probe / disk_probe:
         Injectable probes (the chaos suite's synthetic pressure).
         ``disk_probe`` takes a volume path and returns free bytes.
     """
@@ -184,8 +154,6 @@ class ResourceSentinel:
         config: SentinelConfig | None = None,
         *,
         volumes: tuple[str | Path | None, ...] = (),
-        queue_depth: Callable[[], int] | None = None,
-        rss_probe: Callable[[], int | None] = read_rss_bytes,
         mem_probe: Callable[[], int | None] = read_mem_available_bytes,
         disk_probe: Callable[[str | Path], int | None] = read_disk_free_bytes,
     ) -> None:
@@ -195,8 +163,6 @@ class ResourceSentinel:
             if v is not None:
                 seen.setdefault(str(v), Path(v))
         self.volumes = tuple(seen.values())
-        self.queue_depth = queue_depth
-        self.rss_probe = rss_probe
         self.mem_probe = mem_probe
         self.disk_probe = disk_probe
         self.state = PressureState.OK
@@ -204,23 +170,6 @@ class ResourceSentinel:
         self.transitions: list[tuple[float, str, str]] = []
 
     # -- classification ------------------------------------------------
-    @staticmethod
-    def _high_is_bad(
-        value: int | None,
-        soft: int | None,
-        hard: int | None,
-        margin: float,
-    ) -> PressureState:
-        if value is None:
-            return PressureState.OK
-        # De-escalation margin tightens the threshold: the value must
-        # clear it by ``margin`` before the signal reads as calmer.
-        if hard is not None and value >= hard * (1.0 - margin):
-            return PressureState.HARD
-        if soft is not None and value >= soft * (1.0 - margin):
-            return PressureState.SOFT
-        return PressureState.OK
-
     @staticmethod
     def _low_is_bad(
         value: int | None,
@@ -230,6 +179,8 @@ class ResourceSentinel:
     ) -> PressureState:
         if value is None:
             return PressureState.OK
+        # De-escalation margin raises the threshold: the value must
+        # clear it by ``margin`` before the signal reads as calmer.
         if hard is not None and value <= hard * (1.0 + margin):
             return PressureState.HARD
         if soft is not None and value <= soft * (1.0 + margin):
@@ -241,11 +192,6 @@ class ResourceSentinel:
     ) -> tuple[PressureState, list[str]]:
         cfg = self.config
         verdicts: list[tuple[PressureState, str]] = []
-        s = self._high_is_bad(
-            sample.rss_bytes, cfg.rss_soft_bytes, cfg.rss_hard_bytes, margin
-        )
-        if s:
-            verdicts.append((s, f"rss {sample.rss_bytes} B"))
         s = self._low_is_bad(
             sample.mem_available_bytes,
             cfg.mem_soft_bytes,
@@ -262,11 +208,6 @@ class ResourceSentinel:
             )
             if s:
                 verdicts.append((s, f"disk free {free} B on {vol}"))
-        s = self._high_is_bad(
-            sample.queue_depth, cfg.queue_soft, cfg.queue_hard, margin
-        )
-        if s:
-            verdicts.append((s, f"queue depth {sample.queue_depth}"))
         if not verdicts:
             return PressureState.OK, []
         worst = max(v for v, _ in verdicts)
@@ -277,20 +218,14 @@ class ResourceSentinel:
         """Probe every signal and return the (hysteretic) verdict.
 
         Escalation applies immediately; de-escalation only once every
-        signal clears its threshold by ``config.hysteresis``.
+        signal clears its threshold by :data:`HYSTERESIS`.
         """
         s = PressureSample(state=PressureState.OK, at=time.time())
-        s.rss_bytes = self.rss_probe() if self.rss_probe else None
         s.mem_available_bytes = self.mem_probe() if self.mem_probe else None
         for vol in self.volumes:
             free = self.disk_probe(vol)
             if free is not None:
                 s.disk_free_bytes[str(vol)] = free
-        if self.queue_depth is not None:
-            try:
-                s.queue_depth = int(self.queue_depth())
-            except Exception:  # probe failure must never take us down
-                s.queue_depth = None
 
         raw, raw_reasons = self._classify(s, margin=0.0)
         if raw >= self.state:
@@ -298,9 +233,7 @@ class ResourceSentinel:
         else:
             # Candidate de-escalation: re-classify with the hysteresis
             # margin; the state only falls as far as the sticky verdict.
-            sticky, sticky_reasons = self._classify(
-                s, margin=self.config.hysteresis
-            )
+            sticky, sticky_reasons = self._classify(s, margin=HYSTERESIS)
             new = min(self.state, max(raw, sticky))
             reasons = sticky_reasons if new > raw else raw_reasons
         if new != self.state:

@@ -7,6 +7,7 @@ Three layers, no hard dependencies beyond the standard library:
   (``pending/ → running/ → done|failed|deadletter/``) with
   content-addressed job ids, atomic rename-based claiming, typed
   :class:`~repro.service.queue.JobStatus` records, bounded admission
+  checked by each submitter
   (:class:`~repro.service.queue.QueueLimits` →
   :class:`~repro.resilience.errors.QueueFull` with a retry-after
   hint), a dead-letter quarantine with forensic bundles, and the
@@ -21,7 +22,7 @@ Three layers, no hard dependencies beyond the standard library:
   cleanly on SIGTERM/SIGINT (finish-or-requeue, liveness/readiness
   heartbeats), and degrades gracefully under the
   :class:`~repro.resilience.sentinel.ResourceSentinel`'s pressure
-  verdicts;
+  verdicts on available memory and free disk;
 * :mod:`repro.service.client` — submit / poll / wait / fetch, with
   jittered-backoff polling and retry-after-honoring submission.
 

@@ -50,15 +50,15 @@ Robustness properties:
   ``<spool>/health/``, and exits cleanly; a second signal force-quits
   (children killed, jobs requeued immediately — the spool state
   machine stays consistent either way);
-* **graceful degradation** — a :class:`ResourceSentinel` samples RSS,
-  free disk on the spool/artifact volumes and queue depth into
-  ``OK/SOFT/HARD`` pressure states.  Under ``SOFT`` the daemon halves
-  worker concurrency; under ``HARD`` it pauses claiming and running
-  children shed the in-memory store tier, which the job's
-  ``degradation`` provenance records.  The job's ``pressure`` record
-  carries the state it was claimed under, and results are
-  bit-identical to the unpressured path (neither decision changes
-  computed values);
+* **graceful degradation** — a :class:`ResourceSentinel` samples
+  machine-wide available memory and free disk on the spool/artifact
+  volumes into ``OK/SOFT/HARD`` pressure states.  Under ``SOFT`` the
+  daemon halves worker concurrency; under ``HARD`` it pauses claiming,
+  withdraws readiness, and running children shed the in-memory store
+  tier, which the job's ``degradation`` provenance records.  The job's
+  ``pressure`` record carries the state it was claimed under, and
+  results are bit-identical to the unpressured path (neither decision
+  changes computed values);
 * **crash-safe store** — the child runs against the cross-process
   artifact store, so a retried attempt reuses every stage the dead
   attempt already published, and concurrent daemons sharing a store
@@ -373,7 +373,7 @@ class ServeDaemon:
     sentinel:
         :class:`ResourceSentinel` override (chaos tests inject
         synthetic probes here); ``None`` builds the default watching
-        the spool/store volumes and the pending depth.
+        available memory and the spool/store volumes.
     drain_grace:
         Seconds a running child gets to finish after a drain signal
         before it is terminated and its unfinished jobs requeued.
@@ -407,10 +407,7 @@ class ServeDaemon:
         self.sentinel = (
             sentinel
             if sentinel is not None
-            else ResourceSentinel(
-                volumes=(self.queue.root, self.store_root),
-                queue_depth=lambda: self.queue.pending_load()[0],
-            )
+            else ResourceSentinel(volumes=(self.queue.root, self.store_root))
         )
         if drain_grace < 0:
             raise ValueError("drain_grace must be >= 0")
@@ -597,11 +594,8 @@ class ServeDaemon:
                 batch: list[tuple[str, JobRequest, dict[str, Any]]] = []
                 free = self._target_workers(sample.state) - busy
                 if free > 0:
-                    # An even share of the backlog per free slot, from
-                    # the depth the sentinel just sampled.
-                    depth = sample.queue_depth
-                    if depth is None:
-                        depth = self.queue.pending_load()[0]
+                    # An even share of the backlog per free slot.
+                    depth = self.queue.pending_load()[0]
                     limit = min(_MAX_BATCH, -(-depth // free))
                     if room is not None:
                         limit = min(limit, room)

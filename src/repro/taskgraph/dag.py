@@ -160,20 +160,6 @@ class TaskDAG:
             self._bottom = (float(bl.max()) if len(bl) else 0.0), bl
         return self._bottom
 
-    def validate(self) -> None:
-        """Raise on malformed edges or cycles."""
-        if len(self.edges):
-            if self.edges.min() < 0 or self.edges.max() >= self.num_tasks:
-                raise ValueError("edge endpoint out of range")
-            if np.any(self.edges[:, 0] == self.edges[:, 1]):
-                raise ValueError("self-dependency")
-        self.topological_order()
-
-    def canonical_edges(self) -> np.ndarray:
-        """The edge set in canonical form (see
-        :func:`canonical_edges`)."""
-        return canonical_edges(self.edges)
-
     def total_work(self) -> float:
         """Sum of all task costs (invariant across partitionings —
         'the total amount of work is independent of partitioning

@@ -13,9 +13,15 @@ during one full iteration: ``2**(τ_max − τ)`` (paper §II-A).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..mesh.structures import Mesh
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # Not at run time: ``repro.mesh`` imports this module (for
+    # ``mesh.quality``), so a run-time import here is a cycle whenever
+    # ``repro.temporal`` is imported before ``repro.mesh``.
+    from ..mesh.structures import Mesh
 
 __all__ = [
     "levels_from_depth",

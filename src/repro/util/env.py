@@ -118,10 +118,6 @@ KNOBS: dict[str, Knob] = {
              "admission bound on a spool's pending job bytes"),
         Knob("REPRO_SERVE_STAGE_DELAY", _DELAY, 0.0,
              "a serve job child's sleep after each plan node (test hook)"),
-        Knob("REPRO_SENTINEL_RSS_SOFT", _BYTES, None,
-             "SOFT pressure at or above this daemon RSS"),
-        Knob("REPRO_SENTINEL_RSS_HARD", _BYTES, None,
-             "HARD pressure at or above this daemon RSS"),
         Knob("REPRO_SENTINEL_MEM_SOFT", _BYTES, None,
              "SOFT pressure at or below this available memory"),
         Knob("REPRO_SENTINEL_MEM_HARD", _BYTES, None,
@@ -130,10 +126,6 @@ KNOBS: dict[str, Knob] = {
              "SOFT pressure at or below this free spool/artifact disk"),
         Knob("REPRO_SENTINEL_DISK_HARD", _BYTES, 64 * 2**20,
              "HARD pressure at or below this free spool/artifact disk"),
-        Knob("REPRO_SENTINEL_QUEUE_SOFT", _COUNT, None,
-             "SOFT pressure at or above this pending queue depth"),
-        Knob("REPRO_SENTINEL_QUEUE_HARD", _COUNT, None,
-             "HARD pressure at or above this pending queue depth"),
     )
 }
 

@@ -12,6 +12,7 @@ from repro.mesh.adaptation import (
     transfer_solution,
 )
 from repro.solver import primitive_to_conservative, quiescent
+from tests.oracles.invariants import validate_mesh
 
 
 def bump_state(mesh, center=(0.5, 0.5), width=0.05, amp=0.5):
@@ -59,7 +60,7 @@ class TestAdaptMesh:
             max_depth=6,
             min_depth=3,
         )
-        new.validate()
+        validate_mesh(new)
         # Finest new cells concentrate near the bump.
         fine = new.cell_centers[new.cell_depth > 4]
         assert len(fine) > 0
@@ -78,7 +79,7 @@ class TestAdaptMesh:
             max_depth=5,
             min_depth=3,
         )
-        new.validate()
+        validate_mesh(new)
         assert new.num_cells < mesh.num_cells
 
     def test_noop_between_thresholds(self):

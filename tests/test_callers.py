@@ -7,15 +7,17 @@ roots are ``src/``, ``bench/``, ``benchmarks/``, ``scripts/`` and
 
 - A def counts as called when its name appears outside its own body as
   a ``Name`` or ``Attribute`` load, or as a string constant outside an
-  ``__all__`` assignment (``getattr`` and registries).  Import aliases,
-  re-exports and ``__all__`` entries are not loads.  Dunder methods are
-  skipped.
+  ``__all__`` assignment (``getattr`` and registries).  A method counts
+  only through an ``Attribute`` load (``x.name``) or a string: a bare
+  local name or a same-named module function does not reach it.
+  Import aliases, re-exports and ``__all__`` entries are not loads.
+  Dunder methods are skipped.
 - A defaulted parameter counts as set when some call matched by the
-  function's name (the class name for ``__init__``) passes it by
-  keyword, passes enough positional arguments to reach it, or passes
-  ``*args`` / ``**kwargs``.  A function whose name is also used as a
-  value (a registry row, a callback, a ``getattr`` string) is skipped:
-  its callers are unknown.
+  function's name (the class name for ``__init__``; for a method, an
+  attribute call) passes it by keyword, passes enough positional
+  arguments to reach it, or passes ``*args`` / ``**kwargs``.  A function
+  whose name is also used as a value (a registry row, a callback, a
+  ``getattr`` string) is skipped: its callers are unknown.
 
 Anything flagged must be in :data:`ALLOWED` with a one-line reason, and
 every entry of :data:`ALLOWED` must still be flagged, so the list only
@@ -59,9 +61,6 @@ ALLOWED: dict[str, str] = {
         "reference tests compare against: simulate(durations=) is checked "
         "against it"
     ),
-    "resilience.sentinel:ResourceSentinel.__init__(rss_probe)": (
-        "test hook: tests inject a fake RSS probe"
-    ),
     "resilience.sentinel:ResourceSentinel.__init__(mem_probe)": (
         "test hook: tests inject a fake available-memory probe"
     ),
@@ -96,12 +95,16 @@ class _Def:
 
 @dataclass
 class _Refs:
-    #: name → [(path, line)] of loads that are not the callee of a call,
-    #: nor part of an annotation, plus identifier strings.
+    """Sites keyed by name; each starts ``(path, line, bare)``, where
+    ``bare`` marks a plain ``Name`` (not ``x.name``, not a string)."""
+
+    #: name → [(path, line, bare)] of loads that are not the callee of a
+    #: call, nor part of an annotation, plus identifier strings.
     values: dict = field(default_factory=lambda: defaultdict(list))
-    #: name → [(path, line)] of every load and identifier string.
+    #: name → [(path, line, bare)] of every load and identifier string.
     loads: dict = field(default_factory=lambda: defaultdict(list))
-    #: name → [(path, line, n_positional, keywords, starred)] of calls.
+    #: name → [(path, line, bare, n_positional, keywords, starred)] of
+    #: calls.
     calls: dict = field(default_factory=lambda: defaultdict(list))
 
 
@@ -182,6 +185,7 @@ def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
                     (
                         path,
                         node.lineno,
+                        isinstance(func, ast.Name),
                         len(node.args),
                         frozenset(k.arg for k in node.keywords if k.arg),
                         starred,
@@ -190,7 +194,8 @@ def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
 
     for node in nodes:
         names = []
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        bare = isinstance(node, ast.Name)
+        if bare and isinstance(node.ctx, ast.Load):
             names = [node.id]
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names = [node.attr]
@@ -198,13 +203,25 @@ def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
             if id(node) not in exported:
                 names = _string_names(node.value)
         for name in names:
-            refs.loads[name].append((path, node.lineno))
+            refs.loads[name].append((path, node.lineno, bare))
             if id(node) not in annotation and id(node) not in callees:
-                refs.values[name].append((path, node.lineno))
+                refs.values[name].append((path, node.lineno, bare))
 
 
 def _outside(d: _Def, sites) -> list:
-    return [s for s in sites if not (s[0] == d.path and d.first <= s[1] <= d.last)]
+    """Sites that can reach ``d``: outside its own body, and for a
+    method (not ``__init__``) not a bare name."""
+    method = (
+        d.owner is not None
+        and not isinstance(d.node, ast.ClassDef)
+        and d.name != "__init__"
+    )
+    return [
+        s
+        for s in sites
+        if not (s[0] == d.path and d.first <= s[1] <= d.last)
+        and not (method and s[2])
+    ]
 
 
 def _bound_slots(d: _Def) -> int:
@@ -274,7 +291,7 @@ def scan(src: dict[str, str], callers: dict[str, str]):
                 starred
                 or param in keywords
                 or (index is not None and n_pos + offset > index)
-                for _, _, n_pos, keywords, starred in sites
+                for _, _, _, n_pos, keywords, starred in sites
             ):
                 unset.append(f"{d.key}({param})")
     return dead, unset
@@ -353,12 +370,22 @@ def never_passed(a, e=1):
     pass
 
 
+def check(x):
+    return x
+
+
 class Box:
     def __init__(self, size=3):
         self.size = size
 
     def method(self, scale=1.0):
         return scale
+
+    def check(self):
+        return True
+
+    def held(self):
+        return False
 
 
 def caller(opts):
@@ -368,7 +395,8 @@ def caller(opts):
     by_kwargs(0, **opts)
     never_passed(0)
     Box(4).method(2.0)
-    return table
+    held = check(table)
+    return held
 """,
 }
 
@@ -377,8 +405,12 @@ def test_scanner_flags_dead_defs_and_unset_parameters():
     callers = {f"src:{m}": text for m, text in FIXTURE_SRC.items()}
     callers["examples/run.py"] = "from pkg.mod import caller\ncaller({})\n"
     dead, unset = scan(FIXTURE_SRC, callers)
-    # Recursion, a re-export and an ``__all__`` string are not calls.
+    # Recursion, a re-export and an ``__all__`` string are not calls,
+    # and neither a same-named module function nor a bare local name
+    # reaches a method.
     assert sorted(dead) == [
+        "pkg.mod:Box.check",
+        "pkg.mod:Box.held",
         "pkg.mod:dead",
         "pkg.mod:exported_only",
         "pkg.mod:reexported",

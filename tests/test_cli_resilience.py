@@ -89,19 +89,6 @@ class TestTopLevelErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("repro: error:")
 
-    @pytest.mark.parametrize("raw", ["lots", "inf"])
-    def test_bad_max_pending_bytes_is_oneline_error(
-        self, tmp_path, capsys, raw
-    ):
-        rc = main([
-            "serve", "run", "--spool", str(tmp_path / "spool"),
-            "--max-pending-bytes", raw,
-        ])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error:")
-        assert len(err.strip().splitlines()) == 1
-
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

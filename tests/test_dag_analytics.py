@@ -23,6 +23,7 @@ from repro.taskgraph import dag as dag_module
 from repro.taskgraph.task import TaskArrays
 from repro.temporal import levels_from_depth
 from tests.oracles import dag_scalar
+from tests.oracles.invariants import validate_dag
 
 
 def width_profile(dag: TaskDAG) -> np.ndarray:
@@ -119,7 +120,7 @@ class TestAgainstScalarOracle:
         assert dag.topological_order().shape == (0,)
         assert width_profile(dag).shape == (0,)
         assert width_profile(dag).dtype == np.int64
-        dag.validate()
+        validate_dag(dag)
 
     def test_single_task(self):
         dag = make_dag([2.5], [])
@@ -141,7 +142,7 @@ class TestAgainstScalarOracle:
         dag = make_dag(np.ones(5), edges)
         for query in (
             dag.topological_order, dag.critical_path,
-            lambda: width_profile(dag), dag.validate,
+            lambda: width_profile(dag), lambda: validate_dag(dag),
         ):
             with pytest.raises(
                 ValueError, match="^task graph contains a cycle$"
@@ -256,7 +257,7 @@ class TestComputedOncePerDag:
         assert len(gathers) == 2 * depth - 1
         metrics = schedule_metrics(dag, trace)
         width_profile(dag)
-        dag.validate()
+        validate_dag(dag)
         simulate(dag, ClusterConfig(3, 1), scheduler="cp")
         assert len(gathers) == 2 * depth - 1
         assert metrics.critical_path == dag_scalar.critical_path(dag)[0]

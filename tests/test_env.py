@@ -33,14 +33,10 @@ READERS = {
     "REPRO_SPOOL_MAX_BYTES": lambda: QueueLimits.from_env().max_pending_bytes,
     # The daemon reads it through the table when an attempt starts.
     "REPRO_SERVE_STAGE_DELAY": lambda: read("REPRO_SERVE_STAGE_DELAY"),
-    "REPRO_SENTINEL_RSS_SOFT": _sentinel_reader("rss_soft_bytes"),
-    "REPRO_SENTINEL_RSS_HARD": _sentinel_reader("rss_hard_bytes"),
     "REPRO_SENTINEL_MEM_SOFT": _sentinel_reader("mem_soft_bytes"),
     "REPRO_SENTINEL_MEM_HARD": _sentinel_reader("mem_hard_bytes"),
     "REPRO_SENTINEL_DISK_SOFT": _sentinel_reader("disk_soft_bytes"),
     "REPRO_SENTINEL_DISK_HARD": _sentinel_reader("disk_hard_bytes"),
-    "REPRO_SENTINEL_QUEUE_SOFT": _sentinel_reader("queue_soft"),
-    "REPRO_SENTINEL_QUEUE_HARD": _sentinel_reader("queue_hard"),
 }
 
 #: Malformed and out-of-domain values for each domain.
@@ -71,7 +67,7 @@ def clean_env(monkeypatch):
 
 def test_every_knob_has_a_reader():
     assert sorted(READERS) == sorted(KNOBS)
-    assert len(KNOBS) == 15
+    assert len(KNOBS) == 11
 
 
 @pytest.mark.parametrize(
@@ -124,11 +120,10 @@ def test_unset_reads_the_defaults(clean_env):
         ("REPRO_SPOOL_MAX_BYTES", "1M", 2**20),
         ("REPRO_SERVE_STAGE_DELAY", "0", 0.0),
         ("REPRO_SERVE_STAGE_DELAY", "60", 60.0),
-        ("REPRO_SENTINEL_RSS_HARD", "2G", 2 * 2**30),
+        ("REPRO_SENTINEL_MEM_HARD", "2G", 2 * 2**30),
         ("REPRO_SENTINEL_MEM_SOFT", "1048576", 2**20),
         ("REPRO_SENTINEL_DISK_SOFT", "0", None),
         ("REPRO_SENTINEL_DISK_HARD", "-1", None),
-        ("REPRO_SENTINEL_QUEUE_SOFT", "1", 1),
     ],
     ids=lambda v: str(v),
 )

@@ -20,6 +20,7 @@ from repro.fuzz.generators import (
     make_mesh_case,
 )
 from repro.taskgraph import generate_task_graph, verify_dag
+from tests.oracles.invariants import validate_mesh
 
 
 class TestGenerators:
@@ -41,7 +42,7 @@ class TestGenerators:
     def test_every_mesh_generator_yields_valid_mesh(self):
         for gen in MESH_GENERATORS:
             case = gen(np.random.default_rng(4))
-            case.mesh.validate()
+            validate_mesh(case.mesh)
             assert len(case.tau) == case.mesh.num_cells
 
 

@@ -14,6 +14,7 @@ from repro.mesh import (
 )
 from repro.mesh.generators import PAPER_CELL_FRACTIONS
 from repro.temporal import levels_from_depth
+from tests.oracles.invariants import validate_mesh
 
 # Reduced depths keep the test suite fast; distribution *shapes* are
 # checked at these scales, exact Table I numbers in the benchmarks.
@@ -34,7 +35,7 @@ def meshes():
 class TestGenerators:
     @pytest.mark.parametrize("name", list(CASES))
     def test_valid(self, meshes, name):
-        meshes[name][0].validate()
+        validate_mesh(meshes[name][0])
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_level_count(self, meshes, name):

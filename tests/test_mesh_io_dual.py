@@ -8,6 +8,7 @@ import pytest
 from repro.graph import validate_csr
 from repro.mesh import load_mesh, mesh_to_dual_graph, save_mesh, uniform_mesh
 from tests.golden.regen import dual_graph
+from tests.oracles.invariants import validate_mesh
 
 
 class TestIO:
@@ -21,7 +22,7 @@ class TestIO:
         np.testing.assert_array_equal(
             loaded.face_cells, small_mesh.face_cells
         )
-        loaded.validate()
+        validate_mesh(loaded)
 
     def test_rejects_non_mesh_archive(self, tmp_path):
         path = tmp_path / "bad.npz"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh import build_quadtree_mesh, uniform_mesh
+from tests.oracles.invariants import validate_mesh
 
 
 class TestUniformMesh:
@@ -27,7 +28,7 @@ class TestUniformMesh:
         assert len(m.boundary_faces()) == 4 * d
 
     def test_validates(self):
-        uniform_mesh(depth=3).validate()
+        validate_mesh(uniform_mesh(depth=3))
 
     def test_depth_past_packed_key_limit_raises(self):
         with pytest.raises(ValueError, match="max_depth <= 24"):
@@ -37,7 +38,7 @@ class TestUniformMesh:
         m = uniform_mesh(depth=0)
         assert m.num_cells == 1
         assert len(m.boundary_faces()) == 4
-        m.validate()
+        validate_mesh(m)
 
 
 def graded_mesh(max_depth=5):
@@ -51,7 +52,7 @@ def graded_mesh(max_depth=5):
 
 class TestGradedMesh:
     def test_validates(self):
-        graded_mesh().validate()
+        validate_mesh(graded_mesh())
 
     def test_total_volume(self):
         m = graded_mesh()
@@ -132,19 +133,19 @@ class TestMeshValidation:
         m = uniform_mesh(depth=2)
         m.face_normal[0] = [2.0, 0.0]
         with pytest.raises(ValueError, match="unit"):
-            m.validate()
+            validate_mesh(m)
 
     def test_detects_negative_volume(self):
         m = uniform_mesh(depth=2)
         m.cell_volumes[0] = -1.0
         with pytest.raises(ValueError, match="volume"):
-            m.validate()
+            validate_mesh(m)
 
     def test_detects_broken_closure(self):
         m = uniform_mesh(depth=2)
         m.face_area[0] *= 2.0
         with pytest.raises(ValueError):
-            m.validate()
+            validate_mesh(m)
 
     def test_summary_keys(self):
         s = uniform_mesh(depth=2).summary()
@@ -162,7 +163,7 @@ class TestQuadtreeProperties:
             return np.where(d < radius, h, 4 * h)
 
         m = build_quadtree_mesh(sizing, max_depth=depth, min_depth=1)
-        m.validate()
+        validate_mesh(m)
         assert m.cell_volumes.sum() == pytest.approx(1.0)
         interior = m.interior_faces()
         a = m.face_cells[interior, 0]

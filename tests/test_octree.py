@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh.octree import build_octree_mesh, octree_cylinder_mesh
+from tests.oracles.invariants import validate_dag
 
 
 def uniform_octree(depth):
@@ -132,7 +133,7 @@ class TestOctreeCylinder:
         tau = levels_from_depth(mesh, num_levels=4)
         dec = make_decomposition(mesh, tau, 4, 2, strategy="MC_TL", seed=0)
         dag = generate_task_graph(mesh, tau, dec)
-        dag.validate()
+        validate_dag(dag)
         assert dag.num_tasks > 0
 
 

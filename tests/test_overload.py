@@ -50,10 +50,6 @@ def make_sentinel(config: SentinelConfig, signals: dict) -> ResourceSentinel:
     return ResourceSentinel(
         config,
         volumes=("vol",) if "disk" in signals else (),
-        queue_depth=(
-            (lambda: signals["queue"]) if "queue" in signals else None
-        ),
-        rss_probe=lambda: signals.get("rss"),
         mem_probe=lambda: signals.get("mem"),
         disk_probe=lambda _vol: signals.get("disk"),
     )
@@ -66,46 +62,45 @@ class TestSentinel:
         assert not PressureState.OK  # falsy: "no pressure"
 
     def test_escalation_is_immediate(self):
-        signals = {"rss": 50}
-        s = make_sentinel(SentinelConfig(rss_soft_bytes=100, rss_hard_bytes=200), signals)
+        signals = {"mem": 1000}
+        s = make_sentinel(
+            SentinelConfig(mem_soft_bytes=200, mem_hard_bytes=100), signals
+        )
         assert s.sample().state == PressureState.OK
-        signals["rss"] = 100  # at the soft threshold
+        signals["mem"] = 200  # at the soft threshold
         with pytest.warns(RuntimeWarning, match="OK -> SOFT"):
             assert s.sample().state == PressureState.SOFT
-        signals["rss"] = 250
+        signals["mem"] = 50
         with pytest.warns(RuntimeWarning, match="SOFT -> HARD"):
             sample = s.sample()
         assert sample.state == PressureState.HARD
-        assert any("rss" in r for r in sample.reasons)
+        assert any("mem available" in r for r in sample.reasons)
 
     def test_deescalation_needs_hysteresis_clearance(self):
-        signals = {"rss": 120}
+        signals = {"mem": 80}
         s = make_sentinel(
-            SentinelConfig(
-                rss_soft_bytes=100, rss_hard_bytes=1000, hysteresis=0.1
-            ),
-            signals,
+            SentinelConfig(mem_soft_bytes=100, mem_hard_bytes=10), signals
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert s.sample().state == PressureState.SOFT
-            # Dips just below the threshold but inside the 10% band:
+            # Rises just above the threshold but inside the 10% band:
             # the verdict must stick (no flapping).
-            signals["rss"] = 95
+            signals["mem"] = 105
             assert s.sample().state == PressureState.SOFT
-            # Clears the band (>10% under 100) -> back to OK.
-            signals["rss"] = 89
+            # Clears the band (>10% over 100) -> back to OK.
+            signals["mem"] = 111
             assert s.sample().state == PressureState.OK
 
     def test_hard_falls_to_soft_not_straight_to_ok(self):
-        signals = {"rss": 250}
+        signals = {"mem": 50}
         s = make_sentinel(
-            SentinelConfig(rss_soft_bytes=100, rss_hard_bytes=200), signals
+            SentinelConfig(mem_soft_bytes=200, mem_hard_bytes=100), signals
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert s.sample().state == PressureState.HARD
-            signals["rss"] = 150  # clear of hard, still above soft
+            signals["mem"] = 150  # clear of hard, still below soft
             assert s.sample().state == PressureState.SOFT
 
     def test_low_is_bad_signals_disk_and_mem(self):
@@ -124,25 +119,15 @@ class TestSentinel:
         with pytest.warns(RuntimeWarning):
             assert s.sample().state == PressureState.HARD
 
-    def test_queue_depth_signal(self):
-        signals = {"queue": 0}
-        s = make_sentinel(
-            SentinelConfig(queue_soft=4, queue_hard=16), signals
-        )
-        assert s.sample().state == PressureState.OK
-        signals["queue"] = 5
-        with pytest.warns(RuntimeWarning, match="queue depth"):
-            assert s.sample().state == PressureState.SOFT
-
     def test_transitions_are_recorded(self):
-        signals = {"rss": 300}
+        signals = {"mem": 50}
         s = make_sentinel(
-            SentinelConfig(rss_soft_bytes=100, rss_hard_bytes=200), signals
+            SentinelConfig(mem_soft_bytes=200, mem_hard_bytes=100), signals
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             s.sample()
-            signals["rss"] = 10
+            signals["mem"] = 10**6
             s.sample()
             s.sample()
         assert [(a, b) for _, a, b in s.transitions] == [
@@ -150,24 +135,12 @@ class TestSentinel:
             ("HARD", "OK"),
         ]
 
-    def test_probe_failure_never_raises(self):
-        def boom():
-            raise OSError("probe exploded")
-
-        s = ResourceSentinel(
-            SentinelConfig(queue_soft=1),
-            queue_depth=boom,
-            rss_probe=lambda: None,
-            mem_probe=lambda: None,
-        )
-        assert s.sample().state == PressureState.OK
-
     def test_config_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SENTINEL_RSS_SOFT", "1G")
-        monkeypatch.setenv("REPRO_SENTINEL_QUEUE_HARD", "64")
+        monkeypatch.setenv("REPRO_SENTINEL_MEM_SOFT", "1G")
+        monkeypatch.setenv("REPRO_SENTINEL_DISK_HARD", "32M")
         cfg = SentinelConfig.from_env()
-        assert cfg.rss_soft_bytes == 2**30
-        assert cfg.queue_hard == 64
+        assert cfg.mem_soft_bytes == 2**30
+        assert cfg.disk_hard_bytes == 32 * 2**20
         assert cfg.disk_soft_bytes == 512 * 2**20  # default kept
 
 
@@ -488,11 +461,11 @@ class TestDaemonDegradation:
             daemon.serve_forever(max_jobs=1, idle_timeout=20.0)
         return daemon, client.wait(job_id, timeout=10.0)
 
-    def test_soft_pressure_forces_mmap_bit_identically(self, tmp_path):
+    def test_soft_pressure_is_bit_identical(self, tmp_path):
         """A job claimed under SOFT pressure computes the same digests
         and metrics as an unpressured one."""
-        signals = {"rss": 10}
-        soft = make_sentinel(SentinelConfig(rss_soft_bytes=1), signals)
+        signals = {"mem": 10}
+        soft = make_sentinel(SentinelConfig(mem_soft_bytes=100), signals)
         _, degraded = self.run_one(tmp_path, "soft", sentinel=soft)
         assert degraded.state == "done"
         assert degraded.pressure["state"] == "SOFT"
@@ -515,8 +488,8 @@ class TestDaemonDegradation:
         client = ServiceClient(spool)
         job_id = client.submit("characteristics", options=CHEAP, through="mesh")
         hard = make_sentinel(
-            SentinelConfig(rss_soft_bytes=1, rss_hard_bytes=2),
-            {"rss": 10},
+            SentinelConfig(mem_soft_bytes=100, mem_hard_bytes=50),
+            {"mem": 10},
         )
         daemon = ServeDaemon(
             spool,
@@ -534,14 +507,28 @@ class TestDaemonDegradation:
         assert not health["ready"]  # HARD sheds readiness
 
     def test_soft_halves_worker_fleet(self, tmp_path):
+        signals = {"disk": 2**30}
         daemon = ServeDaemon(
             tmp_path,
             workers=4,
-            sentinel=make_sentinel(SentinelConfig(), {}),
+            sentinel=make_sentinel(
+                SentinelConfig(
+                    disk_soft_bytes=512 * 2**20, disk_hard_bytes=64 * 2**20
+                ),
+                signals,
+            ),
         )
-        assert daemon._target_workers(PressureState.OK) == 4
-        assert daemon._target_workers(PressureState.SOFT) == 2
-        assert daemon._target_workers(PressureState.HARD) == 0
+
+        def target():
+            return daemon._target_workers(daemon._sample_pressure().state)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert target() == 4
+            signals["disk"] = 100 * 2**20
+            assert target() == 2
+            signals["disk"] = 2**20
+            assert target() == 0
         single = ServeDaemon(
             tmp_path, sentinel=make_sentinel(SentinelConfig(), {})
         )

@@ -20,7 +20,11 @@ from repro.mesh import build_quadtree_mesh
 from repro.partitioning import make_decomposition
 from repro.taskgraph import generate_task_graph
 from repro.temporal import assign_levels_by_fraction, levels_from_depth
-from tests.oracles.invariants import conserved_total_heun, validate_schedule
+from tests.oracles.invariants import (
+    conserved_total_heun,
+    validate_dag,
+    validate_schedule,
+)
 
 
 @st.composite
@@ -62,7 +66,7 @@ class TestPipelineInvariants:
                 mesh, tau, domains, processes, strategy=strategy, seed=seed
             )
             dag = generate_task_graph(mesh, tau, decomp)
-            dag.validate()
+            validate_dag(dag)
             works.append(dag.total_work())
             trace = simulate(dag, cluster, seed=seed)
             validate_schedule(trace, dag)
@@ -86,7 +90,7 @@ class TestPipelineInvariants:
             mesh, tau, 4, 2, strategy="MC_TL", seed=seed
         )
         dag = generate_task_graph(mesh, tau, decomp)
-        dag.validate()
+        validate_dag(dag)
         trace = simulate(dag, ClusterConfig(2, 2), seed=seed)
         validate_schedule(trace, dag)
 

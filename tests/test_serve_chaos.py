@@ -197,9 +197,9 @@ class TestPressureMidJob:
         job_id = client.submit(
             "characteristics", options=CHEAP, through="schedule"
         )
-        signals = {"rss": 10}
+        signals = {"mem": 2**40}
         sentinel = make_sentinel(
-            SentinelConfig(rss_soft_bytes=10**15, rss_hard_bytes=10**16),
+            SentinelConfig(mem_soft_bytes=2**30, mem_hard_bytes=2**20),
             signals,
         )
         daemon = ServeDaemon(
@@ -225,7 +225,7 @@ class TestPressureMidJob:
                     and s.state == "running",
                     what="job to start running",
                 )
-                signals["rss"] = 10**17
+                signals["mem"] = 2**10
             finally:
                 runner.join(timeout=120.0)
             assert not runner.is_alive()

@@ -18,7 +18,7 @@ from repro.solver import (
 from repro.solver.timestep import stable_timesteps
 from repro.taskgraph import ObjectType, generate_task_graph
 from repro.temporal import face_levels, levels_from_depth
-from tests.oracles.invariants import conserved_total_heun
+from tests.oracles.invariants import conserved_total_heun, validate_dag
 
 
 def _index_sets(mesh, tau):
@@ -173,7 +173,7 @@ class TestHeunTaskGraph:
     def test_heun_dag_valid(self, setup):
         mesh, tau, U0, dt_min, decomp = setup
         dag = generate_task_graph(mesh, tau, decomp, scheme="heun")
-        dag.validate()
+        validate_dag(dag)
         # Stages present on both task types.
         t = dag.tasks
         for typ in (ObjectType.FACE, ObjectType.CELL):

@@ -17,6 +17,7 @@ from repro.taskgraph.generation import classify_objects
 from repro.taskgraph.task import TaskArrays
 from repro.temporal import num_subiterations, operating_costs
 from tests.oracles import dag_scalar
+from tests.oracles.invariants import validate_dag
 
 
 class TestClassifyObjects:
@@ -74,8 +75,8 @@ class TestClassifyObjects:
 
 class TestGeneration:
     def test_dag_is_acyclic(self, cube_dag_sc, cube_dag_mc):
-        cube_dag_sc.validate()
-        cube_dag_mc.validate()
+        validate_dag(cube_dag_sc)
+        validate_dag(cube_dag_mc)
 
     def test_edges_point_forward(self, cube_dag_sc):
         """Generation order must be a topological order."""
@@ -194,7 +195,7 @@ class TestMultiIteration:
         assert dag3.total_work() == pytest.approx(
             3 * cube_dag_sc.total_work()
         )
-        dag3.validate()
+        validate_dag(dag3)
 
     def test_cross_iteration_dependencies(
         self, small_cube_mesh, small_cube_tau, cube_decomp_sc, cube_dag_sc
@@ -341,7 +342,7 @@ class TestDAGUtilities:
         )
         dag = TaskDAG(tasks=tasks, edges=np.array([[0, 0]]))
         with pytest.raises(ValueError, match="self"):
-            dag.validate()
+            validate_dag(dag)
 
 
 class TestAnalysis:
