@@ -30,7 +30,6 @@ class Fig6Result:
     critical_path: float
     idle_fraction_per_process: np.ndarray
     mean_idle_fraction: float
-    sc_oc_strategy: str = "SC_OC"
 
 
 def run(

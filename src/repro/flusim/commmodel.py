@@ -8,8 +8,8 @@ a task's readiness when a dependency crosses a process boundary:
 
     delay = α + size / β
 
-with ``size`` proportional to the predecessor task's object count (the
-halo data it produced).  Same-process dependencies are free.  Sweeping
+with ``size`` the predecessor task's object count (the halo data it
+produced).  Same-process dependencies are free.  Sweeping
 α/β quantifies how much link cost MC_TL's extra communication volume
 (Fig. 11b) can absorb before its scheduling gain erodes — the
 motivation behind the paper's §VII dual-phase perspective.
@@ -33,23 +33,17 @@ class CommModel:
     bandwidth:
         Objects transferred per time unit β; ``inf`` disables the
         volume term.
-    bytes_per_object:
-        Data volume per object of the producing task (scales the
-        size term).
     """
 
     latency: float = 0.0
     bandwidth: float = float("inf")
-    bytes_per_object: float = 1.0
 
     def delay(self, num_objects: int) -> float:
         """Transfer delay for a message carrying ``num_objects``
         objects."""
         if self.bandwidth == float("inf"):
             return self.latency
-        return self.latency + (
-            num_objects * self.bytes_per_object / self.bandwidth
-        )
+        return self.latency + num_objects / self.bandwidth
 
     @property
     def is_free(self) -> bool:

@@ -163,9 +163,7 @@ def simulate(
         if comm.bandwidth == float("inf"):
             delays = np.full(T, comm.latency, dtype=np.float64)
         else:
-            delays = comm.latency + (
-                nobj * comm.bytes_per_object / comm.bandwidth
-            )
+            delays = comm.latency + nobj / comm.bandwidth
 
     sx, sa = dag.successors_csr()
     out_worker, out_start, out_end = _event_loop(

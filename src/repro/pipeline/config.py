@@ -34,17 +34,14 @@ NUM_LEVELS = {"cylinder": 4, "cube": 4, "pprime_nozzle": 3}
 
 @dataclass(frozen=True)
 class MeshConfig:
-    """Mesh generation: a named builder plus its sizing knobs.
+    """Mesh generation: a named builder plus its size.
 
     ``name`` keys into :data:`repro.mesh.MESH_FACTORIES` (the replica
-    meshes).  ``scale`` overrides the builder's default ``max_depth``;
-    ``min_depth`` is forwarded when set — no registered builder takes
-    one, the field stays because it is part of the content address.
+    meshes).  ``scale`` overrides the builder's default ``max_depth``.
     """
 
     name: str
     scale: int | None = None
-    min_depth: int | None = None
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ computed one.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from ..flusim import ClusterConfig, schedule_metrics, simulate
@@ -97,12 +95,9 @@ class MeshStage:
                 f"unknown mesh {config.name!r}; choose from "
                 f"{sorted(MESH_FACTORIES)}"
             ) from None
-        kwargs: dict[str, Any] = {}
-        if config.scale is not None:
-            kwargs["max_depth"] = config.scale
-        if config.min_depth is not None:
-            kwargs["min_depth"] = config.min_depth
-        return factory(**kwargs)
+        if config.scale is None:
+            return factory()
+        return factory(max_depth=config.scale)
 
     @staticmethod
     def pack(mesh: Mesh) -> tuple[dict[str, np.ndarray], dict]:

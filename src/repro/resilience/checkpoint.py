@@ -235,50 +235,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
 
 
-#: Validation outcomes already established, keyed by manifest path.
-#: The value is ``((json_mtime_ns, json_size, npz_mtime_ns, npz_size),
-#: error-or-None)`` — a checkpoint is immutable once written (atomic
-#: replace), so an unchanged stamp means the earlier test-load verdict
-#: still holds and a periodic ``--resume`` poll skips the expensive
-#: decompress.
-_VALIDATION_CACHE: dict[str, tuple[tuple[int, int, int, int], str | None]] = {}
-
-
-def _validation_stamp(path: Path) -> tuple[int, int, int, int] | None:
-    """(mtime_ns, size) of manifest and arrays (``None`` if unstat-able)."""
-    try:
-        st_json = path.stat()
-        st_npz = path.with_suffix(".npz").stat()
-    except OSError:
-        return None
-    return (
-        st_json.st_mtime_ns,
-        st_json.st_size,
-        st_npz.st_mtime_ns,
-        st_npz.st_size,
-    )
-
-
-def _validate_cached(path: Path) -> str | None:
-    """Test-load ``path``, memoised on the files' (mtime, size) stamp.
-
-    Returns ``None`` for a valid checkpoint, the error text otherwise.
-    """
-    stamp = _validation_stamp(path)
-    if stamp is not None:
-        cached = _VALIDATION_CACHE.get(str(path))
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-    try:
-        load_checkpoint(path)
-        error: str | None = None
-    except CheckpointError as exc:
-        error = str(exc)
-    if stamp is not None:
-        _VALIDATION_CACHE[str(path)] = (stamp, error)
-    return error
-
-
 def find_latest_checkpoint(
     directory: str | Path, *, validate: bool = False
 ) -> Path | None:
@@ -290,9 +246,7 @@ def find_latest_checkpoint(
     mid-write kill, a disk error) is skipped with a
     :class:`RuntimeWarning` and the previous valid one is returned —
     so ``--resume`` degrades to the last good state instead of
-    crashing.  Verdicts are cached per ``(path, mtime, size)``, so
-    repeated calls (a supervisor polling for resumability) only pay
-    the test-load when a file actually changed.
+    crashing.
     """
     import warnings
 
@@ -309,10 +263,11 @@ def find_latest_checkpoint(
     if not validate:
         return candidates[0][1] if candidates else None
     for _, p in candidates:
-        error = _validate_cached(p)
-        if error is not None:
+        try:
+            load_checkpoint(p)
+        except CheckpointError as exc:
             warnings.warn(
-                f"skipping corrupt checkpoint {p}: {error}",
+                f"skipping corrupt checkpoint {p}: {exc}",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -33,9 +33,8 @@ class ResilienceError(RuntimeError):
 class TransientError(ResilienceError):
     """A task failure that is expected to succeed on retry.
 
-    This is the default member of
-    :attr:`repro.runtime.executor.RetryPolicy.retry_on`; fault
-    injection raises it for its simulated transient failures, and real
+    It is what the threaded executor retries
+    (:data:`repro.runtime.executor.RETRY_ON`); fault injection raises it for its simulated transient failures, and real
     kernels may raise it for recoverable conditions (e.g. a resource
     temporarily unavailable).
     """

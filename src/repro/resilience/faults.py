@@ -1,8 +1,8 @@
 """Deterministic fault injection for the threaded runtime.
 
 A :class:`FaultPlan` wraps any executor ``task_fn`` and injects, at
-configurable per-phase/per-domain rates, the three hazards a
-FLUSEPA-class campaign actually meets:
+configurable per-task rates, the three hazards a FLUSEPA-class
+campaign actually meets:
 
 * **transient failures** — a :class:`TransientError` raised *before*
   the task body runs (so a retry re-executes the body exactly once and
@@ -54,11 +54,6 @@ class FaultSpec:
         Per-task injection probability in ``[0, 1]``.
     delay:
         Straggler sleep in seconds.
-    phases:
-        If given, inject only into tasks whose temporal phase (τ) is in
-        this set.
-    domains:
-        If given, inject only into tasks of these extraction domains.
     first_attempt_only:
         Inject only on a task's first attempt within an execution, so
         an executor retry of the same task succeeds.
@@ -70,8 +65,6 @@ class FaultSpec:
     kind: str
     rate: float
     delay: float = 0.005
-    phases: tuple[int, ...] | None = None
-    domains: tuple[int, ...] | None = None
     first_attempt_only: bool = True
     first_round_only: bool = True
 
@@ -85,14 +78,6 @@ class FaultSpec:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
         if self.delay < 0:
             raise ValueError("delay must be non-negative")
-
-    def applies_to(self, phase: int, domain: int) -> bool:
-        """Whether this spec targets a task of ``(phase, domain)``."""
-        if self.phases is not None and phase not in self.phases:
-            return False
-        if self.domains is not None and domain not in self.domains:
-            return False
-        return True
 
 
 @dataclass
@@ -130,15 +115,13 @@ class FaultPlan:
         """Whether any spec has a nonzero rate."""
         return any(s.rate > 0 for s in self.specs)
 
-    def decide(
-        self, task: int, attempt: int, phase: int = 0, domain: int = 0
-    ) -> list[FaultSpec]:
+    def decide(self, task: int, attempt: int) -> list[FaultSpec]:
         """Faults to inject into ``task`` at ``attempt`` — deterministic
         in ``(seed, iteration, round, task, attempt)``."""
         hits: list[FaultSpec] = []
         rng = None
         for k, spec in enumerate(self.specs):
-            if spec.rate <= 0 or not spec.applies_to(phase, domain):
+            if spec.rate <= 0:
                 continue
             if spec.first_attempt_only and attempt > 0:
                 continue
@@ -159,14 +142,10 @@ class FaultPlan:
         self,
         task_fn: Callable[[int], None],
         *,
-        phase_of: np.ndarray | None = None,
-        domain_of: np.ndarray | None = None,
         poison_targets: Sequence[np.ndarray] = (),
     ) -> Callable[[int], None]:
         """Wrap ``task_fn`` with this plan's fault sources.
 
-        ``phase_of`` / ``domain_of`` are per-task metadata arrays
-        (e.g. ``dag.tasks.phase_tau`` / ``dag.tasks.domain``);
         ``poison_targets`` are the state arrays eligible for NaN
         poisoning (e.g. ``(state.acc,)``).  The wrapper counts attempts
         per task itself, so it needs no cooperation from the executor.
@@ -179,9 +158,7 @@ class FaultPlan:
             with lock:
                 attempt = attempts[t]
                 attempts[t] += 1
-            phase = int(phase_of[t]) if phase_of is not None else 0
-            dom = int(domain_of[t]) if domain_of is not None else 0
-            hits = self.decide(t, attempt, phase, dom)
+            hits = self.decide(t, attempt)
             post: list[FaultSpec] = []
             for spec in hits:
                 if spec.kind == "straggler":

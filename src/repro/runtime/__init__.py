@@ -1,7 +1,7 @@
 """A small StarPU-like threaded task runtime: dependency-driven
 execution of the task graph on real worker threads, with the solver
-kernels as task bodies, hardened with per-task retry, a hang watchdog
-and partial-failure health reporting (see :mod:`repro.resilience`)."""
+kernels as task bodies, hardened with per-task retry and a hang
+watchdog (see :mod:`repro.resilience`)."""
 
 from .executor import (
     ExecutionHealth,

@@ -16,10 +16,9 @@ The executor is hardened for long campaigns:
   :class:`~repro.resilience.errors.TaskTimeoutError` instead of a
   silent stall (the hung daemon thread is abandoned — Python threads
   cannot be killed);
-* with ``fail_fast=False``, a permanently failed task marks itself
-  failed, its transitive dependents are *skipped*, and the execution
-  completes with the damage reported in
-  :attr:`ExecutionResult.health` instead of raising.
+* the first permanent failure (a non-transient error, or a task that
+  exhausts its retries) aborts the execution and ``run()`` raises it;
+  recovery is the caller's (the campaign driver rolls back).
 
 Retry safety: a retried task re-runs its body from the top, so task
 bodies must not have published partial effects before failing.  The
@@ -48,6 +47,8 @@ from ..resilience.errors import TaskTimeoutError, TransientError
 from ..taskgraph.dag import TaskDAG
 
 __all__ = [
+    "RETRY_ON",
+    "BACKOFF_CAP",
     "RetryPolicy",
     "ExecutionHealth",
     "ExecutionResult",
@@ -55,9 +56,17 @@ __all__ = [
 ]
 
 
+#: Exceptions a task may be retried on.  Anything else — or a task
+#: that exhausts its budget — is a permanent failure.
+RETRY_ON: tuple[type[BaseException], ...] = (TransientError,)
+
+#: Longest backoff sleep before one retry, in seconds.
+BACKOFF_CAP = 1.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the executor handles task failures.
+    """How often, and how patiently, the executor retries a task.
 
     Parameters
     ----------
@@ -65,67 +74,37 @@ class RetryPolicy:
         Retry budget *per task* (0 = never retry).
     backoff:
         Base backoff in seconds; retry ``k`` sleeps
-        ``backoff * 2**(k-1)`` (capped at ``backoff_cap``) before
+        ``backoff * 2**(k-1)`` (capped at :data:`BACKOFF_CAP`) before
         re-running.
-    retry_on:
-        Exception classes considered transient.  Anything else — or a
-        task that exhausts its budget — is a permanent failure.
-    fail_fast:
-        ``True`` (default): the first permanent failure aborts the
-        execution and ``run()`` raises it (the pre-resilience
-        semantics).  ``False``: the task is marked failed, its
-        transitive dependents are skipped, and the execution completes
-        with the damage in :attr:`ExecutionResult.health`.
     """
 
     max_retries: int = 2
     backoff: float = 0.0
-    backoff_cap: float = 1.0
-    retry_on: tuple[type[BaseException], ...] = (TransientError,)
-    fail_fast: bool = True
 
     def delay(self, retry: int) -> float:
         """Backoff before the ``retry``-th retry (1-based)."""
         if self.backoff <= 0:
             return 0.0
-        return min(self.backoff * 2.0 ** (retry - 1), self.backoff_cap)
+        return min(self.backoff * 2.0 ** (retry - 1), BACKOFF_CAP)
 
 
 @dataclass
 class ExecutionHealth:
-    """What it cost to (try to) complete an execution.
+    """What it cost to complete an execution.
 
     ``wasted_seconds`` is per process: time burnt on failed attempts
-    (including the hung time of a timed-out task), excluding backoff
-    sleeps.
+    that were retried, excluding backoff sleeps.
     """
 
     retries: int = 0
-    failed: list[int] = field(default_factory=list)
-    skipped: list[int] = field(default_factory=list)
-    timed_out: list[int] = field(default_factory=list)
     wasted_seconds: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.float64)
     )
-    errors: dict[int, str] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        """No task failed, was skipped, or timed out."""
-        return not (self.failed or self.skipped or self.timed_out)
 
     @property
     def total_wasted(self) -> float:
         """Total wasted seconds across processes."""
         return float(self.wasted_seconds.sum())
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"retries={self.retries} failed={len(self.failed)} "
-            f"skipped={len(self.skipped)} timed_out={len(self.timed_out)} "
-            f"wasted={self.total_wasted:.3f}s"
-        )
 
 
 @dataclass
@@ -136,12 +115,11 @@ class ExecutionResult:
     ----------
     trace:
         Per-task placement/timing (seconds since execution start),
-        compatible with every FLUSIM analysis helper.  Failed/skipped
-        tasks (``fail_fast=False`` only) have zeroed entries.
+        compatible with every FLUSIM analysis helper.
     elapsed:
         Wall-clock of the whole execution.
     health:
-        Retry/failure accounting for the run.
+        Retry accounting for the run.
     """
 
     trace: Trace
@@ -167,8 +145,7 @@ class ThreadedExecutor:
         (which Algorithm 1's dependency structure guarantees for the
         solver kernels).
     retry:
-        Optional :class:`RetryPolicy`; ``None`` keeps the historical
-        fail-fast, no-retry behaviour.
+        Optional :class:`RetryPolicy`; ``None`` never retries.
     watchdog:
         Optional per-task deadline in seconds.  A task running longer
         aborts the execution with a
@@ -208,8 +185,7 @@ class ThreadedExecutor:
         """Execute every task once, respecting dependencies.
 
         Returns an :class:`ExecutionResult`.  Raises the first
-        permanent worker failure unless ``retry.fail_fast`` is
-        ``False`` (a watchdog timeout always raises — the hung thread
+        permanent worker failure or watchdog timeout (the hung thread
         cannot be reclaimed, so the execution cannot be trusted).
         """
         dag = self.dag
@@ -231,12 +207,7 @@ class ThreadedExecutor:
 
         # Health accounting (all mutated under ``lock``).
         attempts = [0] * T
-        poisoned = bytearray(T)  # transitively downstream of a failure
         retries = 0
-        failed: list[int] = []
-        skipped: list[int] = []
-        timed_out: list[int] = []
-        errors: dict[int, str] = {}
         wasted = np.zeros(self.num_processes, dtype=np.float64)
         running: dict[tuple[int, int], tuple[int, float]] = {}
         stuck: set[tuple[int, int]] = set()
@@ -247,29 +218,19 @@ class ThreadedExecutor:
 
         t0 = time.perf_counter()
 
-        def finish_locked(task: int, ok: bool) -> set[int]:
-            """Retire ``task`` (lock held): decrement successors,
-            cascade skips through failed subtrees, return the processes
-            that received new ready work."""
+        def finish_locked(task: int) -> set[int]:
+            """Retire ``task`` (lock held): decrement successors and
+            return the processes that received new ready work."""
             nonlocal remaining
             woken: set[int] = set()
-            stack: list[tuple[int, bool]] = [(task, ok)]
-            while stack:
-                v, vok = stack.pop()
-                remaining -= 1
-                for u in sa[sx[v] : sx[v + 1]]:
-                    u = int(u)
-                    if not vok:
-                        poisoned[u] = 1
-                    indeg[u] -= 1
-                    if indeg[u] == 0:
-                        if poisoned[u]:
-                            skipped.append(u)
-                            stack.append((u, False))
-                        else:
-                            pu = int(tproc[u])
-                            queues[pu].append(u)
-                            woken.add(pu)
+            remaining -= 1
+            for u in sa[sx[task] : sx[task + 1]]:
+                u = int(u)
+                indeg[u] -= 1
+                if indeg[u] == 0:
+                    pu = int(tproc[u])
+                    queues[pu].append(u)
+                    woken.add(pu)
             return woken
 
         def notify_locked(p: int, woken: set[int]) -> None:
@@ -312,24 +273,17 @@ class ThreadedExecutor:
                             if failure:
                                 return  # execution already aborted
                             if (
-                                policy is not None
-                                and isinstance(exc, policy.retry_on)
-                                and attempts[t] < policy.max_retries
+                                policy is None
+                                or not isinstance(exc, RETRY_ON)
+                                or attempts[t] >= policy.max_retries
                             ):
-                                attempts[t] += 1
-                                retries += 1
-                                delay = policy.delay(attempts[t])
-                            else:
-                                errors[t] = f"{type(exc).__name__}: {exc}"
-                                if policy is None or policy.fail_fast:
-                                    failure.append(exc)
-                                    for c in conditions:
-                                        c.notify_all()
-                                    return
-                                failed.append(t)
-                                woken = finish_locked(t, ok=False)
-                                notify_locked(p, woken)
-                                break  # on to the next queued task
+                                failure.append(exc)
+                                for c in conditions:
+                                    c.notify_all()
+                                return
+                            attempts[t] += 1
+                            retries += 1
+                            delay = policy.delay(attempts[t])
                         if delay > 0.0:
                             time.sleep(delay)
                         continue  # retry the same task
@@ -341,7 +295,7 @@ class ThreadedExecutor:
                         start[t] = ts
                         end[t] = te
                         worker_of[t] = w
-                        woken = finish_locked(t, ok=True)
+                        woken = finish_locked(t)
                         notify_locked(p, woken)
                     break
 
@@ -355,12 +309,10 @@ class ThreadedExecutor:
                     now = time.monotonic()
                     for (p, w), (t, since) in running.items():
                         if now - since > deadline:
-                            exc = TaskTimeoutError(t, p, w, deadline)
-                            timed_out.append(t)
-                            errors[t] = str(exc)
-                            wasted[p] += now - since
                             stuck.add((p, w))
-                            failure.append(exc)
+                            failure.append(
+                                TaskTimeoutError(t, p, w, deadline)
+                            )
                             for c in conditions:
                                 c.notify_all()
                             return
@@ -392,14 +344,6 @@ class ThreadedExecutor:
             monitor.join()
         elapsed = time.perf_counter() - t0
 
-        health = ExecutionHealth(
-            retries=retries,
-            failed=sorted(failed),
-            skipped=sorted(skipped),
-            timed_out=sorted(timed_out),
-            wasted_seconds=wasted,
-            errors=errors,
-        )
         if failure:
             raise failure[0]
         if remaining != 0:
@@ -415,4 +359,5 @@ class ThreadedExecutor:
             num_processes=self.num_processes,
             cores_per_process=self.cores_per_process,
         )
+        health = ExecutionHealth(retries=retries, wasted_seconds=wasted)
         return ExecutionResult(trace=trace, elapsed=elapsed, health=health)

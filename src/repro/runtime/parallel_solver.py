@@ -73,19 +73,12 @@ def run_iteration_threaded(
     -------
     :class:`ParallelSolverRun` with the real execution trace.
     """
-    t = solver.dag.tasks
-
     def task_fn(i: int) -> None:
         solver.run_task(i, state)
 
     fn = task_fn
     if fault_plan is not None:
-        fn = fault_plan.wrap(
-            task_fn,
-            phase_of=t.phase_tau,
-            domain_of=t.domain,
-            poison_targets=(state.acc,),
-        )
+        fn = fault_plan.wrap(task_fn, poison_targets=(state.acc,))
     executor = ThreadedExecutor(
         solver.dag, solver.decomp.num_processes, cores_per_process, fn,
         retry=retry, watchdog=watchdog,

@@ -24,9 +24,10 @@ JSON), so resubmitting an identical request deduplicates: the client
 gets the id of the in-flight or already-completed job instead of a
 second compute.
 
-**Admission control**: a queue constructed with :class:`QueueLimits`
-bounds the pending tier by depth and by byte budget; past either
-bound, :meth:`SpoolQueue.submit` raises the typed
+**Admission control**: :class:`QueueLimits` (given to the queue, or
+read from the environment at each admission) bound the pending tier
+by depth and by byte budget; past either bound,
+:meth:`SpoolQueue.submit` raises the typed
 :class:`~repro.resilience.errors.QueueFull` carrying a retry-after
 hint instead of accepting unbounded work.  Deduplicated resubmissions
 of jobs already in the spool are always admitted (they create no new
@@ -194,13 +195,18 @@ class QueueLimits:
 
 
 class SpoolQueue:
-    """The filesystem spool (see module docstring)."""
+    """The filesystem spool (see module docstring).
+
+    ``limits=None`` reads :meth:`QueueLimits.from_env` when a submit is
+    admitted, so a process that never submits (the daemon) never parses
+    the admission knobs.
+    """
 
     def __init__(
         self, root: str | Path, *, limits: QueueLimits | None = None
     ) -> None:
         self.root = Path(root).expanduser()
-        self.limits = limits if limits is not None else QueueLimits.from_env()
+        self.limits = limits
         for state in JOB_STATES:
             (self.root / state).mkdir(parents=True, exist_ok=True)
 
@@ -236,7 +242,7 @@ class SpoolQueue:
     def _admit(self) -> None:
         """Raise :class:`QueueFull` when a new request would push the
         pending tier past its bounds."""
-        limits = self.limits
+        limits = self.limits if self.limits is not None else QueueLimits.from_env()
         if limits.max_pending is None and limits.max_pending_bytes is None:
             return
         depth, nbytes = self.pending_load()

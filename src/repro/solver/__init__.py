@@ -3,10 +3,8 @@ temporal-adaptive local time stepping, executable through the task
 graph."""
 
 from .euler import (
-    FLUXES,
     GAMMA,
     conservative_to_primitive,
-    hllc_flux,
     max_wave_speed,
     physical_flux,
     pressure,
@@ -27,7 +25,6 @@ from .timestep import stable_timesteps
 
 __all__ = [
     "GAMMA",
-    "FLUXES",
     "primitive_to_conservative",
     "conservative_to_primitive",
     "pressure",
@@ -35,7 +32,6 @@ __all__ = [
     "max_wave_speed",
     "physical_flux",
     "rusanov_flux",
-    "hllc_flux",
     "residual",
     "euler_step",
     "heun_step",

@@ -1,11 +1,10 @@
-"""2D compressible Euler equations: state conversions and numerical
-fluxes.
+"""2D compressible Euler equations: state conversions and the
+numerical flux.
 
 The conserved state is ``U = [ρ, ρu, ρv, E]`` per cell.  Fluxes are
-evaluated on faces with rotated one-dimensional Riemann solvers:
-Rusanov (local Lax–Friedrichs, the robust default) and HLLC (sharper
-contact resolution, provided as the higher-fidelity option).
-All functions are fully vectorized over faces/cells.
+evaluated on faces with the Rusanov (local Lax–Friedrichs) solver,
+rotated to the face normal.  All functions are fully vectorized over
+faces/cells.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ __all__ = [
     "max_wave_speed",
     "physical_flux",
     "rusanov_flux",
-    "hllc_flux",
-    "FLUXES",
 ]
 
 #: Ratio of specific heats (diatomic gas).
@@ -103,67 +100,3 @@ def rusanov_flux(
     FR = physical_flux(UR, nx, ny)
     smax = np.maximum(max_wave_speed(UL), max_wave_speed(UR))
     return 0.5 * (FL + FR) - 0.5 * smax[..., None] * (UR - UL)
-
-
-def hllc_flux(
-    UL: np.ndarray, UR: np.ndarray, nx: np.ndarray, ny: np.ndarray
-) -> np.ndarray:
-    """HLLC approximate Riemann solver (Toro), rotated to the face
-    normal.  Resolves contact discontinuities that Rusanov smears."""
-    rhoL, uL, vL, pL = conservative_to_primitive(UL)
-    rhoR, uR, vR, pR = conservative_to_primitive(UR)
-    # Normal/tangential projection.
-    unL = uL * nx + vL * ny
-    unR = uR * nx + vR * ny
-    cL = np.sqrt(GAMMA * pL / rhoL)
-    cR = np.sqrt(GAMMA * pR / rhoR)
-
-    # Davis wave-speed estimates.
-    sL = np.minimum(unL - cL, unR - cR)
-    sR = np.maximum(unL + cL, unR + cR)
-    num = pR - pL + rhoL * unL * (sL - unL) - rhoR * unR * (sR - unR)
-    den = rhoL * (sL - unL) - rhoR * (sR - unR)
-    sM = np.where(np.abs(den) > 1e-300, num / np.where(den == 0, 1, den), 0.0)
-
-    FL = physical_flux(UL, nx, ny)
-    FR = physical_flux(UR, nx, ny)
-
-    def star_state(U, rho, un, p, s):
-        factor = rho * (s - un) / np.where(
-            np.abs(s - sM) > 1e-300, s - sM, 1e-300
-        )
-        E = U[..., 3]
-        u_ = U[..., 1] / rho
-        v_ = U[..., 2] / rho
-        ut_x = u_ - un * nx
-        ut_y = v_ - un * ny
-        e_star = E / rho + (sM - un) * (sM + p / (rho * (s - un)))
-        return factor[..., None] * np.stack(
-            [
-                np.ones_like(rho),
-                sM * nx + ut_x,
-                sM * ny + ut_y,
-                e_star,
-            ],
-            axis=-1,
-        )
-
-    UstarL = star_state(UL, rhoL, unL, pL, sL)
-    UstarR = star_state(UR, rhoR, unR, pR, sR)
-    FstarL = FL + sL[..., None] * (UstarL - UL)
-    FstarR = FR + sR[..., None] * (UstarR - UR)
-
-    out = np.where(
-        (sL >= 0)[..., None],
-        FL,
-        np.where(
-            (sM >= 0)[..., None],
-            FstarL,
-            np.where((sR >= 0)[..., None], FstarR, FR),
-        ),
-    )
-    return out
-
-
-#: Flux-name → function map.
-FLUXES = {"rusanov": rusanov_flux, "hllc": hllc_flux}

@@ -13,27 +13,24 @@ from __future__ import annotations
 import numpy as np
 
 from ..mesh.structures import Mesh
-from .euler import FLUXES
+from .euler import rusanov_flux
 
 __all__ = ["residual", "euler_step", "heun_step", "integrate"]
 
 
-def residual(
-    mesh: Mesh, U: np.ndarray, *, flux: str = "rusanov"
-) -> np.ndarray:
-    """Spatial residual ``dU/dt = −(1/V) Σ_f F·n A_f``.
+def residual(mesh: Mesh, U: np.ndarray) -> np.ndarray:
+    """Spatial residual ``dU/dt = −(1/V) Σ_f F·n A_f`` (Rusanov flux).
 
     Boundary faces use transmissive (zero-gradient) conditions: the
     boundary state equals the interior state.
     """
-    flux_fn = FLUXES[flux]
     a = mesh.face_cells[:, 0]
     b = mesh.face_cells[:, 1]
     interior = b >= 0
     UL = U[a]
     UR = UL.copy()
     UR[interior] = U[b[interior]]
-    F = flux_fn(UL, UR, mesh.face_normal[:, 0], mesh.face_normal[:, 1])
+    F = rusanov_flux(UL, UR, mesh.face_normal[:, 0], mesh.face_normal[:, 1])
     w = F * mesh.face_area[:, None]
     out = np.zeros_like(U)
     np.add.at(out, a, -w)
@@ -41,20 +38,16 @@ def residual(
     return out / mesh.cell_volumes[:, None]
 
 
-def euler_step(
-    mesh: Mesh, U: np.ndarray, dt: float, *, flux: str = "rusanov"
-) -> np.ndarray:
+def euler_step(mesh: Mesh, U: np.ndarray, dt: float) -> np.ndarray:
     """One forward-Euler step (first order)."""
-    return U + dt * residual(mesh, U, flux=flux)
+    return U + dt * residual(mesh, U)
 
 
-def heun_step(
-    mesh: Mesh, U: np.ndarray, dt: float, *, flux: str = "rusanov"
-) -> np.ndarray:
+def heun_step(mesh: Mesh, U: np.ndarray, dt: float) -> np.ndarray:
     """One Heun (SSP-RK2) step — the paper's second-order method."""
-    R0 = residual(mesh, U, flux=flux)
+    R0 = residual(mesh, U)
     U1 = U + dt * R0
-    R1 = residual(mesh, U1, flux=flux)
+    R1 = residual(mesh, U1)
     return U + 0.5 * dt * (R0 + R1)
 
 

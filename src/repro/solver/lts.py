@@ -51,7 +51,7 @@ import numpy as np
 
 from ..mesh.structures import Mesh
 from ..temporal.scheme import active_levels, num_subiterations
-from .euler import FLUXES, physical_flux
+from .euler import physical_flux, rusanov_flux
 
 __all__ = [
     "LTSState",
@@ -124,11 +124,10 @@ def accumulate_face_fluxes(
     faces: np.ndarray,
     dt_face: float,
     *,
-    flux: str = "rusanov",
     stage: int = 1,
 ) -> None:
-    """FACE-task kernel: evaluate fluxes on ``faces`` and deposit
-    ``F·A·dt_face`` into the adjacent accumulators.
+    """FACE-task kernel: evaluate Rusanov fluxes on ``faces`` and
+    deposit ``F·A·dt_face`` into the adjacent accumulators.
 
     ``stage=1`` reads ``state.U`` and deposits into ``state.acc``;
     ``stage=2`` (the Heun corrector sweep) reads the predictor states
@@ -144,7 +143,6 @@ def accumulate_face_fluxes(
         src, acc = state.Ustar, state.acc2
     else:
         raise ValueError("stage must be 1 or 2")
-    flux_fn = FLUXES[flux]
     a = mesh.face_cells[faces, 0]
     b = mesh.face_cells[faces, 1]
     nx = mesh.face_normal[faces, 0]
@@ -153,13 +151,13 @@ def accumulate_face_fluxes(
     interior = b >= 0
     UL = src[a]
     if np.all(interior):
-        F = flux_fn(UL, src[b], nx, ny)
+        F = rusanov_flux(UL, src[b], nx, ny)
     else:
         UR = UL.copy()
         UR[interior] = src[b[interior]]
         F = np.empty_like(UL)
         if interior.any():
-            F[interior] = flux_fn(
+            F[interior] = rusanov_flux(
                 UL[interior], UR[interior], nx[interior], ny[interior]
             )
         bnd = ~interior

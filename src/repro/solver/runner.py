@@ -62,8 +62,6 @@ class TaskDistributedSolver:
         Subiteration time step (a level-τ cell advances ``2**τ ·
         dt_min`` per activation); must satisfy every τ=0 cell's CFL
         bound (see :func:`repro.solver.timestep.stable_timesteps`).
-    flux:
-        Numerical flux name (``"rusanov"`` or ``"hllc"``).
     scheme:
         ``"euler"`` (first-order) or ``"heun"`` (the paper's
         second-order predictor/corrector); must match the task graph
@@ -77,7 +75,6 @@ class TaskDistributedSolver:
         decomp: DomainDecomposition,
         dt_min: float,
         *,
-        flux: str = "rusanov",
         scheme: str = "euler",
         dag: TaskDAG | None = None,
     ) -> None:
@@ -87,7 +84,6 @@ class TaskDistributedSolver:
         self.tau = np.asarray(tau, dtype=np.int32)
         self.decomp = decomp
         self.dt_min = float(dt_min)
-        self.flux = flux
         self.scheme = scheme
         self.dag = dag if dag is not None else generate_task_graph(
             mesh, tau, decomp, scheme=scheme
@@ -132,8 +128,7 @@ class TaskDistributedSolver:
         if t.obj_type[i] == int(ObjectType.FACE):
             dt_face = float(1 << int(t.phase_tau[i])) * self.dt_min
             accumulate_face_fluxes(
-                self.mesh, state, objs, dt_face, flux=self.flux,
-                stage=int(t.stage[i]),
+                self.mesh, state, objs, dt_face, stage=int(t.stage[i]),
             )
         elif self.scheme == "euler":
             apply_cell_updates(self.mesh, state, objs)

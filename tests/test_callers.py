@@ -17,7 +17,16 @@ roots are ``src/``, ``bench/``, ``benchmarks/``, ``scripts/`` and
   attribute call) passes it by keyword, passes enough positional
   arguments to reach it, or passes ``*args`` / ``**kwargs``.  A function
   whose name is also used as a value (a registry row, a callback, a
-  ``getattr`` string) is skipped: its callers are unknown.
+  ``getattr`` string) is skipped: its callers are unknown.  A name used
+  only as an attribute's base (``Cls.method``) is not a value.
+- A ``@dataclass`` without its own ``__init__`` gets a synthetic one:
+  each field with a plain default is a defaulted parameter.  A
+  ``field(default_factory=...)`` or ``init=False`` field, and a field
+  some caller assigns as an attribute, is state and not checked.
+- ``cls(...)`` inside a class calls that class.
+- ``**name``, where ``name`` is a local bound only to a dict literal or
+  ``dict(k=...)`` and otherwise used only as ``name["k"]``, passes
+  exactly those keys; any other ``**`` passes every parameter.
 
 Anything flagged must be in :data:`ALLOWED` with a one-line reason, and
 every entry of :data:`ALLOWED` must still be flagged, so the list only
@@ -30,6 +39,8 @@ import ast
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_ROOTS = ("src", "bench", "benchmarks", "scripts", "examples")
@@ -61,6 +72,17 @@ ALLOWED: dict[str, str] = {
         "reference tests compare against: simulate(durations=) is checked "
         "against it"
     ),
+    "pipeline.config:PartitionConfig.__init__(imbalance_tol)": (
+        "scenario option: `--set imbalance_tol=` sets it through "
+        "Scenario.with_options"
+    ),
+    "resilience.faults:FaultSpec.__init__(first_attempt_only)": (
+        "test hook: tests clear it to reach the dead-letter and "
+        "retry-exhaustion paths"
+    ),
+    "resilience.faults:FaultSpec.__init__(first_round_only)": (
+        "test hook: tests clear it to reach rollback exhaustion"
+    ),
     "resilience.sentinel:ResourceSentinel.__init__(mem_probe)": (
         "test hook: tests inject a fake available-memory probe"
     ),
@@ -91,6 +113,9 @@ class _Def:
     last: int
     node: ast.AST
     owner: str | None  # the enclosing class's name
+    #: (name, positional index) of each defaulted parameter of a
+    #: dataclass's synthetic ``__init__``; ``None``: read ``node``.
+    fields: list | None = None
 
 
 @dataclass
@@ -106,10 +131,59 @@ class _Refs:
     #: name → [(path, line, bare, n_positional, keywords, starred)] of
     #: calls.
     calls: dict = field(default_factory=lambda: defaultdict(list))
+    #: names assigned as an attribute (``x.name = ...``).
+    stores: set = field(default_factory=set)
 
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated ``@dataclass`` (or ``@dataclass(...)``) without
+    ``init=False``."""
+    for dec in node.decorator_list:
+        call = dec if isinstance(dec, ast.Call) else None
+        target = call.func if call else dec
+        name = getattr(target, "id", getattr(target, "attr", None))
+        if name != "dataclass":
+            continue
+        return not any(
+            k.arg == "init"
+            and isinstance(k.value, ast.Constant)
+            and k.value.value is False
+            for k in (call.keywords if call else ())
+        )
+    return False
+
+
+def _dataclass_fields(node: ast.ClassDef) -> list[tuple[str, int]]:
+    """(name, positional index) of each field with a plain default,
+    ``self`` at index 0.  A ``field(default_factory=...)`` takes a slot
+    but is state, not an option; an ``init=False`` field takes none."""
+    out: list[tuple[str, int]] = []
+    index = 1
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and stmt.simple):
+            continue
+        if "ClassVar" in ast.dump(stmt.annotation):
+            continue
+        value = stmt.value
+        defaulted = value is not None
+        if (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None))
+            == "field"
+        ):
+            kw = {k.arg: k.value for k in value.keywords}
+            init = kw.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in kw
+        if defaulted:
+            out.append((stmt.target.id, index))
+        index += 1
+    return out
 
 
 def _collect_defs(module: str, path: str, tree: ast.Module) -> list[_Def]:
@@ -135,6 +209,25 @@ def _collect_defs(module: str, path: str, tree: ast.Module) -> list[_Def]:
                 )
             )
             if isinstance(node, ast.ClassDef):
+                own_init = any(
+                    isinstance(n, ast.FunctionDef) and n.name == "__init__"
+                    for n in node.body
+                )
+                if _is_dataclass(node) and not own_init:
+                    # The synthetic ``__init__`` spans only the class
+                    # header, so ``cls(...)`` in the body reaches it.
+                    out.append(
+                        _Def(
+                            key=f"{module}:{qual}.__init__",
+                            name="__init__",
+                            path=path,
+                            first=first,
+                            last=node.lineno,
+                            node=node,
+                            owner=node.name,
+                            fields=_dataclass_fields(node),
+                        )
+                    )
                 visit(node.body, f"{qual}.", node.name)
 
     visit(tree.body, "", None)
@@ -146,12 +239,92 @@ def _string_names(value: str) -> list[str]:
     return parts if all(p.isidentifier() for p in parts) else []
 
 
+def _scopes(tree: ast.Module) -> list[tuple[ast.AST, str | None, ast.AST]]:
+    """(node, enclosing class name, enclosing function or the module)
+    for every node of ``tree``."""
+    out = []
+    stack = [(tree, None, tree)]
+    while stack:
+        node, owner, scope = stack.pop()
+        out.append((node, owner, scope))
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope = node
+        stack.extend((c, owner, scope) for c in ast.iter_child_nodes(node))
+    return out
+
+
+def _literal_keys(value: ast.AST) -> set[str] | None:
+    """Keys of a dict literal or ``dict(k=...)`` call; ``None`` for any
+    other value (or one that unpacks)."""
+    if isinstance(value, ast.Dict):
+        if all(
+            isinstance(k, ast.Constant) and isinstance(k.value, str)
+            for k in value.keys
+        ):
+            return {k.value for k in value.keys}
+    elif (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id == "dict"
+        and not value.args
+        and all(k.arg for k in value.keywords)
+    ):
+        return {k.arg for k in value.keywords}
+    return None
+
+
+def _dict_locals(scope: ast.AST) -> dict[str, frozenset[str]]:
+    """Locals of ``scope`` bound only to a dict literal or
+    ``dict(k=...)`` and otherwise used only as ``**name`` or
+    ``name["k"]``, mapped to every key they can hold."""
+    keys: dict[str, set[str]] = defaultdict(set)
+    bad: set[str] = set()
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = scope.args
+        bad.update(
+            x.arg
+            for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if x is not None
+        )
+    fine: set[int] = set()  # ids of the Name nodes accounted for
+    for node in ast.walk(scope):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+        ):
+            found = _literal_keys(node.value)
+            if found is not None:
+                keys[node.targets[0].id] |= found
+                fine.add(id(node.targets[0]))
+        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+            key = node.slice
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                fine.add(id(node.value))
+                if isinstance(node.ctx, ast.Store):
+                    keys[node.value.id].add(key.value)
+        elif isinstance(node, ast.Call):
+            fine.update(
+                id(k.value)
+                for k in node.keywords
+                if k.arg is None and isinstance(k.value, ast.Name)
+            )
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name) and id(node) not in fine:
+            bad.add(node.id)
+    return {name: frozenset(ks) for name, ks in keys.items() if name not in bad}
+
+
 def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
     exported: set[int] = set()  # ids of nodes under an __all__ assignment
     annotation: set[int] = set()  # ids of nodes inside an annotation
     callees: set[int] = set()
-    nodes = list(ast.walk(tree))
-    for node in nodes:
+    bases: set[int] = set()  # ids of Names that are an attribute's base
+    dict_locals: dict[int, dict[str, frozenset[str]]] = {}
+    scoped = _scopes(tree)
+    for node, owner, scope in scoped:
         targets = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -169,6 +342,11 @@ def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
                 annotations.append(node.returns)
         for ann in annotations:
             annotation.update(id(n) for n in ast.walk(ann))
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name):
+                bases.add(id(node.value))
+            if isinstance(node.ctx, ast.Store):
+                refs.stores.add(node.attr)
         if isinstance(node, ast.Call):
             callees.add(id(node.func))
             func = node.func
@@ -177,22 +355,34 @@ def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
                 if isinstance(func, ast.Name)
                 else func.attr if isinstance(func, ast.Attribute) else None
             )
+            if name == "cls" and owner is not None:
+                name = owner  # ``cls(...)`` in a class calls that class
             if name is not None:
-                starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
-                    k.arg is None for k in node.keywords
-                )
+                if id(scope) not in dict_locals:
+                    dict_locals[id(scope)] = _dict_locals(scope)
+                known = dict_locals[id(scope)]
+                keywords = {k.arg for k in node.keywords if k.arg}
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                for k in node.keywords:
+                    if k.arg is not None:
+                        continue
+                    if isinstance(k.value, ast.Name) and k.value.id in known:
+                        keywords |= known[k.value.id]
+                    else:
+                        starred = True
                 refs.calls[name].append(
                     (
                         path,
                         node.lineno,
                         isinstance(func, ast.Name),
                         len(node.args),
-                        frozenset(k.arg for k in node.keywords if k.arg),
+                        frozenset(keywords),
                         starred,
                     )
                 )
 
-    for node in nodes:
+    not_values = annotation | callees | bases
+    for node, _, _ in scoped:
         names = []
         bare = isinstance(node, ast.Name)
         if bare and isinstance(node.ctx, ast.Load):
@@ -204,7 +394,7 @@ def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
                 names = _string_names(node.value)
         for name in names:
             refs.loads[name].append((path, node.lineno, bare))
-            if id(node) not in annotation and id(node) not in callees:
+            if id(node) not in not_values:
                 refs.values[name].append((path, node.lineno, bare))
 
 
@@ -276,7 +466,7 @@ def scan(src: dict[str, str], callers: dict[str, str]):
         if d.name != "__init__" and not _outside(d, refs.loads[d.name]):
             dead[d.key] = d.last - d.first + 1
             continue
-        if isinstance(d.node, ast.ClassDef):
+        if isinstance(d.node, ast.ClassDef) and d.fields is None:
             continue
         # A constructor is called through its class (or ``super()``).
         callee = d.owner if d.name == "__init__" else d.name
@@ -286,7 +476,11 @@ def scan(src: dict[str, str], callers: dict[str, str]):
         if d.name == "__init__":
             sites += refs.calls["__init__"]
         offset = _bound_slots(d)
-        for param, index in _defaulted(d.node, offset):
+        if d.fields is None:
+            params = _defaulted(d.node, offset)
+        else:  # a field some caller assigns is state, not an option
+            params = [(f, i) for f, i in d.fields if f not in refs.stores]
+        for param, index in params:
             if not any(
                 starred
                 or param in keywords
@@ -419,3 +613,88 @@ def test_scanner_flags_dead_defs_and_unset_parameters():
     # and a bound-method call all count; only ``e`` is never passed.
     assert unset == ["pkg.mod:never_passed(e)"]
 
+
+
+#: One fixture per rule: (source of module ``pkg.rules``, the defaulted
+#: parameters the scan must flag).
+RULE_FIXTURES = {
+    # A dataclass's fields are its synthetic ``__init__``'s parameters;
+    # a ``default_factory`` field and one a caller assigns are state.
+    "dataclass_fields": (
+        """
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Opts:
+    name: str
+    level: int = 0
+    unused: bool = False
+    cache: list = field(default_factory=list)
+    tally: int = 0
+
+
+def caller():
+    opts = Opts("a", 1)
+    opts.tally += 1
+    return opts
+""",
+        ["pkg.rules:Opts.__init__(unused)"],
+    ),
+    # ``cls(...)`` in a classmethod calls the class.
+    "cls_call": (
+        """
+class Point:
+    def __init__(self, x=0, y=0):
+        self.x, self.y = x, y
+
+    @classmethod
+    def on_axis(cls, x):
+        return cls(x)
+
+
+def caller():
+    return Point.on_axis(3)
+""",
+        ["pkg.rules:Point.__init__(y)"],
+    ),
+    # A local bound only to ``dict(...)`` passes exactly its keys.
+    "dict_kwargs": (
+        """
+def build(a, *, fast=False, slow=False):
+    return a, fast, slow
+
+
+def caller():
+    opts = dict(fast=True)
+    opts["fast"] = False
+    return build(0, **opts)
+""",
+        ["pkg.rules:build(slow)"],
+    ),
+    # ``Engine.spare()`` uses the class as an attribute base, not as a
+    # value: the constructor's callers stay known.
+    "attribute_base": (
+        """
+class Engine:
+    def __init__(self, power=1):
+        self.power = power
+
+    @staticmethod
+    def spare():
+        return 0
+
+
+def caller():
+    return Engine.spare()
+""",
+        ["pkg.rules:Engine.__init__(power)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_FIXTURES))
+def test_scanner_rule(rule):
+    text, flagged = RULE_FIXTURES[rule]
+    _, unset = scan({"pkg.rules": text}, {"src:pkg.rules": text})
+    assert sorted(unset) == flagged

@@ -273,7 +273,6 @@ class TestResilienceOverhead:
         assert armed_calls == bare_calls == [1] * cube_dag_mc.num_tasks
         assert delays == []
         for result in (bare, armed):
-            assert result.health.ok
             assert result.health.retries == 0
             assert result.health.total_wasted == 0.0
         assert not any(

@@ -89,6 +89,19 @@ class TestTopLevelErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("repro: error:")
 
+    def test_unknown_scenario_option_is_oneline_error(self, capsys):
+        # No mesh builder takes a min_depth, so no stage config has one.
+        rc = main([
+            "pipeline", "run", "--scenario", "characteristics",
+            "--set", "scale=6", "--set", "min_depth=3", "--through", "mesh",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "repro: error: unknown scenario option 'min_depth'"
+        )
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

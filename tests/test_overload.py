@@ -203,9 +203,33 @@ class TestAdmissionControl:
         monkeypatch.delenv("REPRO_SPOOL_MAX_PENDING", raising=False)
         monkeypatch.delenv("REPRO_SPOOL_MAX_BYTES", raising=False)
         monkeypatch.setenv(name, "abc")
+        queue = SpoolQueue(tmp_path)
         with pytest.warns(RuntimeWarning, match=name):
-            queue = SpoolQueue(tmp_path)
-        assert queue.limits == QueueLimits()
+            self.submit_n(queue, 1)
+        assert queue.pending_load()[0] == 1
+
+    def test_only_a_submitter_reads_the_limits(self, tmp_path, monkeypatch):
+        # The daemon never submits: a malformed admission knob is no
+        # concern of its log.  A submitter still warns, once.
+        monkeypatch.setenv("REPRO_SPOOL_MAX_PENDING", "abc")
+        spool = tmp_path / "spool"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ServeDaemon(
+                spool,
+                store_root=tmp_path / "store",
+                sentinel=make_sentinel(SentinelConfig(), {}),
+                poll=0.05,
+            ).serve_forever(max_jobs=0, idle_timeout=0.2)
+        assert not [w for w in caught if "REPRO_SPOOL" in str(w.message)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ServiceClient(spool).submit("characteristics", options=CHEAP)
+        assert [
+            w.category
+            for w in caught
+            if "REPRO_SPOOL_MAX_PENDING" in str(w.message)
+        ] == [RuntimeWarning]
 
     def test_unbounded_by_default(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_SPOOL_MAX_PENDING", raising=False)

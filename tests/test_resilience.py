@@ -38,13 +38,6 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="delay"):
             FaultSpec("straggler", 0.1, delay=-1.0)
 
-    def test_applies_to_filters(self):
-        spec = FaultSpec("transient", 0.5, phases=(1, 2), domains=(0,))
-        assert spec.applies_to(1, 0)
-        assert not spec.applies_to(0, 0)  # phase filtered
-        assert not spec.applies_to(1, 3)  # domain filtered
-        assert FaultSpec("transient", 0.5).applies_to(7, 7)
-
 
 class TestFaultPlan:
     def test_decisions_are_deterministic(self):
@@ -127,16 +120,6 @@ class TestFaultPlan:
         fn(4)
         assert ran == [4]
         assert plan.injected["straggler"] == 1
-
-    def test_wrap_respects_phase_filter(self):
-        plan = FaultPlan(
-            specs=(FaultSpec("transient", 1.0, phases=(2,)),), seed=0
-        )
-        phase_of = np.array([0, 2], dtype=np.int32)
-        fn = plan.wrap(lambda t: None, phase_of=phase_of)
-        fn(0)  # phase 0: spec does not apply
-        with pytest.raises(TransientError):
-            fn(1)
 
 
 @pytest.fixture(scope="module")
