@@ -2,12 +2,13 @@
 
 Commands
 --------
-``table1``
-    Print the replica Table I with paper reference rows.
 ``experiment <name>``
     Run one experiment harness (the choices derive from the
     experiment registry, :data:`repro.experiments.EXPERIMENTS`) and
-    print its report.
+    print its report and the verdict of each of its claims.
+``reproduce [name ...]``
+    Run registry rows (default: all) over the scoreboard's seeds,
+    write ``REPRODUCTION.json`` and print its markdown tables.
 ``pipeline``
     Run the typed mesh→partition→DAG→schedule pipeline on a named
     scenario, optionally sweeping options (``--sweep
@@ -74,19 +75,19 @@ def _apply_artifacts(args: argparse.Namespace) -> None:
     set_default_store(ArtifactStore(path))
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from .experiments import table1
-
-    _apply_artifacts(args)
-    print(table1.report(table1.run(scale=args.scale)))
-    return 0
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments.registry import run_experiment
 
     _apply_artifacts(args)
     print(run_experiment(args.name, scale=args.scale))
+    return 0
+
+
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from .experiments.scoreboard import reproduce
+
+    _apply_artifacts(args)
+    print(reproduce(args.names))
     return 0
 
 
@@ -589,10 +590,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table1", help="print replica Table I")
-    p.add_argument("--scale", type=int, default=None, help="mesh max_depth")
-    p.set_defaults(func=_cmd_table1)
-
     from .experiments.registry import available
 
     p = sub.add_parser(
@@ -609,6 +606,10 @@ def main(argv: list[str] | None = None) -> int:
         "(default: REPRO_N_JOBS or one per CPU)",
     )
     p.set_defaults(func=_cmd_experiment)
+
+    p = sub.add_parser("reproduce", help="score registry rows over seeds 0-3")
+    p.add_argument("names", nargs="*", metavar="NAME", help="default: all")
+    p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser(
         "pipeline",

@@ -15,9 +15,12 @@ fig13_production    Fig. 13 (production replay, ~20%)
 dual_phase          §VII perspective (MC_TL→SC_OC dual phase)
 ==================  ==========================================
 
-Extension studies beyond the paper's figures:
+Ablations and extension studies beyond the paper's figures:
 
 ==========================  =======================================
+scheduler_ablation          every FLUSIM scheduler on both strategies
+baseline_ablation           RCB/SFC geometric baselines
+heun_ablation               Euler vs Heun local time stepping
 comm_sensitivity            α/β link-cost sweep (overlap assumption)
 postprocess_study           reconnecting fragmented MC_TL domains
 granularity_study           automatic domain-count tuning
@@ -25,41 +28,18 @@ level_evolution             §III-A stationarity, verified with solver
 runtime_validation          real threaded execution of the kernels
 octree3d                    the phenomenon on a true 3D octree mesh
 multi_iteration             cross-iteration pipelining (steady state)
-distribution_sensitivity    when does MC_TL matter? (τ-mix sweep)
 strong_scaling              SC_OC saturates; MC_TL keeps scaling
+distribution_sensitivity    when does MC_TL matter? (τ-mix sweep)
+adaptation_study            solve → adapt → re-level → re-partition
+components                  each kernel's output, checked once
 chaos_study                 campaigns under injected faults
-ablations                   schedulers, RCB/SFC baselines
 ==========================  =======================================
 
-``ablations`` is not a row of :data:`~.registry.EXPERIMENTS`, so
-``repro experiment`` cannot run it; two ``benchmarks/bench_ablation_*``
-wrappers (partitioner, schedulers) are its callers.
+Every module is a row of :data:`~.registry.EXPERIMENTS`, imported when
+the row runs, and states its own ``CLAIMS``; :mod:`.scoreboard` runs
+the rows over seeds into ``REPRODUCTION.json``.
 """
 
-from . import (
-    ablations,
-    adaptation_study,
-    chaos_study,
-    comm_sensitivity,
-    distribution_sensitivity,
-    dual_phase,
-    fig05_validation,
-    fig06_unbounded,
-    fig07_10_characteristics,
-    fig08_taskgraph_shape,
-    fig09_speedup,
-    fig11_sweep,
-    fig12_nozzle,
-    fig13_production,
-    granularity_study,
-    level_evolution,
-    multi_iteration,
-    octree3d,
-    postprocess_study,
-    runtime_validation,
-    strong_scaling,
-    table1,
-)
 from .common import (
     NUM_LEVELS,
     cached_decomposition,
@@ -71,28 +51,6 @@ from .common import (
 from .registry import EXPERIMENTS, available, run_experiment
 
 __all__ = [
-    "table1",
-    "fig05_validation",
-    "fig06_unbounded",
-    "fig07_10_characteristics",
-    "fig08_taskgraph_shape",
-    "fig09_speedup",
-    "fig11_sweep",
-    "fig12_nozzle",
-    "fig13_production",
-    "dual_phase",
-    "ablations",
-    "adaptation_study",
-    "chaos_study",
-    "comm_sensitivity",
-    "distribution_sensitivity",
-    "multi_iteration",
-    "strong_scaling",
-    "postprocess_study",
-    "granularity_study",
-    "level_evolution",
-    "octree3d",
-    "runtime_validation",
     "standard_case",
     "standard_scenario",
     "cached_decomposition",

@@ -33,7 +33,20 @@ from ..solver.timestep import stable_timesteps
 from ..taskgraph import generate_task_graph
 from ..temporal import levels_from_depth
 
-__all__ = ["AdaptationCycle", "AdaptationStudyResult", "run", "report"]
+__all__ = [
+    "AdaptationCycle", "AdaptationStudyResult", "run", "report", "metrics",
+    "CLAIMS",
+]
+
+#: The mesh refines around the front, the transfers conserve mass, and
+#: MC_TL's advantage emerges with the level structure (parity first).
+CLAIMS = (
+    "last_num_cells > first_num_cells",
+    "last_front_radius < 0.25",
+    "last_mass_error < 1e-8",
+    "abs(first_speedup - 1.0) < 0.2",
+    "last_speedup > 1.2",
+)
 
 
 @dataclass
@@ -130,6 +143,15 @@ def run(
             )
         )
     return result
+
+
+def metrics(r: AdaptationStudyResult) -> dict[str, float]:
+    """The first and last cycles' statistics."""
+    return {
+        f"{which}_{name}": value
+        for which, cycle in (("first", r.cycles[0]), ("last", r.cycles[-1]))
+        for name, value in vars(cycle).items()
+    }
 
 
 def report(r: AdaptationStudyResult) -> str:

@@ -17,7 +17,16 @@ import numpy as np
 from ..flusim import ClusterConfig, CommModel, simulate
 from .common import cached_task_graph
 
-__all__ = ["CommSensitivityResult", "run", "report"]
+__all__ = ["CommSensitivityResult", "run", "report", "metrics", "CLAIMS"]
+
+#: MC_TL wins at zero cost, its advantage decays and crosses over with
+#: latency, and DUAL stays within 25% of the best up to latency 100.
+CLAIMS = (
+    "ratio_0 > 1.2",
+    "ratio_200 < ratio_0",
+    "min_ratio <= 1.0",
+    "dual_over_best_to_100 <= 1.25",
+)
 
 
 @dataclass
@@ -70,6 +79,22 @@ def run(
         latencies=list(latencies),
         makespan=makespan,
     )
+
+
+def metrics(r: CommSensitivityResult) -> dict[str, float]:
+    """Per latency: the SC_OC/MC_TL ratio and DUAL over the better of
+    the two; the smallest ratio (≤ 1 once MC_TL is overtaken), and the
+    largest DUAL/best up to latency 100."""
+    ratio = r.ratio()
+    best = np.minimum(r.makespan["SC_OC"], r.makespan["MC_TL"])
+    dual = r.makespan["DUAL"] / best
+    out: dict[str, float] = {}
+    for i, lat in enumerate(r.latencies):
+        out[f"ratio_{lat:g}"] = ratio[i]
+        out[f"dual_over_best_{lat:g}"] = dual[i]
+    out["min_ratio"] = ratio.min()
+    out["dual_over_best_to_100"] = dual[np.array(r.latencies) <= 100.0].max()
+    return out
 
 
 def report(r: CommSensitivityResult) -> str:

@@ -22,7 +22,14 @@ from ..taskgraph import generate_task_graph
 from ..temporal import assign_levels_by_fraction
 from .common import standard_case
 
-__all__ = ["DistributionSweepResult", "run", "report"]
+__all__ = ["DistributionSweepResult", "run", "report", "metrics", "CLAIMS"]
+
+#: MC_TL never loses badly anywhere in the sweep, and wins clearly
+#: somewhere in the paper-like minority-fine regime.
+CLAIMS = (
+    "min_speedup > 0.9",
+    "max_speedup > 1.3",
+)
 
 
 @dataclass
@@ -70,6 +77,17 @@ def run(
         makespan_sc_oc=np.array(ms_sc),
         makespan_mc_tl=np.array(ms_mc),
     )
+
+
+def metrics(r: DistributionSweepResult) -> dict[str, float]:
+    """Speedup per fine-cell percentage, and its extremes."""
+    out = {
+        f"speedup_at_{100 * f:g}pct": sp
+        for f, sp in zip(r.fine_fractions, r.speedup)
+    }
+    out["min_speedup"] = r.speedup.min()
+    out["max_speedup"] = r.speedup.max()
+    return out
 
 
 def report(r: DistributionSweepResult) -> str:

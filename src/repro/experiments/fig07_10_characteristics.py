@@ -10,8 +10,10 @@ For the CYLINDER case on 16 processes (32 cores each):
   in the first subiteration and then starve; under MC_TL every row is
   flat.
 
-The result carries both matrices plus scalar *concentration* metrics
-so benchmarks can assert the paper's qualitative claims numerically.
+The result carries both matrices plus scalar *concentration* metrics,
+so the claims can state the paper's qualitative findings numerically.
+An MC_TL result carries the SC_OC result of the same case as its
+``baseline``: Fig. 10's claims compare the two.
 """
 
 from __future__ import annotations
@@ -25,8 +27,28 @@ from ..taskgraph.analysis import (
     work_by_process_subiteration,
 )
 from .common import cached_decomposition, cached_task_graph, standard_case
+from .registry import scalar_fields
 
-__all__ = ["CharacteristicsResult", "run", "report", "level_concentration"]
+__all__ = [
+    "CharacteristicsResult", "run", "report", "metrics", "level_concentration",
+    "FIG07_CLAIMS", "FIG10_CLAIMS",
+]
+
+#: SC_OC balances total cost but concentrates levels, and some process
+#: does nearly all its work in subiteration 0 (paper: "almost entirely").
+FIG07_CLAIMS = (
+    "total_cost_imbalance < 1.25",
+    "concentration > 0.55",
+    "max_first_subiteration_share > 0.7",
+)
+
+#: MC_TL mixes levels, front-loads no process as SC_OC does, and keeps
+#: every subiteration within 35% of its mean (paper: "completely balanced").
+FIG10_CLAIMS = (
+    "concentration < concentration_sc_oc - 0.1",
+    "max_first_subiteration_share < max_first_subiteration_share_sc_oc",
+    "worst_subiteration_balance < 1.35",
+)
 
 
 def level_concentration(cost_by_level: np.ndarray) -> float:
@@ -54,6 +76,7 @@ class CharacteristicsResult:
     concentration: float
     max_first_subiteration_share: float
     total_cost_imbalance: float  # max/mean of per-process total cost
+    baseline: CharacteristicsResult | None = None  # SC_OC, same case
 
 
 def run(
@@ -76,6 +99,12 @@ def run(
     cost_lv = operating_cost_by_process_level(tau, decomp)
     work_sub = work_by_process_subiteration(dag, processes)
     totals = cost_lv.sum(axis=1)
+    baseline = None
+    if strategy != "SC_OC":
+        baseline = run(
+            "SC_OC", mesh_name=mesh_name, domains=domains,
+            processes=processes, scale=scale, seed=seed,
+        )
     return CharacteristicsResult(
         strategy=strategy,
         cost_by_process_level=cost_lv,
@@ -85,7 +114,21 @@ def run(
             first_subiteration_share(work_sub).max()
         ),
         total_cost_imbalance=float(totals.max() / totals.mean()),
+        baseline=baseline,
     )
+
+
+def metrics(r: CharacteristicsResult) -> dict[str, float]:
+    """The scalar fields, the worst per-subiteration max/mean and, for
+    a result with a baseline, the baseline's scalar fields (``_sc_oc``
+    suffix)."""
+    w = r.work_by_process_subiteration
+    out = scalar_fields(r)
+    out["worst_subiteration_balance"] = (w.max(axis=0) / w.mean(axis=0)).max()
+    if r.baseline is not None:
+        for name, value in scalar_fields(r.baseline).items():
+            out[f"{name}_sc_oc"] = value
+    return out
 
 
 def report(r: CharacteristicsResult) -> str:

@@ -22,7 +22,15 @@ from ..partitioning import make_decomposition
 from ..taskgraph import generate_task_graph
 from ..temporal import levels_from_depth
 
-__all__ = ["Fig8Result", "run", "report"]
+__all__ = ["Fig8Result", "run", "report", "CLAIMS"]
+
+#: MC_TL expresses the first subiteration with more, finer tasks, from
+#: every domain in every phase; SC_OC leaves some phase to one domain.
+CLAIMS = (
+    "total_tasks_mc_tl > total_tasks_sc_oc",
+    "domains_active_every_phase_mc_tl",
+    "not domains_active_every_phase_sc_oc",
+)
 
 
 @dataclass

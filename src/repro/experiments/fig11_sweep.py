@@ -18,7 +18,23 @@ import numpy as np
 from ..flusim import taskgraph_comm_volume
 from .common import run_flusim
 
-__all__ = ["Fig11Result", "run", "report"]
+__all__ = ["Fig11Result", "run", "report", "metrics", "CLAIMS"]
+
+#: (a) MC_TL wins up to 128 domains and the 256-domain ratio lies below
+#: the peak; (b) up to 128 domains MC_TL communicates more, at every
+#: count and in aggregate, and volume grows with the count.
+CLAIMS = tuple(
+    claim
+    for mesh in ("cylinder", "cube")
+    for claim in (
+        f"min_ratio_to_128_{mesh} > 1.0",
+        f"ratio_{mesh}_256 < peak_ratio_{mesh}",
+        f"min_comm_excess_to_128_{mesh} >= 0",
+        f"comm_excess_to_128_{mesh} > 0",
+        f"comm_sc_oc_{mesh}_128 > comm_sc_oc_{mesh}_16",
+        f"comm_mc_tl_{mesh}_128 > comm_mc_tl_{mesh}_16",
+    )
+)
 
 
 @dataclass
@@ -68,6 +84,25 @@ def run(
         comm_sc_oc=c_sc,
         comm_mc_tl=c_mc,
     )
+
+
+def metrics(r: Fig11Result) -> dict[str, float]:
+    """Per mesh and domain count: the ratio and both comm volumes;
+    per mesh: the peak ratio, and over counts up to 128 the smallest
+    ratio and MC_TL's comm excess (smallest and summed)."""
+    out: dict[str, float] = {}
+    early = np.array(r.domain_counts) <= 128
+    for name in r.meshes:
+        ratio, sc, mc = r.ratio[name], r.comm_sc_oc[name], r.comm_mc_tl[name]
+        for i, d in enumerate(r.domain_counts):
+            out[f"ratio_{name}_{d}"] = ratio[i]
+            out[f"comm_sc_oc_{name}_{d}"] = sc[i]
+            out[f"comm_mc_tl_{name}_{d}"] = mc[i]
+        out[f"peak_ratio_{name}"] = ratio.max()
+        out[f"min_ratio_to_128_{name}"] = ratio[early].min()
+        out[f"min_comm_excess_to_128_{name}"] = (mc - sc)[early].min()
+        out[f"comm_excess_to_128_{name}"] = mc[early].sum() - sc[early].sum()
+    return out
 
 
 def report(r: Fig11Result) -> str:

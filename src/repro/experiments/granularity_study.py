@@ -17,7 +17,15 @@ from ..partitioning import GranularitySearchResult, tune_granularity
 from ..pipeline import Pipeline
 from .common import standard_scenario
 
-__all__ = ["GranularityStudyResult", "run", "report"]
+__all__ = ["GranularityStudyResult", "run", "report", "metrics", "CLAIMS"]
+
+#: Overheads never push the optimum finer, for either strategy.
+CLAIMS = (
+    "domains_sc_oc_overhead <= domains_sc_oc_free",
+    "domains_sc_oc_overhead_comm <= domains_sc_oc_overhead",
+    "domains_mc_tl_overhead <= domains_mc_tl_free",
+    "domains_mc_tl_overhead_comm <= domains_mc_tl_overhead",
+)
 
 
 @dataclass
@@ -67,6 +75,15 @@ def run(
     return GranularityStudyResult(
         regimes=list(regimes), searches=searches
     )
+
+
+def metrics(r: GranularityStudyResult) -> dict[str, float]:
+    """Selected domain count per (strategy, regime)."""
+    return {
+        f"domains_{s.lower()}_{g.replace('+', '_')}": r.best_domains(s, g)
+        for s in ("SC_OC", "MC_TL")
+        for g in r.regimes
+    }
 
 
 def report(r: GranularityStudyResult) -> str:

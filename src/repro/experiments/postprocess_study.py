@@ -25,7 +25,15 @@ from ..partitioning.strategies import _level_indicator_matrix, mc_tl_partition
 from ..taskgraph import generate_task_graph
 from .common import standard_case
 
-__all__ = ["PostprocessResult", "run", "report"]
+__all__ = ["PostprocessResult", "run", "report", "CLAIMS"]
+
+#: Fewer fragments, no more communication, bounded balance and makespan.
+CLAIMS = (
+    "fragments_after < fragments_before",
+    "comm_after <= comm_before",
+    "imbalance_after <= 1.30 + 1e-9",
+    "makespan_after <= 1.3 * makespan_before",
+)
 
 
 @dataclass

@@ -23,7 +23,19 @@ from ..solver import LTSState, TaskDistributedSolver, blast_wave
 from ..solver.timestep import stable_timesteps
 from .common import cached_decomposition, standard_case
 
-__all__ = ["RuntimeValidationResult", "run", "report"]
+__all__ = ["RuntimeValidationResult", "run", "report", "CLAIMS"]
+
+#: Threaded physics equals serial; the timing-derived trace metrics
+#: get sanity bounds only (unreliable on a time-shared host).
+CLAIMS = tuple(
+    claim
+    for s in ("sc_oc", "mc_tl")
+    for claim in (
+        f"matches_serial_{s}",
+        f"0.0 < efficiency_{s} <= 1.0",
+        f"busy_balance_{s} < 2.5",
+    )
+)
 
 
 @dataclass

@@ -17,7 +17,16 @@ import numpy as np
 from ..flusim import ClusterConfig, simulate
 from .common import cached_task_graph
 
-__all__ = ["StrongScalingResult", "run", "report"]
+__all__ = ["StrongScalingResult", "run", "report", "metrics", "CLAIMS"]
+
+#: More processes never hurt (no step up beyond 2%); MC_TL reaches a
+#: better best makespan and a larger speedup at the largest count.
+CLAIMS = (
+    "worst_step_sc_oc <= 1e-9",
+    "worst_step_mc_tl <= 1e-9",
+    "best_mc_tl < best_sc_oc",
+    "final_speedup_mc_tl > final_speedup_sc_oc",
+)
 
 
 @dataclass
@@ -27,11 +36,6 @@ class StrongScalingResult:
     process_counts: list[int]
     makespan: dict[str, np.ndarray]  # strategy -> per-count array
     parallel_efficiency: dict[str, np.ndarray]
-
-    def speedup_curve(self, strategy: str) -> np.ndarray:
-        """Speedup relative to the smallest process count."""
-        m = self.makespan[strategy]
-        return m[0] / m
 
 
 def run(
@@ -63,6 +67,22 @@ def run(
         makespan=makespan,
         parallel_efficiency=eff,
     )
+
+
+def metrics(r: StrongScalingResult) -> dict[str, float]:
+    """Per strategy: makespan per process count, the best one, the
+    speedup at the largest count, and the worst step up (the largest
+    rise between counts beyond 2% of the makespan before it)."""
+    out: dict[str, float] = {}
+    for s in ("SC_OC", "MC_TL"):
+        m = r.makespan[s]
+        key = s.lower()
+        for p, span in zip(r.process_counts, m):
+            out[f"makespan_{key}_p{p}"] = span
+        out[f"best_{key}"] = m.min()
+        out[f"final_speedup_{key}"] = m[0] / m[-1]
+        out[f"worst_step_{key}"] = (np.diff(m) - 0.02 * m[:-1]).max()
+    return out
 
 
 def report(r: StrongScalingResult) -> str:

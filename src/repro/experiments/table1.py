@@ -10,12 +10,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mesh import format_table1_row, level_statistics
+from ..mesh import LevelStats, format_table1_row, level_statistics
 from ..mesh.generators import PAPER_CELL_COUNTS, PAPER_CELL_FRACTIONS
 from ..pipeline import Pipeline
 from .common import standard_scenario
 
-__all__ = ["Table1Result", "run", "report"]
+__all__ = ["Table1Result", "run", "report", "metrics", "CLAIMS"]
+
+#: Every replica matches the paper's per-level shares within 6 (cells)
+#: and 12 (computation) percentage points.
+CLAIMS = (
+    "cell_fraction_err_cylinder <= 0.06",
+    "computation_fraction_err_cylinder <= 0.12",
+    "cell_fraction_err_cube <= 0.06",
+    "computation_fraction_err_cube <= 0.12",
+    "cell_fraction_err_pprime_nozzle <= 0.06",
+    "computation_fraction_err_pprime_nozzle <= 0.12",
+)
 
 #: Paper "%Computation" rows (per τ ascending) for reference.
 PAPER_COMPUTATION_FRACTIONS = {
@@ -60,13 +71,36 @@ def run(*, scale: int | None = None) -> Table1Result:
     )
 
 
+def metrics(result: Table1Result) -> dict[str, float]:
+    """Per mesh: cells, the replica's %Cells and %Computation per τ,
+    and the largest per-level distance to the paper's shares."""
+    out: dict[str, float] = {}
+    for name in result.names:
+        out[f"cells_{name}"] = result.replica_counts[name].sum()
+        for kind in ("cell", "computation"):
+            replica = getattr(result, f"replica_{kind}_fraction")[name]
+            paper = getattr(result, f"paper_{kind}_fraction")[name]
+            for tau, share in enumerate(replica):
+                out[f"{kind}_fraction_{name}_tau{tau}"] = share
+            out[f"{kind}_fraction_err_{name}"] = (
+                np.abs(replica - paper).max()
+                if replica.shape == paper.shape
+                else np.inf  # a level missing at this scale
+            )
+    return out
+
+
 def report(result: Table1Result) -> str:
     """Render the replica Table I with paper reference rows."""
     blocks = []
-    pipe = Pipeline()
     for name in result.names:
-        mesh, tau = pipe.case(standard_scenario(name))
-        st = level_statistics(mesh, tau)
+        counts = result.replica_counts[name]
+        st = LevelStats(
+            counts=counts,
+            cell_fraction=result.replica_cell_fraction[name],
+            computation_fraction=result.replica_computation_fraction[name],
+            total_cells=int(counts.sum()),
+        )
         block = [format_table1_row(name.upper(), st)]
         block.append(
             "paper %Cells "

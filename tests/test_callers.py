@@ -2,8 +2,8 @@
 outside ``tests/``, and every defaulted parameter is set by one.
 
 The scan is name-based and uses the stdlib ``ast`` module only.  Caller
-roots are ``src/``, ``bench/``, ``benchmarks/``, ``scripts/`` and
-``examples/``; ``tests/`` never counts.
+roots are ``src/repro/``, ``bench/``, ``scripts/`` and ``examples/``;
+``tests/`` never counts.
 
 - A def counts as called when its name appears outside its own body as
   a ``Name`` or ``Attribute`` load, or as a string constant outside an
@@ -27,6 +27,10 @@ roots are ``src/``, ``bench/``, ``benchmarks/``, ``scripts/`` and
 - ``**name``, where ``name`` is a local bound only to a dict literal or
   ``dict(k=...)`` and otherwise used only as ``name["k"]``, passes
   exactly those keys; any other ``**`` passes every parameter.
+- A site inside a flagged def (an allowlisted one included) is no
+  caller: the scan repeats without those sites until nothing more is
+  flagged, so a def or option reached only from dead code is flagged
+  too.
 
 Anything flagged must be in :data:`ALLOWED` with a one-line reason, and
 every entry of :data:`ALLOWED` must still be flagged, so the list only
@@ -43,7 +47,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-CALLER_ROOTS = ("src", "bench", "benchmarks", "scripts", "examples")
+CALLER_ROOTS = ("src/repro", "bench", "scripts", "examples")
 
 #: ``module:qualname`` or ``module:qualname(param)`` (module relative to
 #: ``repro``) → why it stays without a caller outside ``tests/``.
@@ -60,6 +64,14 @@ ALLOWED: dict[str, str] = {
         "reference tests compare against: the uniform-step Heun/Euler "
         "integration the solver tests take as ground truth"
     ),
+    "solver.heun:euler_step": "reference tests compare against: "
+    "integrate's Euler step, which one-level Euler LTS must reproduce",
+    "solver.heun:heun_step": "reference tests compare against: "
+    "integrate's Heun step, which one-level Heun LTS must reproduce",
+    "solver.heun:residual": "reference tests compare against: "
+    "integrate's global residual, checked for conservation",
+    "solver.timestep:stable_timesteps(cfl)": "reference tests compare "
+    "against: integrate passes the CFL number its tests vary",
     "solver.lts:lts_iteration": (
         "reference tests compare against: the direct phase loop the "
         "task-executed solver must reproduce"
@@ -398,9 +410,10 @@ def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
                 refs.values[name].append((path, node.lineno, bare))
 
 
-def _outside(d: _Def, sites) -> list:
-    """Sites that can reach ``d``: outside its own body, and for a
-    method (not ``__init__``) not a bare name."""
+def _outside(d: _Def, sites, skip) -> list:
+    """Sites that can reach ``d``: outside its own body and outside the
+    ``skip`` spans (``path → [(first, last)]`` of flagged defs), and
+    for a method (not ``__init__``) not a bare name."""
     method = (
         d.owner is not None
         and not isinstance(d.node, ast.ClassDef)
@@ -410,6 +423,7 @@ def _outside(d: _Def, sites) -> list:
         s
         for s in sites
         if not (s[0] == d.path and d.first <= s[1] <= d.last)
+        and not any(a <= s[1] <= b for a, b in skip.get(s[0], ()))
         and not (method and s[2])
     ]
 
@@ -440,13 +454,14 @@ def _defaulted(fn: ast.FunctionDef, offset: int) -> list[tuple[str, int | None]]
     return out
 
 
-def scan(src: dict[str, str], callers: dict[str, str]):
+def scan(src: dict[str, str], callers: dict[str, str], allowed=()):
     """Scan ``src`` (module → source) against ``callers`` (path →
-    source; ``src`` modules are keyed ``src:<module>``).
+    source; ``src`` modules are keyed ``src:<module>``), to a fixpoint.
 
     Returns ``(dead, unset)``: ``dead`` maps each uncalled def's key to
     its line count, ``unset`` lists ``key(param)`` of each defaulted
-    parameter no call passes.
+    parameter no call passes.  Sites inside a dead def or a def keyed in
+    ``allowed`` do not count.
     """
     refs = _Refs()
     trees = {path: ast.parse(text) for path, text in callers.items()}
@@ -458,23 +473,37 @@ def scan(src: dict[str, str], callers: dict[str, str]):
         tree = trees[path] if path in trees else ast.parse(text)
         defs.extend(_collect_defs(module, path, tree))
 
+    flagged: set[str] = set()
+    while True:
+        skip = defaultdict(list)
+        for d in defs:
+            if d.key in flagged or d.key in allowed:
+                skip[d.path].append((d.first, d.last))
+        dead, unset = _judge(defs, refs, skip)
+        if set(dead) == flagged:
+            return dead, unset
+        flagged = set(dead)
+
+
+def _judge(defs: list[_Def], refs: _Refs, skip) -> tuple[dict, list]:
+    """One pass of :func:`scan` with the ``skip`` spans ignored."""
     dead: dict[str, int] = {}
     unset: list[str] = []
     for d in defs:
         if _is_dunder(d.name) and d.name != "__init__":
             continue
-        if d.name != "__init__" and not _outside(d, refs.loads[d.name]):
+        if d.name != "__init__" and not _outside(d, refs.loads[d.name], skip):
             dead[d.key] = d.last - d.first + 1
             continue
         if isinstance(d.node, ast.ClassDef) and d.fields is None:
             continue
         # A constructor is called through its class (or ``super()``).
         callee = d.owner if d.name == "__init__" else d.name
-        if _outside(d, refs.values[callee]):
+        if _outside(d, refs.values[callee], skip):
             continue  # used as a value: its callers are unknown
-        sites = _outside(d, refs.calls[callee])
+        sites = _outside(d, refs.calls[callee], skip)
         if d.name == "__init__":
-            sites += refs.calls["__init__"]
+            sites += _outside(d, refs.calls["__init__"], skip)
         offset = _bound_slots(d)
         if d.fields is None:
             params = _defaulted(d.node, offset)
@@ -491,20 +520,20 @@ def scan(src: dict[str, str], callers: dict[str, str]):
     return dead, unset
 
 
-def _repo_scan():
+def _repo_scan(root: Path = ROOT):
     src, callers = {}, {}
-    for root in CALLER_ROOTS:
-        for path in sorted((ROOT / root).rglob("*.py")):
+    for caller_root in CALLER_ROOTS:
+        for path in sorted((root / caller_root).rglob("*.py")):
             text = path.read_text(encoding="utf-8")
-            if root == "src":
-                rel = path.relative_to(ROOT / "src" / "repro").with_suffix("")
+            if caller_root == "src/repro":
+                rel = path.relative_to(root / caller_root).with_suffix("")
                 parts = [p for p in rel.parts if p != "__init__"]
                 module = ".".join(parts) or "repro"
                 src[module] = text
                 callers[f"src:{module}"] = text
             else:
-                callers[str(path.relative_to(ROOT))] = text
-    return scan(src, callers)
+                callers[str(path.relative_to(root))] = text
+    return scan(src, callers, {key for key in ALLOWED if "(" not in key})
 
 
 def test_every_src_def_and_parameter_has_a_caller_or_a_reason():
@@ -696,5 +725,57 @@ def caller():
 @pytest.mark.parametrize("rule", sorted(RULE_FIXTURES))
 def test_scanner_rule(rule):
     text, flagged = RULE_FIXTURES[rule]
-    _, unset = scan({"pkg.rules": text}, {"src:pkg.rules": text})
+    callers = {"src:pkg.rules": text, "examples/run.py": "caller()\n"}
+    _, unset = scan({"pkg.rules": text}, callers)
     assert sorted(unset) == flagged
+
+
+FIXPOINT_SRC = """
+def entry():
+    return helper()
+def helper(flag=False):
+    return flag
+def dead():
+    return middle() + helper(flag=True)
+def middle():
+    return deeper()
+def deeper():
+    return 0
+def reference():
+    return oracle_only()
+def oracle_only():
+    return 2
+"""
+
+
+def test_scanner_follows_calls_to_a_fixpoint():
+    # ``middle`` is called only from ``dead`` and ``deeper`` only from
+    # ``middle``; ``oracle_only`` only from the allowlisted
+    # ``reference``.  None of those sites counts, and ``helper(flag=)``
+    # is set only inside dead code.
+    callers = {"src:pkg.fix": FIXPOINT_SRC, "examples/run.py": "entry()\n"}
+    dead, unset = scan(
+        {"pkg.fix": FIXPOINT_SRC}, callers, {"pkg.fix:reference"}
+    )
+    assert sorted(dead) == [
+        "pkg.fix:dead",
+        "pkg.fix:deeper",
+        "pkg.fix:middle",
+        "pkg.fix:oracle_only",
+        "pkg.fix:reference",
+    ]
+    assert unset == ["pkg.fix:helper(flag)"]
+
+
+def test_repo_scan_reads_only_the_package(tmp_path):
+    # A stray module beside the package (a ``sitecustomize.py`` probe)
+    # is neither scanned nor a caller.
+    for root in CALLER_ROOTS:
+        (tmp_path / root).mkdir(parents=True)
+    (tmp_path / "src" / "sitecustomize.py").write_text("import repro\n")
+    (tmp_path / "src" / "repro" / "mod.py").write_text(
+        "def used():\n    pass\n\n\ndef unused():\n    pass\n"
+    )
+    (tmp_path / "examples" / "run.py").write_text("used()\n")
+    dead, unset = _repo_scan(tmp_path)
+    assert sorted(dead) == ["mod:unused"] and unset == []

@@ -1,8 +1,9 @@
 """Integration tests of the experiment harnesses (small scales).
 
 These verify each table/figure harness runs end-to-end and asserts the
-paper's *qualitative* claims at reduced mesh scale; the full-scale
-numbers live in the benchmarks.
+paper's *qualitative* claims at reduced mesh scale.  The claims at the
+default scale, over seeds, are the harnesses' own ``CLAIMS``, scored
+into ``REPRODUCTION.json`` by ``repro reproduce``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    ablations,
+    baseline_ablation,
     dual_phase,
     fig05_validation,
     fig06_unbounded,
@@ -21,6 +22,7 @@ from repro.experiments import (
     fig11_sweep,
     fig12_nozzle,
     fig13_production,
+    scheduler_ablation,
     table1,
 )
 
@@ -243,7 +245,7 @@ class TestExtensionStudies:
 class TestAblations:
     def test_scheduler_ablation_supports_paper_claim(self):
         """No scheduler rescues SC_OC to MC_TL-eager level."""
-        r = ablations.run_scheduler_ablation(
+        r = scheduler_ablation.run(
             scale=8, domains=16, processes=8, cores=8
         )
         best_sc = min(
@@ -252,7 +254,7 @@ class TestAblations:
         assert best_sc > r.makespan[("MC_TL", "eager")]
 
     def test_baseline_ablation(self):
-        r = ablations.run_baseline_ablation(
+        r = baseline_ablation.run(
             scale=8, domains=16, processes=8, cores=8
         )
         # MC_TL is the best strategy of the four.

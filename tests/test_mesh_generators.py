@@ -17,7 +17,7 @@ from repro.temporal import levels_from_depth
 from tests.oracles.invariants import validate_mesh
 
 # Reduced depths keep the test suite fast; distribution *shapes* are
-# checked at these scales, exact Table I numbers in the benchmarks.
+# checked at these scales, Table I at full scale by the `table1` row.
 CASES = {
     "cylinder": (lambda: cylinder_mesh(max_depth=9), 4),
     "cube": (lambda: cube_mesh(max_depth=9), 4),

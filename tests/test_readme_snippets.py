@@ -51,8 +51,7 @@ class TestDocumentation:
 
         bench_names = {
             p.name
-            for d in ("benchmarks", "scripts")
-            for p in (REPO_ROOT / d).glob("bench_*.py")
+            for p in (REPO_ROOT / "scripts").glob("bench_*.py")
         }
         for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
             text = (REPO_ROOT / doc).read_text()

@@ -62,7 +62,7 @@ class TestCLI:
         assert "UNIFORM" in captured
 
     def test_table1_command(self, capsys):
-        rc = main(["table1", "--scale", "8"])
+        rc = main(["experiment", "table1", "--scale", "8"])
         assert rc == 0
         assert "CYLINDER" in capsys.readouterr().out
 
