@@ -59,6 +59,8 @@ import argparse
 import json
 import sys
 
+from .util.chain import STAGE_ORDER
+
 __all__ = ["main"]
 
 
@@ -393,7 +395,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _cmd_serve_deadletter(args)
 
     if args.action == "run":
-        from .runtime import RetryPolicy
+        from .resilience.retry import RetryPolicy
 
         daemon = ServeDaemon(
             args.spool,
@@ -486,8 +488,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Spool overview with the aggregate per-stage dedup counts —
         # how much work the daemon actually avoided, split into store
         # cache hits vs shared-prefix reuse inside merged batch plans.
-        from .pipeline import STAGE_ORDER
-
         states = client.queue.jobs()
         parts = ", ".join(
             f"{state}={len(ids)}"
@@ -644,7 +644,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--through",
         default="schedule",
-        choices=["mesh", "levels", "partition", "taskgraph", "schedule"],
+        choices=STAGE_ORDER,
         help="stop the chain after this stage",
     )
     p.add_argument(
@@ -832,7 +832,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--through",
         default="schedule",
-        choices=["mesh", "levels", "partition", "taskgraph", "schedule"],
+        choices=STAGE_ORDER,
         help="stop the chain after this stage (submit)",
     )
     p.add_argument(

@@ -40,15 +40,18 @@ the row runs, and states its own ``CLAIMS``; :mod:`.scoreboard` runs
 the rows over seeds into ``REPRODUCTION.json``.
 """
 
-from .common import (
-    NUM_LEVELS,
-    cached_decomposition,
-    cached_task_graph,
-    run_flusim,
-    standard_case,
-    standard_scenario,
-)
 from .registry import EXPERIMENTS, available, run_experiment
+
+
+def __getattr__(name: str):
+    # Lazy: common imports the whole compute stack, and the CLI's
+    # parser reads the registry through this package.
+    if name in __all__:
+        from . import common
+
+        return getattr(common, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "standard_case",

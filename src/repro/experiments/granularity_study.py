@@ -13,7 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..flusim import ClusterConfig
-from ..partitioning import GranularitySearchResult, tune_granularity
+from ..partitioning import (
+    GranularitySearchResult,
+    granularity_candidates,
+    tune_granularity,
+)
 from ..pipeline import Pipeline
 from .common import standard_scenario
 
@@ -63,14 +67,14 @@ def run(
     }
     searches: dict[tuple[str, str], GranularitySearchResult] = {}
     for strategy in ("SC_OC", "MC_TL"):
+        # One decomposition and task graph per domain count, scored
+        # under every regime.
+        candidates = granularity_candidates(
+            mesh, tau, processes, strategy=strategy, seed=seed
+        )
         for regime, kwargs in regimes.items():
             searches[(strategy, regime)] = tune_granularity(
-                mesh,
-                tau,
-                cluster,
-                strategy=strategy,
-                seed=seed,
-                **kwargs,
+                candidates, cluster, **kwargs
             )
     return GranularityStudyResult(
         regimes=list(regimes), searches=searches

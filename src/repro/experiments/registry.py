@@ -3,6 +3,8 @@ experiment harnesses exist.
 
 A module registered here is at once a ``repro experiment`` choice and
 a row of ``repro reproduce``'s scoreboard (:mod:`.scoreboard`).
+Harness modules load only when a row runs, so the CLI's parser lists
+the names without importing NumPy or any harness.
 
 Each harness module states the paper's claims about its result once:
 ``CLAIMS`` holds comparisons (``"1.5 < speedup_cylinder < 3.0"``) over
@@ -16,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import import_module
 from typing import Any, Mapping
-
-import numpy as np
 
 __all__ = [
     "Experiment",
@@ -42,6 +42,8 @@ def holds(claim: str, metrics: Mapping[str, float]) -> bool:
 def scalar_fields(result) -> dict[str, float]:
     """A result's numeric fields, and the numeric entries of its
     string-keyed dict fields as ``field_key`` (key lower-cased)."""
+    import numpy as np
+
     out = {}
     for name, value in vars(result).items():
         items = value.items() if isinstance(value, dict) else [(None, value)]

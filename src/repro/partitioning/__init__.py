@@ -3,8 +3,10 @@ baselines) and domain decompositions."""
 
 from .decomposition import DomainDecomposition
 from .granularity import (
+    GranularityCandidate,
     GranularityPoint,
     GranularitySearchResult,
+    granularity_candidates,
     tune_granularity,
 )
 from .sfc import hilbert_codes, sfc_order
@@ -27,8 +29,10 @@ __all__ = [
     "sfc_partition",
     "make_decomposition",
     "STRATEGIES",
+    "GranularityCandidate",
     "GranularityPoint",
     "GranularitySearchResult",
+    "granularity_candidates",
     "tune_granularity",
     "hilbert_codes",
     "sfc_order",

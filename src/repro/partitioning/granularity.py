@@ -7,11 +7,14 @@ three effects: more domains = more (finer) tasks = better pipelining
 and core occupancy, but also more runtime overhead per task and more
 cut faces (communication).
 
-This module implements that exploration as a golden-section-style
-search over candidate domain counts (multiples of the process count,
-geometric steps).  The objective is simulated makespan plus optional
-per-task overhead and per-cut-edge communication penalties — the two
-knobs FLUSIM itself abstracts away but a production runtime pays.
+This module implements that exploration as a search over candidate
+domain counts (multiples of the process count, geometric steps).  The
+objective is simulated makespan plus optional per-task overhead and
+per-cut-edge communication penalties — the two knobs FLUSIM itself
+abstracts away but a production runtime pays.  Neither penalty changes
+a decomposition, so :func:`granularity_candidates` partitions and
+builds each candidate's task graph once, and :func:`tune_granularity`
+scores one set of candidates under as many regimes as asked.
 """
 
 from __future__ import annotations
@@ -27,12 +30,19 @@ from .strategies import make_decomposition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..flusim import ClusterConfig
+    from ..taskgraph.dag import TaskDAG
 
 # NOTE: flusim imports are deferred into the function bodies —
 # repro.flusim depends on repro.partitioning (decompositions), so a
 # module-level import here would be circular.
 
-__all__ = ["GranularityPoint", "GranularitySearchResult", "tune_granularity"]
+__all__ = [
+    "GranularityCandidate",
+    "GranularityPoint",
+    "GranularitySearchResult",
+    "granularity_candidates",
+    "tune_granularity",
+]
 
 
 @dataclass
@@ -66,55 +76,65 @@ class GranularitySearchResult:
         return [p.domains for p in self.evaluated]
 
 
-def _evaluate(
+@dataclass
+class GranularityCandidate:
+    """One candidate domain count, decomposed and turned into a task
+    graph once and scored under any number of overhead regimes."""
+
+    domains: int
+    dag: "TaskDAG"
+    comm_volume: int
+
+
+def granularity_candidates(
     mesh: Mesh,
     tau: np.ndarray,
-    cluster: "ClusterConfig",
-    domains: int,
-    *,
-    strategy: str,
-    seed: int,
-    task_overhead: float,
-    comm_cost: float,
-    scheduler: str,
-) -> GranularityPoint:
-    from ..flusim import simulate, taskgraph_comm_volume
-    from ..taskgraph import generate_task_graph
-
-    decomp = make_decomposition(
-        mesh, tau, domains, cluster.num_processes, strategy=strategy, seed=seed
-    )
-    dag = generate_task_graph(mesh, tau, decomp)
-    durations = dag.tasks.cost + task_overhead
-    trace = simulate(dag, cluster, scheduler=scheduler, durations=durations)
-    comm = taskgraph_comm_volume(dag)
-    objective = trace.makespan + comm_cost * comm
-    return GranularityPoint(
-        domains=domains,
-        makespan=trace.makespan,
-        num_tasks=dag.num_tasks,
-        comm_volume=comm,
-        objective=objective,
-    )
-
-
-def tune_granularity(
-    mesh: Mesh,
-    tau: np.ndarray,
-    cluster: "ClusterConfig",
+    num_processes: int,
     *,
     strategy: str = "MC_TL",
     seed: int = 0,
+) -> list[GranularityCandidate]:
+    """Decompose the mesh and build its task graph at every candidate
+    domain count.
+
+    Candidates are geometric multiples of the process count
+    (``P, 2P, 4P, …``) capped so domains keep a sensible minimum size
+    (~32 cells on average).
+    """
+    from ..flusim import taskgraph_comm_volume
+    from ..taskgraph import generate_task_graph
+
+    P = num_processes
+    max_domains = max(P, mesh.num_cells // 32)
+    candidates = []
+    d = P
+    while d <= max_domains:
+        decomp = make_decomposition(
+            mesh, tau, d, P, strategy=strategy, seed=seed
+        )
+        dag = generate_task_graph(mesh, tau, decomp)
+        candidates.append(
+            GranularityCandidate(d, dag, taskgraph_comm_volume(dag))
+        )
+        d *= 2
+    return candidates
+
+
+def tune_granularity(
+    candidates: list[GranularityCandidate],
+    cluster: "ClusterConfig",
+    *,
     task_overhead: float = 0.0,
     comm_cost: float = 0.0,
     scheduler: str = "eager",
 ) -> GranularitySearchResult:
-    """Search the domain count minimizing the (penalized) makespan.
+    """Pick the candidate domain count minimizing the (penalized)
+    makespan.
 
-    Candidates are geometric multiples of the process count
-    (``P, 2P, 4P, …``) capped so domains keep a sensible minimum size;
-    the search evaluates all candidates (the curve is cheap at replica
-    scale and not reliably unimodal once overheads enter).
+    Every candidate is simulated (the curve is cheap at replica scale
+    and not reliably unimodal once overheads enter).  The candidates
+    come from :func:`granularity_candidates`; one set serves every
+    regime, since neither penalty changes a decomposition.
 
     Parameters
     ----------
@@ -131,28 +151,22 @@ def tune_granularity(
     :class:`GranularitySearchResult`; ``result.best.domains`` is the
     recommended domain count.
     """
-    P = cluster.num_processes
-    # Do not shrink the average domain below ~32 cells.
-    max_domains = max(P, mesh.num_cells // 32)
-    candidates: list[int] = []
-    d = P
-    while d <= max_domains:
-        candidates.append(d)
-        d *= 2
+    from ..flusim import simulate
 
-    evaluated = [
-        _evaluate(
-            mesh,
-            tau,
-            cluster,
-            d,
-            strategy=strategy,
-            seed=seed,
-            task_overhead=task_overhead,
-            comm_cost=comm_cost,
-            scheduler=scheduler,
+    evaluated = []
+    for c in candidates:
+        durations = c.dag.tasks.cost + task_overhead
+        trace = simulate(
+            c.dag, cluster, scheduler=scheduler, durations=durations
         )
-        for d in candidates
-    ]
+        evaluated.append(
+            GranularityPoint(
+                domains=c.domains,
+                makespan=trace.makespan,
+                num_tasks=c.dag.num_tasks,
+                comm_volume=c.comm_volume,
+                objective=trace.makespan + comm_cost * c.comm_volume,
+            )
+        )
     best = min(evaluated, key=lambda p: p.objective)
     return GranularitySearchResult(best=best, evaluated=evaluated)

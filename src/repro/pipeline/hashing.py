@@ -20,43 +20,12 @@ A stage digest covers, in order:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
+
+from ..util.canonical import canonical_json
 
 __all__ = ["canonical_json", "stage_digest"]
-
-
-def _canonical(value: Any) -> Any:
-    """Reduce a config value to JSON-stable primitives."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if f.metadata.get("digest", True)
-        }
-    if isinstance(value, Mapping):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, float):
-        # repr() round-trips doubles exactly and is stable across
-        # platforms; json would also do, but be explicit.
-        return float(value)
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    raise TypeError(
-        f"config value {value!r} of type {type(value).__name__} is not "
-        "hashable into an artifact key"
-    )
-
-
-def canonical_json(value: Any) -> str:
-    """Canonical JSON rendering (sorted keys, no whitespace drift)."""
-    return json.dumps(
-        _canonical(value), sort_keys=True, separators=(",", ":")
-    )
 
 
 def stage_digest(

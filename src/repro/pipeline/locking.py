@@ -3,9 +3,9 @@
 This is the concurrency substrate of the artifact store's
 cross-process tier.  Two cooperating mechanisms guard each digest:
 
-* an **advisory file lock** (``fcntl.flock`` on POSIX,
-  ``msvcrt.locking`` on Windows, an ``O_EXCL`` sentinel elsewhere) on
-  ``<digest>.lock``.  The kernel releases it automatically when the
+* an **advisory file lock** (:class:`~repro.util.filelock.FileLock`:
+  ``fcntl.flock`` on POSIX, ``msvcrt.locking`` on Windows, an
+  ``O_EXCL`` sentinel elsewhere) on ``<digest>.lock``.  The kernel releases it automatically when the
   holder dies, so a crashed winner never wedges the digest;
 * an **atomic claim file** ``<digest>.claim`` carrying
   ``{pid, hostname, started_at, heartbeat, token}``.  The claim is
@@ -34,7 +34,6 @@ invariant rather than a probabilistic one.
 
 from __future__ import annotations
 
-import errno
 import os
 import socket
 import threading
@@ -44,6 +43,7 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable
 
+from ..util.filelock import FileLock, pid_alive
 from ..util.fsjson import atomic_write_json, read_json
 
 __all__ = [
@@ -54,16 +54,6 @@ __all__ = [
     "claim_is_stale",
     "pid_alive",
 ]
-
-try:  # POSIX
-    import fcntl as _fcntl
-except ImportError:  # pragma: no cover - Windows
-    _fcntl = None
-    try:
-        import msvcrt as _msvcrt
-    except ImportError:  # pragma: no cover - exotic platform
-        _msvcrt = None
-
 
 #: Seconds between looks at a claim another process holds.
 CLAIM_POLL_S = 0.05
@@ -76,95 +66,8 @@ def _now() -> float:
 
 
 # ----------------------------------------------------------------------
-# Advisory file lock
-# ----------------------------------------------------------------------
-class FileLock:
-    """An advisory, exclusive, cross-process lock on a path.
-
-    The lock is tied to an open file descriptor, so the kernel drops
-    it when the holding process exits *for any reason* — including
-    SIGKILL mid-critical-section.  Within one process, two
-    :class:`FileLock` instances on the same path also exclude each
-    other (each holds its own descriptor).
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._fd: int | None = None
-
-    def try_acquire(self) -> bool:
-        """Take the lock without blocking; ``False`` if held elsewhere.
-
-        Raises ``OSError`` when the filesystem does not support
-        locking at all (the store degrades to unlocked operation).
-        """
-        if self._fd is not None:
-            return True
-        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
-        try:
-            if _fcntl is not None:
-                _fcntl.flock(fd, _fcntl.LOCK_EX | _fcntl.LOCK_NB)
-            elif _msvcrt is not None:  # pragma: no cover - Windows
-                _msvcrt.locking(fd, _msvcrt.LK_NBLCK, 1)
-            else:  # pragma: no cover - exotic platform
-                # O_EXCL sentinel next to the lock path; released (and
-                # leak-swept by doctor) via unlink in release().
-                os.close(fd)
-                fd = os.open(
-                    str(self.path) + ".x",
-                    os.O_CREAT | os.O_EXCL | os.O_RDWR,
-                    0o644,
-                )
-        except OSError as exc:
-            os.close(fd)
-            if exc.errno in (errno.EACCES, errno.EAGAIN, errno.EWOULDBLOCK):
-                return False
-            if _msvcrt is None and _fcntl is None and exc.errno == errno.EEXIST:
-                return False  # pragma: no cover - sentinel backend
-            raise
-        self._fd = fd
-        return True
-
-    def release(self) -> None:
-        if self._fd is None:
-            return
-        fd, self._fd = self._fd, None
-        try:
-            if _fcntl is not None:
-                _fcntl.flock(fd, _fcntl.LOCK_UN)
-            elif _msvcrt is not None:  # pragma: no cover - Windows
-                _msvcrt.locking(fd, _msvcrt.LK_UNLCK, 1)
-        except OSError:  # pragma: no cover - defensive
-            pass
-        finally:
-            if _fcntl is not None or _msvcrt is not None:
-                os.close(fd)
-            else:  # pragma: no cover - sentinel backend
-                os.close(fd)
-                try:
-                    os.unlink(str(self.path) + ".x")
-                except OSError:
-                    pass
-
-
-# ----------------------------------------------------------------------
 # Claim files
 # ----------------------------------------------------------------------
-def pid_alive(pid: int) -> bool:
-    """Whether ``pid`` is a live process on *this* host."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # alive, owned by someone else
-        return True
-    except OSError:  # pragma: no cover - defensive
-        return True
-    return True
-
-
 def read_claim(path: str | Path) -> dict[str, Any] | None:
     """The claim record at ``path`` (``None`` if absent/unreadable)."""
     return read_json(path)

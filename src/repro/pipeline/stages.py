@@ -37,6 +37,7 @@ from ..taskgraph.dag import TaskDAG
 from ..taskgraph.generation import generate_task_graph
 from ..taskgraph.task import TaskArrays
 from ..temporal import levels_from_depth
+from ..util.chain import STAGE_ORDER
 from ..util.forkpool import pinned_n_jobs
 from .config import (
     LevelConfig,
@@ -304,7 +305,7 @@ class ScheduleStage:
         return trace, metrics
 
 
-#: Stage name → class, in chain order.
+#: Stage name → class, in chain order (:data:`STAGE_ORDER`).
 STAGES = {
     s.name: s
     for s in (
@@ -315,7 +316,6 @@ STAGES = {
         ScheduleStage,
     )
 }
-STAGE_ORDER = tuple(STAGES)
 
 #: Stage name → upstream stage names, in ``compute``-argument order.
 #: This is the single declaration of the chain's dependency structure:

@@ -15,17 +15,17 @@ corruption, and whole-process death:
 * :mod:`~repro.resilience.errors` — the shared exception hierarchy
   (the executor's retry/watchdog machinery in
   :mod:`repro.runtime.executor` builds on it);
+* :mod:`~repro.resilience.retry` — the retry budget and backoff the
+  executor applies per task and the serve daemon per job;
 * :mod:`~repro.resilience.sentinel` — the serve daemon's hysteretic
   ``OK/SOFT/HARD`` pressure verdict from available memory and free
   disk.
+
+Importing the package loads errors and sentinel, which need only the
+standard library; checkpoint, faults and guards load on first use of
+one of their names.
 """
 
-from .checkpoint import (
-    Checkpoint,
-    find_latest_checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
 from .errors import (
     CheckpointError,
     CircuitOpenError,
@@ -38,7 +38,6 @@ from .errors import (
     TaskTimeoutError,
     TransientError,
 )
-from .faults import FaultPlan, FaultSpec
 from .sentinel import (
     PressureSample,
     PressureState,
@@ -54,10 +53,16 @@ def __getattr__(name: str):
     # partitioning strategies) on the graph layer — and the graph layer
     # imports this package for its error types.  Deferring the guards
     # import keeps the low-level graph layer free of that cycle.
+    # checkpoint and faults import NumPy, which the serve control plane
+    # (a user of errors, retry and sentinel) never needs.
     if name in _GUARD_NAMES:
         from . import guards
 
         return getattr(guards, name)
+    if name in __all__:
+        from . import checkpoint, faults
+
+        return getattr(checkpoint, name, None) or getattr(faults, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -34,9 +34,10 @@ class TransientError(ResilienceError):
     """A task failure that is expected to succeed on retry.
 
     It is what the threaded executor retries
-    (:data:`repro.runtime.executor.RETRY_ON`); fault injection raises it for its simulated transient failures, and real
-    kernels may raise it for recoverable conditions (e.g. a resource
-    temporarily unavailable).
+    (:data:`repro.resilience.retry.RETRY_ON`); fault injection raises
+    it for its simulated transient failures, and real kernels may
+    raise it for recoverable conditions (e.g. a resource temporarily
+    unavailable).
     """
 
 

@@ -43,7 +43,8 @@ from typing import Callable
 import numpy as np
 
 from ..flusim.trace import Trace
-from ..resilience.errors import TaskTimeoutError, TransientError
+from ..resilience.errors import TaskTimeoutError
+from ..resilience.retry import BACKOFF_CAP, RETRY_ON, RetryPolicy
 from ..taskgraph.dag import TaskDAG
 
 __all__ = [
@@ -54,38 +55,6 @@ __all__ = [
     "ExecutionResult",
     "ThreadedExecutor",
 ]
-
-
-#: Exceptions a task may be retried on.  Anything else — or a task
-#: that exhausts its budget — is a permanent failure.
-RETRY_ON: tuple[type[BaseException], ...] = (TransientError,)
-
-#: Longest backoff sleep before one retry, in seconds.
-BACKOFF_CAP = 1.0
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How often, and how patiently, the executor retries a task.
-
-    Parameters
-    ----------
-    max_retries:
-        Retry budget *per task* (0 = never retry).
-    backoff:
-        Base backoff in seconds; retry ``k`` sleeps
-        ``backoff * 2**(k-1)`` (capped at :data:`BACKOFF_CAP`) before
-        re-running.
-    """
-
-    max_retries: int = 2
-    backoff: float = 0.0
-
-    def delay(self, retry: int) -> float:
-        """Backoff before the ``retry``-th retry (1-based)."""
-        if self.backoff <= 0:
-            return 0.0
-        return min(self.backoff * 2.0 ** (retry - 1), BACKOFF_CAP)
 
 
 @dataclass

@@ -17,7 +17,7 @@ Three layers, no hard dependencies beyond the standard library:
   in batches, runs each batch as one merged stage plan in a supervised
   child process (shared prefixes execute once; a worker death is a
   recoverable event, not a daemon crash), retries with the runtime's
-  :class:`~repro.runtime.executor.RetryPolicy` backoff, enforces a
+  :class:`~repro.resilience.retry.RetryPolicy` backoff, enforces a
   per-stage progress watchdog, dead-letters poison jobs, drains
   cleanly on SIGTERM/SIGINT (finish-or-requeue, liveness/readiness
   heartbeats), and degrades gracefully under the

@@ -15,7 +15,9 @@ readiness and preloaded with everything a job imports
 (:data:`_PRELOAD`).  Every child is a copy-on-write fork of that
 server: it reaches :func:`_child_main` in milliseconds, nobody pays an
 interpreter start or an import per batch, and it is as isolated as a
-fresh interpreter was (own pid, own address space).  A fork inherits
+fresh interpreter was (own pid, own address space).  The daemon
+process never loads NumPy or the pipeline: readiness waits only for
+the standard library and the spool.  A fork inherits
 the *server's* environment, frozen when the server started, so each
 attempt is handed the daemon's environment as it stands when the
 attempt starts — a changed ``REPRO_SERVE_STAGE_DELAY`` (or any other
@@ -27,7 +29,7 @@ The unit of failure is the child, never the daemon: a worker that
 dies mid-stage (segfault, OOM-kill, a chaos harness's injected kill)
 is observed as a child exit, its unfinished jobs are retried **one per
 child** with the runtime's
-:class:`~repro.runtime.executor.RetryPolicy` exponential backoff (a
+:class:`~repro.resilience.retry.RetryPolicy` exponential backoff (a
 poison job costs its batch-mates at most one attempt), and only an
 exhausted budget surfaces as a typed terminal record — with the
 per-stage provenance the job streamed before dying intact.
@@ -89,18 +91,22 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from ..resilience.faults import FaultPlan
+from ..resilience.retry import RetryPolicy
 from ..resilience.sentinel import (
     PressureSample,
     PressureState,
     ResourceSentinel,
 )
-from ..runtime.executor import RetryPolicy
+from ..util.chain import STAGE_ORDER
 from ..util.env import read
+from ..util.filelock import pid_alive
 from ..util.fsjson import atomic_write_json, read_json
 from .queue import JobRequest, JobStatus, SpoolQueue, sweep_stale_spool
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..resilience.faults import FaultPlan
 
 __all__ = ["ServeDaemon", "read_health"]
 
@@ -124,7 +130,10 @@ _MAX_BATCH = 8
 
 #: What the forkserver imports once so that no job child imports it
 #: again: this module, the pipeline with every stage module, and the
-#: three a ``schedule`` job was measured to load lazily on top.
+#: three a ``schedule`` job was measured to load lazily on top.  This
+#: is the one place the compute stack loads: the daemon itself, like
+#: the client, imports neither NumPy nor a compute module
+#: (``tests/test_fresh_imports.py`` checks both sides).
 _PRELOAD = (
     "repro.service.daemon",
     "repro.pipeline",
@@ -303,8 +312,6 @@ def read_health(spool: str | Path) -> dict[str, Any]:
     "pressure": {...}}``; ``live`` requires a fresh heartbeat from a
     pid that still exists.
     """
-    from ..pipeline.locking import pid_alive
-
     health = Path(spool).expanduser() / "health"
     liveness = read_json(health / "live.json")
     pressure = read_json(health / "pressure.json")
@@ -737,8 +744,6 @@ class ServeDaemon:
         if any(s.kind == "transient" for s in hits):
             with self.fault_plan._lock:
                 self.fault_plan.injected["worker_death"] += 1
-            from ..pipeline.stages import STAGE_ORDER
-
             return STAGE_ORDER[0]
         return None
 

@@ -55,12 +55,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..pipeline.hashing import canonical_json
-from ..pipeline.locking import FileLock, pid_alive
-from ..pipeline.stages import STAGE_ORDER
-from ..util.env import read
-from ..util.fsjson import atomic_write_json, read_json
 from ..resilience.errors import CircuitOpenError, QueueFull
+from ..util.canonical import canonical_json
+from ..util.chain import STAGE_ORDER
+from ..util.env import read
+from ..util.filelock import FileLock, pid_alive
+from ..util.fsjson import atomic_write_json, read_json
 
 __all__ = [
     "JobRequest",

@@ -583,6 +583,21 @@ class TestFileLock:
         assert b.try_acquire()
         b.release()
 
+    def test_unsupported_locking_raises_oserror(self, tmp_path, monkeypatch):
+        # The store degrades to unlocked operation on OSError; any
+        # other exception would take the caller down instead.
+        from repro.util import filelock
+
+        def flock(fd, op):
+            raise OSError(errno.ENOLCK, "no locks available")
+
+        if filelock._fcntl is None:
+            pytest.skip("POSIX flock backend only")
+        monkeypatch.setattr(filelock._fcntl, "flock", flock)
+        with pytest.raises(OSError) as info:
+            FileLock(tmp_path / "x.lock").try_acquire()
+        assert info.value.errno == errno.ENOLCK
+
 
 class TestClaims:
     def _claim(self, **over) -> dict:

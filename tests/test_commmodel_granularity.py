@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.flusim import ClusterConfig, CommModel, simulate
-from repro.partitioning import tune_granularity
+from repro.partitioning import granularity_candidates, tune_granularity
 from tests.test_flusim import chain_dag, independent_dag
 from tests.oracles.invariants import validate_schedule
 
@@ -89,10 +89,10 @@ class TestCommModel:
 class TestGranularityTuning:
     def test_search_structure(self, small_cube_mesh, small_cube_tau):
         res = tune_granularity(
-            small_cube_mesh,
-            small_cube_tau,
+            granularity_candidates(
+                small_cube_mesh, small_cube_tau, 2, strategy="SC_OC"
+            ),
             ClusterConfig(2, 4),
-            strategy="SC_OC",
         )
         counts = res.domain_counts()
         assert counts == sorted(counts)
@@ -102,20 +102,22 @@ class TestGranularityTuning:
     def test_overhead_pushes_toward_coarser(self, small_cube_mesh, small_cube_tau):
         """Large per-task overhead must not select the finest
         granularity."""
-        free = tune_granularity(
-            small_cube_mesh, small_cube_tau, ClusterConfig(2, 8),
-            strategy="SC_OC",
+        candidates = granularity_candidates(
+            small_cube_mesh, small_cube_tau, 2, strategy="SC_OC"
         )
+        free = tune_granularity(candidates, ClusterConfig(2, 8))
         heavy = tune_granularity(
-            small_cube_mesh, small_cube_tau, ClusterConfig(2, 8),
-            strategy="SC_OC", task_overhead=50.0,
+            candidates, ClusterConfig(2, 8), task_overhead=50.0
         )
         assert heavy.best.domains <= free.best.domains
 
     def test_comm_penalty_enters_objective(self, small_cube_mesh, small_cube_tau):
         res = tune_granularity(
-            small_cube_mesh, small_cube_tau, ClusterConfig(2, 4),
-            strategy="MC_TL", comm_cost=1.0,
+            granularity_candidates(
+                small_cube_mesh, small_cube_tau, 2, strategy="MC_TL"
+            ),
+            ClusterConfig(2, 4),
+            comm_cost=1.0,
         )
         for p in res.evaluated:
             assert p.objective == pytest.approx(
@@ -124,8 +126,10 @@ class TestGranularityTuning:
 
     def test_more_domains_more_tasks(self, small_cube_mesh, small_cube_tau):
         res = tune_granularity(
-            small_cube_mesh, small_cube_tau, ClusterConfig(2, 4),
-            strategy="SC_OC",
+            granularity_candidates(
+                small_cube_mesh, small_cube_tau, 2, strategy="SC_OC"
+            ),
+            ClusterConfig(2, 4),
         )
         tasks = [p.num_tasks for p in res.evaluated]
         assert tasks == sorted(tasks)

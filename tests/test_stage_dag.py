@@ -77,6 +77,12 @@ def stage_counts(plan) -> dict[str, dict[str, int]]:
 
 
 class TestCompilePlan:
+    def test_stage_names_are_the_stage_classes_in_order(self):
+        # The name tuple is declared apart from the classes, so that
+        # the serve control plane can read it without the pipeline.
+        assert tuple(STAGES) == STAGE_ORDER
+        assert STAGE_INPUTS.keys() == STAGES.keys()
+
     def test_single_scenario_shape(self):
         plan = compile_plan([base_scenario()])
         assert len(plan) == 5
