@@ -101,7 +101,7 @@ def run(
 
         # --- levels, partitions, task graphs ------------------------------
         tau = levels_from_depth(mesh, num_levels=3)
-        dt_min = float((stable_timesteps(mesh, U) / np.exp2(tau)).min())
+        dt_min = float((stable_timesteps(mesh, U) / np.ldexp(1.0, tau)).min())
         spans = {}
         for strategy in ("SC_OC", "MC_TL"):
             decomp = make_decomposition(

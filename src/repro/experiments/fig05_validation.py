@@ -89,7 +89,7 @@ def run(
     U0 = blast_wave(mesh)
     # CFL-safe base step for the depth-derived levels.
     dt_min = float(
-        (stable_timesteps(mesh, U0) / np.exp2(tau_depth)).min()
+        (stable_timesteps(mesh, U0) / np.ldexp(1.0, tau_depth)).min()
     )
     solver = TaskDistributedSolver(
         mesh, tau_depth, decomp, dt_min, dag=dag, scheme=scheme

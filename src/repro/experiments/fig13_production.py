@@ -72,7 +72,7 @@ def run(
     U0 = blast_wave(mesh)
     # CFL-safe base step for the depth-derived levels: a level-τ cell
     # advances 2**τ·dt_min, which must not exceed its stability bound.
-    dt_min = float((stable_timesteps(mesh, U0) / np.exp2(tau)).min())
+    dt_min = float((stable_timesteps(mesh, U0) / np.ldexp(1.0, tau)).min())
     cluster = ClusterConfig(processes, cores)
 
     results = {}

@@ -61,7 +61,7 @@ def run(
     """Execute one iteration with real threads for both strategies."""
     mesh, tau = standard_case(mesh_name, scale=scale)
     U0 = blast_wave(mesh)
-    dt_min = float((stable_timesteps(mesh, U0) / np.exp2(tau)).min())
+    dt_min = float((stable_timesteps(mesh, U0) / np.ldexp(1.0, tau)).min())
 
     elapsed: dict[str, float] = {}
     efficiency: dict[str, float] = {}

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import csr
 from .csr import CSRGraph
 
 __all__ = [
@@ -267,20 +268,24 @@ def connected_components(g: CSRGraph) -> tuple[np.ndarray, int]:
     :meth:`~repro.graph.csr.CSRGraph.row_windows` and hooks window by
     window, so besides the forest and its jump buffer (two
     ``n``-vectors, the forest becoming the labels) it holds one
-    window's gather, never an ``m``-length one.  Hooking only lowers a
+    window's gather and degrees, never an ``m``-length gather nor the
+    graph's cached ``n``-vector of degrees.  Hooking only lowers a
     vertex's pointer to a smaller id of its own component, so the
     fixpoint, and with it the labels, is the one a whole-graph round
-    reaches.
+    reaches.  The forest is int32 below ``2**31`` vertices, and so are
+    the labels; the root ranks reuse the jump buffer.
     """
     n = g.num_vertices
     xadj, adjncy = g.xadj, g.adjncy
-    degrees = g.degrees()
-    parent = np.arange(n, dtype=np.int64)
+    parent = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
     grand = np.empty_like(parent)
+    # Jumps and relabelling gather in vertex windows too: a whole-array
+    # ``np.take`` would first copy the int32 ids to intp.
+    step = max(1, csr.ROW_WINDOW_EDGES)
     while True:
         hooked = False
         for lo, hi in g.row_windows():
-            rows = lo + np.flatnonzero(degrees[lo:hi])
+            rows = lo + np.flatnonzero(np.diff(xadj[lo : hi + 1]))
             if not len(rows):
                 continue
             e0 = xadj[rows[0]]
@@ -295,15 +300,21 @@ def connected_components(g: CSRGraph) -> tuple[np.ndarray, int]:
         if not hooked:
             break
         while True:
-            np.take(parent, parent, out=grand)
+            for lo in range(0, n, step):
+                grand[lo : lo + step] = parent[parent[lo : lo + step]]
             if np.array_equal(grand, parent):
                 break
             parent, grand = grand, parent
-    del grand
-    roots = parent == np.arange(n)
-    rank = np.cumsum(roots)
+    # Every vertex points at its component's root, and a root at
+    # itself, so the roots are exactly the values of the forest.
+    roots = np.zeros(n, dtype=bool)
+    roots[parent] = True
+    rank = np.cumsum(roots, dtype=parent.dtype, out=grand)
+    ncomp = int(rank[-1]) if n else 0
     rank -= 1
-    return np.take(rank, parent, out=parent), int(roots.sum())
+    for lo in range(0, n, step):
+        parent[lo : lo + step] = rank[parent[lo : lo + step]]
+    return parent, ncomp
 
 
 def apportion_parts(weights: np.ndarray, nparts: int) -> np.ndarray:

@@ -30,16 +30,15 @@ def edge_cut(g: CSRGraph, part: np.ndarray) -> float:
 
     Streams the rows in :meth:`~repro.graph.csr.CSRGraph.row_windows`,
     so its transient is a window plus the cut edges' weights, and it
-    neither builds nor caches ``g.edge_sources()``.  The cut weights
-    are gathered in CSR order and summed once, so the total is the
-    same float as a single whole-graph sum for any weights.
+    builds neither ``g.edge_sources()`` nor ``g.degrees()``.  The cut
+    weights are gathered in CSR order and summed once, so the total is
+    the same float as a single whole-graph sum for any weights.
     """
     xadj, adjncy, adjwgt = g.xadj, g.adjncy, g.adjwgt
-    degrees = g.degrees()
     picked = []
     for lo, hi in g.row_windows():
         e0, e1 = xadj[lo], xadj[hi]
-        src_part = np.repeat(part[lo:hi], degrees[lo:hi])
+        src_part = np.repeat(part[lo:hi], np.diff(xadj[lo : hi + 1]))
         cut = src_part != part[adjncy[e0:e1]]
         picked.append(adjwgt[e0:e1][cut])
     if not picked:

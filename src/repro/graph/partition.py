@@ -26,12 +26,11 @@ matches afresh: each further restriction cost cut and makespan
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..resilience.errors import PartitionQualityError
+from ..resilience.errors import PartitionInternalError, PartitionQualityError
 from ..util import forkpool
 from .bisect import coarsen, inherit_levels, multilevel_bisect
 from .contracts import (
@@ -50,25 +49,25 @@ __all__ = ["PartitionResult", "partition_graph", "recursive_bisection"]
 
 
 #: Below this many vertices ``executor="auto"`` runs the tree inline:
-#: starting a process pool costs more than the second CPU saves
-#: (break-even measured between 6k and 8k vertices on unit-weight
-#: duals, the cheapest per vertex; EXPERIMENTS.md "One seeding rule for
-#: the bisection tree").
+#: forking workers costs more than the second CPU saves (break-even
+#: measured between 6k and 8k vertices on unit-weight duals, the
+#: cheapest per vertex; EXPERIMENTS.md "One seeding rule for the
+#: bisection tree").
 _POOL_MIN_VERTICES = 8_192
 
 
-def _use_pool(executor: str | None, num_vertices: int, n_jobs: int) -> bool:
-    """Whether the bisection tree runs on a process pool.
+def _use_forks(executor: str | None, num_vertices: int, n_jobs: int) -> bool:
+    """Whether the bisection tree runs in forked processes.
 
-    ``None``/``"auto"`` pools from ``_POOL_MIN_VERTICES`` vertices on,
+    ``None``/``"auto"`` forks from ``_POOL_MIN_VERTICES`` vertices on,
     ``"process"`` at any size, wherever
-    :func:`~repro.util.forkpool.can_fork_pool` allows a pool of
-    ``n_jobs`` workers.
+    :func:`~repro.util.forkpool.can_fork_tree` allows ``n_jobs``
+    workers.
     """
     return (
         forkpool.resolve_executor(executor) == "process"
         or num_vertices >= _POOL_MIN_VERTICES
-    ) and forkpool.can_fork_pool(n_jobs)
+    ) and forkpool.can_fork_tree(n_jobs)
 
 
 @dataclass
@@ -151,36 +150,8 @@ _Node = tuple[
 ]
 
 
-class _Sent:
-    """A task argument that the parent lets go of once it is pickled.
-
-    ``ProcessPoolExecutor`` keeps every submitted argument until its
-    task returns, so a tree node's vertex ids and hierarchy would sit in
-    the parent while a worker bisects the node.  Pickled once on its
-    way to the worker, this wrapper drops its object and the worker
-    unpickles the object itself.  A second pickle raises: the object
-    is gone, and ``None`` in its place would read as the tree's root.
-    """
-
-    __slots__ = ("obj",)
-    _GONE = object()
-
-    def __init__(self, obj) -> None:
-        self.obj = obj
-
-    def __reduce__(self):
-        obj, self.obj = self.obj, self._GONE
-        if obj is self._GONE:
-            raise RuntimeError("payload already sent")
-        return _identity, (obj,)
-
-
-def _identity(obj):
-    return obj
-
-
 def _tree_node(
-    g: CSRGraph | None,
+    g: CSRGraph,
     vertices: np.ndarray | None,
     first: int,
     k: int,
@@ -191,23 +162,17 @@ def _tree_node(
 ) -> tuple[_Node, _Node]:
     """Bisect one tree node that must host ``k >= 2`` parts.
 
-    The single node function of both execution modes: the inline stack
-    passes the root graph ``g``, and a pool task passes ``None`` and
-    reads the graph its worker inherited at fork
-    (:func:`~repro.util.forkpool.inherited`; the task payload is the
-    vertex subset and the inherited hierarchy, never the graph).  The
-    root (``vertices=None``) is bisected on the graph itself instead of
-    on an identity ``subgraph`` copy.  A node coarsens along
-    ``inherit`` when it has one and with fresh heavy-edge matching
-    otherwise.
+    ``g`` is the root graph, in whatever process the node runs (a
+    forked subtree inherited it).  The root (``vertices=None``) is
+    bisected on the graph itself instead of on an identity ``subgraph``
+    copy.  A node coarsens along ``inherit`` when it has one and with
+    fresh heavy-edge matching otherwise.
 
     Returns the two children, whose generators are spawned from
     ``rng`` and whose hierarchies, where they inherit one, are this
     node's restricted to their sides — so a node's labels depend on its
     place in the tree and the root seed alone.
     """
-    if g is None:
-        (g,) = forkpool.inherited()
     k0 = (k + 1) // 2
     sub = g if vertices is None else g.subgraph(vertices)[0]
     levels = coarsen(sub, rng, inherit=inherit)
@@ -241,6 +206,56 @@ def _tree_node(
     )
 
 
+def _subtree(
+    g: CSRGraph,
+    node: _Node,
+    level_tol: float,
+    part: np.ndarray,
+    workers: int,
+) -> np.ndarray:
+    """Label the subtree under ``node`` into ``part`` and return its
+    labels: ``part`` itself for the root, else ``part[vertices]``.
+
+    Runs on ``workers`` processes counting this one: a node that still
+    has more than one (never more than half its part count) forks a
+    child for its second subtree with half of them, keeps the rest for
+    its first, and joins the child's int32 labels once its own stack is
+    done.  The child inherits the node's vertex ids, restricted
+    hierarchy and generator at fork.  If anything here raises, every
+    child not yet joined is killed and reaped first.
+    """
+    joins: list[tuple[np.ndarray, forkpool.Forked]] = []
+    stack = [(node, workers)]
+    try:
+        while stack:
+            (vertices, first, k, *rest), workers = stack.pop()
+            if k <= 1:
+                part[vertices] = first
+                continue
+            left, right = _tree_node(g, vertices, first, k, *rest, level_tol)
+            workers = min(workers, k // 2)
+            if workers > 1:
+                forked = forkpool.fork(
+                    _subtree, g, right, level_tol, part, workers // 2
+                )
+                joins.append((right[0], forked))
+                stack.append((left, workers - workers // 2))
+            else:
+                stack += [(right, workers), (left, workers)]
+            # The forked child holds the right subtree's hierarchy now.
+            del left, right
+        while joins:
+            ids, forked = joins[-1]
+            labels = np.empty(len(ids), dtype=np.int32)
+            forked.join(labels)
+            joins.pop()
+            part[ids] = labels
+    finally:
+        for _, forked in joins:
+            forked.kill()
+    return part if node[0] is None else part[node[0]]
+
+
 def recursive_bisection(
     g: CSRGraph,
     nparts: int,
@@ -266,18 +281,26 @@ def recursive_bisection(
     workers (resolved by :func:`~repro.util.forkpool.resolve_n_jobs`:
     ``None`` reads the pinned count, then ``REPRO_N_JOBS``, then one
     per CPU), and the labels depend on ``rng``'s seed alone — not on
-    the worker count or the scheduling order.  A power-of-two tree is
-    a prefix of a deeper one: ``k0/k`` is ½ at every node, so on a
-    connected graph whose per-level tolerance is the same (the 1.01
-    floor from 32 parts on), ``2**j`` parts are the ``2**8`` labels
-    shifted right by ``8 - j``.
+    the worker count or the order the nodes run in.  A power-of-two
+    tree is a prefix of a deeper one: ``k0/k`` is ½ at every node, so
+    on a connected graph whose per-level tolerance is the same (the
+    1.01 floor from 32 parts on), ``2**j`` parts are the ``2**8``
+    labels shifted right by ``8 - j``.
 
-    The workers are processes forked from this one, and each inherits
-    ``g`` at fork rather than receiving a copy.  ``executor`` is
-    ``"auto"``/``None`` (inline below ``_POOL_MIN_VERTICES`` vertices,
-    the pool above) or ``"process"`` (the pool at any size).  One
-    worker, a daemonic process and a host without ``fork`` run the
-    tree inline.
+    With workers the tree is fork-join (:func:`~repro.util.forkpool.fork`):
+    the root runs in one child forked from this process, and a node
+    whose process still has worker budget forks a child for its second
+    subtree, which inherits the node's vertex ids, hierarchy and
+    generator and sends back only its int32 labels.  So this process
+    holds the graph and the labels, never a tree node.  A child that
+    raises or dies, or a fork that fails, surfaces here as
+    :class:`~repro.resilience.errors.PartitionInternalError`, with every
+    process of the tree gone; each process ends with the one that
+    forked it, so a caller that is killed leaves none running either.
+    ``executor`` is ``"auto"``/``None`` (inline below
+    ``_POOL_MIN_VERTICES`` vertices, forked above) or ``"process"``
+    (forked at any size).  One worker, a daemonic process and a host
+    without ``fork`` or a parent-death signal run the tree inline.
     """
     part = np.zeros(g.num_vertices, dtype=np.int32)
     if nparts <= 1:
@@ -287,47 +310,21 @@ def recursive_bisection(
     # so each level gets the depth-th root of the requested tolerance.
     depth = max(1, int(np.ceil(np.log2(nparts))))
     level_tol = max(1.01, imbalance_tol ** (1.0 / depth))
-    # No tree level has more than ``nparts // 2`` nodes to split, so a
-    # larger pool only idles (and at two or three parts the splits are
+    # No tree level has more than ``nparts // 2`` nodes to split, so
+    # more workers only idle (and at two or three parts the splits are
     # sequential: one worker, inline).
     n_jobs = min(forkpool.resolve_n_jobs(n_jobs), nparts // 2)
     # ``nparts >= 2`` here, so the root is never a leaf.
     root: _Node = (None, 0, nparts, 0, rng, None)
-
-    def inner(children: tuple[_Node, ...]) -> list[_Node]:
-        """Label the leaves (disjoint writes); return the nodes left to
-        split."""
-        todo = []
-        for node in children:
-            vertices, first, k = node[:3]
-            if k <= 1:
-                part[vertices] = first
-            else:
-                todo.append(node)
-        return todo
-
-    if not _use_pool(executor, g.num_vertices, n_jobs):
-        stack = [root]
-        while stack:
-            stack.extend(inner(_tree_node(g, *stack.pop(), level_tol)))
-        return part
-
-    with forkpool.fork_pool(n_jobs, g) as pool:
-
-        def submit(node: _Node):
-            vertices, first, k, depth, r, inherit = node
-            return pool.submit(
-                _tree_node, None, _Sent(vertices), first, k, depth, r,
-                _Sent(inherit), level_tol,
-            )
-
-        pending = {submit(root)}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                pending.update(map(submit, inner(fut.result())))
-            # A finished future holds its children until it is freed.
-            del done, fut
+    if not _use_forks(executor, g.num_vertices, n_jobs):
+        return _subtree(g, root, level_tol, part, 1)
+    try:
+        forkpool.fork(_subtree, g, root, level_tol, part, n_jobs).join(part)
+    except OSError as exc:  # ChildProcessError too: a failed join
+        raise PartitionInternalError(
+            f"bisection tree of {g.num_vertices} vertices into {nparts} "
+            f"parts failed in a forked worker: {exc}"
+        ) from None
     return part
 
 
@@ -480,6 +477,8 @@ def partition_graph(
     ncomp = 1
     if nparts > 1:
         comp_labels, ncomp = connected_components(g)
+        if ncomp == 1:
+            del comp_labels  # all zeros: not held through the tree
     if ncomp > 1:
         part = _partition_components(
             g,

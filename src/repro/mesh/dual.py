@@ -31,8 +31,9 @@ from .structures import Mesh
 __all__ = ["mesh_to_dual_graph", "DEFAULT_CHUNK_FACES"]
 
 #: Faces per streamed window.  Any positive value yields the same
-#: graph.
-DEFAULT_CHUNK_FACES = 1 << 17
+#: graph; 2**14 keeps a window's scratch near 1 MiB and builds the dual
+#: no slower than 2**17 (EXPERIMENTS.md "The tree forks its subtrees").
+DEFAULT_CHUNK_FACES = 1 << 14
 
 
 def _streaming_adjacency(
@@ -58,14 +59,19 @@ def _streaming_adjacency(
     chunk = max(1, int(chunk_faces))
 
     # Pass 1: per-cell degree counts (both endpoints of every interior
-    # face), accumulated chunk by chunk into the future xadj.
-    xadj = np.zeros(n + 1, dtype=np.int64)
+    # face), accumulated chunk by chunk one slot ahead of each row's
+    # start: ``xadj[c + 2]`` counts row ``c``, so that after the prefix
+    # sum ``xadj[c + 1]`` is row ``c``'s start, the fill cursor below.
+    xadj = np.zeros(n + 2, dtype=np.int64)
     for start in range(0, m, chunk):
         cells = fc[start : start + chunk]
         touched = cells[cells[:, 1] >= 0].ravel()
         if len(touched):
-            cnt = np.bincount(touched)
-            xadj[1 : len(cnt) + 1] += cnt
+            # Counted from the window's lowest cell: a window's counts
+            # span its cells, not the whole mesh.
+            lo = int(touched.min())
+            cnt = np.bincount(touched - lo)
+            xadj[lo + 2 : lo + 2 + len(cnt)] += cnt
     np.cumsum(xadj, out=xadj)
 
     nnz = int(xadj[-1])
@@ -77,8 +83,12 @@ def _streaming_adjacency(
         adjwgt = np.ones(nnz, dtype=np.float64)
 
     # Pass 2: two directional sweeps (a→b, then b→a) over the same
-    # ascending face windows; ``cursor`` persists across both.
-    cursor = xadj[:-1].copy()
+    # ascending face windows.  ``cursor`` is ``xadj[1:]``, persisting
+    # across both: a row's cursor advances from its start to its end,
+    # which is the next row's start, so after the fill ``xadj[1:]`` is
+    # the row ends and the array is the finished CSR offsets, with no
+    # separate ``n``-vector of cursors.
+    cursor = xadj[1:]
     for side in (0, 1):
         for start in range(0, m, chunk):
             cells = fc[start : start + chunk]
@@ -104,6 +114,7 @@ def _streaming_adjacency(
                 fidx = start + np.flatnonzero(mask)
                 adjwgt[pos] = mesh.face_area[fidx[order]]
             cursor[ss[first]] += np.diff(np.append(starts, len(ss)))
+    xadj = xadj[:-1]
     return xadj, adjncy, adjwgt
 
 

@@ -71,11 +71,6 @@ class StageTask:
     deps: tuple[str, ...]
     jobs: tuple[int, ...]
 
-    @property
-    def shared(self) -> bool:
-        """Whether more than one job rides this node."""
-        return len(self.jobs) > 1
-
 
 @dataclass(frozen=True)
 class StagePlan:

@@ -21,7 +21,7 @@ one node on top of the ready heap, run here through
 :func:`execute_stage`, so nodes run one at a time in critical-path
 order.  Otherwise a round is every node ready at its start.  Memory and
 disk hits resolve in this process, and so do partition nodes, whose
-bisection tree keeps its own pool.  Two or more remaining misses run on
+bisection tree forks its own processes.  Two or more remaining misses run on
 one pool of processes forked for the round
 (:func:`~repro.util.forkpool.fork_pool`), submitted largest first by
 the size their inputs state (a schedule node's task graph's tasks plus

@@ -32,29 +32,34 @@ from ..solver.lts import LTSState
 __all__ = ["GuardConfig", "GuardReport", "check_state"]
 
 
+#: Strict lower bound on every cell's pressure.
+_MIN_PRESSURE = 0.0
+#: Conserved components the drift check reads: momentum is exchanged
+#: with the boundary (pressure forces), so mass (0) and energy (3) are
+#: the meaningful invariants.
+_DRIFT_COMPONENTS = (0, 3)
+
+
 @dataclass(frozen=True)
 class GuardConfig:
     """What the physics guards enforce.
 
     Parameters
     ----------
-    min_density, min_pressure:
-        Strict lower bounds on cell density/pressure.
+    min_density:
+        Strict lower bound on cell density (pressure must stay above
+        ``_MIN_PRESSURE``, zero).
     max_drift:
         Relative drift bound on the conserved totals versus the
-        reference (``None`` disables the drift check).  Only
-        ``drift_components`` are checked: momentum is exchanged with
-        the boundary (pressure forces), so mass (0) and energy (3) are
-        the meaningful invariants.
+        reference (``None`` disables the drift check), for mass and
+        energy (``_DRIFT_COMPONENTS``).
     max_consecutive_rollbacks:
         Consecutive failed iterations before the campaign gives up
         with a :class:`~repro.resilience.errors.PhysicsGuardError`.
     """
 
     min_density: float = 0.0
-    min_pressure: float = 0.0
     max_drift: float | None = 1e-6
-    drift_components: tuple[int, ...] = (0, 3)
     max_consecutive_rollbacks: int = 3
 
 
@@ -115,17 +120,17 @@ def check_state(
                 f"rho={rho[worst]:.3e})"
             )
         p = pressure(state.U)
-        low = p <= config.min_pressure
+        low = p <= _MIN_PRESSURE
         if low.any():
             worst = int(np.argmin(p))
             violations.append(
                 f"{int(low.sum())} cells at or below pressure floor "
-                f"{config.min_pressure:g} (worst: cell {worst}, "
+                f"{_MIN_PRESSURE:g} (worst: cell {worst}, "
                 f"p={p[worst]:.3e})"
             )
         if config.max_drift is not None and reference_total is not None:
             total = state.conserved_total(mesh)
-            for c in config.drift_components:
+            for c in _DRIFT_COMPONENTS:
                 ref = float(reference_total[c])
                 drift = abs(float(total[c]) - ref) / max(abs(ref), 1.0)
                 if drift > config.max_drift:

@@ -382,7 +382,7 @@ class SimulationDriver:
         dt = stable_timesteps(self.mesh, self.state.U)
         self._last_dt = dt
         tau = levels_from_timestep(dt, num_levels=self.num_levels)
-        dt_min = float((dt / np.exp2(tau)).min())
+        dt_min = float((dt / np.ldexp(1.0, tau)).min())
         return tau, dt_min
 
     def _rebuild(self, *, first: bool = False) -> None:
@@ -514,7 +514,7 @@ class SimulationDriver:
                     self.dt_ref,
                     num_levels=self.num_levels,
                 )
-                new_dt = float((dt / np.exp2(new_tau)).min())
+                new_dt = float((dt / np.ldexp(1.0, new_tau)).min())
                 changes = int(np.sum(new_tau != self.tau))
                 drift = changes / self.mesh.num_cells
                 if drift > self.repartition_threshold:
@@ -526,7 +526,7 @@ class SimulationDriver:
                     # base step is still CFL-safe for them: a level-τ
                     # cell advances 2^τ·dt_min per activation.
                     safe_dt = float(
-                        (self._last_dt / np.exp2(self.tau)).min()
+                        (self._last_dt / np.ldexp(1.0, self.tau)).min()
                     )
                     if safe_dt < self.dt_min:
                         self.dt_min = safe_dt

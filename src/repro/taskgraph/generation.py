@@ -84,33 +84,36 @@ def classify_objects(
     """
     tau = np.asarray(tau, dtype=np.int32)
     cdom = decomp.domain
-    a = mesh.face_cells[:, 0]
-    b = mesh.face_cells[:, 1]
-    interior = b >= 0
-    bi = np.flatnonzero(interior)
-
+    fc = mesh.face_cells
+    m = len(fc)
     flevel = face_levels(mesh, tau)
-    # Face locality: external iff its two cells live in different domains.
-    floc = np.zeros(mesh.num_faces, dtype=np.int8)
-    floc[bi] = (cdom[a[bi]] != cdom[b[bi]]).astype(np.int8)
-    # Face owner: the domain of its finer adjacent cell (the face is
-    # computed at that cell's frequency); ties go to cell a's domain.
-    fdom = cdom[a].astype(np.int32).copy()
-    finer_b = bi[tau[b[bi]] < tau[a[bi]]]
-    fdom[finer_b] = cdom[b[finer_b]]
-
-    # Cell locality: external iff adjacent to another domain.
+    # Face locality: external iff its two cells live in different
+    # domains.  Face owner: the domain of its finer adjacent cell (the
+    # face is computed at that cell's frequency); ties go to cell a's
+    # domain.  Cell locality: external iff adjacent to another domain.
+    # Read in face windows, as ``_group_relations`` reads them, so no
+    # face-length temporary is built.  A boundary face pairs its one
+    # cell with itself, so it reads internal and owned by that cell.
+    floc = np.empty(m, dtype=np.int8)
+    fdom = np.empty(m, dtype=np.int32)
     cloc = np.zeros(mesh.num_cells, dtype=np.int8)
-    ext_faces = np.flatnonzero(floc == 1)
-    cloc[a[ext_faces]] = 1
-    cloc[b[ext_faces]] = 1
+    chunk = dual.DEFAULT_CHUNK_FACES
+    for start in range(0, m, chunk):
+        a, b = fc[start : start + chunk].T
+        b = np.where(b >= 0, b, a)
+        da, db = cdom[a], cdom[b]
+        ext = da != db
+        floc[start : start + len(a)] = ext
+        fdom[start : start + len(a)] = np.where(tau[b] < tau[a], db, da)
+        cloc[a[ext]] = 1
+        cloc[b[ext]] = 1
 
     return {
         "cell_domain": cdom.astype(np.int32),
         "cell_level": tau,
         "cell_locality": cloc,
         "face_domain": fdom,
-        "face_level": flevel.astype(np.int32),
+        "face_level": flevel,
         "face_locality": floc,
     }
 

@@ -166,12 +166,13 @@ def assign_levels_by_fraction(
 
 def operating_costs(tau: np.ndarray) -> np.ndarray:
     """Operating cost ``2**(τ_max − τ)`` per cell (activations per
-    iteration), ``τ_max`` the highest level present."""
+    iteration), ``τ_max`` the highest level present.  ``ldexp`` builds
+    each power of two exactly, with no CPU-dispatched ``exp2`` kernel."""
     tau = np.asarray(tau, dtype=np.int64)
     tau_max = int(tau.max()) if len(tau) else 0
     if np.any(tau < 0):
         raise ValueError("levels out of range")
-    return np.exp2(tau_max - tau)
+    return np.ldexp(1.0, tau_max - tau)
 
 
 def face_levels(mesh: Mesh, tau: np.ndarray) -> np.ndarray:
@@ -179,11 +180,21 @@ def face_levels(mesh: Mesh, tau: np.ndarray) -> np.ndarray:
 
     A face is computed whenever its most frequently updated adjacent
     cell is, i.e. ``τ_face = min(τ_a, τ_b)``; boundary faces inherit
-    their single cell's level.
+    their single cell's level.  Returns ``(num_faces,)`` int32, read in
+    windows of :data:`~repro.mesh.dual.DEFAULT_CHUNK_FACES` faces, so
+    no face-length temporary is built.
     """
-    a = mesh.face_cells[:, 0]
-    b = mesh.face_cells[:, 1]
-    out = tau[a].astype(np.int32).copy()
-    interior = b >= 0
-    out[interior] = np.minimum(out[interior], tau[b[interior]])
+    from ..mesh import dual  # not at import time: see the note above
+
+    fc = mesh.face_cells
+    out = np.empty(len(fc), dtype=np.int32)
+    chunk = dual.DEFAULT_CHUNK_FACES
+    for start in range(0, len(fc), chunk):
+        a, b = fc[start : start + chunk].T
+        np.minimum(
+            tau[a],
+            tau[np.where(b >= 0, b, a)],
+            out=out[start : start + len(a)],
+            casting="unsafe",
+        )
     return out

@@ -6,19 +6,24 @@ roots are ``src/repro/``, ``bench/``, ``scripts/`` and ``examples/``;
 ``tests/`` never counts.
 
 - A def counts as called when its name appears outside its own body as
-  a ``Name`` or ``Attribute`` load, or as a string constant outside an
-  ``__all__`` assignment (``getattr`` and registries).  A method counts
-  only through an ``Attribute`` load (``x.name``) or a string: a bare
-  local name or a same-named module function does not reach it.
-  Import aliases, re-exports and ``__all__`` entries are not loads.
-  Dunder methods are skipped.
+  a ``Name`` or ``Attribute`` load, or as a string constant where
+  something resolves it: the name argument of ``getattr``/``hasattr``,
+  or a name table outside ``__all__`` in a module whose module-level
+  ``__getattr__`` (a lazy loader) looks names up.  Any other string
+  that happens to spell a def's name is text, not a use.  A method
+  counts only through an ``Attribute`` load (``x.name``) or such a
+  string: a bare local name or a same-named module function does not
+  reach it.  Import aliases, re-exports and ``__all__`` entries are not
+  loads.  Dunder methods are skipped.
 - A defaulted parameter counts as set when some call matched by the
   function's name (the class name for ``__init__``; for a method, an
   attribute call) passes it by keyword, passes enough positional
   arguments to reach it, or passes ``*args`` / ``**kwargs``.  A function
   whose name is also used as a value (a registry row, a callback, a
   ``getattr`` string) is skipped: its callers are unknown.  A name used
-  only as an attribute's base (``Cls.method``) is not a value.
+  only as an attribute's base (``Cls.method``) is not a value, and
+  neither is a lazy loader's table entry: the loaded object is called
+  by its name, which the scan sees.
 - A ``@dataclass`` without its own ``__init__`` gets a synthetic one:
   each field with a plain default is a defaulted parameter.  A
   ``field(default_factory=...)`` or ``init=False`` field, and a field
@@ -329,8 +334,17 @@ def _dict_locals(scope: ast.AST) -> dict[str, frozenset[str]]:
     return {name: frozenset(ks) for name, ks in keys.items() if name not in bad}
 
 
+#: Calls whose second argument names an attribute to look up.
+_LOOKUPS = ("getattr", "hasattr")
+
+
 def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
     exported: set[int] = set()  # ids of nodes under an __all__ assignment
+    looked_up: set[int] = set()  # ids of getattr/hasattr name strings
+    lazy = any(
+        isinstance(n, ast.FunctionDef) and n.name == "__getattr__"
+        for n in tree.body
+    )
     annotation: set[int] = set()  # ids of nodes inside an annotation
     callees: set[int] = set()
     bases: set[int] = set()  # ids of Names that are an attribute's base
@@ -362,6 +376,12 @@ def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
         if isinstance(node, ast.Call):
             callees.add(id(node.func))
             func = node.func
+            if (
+                isinstance(func, ast.Name)
+                and func.id in _LOOKUPS
+                and len(node.args) >= 2
+            ):
+                looked_up.add(id(node.args[1]))
             name = (
                 func.id
                 if isinstance(func, ast.Name)
@@ -402,8 +422,13 @@ def _collect_refs(path: str, tree: ast.Module, refs: _Refs) -> None:
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names = [node.attr]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if id(node) not in exported:
+            if id(node) in looked_up:
                 names = _string_names(node.value)
+            elif lazy and id(node) not in exported:
+                # A lazy loader's table entry makes its def reachable,
+                # not called from unknown places.
+                names = _string_names(node.value)
+                not_values.add(id(node))
         for name in names:
             refs.loads[name].append((path, node.lineno, bare))
             if id(node) not in not_values:
@@ -765,6 +790,56 @@ def test_scanner_follows_calls_to_a_fixpoint():
         "pkg.fix:reference",
     ]
     assert unset == ["pkg.fix:helper(flag)"]
+
+
+#: A lazy loader's name table and strings that only spell a def's name.
+STRINGS_SRC = {
+    "pkg": """
+_TABLE = ("Config",)
+
+
+def __getattr__(name):
+    if name in _TABLE:
+        from . import lazy
+
+        return getattr(lazy, name)
+    raise AttributeError(name)
+""",
+    "pkg.lazy": """
+class Config:
+    def __init__(self, size=1, spare=2):
+        self.size, self.spare = size, spare
+
+
+def build():
+    return Config(size=3)
+""",
+    "pkg.plain": """
+class Helper:
+    def held(self):
+        return 0
+
+    def looked_up(self):
+        return 1
+
+
+def use(helper):
+    label = {"held": 1}
+    return getattr(helper, "looked_up")(), label
+""",
+}
+
+
+def test_strings_count_only_where_something_resolves_them():
+    # The table entry keeps ``Config`` reachable but does not hide its
+    # callers, so ``spare``, which none passes, is flagged; the dict key
+    # "held" is text, so ``Helper.held`` is dead; the getattr string
+    # still reaches ``looked_up``.
+    callers = {f"src:{m}": text for m, text in STRINGS_SRC.items()}
+    callers["examples/run.py"] = "build()\nuse(Helper())\n"
+    dead, unset = scan(STRINGS_SRC, callers)
+    assert sorted(dead) == ["pkg.plain:Helper.held"]
+    assert unset == ["pkg.lazy:Config.__init__(spare)"]
 
 
 def test_repo_scan_reads_only_the_package(tmp_path):

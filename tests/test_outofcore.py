@@ -46,7 +46,9 @@ def _materialized_and_streamed(make_mesh, monkeypatch, chunk, edge_weight):
 # ----------------------------------------------------------------------
 class TestStreamingDual:
     @pytest.mark.parametrize("depth", [3, 5])  # odd depths
-    @pytest.mark.parametrize("chunk", [7, 1000, DEFAULT_CHUNK_FACES])
+    @pytest.mark.parametrize(
+        "chunk", [7, 1000, 1 << 17, DEFAULT_CHUNK_FACES]
+    )
     @pytest.mark.parametrize("edge_weight", ["unit", "area"])
     def test_bit_identical_to_materialized(
         self, depth, chunk, edge_weight, monkeypatch

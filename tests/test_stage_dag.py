@@ -138,7 +138,6 @@ class TestCompilePlan:
         assert sum(c["shared"] for c in counts.values()) == 2 * (n - 1)
         mesh_key = plan.job_stages[0]["mesh"]
         assert plan.nodes[mesh_key].jobs == tuple(range(n))
-        assert plan.nodes[mesh_key].shared
 
     def test_distinct_meshes_do_not_merge(self):
         plan = compile_plan(
@@ -210,9 +209,9 @@ def compute_counters(monkeypatch, tmp_path):
 
 class CountingPool:
     """Spy on the one pool constructor,
-    :func:`repro.util.forkpool.fork_pool`, which the scheduler's rounds
-    and the bisection tree share.  A round pool is told from a tree
-    pool by what is submitted to it: plan node keys, through
+    :func:`repro.util.forkpool.fork_pool`, which only the scheduler's
+    rounds use (the bisection tree forks its own subtrees).  A round
+    pool is counted by what is submitted to it: plan node keys, through
     ``_pool_node``.  Records the worker count of every round pool
     (when its first node is submitted, which is when its workers
     fork), every key submitted to one, and whether each forked from
