@@ -9,7 +9,8 @@ bisection kept.
 
 Balance enters only through that stopping rule: the growth order looks
 at the cut alone, whatever the number of constraints.  A balance-first
-multi-constraint variant is ROADMAP item 7.
+multi-constraint variant belongs with ROADMAP item 1 (MC_TL's balance
+contract).
 
 Gains are kept, not recomputed: every vertex starts at minus its
 weighted degree (:meth:`CSRGraph.weighted_degrees`, all its edges into

@@ -13,7 +13,7 @@ worst per-constraint imbalance (so infeasible states can be repaired).
 
 Hill-climb allowance.  A pass keeps making non-improving moves until
 ``early_stop`` consecutive ones have failed to beat the best prefix,
-then rolls all of them back.  The allowance follows the
+then drops all of them.  The allowance follows the
 boundary the refinement starts from,
 ``max(100, len(boundary) // 2)``: only boundary vertices can move, so
 the boundary — not ``n`` — is the scale of a useful excursion.  (METIS
@@ -27,6 +27,15 @@ moves.  The price is cut, and it shrinks with the part count: about
 at 90k and 357k vertices, nothing at 20k vertices (both rules clamp to
 100 there); a flat 100 or ``len(boundary) // 4`` costs 12-13 %.
 Frontier table in EXPERIMENTS.md.
+
+Queue and rollback.  One exact-gain queue serves every graph, weighted
+or not: a FIFO per distinct gain value under a heap of those values,
+popping the highest gain and, among equal gains, the earliest push.  A
+pass drops its tail by restoring the labels, gains and part weights it
+started from and replaying the kept prefix with the same arithmetic
+that made it, not by undoing moves one at a time (four in five moves
+of a cold ``paper_chains`` pass are dropped).  EXPERIMENTS.md "One FM
+queue, rollback by replay" has the measurement.
 
 Implementation note: the per-move admissibility check runs millions of
 times, so the inner loop works on plain Python floats (``ncon ≤`` a
@@ -167,10 +176,10 @@ def fm_refine(
 
     Implementation note: one gain per vertex (external minus internal
     degree) and the edge cut are computed once and then maintained
-    *incrementally* around each moved (and rolled-back) vertex — a
-    neighbour's gain moves by ``2w``, the mover's changes sign — so a
-    pass costs O(moved-edge endpoints) instead of O(n + m).  A vertex
-    is on the boundary while its gain exceeds minus its weighted degree
+    *incrementally* around each moved vertex — a neighbour's gain moves
+    by ``2w``, the mover's changes sign — so a move costs O(its
+    degree) instead of O(n + m).  A vertex is on the boundary while its
+    gain exceeds minus its weighted degree
     (:meth:`CSRGraph.weighted_degrees`, which never changes), i.e.
     while its external degree is positive.  Only boundary vertices
     enter the move queue, matching METIS semantics.  Where every
@@ -178,13 +187,20 @@ def fm_refine(
     for one) the labels equal those of separate internal/external
     degree arrays bit for bit.
 
-    Two priority queues are used.  When every edge weight is exactly 1
-    (true for all mesh-dual finest levels, where FM spends most of its
-    time) gains are integers in ``[-maxdeg, maxdeg]``, so the classic
-    Fiduccia–Mattheyses *gain bucket* array gives O(1) push/pop and
-    replaces the lazy binary heap; weighted (coarse) graphs keep the
-    heap.  Both queues use lazy deletion — stale entries are skipped on
-    pop by comparing against the current gain.
+    The move queue is exact-gain: a FIFO ``deque`` per distinct gain
+    value and a heap of the distinct gains (negated), so the highest
+    gain pops first and, among equal gains, the earliest push — the
+    order of a ``(-gain, push counter)`` heap.  Deletion is lazy: an
+    entry is skipped on pop when its key is no longer its vertex's
+    gain.
+
+    Rollback is a replay: each pass snapshots the labels, gains and
+    part weights it starts from, and when it ends with moves beyond its
+    best prefix it restores the snapshot and re-applies the prefix with
+    the forward loop's own arithmetic.  The kept state is therefore
+    exactly what those moves produced — a pass that keeps no move
+    leaves every gain bit for bit as it found it, which undoing each
+    move (``(x + 2w) - 2w``) does not on inexact weights.
     """
     n = g.num_vertices
     if n == 0:
@@ -197,16 +213,6 @@ def fm_refine(
 
     pw = part_weights(g, part, 2).tolist()
     inv = [inv0, inv1]
-
-    # Unit edge weights -> integer gains -> FM gain buckets.  The
-    # maxdeg guard keeps the per-pass bucket allocation trivial (a
-    # pathological star graph would not benefit from buckets anyway).
-    maxdeg = int(g.degrees().max()) if len(g.adjncy) else 0
-    aw = g.adjwgt
-    use_buckets = (
-        len(aw) > 0 and maxdeg <= 4096 and aw.min() == 1.0 and aw.max() == 1.0
-    )
-    off = maxdeg
 
     # MC_TL weight vectors are binary level indicators: at most one
     # nonzero per vertex (trivially true for ncon == 1 as well).  A
@@ -242,21 +248,20 @@ def fm_refine(
         if len(boundary) == 0:
             break
         locked = bytearray(n)
-        if use_buckets:
-            buckets: list[deque[int]] = [deque() for _ in range(2 * maxdeg + 1)]
-            gmax = -1
-            for v in boundary[rng.permutation(len(boundary))].tolist():
-                gi = int(gain[v]) + off
-                buckets[gi].append(v)
-                if gi > gmax:
-                    gmax = gi
-        else:
-            heap: list[tuple[float, int, int]] = []
-            counter = 0
-            for v in boundary[rng.permutation(len(boundary))].tolist():
-                heap.append((-gain[v], counter, v))
-                counter += 1
-            heapq.heapify(heap)
+        # The pass-start state a dropped tail returns to.
+        part0, gain0, pw0 = part.copy(), gain_a.copy(), [pw[0][:], pw[1][:]]
+        # The exact-gain queue: a FIFO per distinct gain, the gains
+        # negated on a heap; a key leaves with its FIFO's last entry.
+        queues: dict[float, deque[int]] = {}
+        keys: list[float] = []
+        for v in boundary[rng.permutation(len(boundary))].tolist():
+            gv = gain[v]
+            q = queues.get(gv)
+            if q is None:
+                queues[gv] = q = deque()
+                keys.append(-gv)
+            q.append(v)
+        heapq.heapify(keys)
 
         best_cut = cur_cut
         best_imb = _max_imb(pw[0], pw[1], inv0, inv1)
@@ -268,27 +273,20 @@ def fm_refine(
         # holds for the whole pass).
         fast_bal = one_hot and best_imb <= tol
 
-        # Every applied move locks its vertex, so the queues run dry
+        # Every applied move locks its vertex, so the queue runs dry
         # after at most n moves.
-        while True:
-            # Lazy deletion on both queues: skip stale entries, locked
-            # and interior vertices (only boundary vertices may move).
-            if use_buckets:
-                while gmax >= 0 and not buckets[gmax]:
-                    gmax -= 1
-                if gmax < 0:
-                    break
-                v = buckets[gmax].popleft()
-                gv = gain[v]
-                if locked[v] or gv + off != gmax or gv <= -wdeg[v]:
-                    continue
-            else:
-                if not heap:
-                    break
-                negg, _, v = heapq.heappop(heap)
-                gv = gain[v]
-                if locked[v] or -negg != gv or gv <= -wdeg[v]:
-                    continue
+        while keys:
+            top = -keys[0]
+            q = queues[top]
+            v = q.popleft()
+            if not q:
+                heapq.heappop(keys)
+                del queues[top]
+            # Skip stale entries, locked and interior vertices (only
+            # boundary vertices may move).
+            gv = gain[v]
+            if locked[v] or gv != top or gv <= -wdeg[v]:
+                continue
             src_p = part_v[v]
             dst_p = 1 - src_p
             pws, pwd = pw[src_p], pw[dst_p]
@@ -339,33 +337,21 @@ def fm_refine(
             gain[v] = -gv
             moves.append(v)
 
-            # Update neighbour gains incrementally.  This must happen
-            # before any early-stop break so the persistent gain array
-            # stays consistent for rollback.
-            if use_buckets:
-                for idx in range(xadj[v], xadj[v + 1]):
-                    u = adj[idx]
-                    if part_v[u] == dst_p:
-                        gu = gain[u] - 2.0
-                    else:
-                        gu = gain[u] + 2.0
-                    gain[u] = gu
-                    if not locked[u] and gu > -wdeg[u]:
-                        gi = int(gu) + off
-                        buckets[gi].append(u)
-                        if gi > gmax:
-                            gmax = gi
-            else:
-                for idx in range(xadj[v], xadj[v + 1]):
-                    u = adj[idx]
-                    if part_v[u] == dst_p:
-                        gu = gain[u] - 2.0 * awt[idx]
-                    else:
-                        gu = gain[u] + 2.0 * awt[idx]
-                    gain[u] = gu
-                    if not locked[u] and gu > -wdeg[u]:
-                        heapq.heappush(heap, (-gu, counter, u))
-                        counter += 1
+            # Update neighbour gains incrementally; a boundary
+            # neighbour still free to move is queued at its new gain.
+            for idx in range(xadj[v], xadj[v + 1]):
+                u = adj[idx]
+                if part_v[u] == dst_p:
+                    gu = gain[u] - 2.0 * awt[idx]
+                else:
+                    gu = gain[u] + 2.0 * awt[idx]
+                gain[u] = gu
+                if not locked[u] and gu > -wdeg[u]:
+                    q = queues.get(gu)
+                    if q is None:
+                        queues[gu] = q = deque()
+                        heapq.heappush(keys, -gu)
+                    q.append(u)
 
             feasible_now = new_imb <= tol
             feasible_best = best_imb <= tol
@@ -388,46 +374,36 @@ def fm_refine(
             elif len(moves) - best_prefix > early_stop:
                 break
 
-        # Roll back the tail beyond the best prefix.
-        improved = best_prefix > 0
-        for v in reversed(moves[best_prefix:]):
-            src_p = part_v[v]
-            dst_p = 1 - src_p
-            part_v[v] = dst_p
-            if one_hot:
-                c = col_v[v]
-                w = wcol_v[v]
-                pw[src_p][c] -= w
-                pw[dst_p][c] += w
-            else:
+        # Drop the tail beyond the best prefix: back to the pass-start
+        # state, then the prefix again, move for move.
+        if best_prefix < len(moves):
+            part[:] = part0
+            gain_a[:] = gain0
+            pw = pw0
+            for v in moves[:best_prefix]:
+                src_p = part_v[v]
+                dst_p = 1 - src_p
+                part_v[v] = dst_p
                 for c in range(ncon):
                     w = vw_cols[c][v]
                     pw[src_p][c] -= w
                     pw[dst_p][c] += w
-            gv = gain[v]
-            cur_cut -= gv
-            gain[v] = -gv
-            if use_buckets:
-                for idx in range(xadj[v], xadj[v + 1]):
-                    u = adj[idx]
-                    if part_v[u] == dst_p:
-                        gain[u] -= 2.0
-                    else:
-                        gain[u] += 2.0
-            else:
+                gain[v] = -gain[v]
                 for idx in range(xadj[v], xadj[v + 1]):
                     u = adj[idx]
                     if part_v[u] == dst_p:
                         gain[u] -= 2.0 * awt[idx]
                     else:
                         gain[u] += 2.0 * awt[idx]
+        # The cut after the prefix is the one recorded when it was best.
+        cur_cut = best_cut
         if check_cut:
             ref_cut = edge_cut(g, part)
             if abs(cur_cut - ref_cut) > 1e-6 * max(1.0, abs(ref_cut)):
                 raise PartitionInternalError(
                     f"incremental cut {cur_cut} != recomputed {ref_cut}"
                 )
-        if not improved:
+        if best_prefix == 0:
             break
         boundary = np.flatnonzero(gain_a > -wdeg_a)
     return part

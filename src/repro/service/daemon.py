@@ -375,8 +375,12 @@ class ServeDaemon:
     workers:
         Concurrent job children, each under its own supervisor thread.
         A free slot claims ``min(8, ceil(pending / free slots))`` jobs
-        as one batch, so one slot never starves the others.  ``SOFT``
-        pressure halves the effective target; ``HARD`` pauses claiming.
+        as one batch: an even share of the backlog among the slots free
+        at claim time, not among all slots.  A slot that frees a moment
+        later finds what is left, possibly nothing, and waits for the
+        next wake or poll while the batch runs serially in one child.
+        ``SOFT`` pressure halves the effective target; ``HARD`` pauses
+        claiming.
     sentinel:
         :class:`ResourceSentinel` override (chaos tests inject
         synthetic probes here); ``None`` builds the default watching

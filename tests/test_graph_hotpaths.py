@@ -39,10 +39,10 @@ def random_graph(
 ) -> CSRGraph:
     """A connected random graph: a Hamiltonian path plus random chords.
 
-    ``unit_weights=True`` exercises the FM bucket-queue fast path,
-    ``False`` the general lazy-heap path.  Constraint vectors are
-    one-hot for even seeds (the MC_TL shape, exercising the one-hot
-    balance fast path) and dense random for odd seeds.
+    ``unit_weights=True`` gives integer FM gains, ``False`` weighted
+    ones; both go through FM's one exact-gain queue.  Constraint
+    vectors are one-hot for even seeds (the MC_TL shape, exercising the
+    one-hot balance fast path) and dense random for odd seeds.
     """
     rng = _rng(seed)
     edges = {(i, i + 1) for i in range(n - 1)}
